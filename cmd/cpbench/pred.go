@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cp"
 	"repro/internal/datagen"
 	"repro/internal/derive"
@@ -32,7 +33,7 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	gate := fs.Bool("gate", false, "exit nonzero when a gate threshold is violated")
 	maxFallback := fs.Float64("max-fallback", 0.05, "gate: max 3D orientation exact-fallback rate on the sweep corpus")
 	minPsiCert := fs.Float64("min-psi-cert", 0.50, "gate: min Ψ certification rate on the derivation corpus")
-	minSpeedup := fs.Float64("min-speedup", 1.5, "gate: min filtered-vs-reference speedup (3D orientation)")
+	minSpeedup := fs.Float64("min-speedup", 1.5, "gate: min speedup over the reference (3D orientation, SoS ties)")
 	// The Ψ-derivation speedup sits nearer its threshold than orient3
 	// (~1.5x typical vs ~5x), so its gate gets the same kind of noise
 	// headroom benchgate grants throughput metrics: the CI threshold is
@@ -151,7 +152,7 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	// Ψ derivation: capped+filtered vs the Int128 reference, with the
 	// production cap (the fixed-point τ′) so the filter sees the same
 	// quotient checks the compressor issues.
-	tau3 := tr3.Bound(*tauRel * rangeOf3(f3))
+	tau3 := tr3.Bound(*tauRel * rangeOf(f3.U, f3.V, f3.W))
 	psiBefore := filter.Stats()
 	var psiAcc int64
 	filtPsi := bestOf(*reps, func() {
@@ -190,6 +191,31 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	_ = sink
 	_ = psiAcc
 
+	// SoS ties on the decoded golden fields (see sos.go): Ocean NoSpec and
+	// Nek ST4 round trips, harvested over the same cell strides as the
+	// orientation rows.
+	dec2, err := roundTrip2D(f2, tr2, *tauRel*rangeOf(f2.U, f2.V), core.NoSpec)
+	if err != nil {
+		return false, err
+	}
+	dec3, err := roundTrip3D(f3, tr3, *tauRel*rangeOf(f3.U, f3.V, f3.W), core.ST4)
+	if err != nil {
+		return false, err
+	}
+	du2, dv2 := make([]int64, len(u2)), make([]int64, len(v2))
+	tr2.ToFixed(dec2.U, du2)
+	tr2.ToFixed(dec2.V, dv2)
+	du3, dv3, dw3 := make([]int64, len(u3)), make([]int64, len(v3)), make([]int64, len(w3))
+	tr3.ToFixed(dec3.U, du3)
+	tr3.ToFixed(dec3.V, dv3)
+	tr3.ToFixed(dec3.W, dw3)
+	tieCap := *samples / 20
+	ties2 := thin(harvestTies2(d2.Mesh, du2, dv2, stride2), tieCap)
+	ties3 := thin(harvestTies3(m3, du3, dv3, dw3, stride3), tieCap)
+	//lint:ignore floatflow the ties come from tr.ToFixed of the decoded fields; the taint is τ parameterizing the round trip, not a float reaching a predicate
+	sos := measureSoS(ties2, ties3, *reps)
+	printSoS(w, sos, len(ties2), len(ties3))
+
 	fallback := 1 - sw.Orient3AcceptRate()
 	ok := true
 	if fallback > *maxFallback {
@@ -204,13 +230,21 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 		fmt.Fprintf(w, "gate: FAIL orient3 speedup %.2fx < %.2fx\n", o3Speedup, *minSpeedup)
 		ok = false
 	}
+	if sos.mismatches > 0 {
+		fmt.Fprintf(w, "gate: FAIL sos tie path disagrees with SoSSign on %d of %d ties\n", sos.mismatches, sos.ties)
+		ok = false
+	}
+	if sos.ties > 0 && sos.speedup() < *minSpeedup {
+		fmt.Fprintf(w, "gate: FAIL sos speedup %.2fx < %.2fx\n", sos.speedup(), *minSpeedup)
+		ok = false
+	}
 	if psiSpeedup < *minPsiSpeedup {
 		fmt.Fprintf(w, "gate: FAIL psi speedup %.2fx < %.2fx\n", psiSpeedup, *minPsiSpeedup)
 		ok = false
 	}
 	if ok {
-		fmt.Fprintf(w, "gate: ok (fallback %.4f <= %.4f, psi cert %.4f >= %.4f, orient3 %.2fx >= %.2fx, psi %.2fx >= %.2fx)\n",
-			fallback, *maxFallback, psi.PsiCertRate(), *minPsiCert, o3Speedup, *minSpeedup, psiSpeedup, *minPsiSpeedup)
+		fmt.Fprintf(w, "gate: ok (fallback %.4f <= %.4f, psi cert %.4f >= %.4f, orient3 %.2fx >= %.2fx, psi %.2fx >= %.2fx, sos %.2fx >= %.2fx)\n",
+			fallback, *maxFallback, psi.PsiCertRate(), *minPsiCert, o3Speedup, *minSpeedup, psiSpeedup, *minPsiSpeedup, sos.speedup(), *minSpeedup)
 	}
 	return *gate && !ok, nil
 }
@@ -246,9 +280,9 @@ func speedup(ref, filt time.Duration) float64 {
 	return ref.Seconds() / filt.Seconds()
 }
 
-func rangeOf3(f *field.Field3D) float64 {
-	lo, hi := f.U[0], f.U[0]
-	for _, c := range [][]float32{f.U, f.V, f.W} {
+func rangeOf(comps ...[]float32) float64 {
+	lo, hi := comps[0][0], comps[0][0]
+	for _, c := range comps {
 		for _, v := range c {
 			if v < lo {
 				lo = v

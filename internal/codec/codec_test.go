@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -141,4 +142,25 @@ func (m memSink) WritePlanes(start int, comps [][]float32) error {
 	copy(m.f.U[start*m.f.NX:start*m.f.NX+n], comps[0])
 	copy(m.f.V[start*m.f.NX:start*m.f.NX+n], comps[1])
 	return nil
+}
+
+// TestCompressRejectsNonFinite: the codec's streaming stats pass turns a
+// NaN in the source into a typed *fixed.DomainError before any output is
+// written.
+func TestCompressRejectsNonFinite(t *testing.T) {
+	f := datagen.Ocean(32, 24)
+	f.V[100] = float32(math.NaN())
+	c, err := Lookup(FormatCP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	_, err = c.Compress(field.Mem2D(f), &out, Params{Tau: 0.01, Spec: "ST1"})
+	var de *fixed.DomainError
+	if !errors.As(err, &de) || de.Component != 1 || de.Index != 100 {
+		t.Fatalf("err = %v, want *fixed.DomainError at component 1 index 100", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("%d bytes written before the domain error", out.Len())
+	}
 }

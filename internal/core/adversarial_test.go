@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -191,5 +193,26 @@ func TestAdversarialDistributedDegenerateBorders(t *testing.T) {
 	rep := cp.Compare(orig, cp.DetectField2D(g, tr))
 	if !rep.Preserved() {
 		t.Fatalf("degenerate border data broke across ranks: %v (of %d)", rep, len(orig))
+	}
+}
+
+// TestCompressRejectsNonFinite: a NaN or infinite input value is a typed
+// *fixed.DomainError at the entry point — never a "successful" blob that
+// decodes the NaN as 0, nor a misleading resolution error for +Inf.
+func TestCompressRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1))} {
+		f := tinyField2D(1, 9, 7)
+		f.U[10] = bad
+		_, _, err := Compress2D(f, Options{Tau: 0.5})
+		var de *fixed.DomainError
+		if !errors.As(err, &de) || de.Component != 0 || de.Index != 10 {
+			t.Errorf("%v: Compress2D err = %v, want *fixed.DomainError at component 0 index 10", bad, err)
+		}
+		g := tinyField3D(2, 5)
+		g.W[3] = bad
+		_, _, err = Compress3D(g, Options{Tau: 0.5})
+		if !errors.As(err, &de) || de.Component != 2 || de.Index != 3 {
+			t.Errorf("%v: Compress3D err = %v, want *fixed.DomainError at component 2 index 3", bad, err)
+		}
 	}
 }

@@ -2,8 +2,11 @@ package cp
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/exact/filter"
 	"repro/internal/field"
 )
 
@@ -153,6 +156,80 @@ func TestDetectCells3DMatchesBruteForce(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("cell list diverges at %d: %d != %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestCellContainsLocalTieNoAlloc pins the detectors' per-cell predicate
+// allocation-free on cells whose orientations tie: the tie path runs on
+// the stack, like the filtered path.
+func TestCellContainsLocalTieNoAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	// Cell 0 of each detector gets two equal corner vectors, so its
+	// full-simplex orientation is an exact tie.
+	d2 := randFixed2D(rng, 5, 5, 1<<20, false)
+	vs2 := d2.Mesh.CellVertices(0)
+	d2.U[vs2[0]], d2.V[vs2[0]] = 7, 9
+	d2.U[vs2[1]], d2.V[vs2[1]] = 7, 9
+	var loc filter.Local
+	if a := testing.AllocsPerRun(100, func() { d2.CellContainsLocal(0, &loc) }); a != 0 {
+		t.Errorf("Detector2D.CellContainsLocal on a tie cell: %v allocs/op", a)
+	}
+	d3 := randFixed3D(rng, 4, 4, 4, 1<<20, false)
+	vs3 := d3.Mesh.CellVertices(0)
+	for _, vi := range vs3[1:3] {
+		d3.U[vi], d3.V[vi], d3.W[vi] = 7, 9, 11
+	}
+	if a := testing.AllocsPerRun(100, func() { d3.CellContainsLocal(0, &loc) }); a != 0 {
+		t.Errorf("Detector3D.CellContainsLocal on a tie cell: %v allocs/op", a)
+	}
+	loc.Flush()
+}
+
+// tieHeavyDetector3D builds a field whose values take only three levels,
+// with an all-zero block: most cells tie and resolve through SoS, like a
+// decoded, coarsely quantized field with a no-slip wall.
+func tieHeavyDetector3D(rng *rand.Rand, n int) *Detector3D {
+	d := randFixed3D(rng, n, n, n, 1, true)
+	for i := range d.U {
+		d.U[i] *= 1 << 19
+		d.V[i] *= 1 << 19
+		d.W[i] *= 1 << 19
+	}
+	return d
+}
+
+// TestDetectCellsConcurrentTies runs DetectCells from four goroutines at
+// once over tie-heavy 2D and 3D fields (each sweep itself fanned over the
+// worker pool) and requires every result to equal a serial run — the
+// tie path shares only the read-only plan table. Run under -race by
+// `make race`.
+func TestDetectCellsConcurrentTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	d2 := randFixed2D(rng, 96, 96, 1, true)
+	d3 := tieHeavyDetector3D(rng, 20)
+	want2, want3 := d2.DetectCells(), d3.DetectCells()
+	if len(want2) == 0 || len(want3) == 0 {
+		t.Fatalf("tie-heavy fields detected %d/%d cells; want some", len(want2), len(want3))
+	}
+	var wg sync.WaitGroup
+	got2 := make([][]int, 4)
+	got3 := make([][]int, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got2[g] = d2.DetectCells()
+			got3[g] = d3.DetectCells()
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < 4; g++ {
+		if !reflect.DeepEqual(got2[g], want2) {
+			t.Errorf("goroutine %d: 2D cells differ from the serial run", g)
+		}
+		if !reflect.DeepEqual(got3[g], want3) {
+			t.Errorf("goroutine %d: 3D cells differ from the serial run", g)
 		}
 	}
 }

@@ -56,9 +56,9 @@ func (d *Detector2D) CellContainsLocal(c int, loc *filter.Local) bool {
 
 // triContains runs Algorithm 1 over an already-built orientation matrix:
 // the full-simplex sign followed by the three origin-substituted signs,
-// each through the certified filter with the exact/SoS fallback. Global
-// SoS identities are resolved lazily — only degenerate predicates pay
-// for them.
+// each through the certified filter; a certified exact zero goes straight
+// to the tie-only SoS path. Global SoS identities are resolved lazily —
+// only degenerate predicates pay for them.
 func (d *Detector2D) triContains(m *[3][3]int64, vs *[3]int, loc *filter.Local) bool {
 	var gids [3]int
 	haveGids := false
@@ -75,8 +75,7 @@ func (d *Detector2D) triContains(m *[3][3]int64, vs *[3]int, loc *filter.Local) 
 				gids = [3]int{d.gid(vs[0]), d.gid(vs[1]), d.gid(vs[2])}
 				haveGids = true
 			}
-			rows := [3][]int64{mr[0][:], mr[1][:], mr[2][:]}
-			si = exact.SoSOrientSign(rows[:], gids[:], i)
+			si = exact.SoSOrient2Tie(&mr, &gids, i)
 		}
 		if i < 0 {
 			s = si
@@ -233,8 +232,7 @@ func (d *Detector3D) tetContains(m *[4][4]int64, vs *[4]int, loc *filter.Local) 
 				gids = [4]int{d.gid(vs[0]), d.gid(vs[1]), d.gid(vs[2]), d.gid(vs[3])}
 				haveGids = true
 			}
-			rows := [4][]int64{mr[0][:], mr[1][:], mr[2][:], mr[3][:]}
-			si = exact.SoSOrientSign(rows[:], gids[:], i)
+			si = exact.SoSOrient3Tie(&mr, &gids, i)
 		}
 		if i < 0 {
 			s = si

@@ -2,7 +2,6 @@ package exact
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/safedim"
 )
@@ -123,97 +122,299 @@ func lessEps(a, b []int) bool {
 	return len(a) < len(b)
 }
 
-// SoSOrientSign is a fast-path SoS evaluator for orientation matrices:
-// row r carries the data of vertex ids[r] (perturbation index of entry
-// (r,c) is ids[r]*(n-1)+c for the n-1 data columns; the ones column is
-// exact), and row `replace` (or none if -1) is the unperturbed origin row.
+// Tie-only orientation SoS.
 //
-// Because the perturbation indices are an order-preserving function of the
-// vertex ids, the ε-order of the perturbation subsets depends only on the
-// *rank permutation* of the ids and on `replace` — so the ordered subset
-// list is cached per (n, replace, rank pattern) and each call reduces to
-// walking precomputed minors until one is nonzero. This is what keeps
-// detection fast on heavily degenerate data (masked regions, planar
-// fields) where the plain determinant is zero for a large fraction of
-// cells.
-func SoSOrientSign(m [][]int64, ids []int, replace int) int {
-	if s := detSignN(m); s != 0 {
-		return s
+// The detectors call SoS only after their certified filter has proven
+// the orientation determinant exactly zero, so the tie entry points below
+// skip the determinant entirely and walk a plan table built once at
+// package init. Row r of an orientation matrix carries the data of vertex
+// ids[r] (perturbation index of entry (r,c) is ids[r]*(n-1)+c for the n-1
+// data columns; the ones column is exact), and row `replace` (or none if
+// -1) is the unperturbed origin row.
+//
+// Because the perturbation indices are an order-preserving function of
+// the vertex ids, the ε-order of the matchings depends only on the *rank
+// pattern* of the ids and on `replace`: the table holds, per (n, replace,
+// rank pattern), the matchings perturbationSubsets yields in SoS order,
+// pruned twice (see THEORY.md §4):
+//
+//   - a matching with two positions in one column is dropped — its work
+//     matrix has two equal unit rows, so its determinant is zero and SoS
+//     always passes over it;
+//   - the list ends at its first full transversal — every data column is
+//     matched, the complementary minor is the 1×1 ones-column entry, so
+//     that step always decides and nothing after it is ever reached.
+//
+// Each plan is stored as its complementary minor: the unmatched rows,
+// the unmatched data columns (the ones column is never matched, so every
+// minor keeps it) and the sign relating the work matrix's determinant to
+// the minor's. A step therefore costs a constant (order 1), one
+// difference of two entries (order 2, [[a,1],[b,1]]) or one homogeneous
+// Det3H (order 3), never a copied n×n determinant.
+
+// tiePlan is one precomputed SoS step: det(work) = sign·det(minor), where
+// the minor takes rows[:k] and data columns cols[:k-1] plus the ones
+// column.
+type tiePlan struct {
+	sign int8
+	k    uint8
+	rows [3]uint8
+	cols [2]uint8
+}
+
+// The plan tables, indexed by [replace+1][rank pattern]; the rank pattern
+// is the pairwise order code of order3/order4.
+var (
+	tie2 [4][8][]tiePlan
+	tie3 [5][64][]tiePlan
+)
+
+func init() {
+	for _, rank := range permutations(3) {
+		code := order3((*[3]int)(rank))
+		for replace := -1; replace < 3; replace++ {
+			tie2[replace+1][code] = buildTiePlans(3, replace, rank)
+		}
 	}
-	n := len(m)
-	key := sosKey(n, replace, ids)
-	cached, ok := sosCache.Load(key)
-	if !ok {
-		pert := make([][]int, n)
-		for r := 0; r < n; r++ {
-			pert[r] = make([]int, n)
-			for c := 0; c < n; c++ {
-				if r == replace || c == n-1 {
-					pert[r][c] = -1
-				} else {
-					// Rank-based surrogate indices: same relative order
-					// as the true global indices.
-					pert[r][c] = rankOf(ids, r)*(n-1) + c
-				}
+	for _, rank := range permutations(4) {
+		code := order4((*[4]int)(rank))
+		for replace := -1; replace < 4; replace++ {
+			tie3[replace+1][code] = buildTiePlans(4, replace, rank)
+		}
+	}
+}
+
+// order3 returns the pairwise order code of three distinct ids: bit b is
+// set when the b-th pair of (0,1), (0,2), (1,2) is ascending. It is a
+// bijection from the six rank patterns onto six of the eight codes.
+func order3(ids *[3]int) uint8 {
+	var code uint8
+	if ids[0] < ids[1] {
+		code |= 1
+	}
+	if ids[0] < ids[2] {
+		code |= 2
+	}
+	if ids[1] < ids[2] {
+		code |= 4
+	}
+	return code
+}
+
+// order4 is order3 for four ids over the pairs (0,1), (0,2), (0,3),
+// (1,2), (1,3), (2,3).
+func order4(ids *[4]int) uint8 {
+	var code uint8
+	if ids[0] < ids[1] {
+		code |= 1
+	}
+	if ids[0] < ids[2] {
+		code |= 2
+	}
+	if ids[0] < ids[3] {
+		code |= 4
+	}
+	if ids[1] < ids[2] {
+		code |= 8
+	}
+	if ids[1] < ids[3] {
+		code |= 16
+	}
+	if ids[2] < ids[3] {
+		code |= 32
+	}
+	return code
+}
+
+// permutations returns every permutation of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := make([]int, 0, n)
+			q = append(q, p[:at]...)
+			q = append(q, n-1)
+			q = append(q, p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// orientPert returns the SoSSign perturbation index matrix of an n×n
+// orientation matrix whose rows carry vertex ids[r]. Called with the ids'
+// ranks it yields surrogate indices in the same relative order as the
+// true global ones.
+func orientPert(n, replace int, ids []int) [][]int {
+	pert := make([][]int, n)
+	for r := range pert {
+		pert[r] = make([]int, n)
+		for c := range pert[r] {
+			if r == replace || c == n-1 {
+				pert[r][c] = -1
+			} else {
+				pert[r][c] = ids[r]*(n-1) + c
 			}
 		}
-		subs := perturbationSubsets(pert)
-		plans := make([][]matchPos, len(subs))
-		for i, s := range subs {
-			plans[i] = s.positions
-		}
-		cached, _ = sosCache.LoadOrStore(key, plans)
 	}
-	plans := cached.([][]matchPos)
-	// The work matrix lives on the stack (n <= 4, and detSignN does not
-	// retain its argument): this runs on every exact-predicate tie, so it
-	// must not allocate.
-	var wbuf [4][4]int64
-	var work [4][]int64
-	for i := 0; i < n; i++ {
-		work[i] = wbuf[i][:n]
+	return pert
+}
+
+// buildTiePlans returns the pruned, ε-ordered plan list for one
+// (n, replace, rank pattern).
+func buildTiePlans(n, replace int, rank []int) []tiePlan {
+	var plans []tiePlan
+	for _, s := range perturbationSubsets(orientPert(n, replace, rank)) {
+		p, ok := tiePlanOf(n, s.positions)
+		if !ok {
+			continue
+		}
+		plans = append(plans, p)
+		if p.k == 1 {
+			break
+		}
 	}
-	for _, positions := range plans {
-		for r := 0; r < n; r++ {
-			copy(work[r], m[r])
+	return plans
+}
+
+// tiePlanOf converts a matching into its complementary-minor plan; ok is
+// false when two positions share a column (a structurally zero step).
+func tiePlanOf(n int, pos []matchPos) (p tiePlan, ok bool) {
+	var rowUsed, colUsed [4]bool
+	for _, q := range pos {
+		if colUsed[q.c] {
+			return tiePlan{}, false
 		}
-		for _, p := range positions {
-			for c := 0; c < n; c++ {
-				work[p.r][c] = 0
-			}
-			work[p.r][p.c] = 1
+		rowUsed[q.r], colUsed[q.c] = true, true
+	}
+	// The unit-pattern matrix: matched rows are their unit rows, the
+	// minor's rows map in order onto the minor's columns. It is a
+	// permutation matrix whose determinant is det(work)/det(minor).
+	unit := make([][]int64, n)
+	for r := range unit {
+		unit[r] = make([]int64, n)
+	}
+	for _, q := range pos {
+		unit[q.r][q.c] = 1
+	}
+	var cols []int
+	for c := 0; c < n; c++ {
+		if !colUsed[c] {
+			cols = append(cols, c)
 		}
-		if sg := detSignN(work[:n]); sg != 0 {
-			return sg
+	}
+	for r := 0; r < n; r++ {
+		if rowUsed[r] {
+			continue
 		}
+		unit[r][cols[p.k]] = 1
+		p.rows[p.k] = uint8(r)
+		if c := cols[p.k]; c != n-1 {
+			p.cols[p.k] = uint8(c)
+		}
+		p.k++
+	}
+	p.sign = int8(detSignN(unit))
+	return p, true
+}
+
+// SoSOrient2Tie returns the SoS sign of a 3×3 orientation matrix (last
+// column all ones) whose exact determinant is zero — the caller has
+// certified the tie, so the determinant is not re-evaluated. ids are the
+// rows' distinct global vertex ids and replace the origin row (-1 for
+// none). It never allocates.
+func SoSOrient2Tie(m *[3][3]int64, ids *[3]int, replace int) int {
+	s, _ := sosTie2(m, ids, replace)
+	return s
+}
+
+// SoSOrient2TiePlans is SoSOrient2Tie reporting the number of plans
+// walked, for the predicate microbenchmark.
+func SoSOrient2TiePlans(m *[3][3]int64, ids *[3]int, replace int) (sign, plans int) {
+	return sosTie2(m, ids, replace)
+}
+
+func sosTie2(m *[3][3]int64, ids *[3]int, replace int) (int, int) {
+	plans := tie2[replace+1][order3(ids)]
+	for i := range plans {
+		p := &plans[i]
+		if p.k == 1 {
+			return int(p.sign), i + 1
+		}
+		if s := sign64(m[p.rows[0]][p.cols[0]] - m[p.rows[1]][p.cols[0]]); s != 0 {
+			return int(p.sign) * s, i + 1
+		}
+	}
+	return 0, len(plans) // unreachable for distinct ids
+}
+
+// SoSOrient3Tie is SoSOrient2Tie for a 4×4 orientation matrix.
+func SoSOrient3Tie(m *[4][4]int64, ids *[4]int, replace int) int {
+	s, _ := sosTie3(m, ids, replace)
+	return s
+}
+
+// SoSOrient3TiePlans is SoSOrient3Tie reporting the number of plans
+// walked, for the predicate microbenchmark.
+func SoSOrient3TiePlans(m *[4][4]int64, ids *[4]int, replace int) (sign, plans int) {
+	return sosTie3(m, ids, replace)
+}
+
+func sosTie3(m *[4][4]int64, ids *[4]int, replace int) (int, int) {
+	plans := tie3[replace+1][order4(ids)]
+	for i := range plans {
+		p := &plans[i]
+		var s int
+		switch p.k {
+		case 1:
+			return int(p.sign), i + 1
+		case 2:
+			s = sign64(m[p.rows[0]][p.cols[0]] - m[p.rows[1]][p.cols[0]])
+		default:
+			r0, r1, r2 := &m[p.rows[0]], &m[p.rows[1]], &m[p.rows[2]]
+			c0, c1 := p.cols[0], p.cols[1]
+			minor := [3][3]int64{{r0[c0], r0[c1], 1}, {r1[c0], r1[c1], 1}, {r2[c0], r2[c1], 1}}
+			s = sign64(Det3H(&minor))
+		}
+		if s != 0 {
+			return int(p.sign) * s, i + 1
+		}
+	}
+	return 0, len(plans) // unreachable for distinct ids
+}
+
+func sign64(x int64) int {
+	switch {
+	case x > 0:
+		return 1
+	case x < 0:
+		return -1
 	}
 	return 0
 }
 
-var sosCache sync.Map // sosCacheKey → [][]matchPos
-
-type sosCacheKey struct {
-	n, replace int
-	perm       uint16
-}
-
-func sosKey(n, replace int, ids []int) sosCacheKey {
-	var perm uint16
-	for r := 0; r < n; r++ {
-		perm = perm<<2 | uint16(rankOf(ids, r))
+// SoSOrientSign returns the SoS-resolved sign of an n×n orientation
+// matrix (n = 3 or 4, last column all ones) without a certified sign in
+// hand: the exact determinant's sign, or on a tie the tie path.
+func SoSOrientSign(m [][]int64, ids []int, replace int) int {
+	if s := detSignN(m); s != 0 {
+		return s
 	}
-	return sosCacheKey{n: n, replace: replace, perm: perm}
-}
-
-// rankOf returns the rank of ids[r] among ids (ids are distinct).
-func rankOf(ids []int, r int) int {
-	rank := 0
-	for _, id := range ids {
-		if id < ids[r] {
-			rank++
+	if len(m) == 3 {
+		var a [3][3]int64
+		for r := range a {
+			copy(a[r][:], m[r])
 		}
+		return SoSOrient2Tie(&a, (*[3]int)(ids), replace)
 	}
-	return rank
+	var a [4][4]int64
+	for r := range a {
+		copy(a[r][:], m[r])
+	}
+	return SoSOrient3Tie(&a, (*[4]int)(ids), replace)
 }
 
 // DetN returns the exact determinant of an n×n int64 matrix, n <= 4,

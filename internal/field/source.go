@@ -15,6 +15,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/fixed"
 	"repro/internal/safedim"
 )
 
@@ -239,7 +240,8 @@ func (st Stats) Range() float64 {
 // SourceStats scans src in runs of at most window planes (window <= 0
 // picks a small default) and accumulates value statistics with O(window)
 // peak memory. The result is independent of window because min/max/abs
-// folds are order-insensitive.
+// folds are order-insensitive. A NaN or infinite value is rejected with a
+// *fixed.DomainError, exactly as fixed.Fit rejects it.
 func SourceStats(src SlabSource, window int) (Stats, error) {
 	dims := src.Dims()
 	nSlow := dims[len(dims)-1]
@@ -264,8 +266,8 @@ func SourceStats(src SlabSource, window int) (Stats, error) {
 		if err := src.ReadPlanes(start, count, comps); err != nil {
 			return Stats{}, err
 		}
-		for _, c := range comps {
-			for _, v := range c[:count*ps] {
+		for ci, c := range comps {
+			for i, v := range c[:count*ps] {
 				if first {
 					st.Min, st.Max, first = v, v, false
 				}
@@ -275,7 +277,11 @@ func SourceStats(src SlabSource, window int) (Stats, error) {
 				if v > st.Max {
 					st.Max = v
 				}
-				if a := math.Abs(float64(v)); a > st.MaxAbs {
+				a := math.Abs(float64(v))
+				if !(a <= math.MaxFloat32) {
+					return Stats{}, &fixed.DomainError{Component: ci, Index: start*ps + i, Value: v}
+				}
+				if a > st.MaxAbs {
 					st.MaxAbs = a
 				}
 				st.N++

@@ -1,6 +1,7 @@
 package field
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -175,5 +176,28 @@ func TestSpanValidation(t *testing.T) {
 	short := [][]float32{make([]float32, 4), make([]float32, 4)}
 	if err := src.ReadPlanes(0, 2, short); err == nil {
 		t.Error("short buffers accepted")
+	}
+}
+
+// TestSourceStatsRejectsNonFinite pins the streaming stats pass to the
+// same input domain as fixed.Fit: the first NaN or infinity, wherever
+// the scan window puts it, is a *fixed.DomainError with its index inside
+// the component.
+func TestSourceStatsRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		f := testField2D(31, 27)
+		at := f.Idx(4, 20)
+		f.V[at] = bad
+		f.V[at+7] = bad
+		for _, window := range []int{1, 3, 0} {
+			_, err := SourceStats(Mem2D(f), window)
+			var de *fixed.DomainError
+			if !errors.As(err, &de) {
+				t.Fatalf("%v window=%d: err = %v, want *fixed.DomainError", bad, window, err)
+			}
+			if de.Component != 1 || de.Index != at {
+				t.Errorf("%v window=%d: located at component %d index %d, want 1/%d", bad, window, de.Component, de.Index, at)
+			}
+		}
 	}
 }

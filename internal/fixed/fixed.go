@@ -15,6 +15,7 @@ package fixed
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -35,17 +36,34 @@ type Transform struct {
 // ErrEmpty is returned by Fit when no values are provided.
 var ErrEmpty = errors.New("fixed: no data to fit")
 
+// DomainError reports an input value no fixed-point transform can
+// represent: a NaN or an infinity. Component and Index locate the first
+// offending value (component index, then element index within it).
+type DomainError struct {
+	Component int
+	Index     int
+	Value     float32
+}
+
+func (e *DomainError) Error() string {
+	return fmt.Sprintf("fixed: non-finite value %v at component %d, index %d", e.Value, e.Component, e.Index)
+}
+
 // Fit chooses the largest power-of-two scale such that the fixed-point
 // magnitude of every value stays within MaxMagnitude/2 (the halving leaves
 // headroom for the error bound relaxation, which may push a perturbed value
-// up to τ′ beyond its original magnitude).
+// up to τ′ beyond its original magnitude). A NaN or infinite value is
+// rejected with a *DomainError.
 func Fit(components ...[]float32) (Transform, error) {
 	maxAbs := 0.0
 	n := 0
-	for _, c := range components {
+	for ci, c := range components {
 		n += len(c)
-		for _, v := range c {
+		for i, v := range c {
 			a := math.Abs(float64(v))
+			if !(a <= math.MaxFloat32) {
+				return Transform{}, &DomainError{Component: ci, Index: i, Value: v}
+			}
 			if a > maxAbs {
 				maxAbs = a
 			}

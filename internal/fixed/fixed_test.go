@@ -1,6 +1,8 @@
 package fixed
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -157,4 +159,34 @@ func TestPanicsOnLengthMismatch(t *testing.T) {
 		tr.ToFloat([]int64{1}, nil)
 		t.Error("ToFloat should panic on mismatch")
 	}()
+}
+
+// TestFitRejectsNonFinite pins the input domain: a NaN or an infinity
+// gets a *DomainError naming the first offending component and index,
+// never a transform (NaN used to fit silently and decode as 0).
+func TestFitRejectsNonFinite(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	for _, tc := range []struct {
+		value     string // the offending value, as fmt prints it
+		comps     [][]float32
+		comp, idx int
+	}{
+		{"NaN", [][]float32{{1, 2}, {3, nan, nan}}, 1, 1},
+		{"+Inf", [][]float32{{1, inf, 2}}, 0, 1},
+		{"-Inf", [][]float32{{0}, {0}, {4, 5, -inf}}, 2, 2},
+	} {
+		_, err := Fit(tc.comps...)
+		var de *DomainError
+		if !errors.As(err, &de) {
+			t.Fatalf("%s: err = %v, want *DomainError", tc.value, err)
+		}
+		if de.Component != tc.comp || de.Index != tc.idx || fmt.Sprint(de.Value) != tc.value {
+			t.Errorf("%s: got %v at component %d index %d, want component %d index %d",
+				tc.value, de.Value, de.Component, de.Index, tc.comp, tc.idx)
+		}
+	}
+	if _, err := Fit([]float32{math.MaxFloat32, -math.MaxFloat32}); err != nil {
+		t.Errorf("finite extremes rejected: %v", err)
+	}
 }

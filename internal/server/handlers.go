@@ -427,9 +427,14 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 
 // compressErr maps a codec error before any bytes hit the wire.
 func (s *Server) compressErr(w http.ResponseWriter, name string, err error) {
+	var de *fixed.DomainError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		s.finishCtxErr(w, name, err)
+	case errors.As(err, &de):
+		// A NaN or infinity in the uploaded field: the client's payload,
+		// well-formed but not compressible.
+		writeError(w, http.StatusUnprocessableEntity, err.Error())
 	default:
 		s.cfg.Tel.Counter("server.errors").Inc()
 		writeError(w, http.StatusInternalServerError, err.Error())

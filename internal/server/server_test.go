@@ -9,9 +9,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -191,6 +193,30 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET compress: status %d", resp.StatusCode)
+	}
+}
+
+// TestNonFiniteInput: a NaN or infinity in an uploaded field is a
+// well-formed but uncompressible payload — 422 from compress and verify,
+// not a 500 and never a "successful" container.
+func TestNonFiniteInput(t *testing.T) {
+	tel := telemetry.New()
+	_, base := startServer(t, Config{Tel: tel})
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1))} {
+		raw := oceanRaw(t, 16, 16)
+		binary.LittleEndian.PutUint32(raw[4*37:], math.Float32bits(bad))
+		for _, ep := range []string{"compress", "verify"} {
+			resp, body := postBytes(t, base+"/v1/"+ep+"?dims=16x16", raw)
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Errorf("%v %s: status %d want 422 (%s)", bad, ep, resp.StatusCode, body)
+			}
+			if !strings.Contains(string(body), "index 37") {
+				t.Errorf("%v %s: error does not name the offending index: %s", bad, ep, body)
+			}
+		}
+	}
+	if n := tel.Counter("server.errors").Value(); n != 0 {
+		t.Errorf("server.errors = %d after client payload errors", n)
 	}
 }
 

@@ -48,7 +48,22 @@ import (
 // attempts — the engine's raw memory is O(workers × slab).
 type slabScratch struct {
 	comps [][]float32
+	busy  atomic.Bool // held by a running attempt
 }
+
+// claim hands an attempt the worker's scratch, or a fresh one while an
+// earlier attempt still holds it: an attempt abandoned at its deadline
+// keeps running (see runAttempt), and keeps reading and writing its
+// buffers, so a retry or the lossless fallback must not share them.
+func (sc *slabScratch) claim() *slabScratch {
+	if sc.busy.CompareAndSwap(false, true) {
+		return sc
+	}
+	return &slabScratch{}
+}
+
+// release returns a claimed scratch once its attempt has finished.
+func (sc *slabScratch) release() { sc.busy.Store(false) }
 
 // buffers returns nc component buffers of n points each, reusing prior
 // allocations.
@@ -174,9 +189,15 @@ func streamRun(name string, rawBytes int64, slabs, workers int, po Options, w io
 				addWindowBytes(raw)
 				out := encodeSlab(i, name, po, spans[i],
 					func(i int, span *telemetry.Span) ([]byte, core.Stats, error) {
-						return encode(i, span, sc)
+						own := sc.claim()
+						defer own.release()
+						return encode(i, span, own)
 					},
-					func(i int) ([]byte, core.Stats, error) { return fallback(i, sc) })
+					func(i int) ([]byte, core.Stats, error) {
+						own := sc.claim()
+						defer own.release()
+						return fallback(i, own)
+					})
 				if blob, fired := po.Faults.Corrupt(out.blob, uint64(i)); fired {
 					// Simulated storage corruption after a successful encode,
 					// caught by the integrity checks at decode time.
