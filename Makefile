@@ -2,7 +2,7 @@ GO ?= go
 
 # Tier-1 gate: what CI (and the seed) requires to stay green.
 .PHONY: check
-check: vet lint build test faults benchgate predgate memgate loadgate
+check: vet lint build test benchtest faults benchgate predgate memgate loadgate
 
 .PHONY: vet
 vet:
@@ -26,6 +26,13 @@ build:
 .PHONY: test
 test:
 	$(GO) test ./...
+
+# The benchmark's own tests (bench/ is a separate module, so the root
+# `go test ./...` never reaches them): every workload runs in-process on
+# tiny inputs with its FP/FN/FT and byte-identity checks.
+.PHONY: benchtest
+benchtest:
+	cd bench && $(GO) test ./...
 
 # Race-detector pass over the concurrently instrumented packages
 # (telemetry counters, simulated MPI ranks, distributed strategies, the

@@ -185,8 +185,22 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	sweep2 := bestOf(*reps, func() { sink += len(d2.DetectCells()) })
 	sweep3 := bestOf(*reps, func() { sink += len(d3.DetectCells()) })
 	sw := filter.Stats().Sub(swBefore)
-	fmt.Fprintf(w, "detect:  ocean %s, nek %s, sweep accept %.2f%% (exact fallbacks %d of %d)\n",
+	// Share of cells the sign prefilter decides before any predicate,
+	// counted here over the corpus rather than on the sweep's hot path.
+	signed2, signed3 := 0, 0
+	for c := 0; c < d2.Mesh.NumCells(); c++ {
+		if d2.SignDecided(c) {
+			signed2++
+		}
+	}
+	for c := 0; c < m3.NumCells(); c++ {
+		if d3.SignDecided(c) {
+			signed3++
+		}
+	}
+	fmt.Fprintf(w, "detect:  ocean %s, nek %s, sign-decided %.2f%% / %.2f%%, sweep accept %.2f%% (exact fallbacks %d of %d)\n",
 		rate(d2.Mesh.NumCells(), sweep2), rate(m3.NumCells(), sweep3),
+		100*float64(signed2)/float64(d2.Mesh.NumCells()), 100*float64(signed3)/float64(m3.NumCells()),
 		100*sw.Orient3AcceptRate(), sw.Orient3Exact, sw.Orient3Calls())
 	_ = sink
 	_ = psiAcc

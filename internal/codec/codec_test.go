@@ -164,3 +164,33 @@ func TestCompressRejectsNonFinite(t *testing.T) {
 		t.Fatalf("%d bytes written before the domain error", out.Len())
 	}
 }
+
+// TestCompressRejectsNonFiniteTau: a NaN or infinite bound — given, or
+// reached by scaling a huge relative bound by the value range — is a
+// *fixed.DomainError naming tau, not a field degraded to lossless.
+func TestCompressRejectsNonFiniteTau(t *testing.T) {
+	f := datagen.Ocean(32, 24)
+	c, err := Lookup(FormatCP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tau float64
+		abs bool
+	}{
+		{math.NaN(), true},
+		{math.Inf(1), true},
+		{math.Inf(-1), false},
+		{math.MaxFloat64, false}, // finite, but τ·range overflows
+	} {
+		var out bytes.Buffer
+		_, err := c.Compress(field.Mem2D(f), &out, Params{Tau: tc.tau, TauAbsolute: tc.abs, Spec: "ST1"})
+		var de *fixed.DomainError
+		if !errors.As(err, &de) || de.Param != "tau" {
+			t.Errorf("tau=%v abs=%v: err = %v, want *fixed.DomainError for tau", tc.tau, tc.abs, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("tau=%v: %d bytes written before the domain error", tc.tau, out.Len())
+		}
+	}
+}

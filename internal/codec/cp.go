@@ -62,6 +62,12 @@ func (cpCodec) Compress(src field.SlabSource, w io.Writer, p Params) (Result, er
 	if err != nil {
 		return Result{}, err
 	}
+	// Reject a non-finite bound before the stats pass reads the source.
+	// The stream pipeline checks the range-scaled bound again, since a
+	// huge relative bound can overflow to +Inf.
+	if err := fixed.CheckParam("tau", p.Tau); err != nil {
+		return Result{}, err
+	}
 	stats, err := field.SourceStats(src, statsWindow(p.Pipeline.MaxMemBytes, dims))
 	if err != nil {
 		return Result{}, err

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cp"
 	"repro/internal/field"
 	"repro/internal/fixed"
+	"repro/internal/quantizer"
 )
 
 // Adversarial preservation tests: tiny-integer fields sit exactly on the
@@ -213,6 +214,53 @@ func TestCompressRejectsNonFinite(t *testing.T) {
 		_, _, err = Compress3D(g, Options{Tau: 0.5})
 		if !errors.As(err, &de) || de.Component != 2 || de.Index != 3 {
 			t.Errorf("%v: Compress3D err = %v, want *fixed.DomainError at component 2 index 3", bad, err)
+		}
+	}
+}
+
+// TestCompressRejectsNonFiniteTau: a NaN or infinite τ is a
+// *fixed.DomainError naming the parameter. It used to "succeed" by
+// storing every vertex losslessly, since τ·Scale wrapped in int64.
+func TestCompressRejectsNonFiniteTau(t *testing.T) {
+	f := smooth2D(5, 24, 20)
+	g := tinyField3D(6, 6)
+	for _, tau := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var de *fixed.DomainError
+		if _, _, err := Compress2D(f, Options{Tau: tau}); !errors.As(err, &de) || de.Param != "tau" {
+			t.Errorf("tau=%v: Compress2D err = %v, want *fixed.DomainError for tau", tau, err)
+		}
+		if _, _, err := Compress3D(g, Options{Tau: tau, Spec: ST2}); !errors.As(err, &de) || de.Param != "tau" {
+			t.Errorf("tau=%v: Compress3D err = %v, want *fixed.DomainError for tau", tau, err)
+		}
+	}
+}
+
+// TestCompressHugeTau: a finite τ whose fixed-point image overflows
+// int64 saturates at fixed.MaxBound — a lossy run that still preserves
+// every critical point — instead of wrapping to lossless storage.
+func TestCompressHugeTau(t *testing.T) {
+	if top := int64(fixed.MaxBound) << quantizer.MaxBoundUp; top <= 0 || 2*top+1 <= 0 {
+		t.Fatalf("MaxBound·2^MaxBoundUp = %d overflows the quantizer's int64 arithmetic", top)
+	}
+	f := smooth2D(7, 32, 24)
+	tr, err := fixed.Fit(f.U, f.V)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Speculation{NoSpec, ST1, ST4} {
+		blob, st, err := CompressField2DStats(f, tr, Options{Tau: 1e30, Spec: spec})
+		if err != nil {
+			t.Fatalf("%v: %v", spec, err)
+		}
+		if st.Lossless == st.Vertices {
+			t.Errorf("%v: all %d vertices stored losslessly under tau=1e30", spec, st.Vertices)
+		}
+		g, err := Decompress2D(blob)
+		if err != nil {
+			t.Fatalf("%v: %v", spec, err)
+		}
+		if rep := cp.Compare(cp.DetectField2D(f, tr), cp.DetectField2D(g, tr)); !rep.Preserved() {
+			t.Errorf("%v: tau=1e30 broke preservation: %v", spec, rep)
 		}
 	}
 }

@@ -29,13 +29,18 @@ type dimOps interface {
 	// cellBound computes vertex vid's bound contribution of cell c:
 	// min(Ψ, τ′) of Theorem 2 (or the unsound orientation-only ablation
 	// variant), raised by the sign-uniformity relaxation when relax is
-	// set. The whole per-cell computation sits behind one call so the
-	// mesh lookup and the sign scans stay concrete and inlinable on the
-	// kernel's hottest path; implementations must keep the relaxation
-	// semantics of Algorithm 2 lines 11–15 (a component with uniform
-	// strict sign over the cell may relax up to its own
-	// SignPreservingBound).
-	cellBound(vid, c int, tau int64, orientationOnly, relax bool) (cb int64, relaxed bool)
+	// set (Algorithm 2 lines 11–15: a component with uniform strict sign
+	// over the cell may relax up to its own SignPreservingBound). xi is
+	// the running minimum of the vertex's earlier cells (xi ≤ τ′), and
+	// the contract is exact only up to it: min(cb, xi) equals
+	// min(xi, max(min(Ψ, τ′), r)) for the cell's relaxation bound r.
+	// relaxed reports r > min(Ψ, τ′) when flagOpen is set; once the
+	// caller's flag is decided it may be false. r is computed first, and
+	// psiCap decides whether Ψ is needed and at which cap (THEORY.md §3).
+	// The whole per-cell computation sits behind one call so the mesh
+	// lookup and the sign scans stay concrete and inlinable on the
+	// kernel's hottest path.
+	cellBound(vid, c int, xi, tau int64, orientationOnly, relax, flagOpen bool) (cb int64, relaxed bool)
 }
 
 // cellChecker is the detector surface the kernel speculates against.
@@ -94,8 +99,21 @@ func (d *dim2) makeDetector(gid func(v int) int) cellChecker {
 	return &cp.Detector2D{Mesh: d.mesh, U: d.u, V: d.v, GlobalID: gid}
 }
 
-func (d *dim2) cellBound(vid, c int, tau int64, orientationOnly, relax bool) (cb int64, relaxed bool) {
+func (d *dim2) cellBound(vid, c int, xi, tau int64, orientationOnly, relax, flagOpen bool) (cb int64, relaxed bool) {
 	vs := d.mesh.CellVertices(c)
+	var r int64
+	if relax {
+		for _, z := range [2][]int64{d.u, d.v} {
+			s := sgn(z[vs[0]])
+			if s != 0 && sgn(z[vs[1]]) == s && sgn(z[vs[2]]) == s {
+				r = max(r, derive.SignPreservingBound(z[vid]))
+			}
+		}
+	}
+	limit, skip := psiCap(r, xi, tau, flagOpen)
+	if skip {
+		return r, flagOpen && r > tau
+	}
 	var a, b int
 	switch vid {
 	case vs[0]:
@@ -106,25 +124,33 @@ func (d *dim2) cellBound(vid, c int, tau int64, orientationOnly, relax bool) (cb
 		a, b = vs[0], vs[1]
 	}
 	if orientationOnly {
-		cb = derive.Psi2DOrientationOnly(d.u, d.v, a, b, vid)
-		if cb > tau {
-			cb = tau
-		}
+		cb = min(derive.Psi2DOrientationOnly(d.u, d.v, a, b, vid), limit)
 	} else {
-		cb = derive.Psi2DCapped(d.u, d.v, a, b, vid, tau)
+		cb = derive.Psi2DCapped(d.u, d.v, a, b, vid, limit)
 	}
-	if relax {
-		for _, z := range [2][]int64{d.u, d.v} {
-			s := sgn(z[vs[0]])
-			if s != 0 && sgn(z[vs[1]]) == s && sgn(z[vs[2]]) == s {
-				if r := derive.SignPreservingBound(z[vid]); r > cb {
-					cb = r
-					relaxed = true
-				}
-			}
-		}
+	if r > cb {
+		return r, true
 	}
-	return cb, relaxed
+	return cb, false
+}
+
+// psiCap decides whether a cell whose relaxation bound is r needs Ψ at
+// all, and at which cap. With r ≥ xi the cell cannot lower the running
+// minimum xi whatever Ψ is, so Ψ only matters for the relaxed flag: not
+// at all once the flag is decided or when r == 0 (nothing lies below
+// it), nor when r > τ′ (min(Ψ, τ′) < r is then certain). The one case
+// left, 0 < r ≤ τ′, evaluates Ψ capped at r, which decides Ψ < r exactly.
+// Otherwise Ψ is capped at xi: since xi ≤ τ′, min(max(min(Ψ, τ′), r), xi)
+// equals min(max(min(Ψ, xi), r), xi) and r > min(Ψ, τ′) equals
+// r > min(Ψ, xi), so the tighter cap changes no decision.
+func psiCap(r, xi, tau int64, flagOpen bool) (limit int64, skip bool) {
+	if r < xi {
+		return xi, false
+	}
+	if !flagOpen || r == 0 || r > tau {
+		return 0, true
+	}
+	return r, false
 }
 
 // dim3 is the Freudenthal tetrahedral-mesh plug.
@@ -149,8 +175,21 @@ func (d *dim3) makeDetector(gid func(v int) int) cellChecker {
 	return &cp.Detector3D{Mesh: d.mesh, U: d.u, V: d.v, W: d.w, GlobalID: gid}
 }
 
-func (d *dim3) cellBound(vid, c int, tau int64, orientationOnly, relax bool) (cb int64, relaxed bool) {
+func (d *dim3) cellBound(vid, c int, xi, tau int64, orientationOnly, relax, flagOpen bool) (cb int64, relaxed bool) {
 	vs := d.mesh.CellVertices(c)
+	var r int64
+	if relax {
+		for _, z := range [3][]int64{d.u, d.v, d.w} {
+			s := sgn(z[vs[0]])
+			if s != 0 && sgn(z[vs[1]]) == s && sgn(z[vs[2]]) == s && sgn(z[vs[3]]) == s {
+				r = max(r, derive.SignPreservingBound(z[vid]))
+			}
+		}
+	}
+	limit, skip := psiCap(r, xi, tau, flagOpen)
+	if skip {
+		return r, flagOpen && r > tau
+	}
 	var o [3]int
 	n := 0
 	for _, v := range vs {
@@ -160,26 +199,15 @@ func (d *dim3) cellBound(vid, c int, tau int64, orientationOnly, relax bool) (cb
 		}
 	}
 	if orientationOnly {
-		cb = derive.Psi3DOrientationOnly(d.u, d.v, d.w, o[0], o[1], o[2], vid)
-		if cb > tau {
-			cb = tau
-		}
+		cb = min(derive.Psi3DOrientationOnly(d.u, d.v, d.w, o[0], o[1], o[2], vid), limit)
 	} else {
-		// Capped form: the float filter certifies "Ψ ≥ τ′" for
+		// Capped form: the float filter certifies "Ψ ≥ limit" for
 		// candidates that cannot lower the min, skipping their exact
-		// int128 evaluation; bit-identical to min(Psi3D, τ′).
-		cb = derive.Psi3DCappedLocal(d.u, d.v, d.w, o[0], o[1], o[2], vid, tau, d.pred)
+		// int128 evaluation; bit-identical to min(Psi3D, limit).
+		cb = derive.Psi3DCappedLocal(d.u, d.v, d.w, o[0], o[1], o[2], vid, limit, d.pred)
 	}
-	if relax {
-		for _, z := range [3][]int64{d.u, d.v, d.w} {
-			s := sgn(z[vs[0]])
-			if s != 0 && sgn(z[vs[1]]) == s && sgn(z[vs[2]]) == s && sgn(z[vs[3]]) == s {
-				if r := derive.SignPreservingBound(z[vid]); r > cb {
-					cb = r
-					relaxed = true
-				}
-			}
-		}
+	if r > cb {
+		return r, true
 	}
-	return cb, relaxed
+	return cb, false
 }

@@ -4,7 +4,10 @@ package core_test
 // under testdata/golden was produced by the pre-refactor (seed) engines;
 // the kernel refactor must reproduce every stream byte for byte and every
 // decoded field bit for bit, which pins the on-disk format, the SoS
-// consistency, and the zero-FP/FN/FT guarantees across refactors.
+// consistency, and the zero-FP/FN/FT guarantees across refactors. The
+// .stats files pin the encoder counters (relaxed vertices, speculation
+// trials, ...) as well, so a derivation reordering that keeps the bytes
+// must also keep exactly the same decisions.
 //
 // Regenerate (only when the format intentionally changes) with:
 //
@@ -18,6 +21,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -97,7 +101,16 @@ func evolve3D(f *field.Field3D) *field.Field3D {
 
 type goldenCase struct {
 	name string
-	run  func(t *testing.T) (blobs [][]byte, decoded [][]float32)
+	run  func(t *testing.T) goldenResult
+}
+
+// goldenResult is what one golden case produces: the compressed streams
+// (one per rank), the decoded components, and the encoder Stats summed
+// over the ranks.
+type goldenResult struct {
+	blobs   [][]byte
+	decoded [][]float32
+	stats   core.Stats
 }
 
 func goldenCases() []goldenCase {
@@ -113,10 +126,10 @@ func goldenCases() []goldenCase {
 		spec := spec
 		cases = append(cases, goldenCase{
 			name: "2d-plain-" + spec.String(),
-			run: func(t *testing.T) ([][]byte, [][]float32) {
+			run: func(t *testing.T) goldenResult {
 				f := goldenField2D(11, nx2, ny2)
 				tr := mustFit(t, f.U, f.V)
-				blob, err := core.CompressField2D(f, tr, core.Options{Tau: tau, Spec: spec})
+				blob, st, err := core.CompressField2DStats(f, tr, core.Options{Tau: tau, Spec: spec})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,14 +137,14 @@ func goldenCases() []goldenCase {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return [][]byte{blob}, [][]float32{dec.U, dec.V}
+				return goldenResult{[][]byte{blob}, [][]float32{dec.U, dec.V}, st}
 			},
 		}, goldenCase{
 			name: "3d-plain-" + spec.String(),
-			run: func(t *testing.T) ([][]byte, [][]float32) {
+			run: func(t *testing.T) goldenResult {
 				f := goldenField3D(13, nx3, ny3, nz3)
 				tr := mustFit(t, f.U, f.V, f.W)
-				blob, err := core.CompressField3D(f, tr, core.Options{Tau: tau, Spec: spec})
+				blob, st, err := core.CompressField3DStats(f, tr, core.Options{Tau: tau, Spec: spec})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,7 +152,7 @@ func goldenCases() []goldenCase {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return [][]byte{blob}, [][]float32{dec.U, dec.V, dec.W}
+				return goldenResult{[][]byte{blob}, [][]float32{dec.U, dec.V, dec.W}, st}
 			},
 		})
 	}
@@ -147,7 +160,7 @@ func goldenCases() []goldenCase {
 	// Temporal prediction against a previous frame.
 	cases = append(cases, goldenCase{
 		name: "2d-temporal",
-		run: func(t *testing.T) ([][]byte, [][]float32) {
+		run: func(t *testing.T) goldenResult {
 			prev := goldenField2D(21, nx2, ny2)
 			cur := evolve2D(prev)
 			tr := mustFit(t, cur.U, cur.V)
@@ -168,11 +181,11 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return [][]byte{blob}, [][]float32{dec.U, dec.V}
+			return goldenResult{[][]byte{blob}, [][]float32{dec.U, dec.V}, enc.Stats()}
 		},
 	}, goldenCase{
 		name: "3d-temporal",
-		run: func(t *testing.T) ([][]byte, [][]float32) {
+		run: func(t *testing.T) goldenResult {
 			prev := goldenField3D(23, nx3, ny3, nz3)
 			cur := evolve3D(prev)
 			tr := mustFit(t, cur.U, cur.V, cur.W)
@@ -193,7 +206,7 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return [][]byte{blob}, [][]float32{dec.U, dec.V, dec.W}
+			return goldenResult{[][]byte{blob}, [][]float32{dec.U, dec.V, dec.W}, enc.Stats()}
 		},
 	})
 
@@ -201,7 +214,7 @@ func goldenCases() []goldenCase {
 	// placement exercises the SoS GlobalID path).
 	cases = append(cases, goldenCase{
 		name: "2d-border",
-		run: func(t *testing.T) ([][]byte, [][]float32) {
+		run: func(t *testing.T) goldenResult {
 			f := goldenField2D(31, nx2, ny2)
 			tr := mustFit(t, f.U, f.V)
 			enc, err := core.NewEncoder2D(core.Block2D{
@@ -223,11 +236,11 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return [][]byte{blob}, [][]float32{dec.U, dec.V}
+			return goldenResult{[][]byte{blob}, [][]float32{dec.U, dec.V}, enc.Stats()}
 		},
 	}, goldenCase{
 		name: "3d-border",
-		run: func(t *testing.T) ([][]byte, [][]float32) {
+		run: func(t *testing.T) goldenResult {
 			f := goldenField3D(33, nx3, ny3, nz3)
 			tr := mustFit(t, f.U, f.V, f.W)
 			enc, err := core.NewEncoder3D(core.Block3D{
@@ -250,7 +263,7 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return [][]byte{blob}, [][]float32{dec.U, dec.V, dec.W}
+			return goldenResult{[][]byte{blob}, [][]float32{dec.U, dec.V, dec.W}, enc.Stats()}
 		},
 	})
 
@@ -258,7 +271,7 @@ func goldenCases() []goldenCase {
 	// the reassembled global field.
 	cases = append(cases, goldenCase{
 		name: "2d-twophase",
-		run: func(t *testing.T) ([][]byte, [][]float32) {
+		run: func(t *testing.T) goldenResult {
 			f := goldenField2D(41, 2*nx2, 2*ny2)
 			tr := mustFit(t, f.U, f.V)
 			grid := parallel.Grid2D{PX: 2, PY: 2}
@@ -271,11 +284,11 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.Blobs, [][]float32{dec.U, dec.V}
+			return goldenResult{res.Blobs, [][]float32{dec.U, dec.V}, res.EncStats}
 		},
 	}, goldenCase{
 		name: "3d-twophase",
-		run: func(t *testing.T) ([][]byte, [][]float32) {
+		run: func(t *testing.T) goldenResult {
 			f := goldenField3D(43, 2*nx3, 2*ny3, nz3)
 			tr := mustFit(t, f.U, f.V, f.W)
 			grid := parallel.Grid3D{PX: 2, PY: 2, PZ: 1}
@@ -288,7 +301,7 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.Blobs, [][]float32{dec.U, dec.V, dec.W}
+			return goldenResult{res.Blobs, [][]float32{dec.U, dec.V, dec.W}, res.EncStats}
 		},
 	})
 	return cases
@@ -338,16 +351,21 @@ func TestGolden(t *testing.T) {
 	for _, c := range goldenCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			blobs, decoded := c.run(t)
-			got := packBlobs(blobs)
-			sum := hashDecoded(decoded)
+			res := c.run(t)
+			got := packBlobs(res.blobs)
+			sum := hashDecoded(res.decoded)
+			stats := formatStats(res.stats)
 			binPath := filepath.Join(dir, c.name+".bin")
 			sumPath := filepath.Join(dir, c.name+".sum")
+			statsPath := filepath.Join(dir, c.name+".stats")
 			if *updateGolden {
 				if err := os.WriteFile(binPath, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				if err := os.WriteFile(sumPath, []byte(sum+"\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(statsPath, []byte(stats), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -366,8 +384,22 @@ func TestGolden(t *testing.T) {
 			if sum != string(bytes.TrimSpace(wantSum)) {
 				t.Errorf("decoded field digest differs from golden %s", sumPath)
 			}
+			wantStats, err := os.ReadFile(statsPath)
+			if err != nil {
+				t.Fatalf("missing golden stats: %v", err)
+			}
+			if stats != string(wantStats) {
+				t.Errorf("encoder Stats differ from golden %s:\ngot:\n%swant:\n%s", statsPath, stats, wantStats)
+			}
 		})
 	}
+}
+
+// formatStats renders the encoder counters one "Name value" line each,
+// the layout of the golden .stats files.
+func formatStats(s core.Stats) string {
+	return fmt.Sprintf("Vertices %d\nLossless %d\nRelaxed %d\nSpecTrials %d\nSpecFails %d\nSpecCutoffs %d\nLiterals %d\n",
+		s.Vertices, s.Lossless, s.Relaxed, s.SpecTrials, s.SpecFails, s.SpecCutoffs, s.Literals)
 }
 
 // TestGoldenDecodeFromDisk re-decodes the stored golden streams directly,

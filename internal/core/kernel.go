@@ -525,7 +525,10 @@ func (k *kernel) processVertex(oi, oj, ok int) {
 }
 
 // deriveBound is Algorithm 2 lines 5–17: the minimum over adjacent cells
-// of min(Ψ, τ′), with the sign-uniformity relaxation.
+// of min(Ψ, τ′), with the sign-uniformity relaxation. Each cell sees the
+// running minimum and whether the relaxed flag is still open, so it can
+// skip or tighten its Ψ evaluation without changing ξ or the flag (see
+// cellBound).
 func (k *kernel) deriveBound(vid int) (xi int64, relaxed bool) {
 	if k.tel.deriveNS != nil {
 		defer k.tel.deriveNS.AddSince(time.Now())
@@ -541,13 +544,9 @@ func (k *kernel) deriveBound(vid int) (xi int64, relaxed bool) {
 		if k.cpCell[c] {
 			return 0, false
 		}
-		cb, rlx := k.dim.cellBound(vid, c, k.tau, orientOnly, relax)
-		if rlx {
-			relaxed = true
-		}
-		if cb < xi {
-			xi = cb
-		}
+		cb, rlx := k.dim.cellBound(vid, c, xi, k.tau, orientOnly, relax, !relaxed)
+		relaxed = relaxed || rlx
+		xi = min(xi, cb)
 	}
 	return xi, relaxed
 }

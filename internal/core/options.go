@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/fixed"
 	"repro/internal/flightrec"
 	"repro/internal/telemetry"
 )
@@ -157,8 +158,14 @@ func (s *Stats) Add(o Stats) {
 	s.Literals += o.Literals
 }
 
-// Validate reports whether the options are usable.
+// Validate reports whether the options are usable. A NaN or infinite
+// Tau is a *fixed.DomainError naming the parameter: no finite bound
+// derives from it, and the fixed-point conversion would silently turn it
+// into lossless storage.
 func (o Options) Validate() error {
+	if err := fixed.CheckParam("tau", o.Tau); err != nil {
+		return err
+	}
 	if o.Tau <= 0 {
 		return errors.New("core: Tau must be positive")
 	}

@@ -171,6 +171,7 @@ func TestCellContainsLocalTieNoAlloc(t *testing.T) {
 	vs2 := d2.Mesh.CellVertices(0)
 	d2.U[vs2[0]], d2.V[vs2[0]] = 7, 9
 	d2.U[vs2[1]], d2.V[vs2[1]] = 7, 9
+	d2.U[vs2[2]], d2.V[vs2[2]] = -5, -3 // mixed signs: not decided by the sign prefilter
 	var loc filter.Local
 	if a := testing.AllocsPerRun(100, func() { d2.CellContainsLocal(0, &loc) }); a != 0 {
 		t.Errorf("Detector2D.CellContainsLocal on a tie cell: %v allocs/op", a)
@@ -180,6 +181,7 @@ func TestCellContainsLocalTieNoAlloc(t *testing.T) {
 	for _, vi := range vs3[1:3] {
 		d3.U[vi], d3.V[vi], d3.W[vi] = 7, 9, 11
 	}
+	d3.U[vs3[0]], d3.V[vs3[0]], d3.W[vs3[0]] = -1, -2, -3
 	if a := testing.AllocsPerRun(100, func() { d3.CellContainsLocal(0, &loc) }); a != 0 {
 		t.Errorf("Detector3D.CellContainsLocal on a tie cell: %v allocs/op", a)
 	}

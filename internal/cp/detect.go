@@ -42,6 +42,9 @@ func (d *Detector2D) CellContains(c int) bool {
 // globally per call, exactly like CellContains.
 func (d *Detector2D) CellContainsLocal(c int, loc *filter.Local) bool {
 	vs := d.Mesh.CellVertices(c)
+	if d.signDecided(&vs) {
+		return false
+	}
 	if d.U[vs[0]] == 0 && d.V[vs[0]] == 0 &&
 		d.U[vs[1]] == 0 && d.V[vs[1]] == 0 &&
 		d.U[vs[2]] == 0 && d.V[vs[2]] == 0 {
@@ -52,6 +55,35 @@ func (d *Detector2D) CellContainsLocal(c int, loc *filter.Local) bool {
 		m[r] = [3]int64{d.U[vi], d.V[vi], 1}
 	}
 	return d.triContains(&m, &vs, loc)
+}
+
+// SignDecided reports whether triangle c is decided by signs alone: some
+// component is strictly positive at all three vertices, or strictly
+// negative at all three. Every convex combination of the vectors then
+// has that component nonzero, so the origin lies outside their hull —
+// and the SoS perturbation, being infinitesimal, cannot flip the sign of
+// a nonzero integer, so the perturbed test agrees. Such a cell contains
+// no critical point and the containment predicates skip it before
+// building any matrix (THEORY.md §3).
+func (d *Detector2D) SignDecided(c int) bool {
+	vs := d.Mesh.CellVertices(c)
+	return d.signDecided(&vs)
+}
+
+func (d *Detector2D) signDecided(vs *[3]int) bool {
+	return uniform3(d.U[vs[0]], d.U[vs[1]], d.U[vs[2]]) ||
+		uniform3(d.V[vs[0]], d.V[vs[1]], d.V[vs[2]])
+}
+
+// uniform3 reports whether a, b and c are all strictly positive or all
+// strictly negative. A zero entry never qualifies.
+func uniform3(a, b, c int64) bool {
+	return (a > 0 && b > 0 && c > 0) || (a < 0 && b < 0 && c < 0)
+}
+
+// uniform4 is uniform3 over the four vertices of a tetrahedron.
+func uniform4(a, b, c, e int64) bool {
+	return (a > 0 && b > 0 && c > 0 && e > 0) || (a < 0 && b < 0 && c < 0 && e < 0)
 }
 
 // triContains runs Algorithm 1 over an already-built orientation matrix:
@@ -142,22 +174,17 @@ func (d *Detector2D) sweepRow(j int, mask, out []bool, hits []int, loc *filter.L
 			if mask != nil && !mask[c+t] {
 				continue
 			}
-			var m [3][3]int64
-			var vs [3]int
-			if t == 0 {
-				m[0] = [3]int64{u00, v00, 1}
-				m[1] = [3]int64{u10, v10, 1}
-				m[2] = [3]int64{u11, v11, 1}
-				vs = [3]int{lo + i, lo + i + 1, hi + i + 1}
-			} else {
-				m[0] = [3]int64{u00, v00, 1}
-				m[1] = [3]int64{u11, v11, 1}
-				m[2] = [3]int64{u01, v01, 1}
+			// The two corners after v00, and their vertex ids.
+			ua, va, ub, vb := u10, v10, u11, v11
+			vs := [3]int{lo + i, lo + i + 1, hi + i + 1}
+			if t == 1 {
+				ua, va, ub, vb = u11, v11, u01, v01
 				vs = [3]int{lo + i, hi + i + 1, hi + i}
 			}
 			got := false
-			if m[0][0] != 0 || m[0][1] != 0 || m[1][0] != 0 || m[1][1] != 0 ||
-				m[2][0] != 0 || m[2][1] != 0 {
+			if !uniform3(u00, ua, ub) && !uniform3(v00, va, vb) &&
+				(u00 != 0 || v00 != 0 || ua != 0 || va != 0 || ub != 0 || vb != 0) {
+				m := [3][3]int64{{u00, v00, 1}, {ua, va, 1}, {ub, vb, 1}}
 				got = d.triContains(&m, &vs, loc)
 			}
 			if out != nil {
@@ -197,6 +224,9 @@ func (d *Detector3D) CellContains(c int) bool {
 // accounting; see Detector2D.CellContainsLocal.
 func (d *Detector3D) CellContainsLocal(c int, loc *filter.Local) bool {
 	vs := d.Mesh.CellVertices(c)
+	if d.signDecided(&vs) {
+		return false
+	}
 	zero := true
 	for _, vi := range vs {
 		if d.U[vi] != 0 || d.V[vi] != 0 || d.W[vi] != 0 {
@@ -212,6 +242,19 @@ func (d *Detector3D) CellContainsLocal(c int, loc *filter.Local) bool {
 		m[r] = [4]int64{d.U[vi], d.V[vi], d.W[vi], 1}
 	}
 	return d.tetContains(&m, &vs, loc)
+}
+
+// SignDecided reports whether tetrahedron c is decided by signs alone;
+// see Detector2D.SignDecided.
+func (d *Detector3D) SignDecided(c int) bool {
+	vs := d.Mesh.CellVertices(c)
+	return d.signDecided(&vs)
+}
+
+func (d *Detector3D) signDecided(vs *[4]int) bool {
+	return uniform4(d.U[vs[0]], d.U[vs[1]], d.U[vs[2]], d.U[vs[3]]) ||
+		uniform4(d.V[vs[0]], d.V[vs[1]], d.V[vs[2]], d.V[vs[3]]) ||
+		uniform4(d.W[vs[0]], d.W[vs[1]], d.W[vs[2]], d.W[vs[3]])
 }
 
 // tetContains is the 3D analogue of Detector2D.triContains: the five
@@ -319,7 +362,10 @@ func (d *Detector3D) sweepRow(k, j int, mask, out []bool, hits []int, loc *filte
 			}
 			tc := &tets[t]
 			got := false
-			if !(zero[tc[0]] && zero[tc[1]] && zero[tc[2]] && zero[tc[3]]) {
+			if !uniform4(cu[tc[0]], cu[tc[1]], cu[tc[2]], cu[tc[3]]) &&
+				!uniform4(cv[tc[0]], cv[tc[1]], cv[tc[2]], cv[tc[3]]) &&
+				!uniform4(cw[tc[0]], cw[tc[1]], cw[tc[2]], cw[tc[3]]) &&
+				!(zero[tc[0]] && zero[tc[1]] && zero[tc[2]] && zero[tc[3]]) {
 				var m [4][4]int64
 				var vs [4]int
 				for r, corner := range tc {

@@ -279,7 +279,7 @@ func SourceStats(src SlabSource, window int) (Stats, error) {
 				}
 				a := math.Abs(float64(v))
 				if !(a <= math.MaxFloat32) {
-					return Stats{}, &fixed.DomainError{Component: ci, Index: start*ps + i, Value: v}
+					return Stats{}, &fixed.DomainError{Component: ci, Index: start*ps + i, Value: float64(v)}
 				}
 				if a > st.MaxAbs {
 					st.MaxAbs = a

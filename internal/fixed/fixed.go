@@ -23,6 +23,14 @@ import (
 // the predicates in package exact overflow-free.
 const MaxMagnitude = 1 << 20
 
+// MaxBound is the ceiling at which Bound saturates. It keeps every bound
+// the compressor derives from τ′ inside int64: the top of the relaxation
+// grid τ′·2^20 (quantizer.MaxBoundUp) is at most 2^60 and the quantizer's
+// bin width 2ξ+1 at most 2^61+1. The ceiling never tightens a usable
+// bound: two fixed-point values differ by at most 2·MaxMagnitude = 2^21
+// units, far below it.
+const MaxBound = 1 << 40
+
 // Transform holds the float↔fixed mapping for one dataset. All components
 // of a vector field share a single transform so that the user's absolute
 // error bound τ means the same thing for every component.
@@ -37,16 +45,31 @@ type Transform struct {
 var ErrEmpty = errors.New("fixed: no data to fit")
 
 // DomainError reports an input value no fixed-point transform can
-// represent: a NaN or an infinity. Component and Index locate the first
-// offending value (component index, then element index within it).
+// represent: a NaN or an infinity. For a field element, Component and
+// Index locate the first offending value (component index, then element
+// index within it); for a parameter such as the error bound, Param names
+// it and Component and Index are unused.
 type DomainError struct {
+	Param     string
 	Component int
 	Index     int
-	Value     float32
+	Value     float64
 }
 
 func (e *DomainError) Error() string {
+	if e.Param != "" {
+		return fmt.Sprintf("fixed: non-finite %s %v", e.Param, e.Value)
+	}
 	return fmt.Sprintf("fixed: non-finite value %v at component %d, index %d", e.Value, e.Component, e.Index)
+}
+
+// CheckParam returns a *DomainError naming the parameter when v is NaN
+// or infinite, and nil otherwise.
+func CheckParam(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return &DomainError{Param: name, Value: v}
+	}
+	return nil
 }
 
 // Fit chooses the largest power-of-two scale such that the fixed-point
@@ -62,7 +85,7 @@ func Fit(components ...[]float32) (Transform, error) {
 		for i, v := range c {
 			a := math.Abs(float64(v))
 			if !(a <= math.MaxFloat32) {
-				return Transform{}, &DomainError{Component: ci, Index: i, Value: v}
+				return Transform{}, &DomainError{Component: ci, Index: i, Value: float64(v)}
 			}
 			if a > maxAbs {
 				maxAbs = a
@@ -143,11 +166,16 @@ func (t Transform) Resolution() float64 {
 // Bound converts the user-specified absolute error bound τ (in original
 // float units) to a fixed-point bound τ′. One unit is subtracted so the
 // total error — quantization error of at most τ′ units plus the half-unit
-// float→fixed rounding — never exceeds τ in the original units.
+// float→fixed rounding — never exceeds τ in the original units. The
+// result saturates at MaxBound (τ·Scale beyond int64, +Inf included,
+// would otherwise wrap) and is 0 for a bound below one unit or a NaN.
 func (t Transform) Bound(tau float64) int64 {
-	b := int64(math.Floor(tau*t.Scale)) - 1
-	if b < 0 {
-		b = 0
+	b := math.Floor(tau*t.Scale) - 1
+	switch {
+	case !(b > 0):
+		return 0
+	case b >= MaxBound:
+		return MaxBound
 	}
-	return b
+	return int64(b)
 }

@@ -116,6 +116,45 @@ func TestBound(t *testing.T) {
 	}
 }
 
+// TestBoundSaturates: τ·Scale beyond int64 (and +Inf) saturates at
+// MaxBound instead of wrapping to a negative int64 and clamping to 0,
+// which silently meant lossless storage; NaN and -Inf give 0.
+func TestBoundSaturates(t *testing.T) {
+	tr := Transform{Scale: 1 << 19, Shift: 19}
+	for _, tc := range []struct {
+		tau  float64
+		want int64
+	}{
+		{1e30, MaxBound},
+		{math.Inf(1), MaxBound},
+		{math.MaxFloat64, MaxBound},
+		{float64(MaxBound) / (1 << 19), MaxBound - 1},
+		{4 * float64(MaxBound) / (1 << 19), MaxBound},
+		{math.NaN(), 0},
+		{math.Inf(-1), 0},
+		{-1, 0},
+	} {
+		if got := tr.Bound(tc.tau); got != tc.want {
+			t.Errorf("Bound(%g) = %d, want %d", tc.tau, got, tc.want)
+		}
+	}
+}
+
+func TestCheckParam(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := CheckParam("tau", v)
+		var de *DomainError
+		if !errors.As(err, &de) || de.Param != "tau" || fmt.Sprint(de.Value) != fmt.Sprint(v) {
+			t.Errorf("CheckParam(%v) = %v, want *DomainError for tau", v, err)
+		}
+	}
+	for _, v := range []float64{0, -1, 1e30, math.MaxFloat64} {
+		if err := CheckParam("tau", v); err != nil {
+			t.Errorf("CheckParam(%v) = %v, want nil", v, err)
+		}
+	}
+}
+
 func TestBoundGuaranteesUserTau(t *testing.T) {
 	// quantization error <= τ' units plus conversion rounding 0.5 units
 	// must be <= τ in float units.

@@ -217,7 +217,13 @@ func parseParams(r *http.Request, needDims bool) (reqParams, error) {
 	}
 	if t := q.Get("tau"); t != "" {
 		v, err := strconv.ParseFloat(t, 64)
-		if err != nil || v <= 0 {
+		if err != nil {
+			return p, fmt.Errorf("bad tau %q", t)
+		}
+		if err := fixed.CheckParam("tau", v); err != nil {
+			return p, err
+		}
+		if v <= 0 {
 			return p, fmt.Errorf("bad tau %q", t)
 		}
 		p.tau = v
@@ -230,6 +236,17 @@ func parseParams(r *http.Request, needDims bool) (reqParams, error) {
 		p.abs = v
 	}
 	return p, nil
+}
+
+// paramStatus maps a parseParams error to its status: 422 for a
+// well-formed but non-finite parameter (a *fixed.DomainError, like a
+// NaN in the body), 400 for anything malformed.
+func paramStatus(err error) int {
+	var de *fixed.DomainError
+	if errors.As(err, &de) {
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusBadRequest
 }
 
 // parseDims parses "NXxNY" or "NXxNYxNZ" (the topozip CLI syntax).
@@ -373,7 +390,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	p, err := parseParams(r, true)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, paramStatus(err), err.Error())
 		return
 	}
 	c, ok := lookupCodec(w, p)
@@ -454,7 +471,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	p, err := parseParams(r, false)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, paramStatus(err), err.Error())
 		return
 	}
 	c, ok := lookupCodec(w, p)
@@ -542,7 +559,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	p, err := parseParams(r, true)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, paramStatus(err), err.Error())
 		return
 	}
 	c, ok := lookupCodec(w, p)

@@ -220,6 +220,29 @@ func TestNonFiniteInput(t *testing.T) {
 	}
 }
 
+// TestNonFiniteTau: a NaN or infinite ?tau= parses as a float but no
+// bound derives from it — 422 naming the parameter from compress and
+// verify, like a non-finite body value, never a lossless "success".
+func TestNonFiniteTau(t *testing.T) {
+	tel := telemetry.New()
+	_, base := startServer(t, Config{Tel: tel})
+	raw := oceanRaw(t, 16, 16)
+	for _, tau := range []string{"NaN", "Inf", "-Inf"} {
+		for _, ep := range []string{"compress", "verify"} {
+			resp, body := postBytes(t, base+"/v1/"+ep+"?dims=16x16&abs=true&tau="+tau, raw)
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Errorf("tau=%s %s: status %d want 422 (%s)", tau, ep, resp.StatusCode, body)
+			}
+			if !strings.Contains(string(body), "non-finite tau") {
+				t.Errorf("tau=%s %s: error does not name the parameter: %s", tau, ep, body)
+			}
+		}
+	}
+	if n := tel.Counter("server.errors").Value(); n != 0 {
+		t.Errorf("server.errors = %d after client parameter errors", n)
+	}
+}
+
 func TestBodyTooLarge(t *testing.T) {
 	_, base := startServer(t, Config{MaxBodyBytes: 1 << 10})
 	raw := oceanRaw(t, 64, 64)

@@ -315,6 +315,11 @@ flush:
 // on the field, tr, opts, and the slab count — never on Workers or
 // Window.
 func CompressStream2D(src field.SlabSource, w io.Writer, tr fixed.Transform, opts core.Options, po Options) (Result, error) {
+	// A non-finite bound would fail every slab encode and degrade the
+	// whole field to lossless storage: reject it up front instead.
+	if err := fixed.CheckParam("tau", opts.Tau); err != nil {
+		return Result{}, err
+	}
 	dims := src.Dims()
 	if len(dims) != 2 {
 		return Result{}, fmt.Errorf("shm: 2D stream compress needs a 2D source, got %d dims", len(dims))
@@ -385,6 +390,11 @@ func CompressStream2D(src field.SlabSource, w io.Writer, tr fixed.Transform, opt
 
 // CompressStream3D is the 3D variant, slabbed along Z.
 func CompressStream3D(src field.SlabSource, w io.Writer, tr fixed.Transform, opts core.Options, po Options) (Result, error) {
+	// A non-finite bound would fail every slab encode and degrade the
+	// whole field to lossless storage: reject it up front instead.
+	if err := fixed.CheckParam("tau", opts.Tau); err != nil {
+		return Result{}, err
+	}
 	dims := src.Dims()
 	if len(dims) != 3 {
 		return Result{}, fmt.Errorf("shm: 3D stream compress needs a 3D source, got %d dims", len(dims))
