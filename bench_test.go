@@ -154,13 +154,14 @@ func BenchmarkTemporalSeries(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		w := archive.NewWriter(&buf)
+		sw := archive.NewStreamWriter(&buf)
+		series := archive.NewSeries(sw)
 		for _, f := range frames {
-			if err := w.Append3DTemporal(f, core.Options{Tau: 0.05}); err != nil {
+			if err := series.Append3D(f, core.Options{Tau: 0.05}); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := w.Close(); err != nil {
+		if err := sw.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

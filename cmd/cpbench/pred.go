@@ -152,7 +152,7 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	// Ψ derivation: capped+filtered vs the Int128 reference, with the
 	// production cap (the fixed-point τ′) so the filter sees the same
 	// quotient checks the compressor issues.
-	tau3 := tr3.Bound(*tauRel * rangeOf(f3.U, f3.V, f3.W))
+	tau3 := tr3.Bound(*tauRel * field.Range(f3.U, f3.V, f3.W))
 	psiBefore := filter.Stats()
 	var psiAcc int64
 	filtPsi := bestOf(*reps, func() {
@@ -208,11 +208,11 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	// SoS ties on the decoded golden fields (see sos.go): Ocean NoSpec and
 	// Nek ST4 round trips, harvested over the same cell strides as the
 	// orientation rows.
-	dec2, err := roundTrip2D(f2, tr2, *tauRel*rangeOf(f2.U, f2.V), core.NoSpec)
+	dec2, err := roundTrip2D(f2, tr2, *tauRel*field.Range(f2.U, f2.V), core.NoSpec)
 	if err != nil {
 		return false, err
 	}
-	dec3, err := roundTrip3D(f3, tr3, *tauRel*rangeOf(f3.U, f3.V, f3.W), core.ST4)
+	dec3, err := roundTrip3D(f3, tr3, *tauRel*field.Range(f3.U, f3.V, f3.W), core.ST4)
 	if err != nil {
 		return false, err
 	}
@@ -292,19 +292,4 @@ func speedup(ref, filt time.Duration) float64 {
 		return 0
 	}
 	return ref.Seconds() / filt.Seconds()
-}
-
-func rangeOf(comps ...[]float32) float64 {
-	lo, hi := comps[0][0], comps[0][0]
-	for _, c := range comps {
-		for _, v := range c {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	return float64(hi - lo)
 }

@@ -20,19 +20,22 @@
 // components). -tau is relative to the value range by default; pass
 // -abs to interpret it as an absolute bound.
 //
-// -workers (or -slabs) selects the shared-memory parallel pipeline: the
-// field is slabbed along its slow axis with lossless borders and the
-// slabs compress concurrently into an archive container. The output
-// bytes depend only on the slab count, never on the worker count.
-// decompress/verify/info recognize both bare blocks and containers.
+// Every compress runs the codec's slab pipeline (the same call path as
+// topozipd) and writes a version-3 archive container; decompress and
+// verify decode through the same codec. By default the field is one
+// slab, whose container holds exactly the single-node block. -workers
+// (or -slabs) splits the field along its slow axis into slabs with
+// lossless borders that compress concurrently; the output bytes depend
+// only on the slab count, never on the worker count.
+// decompress/verify/info also read bare blocks and older containers.
 //
-// -max-mem <bytes, e.g. 64M, 1GiB> selects the out-of-core streaming
-// path: compress pulls slabs from the raw file through a bounded
-// admission window straight into the output container, decompress and
-// verify stream slabs back out one window at a time, and the budget
-// sizes the slab count and window automatically — peak memory stays
-// near the budget no matter how large the field is. Output bytes depend
-// on the budget (it picks the slab count) but never on -workers.
+// -max-mem <bytes, e.g. 64M, 1GiB> bounds peak memory: compress pulls
+// slabs from the raw file through a bounded admission window straight
+// into the output container, decompress and verify stream slabs back
+// out one window at a time, and the budget sizes the slab count and
+// window automatically — peak memory stays near the budget no matter
+// how large the field is. Output bytes depend on the budget (it picks
+// the slab count) but never on -workers.
 package main
 
 import (
@@ -51,6 +54,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/archive"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/cp"
 	"repro/internal/datagen"
@@ -155,41 +159,6 @@ func parseMemBudget(s string) (int64, error) {
 	return int64(v * float64(mult)), nil
 }
 
-// statsWindowPlanes sizes the plane window of the streaming stats and
-// detection scans to roughly a quarter of the memory budget.
-func statsWindowPlanes(budget int64, dims []int) int {
-	nc := len(dims)
-	ps := int64(dims[0])
-	if nc == 3 {
-		ps *= int64(dims[1])
-	}
-	w := budget / 4 / (int64(nc) * ps * 4)
-	if w < 1 {
-		w = 1
-	}
-	if max := int64(dims[nc-1]); w > max {
-		w = max
-	}
-	return int(w)
-}
-
-func parseSpec(s string) (core.Speculation, error) {
-	switch strings.ToUpper(s) {
-	case "", "NOSPEC", "NONE":
-		return core.NoSpec, nil
-	case "ST1":
-		return core.ST1, nil
-	case "ST2":
-		return core.ST2, nil
-	case "ST3":
-		return core.ST3, nil
-	case "ST4":
-		return core.ST4, nil
-	default:
-		return 0, fmt.Errorf("unknown speculation target %q", s)
-	}
-}
-
 func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	data := fs.String("data", "ocean", "dataset: ocean, hurricane, nek5000, turbulence")
@@ -267,16 +236,16 @@ func cmdCompress(args []string) error {
 	tau := fs.Float64("tau", 0.01, "error bound")
 	abs := fs.Bool("abs", false, "interpret -tau as an absolute bound (default: relative to value range)")
 	specFlag := fs.String("spec", "NoSpec", "speculation target: NoSpec, ST1..ST4")
-	workers := fs.Int("workers", 0, "shared-memory workers (0 = single-block path; -1 = all cores)")
-	slabs := fs.Int("slabs", 0, "slab count for the shared-memory path (0 = derive from field shape)")
-	maxMem := fs.String("max-mem", "", "peak-memory budget for the out-of-core streaming path, e.g. 256MiB; sizes slabs and the admission window automatically")
+	workers := fs.Int("workers", 0, "slab-pipeline workers (-1 = all cores); any nonzero value splits the field into slabs (see -slabs)")
+	slabs := fs.Int("slabs", 0, "slab count (0 = one slab, or derived from the field shape when -workers or -max-mem is set)")
+	maxMem := fs.String("max-mem", "", "peak-memory budget, e.g. 256MiB; sizes slabs and the admission window automatically")
 	metrics := fs.String("metrics", "", "write telemetry (span tree + counters) as JSON to this file")
 	traceOut := fs.String("trace", "", "write the span forest as Chrome trace-event JSON (Perfetto-loadable) to this file")
 	listen := fs.String("listen", "", "serve /metrics, /healthz, /debug/{trace,flightrec,vars,pprof} on this address for the duration of the run (e.g. 127.0.0.1:6060)")
 	flightrecOut := fs.String("flightrec", "", "flight-recorder dump path (default <out>.flightrec.json); written automatically on an error or degraded run")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the compression to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after compression to this file")
-	faults := fs.String("faults", "", "fault-injection spec for the shm path, e.g. seed=7,panic=0.2,bitflip=0.01 (default: $"+faultinject.EnvVar+")")
+	faults := fs.String("faults", "", "fault-injection spec, e.g. seed=7,panic=0.2,bitflip=0.01 (default: $"+faultinject.EnvVar+")")
 	fs.Parse(args)
 	if *in == "" || *out == "" || *dimsFlag == "" {
 		return fmt.Errorf("-in, -dims and -out are required")
@@ -292,7 +261,7 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	spec, err := parseSpec(*specFlag)
+	spec, err := codec.ParseSpec(*specFlag)
 	if err != nil {
 		return err
 	}
@@ -300,18 +269,7 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	streaming := budget > 0
 	predBefore := filter.Stats()
-	var f2 *field.Field2D
-	var f3 *field.Field3D
-	if !streaming {
-		// The out-of-core path never materializes the field; everything
-		// else starts from an in-memory copy.
-		f2, f3, err = loadRaw(*in, dims)
-		if err != nil {
-			return err
-		}
-	}
 	var tel *telemetry.Collector
 	if *metrics != "" || *traceOut != "" || *listen != "" {
 		tel = telemetry.New()
@@ -348,65 +306,17 @@ func cmdCompress(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	useShm := *workers != 0 || *slabs > 0 || streaming
-	if inj != nil && !useShm {
-		return fmt.Errorf("-faults needs the shared-memory path; add -workers, -slabs or -max-mem")
+	po := shm.Options{Workers: *workers, Slabs: *slabs, MaxMemBytes: budget, Tel: tel, Rec: rec, Faults: inj}
+	if *workers == 0 && *slabs <= 0 && budget <= 0 {
+		// One slab has no lossless borders: its container holds exactly
+		// the single-node block, so the default keeps that ratio.
+		po.Slabs = 1
 	}
-	shmOpts := shm.Options{Workers: *workers, Slabs: *slabs, MaxMemBytes: budget, Tel: tel, Rec: rec, Faults: inj}
-	var blob []byte
-	var st core.Stats
-	var rawBytes int64
-	var wall time.Duration
-	var shmRes shm.Result
-	var tauAbs float64
-	if streaming {
-		shmRes, tauAbs, err = compressStreaming(*in, *out, dims, *tau, *abs, spec, budget, shmOpts)
-		st, wall, rawBytes = shmRes.Stats, shmRes.Wall, shmRes.RawBytes
-	} else if f2 != nil {
-		t := *tau
-		if !*abs {
-			t *= rangeOf(f2.U, f2.V)
-		}
-		tauAbs = t
-		tr, ferr := fixed.Fit(f2.U, f2.V)
-		if ferr != nil {
-			return ferr
-		}
-		opts := core.Options{Tau: t, Spec: spec, Tel: tel, Rec: rec, RecSlab: -1}
-		rawBytes = int64(8 * len(f2.U))
-		if useShm {
-			shmRes, err = shm.Compress2D(f2, tr, opts, shmOpts)
-			blob, st, wall = shmRes.Blob, shmRes.Stats, shmRes.Wall
-		} else {
-			start := time.Now()
-			blob, st, err = core.CompressField2DStats(f2, tr, opts)
-			wall = time.Since(start)
-		}
-	} else {
-		t := *tau
-		if !*abs {
-			t *= rangeOf(f3.U, f3.V, f3.W)
-		}
-		tauAbs = t
-		tr, ferr := fixed.Fit(f3.U, f3.V, f3.W)
-		if ferr != nil {
-			return ferr
-		}
-		opts := core.Options{Tau: t, Spec: spec, Tel: tel, Rec: rec, RecSlab: -1}
-		rawBytes = int64(12 * len(f3.U))
-		if useShm {
-			shmRes, err = shm.Compress3D(f3, tr, opts, shmOpts)
-			blob, st, wall = shmRes.Blob, shmRes.Stats, shmRes.Wall
-		} else {
-			start := time.Now()
-			blob, st, err = core.CompressField3DStats(f3, tr, opts)
-			wall = time.Since(start)
-		}
-	}
+	res, err := compressFile(*in, *out, codec.Params{Dims: dims, Tau: *tau, TauAbsolute: *abs, Spec: *specFlag, Pipeline: po})
 	// The postmortem contract: any failed or degraded run dumps the
 	// flight-recorder ring before the error surfaces.
 	dumpedTo := ""
-	if p, derr := rec.DumpOnOutcome(err, len(shmRes.Degraded) > 0); derr != nil {
+	if p, derr := rec.DumpOnOutcome(err, len(res.Degraded) > 0); derr != nil {
 		fmt.Fprintln(os.Stderr, "topozip: flight recorder dump failed:", derr)
 	} else if p != "" {
 		dumpedTo = p
@@ -415,34 +325,23 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	compBytes := int64(len(blob))
-	if streaming {
-		// The stream path already wrote the container incrementally.
-		compBytes = shmRes.CompressedBytes
-	} else if err := os.WriteFile(*out, blob, 0o644); err != nil {
-		return err
-	}
-	// Throughput is the real wall clock of this run — on the shm path the
-	// pool's own timer, never the simulated machine's virtual makespan.
-	mbps := 0.0
-	if s := wall.Seconds(); s > 0 {
-		mbps = float64(rawBytes) / 1e6 / s
-	}
+	// Throughput is the real wall clock of this run — the pool's own
+	// timer, never the simulated machine's virtual makespan.
+	mbps := res.ThroughputMBps()
 	fmt.Printf("compressed %d -> %d bytes (ratio %.2f, %s, %.2f MB/s wall)\n",
-		rawBytes, compBytes, float64(rawBytes)/float64(compBytes), spec, mbps)
-	if useShm {
-		fmt.Printf("shm pipeline: %d slabs on %d workers\n", shmRes.Slabs, shmRes.Workers)
-		if shmRes.Window > 0 && shmRes.Window < shmRes.Slabs {
-			fmt.Printf("out-of-core window: %d of %d slabs, peak %d bytes admitted\n",
-				shmRes.Window, shmRes.Slabs, shmRes.PeakWindowBytes)
-		}
-		if inj != nil {
-			fmt.Printf("fault injection: fired %v\n", inj.Report())
-			if rep := shmRes.DegradationReport(); rep != "" {
-				fmt.Println(rep)
-			}
+		res.RawBytes, res.CompressedBytes, res.Ratio(), spec, mbps)
+	fmt.Printf("shm pipeline: %d slabs on %d workers\n", res.Slabs, res.Workers)
+	if res.Window > 0 && res.Window < res.Slabs {
+		fmt.Printf("out-of-core window: %d of %d slabs, peak %d bytes admitted\n",
+			res.Window, res.Slabs, res.PeakWindowBytes)
+	}
+	if inj != nil {
+		fmt.Printf("fault injection: fired %v\n", inj.Report())
+		if rep := res.DegradationReport(); rep != "" {
+			fmt.Println(rep)
 		}
 	}
+	st := res.Stats
 	fmt.Printf("vertices %d: %d lossless, %d relaxed, %d literal escapes; speculation %d trials / %d fails / %d cutoffs\n",
 		st.Vertices, st.Lossless, st.Relaxed, st.Literals, st.SpecTrials, st.SpecFails, st.SpecCutoffs)
 	pred := filter.Stats().Sub(predBefore)
@@ -477,8 +376,7 @@ func cmdCompress(args []string) error {
 			return err
 		}
 	}
-	if err := writeCompressManifest(args, *in, *out, dims, compBytes, tauAbs, *tau, *abs, spec,
-		st, wall, mbps, useShm, shmRes, pred, tel, dumpedTo); err != nil {
+	if err := writeCompressManifest(args, *in, *out, dims, *tau, *abs, spec, res, pred, tel, dumpedTo); err != nil {
 		return err
 	}
 	if *memprofile != "" {
@@ -495,56 +393,40 @@ func cmdCompress(args []string) error {
 	return nil
 }
 
-// compressStreaming is the out-of-core compress path: one stats pass
-// over the raw file fits the shared transform and the relative error
-// bound, then the windowed slab pipeline pulls planes from the file and
-// flushes blobs straight into the output container — the full field is
-// never resident. Returns the run result and the absolute tau used.
-func compressStreaming(in, out string, dims []int, tau float64, abs bool,
-	spec core.Speculation, budget int64, shmOpts shm.Options) (shm.Result, float64, error) {
-
+// compressFile runs the registered codec over the raw file in, streaming
+// the container into out: the stats pass and the slab pipeline read
+// planes through the file, so the field is never resident as a whole.
+func compressFile(in, out string, p codec.Params) (codec.Result, error) {
+	cdc, err := codec.Lookup(codec.FormatCP, 0)
+	if err != nil {
+		return codec.Result{}, err
+	}
 	inF, err := os.Open(in)
 	if err != nil {
-		return shm.Result{}, 0, err
+		return codec.Result{}, err
 	}
 	defer inF.Close()
-	src, err := field.NewRawSource(inF, dims...)
+	src, err := field.NewRawSource(inF, p.Dims...)
 	if err != nil {
-		return shm.Result{}, 0, err
+		return codec.Result{}, err
 	}
-	stats, err := field.SourceStats(src, statsWindowPlanes(budget, dims))
-	if err != nil {
-		return shm.Result{}, 0, err
-	}
-	t := tau
-	if !abs {
-		t *= stats.Range()
-	}
-	tr := fixed.FromMaxAbs(stats.MaxAbs)
 	outF, err := os.Create(out)
 	if err != nil {
-		return shm.Result{}, 0, err
+		return codec.Result{}, err
 	}
-	opts := core.Options{Tau: t, Spec: spec}
-	var res shm.Result
-	if len(dims) == 2 {
-		res, err = shm.CompressStream2D(src, outF, tr, opts, shmOpts)
-	} else {
-		res, err = shm.CompressStream3D(src, outF, tr, opts, shmOpts)
-	}
+	res, err := cdc.Compress(src, outF, p)
 	if cerr := outF.Close(); err == nil {
 		err = cerr
 	}
-	return res, t, err
+	return res, err
 }
 
 // writeCompressManifest records the run's provenance beside the archive:
 // topozip info and verify render it, and verify writes its fidelity
 // result back into it. The input hash streams through the file so the
 // manifest pass obeys the same memory contract as the compressor.
-func writeCompressManifest(args []string, in, out string, dims []int, compBytes int64,
-	tauAbs, tauIn float64, abs bool, spec core.Speculation, st core.Stats,
-	wall time.Duration, mbps float64, useShm bool, shmRes shm.Result,
+func writeCompressManifest(args []string, in, out string, dims []int,
+	tauIn float64, abs bool, spec core.Speculation, res codec.Result,
 	pred filter.Snapshot, tel *telemetry.Collector, flightDump string) error {
 
 	man := telemetry.NewManifest("topozip")
@@ -559,38 +441,33 @@ func writeCompressManifest(args []string, in, out string, dims []int, compBytes 
 	if err != nil {
 		return err
 	}
-	comps := 2
-	if len(dims) == 3 {
-		comps = 3
-	}
 	man.Dataset = telemetry.ManifestDataset{
-		Dims: dims, Components: comps, RawBytes: rawN,
+		Dims: dims, Components: len(dims), RawBytes: rawN,
 		SHA256: fmt.Sprintf("%x", h.Sum(nil)),
 	}
 	man.Codec = telemetry.ManifestCodec{
 		Name: "topozip-cp", FormatVersion: core.FormatVersion,
-		Spec: spec.String(), Tau: tauAbs,
+		Spec: spec.String(), Tau: res.TauAbs,
 	}
 	if !abs {
 		man.Codec.TauRelative = tauIn
 	}
 	man.Run = telemetry.ManifestRun{
-		WallNS: wall.Nanoseconds(), ThroughputMBps: mbps,
-		CompressedBytes: compBytes,
-		Ratio:           float64(rawN) / float64(compBytes),
+		WallNS: res.Wall.Nanoseconds(), ThroughputMBps: res.ThroughputMBps(),
+		CompressedBytes: res.CompressedBytes,
+		Ratio:           float64(rawN) / float64(res.CompressedBytes),
 		FlightRecorder:  flightDump,
+		Slabs:           res.Slabs,
+		Workers:         res.Workers,
+		Window:          res.Window,
+		PeakWindowBytes: res.PeakWindowBytes,
+		Retries:         res.Retries,
+		Panics:          res.Panics,
+		Timeouts:        res.Timeouts,
+		DegradedSlabs:   res.Degraded,
+		Degradation:     res.DegradationReport(),
 	}
-	if useShm {
-		man.Run.Slabs = shmRes.Slabs
-		man.Run.Workers = shmRes.Workers
-		man.Run.Window = shmRes.Window
-		man.Run.PeakWindowBytes = shmRes.PeakWindowBytes
-		man.Run.Retries = shmRes.Retries
-		man.Run.Panics = shmRes.Panics
-		man.Run.Timeouts = shmRes.Timeouts
-		man.Run.DegradedSlabs = shmRes.Degraded
-		man.Run.Degradation = shmRes.DegradationReport()
-	}
+	st := res.Stats
 	man.Bounds = telemetry.ManifestBounds{
 		Vertices: int64(st.Vertices), Lossless: int64(st.Lossless),
 		Relaxed: int64(st.Relaxed), Literals: int64(st.Literals),
@@ -609,11 +486,7 @@ func writeCompressManifest(args []string, in, out string, dims []int, compBytes 
 	}
 	if tel != nil {
 		snap := tel.Snapshot()
-		dim := "2d"
-		if len(dims) == 3 {
-			dim = "3d"
-		}
-		if h, ok := snap.Histograms["core."+dim+".bound_exp_sym"]; ok {
+		if h, ok := snap.Histograms[fmt.Sprintf("core.%dd.bound_exp_sym", len(dims))]; ok {
 			man.Bounds.BoundExp = &h
 		}
 		man.Metrics = &snap
@@ -621,76 +494,61 @@ func writeCompressManifest(args []string, in, out string, dims []int, compBytes 
 	return man.WriteFile(telemetry.ManifestPath(out))
 }
 
-func rangeOf(comps ...[]float32) float64 {
-	var lo, hi float32 = comps[0][0], comps[0][0]
-	for _, c := range comps {
-		for _, v := range c {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	if hi <= lo {
-		return 1
-	}
-	return float64(hi - lo)
-}
-
-// peekAny reports the dimensionality of a compressed file — a bare core
-// block or a shared-memory slab container (whose first slab carries the
-// shared header fields).
-func peekAny(blob []byte) (ndim int, err error) {
-	if archive.IsArchive(blob) {
-		r, err := archive.NewReader(blob)
-		if err != nil {
-			return 0, err
-		}
-		if r.Steps() == 0 {
-			return 0, fmt.Errorf("empty container")
-		}
-		first, err := r.Blob(0)
-		if err != nil {
-			return 0, err
-		}
-		ndim, _, _, _, err = core.PeekHeader(first)
-		return ndim, err
-	}
-	ndim, _, _, _, err = core.PeekHeader(blob)
-	return ndim, err
-}
-
-// decodeAny decompresses either a bare core block or a shared-memory slab
-// container, returning whichever dimensionality the file holds.
-func decodeAny(blob []byte, workers int) (*field.Field2D, *field.Field3D, error) {
-	ndim, err := peekAny(blob)
+// decompressFile decodes the container (or bare block) in path through
+// the registered codec into the sink sinkFor builds once the stored dims
+// are known. It returns those dims and the container's size in bytes.
+func decompressFile(path string, po shm.Options, sinkFor func(dims []int) (shm.PlaneSink, error)) ([]int, int64, error) {
+	cdc, err := codec.Lookup(codec.FormatCP, 0)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	if archive.IsArchive(blob) {
-		if ndim == 2 {
-			f, err := shm.Decompress2D(blob, workers)
-			return f, nil, err
-		}
-		f, err := shm.Decompress3D(blob, workers)
-		return nil, f, err
+	f, size, err := openSized(path)
+	if err != nil {
+		return nil, 0, err
 	}
-	if ndim == 2 {
-		f, err := core.Decompress2D(blob)
-		return f, nil, err
+	defer f.Close()
+	dims, err := cdc.Decompress(f, size, codec.Params{Pipeline: po}, sinkFor)
+	return dims, size, err
+}
+
+// openSized opens a file for random access and reports its size.
+func openSized(path string) (*os.File, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
 	}
-	f, err := core.Decompress3D(blob)
-	return nil, f, err
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, fi.Size(), nil
+}
+
+// shape renders dims as "2D field NXxNY" or "3D field NXxNYxNZ".
+func shape(dims []int) string {
+	parts := make([]string, len(dims))
+	for i, d := range dims {
+		parts[i] = strconv.Itoa(d)
+	}
+	return fmt.Sprintf("%dD field %s", len(dims), strings.Join(parts, "x"))
+}
+
+// rawSize is the byte size of the raw float32 file holding dims.
+func rawSize(dims []int) int64 {
+	n := int64(len(dims)) * 4
+	for _, d := range dims {
+		n *= int64(d)
+	}
+	return n
 }
 
 func cmdDecompress(args []string) error {
 	fs := flag.NewFlagSet("decompress", flag.ExitOnError)
 	in := fs.String("in", "", "input compressed file")
 	out := fs.String("out", "", "output raw float32 file")
-	workers := fs.Int("workers", 0, "decode workers for slab containers (0 = all cores)")
-	maxMem := fs.String("max-mem", "", "peak-memory budget for the out-of-core streaming decode, e.g. 256MiB")
+	workers := fs.Int("workers", 0, "decode workers (0 = all cores)")
+	maxMem := fs.String("max-mem", "", "peak-memory budget for the decode, e.g. 256MiB")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		return fmt.Errorf("-in and -out are required")
@@ -699,77 +557,41 @@ func cmdDecompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	if budget > 0 {
-		streamed, err := decompressStreaming(*in, *out, *workers, budget)
-		if streamed || err != nil {
-			return err
+	// Decoded slabs land straight in their place in the output file,
+	// created only once the input's block headers have planned the
+	// decode, so an unreadable input leaves no empty output behind.
+	var outF *os.File
+	dims, _, err := decompressFile(*in, shm.Options{Workers: *workers, MaxMemBytes: budget},
+		func(dims []int) (shm.PlaneSink, error) {
+			f, err := os.Create(*out)
+			if err != nil {
+				return nil, err
+			}
+			outF = f
+			return field.NewRawSink(f, dims...)
+		})
+	if outF != nil {
+		if cerr := outF.Close(); err == nil {
+			err = cerr
 		}
-		fmt.Fprintln(os.Stderr, "topozip: input is a bare block, not a slab container; decoding in memory")
 	}
-	blob, err := os.ReadFile(*in)
 	if err != nil {
 		return err
 	}
-	f2, f3, err := decodeAny(blob, *workers)
-	if err != nil {
-		return err
-	}
-	w, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	if f2 != nil {
-		fmt.Printf("decompressed 2D field %dx%d\n", f2.NX, f2.NY)
-		return field.WriteRaw(w, f2.U, f2.V)
-	}
-	fmt.Printf("decompressed 3D field %dx%dx%d\n", f3.NX, f3.NY, f3.NZ)
-	return field.WriteRaw(w, f3.U, f3.V, f3.W)
+	fmt.Printf("decompressed %s\n", shape(dims))
+	return nil
 }
 
-// decompressStreaming decodes a slab container straight into the output
-// raw file, one windowed slab at a time — peak memory follows the
-// budget, not the field. Bare single-block files have no slab index to
-// stream by; those return (false, nil) so the caller can fall back.
-func decompressStreaming(in, out string, workers int, budget int64) (bool, error) {
-	inF, err := os.Open(in)
-	if err != nil {
-		return false, err
-	}
-	defer inF.Close()
-	var head [5]byte
-	if _, err := inF.ReadAt(head[:], 0); err != nil || !archive.IsArchive(head[:]) {
-		return false, nil
-	}
-	fi, err := inF.Stat()
-	if err != nil {
-		return false, err
-	}
-	outF, err := os.Create(out)
-	if err != nil {
-		return false, err
-	}
-	dims, err := shm.DecompressTo(inF, fi.Size(), shm.Options{Workers: workers, MaxMemBytes: budget},
-		func(dims []int) (shm.PlaneSink, error) { return field.NewRawSink(outF, dims...) })
-	if cerr := outF.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return true, err
-	}
-	if len(dims) == 2 {
-		fmt.Printf("decompressed 2D field %dx%d\n", dims[0], dims[1])
-	} else {
-		fmt.Printf("decompressed 3D field %dx%dx%d\n", dims[0], dims[1], dims[2])
-	}
-	return true, nil
-}
-
+// cmdVerify decodes the container and compares it with the original as
+// plane sources: critical-point detection and error metrics run over
+// windows of the budget's size, or over the whole field without one.
+// With a budget the decoded field goes to a scratch raw file beside the
+// container, so verify never holds either field in memory.
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	orig := fs.String("orig", "", "original raw float32 file")
 	comp := fs.String("comp", "", "compressed file")
-	maxMem := fs.String("max-mem", "", "peak-memory budget for the out-of-core streaming verify, e.g. 256MiB")
+	maxMem := fs.String("max-mem", "", "peak-memory budget for the verify, e.g. 256MiB")
 	fs.Parse(args)
 	if *orig == "" || *comp == "" {
 		return fmt.Errorf("-orig and -comp are required")
@@ -778,142 +600,79 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
+	var decSrc field.SlabSource
+	sinkFor := func(dims []int) (shm.PlaneSink, error) {
+		var m *field.Mem
+		if len(dims) == 2 {
+			m = field.Mem2D(field.NewField2D(dims[0], dims[1]))
+		} else {
+			m = field.Mem3D(field.NewField3D(dims[0], dims[1], dims[2]))
+		}
+		decSrc = m
+		return m, nil
+	}
 	if budget > 0 {
-		streamed, err := verifyStreaming(*orig, *comp, budget)
-		if streamed || err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "topozip: compressed input is a bare block, not a slab container; verifying in memory")
-	}
-	blob, err := os.ReadFile(*comp)
-	if err != nil {
-		return err
-	}
-	// Decode first: a slab container only knows the stitched dims after
-	// decoding, and the original raw file must match those.
-	dec2d, dec3d, err := decodeAny(blob, 0)
-	if err != nil {
-		return err
-	}
-	dims := []int{0, 0}
-	if dec2d != nil {
-		dims = []int{dec2d.NX, dec2d.NY}
-	} else {
-		dims = []int{dec3d.NX, dec3d.NY, dec3d.NZ}
-	}
-	f2, f3, err := loadRaw(*orig, dims)
-	if err != nil {
-		return err
-	}
-	var rep cp.Report
-	var orig2, dec2 [][]float32
-	if dec2d != nil {
-		tr, err := fixed.Fit(f2.U, f2.V)
+		tmp, err := os.CreateTemp(filepath.Dir(*comp), ".topozip-verify-*.raw")
 		if err != nil {
 			return err
 		}
-		rep = cp.Compare(cp.DetectField2D(f2, tr), cp.DetectField2D(dec2d, tr))
-		orig2, dec2 = f2.Components(), dec2d.Components()
-	} else {
-		tr, err := fixed.Fit(f3.U, f3.V, f3.W)
-		if err != nil {
-			return err
+		defer os.Remove(tmp.Name())
+		defer tmp.Close()
+		sinkFor = func(dims []int) (shm.PlaneSink, error) {
+			src, err := field.NewRawSource(tmp, dims...)
+			if err != nil {
+				return nil, err
+			}
+			decSrc = src
+			return field.NewRawSink(tmp, dims...)
 		}
-		rep = cp.Compare(cp.DetectField3D(f3, tr), cp.DetectField3D(dec3d, tr))
-		orig2, dec2 = f3.Components(), dec3d.Components()
 	}
-	maxErr := analysis.MaxAbsError(orig2, dec2)
-	psnr := analysis.PSNR(orig2, dec2)
-	rawBytes := int64(0)
-	for _, c := range orig2 {
-		rawBytes += int64(4 * len(c))
-	}
-	return reportVerify(*comp, rep, maxErr, psnr, rawBytes, int64(len(blob)))
-}
-
-// verifyStreaming is the out-of-core verify path: the container decodes
-// into a scratch raw file beside it, then original and decoded fields
-// are compared as streamed plane sources — windowed critical-point
-// detection plus streamed error metrics — so verify never materializes
-// either field. Bare blocks return (false, nil) for the in-memory
-// fallback.
-func verifyStreaming(orig, comp string, budget int64) (bool, error) {
-	compF, err := os.Open(comp)
+	dims, compBytes, err := decompressFile(*comp, shm.Options{MaxMemBytes: budget}, sinkFor)
 	if err != nil {
-		return false, err
+		return err
 	}
-	defer compF.Close()
-	var head [5]byte
-	if _, err := compF.ReadAt(head[:], 0); err != nil || !archive.IsArchive(head[:]) {
-		return false, nil
-	}
-	fi, err := compF.Stat()
+	origF, err := os.Open(*orig)
 	if err != nil {
-		return false, err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(comp), ".topozip-verify-*.raw")
-	if err != nil {
-		return false, err
-	}
-	defer os.Remove(tmp.Name())
-	defer tmp.Close()
-	dims, err := shm.DecompressTo(compF, fi.Size(), shm.Options{MaxMemBytes: budget},
-		func(dims []int) (shm.PlaneSink, error) { return field.NewRawSink(tmp, dims...) })
-	if err != nil {
-		return true, err
-	}
-	origF, err := os.Open(orig)
-	if err != nil {
-		return true, err
+		return err
 	}
 	defer origF.Close()
 	origSrc, err := field.NewRawSource(origF, dims...)
 	if err != nil {
-		return true, err
+		return err
 	}
-	decSrc, err := field.NewRawSource(tmp, dims...)
-	if err != nil {
-		return true, err
+	window, detWindow := dims[len(dims)-1], dims[len(dims)-1]
+	if budget > 0 {
+		window = codec.StatsWindow(budget, dims)
+		// Detection holds fixed-point copies alongside the planes, so its
+		// window runs a third of the scan window.
+		detWindow = window / 3
 	}
-	window := statsWindowPlanes(budget, dims)
 	stats, err := field.SourceStats(origSrc, window)
 	if err != nil {
-		return true, err
+		return err
 	}
 	tr := fixed.FromMaxAbs(stats.MaxAbs)
-	// Detection holds fixed-point copies alongside the planes, so its
-	// window runs a third of the scan window.
-	detWindow := window / 3
-	var op, dp []cp.Point
-	if len(dims) == 2 {
-		op, err = cp.DetectSource2D(origSrc, tr, detWindow)
-		if err == nil {
-			dp, err = cp.DetectSource2D(decSrc, tr, detWindow)
-		}
-	} else {
-		op, err = cp.DetectSource3D(origSrc, tr, detWindow)
-		if err == nil {
-			dp, err = cp.DetectSource3D(decSrc, tr, detWindow)
-		}
+	detect := cp.DetectSource2D
+	if len(dims) == 3 {
+		detect = cp.DetectSource3D
 	}
+	op, err := detect(origSrc, tr, detWindow)
 	if err != nil {
-		return true, err
+		return err
 	}
-	rep := cp.Compare(op, dp)
+	dp, err := detect(decSrc, tr, detWindow)
+	if err != nil {
+		return err
+	}
 	maxErr, psnr, err := analysis.SourceError(origSrc, decSrc, window)
 	if err != nil {
-		return true, err
+		return err
 	}
-	rawBytes := int64(len(dims)) * 4
-	for _, d := range dims {
-		rawBytes *= int64(d)
-	}
-	return true, reportVerify(comp, rep, maxErr, psnr, rawBytes, fi.Size())
+	return reportVerify(*comp, cp.Compare(op, dp), maxErr, psnr, rawSize(dims), compBytes)
 }
 
-// reportVerify renders the verify outcome — human lines, manifest
-// write-back, machine-readable summary — shared by the in-memory and
-// streaming paths.
+// reportVerify renders the verify outcome: human lines, manifest
+// write-back, machine-readable summary.
 func reportVerify(comp string, rep cp.Report, maxErr, psnr float64, rawBytes, compBytes int64) error {
 	fmt.Printf("critical points: %v\n", rep)
 	fmt.Printf("max abs error: %.6g  PSNR: %.2f dB\n", maxErr, psnr)
@@ -980,39 +739,26 @@ func cmdInfo(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
-	blob, err := os.ReadFile(*in)
+	f, size, err := openSized(*in)
 	if err != nil {
 		return err
 	}
-	if archive.IsArchive(blob) {
-		r, err := archive.NewReader(blob)
-		if err != nil {
-			return err
-		}
-		f2, f3, err := decodeAny(blob, 0)
-		if err != nil {
-			return err
-		}
-		if f2 != nil {
-			fmt.Printf("shm container: %d slabs, 2D field %dx%d, %d compressed bytes (%.2fx vs raw)\n",
-				r.Steps(), f2.NX, f2.NY, len(blob), float64(8*f2.NX*f2.NY)/float64(len(blob)))
-		} else {
-			fmt.Printf("shm container: %d slabs, 3D field %dx%dx%d, %d compressed bytes (%.2fx vs raw)\n",
-				r.Steps(), f3.NX, f3.NY, f3.NZ, len(blob), float64(12*f3.NX*f3.NY*f3.NZ)/float64(len(blob)))
-		}
-		return renderManifestIfPresent(*in)
-	}
-	ndim, nx, ny, nz, err := core.PeekHeader(blob)
+	defer f.Close()
+	sr, err := archive.OpenStream(f, size)
 	if err != nil {
 		return err
 	}
-	if ndim == 2 {
-		fmt.Printf("2D block %dx%d, %d compressed bytes (%.2fx vs raw)\n",
-			nx, ny, len(blob), float64(8*nx*ny)/float64(len(blob)))
-	} else {
-		fmt.Printf("3D block %dx%dx%d, %d compressed bytes (%.2fx vs raw)\n",
-			nx, ny, nz, len(blob), float64(12*nx*ny*nz)/float64(len(blob)))
+	// Header peeks only: no slab is decoded to report the shape.
+	dims, err := shm.ContainerDims(sr)
+	if err != nil {
+		return err
 	}
+	kind := fmt.Sprintf("shm container: %d slabs,", sr.Steps())
+	if sr.Version() == 0 {
+		kind = "bare block,"
+	}
+	fmt.Printf("%s %s, %d compressed bytes (%.2fx vs raw)\n",
+		kind, shape(dims), size, float64(rawSize(dims))/float64(size))
 	return renderManifestIfPresent(*in)
 }
 

@@ -8,8 +8,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/archive"
+	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/field"
+	"repro/internal/fixed"
 	"repro/internal/flightrec"
+	"repro/internal/shm"
 	"repro/internal/telemetry"
 )
 
@@ -39,30 +45,6 @@ func TestParseDims(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestParseSpec(t *testing.T) {
-	for in, want := range map[string]core.Speculation{
-		"": core.NoSpec, "none": core.NoSpec, "NoSpec": core.NoSpec,
-		"st1": core.ST1, "ST2": core.ST2, "St3": core.ST3, "ST4": core.ST4,
-	} {
-		got, err := parseSpec(in)
-		if err != nil || got != want {
-			t.Errorf("parseSpec(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseSpec("ST9"); err == nil {
-		t.Error("unknown spec must fail")
-	}
-}
-
-func TestRangeOf(t *testing.T) {
-	if got := rangeOf([]float32{1, 5}, []float32{-3, 2}); got != 8 {
-		t.Errorf("rangeOf = %v", got)
-	}
-	if got := rangeOf([]float32{7, 7}); got != 1 {
-		t.Errorf("constant data range = %v, want 1 fallback", got)
 	}
 }
 
@@ -96,9 +78,12 @@ func TestParseMemBudget(t *testing.T) {
 }
 
 // TestCLIStreamingWorkflow drives the out-of-core path end to end: a
-// -max-mem compress must produce a container that both the streaming and
-// in-memory decoders accept, verify streaming must pass, and the
-// decompressed bytes must match the buffered pipeline's output exactly.
+// -max-mem compress must produce the same container as the unbudgeted
+// run with the same slab count, verify streaming must pass, and the
+// budgeted decode must reproduce the unbudgeted decode's bytes. The
+// second bound sits where a float32 and a float64 value range round to
+// different absolute bounds, so it catches any entry point computing
+// the relative bound its own way.
 func TestCLIStreamingWorkflow(t *testing.T) {
 	dir := t.TempDir()
 	raw := filepath.Join(dir, "ocean.f32")
@@ -109,26 +94,25 @@ func TestCLIStreamingWorkflow(t *testing.T) {
 	if err := cmdGen([]string{"-data", "ocean", "-dims", "96x80", "-out", raw}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdCompress([]string{"-in", raw, "-dims", "96x80", "-tau", "0.01", "-spec", "ST2",
-		"-slabs", "6", "-max-mem", "1MiB", "-out", comp}); err != nil {
-		t.Fatal(err)
-	}
-	// Same explicit slab count without a budget: the containers must be
-	// byte-identical — the budget bounds memory, never changes output.
-	if err := cmdCompress([]string{"-in", raw, "-dims", "96x80", "-tau", "0.01", "-spec", "ST2",
-		"-slabs", "6", "-workers", "2", "-out", compMem}); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(compMem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("streaming container (%d bytes) differs from buffered (%d bytes)", len(a), len(b))
+	for _, tau := range []string{"0.01", "0.0097565020988675134"} {
+		if err := cmdCompress([]string{"-in", raw, "-dims", "96x80", "-tau", tau, "-spec", "ST2",
+			"-slabs", "6", "-max-mem", "1MiB", "-out", comp}); err != nil {
+			t.Fatal(err)
+		}
+		// Same explicit slab count without a budget: the containers must
+		// be byte-identical — the budget bounds memory, never changes
+		// output.
+		if err := cmdCompress([]string{"-in", raw, "-dims", "96x80", "-tau", tau, "-spec", "ST2",
+			"-slabs", "6", "-workers", "2", "-out", compMem}); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := readFile(t, comp), readFile(t, compMem); !bytes.Equal(a, b) {
+			t.Fatalf("tau %s: budgeted container (%d bytes) differs from unbudgeted (%d bytes)", tau, len(a), len(b))
+		}
+		ma, mb := readManifest(t, comp), readManifest(t, compMem)
+		if ma.Codec.Tau != mb.Codec.Tau {
+			t.Fatalf("tau %s: manifests record absolute bounds %v and %v", tau, ma.Codec.Tau, mb.Codec.Tau)
+		}
 	}
 	if err := cmdVerify([]string{"-orig", raw, "-comp", comp, "-max-mem", "1MiB"}); err != nil {
 		t.Fatal(err)
@@ -140,21 +124,132 @@ func TestCLIStreamingWorkflow(t *testing.T) {
 	if err != nil || st.Size() != 96*80*2*4 {
 		t.Fatalf("decompressed size %v, err %v", st, err)
 	}
-	// The streaming decoder must reproduce the buffered decoder's bytes.
 	backMem := filepath.Join(dir, "backmem.f32")
 	if err := cmdDecompress([]string{"-in", comp, "-out", backMem}); err != nil {
 		t.Fatal(err)
 	}
-	x, err := os.ReadFile(back)
+	if !bytes.Equal(readFile(t, back), readFile(t, backMem)) {
+		t.Fatal("budgeted and unbudgeted decompress outputs differ")
+	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := os.ReadFile(backMem)
+	return b
+}
+
+func readManifest(t *testing.T, archivePath string) *telemetry.Manifest {
+	t.Helper()
+	man, err := telemetry.ReadManifest(telemetry.ManifestPath(archivePath))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(x, y) {
-		t.Fatal("streaming and buffered decompress outputs differ")
+	return man
+}
+
+// TestCLIMatchesCodec pins that the CLI runs the codec's call path:
+// compress -workers 2 writes the bytes codec.Compress (and so topozipd)
+// writes for Pipeline{Workers: 2}, and the default one-slab container
+// holds exactly the single-node block for the same transform and bound.
+func TestCLIMatchesCodec(t *testing.T) {
+	dir := t.TempDir()
+	raw := filepath.Join(dir, "ocean.f32")
+	comp := filepath.Join(dir, "ocean.szp")
+	if err := cmdGen([]string{"-data", "ocean", "-dims", "64x48", "-out", raw}); err != nil {
+		t.Fatal(err)
+	}
+	f := datagen.Ocean(64, 48)
+	cdc, err := codec.Lookup(codec.FormatCP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	res, err := cdc.Compress(field.Mem2D(f), &want, codec.Params{Dims: []int{64, 48}, Tau: 0.01, Spec: "ST1",
+		Pipeline: shm.Options{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdCompress([]string{"-in", raw, "-dims", "64x48", "-tau", "0.01", "-spec", "ST1",
+		"-workers", "2", "-out", comp}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readFile(t, comp), want.Bytes()) {
+		t.Fatal("compress -workers 2 differs from codec.Compress with Pipeline{Workers: 2}")
+	}
+
+	if err := cmdCompress([]string{"-in", raw, "-dims", "64x48", "-tau", "0.01", "-spec", "ST1", "-out", comp}); err != nil {
+		t.Fatal(err)
+	}
+	data := readFile(t, comp)
+	sr, err := archive.OpenStream(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Version() != 3 || sr.Steps() != 1 {
+		t.Fatalf("default container: version %d, %d steps; want 3 and 1", sr.Version(), sr.Steps())
+	}
+	blob, err := sr.ReadBlobInto(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := fixed.Fit(f.U, f.V)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := core.CompressField2D(f, tr, core.Options{Tau: res.TauAbs, Spec: core.ST1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, single) {
+		t.Fatal("default one-slab blob differs from core.CompressField2D")
+	}
+	if tau := readManifest(t, comp).Codec.Tau; tau != res.TauAbs {
+		t.Fatalf("default path recorded tau %v, codec resolved %v", tau, res.TauAbs)
+	}
+}
+
+// TestCLIReadsBareBlock pins backward compatibility with files the
+// single-block default path used to write: testdata holds such a bare
+// block (Ocean 48x40, -tau 0.01 -spec ST2). decompress must reproduce
+// the block decoder's floats and verify must pass.
+func TestCLIReadsBareBlock(t *testing.T) {
+	const fixture = "testdata/ocean48x40-st2-bare.szp"
+	dir := t.TempDir()
+	raw := filepath.Join(dir, "ocean.f32")
+	comp := filepath.Join(dir, "bare.szp")
+	back := filepath.Join(dir, "back.f32")
+	if err := cmdGen([]string{"-data", "ocean", "-dims", "48x40", "-out", raw}); err != nil {
+		t.Fatal(err)
+	}
+	blob := readFile(t, fixture)
+	if err := os.WriteFile(comp, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdDecompress([]string{"-in", comp, "-out", back}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Decompress2D(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantRaw bytes.Buffer
+	if err := field.WriteRaw(&wantRaw, want.U, want.V); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readFile(t, back), wantRaw.Bytes()) {
+		t.Fatal("decompressed bare block differs from core.Decompress2D")
+	}
+	for _, extra := range [][]string{nil, {"-max-mem", "1MiB"}} {
+		if err := cmdVerify(append([]string{"-orig", raw, "-comp", comp}, extra...)); err != nil {
+			t.Fatalf("verify %v: %v", extra, err)
+		}
+	}
+	if err := cmdInfo([]string{"-in", comp}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -222,8 +317,26 @@ func TestCLIMetricsAndProfiles(t *testing.T) {
 	if snap.Counters["core.2d.st3.vertices"] != 48*40 {
 		t.Errorf("vertices counter = %d, want %d", snap.Counters["core.2d.st3.vertices"], 48*40)
 	}
-	if len(snap.Spans) != 1 || snap.Spans[0].Name != "core.compress2d" || len(snap.Spans[0].Children) == 0 {
-		t.Errorf("unexpected span tree: %+v", snap.Spans)
+	// One run span of the slab pipeline; the default run is one slab,
+	// whose span holds the kernel's stage spans.
+	if len(snap.Spans) != 1 || snap.Spans[0].Name != "shm.compress2d" || len(snap.Spans[0].Children) != 1 {
+		t.Fatalf("unexpected span tree: %+v", snap.Spans)
+	}
+	var slab struct {
+		Name     string `json:"name"`
+		Children []struct {
+			Name string `json:"name"`
+		} `json:"children"`
+	}
+	if err := json.Unmarshal(snap.Spans[0].Children[0], &slab); err != nil {
+		t.Fatal(err)
+	}
+	stages := map[string]bool{}
+	for _, c := range slab.Children {
+		stages[c.Name] = true
+	}
+	if slab.Name != "slab0" || !stages["process"] || !stages["entropy-code"] {
+		t.Errorf("unexpected slab span: %+v", slab)
 	}
 	for _, p := range []string{cpu, mem} {
 		st, err := os.Stat(p)
@@ -267,6 +380,21 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if err := cmdTrack([]string{"-in", "/nonexistent"}); err == nil {
 		t.Error("missing archive must fail")
+	}
+	// A bound the codec cannot honour fails on every pipeline shape; it
+	// never degrades the slabs to lossless storage and exits cleanly.
+	dir := t.TempDir()
+	raw := filepath.Join(dir, "ocean.f32")
+	if err := cmdGen([]string{"-data", "ocean", "-dims", "48x40", "-out", raw}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tau := range [][]string{{"-tau", "0"}, {"-abs", "-tau", "-0.5"}} {
+		for _, shape := range [][]string{nil, {"-workers", "2"}, {"-max-mem", "1MiB"}} {
+			args := append([]string{"-in", raw, "-dims", "48x40", "-out", filepath.Join(dir, "x.szp")}, tau...)
+			if err := cmdCompress(append(args, shape...)); err == nil {
+				t.Errorf("compress %v %v must fail", tau, shape)
+			}
+		}
 	}
 }
 

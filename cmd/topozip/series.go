@@ -6,14 +6,17 @@ import (
 	"os"
 
 	"repro/internal/archive"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/cp"
+	"repro/internal/field"
 	"repro/internal/fixed"
 	"repro/internal/tracking"
 )
 
-// cmdPackSeries compresses a sequence of raw frames into one archive.
-// Frame paths are produced with fmt.Sprintf(pattern, step).
+// cmdPackSeries compresses a sequence of raw frames into one version-3
+// archive, one blob per frame. Frame paths are produced with
+// fmt.Sprintf(pattern, step).
 func cmdPackSeries(args []string) error {
 	fs := flag.NewFlagSet("pack-series", flag.ExitOnError)
 	pattern := fs.String("in", "", "input frame pattern, e.g. frame%03d.f32")
@@ -32,7 +35,7 @@ func cmdPackSeries(args []string) error {
 	if err != nil {
 		return err
 	}
-	spec, err := parseSpec(*specFlag)
+	spec, err := codec.ParseSpec(*specFlag)
 	if err != nil {
 		return err
 	}
@@ -41,52 +44,45 @@ func cmdPackSeries(args []string) error {
 		return err
 	}
 	defer f.Close()
-	w := archive.NewWriter(f)
-	var rawTotal int
+	sw := archive.NewStreamWriter(f)
+	series := archive.NewSeries(sw)
+	var rawTotal int64
 	for s := 0; s < *steps; s++ {
 		path := fmt.Sprintf(*pattern, s)
 		f2, f3, err := loadRaw(path, dims)
 		if err != nil {
 			return fmt.Errorf("frame %d (%s): %w", s, path, err)
 		}
-		if f2 != nil {
-			t := *tau
-			if !*abs {
-				t *= rangeOf(f2.U, f2.V)
-			}
-			opts := core.Options{Tau: t, Spec: spec}
-			if *temporal {
-				err = w.Append2DTemporal(f2, opts)
-			} else {
-				err = w.Append2D(f2, opts)
-			}
-			rawTotal += 8 * len(f2.U)
-		} else {
-			t := *tau
-			if !*abs {
-				t *= rangeOf(f3.U, f3.V, f3.W)
-			}
-			opts := core.Options{Tau: t, Spec: spec}
-			if *temporal {
-				err = w.Append3DTemporal(f3, opts)
-			} else {
-				err = w.Append3D(f3, opts)
-			}
-			rawTotal += 12 * len(f3.U)
+		opts := core.Options{Tau: *tau, Spec: spec}
+		if !*abs && f2 != nil {
+			opts.Tau *= field.Range(f2.U, f2.V)
+		} else if !*abs {
+			opts.Tau *= field.Range(f3.U, f3.V, f3.W)
+		}
+		var blob []byte
+		switch {
+		case *temporal && f2 != nil:
+			err = series.Append2D(f2, opts)
+		case *temporal:
+			err = series.Append3D(f3, opts)
+		case f2 != nil:
+			blob, _, err = core.Compress2D(f2, opts)
+		default:
+			blob, _, err = core.Compress3D(f3, opts)
+		}
+		if err == nil && blob != nil {
+			_, err = sw.AppendBlob(blob)
 		}
 		if err != nil {
 			return fmt.Errorf("frame %d: %w", s, err)
 		}
+		rawTotal += rawSize(dims)
 	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	st, err := f.Stat()
-	if err != nil {
+	if err := sw.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("packed %d frames: %d -> %d bytes (ratio %.2f)\n",
-		*steps, rawTotal, st.Size(), float64(rawTotal)/float64(st.Size()))
+		*steps, rawTotal, sw.Size(), float64(rawTotal)/float64(sw.Size()))
 	return nil
 }
 
@@ -99,20 +95,19 @@ func cmdTrack(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
-	data, err := os.ReadFile(*in)
+	inF, size, err := openSized(*in)
 	if err != nil {
 		return err
 	}
-	r, err := archive.NewReader(data)
+	defer inF.Close()
+	sr, err := archive.OpenStream(inF, size)
 	if err != nil {
 		return err
 	}
-	if r.Steps() == 0 {
+	if sr.Steps() == 0 {
 		return fmt.Errorf("archive is empty")
 	}
-	// Decode the whole series (handles temporal chaining) and use the
-	// first frame's transform so detection is consistent across steps.
-	first, err := r.Blob(0)
+	first, err := sr.ReadBlobInto(nil, 0)
 	if err != nil {
 		return err
 	}
@@ -120,10 +115,12 @@ func cmdTrack(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Decode the whole series (handles temporal chaining) and use the
+	// first frame's transform so detection is consistent across steps.
 	var steps [][]cp.Point
 	var tr fixed.Transform
 	if ndim == 2 {
-		frames, err := r.DecodeSeries2D()
+		frames, err := archive.DecodeSeries2D(sr)
 		if err != nil {
 			return err
 		}
@@ -134,7 +131,7 @@ func cmdTrack(args []string) error {
 			steps = append(steps, cp.DetectField2D(f, tr))
 		}
 	} else {
-		frames, err := r.DecodeSeries3D()
+		frames, err := archive.DecodeSeries3D(sr)
 		if err != nil {
 			return err
 		}
@@ -148,7 +145,7 @@ func cmdTrack(args []string) error {
 	tracks := tracking.Build(steps, tracking.Options{Radius: *radius, MatchType: true})
 	sum := tracking.Summarize(tracks)
 	fmt.Printf("%d steps, %d tracks (mean length %.1f, max %d, %d singletons)\n",
-		r.Steps(), sum.Tracks, sum.MeanLen, sum.MaxLen, sum.Singleton)
+		sr.Steps(), sum.Tracks, sum.MeanLen, sum.MaxLen, sum.Singleton)
 	// Print the longest tracks.
 	printed := 0
 	for _, t := range tracks {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/cp"
 	"repro/internal/cpsz"
 	"repro/internal/datagen"
+	"repro/internal/field"
 	"repro/internal/fixed"
 )
 
@@ -33,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tau := 0.01 * rangeOf(f.U, f.V, f.W)
+	tau := 0.01 * field.Range(f.U, f.V, f.W)
 	orig := cp.DetectField3D(f, tr)
 	fmt.Printf("hurricane %dx%dx%d: %d critical points (vortex core and background eddies)\n",
 		nx, ny, nz, len(orig))
@@ -76,19 +77,4 @@ func main() {
 	div := analysis.StreamlineDivergence(ref, analysis.TraceAll3D(dec, seeds, 0.25, 300))
 	fmt.Printf("cpSZ coupled ratio %6.2f  %v  streamline divergence %.4f\n",
 		float64(raw)/float64(len(blob)), rep, div)
-}
-
-func rangeOf(comps ...[]float32) float64 {
-	var lo, hi float32 = comps[0][0], comps[0][0]
-	for _, c := range comps {
-		for _, v := range c {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	return float64(hi - lo)
 }

@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tau := 0.01 * rangeOf(f.U, f.V)
+	tau := 0.01 * field.Range(f.U, f.V)
 	orig := cp.DetectField2D(f, tr)
 	fmt.Printf("ocean %dx%d: %d critical points in the original field\n", nx, ny, len(orig))
 
@@ -78,19 +78,4 @@ func render(f *field.Field2D, pts []cp.Point, path string) error {
 	}
 	defer w.Close()
 	return analysis.WritePPM(w, color, f.NX, f.NY)
-}
-
-func rangeOf(comps ...[]float32) float64 {
-	var lo, hi float32 = comps[0][0], comps[0][0]
-	for _, c := range comps {
-		for _, v := range c {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	return float64(hi - lo)
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cp"
 	"repro/internal/datagen"
+	"repro/internal/field"
 	"repro/internal/iosim"
 	"repro/internal/mpi"
 	"repro/internal/parallel"
@@ -33,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tau := 0.01 * rangeOf(f.U, f.V, f.W)
+	tau := 0.01 * field.Range(f.U, f.V, f.W)
 	orig := cp.DetectField3D(f, tr)
 	grid := parallel.Grid3D{PX: *gridP, PY: *gridP, PZ: *gridP}
 	ranks := grid.Ranks()
@@ -64,19 +65,4 @@ func main() {
 		}
 	}
 	fmt.Println("both strategies preserved every critical point, including border cells ✓")
-}
-
-func rangeOf(comps ...[]float32) float64 {
-	var lo, hi float32 = comps[0][0], comps[0][0]
-	for _, c := range comps {
-		for _, v := range c {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	return float64(hi - lo)
 }

@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tau := 0.05 * rangeOf(fields[0].U, fields[0].V)
+	tau := 0.05 * field.Range(fields[0].U, fields[0].V)
 
 	var orig, ours, generic [][]cp.Point
 	var ourBytes, genBytes, raw int
@@ -117,19 +117,4 @@ func sequence(steps, n int) []*field.Field2D {
 		out[t] = f
 	}
 	return out
-}
-
-func rangeOf(comps ...[]float32) float64 {
-	var lo, hi float32 = comps[0][0], comps[0][0]
-	for _, c := range comps {
-		for _, v := range c {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	return float64(hi - lo)
 }

@@ -26,7 +26,7 @@ func TestEndToEnd2D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tau := 0.01 * rangeOf(f.U, f.V)
+		tau := 0.01 * field.Range(f.U, f.V)
 		orig := cp.DetectField2D(f, tr)
 		for _, spec := range []core.Speculation{core.NoSpec, core.ST1, core.ST2, core.ST3, core.ST4} {
 			t.Run(fmt.Sprintf("%s/%v", name, spec), func(t *testing.T) {
@@ -68,7 +68,7 @@ func TestEndToEnd3D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tau := 0.01 * rangeOf(f.U, f.V, f.W)
+		tau := 0.01 * field.Range(f.U, f.V, f.W)
 		orig := cp.DetectField3D(f, tr)
 		for _, spec := range []core.Speculation{core.NoSpec, core.ST2, core.ST4} {
 			t.Run(fmt.Sprintf("%s/%v", name, spec), func(t *testing.T) {
@@ -106,7 +106,7 @@ func TestEndToEndDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tau := 0.01 * rangeOf(f.U, f.V, f.W)
+	tau := 0.01 * field.Range(f.U, f.V, f.W)
 	orig := cp.DetectField3D(f, tr)
 	if len(orig) == 0 {
 		t.Fatal("test volume has no critical points")
@@ -159,22 +159,4 @@ func TestEndToEndAsymmetricGrids(t *testing.T) {
 			}
 		})
 	}
-}
-
-func rangeOf(comps ...[]float32) float64 {
-	var lo, hi float32 = comps[0][0], comps[0][0]
-	for _, c := range comps {
-		for _, v := range c {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	if hi <= lo {
-		return 1
-	}
-	return float64(hi - lo)
 }

@@ -1,242 +1,46 @@
-// Package archive stores time-varying vector field sequences: one
-// compressed block per time step plus an index, so individual steps can
-// be decoded without reading the whole series. This is the on-disk layout
+// Package archive is the container layer: a sequence of self-describing
+// core blocks (one per time step of a series, or one per slab of the
+// shared-memory pipeline) plus a checksummed index, so individual steps
+// can be read without loading the whole file. This is the on-disk layout
 // scientific workflows use for the write-once/read-many pattern the
 // paper's I/O study targets, and the input format of the critical point
 // tracking example.
 //
-// Layout (little endian):
+// StreamWriter writes the version-3 layout (see stream.go); OpenStream is
+// the one reader, and the only code that decides which bytes are a
+// container. It reads version 3, the older version-1/2 layouts
+// (decode-only; index up front, little endian):
 //
 //	magic "SCAR" | version u8 | step count uvarint
 //	per step: blob length uvarint
-//	version >= 2: per step CRC32C u32, then head CRC32C u32 over all
+//	version 2: per step CRC32C u32, then head CRC32C u32 over all
 //	preceding bytes
 //	concatenated blobs
 //
-// Blobs are the self-describing outputs of core.Compress2D/3D, so the
-// archive itself needs no field metadata. Version-2 archives checksum the
-// index and every blob with CRC32C (Castagnoli); version-1 archives (the
-// seed format) remain readable without integrity checks.
+// and a bare core block (any input not starting with "SCAR"), which it
+// presents as a one-step container without a container CRC — core
+// blocks carry their own.
+//
+// Blobs are the outputs of core.Compress2D/3D, so the container itself
+// needs no field metadata.
 package archive
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/fixed"
-	"repro/internal/integrity"
 )
 
 var magic = [4]byte{'S', 'C', 'A', 'R'}
 
 const (
-	version1 = 1 // seed layout, no checksums
-	version2 = 2 // adds per-blob and head CRC32C
+	versionBare = 0 // a bare core block, no container framing
+	version1    = 1 // seed layout, no checksums
+	version2    = 2 // adds per-blob and head CRC32C
 )
-
-// Writer emits a version-2 archive on an io.Writer.
-//
-// Memory contract: the version-2 index precedes the data, so every
-// appended blob is buffered in memory until Close — peak memory is
-// O(container). That is the right trade for modest temporal series
-// (the index lives at the front, readers need no seekable source), and
-// the wrong one for containers near or beyond RAM: those callers must
-// use StreamWriter, whose footer index keeps peak memory at O(index).
-// AppendBlob reports the running container size so callers can watch
-// the buffer grow, and SetLimit turns the silent growth into a typed
-// error at a chosen bound.
-type Writer struct {
-	w     io.Writer
-	blobs [][]byte
-	limit int64
-	// Temporal-series state: the transform is fitted on the first frame
-	// and shared by the whole series; prev holds the previous frame's
-	// decompressed output (the predictor both sides agree on).
-	tr    fixed.Transform
-	trSet bool
-	prev2 *field.Field2D
-	prev3 *field.Field3D
-}
-
-// NewWriter returns a Writer that emits the archive on Close.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w}
-}
-
-// ErrWriterLimit reports an append that would grow the buffered
-// container past the bound set by SetLimit.
-var ErrWriterLimit = errors.New("archive: buffered container exceeds writer limit")
-
-// SetLimit bounds the buffered container size: an AppendBlob that would
-// push Size past n bytes fails with ErrWriterLimit instead of growing
-// the buffer. n <= 0 (the default) means unbounded.
-func (a *Writer) SetLimit(n int64) { a.limit = n }
-
-// Size returns the byte size the container will have after Close —
-// equivalently, the writer's current buffered footprint plus index
-// overhead. It grows with every append; see the type comment for why.
-func (a *Writer) Size() int64 {
-	// head: magic+version, count uvarint, one length uvarint and one
-	// CRC per blob, head CRC.
-	n := int64(5 + uvarintLen(uint64(len(a.blobs))) + 4*(len(a.blobs)+1))
-	for _, b := range a.blobs {
-		n += int64(uvarintLen(uint64(len(b))) + len(b))
-	}
-	return n
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// AppendBlob adds one pre-compressed time step and returns the running
-// container size (the bytes Close will write, all of which this writer
-// buffers in memory — see the type comment). It fails with
-// ErrWriterLimit when a SetLimit bound would be exceeded.
-func (a *Writer) AppendBlob(blob []byte) (int64, error) {
-	a.blobs = append(a.blobs, blob)
-	size := a.Size()
-	if a.limit > 0 && size > a.limit {
-		a.blobs = a.blobs[:len(a.blobs)-1]
-		return a.Size(), fmt.Errorf("%w: %d bytes buffered, limit %d", ErrWriterLimit, size, a.limit)
-	}
-	return size, nil
-}
-
-// Append2D compresses and adds a 2D time step.
-func (a *Writer) Append2D(f *field.Field2D, opts core.Options) error {
-	blob, _, err := core.Compress2D(f, opts)
-	if err != nil {
-		return err
-	}
-	_, err = a.AppendBlob(blob)
-	return err
-}
-
-// Append3D compresses and adds a 3D time step.
-func (a *Writer) Append3D(f *field.Field3D, opts core.Options) error {
-	blob, _, err := core.Compress3D(f, opts)
-	if err != nil {
-		return err
-	}
-	_, err = a.AppendBlob(blob)
-	return err
-}
-
-// Append2DTemporal compresses a 2D time step against the previous
-// appended frame (spatial prediction for the first frame): on slowly
-// evolving series this beats spatial prediction considerably. The
-// fixed-point transform is fitted on the first frame and shared by the
-// series, so later frames must stay within its magnitude range.
-func (a *Writer) Append2DTemporal(f *field.Field2D, opts core.Options) error {
-	if !a.trSet {
-		tr, err := fixed.Fit(f.U, f.V)
-		if err != nil {
-			return err
-		}
-		a.tr, a.trSet = tr, true
-	}
-	blk := core.Block2D{
-		NX: f.NX, NY: f.NY, U: f.U, V: f.V,
-		Transform: a.tr, Opts: opts,
-	}
-	if a.prev2 != nil {
-		if a.prev2.NX != f.NX || a.prev2.NY != f.NY {
-			return ErrDimsChanged
-		}
-		blk.PrevU, blk.PrevV = a.prev2.U, a.prev2.V
-	}
-	enc, err := core.NewEncoder2D(blk)
-	if err != nil {
-		return err
-	}
-	enc.Run()
-	blob, err := enc.Finish()
-	if err != nil {
-		return err
-	}
-	u, v := enc.Decompressed()
-	enc.Close()
-	a.prev2 = &field.Field2D{NX: f.NX, NY: f.NY, U: u, V: v}
-	_, err = a.AppendBlob(blob)
-	return err
-}
-
-// Append3DTemporal is the 3D variant of Append2DTemporal.
-func (a *Writer) Append3DTemporal(f *field.Field3D, opts core.Options) error {
-	if !a.trSet {
-		tr, err := fixed.Fit(f.U, f.V, f.W)
-		if err != nil {
-			return err
-		}
-		a.tr, a.trSet = tr, true
-	}
-	blk := core.Block3D{
-		NX: f.NX, NY: f.NY, NZ: f.NZ, U: f.U, V: f.V, W: f.W,
-		Transform: a.tr, Opts: opts,
-	}
-	if a.prev3 != nil {
-		if a.prev3.NX != f.NX || a.prev3.NY != f.NY || a.prev3.NZ != f.NZ {
-			return ErrDimsChanged
-		}
-		blk.PrevU, blk.PrevV, blk.PrevW = a.prev3.U, a.prev3.V, a.prev3.W
-	}
-	enc, err := core.NewEncoder3D(blk)
-	if err != nil {
-		return err
-	}
-	enc.Run()
-	blob, err := enc.Finish()
-	if err != nil {
-		return err
-	}
-	u, v, w := enc.Decompressed()
-	enc.Close()
-	a.prev3 = &field.Field3D{NX: f.NX, NY: f.NY, NZ: f.NZ, U: u, V: v, W: w}
-	_, err = a.AppendBlob(blob)
-	return err
-}
-
-// Close writes the archive in the current (version 2) layout: the index
-// carries a CRC32C per blob and a head CRC over the index itself, so a
-// reader can attribute corruption to the index or to one specific step.
-func (a *Writer) Close() error {
-	var head []byte
-	head = append(head, magic[:]...)
-	head = append(head, version2)
-	head = binary.AppendUvarint(head, uint64(len(a.blobs)))
-	for _, b := range a.blobs {
-		head = binary.AppendUvarint(head, uint64(len(b)))
-	}
-	for _, b := range a.blobs {
-		head = binary.LittleEndian.AppendUint32(head, integrity.Checksum(b))
-	}
-	head = binary.LittleEndian.AppendUint32(head, integrity.Checksum(head))
-	if _, err := a.w.Write(head); err != nil {
-		return err
-	}
-	for _, b := range a.blobs {
-		if _, err := a.w.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Reader provides random access to the steps of an archive held in
-// memory.
-type Reader struct {
-	blobs [][]byte
-}
 
 // ErrCorrupt reports a malformed archive.
 var ErrCorrupt = errors.New("archive: corrupt")
@@ -248,174 +52,122 @@ var ErrDimsChanged = errors.New("archive: frame dimensions changed mid-series")
 // ErrStepRange reports a step index outside the archive.
 var ErrStepRange = errors.New("archive: step out of range")
 
-// IsArchive reports whether data starts with the archive container magic
-// — true for temporal series and for the slab containers of the
-// shared-memory pipeline, false for bare core blobs. Tools use it to
-// route a file to the right decoder.
-func IsArchive(data []byte) bool {
-	return len(data) >= 5 && string(data[:4]) == string(magic[:]) &&
-		(data[4] == version1 || data[4] == version2 || data[4] == version3)
+// Series appends temporally predicted frames to a StreamWriter: each
+// frame is compressed against the previous frame's decompressed output
+// (spatial prediction for the first frame), which on slowly evolving
+// series beats spatial prediction considerably. The fixed-point
+// transform is fitted on the first frame and shared by the series, so
+// later frames must stay within its magnitude range.
+type Series struct {
+	sw    *StreamWriter
+	tr    fixed.Transform
+	trSet bool
+	// prev holds the previous frame's decompressed output (the predictor
+	// both sides agree on).
+	prev2 *field.Field2D
+	prev3 *field.Field3D
 }
 
-// NewReader parses an archive of any container version. Checksummed
-// versions are verified eagerly — the index CRC first, then every blob
-// CRC — so a corrupted step surfaces here as a
-// *integrity.IntegrityError naming the slab rather than as garbage from
-// a later decode (and so concurrent Blob/Decode calls need no
-// verification state).
-func NewReader(data []byte) (*Reader, error) {
-	if len(data) < 6 || string(data[:4]) != string(magic[:]) {
-		return nil, ErrCorrupt
-	}
-	ver := data[4]
-	if ver == version3 {
-		return newReaderV3(data)
-	}
-	if ver != version1 && ver != version2 {
-		return nil, ErrCorrupt
-	}
-	rest := data[5:]
-	n, k := binary.Uvarint(rest)
-	if k <= 0 || n > uint64(len(rest)) {
-		return nil, ErrCorrupt
-	}
-	rest = rest[k:]
-	lengths := make([]uint64, n)
-	var total uint64
-	for i := range lengths {
-		l, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return nil, ErrCorrupt
-		}
-		lengths[i] = l
-		total += l
-		rest = rest[k:]
-	}
-	var crcs []uint32
-	if ver >= version2 {
-		// Per-blob CRC table plus the head CRC over everything before it.
-		need := 4 * (int(n) + 1)
-		if uint64(len(rest)) < uint64(need) {
-			return nil, ErrCorrupt
-		}
-		crcs = make([]uint32, n)
-		for i := range crcs {
-			crcs[i] = binary.LittleEndian.Uint32(rest)
-			rest = rest[4:]
-		}
-		headLen := len(data) - len(rest) // bytes covered by the head CRC
-		want := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if err := integrity.Verify("archive", "header", -1, want, data[:headLen]); err != nil {
-			return nil, err
-		}
-	}
-	if total > uint64(len(rest)) {
-		return nil, ErrCorrupt
-	}
-	r := &Reader{blobs: make([][]byte, n)}
-	for i, l := range lengths {
-		r.blobs[i] = rest[:l]
-		rest = rest[l:]
-		if crcs != nil {
-			if err := integrity.Verify("archive", "slab blob", i, crcs[i], r.blobs[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return r, nil
-}
+// NewSeries returns a Series appending to sw. The caller closes sw.
+func NewSeries(sw *StreamWriter) *Series { return &Series{sw: sw} }
 
-// newReaderV3 parses an in-memory version-3 container by indexing it
-// through the footer and slicing the blobs out of data, with the same
-// eager CRC verification as the version-2 path.
-func newReaderV3(data []byte) (*Reader, error) {
-	sr, err := openStreamV3(byteReaderAt(data), int64(len(data)))
+// fit fixes the series transform on the first frame.
+func (s *Series) fit(comps ...[]float32) error {
+	if s.trSet {
+		return nil
+	}
+	tr, err := fixed.Fit(comps...)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := &Reader{blobs: make([][]byte, sr.Steps())}
-	for i := range r.blobs {
-		b := data[sr.offs[i] : sr.offs[i]+sr.lens[i]]
-		if err := integrity.Verify("archive", "slab blob", i, sr.crcs[i], b); err != nil {
-			return nil, err
+	s.tr, s.trSet = tr, true
+	return nil
+}
+
+// Append2D compresses and appends one 2D frame.
+func (s *Series) Append2D(f *field.Field2D, opts core.Options) error {
+	if err := s.fit(f.U, f.V); err != nil {
+		return err
+	}
+	blk := core.Block2D{NX: f.NX, NY: f.NY, U: f.U, V: f.V, Transform: s.tr, Opts: opts}
+	if p := s.prev2; p != nil {
+		if p.NX != f.NX || p.NY != f.NY {
+			return ErrDimsChanged
 		}
-		r.blobs[i] = b
+		blk.PrevU, blk.PrevV = p.U, p.V
 	}
-	return r, nil
-}
-
-// byteReaderAt adapts a []byte to io.ReaderAt without importing bytes.
-type byteReaderAt []byte
-
-func (b byteReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off > int64(len(b)) {
-		return 0, io.EOF
-	}
-	n := copy(p, b[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// Steps returns the number of time steps.
-func (r *Reader) Steps() int { return len(r.blobs) }
-
-// Blob returns the raw compressed block of one step.
-func (r *Reader) Blob(step int) ([]byte, error) {
-	if step < 0 || step >= len(r.blobs) {
-		return nil, fmt.Errorf("%w: step %d not in [0,%d)", ErrStepRange, step, len(r.blobs))
-	}
-	return r.blobs[step], nil
-}
-
-// Decode2D decodes one 2D step.
-func (r *Reader) Decode2D(step int) (*field.Field2D, error) {
-	blob, err := r.Blob(step)
+	enc, err := core.NewEncoder2D(blk)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return core.Decompress2D(blob)
-}
-
-// Decode3D decodes one 3D step.
-func (r *Reader) Decode3D(step int) (*field.Field3D, error) {
-	blob, err := r.Blob(step)
+	defer enc.Close()
+	enc.Run()
+	blob, err := enc.Finish()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return core.Decompress3D(blob)
+	u, v := enc.Decompressed()
+	s.prev2 = &field.Field2D{NX: f.NX, NY: f.NY, U: u, V: v}
+	_, err = s.sw.AppendBlob(blob)
+	return err
 }
 
-// DecodeSeries2D decodes all steps in order, chaining temporally
+// Append3D is the 3D variant of Append2D.
+func (s *Series) Append3D(f *field.Field3D, opts core.Options) error {
+	if err := s.fit(f.U, f.V, f.W); err != nil {
+		return err
+	}
+	blk := core.Block3D{NX: f.NX, NY: f.NY, NZ: f.NZ, U: f.U, V: f.V, W: f.W, Transform: s.tr, Opts: opts}
+	if p := s.prev3; p != nil {
+		if p.NX != f.NX || p.NY != f.NY || p.NZ != f.NZ {
+			return ErrDimsChanged
+		}
+		blk.PrevU, blk.PrevV, blk.PrevW = p.U, p.V, p.W
+	}
+	enc, err := core.NewEncoder3D(blk)
+	if err != nil {
+		return err
+	}
+	defer enc.Close()
+	enc.Run()
+	blob, err := enc.Finish()
+	if err != nil {
+		return err
+	}
+	u, v, w := enc.Decompressed()
+	s.prev3 = &field.Field3D{NX: f.NX, NY: f.NY, NZ: f.NZ, U: u, V: v, W: w}
+	_, err = s.sw.AppendBlob(blob)
+	return err
+}
+
+// DecodeSeries2D decodes every step of sr in order, chaining temporally
 // predicted frames through their predecessors. Works for purely spatial
-// archives too.
-func (r *Reader) DecodeSeries2D() ([]*field.Field2D, error) {
-	out := make([]*field.Field2D, len(r.blobs))
-	var prev *field.Field2D
-	for i, blob := range r.blobs {
-		f, err := core.Decompress2DWithPrev(blob, prev)
-		if err != nil {
-			return nil, fmt.Errorf("archive: step %d: %w", i, err)
-		}
-		out[i] = f
-		prev = f
-	}
-	return out, nil
+// series too.
+func DecodeSeries2D(sr *StreamReader) ([]*field.Field2D, error) {
+	return decodeSeries(sr, core.Decompress2DWithPrev)
 }
 
-// DecodeSeries3D decodes all 3D steps in order with temporal chaining.
-func (r *Reader) DecodeSeries3D() ([]*field.Field3D, error) {
-	out := make([]*field.Field3D, len(r.blobs))
-	var prev *field.Field3D
-	for i, blob := range r.blobs {
-		f, err := core.Decompress3DWithPrev(blob, prev)
+// DecodeSeries3D is the 3D variant of DecodeSeries2D.
+func DecodeSeries3D(sr *StreamReader) ([]*field.Field3D, error) {
+	return decodeSeries(sr, core.Decompress3DWithPrev)
+}
+
+// decodeSeries decodes each step against the previous decoded frame (the
+// zero F, nil, before the first).
+func decodeSeries[F any](sr *StreamReader, decode func(blob []byte, prev F) (F, error)) ([]F, error) {
+	out := make([]F, sr.Steps())
+	var buf []byte
+	var prev F
+	for i := range out {
+		blob, err := sr.ReadBlobInto(buf, i)
 		if err != nil {
+			return nil, err
+		}
+		buf = blob
+		if prev, err = decode(blob, prev); err != nil {
 			return nil, fmt.Errorf("archive: step %d: %w", i, err)
 		}
-		out[i] = f
-		prev = f
+		out[i] = prev
 	}
 	return out, nil
 }

@@ -25,31 +25,69 @@ func step2D(t int, n int) *field.Field2D {
 	return f
 }
 
-func TestArchiveRoundTrip(t *testing.T) {
+// writeV3 wraps blobs in a version-3 container.
+func writeV3(t testing.TB, blobs [][]byte) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	const steps = 5
-	for s := 0; s < steps; s++ {
-		if err := w.Append2D(step2D(s, 16), core.Options{Tau: 0.1}); err != nil {
+	sw := NewStreamWriter(&buf)
+	for _, b := range blobs {
+		if _, err := sw.AppendBlob(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Close(); err != nil {
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(buf.Bytes())
+	return buf.Bytes()
+}
+
+// openBytes indexes an in-memory container.
+func openBytes(data []byte) (*StreamReader, error) {
+	return OpenStream(bytes.NewReader(data), int64(len(data)))
+}
+
+// compress2D compresses each field spatially into a standalone blob.
+func compress2D(t testing.TB, opts core.Options, fields ...*field.Field2D) [][]byte {
+	t.Helper()
+	blobs := make([][]byte, len(fields))
+	for i, f := range fields {
+		blob, _, err := core.Compress2D(f, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs[i] = blob
+	}
+	return blobs
+}
+
+// decodeStep loads and decodes one spatially predicted 2D step.
+func decodeStep(t *testing.T, sr *StreamReader, step int) (*field.Field2D, error) {
+	t.Helper()
+	blob, err := sr.ReadBlobInto(nil, step)
+	if err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+	return core.Decompress2D(blob)
+}
+
+func TestArchiveRoundTrip(t *testing.T) {
+	const steps = 5
+	var fields []*field.Field2D
+	for s := 0; s < steps; s++ {
+		fields = append(fields, step2D(s, 16))
+	}
+	sr, err := openBytes(writeV3(t, compress2D(t, core.Options{Tau: 0.1}, fields...)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Steps() != steps {
-		t.Fatalf("Steps = %d", r.Steps())
+	if sr.Steps() != steps {
+		t.Fatalf("Steps = %d", sr.Steps())
 	}
-	for s := 0; s < steps; s++ {
-		g, err := r.Decode2D(s)
+	for s, orig := range fields {
+		g, err := decodeStep(t, sr, s)
 		if err != nil {
 			t.Fatalf("step %d: %v", s, err)
 		}
-		orig := step2D(s, 16)
 		for i := range orig.U {
 			if math.Abs(float64(orig.U[i])-float64(g.U[i])) > 0.1 {
 				t.Fatalf("step %d error bound violated", s)
@@ -59,25 +97,17 @@ func TestArchiveRoundTrip(t *testing.T) {
 }
 
 func TestArchivePreservesTopologyPerStep(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	fields := make([]*field.Field2D, 4)
 	for s := range fields {
 		fields[s] = step2D(s, 20)
-		if err := w.Append2D(fields[s], core.Options{Tau: 0.2, Spec: core.ST2}); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(buf.Bytes())
+	sr, err := openBytes(writeV3(t, compress2D(t, core.Options{Tau: 0.2, Spec: core.ST2}, fields...)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s, f := range fields {
 		tr, _ := fixed.Fit(f.U, f.V)
-		g, err := r.Decode2D(s)
+		g, err := decodeStep(t, sr, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,53 +130,47 @@ func TestArchive3D(t *testing.T) {
 			}
 		}
 	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Append3D(f, core.Options{Tau: 0.1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(buf.Bytes())
+	blob, _, err := core.Compress3D(f, core.Options{Tau: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Decode3D(0); err != nil {
+	sr, err := openBytes(writeV3(t, [][]byte{blob}))
+	if err != nil {
 		t.Fatal(err)
 	}
+	dec, err := DecodeSeries3D(sr)
+	if err != nil || len(dec) != 1 {
+		t.Fatalf("decode: %d frames, %v", len(dec), err)
+	}
 	// Decoding a 3D step as 2D must fail cleanly.
-	if _, err := r.Decode2D(0); err == nil {
+	if _, err := DecodeSeries2D(sr); err == nil {
 		t.Error("3D step decoded as 2D")
 	}
 }
 
 func TestReaderErrors(t *testing.T) {
-	if _, err := NewReader(nil); err == nil {
-		t.Error("empty archive must fail")
+	if _, err := openBytes(nil); err == nil {
+		t.Error("empty input must fail")
 	}
-	if _, err := NewReader([]byte("SCARx")); err == nil {
+	if _, err := openBytes([]byte("SCARx")); err == nil {
 		t.Error("bad version must fail")
 	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.AppendBlob([]byte{1, 2, 3})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := openBytes([]byte("SCAR")); err == nil {
+		t.Error("magic without a version must fail")
 	}
-	r, err := NewReader(buf.Bytes())
+	data := writeV3(t, [][]byte{{1, 2, 3}})
+	sr, err := openBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Blob(5); err == nil {
+	if _, err := sr.ReadBlobInto(nil, 5); err == nil {
 		t.Error("out-of-range step must fail")
 	}
-	if _, err := r.Blob(-1); err == nil {
+	if _, err := sr.ReadBlobInto(nil, -1); err == nil {
 		t.Error("negative step must fail")
 	}
 	// Truncated payload.
-	data := buf.Bytes()
-	if _, err := NewReader(data[:len(data)-2]); err == nil {
+	if _, err := openBytes(data[:len(data)-2]); err == nil {
 		t.Error("truncated payload must fail")
 	}
 }
@@ -156,39 +180,39 @@ func TestReaderErrors(t *testing.T) {
 // rather than by matching message strings.
 func TestTypedSentinels(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Append2DTemporal(step2D(0, 16), core.Options{Tau: 0.1}); err != nil {
+	sw := NewStreamWriter(&buf)
+	s := NewSeries(sw)
+	if err := s.Append2D(step2D(0, 16), core.Options{Tau: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	err := w.Append2DTemporal(step2D(1, 12), core.Options{Tau: 0.1})
+	err := s.Append2D(step2D(1, 12), core.Options{Tau: 0.1})
 	if !errors.Is(err, ErrDimsChanged) {
 		t.Errorf("mid-series dimension change: got %v, want ErrDimsChanged", err)
 	}
-	if err := w.Close(); err != nil {
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(buf.Bytes())
+	sr, err := openBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Blob(7); !errors.Is(err, ErrStepRange) {
+	if _, err := sr.ReadBlobInto(nil, 7); !errors.Is(err, ErrStepRange) {
 		t.Errorf("out-of-range step: got %v, want ErrStepRange", err)
 	}
-	if _, err := r.Blob(-1); !errors.Is(err, ErrStepRange) {
+	if _, err := sr.ReadBlobInto(nil, -1); !errors.Is(err, ErrStepRange) {
 		t.Errorf("negative step: got %v, want ErrStepRange", err)
+	}
+	if _, err := openBytes([]byte("SCARx")); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("bad version: got %v, want ErrCorrupt", err)
 	}
 }
 
 func TestEmptyArchive(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewWriter(&buf).Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(buf.Bytes())
+	sr, err := openBytes(writeV3(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Steps() != 0 {
-		t.Errorf("Steps = %d", r.Steps())
+	if sr.Steps() != 0 {
+		t.Errorf("Steps = %d", sr.Steps())
 	}
 }

@@ -7,11 +7,12 @@ import (
 	"repro/internal/core"
 )
 
-// Reader robustness: arbitrary archive bytes must produce an error or a
-// correctly decoded series, never a panic. Seeds cover all three
-// container versions plus truncations and bit flips of valid v2 and v3
-// archives — for v3 specifically the flips target the trailer and
-// footer index, the sections its checksums exist to guard.
+// Reader robustness: arbitrary container bytes must produce an error or
+// a correctly decoded series, never a panic. Seeds cover all three
+// container versions and bare core blocks, plus truncations and bit
+// flips of valid v2, v3 and bare inputs — for v3 specifically the flips
+// target the trailer and footer index, the sections its checksums exist
+// to guard.
 
 func FuzzArchiveDecode(f *testing.F) {
 	f.Add([]byte{})
@@ -21,17 +22,7 @@ func FuzzArchiveDecode(f *testing.F) {
 	f.Add([]byte{'S', 'C', 'A', 'R', version3})
 	f.Add(append([]byte{'S', 'C', 'A', 'R', version3}, trailerMagic[:]...))
 
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for s := 0; s < 3; s++ {
-		if err := w.Append2D(step2D(s, 16), core.Options{Tau: 0.1}); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := readV2Fixture(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-3])
@@ -41,21 +32,8 @@ func FuzzArchiveDecode(f *testing.F) {
 		f.Add(mut)
 	}
 
-	var v3buf bytes.Buffer
-	sw := NewStreamWriter(&v3buf)
-	for s := 0; s < 3; s++ {
-		blob, _, err := core.Compress2D(step2D(s, 16), core.Options{Tau: 0.1})
-		if err != nil {
-			f.Fatal(err)
-		}
-		if _, err := sw.AppendBlob(blob); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		f.Fatal(err)
-	}
-	v3 := v3buf.Bytes()
+	blobs := buildBlobs(f, 3)
+	v3 := writeV3(f, blobs)
 	f.Add(v3)
 	f.Add(v3[:len(v3)/2])
 	f.Add(v3[:len(v3)-trailerSize])   // trailer sheared off entirely
@@ -72,13 +50,22 @@ func FuzzArchiveDecode(f *testing.F) {
 		f.Add(mut)
 	}
 
+	bare := blobs[0]
+	f.Add(bare)
+	f.Add(bare[:len(bare)/2])
+	for _, pos := range []int{0, 3, len(bare) / 2, len(bare) - 1} {
+		mut := bytes.Clone(bare)
+		mut[pos] ^= 0x10
+		f.Add(mut)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(data)
+		sr, err := openBytes(data)
 		if err != nil {
 			return
 		}
-		for step := 0; step < r.Steps(); step++ {
-			blob, err := r.Blob(step)
+		for step := 0; step < sr.Steps(); step++ {
+			blob, err := sr.ReadBlobInto(nil, step)
 			if err != nil {
 				continue
 			}
@@ -88,9 +75,9 @@ func FuzzArchiveDecode(f *testing.F) {
 			}
 		}
 		// A reader over intact bytes must keep decoding the same series.
-		if bytes.Equal(data, valid) {
-			if _, err := r.DecodeSeries2D(); err != nil {
-				t.Fatalf("valid archive failed to decode: %v", err)
+		if bytes.Equal(data, valid) || bytes.Equal(data, v3) || bytes.Equal(data, bare) {
+			if _, err := DecodeSeries2D(sr); err != nil {
+				t.Fatalf("valid input failed to decode: %v", err)
 			}
 		}
 	})

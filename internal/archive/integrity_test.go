@@ -4,29 +4,29 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/integrity"
 )
 
-// buildArchive compresses a few steps and returns the serialized bytes
-// plus the byte offset where the blob region starts.
-func buildArchive(t *testing.T, steps int) ([]byte, int) {
+// v2Fixture is a 3-step version-2 container around buildBlobs(3), as the
+// retired version-2 writer emitted it.
+const v2Fixture = "testdata/v2-3step.scar"
+
+func readV2Fixture(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for s := 0; s < steps; s++ {
-		if err := w.Append2D(step2D(s, 16), core.Options{Tau: 0.1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
+	data, err := os.ReadFile(v2Fixture)
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	// Re-derive the head length: magic+version, count, lengths, CRC
-	// table, head CRC.
+	return data
+}
+
+// v2HeadLen re-derives a version-2 head length: magic+version, count,
+// lengths, CRC table, head CRC.
+func v2HeadLen(data []byte) int {
 	rest := data[5:]
 	n, k := binary.Uvarint(rest)
 	rest = rest[k:]
@@ -35,14 +35,17 @@ func buildArchive(t *testing.T, steps int) ([]byte, int) {
 		rest = rest[k:]
 	}
 	rest = rest[4*(int(n)+1):]
-	return data, len(data) - len(rest)
+	return len(data) - len(rest)
 }
 
 func TestArchiveBlobCorruptionDetected(t *testing.T) {
-	data, _ := buildArchive(t, 3)
-	bad := bytes.Clone(data)
+	bad := bytes.Clone(readV2Fixture(t))
 	bad[len(bad)-1] ^= 0x40 // last byte belongs to the last blob
-	_, err := NewReader(bad)
+	sr, err := openBytes(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sr.ReadBlobInto(nil, 2)
 	var ie *integrity.IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("want IntegrityError, got %v", err)
@@ -53,10 +56,10 @@ func TestArchiveBlobCorruptionDetected(t *testing.T) {
 }
 
 func TestArchiveHeaderCorruptionDetected(t *testing.T) {
-	data, headLen := buildArchive(t, 3)
+	data := readV2Fixture(t)
 	bad := bytes.Clone(data)
-	bad[headLen-8] ^= 0x01 // inside the per-blob CRC table
-	_, err := NewReader(bad)
+	bad[v2HeadLen(data)-8] ^= 0x01 // inside the per-blob CRC table
+	_, err := openBytes(bad)
 	var ie *integrity.IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("want IntegrityError, got %v", err)
@@ -67,37 +70,26 @@ func TestArchiveHeaderCorruptionDetected(t *testing.T) {
 }
 
 // TestArchiveV1Readable hand-builds a seed-layout (version 1, no
-// checksums) archive and checks it still parses and decodes.
+// checksums) archive and checks it still parses and decodes, and that a
+// bare block opens as a one-step container of version 0.
 func TestArchiveV1Readable(t *testing.T) {
-	f := step2D(0, 16)
-	blob, _, err := core.Compress2D(f, core.Options{Tau: 0.1})
+	blob, _, err := core.Compress2D(step2D(0, 16), core.Options{Tau: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := append([]byte(nil), magic[:]...)
-	v1 = append(v1, version1)
-	v1 = binary.AppendUvarint(v1, 1)
-	v1 = binary.AppendUvarint(v1, uint64(len(blob)))
-	v1 = append(v1, blob...)
-	if !IsArchive(v1) {
-		t.Fatal("IsArchive must accept version 1")
-	}
-	r, err := NewReader(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Steps() != 1 {
-		t.Fatalf("Steps = %d", r.Steps())
-	}
-	if _, err := r.Decode2D(0); err != nil {
-		t.Fatal(err)
-	}
-	// A flipped blob bit in a v1 archive is not caught at the container
-	// layer (no CRCs there), but must still fail in the block decoder
-	// rather than return garbage — the blob payload CRC or structural
-	// checks catch it.
-	data, _ := buildArchive(t, 1)
-	if !IsArchive(data) {
-		t.Fatal("IsArchive must accept version 2")
+	for _, tc := range []struct {
+		data []byte
+		ver  int
+	}{{containerV1([][]byte{blob}), version1}, {blob, versionBare}} {
+		sr, err := openBytes(tc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.Version() != tc.ver || sr.Steps() != 1 {
+			t.Fatalf("version %d steps %d, want %d and 1", sr.Version(), sr.Steps(), tc.ver)
+		}
+		if _, err := decodeStep(t, sr, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -10,23 +10,15 @@ import (
 // byte-exactly, in order.
 func TestQuickArchiveRoundTrip(t *testing.T) {
 	f := func(blobs [][]byte) bool {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for _, b := range blobs {
-			w.AppendBlob(b)
-		}
-		if err := w.Close(); err != nil {
-			return false
-		}
-		r, err := NewReader(buf.Bytes())
+		sr, err := openBytes(writeV3(t, blobs))
 		if err != nil {
 			return false
 		}
-		if r.Steps() != len(blobs) {
+		if sr.Steps() != len(blobs) {
 			return false
 		}
 		for i, want := range blobs {
-			got, err := r.Blob(i)
+			got, err := sr.ReadBlobInto(nil, i)
 			if err != nil || !bytes.Equal(got, want) {
 				return false
 			}
@@ -39,24 +31,20 @@ func TestQuickArchiveRoundTrip(t *testing.T) {
 }
 
 // Property: truncating an archive anywhere yields an error or a reader
-// whose blobs are still in-bounds slices (never a panic).
+// whose blobs all load (never a panic).
 func TestQuickTruncationSafety(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var blobs [][]byte
 	for i := 0; i < 5; i++ {
-		w.AppendBlob(bytes.Repeat([]byte{byte(i)}, 20+i*7))
+		blobs = append(blobs, bytes.Repeat([]byte{byte(i)}, 20+i*7))
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := writeV3(t, blobs)
 	for cut := 0; cut <= len(data); cut++ {
-		r, err := NewReader(data[:cut])
+		sr, err := openBytes(data[:cut])
 		if err != nil {
 			continue
 		}
-		for s := 0; s < r.Steps(); s++ {
-			if _, err := r.Blob(s); err != nil {
+		for s := 0; s < sr.Steps(); s++ {
+			if _, err := sr.ReadBlobInto(nil, s); err != nil {
 				t.Fatalf("cut %d: in-range blob errored: %v", cut, err)
 			}
 		}

@@ -17,11 +17,12 @@
 // The trailer is fixed-size so a reader can locate the footer from the
 // end of the file; the footer CRC covers the footer bytes, and every blob
 // carries its own CRC32C verified on load. Version-1/2 containers (index
-// up front) remain readable through both Reader and StreamReader.
+// up front) and bare core blocks remain readable through StreamReader.
 
 package archive
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -161,9 +162,10 @@ func (sw *StreamWriter) Close() error {
 
 // StreamReader provides random access to the steps of a container
 // through an io.ReaderAt without ever holding more than the index plus
-// one blob in memory. It reads all three container versions: the
+// one blob in memory. It reads all three container versions — the
 // version-3 footer index, and the version-1/2 head index (which is
-// O(index) to parse, not O(container)).
+// O(index) to parse, not O(container)) — and bare core blocks as
+// one-step containers.
 //
 // Memory contract: Open parses and retains the index only (~16 bytes per
 // step); ReadBlobInto loads exactly one blob, verifying its CRC (version
@@ -174,20 +176,29 @@ type StreamReader struct {
 	version int
 	offs    []int64
 	lens    []int64
-	crcs    []uint32 // nil for version 1
+	crcs    []uint32 // nil for version 1 and bare blocks
 }
 
 // OpenStream indexes the container held by r. size must be the total
-// container length in bytes (e.g. the file size).
+// container length in bytes (e.g. the file size). Input that does not
+// start with the container magic is a bare core block: it opens as a
+// one-step container of version 0 whose blob is the whole input.
 func OpenStream(r io.ReaderAt, size int64) (*StreamReader, error) {
-	var head [5]byte
-	if size < int64(len(head)) {
+	if size <= 0 {
 		return nil, ErrCorrupt
 	}
-	if _, err := r.ReadAt(head[:], 0); err != nil {
+	var head [5]byte
+	n := int64(len(head))
+	if size < n {
+		n = size
+	}
+	if _, err := r.ReadAt(head[:n], 0); err != nil {
 		return nil, err
 	}
-	if string(head[:4]) != string(magic[:]) {
+	if n < 4 || string(head[:4]) != string(magic[:]) {
+		return &StreamReader{r: r, version: versionBare, offs: []int64{0}, lens: []int64{size}}, nil
+	}
+	if n < 5 {
 		return nil, ErrCorrupt
 	}
 	switch head[4] {
@@ -261,114 +272,71 @@ func openStreamV3(r io.ReaderAt, size int64) (*StreamReader, error) {
 	return sr, nil
 }
 
-// openStreamV12 parses the head index of a version-1/2 container,
-// reading the head region in growing chunks so only O(index) bytes are
-// ever resident.
+// openStreamV12 parses the head index of a version-1/2 container
+// through a buffered section reader, so only O(index) bytes are ever
+// resident.
 func openStreamV12(r io.ReaderAt, size int64, ver int) (*StreamReader, error) {
-	chunk := int64(4096)
-	for {
-		if chunk > size {
-			chunk = size
+	hr := &headReader{br: bufio.NewReader(io.NewSectionReader(r, 5, size-5)),
+		head: []byte{magic[0], magic[1], magic[2], magic[3], byte(ver)}}
+	n, err := binary.ReadUvarint(hr)
+	// Each step costs at least one length byte.
+	if err != nil || n > uint64(size) {
+		return nil, fmt.Errorf("%w: head step count: %v", ErrCorrupt, err)
+	}
+	sr := &StreamReader{r: r, version: ver}
+	for i := uint64(0); i < n; i++ {
+		l, err := binary.ReadUvarint(hr)
+		if err != nil || l > uint64(size) {
+			return nil, fmt.Errorf("%w: head length %d: %v", ErrCorrupt, i, err)
 		}
-		//lint:ignore slabbuffer the buffer holds the container's head index only, growing geometrically to its O(steps) size — never blob data
-		buf := make([]byte, chunk)
-		if _, err := r.ReadAt(buf, 0); err != nil && err != io.EOF {
-			return nil, err
-		}
-		sr, need, err := parseHeadV12(buf, ver, chunk == size)
-		if err != nil {
-			return nil, err
-		}
-		if sr != nil {
-			sr.r = r
-			// The blob region must fit the declared lengths.
-			last := len(sr.offs) - 1
-			if last >= 0 && sr.offs[last]+sr.lens[last] > size {
-				return nil, ErrCorrupt
+		sr.lens = append(sr.lens, int64(l))
+	}
+	if ver == version2 {
+		// Per-blob CRC table, then the head CRC over everything before it.
+		for i := uint64(0); i <= n; i++ {
+			var b [4]byte
+			if _, err := io.ReadFull(hr.br, b[:]); err != nil {
+				return nil, fmt.Errorf("%w: head CRC table: %v", ErrCorrupt, err)
 			}
-			return sr, nil
+			crc := binary.LittleEndian.Uint32(b[:])
+			if i < n {
+				sr.crcs = append(sr.crcs, crc)
+			} else if err := integrity.Verify("archive", "header", -1, crc, hr.head); err != nil {
+				return nil, err
+			}
+			hr.head = append(hr.head, b[:]...)
 		}
-		if chunk == size {
+	}
+	// The blob region must fit the declared lengths.
+	off := int64(len(hr.head))
+	for _, l := range sr.lens {
+		sr.offs = append(sr.offs, off)
+		if off += l; off > size {
 			return nil, ErrCorrupt
 		}
-		chunk *= 2
-		_ = need
 	}
+	return sr, nil
 }
 
-// parseHeadV12 attempts to parse a version-1/2 head from buf. It returns
-// (nil, true, nil) when buf is too short ("need more"), or the indexed
-// reader once the whole head is present. complete reports that buf holds
-// the entire container.
-func parseHeadV12(buf []byte, ver int, complete bool) (*StreamReader, bool, error) {
-	rest := buf[5:]
-	n, k := binary.Uvarint(rest)
-	if k <= 0 {
-		if complete {
-			return nil, false, ErrCorrupt
-		}
-		return nil, true, nil
-	}
-	// Bound the step count by the container size: each step costs at
-	// least one length byte.
-	if n > uint64(len(buf)) && complete {
-		return nil, false, ErrCorrupt
-	}
-	rest = rest[k:]
-	lens := make([]int64, 0, min64(n, 1<<20))
-	for i := uint64(0); i < n; i++ {
-		l, k := binary.Uvarint(rest)
-		if k <= 0 {
-			if complete {
-				return nil, false, ErrCorrupt
-			}
-			return nil, true, nil
-		}
-		lens = append(lens, int64(l))
-		rest = rest[k:]
-	}
-	var crcs []uint32
-	if ver >= version2 {
-		need := 4 * (int(n) + 1)
-		if len(rest) < need {
-			if complete {
-				return nil, false, ErrCorrupt
-			}
-			return nil, true, nil
-		}
-		crcs = make([]uint32, n)
-		for i := range crcs {
-			crcs[i] = binary.LittleEndian.Uint32(rest)
-			rest = rest[4:]
-		}
-		headLen := len(buf) - len(rest)
-		want := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if err := integrity.Verify("archive", "header", -1, want, buf[:headLen]); err != nil {
-			return nil, false, err
-		}
-	}
-	sr := &StreamReader{version: ver, lens: lens, crcs: crcs,
-		offs: make([]int64, len(lens))}
-	off := int64(len(buf) - len(rest))
-	for i, l := range lens {
-		sr.offs[i] = off
-		off += l
-	}
-	return sr, false, nil
+// headReader records the bytes a head parse consumes, for the head CRC.
+type headReader struct {
+	br   *bufio.Reader
+	head []byte
 }
 
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
+func (h *headReader) ReadByte() (byte, error) {
+	b, err := h.br.ReadByte()
+	if err == nil {
+		h.head = append(h.head, b)
 	}
-	return b
+	return b, err
 }
 
 // Steps returns the number of steps in the container.
 func (sr *StreamReader) Steps() int { return len(sr.lens) }
 
-// Version returns the container layout version (1, 2 or 3).
+// Version returns the container layout version (1, 2 or 3), or 0 for a
+// bare core block.
 func (sr *StreamReader) Version() int { return sr.version }
 
 // BlobLen returns the stored byte length of one step's blob.
@@ -377,18 +345,6 @@ func (sr *StreamReader) BlobLen(step int) (int64, error) {
 		return 0, fmt.Errorf("%w: step %d not in [0,%d)", ErrStepRange, step, len(sr.lens))
 	}
 	return sr.lens[step], nil
-}
-
-// MaxBlobLen returns the largest blob length in the container — the
-// buffer size that lets one reused buffer serve every ReadBlobInto call.
-func (sr *StreamReader) MaxBlobLen() int64 {
-	var m int64
-	for _, l := range sr.lens {
-		if l > m {
-			m = l
-		}
-	}
-	return m
 }
 
 // ReadBlobPrefix loads at most n leading bytes of one step's blob into

@@ -14,7 +14,7 @@ import (
 func buildBlobs(t testing.TB, steps int) [][]byte {
 	t.Helper()
 	blobs := make([][]byte, steps)
-	for s := 0; s < steps; s++ {
+	for s := range blobs {
 		blob, _, err := core.Compress2D(step2D(s, 16), core.Options{Tau: 0.1})
 		if err != nil {
 			t.Fatal(err)
@@ -87,75 +87,44 @@ func TestStreamWriterRoundTrip(t *testing.T) {
 }
 
 // TestCrossVersionGolden pins backward compatibility: the same blobs
-// wrapped in every container version decode to identical bytes through
-// both the in-memory Reader and the streaming StreamReader.
+// wrapped in every container version — v1 hand-built, v2 the committed
+// fixture the retired writer produced, v3 from StreamWriter — and a bare
+// block read back byte-identical through OpenStream.
 func TestCrossVersionGolden(t *testing.T) {
 	blobs := buildBlobs(t, 3)
-
-	v1 := containerV1(blobs)
-	var v2buf bytes.Buffer
-	w := NewWriter(&v2buf)
-	for _, b := range blobs {
-		if _, err := w.AppendBlob(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var v3buf bytes.Buffer
-	sw := NewStreamWriter(&v3buf)
-	for _, b := range blobs {
-		if _, err := sw.AppendBlob(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	for _, tc := range []struct {
-		name string
-		data []byte
-		ver  int
+		name  string
+		data  []byte
+		ver   int
+		blobs [][]byte
 	}{
-		{"v1", v1, 1},
-		{"v2", v2buf.Bytes(), 2},
-		{"v3", v3buf.Bytes(), 3},
+		{"v1", containerV1(blobs), 1, blobs},
+		{"v2", readV2Fixture(t), 2, blobs},
+		{"v3", writeV3(t, blobs), 3, blobs},
+		{"bare", blobs[0], 0, blobs[:1]},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if !IsArchive(tc.data) {
-				t.Fatalf("IsArchive rejects %s", tc.name)
-			}
-			r, err := NewReader(tc.data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sr, err := OpenStream(bytes.NewReader(tc.data), int64(len(tc.data)))
+			sr, err := openBytes(tc.data)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sr.Version() != tc.ver {
 				t.Fatalf("stream version %d, want %d", sr.Version(), tc.ver)
 			}
-			if r.Steps() != len(blobs) || sr.Steps() != len(blobs) {
-				t.Fatalf("steps %d/%d, want %d", r.Steps(), sr.Steps(), len(blobs))
+			if sr.Steps() != len(tc.blobs) {
+				t.Fatalf("steps %d, want %d", sr.Steps(), len(tc.blobs))
 			}
-			for s, want := range blobs {
-				got, err := r.Blob(s)
+			for s, want := range tc.blobs {
+				got, err := sr.ReadBlobInto(nil, s)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("%s Reader step %d blob differs", tc.name, s)
+					t.Fatalf("%s step %d blob differs", tc.name, s)
 				}
-				sgot, err := sr.ReadBlobInto(nil, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(sgot, want) {
-					t.Fatalf("%s StreamReader step %d blob differs", tc.name, s)
-				}
+			}
+			if _, err := DecodeSeries2D(sr); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -165,18 +134,7 @@ func TestCrossVersionGolden(t *testing.T) {
 // in the footer, trailer, or a blob must surface as an error on open or
 // first read, never as silently wrong data.
 func TestStreamReaderCorruption(t *testing.T) {
-	blobs := buildBlobs(t, 2)
-	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf)
-	for _, b := range blobs {
-		if _, err := sw.AppendBlob(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := writeV3(t, buildBlobs(t, 2))
 
 	corrupt := func(pos int) []byte {
 		mut := bytes.Clone(valid)

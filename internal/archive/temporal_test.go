@@ -2,6 +2,8 @@ package archive
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"testing"
 
@@ -33,23 +35,30 @@ func slowSeries(steps, n int) []*field.Field2D {
 	return out
 }
 
-func TestTemporalSeriesRoundTrip(t *testing.T) {
-	fields := slowSeries(6, 24)
+// writeSeries2D appends fields as a temporal series to a v3 container.
+func writeSeries2D(t *testing.T, opts core.Options, fields []*field.Field2D) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	sw := NewStreamWriter(&buf)
+	s := NewSeries(sw)
 	for _, f := range fields {
-		if err := w.Append2DTemporal(f, core.Options{Tau: 0.01}); err != nil {
+		if err := s.Append2D(f, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Close(); err != nil {
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(buf.Bytes())
+	return buf.Bytes()
+}
+
+func TestTemporalSeriesRoundTrip(t *testing.T) {
+	fields := slowSeries(6, 24)
+	sr, err := openBytes(writeSeries2D(t, core.Options{Tau: 0.01}, fields))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := r.DecodeSeries2D()
+	dec, err := DecodeSeries2D(sr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,27 +78,9 @@ func TestTemporalSeriesRoundTrip(t *testing.T) {
 
 func TestTemporalBeatsSpatialOnSlowSeries(t *testing.T) {
 	fields := slowSeries(8, 32)
-	size := func(temporal bool) int {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for _, f := range fields {
-			var err error
-			if temporal {
-				err = w.Append2DTemporal(f, core.Options{Tau: 0.005})
-			} else {
-				err = w.Append2D(f, core.Options{Tau: 0.005})
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Len()
-	}
-	spatial := size(false)
-	temporal := size(true)
+	opts := core.Options{Tau: 0.005}
+	spatial := len(writeV3(t, compress2D(t, opts, fields...)))
+	temporal := len(writeSeries2D(t, opts, fields))
 	if temporal >= spatial {
 		t.Errorf("temporal prediction (%d bytes) should beat spatial (%d bytes) on a slow series",
 			temporal, spatial)
@@ -99,25 +90,17 @@ func TestTemporalBeatsSpatialOnSlowSeries(t *testing.T) {
 }
 
 func TestTemporalNeedsPrevFrame(t *testing.T) {
-	fields := slowSeries(2, 16)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, f := range fields {
-		if err := w.Append2DTemporal(f, core.Options{Tau: 0.01}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
+	sr, err := openBytes(writeSeries2D(t, core.Options{Tau: 0.01}, slowSeries(2, 16)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := NewReader(buf.Bytes())
 	// Step 1 is temporally predicted: decoding without its predecessor
 	// must fail cleanly.
-	if _, err := r.Decode2D(1); err == nil {
+	if _, err := decodeStep(t, sr, 1); err == nil {
 		t.Fatal("temporal frame decoded without previous frame")
 	}
 	// Step 0 has no predecessor and decodes directly.
-	if _, err := r.Decode2D(0); err != nil {
+	if _, err := decodeStep(t, sr, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,23 +121,24 @@ func TestTemporal3DSeries(t *testing.T) {
 		return f
 	}
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	sw := NewStreamWriter(&buf)
+	series := NewSeries(sw)
 	var fields []*field.Field3D
 	for s := 0; s < 4; s++ {
 		f := mk(float64(s) * 0.05)
 		fields = append(fields, f)
-		if err := w.Append3DTemporal(f, core.Options{Tau: 0.01}); err != nil {
+		if err := series.Append3D(f, core.Options{Tau: 0.01}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Close(); err != nil {
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(buf.Bytes())
+	sr, err := openBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := r.DecodeSeries3D()
+	dec, err := DecodeSeries3D(sr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +149,18 @@ func TestTemporal3DSeries(t *testing.T) {
 			}
 		}
 	}
+	// A 3D series rejects a frame of another shape too.
+	if err := series.Append3D(field.NewField3D(10, 10, 12), core.Options{Tau: 0.01}); !errors.Is(err, ErrDimsChanged) {
+		t.Errorf("3D dimension change: got %v, want ErrDimsChanged", err)
+	}
 }
 
 func TestTemporalDimensionChangeRejected(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Append2DTemporal(slowSeries(1, 16)[0], core.Options{Tau: 0.01}); err != nil {
+	s := NewSeries(NewStreamWriter(io.Discard))
+	if err := s.Append2D(slowSeries(1, 16)[0], core.Options{Tau: 0.01}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append2DTemporal(slowSeries(1, 20)[0], core.Options{Tau: 0.01}); err == nil {
+	if err := s.Append2D(slowSeries(1, 20)[0], core.Options{Tau: 0.01}); err == nil {
 		t.Fatal("dimension change must be rejected")
 	}
 }

@@ -9,6 +9,7 @@ package codec
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -55,7 +56,7 @@ func ParseSpec(s string) (core.Speculation, error) {
 // byte-identical to the CLI output for the same input and options.
 func (cpCodec) Compress(src field.SlabSource, w io.Writer, p Params) (Result, error) {
 	dims := src.Dims()
-	if len(p.Dims) > 0 && !dimsEqual(p.Dims, dims) {
+	if len(p.Dims) > 0 && !slices.Equal(p.Dims, dims) {
 		return Result{}, fmt.Errorf("codec: source dims %v disagree with requested %v", dims, p.Dims)
 	}
 	spec, err := ParseSpec(p.Spec)
@@ -68,7 +69,7 @@ func (cpCodec) Compress(src field.SlabSource, w io.Writer, p Params) (Result, er
 	if err := fixed.CheckParam("tau", p.Tau); err != nil {
 		return Result{}, err
 	}
-	stats, err := field.SourceStats(src, statsWindow(p.Pipeline.MaxMemBytes, dims))
+	stats, err := field.SourceStats(src, StatsWindow(p.Pipeline.MaxMemBytes, dims))
 	if err != nil {
 		return Result{}, err
 	}
@@ -93,7 +94,7 @@ func (cpCodec) Decompress(r io.ReaderAt, size int64, p Params, sinkFor func(dims
 	checked := sinkFor
 	if len(p.Dims) > 0 {
 		checked = func(dims []int) (shm.PlaneSink, error) {
-			if !dimsEqual(p.Dims, dims) {
+			if !slices.Equal(p.Dims, dims) {
 				return nil, fmt.Errorf("codec: container holds %v, request expected %v", dims, p.Dims)
 			}
 			return sinkFor(dims)
@@ -102,21 +103,10 @@ func (cpCodec) Decompress(r io.ReaderAt, size int64, p Params, sinkFor func(dims
 	return shm.DecompressTo(r, size, p.Pipeline, checked)
 }
 
-func dimsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// statsWindow sizes the stats pass's plane window to about a quarter of
-// the memory budget, matching the CLI's streaming derivation.
-func statsWindow(budget int64, dims []int) int {
+// StatsWindow sizes the plane window of a stats or scan pass over a
+// field of the given dims to about a quarter of the memory budget; no
+// budget picks 64 planes.
+func StatsWindow(budget int64, dims []int) int {
 	if budget <= 0 {
 		return 64
 	}

@@ -106,7 +106,8 @@ func (t cpszTel) finish() {
 
 // Validate reports whether the options are usable.
 func (o Options) Validate() error {
-	if o.Rel <= 0 || o.Rel >= 1 {
+	// Written as a negated range test so a NaN Rel fails too.
+	if !(o.Rel > 0 && o.Rel < 1) {
 		return errors.New("cpsz: Rel must be in (0,1)")
 	}
 	if o.Scheme > Coupled {

@@ -90,6 +90,11 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{Rel: 1.5}).Validate(); err == nil {
 		t.Error("Rel >= 1 must fail")
 	}
+	for _, rel := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (Options{Rel: rel}).Validate(); err == nil {
+			t.Errorf("Rel %v must fail", rel)
+		}
+	}
 	if err := (Options{Rel: 0.1, Scheme: Coupled}).Validate(); err != nil {
 		t.Error(err)
 	}

@@ -38,7 +38,7 @@ func Ablation(cfg Config) ([]AblationRow, Table, error) {
 		if err != nil {
 			return err
 		}
-		tau := cfg.TauRel * valueRange(f.U, f.V)
+		tau := cfg.TauRel * field.Range(f.U, f.V)
 		orig := cp.DetectField2D(f, tr)
 		raw := 4 * 2 * len(f.U)
 		for _, v := range []struct {
@@ -86,7 +86,7 @@ func Ablation(cfg Config) ([]AblationRow, Table, error) {
 	if err != nil {
 		return nil, Table{}, err
 	}
-	tau := cfg.TauRel * valueRange(f.U, f.V, f.W)
+	tau := cfg.TauRel * field.Range(f.U, f.V, f.W)
 	orig := cp.DetectField3D(f, tr)
 	raw := 4 * 3 * len(f.U)
 	for _, v := range []struct {

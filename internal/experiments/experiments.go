@@ -156,24 +156,6 @@ func mbps(bytes int, d time.Duration) float64 {
 }
 
 // valueRange returns max-min over the component slices.
-func valueRange(comps ...[]float32) float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, c := range comps {
-		for _, v := range c {
-			fv := float64(v)
-			if fv < lo {
-				lo = fv
-			}
-			if fv > hi {
-				hi = fv
-			}
-		}
-	}
-	if hi <= lo {
-		return 1
-	}
-	return hi - lo
-}
 
 // tuneFloat finds (by geometric bisection) a parameter p in [lo, hi] such
 // that size(p) is close to target. size must be monotone decreasing in p

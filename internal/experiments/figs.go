@@ -40,7 +40,7 @@ func Fig6(cfg Config) ([]RDPoint, Table, error) {
 	if err != nil {
 		return nil, Table{}, err
 	}
-	rng2 := valueRange(ocean.U, ocean.V)
+	rng2 := field.Range(ocean.U, ocean.V)
 	n2 := 2 * len(ocean.U)
 	for _, spec := range specs {
 		for _, taurel := range taus {
@@ -65,7 +65,7 @@ func Fig6(cfg Config) ([]RDPoint, Table, error) {
 	if err != nil {
 		return nil, Table{}, err
 	}
-	rng3 := valueRange(nek.U, nek.V, nek.W)
+	rng3 := field.Range(nek.U, nek.V, nek.W)
 	n3 := 3 * len(nek.U)
 	for _, spec := range specs {
 		for _, taurel := range taus {
@@ -143,7 +143,7 @@ func Fig9(cfg Config) ([]IORow, Table, error) {
 		if err != nil {
 			return nil, Table{}, err
 		}
-		tau := cfg.TauRel * valueRange(f.U, f.V, f.W)
+		tau := cfg.TauRel * field.Range(f.U, f.V, f.W)
 		grid := parallel.Grid3D{PX: p, PY: p, PZ: p}
 		ranks := grid.Ranks()
 		raw := int64(3*len(f.U)) * 4

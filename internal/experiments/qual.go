@@ -40,7 +40,7 @@ func Fig5(cfg Config, outDir string) ([]QualRow, Table, error) {
 	if err != nil {
 		return nil, Table{}, err
 	}
-	tau := cfg.TauRel * valueRange(f.U, f.V)
+	tau := cfg.TauRel * field.Range(f.U, f.V)
 	orig := cp.DetectField2D(f, tr)
 	raw := 4 * 2 * len(f.U)
 
@@ -54,7 +54,7 @@ func Fig5(cfg Config, outDir string) ([]QualRow, Table, error) {
 		name string
 		run  func() (*field.Field2D, int, error)
 	}
-	rng := valueRange(f.U, f.V)
+	rng := field.Range(f.U, f.V)
 	methods := []method{
 		{"original", func() (*field.Field2D, int, error) { return f, raw, nil }},
 		{"ours-NoSpec", func() (*field.Field2D, int, error) {
@@ -169,7 +169,7 @@ func qual3D(cfg Config, f *field.Field3D, title string) ([]QualRow, Table, error
 	if err != nil {
 		return nil, Table{}, err
 	}
-	tau := cfg.TauRel * valueRange(f.U, f.V, f.W)
+	tau := cfg.TauRel * field.Range(f.U, f.V, f.W)
 	orig := cp.DetectField3D(f, tr)
 	raw := 4 * 3 * len(f.U)
 	seeds := analysis.DiagonalSeeds3D(f, 12)

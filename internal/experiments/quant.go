@@ -77,7 +77,7 @@ func quant2D(cfg Config, title string) (QuantResult, error) {
 		return QuantResult{}, err
 	}
 	raw := 4 * (len(f.U) + len(f.V))
-	tau := cfg.TauRel * valueRange(f.U, f.V)
+	tau := cfg.TauRel * field.Range(f.U, f.V)
 	orig := cp.DetectField2D(f, tr)
 
 	var rows []QuantRow
@@ -140,7 +140,7 @@ func quant2D(cfg Config, title string) (QuantResult, error) {
 	}
 
 	// Generic compressors tuned to our NoSpec ratio.
-	rng := valueRange(f.U, f.V)
+	rng := field.Range(f.U, f.V)
 
 	// SZ3-like, absolute bound.
 	szAbs := tuneFloat(rng*1e-7, rng, target, func(p float64) int {
@@ -256,7 +256,7 @@ func quant3D(cfg Config, f *field.Field3D, title string) (QuantResult, error) {
 		return QuantResult{}, err
 	}
 	raw := 4 * 3 * len(f.U)
-	tau := cfg.TauRel * valueRange(f.U, f.V, f.W)
+	tau := cfg.TauRel * field.Range(f.U, f.V, f.W)
 	orig := cp.DetectField3D(f, tr)
 
 	var rows []QuantRow
@@ -314,7 +314,7 @@ func quant3D(cfg Config, f *field.Field3D, title string) (QuantResult, error) {
 		})
 	}
 
-	rng := valueRange(f.U, f.V, f.W)
+	rng := field.Range(f.U, f.V, f.W)
 	szAbs := tuneFloat(rng*1e-7, rng, target, func(p float64) int {
 		b, _ := baselines.SZLike{Abs: p}.Compress3D(f)
 		return len(b)

@@ -52,7 +52,7 @@ func ShmScaling(cfg Config) (ShmResult, error) {
 		return res, err
 	}
 	err = shmRuns(&res, "Ocean", workerCounts,
-		cfg.TauRel*valueRange(ocean.U, ocean.V),
+		cfg.TauRel*field.Range(ocean.U, ocean.V),
 		func(tau float64, w int) (shm.Result, error) {
 			return shm.Compress2D(ocean, tr2, core.Options{Tau: tau, Spec: core.ST2, Tel: cfg.Tel},
 				shm.Options{Workers: w, Tel: cfg.Tel, Faults: cfg.Faults})
@@ -75,7 +75,7 @@ func ShmScaling(cfg Config) (ShmResult, error) {
 		return res, err
 	}
 	err = shmRuns(&res, "Hurricane", workerCounts,
-		cfg.TauRel*valueRange(hurr.U, hurr.V, hurr.W),
+		cfg.TauRel*field.Range(hurr.U, hurr.V, hurr.W),
 		func(tau float64, w int) (shm.Result, error) {
 			return shm.Compress3D(hurr, tr3, core.Options{Tau: tau, Spec: core.ST2, Tel: cfg.Tel},
 				shm.Options{Workers: w, Tel: cfg.Tel, Faults: cfg.Faults})

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cp"
+	"repro/internal/field"
 	"repro/internal/fixed"
 	"repro/internal/mpi"
 	"repro/internal/parallel"
@@ -59,7 +60,7 @@ func parallelRuns(cfg Config, strats []parallel.Strategy, specs []core.Speculati
 	if err != nil {
 		return nil, err
 	}
-	tau := cfg.TauRel * valueRange(f.U, f.V, f.W)
+	tau := cfg.TauRel * field.Range(f.U, f.V, f.W)
 	orig := cp.DetectField3D(f, tr)
 	raw := 4 * 3 * len(f.U)
 

@@ -67,33 +67,53 @@ func checkSpan(dims []int, start, count int, comps [][]float32) (int, error) {
 	return ps, nil
 }
 
-// memSource adapts in-memory component slices to SlabSource.
-type memSource struct {
+// Mem adapts an in-memory field to both sides of the plane-granular
+// layer: it is a SlabSource for the compressor and a plane sink for the
+// streaming decoder, which writes disjoint spans concurrently.
+type Mem struct {
 	dims  []int
 	comps [][]float32
 }
 
-// Mem2D wraps an in-memory 2D field as a SlabSource. Reads copy out of
-// the field, so encode attempts can scribble on their buffers without
-// corrupting the source.
-func Mem2D(f *Field2D) SlabSource {
-	return &memSource{dims: []int{f.NX, f.NY}, comps: [][]float32{f.U, f.V}}
+// Mem2D wraps an in-memory 2D field. Reads copy out of the field, so
+// encode attempts can scribble on their buffers without corrupting the
+// source; writes copy into it.
+func Mem2D(f *Field2D) *Mem {
+	return &Mem{dims: []int{f.NX, f.NY}, comps: [][]float32{f.U, f.V}}
 }
 
-// Mem3D wraps an in-memory 3D field as a SlabSource.
-func Mem3D(f *Field3D) SlabSource {
-	return &memSource{dims: []int{f.NX, f.NY, f.NZ}, comps: [][]float32{f.U, f.V, f.W}}
+// Mem3D wraps an in-memory 3D field.
+func Mem3D(f *Field3D) *Mem {
+	return &Mem{dims: []int{f.NX, f.NY, f.NZ}, comps: [][]float32{f.U, f.V, f.W}}
 }
 
-func (s *memSource) Dims() []int { return s.dims }
+func (s *Mem) Dims() []int { return s.dims }
 
-func (s *memSource) ReadPlanes(start, count int, comps [][]float32) error {
+func (s *Mem) ReadPlanes(start, count int, comps [][]float32) error {
 	ps, err := checkSpan(s.dims, start, count, comps)
 	if err != nil {
 		return err
 	}
 	for c := range comps {
 		copy(comps[c][:count*ps], s.comps[c][start*ps:])
+	}
+	return nil
+}
+
+// WritePlanes stores planes [start, start+len/planeSize) of every
+// component, like RawSink.WritePlanes. Safe for concurrent use on
+// disjoint spans.
+func (s *Mem) WritePlanes(start int, comps [][]float32) error {
+	if len(comps) != len(s.dims) {
+		return fmt.Errorf("field: %d component buffers for %d components", len(comps), len(s.dims))
+	}
+	count := len(comps[0]) / planeSize(s.dims)
+	ps, err := checkSpan(s.dims, start, count, comps)
+	if err != nil {
+		return err
+	}
+	for c := range comps {
+		copy(s.comps[c][start*ps:], comps[c][:count*ps])
 	}
 	return nil
 }
@@ -227,14 +247,30 @@ type Stats struct {
 	N      int
 }
 
-// Range returns max-min as a float64, clamped to 1 for constant fields
-// — the same value the CLI's in-memory range helper produces for
-// relative error bounds.
+// Range returns max-min as a float64, clamped to 1 for constant fields:
+// the value range every entry point scales a relative error bound by.
 func (st Stats) Range() float64 {
 	if st.Max <= st.Min {
 		return 1
 	}
 	return float64(st.Max) - float64(st.Min)
+}
+
+// Range returns the value range of in-memory components as Stats.Range
+// defines it, for callers that already hold the whole field.
+func Range(comps ...[]float32) float64 {
+	st := Stats{Min: float32(math.Inf(1)), Max: float32(math.Inf(-1))}
+	for _, c := range comps {
+		for _, v := range c {
+			if v < st.Min {
+				st.Min = v
+			}
+			if v > st.Max {
+				st.Max = v
+			}
+		}
+	}
+	return st.Range()
 }
 
 // SourceStats scans src in runs of at most window planes (window <= 0

@@ -84,6 +84,31 @@ func TestRawSourceSinkRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMemWritePlanes pins the memory adapter as a sink: out-of-order
+// plane runs land in place, and spans outside the grid fail.
+func TestMemWritePlanes(t *testing.T) {
+	f := testField2D(17, 23)
+	g := NewField2D(17, 23)
+	m := Mem2D(g)
+	for _, span := range [][2]int{{8, 7}, {0, 3}, {15, 8}, {3, 5}} {
+		lo, hi := span[0]*17, (span[0]+span[1])*17
+		if err := m.WritePlanes(span[0], [][]float32{f.U[lo:hi], f.V[lo:hi]}); err != nil {
+			t.Fatalf("WritePlanes(%d,%d): %v", span[0], span[1], err)
+		}
+	}
+	for i := range f.U {
+		if g.U[i] != f.U[i] || g.V[i] != f.V[i] {
+			t.Fatalf("point %d: (%v,%v), want (%v,%v)", i, g.U[i], g.V[i], f.U[i], f.V[i])
+		}
+	}
+	if err := m.WritePlanes(20, [][]float32{f.U[:5*17], f.V[:5*17]}); !errors.Is(err, ErrPlaneRange) {
+		t.Errorf("span past the grid: %v, want ErrPlaneRange", err)
+	}
+	if err := m.WritePlanes(0, [][]float32{f.U}); err == nil {
+		t.Error("one component buffer for a 2D field must fail")
+	}
+}
+
 // TestMemSourceMatchesRaw pins that Mem2D and RawSource agree plane for
 // plane on the same field.
 func TestMemSourceMatchesRaw(t *testing.T) {
@@ -159,6 +184,18 @@ func TestStatsRange(t *testing.T) {
 	}
 	if r := (Stats{Min: 4, Max: 4}).Range(); r != 1 {
 		t.Errorf("constant field Range() = %v, want 1", r)
+	}
+	// The in-memory helper is the same definition as the streamed stats.
+	f := testField2D(13, 9)
+	st, err := SourceStats(Mem2D(f), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := Range(f.U, f.V); r != st.Range() {
+		t.Errorf("Range = %v, SourceStats Range = %v", r, st.Range())
+	}
+	if r := Range([]float32{7, 7}); r != 1 {
+		t.Errorf("constant Range = %v, want 1", r)
 	}
 }
 

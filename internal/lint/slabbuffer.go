@@ -44,8 +44,11 @@ var defaultSlabBuffer = &SlabBufferConfig{
 // //lint:ignore slabbuffer <why it is bounded>.
 //
 // A function is on a streaming path when its name contains "stream"
-// (case-insensitive) or its receiver/parameters mention one of the
-// streaming types (io.ReaderAt, StreamReader/Writer, SlabSource, ...).
+// (case-insensitive), its receiver/parameters mention one of the
+// streaming types (io.ReaderAt, StreamReader/Writer, SlabSource, ...),
+// or its body obtains one from a call (archive.OpenStream,
+// field.NewRawSource, ...) — so a command that opens a container is
+// covered even though it takes only flags.
 func SlabBuffer(cfg *SlabBufferConfig) *Analyzer {
 	if cfg == nil {
 		cfg = defaultSlabBuffer
@@ -81,7 +84,8 @@ func runSlabBuffer(prog *Program, cfg *SlabBufferConfig) []Diagnostic {
 }
 
 // isStreamFunc reports whether fd is on a streaming path: named
-// *stream* or handling one of the streaming types.
+// *stream*, handling one of the streaming types, or calling something
+// that returns one.
 func isStreamFunc(pkg *Package, fd *ast.FuncDecl, streamTypes map[string]bool) bool {
 	if strings.Contains(strings.ToLower(fd.Name.Name), "stream") {
 		return true
@@ -97,18 +101,36 @@ func isStreamFunc(pkg *Package, fd *ast.FuncDecl, streamTypes map[string]bool) b
 			}
 		}
 	}
-	return false
+	found := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || found {
+			return !found
+		}
+		results := []types.Type{pkg.Info.Types[call].Type}
+		if tup, ok := results[0].(*types.Tuple); ok {
+			results = results[:0]
+			for i := 0; i < tup.Len(); i++ {
+				results = append(results, tup.At(i).Type())
+			}
+		}
+		for _, t := range results {
+			found = found || streamTypes[namedCore(t)]
+		}
+		return !found
+	})
+	return found
 }
 
 // terminalTypeName unwraps pointers and slices to the named type at the
 // core of a field's type, "" when there is none (builtins, funcs,
 // anonymous structs).
 func terminalTypeName(pkg *Package, e ast.Expr) string {
-	tv, ok := pkg.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return ""
-	}
-	t := tv.Type
+	return namedCore(pkg.Info.Types[e].Type)
+}
+
+// namedCore is terminalTypeName over a type.
+func namedCore(t types.Type) string {
 	for {
 		switch u := t.(type) {
 		case *types.Pointer:

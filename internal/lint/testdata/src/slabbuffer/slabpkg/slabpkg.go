@@ -50,6 +50,21 @@ func capSized(src SlabSource, n int64) []int {
 	return make([]int, 0, n) // want "sized by a 64-bit length"
 }
 
+// OpenStream is a name-matched stub returning a streaming type.
+func OpenStream(r io.ReaderAt, size int64) (*StreamReader, error) { return &StreamReader{}, nil }
+
+// openCommand takes only flags, but opens a container: a whole-file
+// read beside it fires.
+func openCommand(path string) error {
+	sr, err := OpenStream(nil, 0)
+	if err != nil {
+		return err
+	}
+	_ = sr
+	_, err = os.ReadFile(path) // want "os.ReadFile buffers the whole input on a streaming path"
+	return err
+}
+
 // plainLoader has no streaming marker: whole-file reads and 64-bit
 // makes are some other analyzer's business here.
 func plainLoader(path string, n int64) ([]byte, []byte, error) {

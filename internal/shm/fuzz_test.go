@@ -12,7 +12,8 @@ import (
 // Container robustness: Decompress2D over arbitrary bytes must produce
 // an error or a consistent field, never a panic — even though slab
 // decodes fan out over the worker pool. Seeds are a valid Compress2D
-// container plus truncations and bit flips of it.
+// container and a bare core block, plus truncations and bit flips of
+// both.
 
 func FuzzContainerDecompress(f *testing.F) {
 	f.Add([]byte{})
@@ -33,6 +34,19 @@ func FuzzContainerDecompress(f *testing.F) {
 	f.Add(valid[:len(valid)-5])
 	for _, pos := range []int{4, 7, len(valid) / 2, len(valid) - 2} {
 		mut := bytes.Clone(valid)
+		mut[pos] ^= 0x08
+		f.Add(mut)
+	}
+
+	// A bare core block decodes as a one-slab container.
+	bare, _, err := core.Compress2D(fld, core.Options{Tau: 0.05})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bare)
+	f.Add(bare[:len(bare)/2])
+	for _, pos := range []int{0, len(bare) / 2, len(bare) - 1} {
+		mut := bytes.Clone(bare)
 		mut[pos] ^= 0x08
 		f.Add(mut)
 	}

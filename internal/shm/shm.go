@@ -14,19 +14,18 @@
 package shm
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/field"
 	"repro/internal/flightrec"
 	"repro/internal/integrity"
-	"repro/internal/shm/pool"
 	"repro/internal/telemetry"
 )
 
@@ -339,90 +338,39 @@ func firstSlabErr(errs []error) error {
 	return nil
 }
 
-// Decompress2D decodes a Compress2D container, fanning the slab decodes
-// over `workers` goroutines (<= 0 means GOMAXPROCS) and stitching the
-// slabs back along Y. The result is identical for any worker count.
-//
-//lint:ignore ctxflow pool.Do fans out bounded CPU-only slab decodes with no I/O or channel waits inside; every worker terminates on its own, so a context could only be checked between slabs, which the caller can do by sizing its input
+// Decompress2D decodes a Compress2D container (or a bare 2D block) held
+// in memory: the in-memory convenience wrapper over DecompressTo, with
+// the field itself as the sink. The result is identical for any worker
+// count (<= 0 means GOMAXPROCS).
 func Decompress2D(data []byte, workers int) (*field.Field2D, error) {
-	r, err := archive.NewReader(data)
+	var f *field.Field2D
+	_, err := DecompressTo(bytes.NewReader(data), int64(len(data)), Options{Workers: workers},
+		func(dims []int) (PlaneSink, error) {
+			if len(dims) != 2 {
+				return nil, fmt.Errorf("shm: container holds a %dD field, want 2D", len(dims))
+			}
+			f = field.NewField2D(dims[0], dims[1])
+			return field.Mem2D(f), nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	n := r.Steps()
-	if n == 0 {
-		return nil, errors.New("shm: empty container")
-	}
-	fields := make([]*field.Field2D, n)
-	errs := make([]error, n)
-	pool.Do(pool.Workers(workers), n, func(i int) {
-		blob, err := r.Blob(i)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		fields[i], errs[i] = core.Decompress2D(blob)
-	})
-	if err := firstSlabErr(errs); err != nil {
-		return nil, err
-	}
-	nx, ny := fields[0].NX, 0
-	for i, bf := range fields {
-		if bf.NX != nx {
-			return nil, fmt.Errorf("shm: slab %d width %d != %d", i, bf.NX, nx)
-		}
-		ny += bf.NY
-	}
-	out := field.NewField2D(nx, ny)
-	row := 0
-	for _, bf := range fields {
-		copy(out.U[row*nx:], bf.U)
-		copy(out.V[row*nx:], bf.V)
-		row += bf.NY
-	}
-	return out, nil
+	return f, nil
 }
 
-// Decompress3D decodes a Compress3D container, stitching along Z.
-//
-//lint:ignore ctxflow pool.Do fans out bounded CPU-only slab decodes with no I/O or channel waits inside; every worker terminates on its own, so a context could only be checked between slabs, which the caller can do by sizing its input
+// Decompress3D is the 3D variant of Decompress2D.
 func Decompress3D(data []byte, workers int) (*field.Field3D, error) {
-	r, err := archive.NewReader(data)
+	var f *field.Field3D
+	_, err := DecompressTo(bytes.NewReader(data), int64(len(data)), Options{Workers: workers},
+		func(dims []int) (PlaneSink, error) {
+			if len(dims) != 3 {
+				return nil, fmt.Errorf("shm: container holds a %dD field, want 3D", len(dims))
+			}
+			f = field.NewField3D(dims[0], dims[1], dims[2])
+			return field.Mem3D(f), nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	n := r.Steps()
-	if n == 0 {
-		return nil, errors.New("shm: empty container")
-	}
-	fields := make([]*field.Field3D, n)
-	errs := make([]error, n)
-	pool.Do(pool.Workers(workers), n, func(i int) {
-		blob, err := r.Blob(i)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		fields[i], errs[i] = core.Decompress3D(blob)
-	})
-	if err := firstSlabErr(errs); err != nil {
-		return nil, err
-	}
-	nx, ny, nz := fields[0].NX, fields[0].NY, 0
-	for i, bf := range fields {
-		if bf.NX != nx || bf.NY != ny {
-			return nil, fmt.Errorf("shm: slab %d plane %dx%d != %dx%d", i, bf.NX, bf.NY, nx, ny)
-		}
-		nz += bf.NZ
-	}
-	out := field.NewField3D(nx, ny, nz)
-	plane := nx * ny
-	z := 0
-	for _, bf := range fields {
-		copy(out.U[z*plane:], bf.U)
-		copy(out.V[z*plane:], bf.V)
-		copy(out.W[z*plane:], bf.W)
-		z += bf.NZ
-	}
-	return out, nil
+	return f, nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cp"
 	"repro/internal/datagen"
+	"repro/internal/field"
 	"repro/internal/fixed"
 )
 
@@ -74,8 +75,8 @@ func TestShmRoundTrip2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !archive.IsArchive(res.Blob) {
-		t.Fatal("shm output is not an archive container")
+	if sr, err := archive.OpenStream(bytes.NewReader(res.Blob), int64(len(res.Blob))); err != nil || sr.Version() != 3 {
+		t.Fatalf("shm output is not a version-3 container: %v", err)
 	}
 	g, err := Decompress2D(res.Blob, 4)
 	if err != nil {
@@ -135,20 +136,87 @@ func TestShmSingleSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := archive.NewReader(res.Blob)
+	sr, err := archive.OpenStream(bytes.NewReader(res.Blob), int64(len(res.Blob)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Steps() != 1 {
-		t.Fatalf("steps = %d, want 1", r.Steps())
+	if sr.Steps() != 1 {
+		t.Fatalf("steps = %d, want 1", sr.Steps())
 	}
 	single, err := core.CompressField2D(f, tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, _ := r.Blob(0)
+	blob, err := sr.ReadBlobInto(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(blob, single) {
 		t.Fatal("single-slab block differs from the single-node compressor output")
+	}
+}
+
+// TestDecompressBareBlock pins that the container decoder reads a bare
+// core block as a one-slab container, with the block decoder's floats.
+func TestDecompressBareBlock(t *testing.T) {
+	f2 := datagen.Ocean(48, 40)
+	blob, _, err := core.Compress2D(f2, core.Options{Tau: 0.05, Spec: core.ST2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want2, err := core.Decompress2D(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got2, err := Decompress2D(blob, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !floatsEqual(got2.U, want2.U) || !floatsEqual(got2.V, want2.V) {
+		t.Fatal("2D bare block decodes differently through the container path")
+	}
+	if _, err := Decompress3D(blob, 2); err == nil {
+		t.Error("2D block decoded as 3D")
+	}
+
+	f3 := datagen.Hurricane(12, 12, 10)
+	blob, _, err = core.Compress3D(f3, core.Options{Tau: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want3, err := core.Decompress3D(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got3, err := Decompress3D(blob, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !floatsEqual(got3.U, want3.U) || !floatsEqual(got3.V, want3.V) || !floatsEqual(got3.W, want3.W) {
+		t.Fatal("3D bare block decodes differently through the container path")
+	}
+}
+
+// TestStreamCompressRejectsBadOptions pins up-front validation: options
+// every slab encode would reject fail the run with an error and write
+// nothing, instead of degrading every slab to lossless storage.
+func TestStreamCompressRejectsBadOptions(t *testing.T) {
+	f2 := datagen.Ocean(32, 24)
+	f3 := datagen.Hurricane(8, 8, 8)
+	tr2, _ := fixed.Fit(f2.U, f2.V)
+	tr3, _ := fixed.Fit(f3.U, f3.V, f3.W)
+	for _, opts := range []core.Options{
+		{Tau: 0},
+		{Tau: -0.5},
+		{Tau: 0.01, Spec: core.ST4 + 1},
+	} {
+		var buf bytes.Buffer
+		if _, err := CompressStream2D(field.Mem2D(f2), &buf, tr2, opts, Options{Workers: 2}); err == nil || buf.Len() != 0 {
+			t.Errorf("2D %+v: err %v, %d bytes written", opts, err, buf.Len())
+		}
+		if _, err := CompressStream3D(field.Mem3D(f3), &buf, tr3, opts, Options{Workers: 2}); err == nil || buf.Len() != 0 {
+			t.Errorf("3D %+v: err %v, %d bytes written", opts, err, buf.Len())
+		}
 	}
 }
 

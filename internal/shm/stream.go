@@ -315,9 +315,10 @@ flush:
 // on the field, tr, opts, and the slab count — never on Workers or
 // Window.
 func CompressStream2D(src field.SlabSource, w io.Writer, tr fixed.Transform, opts core.Options, po Options) (Result, error) {
-	// A non-finite bound would fail every slab encode and degrade the
-	// whole field to lossless storage: reject it up front instead.
-	if err := fixed.CheckParam("tau", opts.Tau); err != nil {
+	// Options every slab encode would reject (a non-positive or
+	// non-finite bound, an unknown speculation target) would degrade the
+	// whole field to lossless storage: reject them up front instead.
+	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
 	dims := src.Dims()
@@ -390,9 +391,10 @@ func CompressStream2D(src field.SlabSource, w io.Writer, tr fixed.Transform, opt
 
 // CompressStream3D is the 3D variant, slabbed along Z.
 func CompressStream3D(src field.SlabSource, w io.Writer, tr fixed.Transform, opts core.Options, po Options) (Result, error) {
-	// A non-finite bound would fail every slab encode and degrade the
-	// whole field to lossless storage: reject it up front instead.
-	if err := fixed.CheckParam("tau", opts.Tau); err != nil {
+	// Options every slab encode would reject (a non-positive or
+	// non-finite bound, an unknown speculation target) would degrade the
+	// whole field to lossless storage: reject them up front instead.
+	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
 	dims := src.Dims()
@@ -477,6 +479,14 @@ const decodePeekPrefix = 4096
 // the streaming decoder.
 const decodeChunkPlanes = 16
 
+// maxPointsPerBlobByte bounds how many grid points one byte of a block
+// can describe. Every point costs at least one entropy-code bit per
+// stream symbol (three or more per point) before DEFLATE, whose best
+// case is about 1032:1, so real blocks stay below ~2.8k points per
+// byte; the bound leaves headroom. Plans are built from unverified
+// header peeks, so this keeps a corrupt header from sizing the sink.
+const maxPointsPerBlobByte = 8192
+
 // decodePlan is the layout of the field held by a slab container:
 // global dims plus each slab's plane span, recovered by peeking every
 // blob's header (O(header) per slab, no payload decode).
@@ -484,6 +494,14 @@ type decodePlan struct {
 	dims   []int
 	starts []int
 	sizes  []int
+}
+
+// ContainerDims returns the global dims ([NX, NY] or [NX, NY, NZ]) of the
+// field held by a slab container or bare block, from its blob headers
+// alone — no payload is decoded.
+func ContainerDims(sr *archive.StreamReader) ([]int, error) {
+	plan, err := planDecode(sr)
+	return plan.dims, err
 }
 
 func planDecode(sr *archive.StreamReader) (decodePlan, error) {
@@ -521,9 +539,16 @@ func planDecode(sr *archive.StreamReader) (decodePlan, error) {
 		if err != nil {
 			return decodePlan{}, fmt.Errorf("shm: slab %d: %w", i, err)
 		}
-		size := ny
+		size, points, ok := ny, 0, false
 		if ndim == 3 {
 			size = nz
+			points, ok = safedim.Product(nx, ny, nz)
+		} else {
+			points, ok = safedim.Product(nx, ny)
+		}
+		if !ok || int64(points) > maxPointsPerBlobByte*l {
+			return decodePlan{}, fmt.Errorf("shm: slab %d header claims %dx%dx%d points in %d bytes: %w",
+				i, nx, ny, nz, l, archive.ErrCorrupt)
 		}
 		if i == 0 {
 			ndim0, nx0, ny0 = ndim, nx, ny

@@ -2,44 +2,15 @@ package shm
 
 import (
 	"bytes"
-	"sync"
+	"errors"
 	"testing"
 
+	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/field"
 	"repro/internal/fixed"
 )
-
-// memSink collects streamed planes into a component-major buffer so
-// tests can compare a DecompressTo run against the in-memory decoder.
-type memSink struct {
-	mu    sync.Mutex
-	ps    int
-	comps [][]float32
-}
-
-func newMemSink(dims []int) *memSink {
-	ps := dims[0]
-	if len(dims) == 3 {
-		ps *= dims[1]
-	}
-	n := ps * dims[len(dims)-1]
-	s := &memSink{ps: ps, comps: make([][]float32, len(dims))}
-	for c := range s.comps {
-		s.comps[c] = make([]float32, n)
-	}
-	return s
-}
-
-func (s *memSink) WritePlanes(start int, comps [][]float32) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for c := range comps {
-		copy(s.comps[c][start*s.ps:], comps[c])
-	}
-	return nil
-}
 
 // TestStreamWindowDeterministic pins the out-of-core guarantee: bounding
 // the admission window changes peak memory, never bytes. Every
@@ -116,18 +87,18 @@ func TestDecompressTo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sink *memSink
+		got := field.NewField2D(f.NX, f.NY)
 		dims, err := DecompressTo(bytes.NewReader(res.Blob), int64(len(res.Blob)),
 			Options{Workers: 4, Window: 2},
-			func(d []int) (PlaneSink, error) { sink = newMemSink(d); return sink, nil })
+			func([]int) (PlaneSink, error) { return field.Mem2D(got), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(dims) != 2 || dims[0] != f.NX || dims[1] != f.NY {
 			t.Fatalf("dims %v, want [%d %d]", dims, f.NX, f.NY)
 		}
-		if !floatsEqual(sink.comps[0], want.U) || !floatsEqual(sink.comps[1], want.V) {
-			t.Fatal("DecompressTo planes differ from Decompress2D")
+		if !floatsEqual(got.U, want.U) || !floatsEqual(got.V, want.V) {
+			t.Fatal("windowed DecompressTo planes differ from Decompress2D")
 		}
 	})
 	t.Run("3d", func(t *testing.T) {
@@ -144,21 +115,47 @@ func TestDecompressTo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sink *memSink
+		got := field.NewField3D(f.NX, f.NY, f.NZ)
 		dims, err := DecompressTo(bytes.NewReader(res.Blob), int64(len(res.Blob)),
 			Options{Workers: 3, MaxMemBytes: 1 << 20},
-			func(d []int) (PlaneSink, error) { sink = newMemSink(d); return sink, nil })
+			func([]int) (PlaneSink, error) { return field.Mem3D(got), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(dims) != 3 || dims[0] != f.NX || dims[1] != f.NY || dims[2] != f.NZ {
 			t.Fatalf("dims %v, want [%d %d %d]", dims, f.NX, f.NY, f.NZ)
 		}
-		if !floatsEqual(sink.comps[0], want.U) || !floatsEqual(sink.comps[1], want.V) ||
-			!floatsEqual(sink.comps[2], want.W) {
-			t.Fatal("DecompressTo planes differ from Decompress3D")
+		if !floatsEqual(got.U, want.U) || !floatsEqual(got.V, want.V) || !floatsEqual(got.W, want.W) {
+			t.Fatal("budgeted DecompressTo planes differ from Decompress3D")
 		}
 	})
+}
+
+// TestDecompressToRejectsOversizedHeader pins the plan's size bound: a
+// blob whose peeked header claims more points than its bytes can encode
+// fails as corrupt before the sink is sized. A prefix of a constant
+// field's block keeps the genuine header but drops the payload.
+func TestDecompressToRejectsOversizedHeader(t *testing.T) {
+	f := field.NewField2D(1024, 1024)
+	for i := range f.U {
+		f.U[i] = 1
+	}
+	blob, _, err := core.Compress2D(f, core.Options{Tau: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decompress2D(blob, 2); err != nil {
+		t.Fatalf("whole block (%d bytes) must decode: %v", len(blob), err)
+	}
+	cut := blob[:120]
+	_, err = DecompressTo(bytes.NewReader(cut), int64(len(cut)), Options{},
+		func([]int) (PlaneSink, error) {
+			t.Error("sink sized from an oversized header")
+			return nil, errors.New("unreachable")
+		})
+	if !errors.Is(err, archive.ErrCorrupt) {
+		t.Fatalf("got %v, want archive.ErrCorrupt", err)
+	}
 }
 
 func floatsEqual(a, b []float32) bool {

@@ -65,7 +65,7 @@ func TestSoakPreservation2D(t *testing.T) {
 			t.Fatal(err)
 		}
 		taurel := []float64{0.001, 0.01, 0.1}[rng.Intn(3)]
-		tau := taurel * rangeOf(f.U, f.V)
+		tau := taurel * field.Range(f.U, f.V)
 		if tau < tr.Resolution() {
 			continue
 		}
@@ -106,7 +106,7 @@ func TestSoakPreservation3D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tau := 0.05 * rangeOf(f.U, f.V, f.W)
+		tau := 0.05 * field.Range(f.U, f.V, f.W)
 		if tau < tr.Resolution() {
 			continue
 		}
