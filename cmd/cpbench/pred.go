@@ -122,7 +122,7 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	})
 	ref2 := bestOf(*reps, func() {
 		for i := range mats2 {
-			//lint:ignore filterexact reference baseline for the predicate microbenchmark
+			//lint:ignore floatflow reference baseline for the predicate microbenchmark
 			sink += exact.Det3(&mats2[i]).Sign()
 		}
 	})
@@ -140,7 +140,7 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	o3 := filter.Stats().Sub(o3Before)
 	ref3 := bestOf(*reps, func() {
 		for i := range mats3 {
-			//lint:ignore filterexact reference baseline for the predicate microbenchmark
+			//lint:ignore floatflow reference baseline for the predicate microbenchmark
 			sink += exact.Det4(&mats3[i]).Sign()
 		}
 	})

@@ -6,12 +6,12 @@
 // float evaluation whose provable rounding error is smaller than the
 // distance to zero, or by the internal/exact fallback itself — so the
 // filter changes predicate *speed*, never predicate *results*. The
-// `filterexact` topolint analyzer machine-checks this contract: every
+// `floatflow` topolint analyzer machine-checks this contract: every
 // exported sign predicate here must reach internal/exact on its
 // fallback path, and the certified float stages may only publish their
 // sign through the ok-guard pattern.
 //
-// internal/exact itself stays float-free (enforced by the `exactfloat`
+// internal/exact itself stays float-free (enforced by the same
 // analyzer); this package is deliberately a subpackage so the float
 // stages live outside that invariant while the fallback lives inside it.
 //

@@ -158,6 +158,29 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
+// derefType strips one pointer level from t.
+func derefType(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// rootObj resolves a stable identity for an expression like x, pkg.v,
+// s.field, or &s.field: the variable or struct-field object it names
+// (a field object is shared across methods); nil when there is none.
+func rootObj(pkg *Package, e ast.Expr) types.Object {
+	switch e := unparen(e).(type) {
+	case *ast.Ident:
+		return identObj(pkg, e)
+	case *ast.SelectorExpr:
+		return pkg.Info.Uses[e.Sel]
+	case *ast.UnaryExpr:
+		return rootObj(pkg, e.X)
+	}
+	return nil
+}
+
 // Reachable walks the graph from roots and returns, for every reachable
 // function, its BFS predecessor (roots map to nil). The predecessor
 // chain reconstructs a sample call path for diagnostics.

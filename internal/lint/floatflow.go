@@ -6,27 +6,34 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
-// FloatFlowConfig scopes the floatflow analyzer.
+// FloatFlowConfig names the packages of the exactness invariant; every
+// floatflow rule reads this one definition of an exact package.
 type FloatFlowConfig struct {
-	// ExactPackages are the sinks: no float-derived value may be passed
-	// into them.
+	// ExactPackages hold the exact integer predicates. They must be
+	// float-free, and so must every function they call.
 	ExactPackages []string
+	// FilterPackages hold the filtered predicates: float stages that
+	// accept a sign only when certified, with an exact fallback.
+	FilterPackages []string
 	// FixedPackages are the sanctioned laundering points: a value
 	// produced by a call into them is clean by definition (the fixed-
 	// point transform is the paper's one blessed float→int boundary).
 	FixedPackages []string
-	// SkipPackages are not analyzed at all: the sink and sanitizer
-	// packages themselves (the certified filter stages hold floats on
-	// purpose; exactfloat audits the exact core).
-	SkipPackages []string
 }
 
 var defaultFloatFlow = &FloatFlowConfig{
-	ExactPackages: []string{"internal/exact", "internal/exact/filter"},
-	FixedPackages: []string{"internal/fixed"},
-	SkipPackages:  []string{"internal/exact", "internal/exact/filter", "internal/fixed"},
+	ExactPackages:  []string{"internal/exact"},
+	FilterPackages: []string{"internal/exact/filter"},
+	FixedPackages:  []string{"internal/fixed"},
+}
+
+// predicate reports whether path is an exact or filter package: a taint
+// sink, and the only place an exact determinant's Sign() may be read.
+func (c *FloatFlowConfig) predicate(path string) bool {
+	return pathMatch(path, c.ExactPackages) || pathMatch(path, c.FilterPackages)
 }
 
 // taintFresh marks a value derived from a float expression regardless
@@ -49,27 +56,38 @@ type floatSummary struct {
 	ptrTaint uint64
 }
 
-// FloatFlow is the interprocedural upgrade of exactfloat/filterexact:
-// a value derived from a float expression must not reach an
-// internal/exact or internal/exact/filter entry point except through an
-// internal/fixed conversion. Where the syntactic analyzers see only the
-// call site, floatflow tracks the value itself — through local
-// variables, arithmetic, conversions, composites, slices written by
-// helpers, and across function boundaries via call-graph summaries
-// computed bottom-up over SCCs.
+// FloatFlow enforces the paper's exactness invariant: the sign of a
+// critical-point determinant comes from exact integer arithmetic, or
+// from a filter stage that certified it. Four rules:
 //
-// Approximations (see DESIGN.md "Dataflow analysis"): taint does not
-// propagate through booleans, channels between goroutines, or variables
-// captured by function literals (literal bodies are analyzed with clean
-// free variables); an unknown callee taints its result when any
-// argument is tainted.
+//  1. Exact packages are float-free: no float type, literal,
+//     conversion, or arithmetic in them, nor in any function they
+//     (transitively) call.
+//  2. No float-derived value reaches an exact or filter entry point
+//     except through a fixed package. The value itself is tracked —
+//     through local variables, arithmetic, conversions, composites,
+//     slices written by helpers, and across function boundaries via
+//     call-graph summaries computed bottom-up over SCCs.
+//  3. In a filter package, every call to a certified stage (an
+//     unexported package-level function returning exactly (int, bool))
+//     is consumed as `if s, ok := stage(...); ok { ... }`, and every
+//     exported predicate named *Sign reaches an exact package.
+//  4. Outside the exact and filter packages, nothing calls Sign() on a
+//     type from an exact package: sign decisions route through the
+//     filter, where they are certified and counted.
+//
+// Approximations of rule 2 (see DESIGN.md "Dataflow analysis"): taint
+// does not propagate through booleans, channels between goroutines, or
+// variables captured by function literals (literal bodies are analyzed
+// with clean free variables); an unknown callee taints its result when
+// any argument is tainted.
 func FloatFlow(cfg *FloatFlowConfig) *Analyzer {
 	if cfg == nil {
 		cfg = defaultFloatFlow
 	}
 	return &Analyzer{
 		Name: "floatflow",
-		Doc:  "no float-derived value reaches an exact predicate except through internal/fixed",
+		Doc:  "sign decisions stay exact: float-free exact packages, no float taint into predicates, certified filter stages",
 		Run:  func(prog *Program) []Diagnostic { return runFloatFlow(prog, cfg) },
 	}
 }
@@ -86,9 +104,11 @@ func runFloatFlow(prog *Program, cfg *FloatFlowConfig) []Diagnostic {
 	ff := &floatFlow{prog: prog, cfg: cfg, summaries: map[*types.Func]*floatSummary{}}
 	g := prog.CallGraph()
 
+	// The exact, filter, and fixed packages are the sinks and the
+	// sanitizer: taint tracking skips them, rules 1 and 3 audit them.
 	analyzed := func(fn *types.Func) *funcDecl {
 		fd := g.decls[fn]
-		if fd == nil || fd.Decl.Body == nil || pathMatch(fd.Pkg.Path, cfg.SkipPackages) {
+		if fd == nil || fd.Decl.Body == nil || cfg.predicate(fd.Pkg.Path) || pathMatch(fd.Pkg.Path, cfg.FixedPackages) {
 			return nil
 		}
 		return fd
@@ -123,6 +143,34 @@ func runFloatFlow(prog *Program, cfg *FloatFlowConfig) []Diagnostic {
 	for _, fn := range fns {
 		if fd := analyzed(fn); fd != nil {
 			ff.analyzeFunc(fn, fd)
+		}
+	}
+
+	// Rules 1, 3 and 4.
+	var exactFns []*types.Func
+	for _, fn := range fns {
+		if pathMatch(g.decls[fn].Pkg.Path, cfg.ExactPackages) {
+			exactFns = append(exactFns, fn)
+		}
+	}
+	for _, pkg := range prog.Pkgs {
+		switch {
+		case pathMatch(pkg.Path, cfg.ExactPackages):
+			for _, f := range pkg.Files {
+				ff.floatUses(pkg, f, "exact package")
+			}
+		case pathMatch(pkg.Path, cfg.FilterPackages):
+			ff.stageGuards(pkg)
+			ff.fallbackReach(pkg, fns)
+		default:
+			ff.rawSignUses(pkg)
+		}
+	}
+	parent := g.Reachable(exactFns)
+	for _, fn := range fns {
+		fd := g.decls[fn]
+		if _, reached := parent[fn]; reached && fd.Decl.Body != nil && !pathMatch(fd.Pkg.Path, cfg.ExactPackages) {
+			ff.floatUses(fd.Pkg, fd.Decl, fmt.Sprintf("call chain of exact predicate (%s)", pathTo(parent, fn)))
 		}
 	}
 	return ff.diags
@@ -356,7 +404,7 @@ func (ff *floatFlow) taintVisit(pkg *Package, sum *floatSummary, f flowFact, n a
 		if callee == nil || callee.Pkg() == nil {
 			return true
 		}
-		if pathMatch(callee.Pkg().Path(), ff.cfg.ExactPackages) {
+		if ff.cfg.predicate(callee.Pkg().Path()) {
 			for _, a := range call.Args {
 				mask := ff.exprTaint(pkg, f, a)
 				if mask&taintFresh != 0 {
@@ -400,6 +448,142 @@ func (ff *floatFlow) diag(pos token.Pos, msg string) {
 		Check:   "floatflow",
 		Message: msg,
 	})
+}
+
+// floatUses reports every float type, literal, conversion, or
+// arithmetic operation under root (rule 1).
+func (ff *floatFlow) floatUses(pkg *Package, root ast.Node, ctx string) {
+	report := func(pos token.Pos, what string) {
+		ff.diag(pos, fmt.Sprintf("%s in %s; sign-of-determinant chains must stay in exact integer arithmetic", what, ctx))
+	}
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BasicLit:
+			if n.Kind == token.FLOAT {
+				report(n.Pos(), "float literal")
+			}
+		case *ast.BinaryExpr:
+			if isFloatExpr(pkg, n.X) || isFloatExpr(pkg, n.Y) {
+				report(n.OpPos, fmt.Sprintf("float operation %q", n.Op))
+				return false // one finding per expression tree
+			}
+		case *ast.CallExpr:
+			if tv, ok := pkg.Info.Types[n.Fun]; ok && tv.IsType() && typeHasFloat(tv.Type) {
+				report(n.Pos(), "conversion to float type")
+				return false
+			}
+		case *ast.Field:
+			if t, ok := pkg.Info.Types[n.Type]; ok && typeHasFloat(t.Type) {
+				report(n.Type.Pos(), "float-typed declaration")
+				return false
+			}
+		case *ast.ValueSpec:
+			for _, name := range n.Names {
+				if typeOfIsFloat(pkg, name) {
+					report(name.Pos(), fmt.Sprintf("float-typed declaration of %s", name.Name))
+				}
+			}
+		}
+		return true
+	})
+}
+
+// stageGuards enforces the first half of rule 3: a certified stage's
+// sign is read only under its ok-guard, so an uncertified sign cannot
+// leak into a return path.
+func (ff *floatFlow) stageGuards(pkg *Package) {
+	stageCall := func(call *ast.CallExpr) *types.Func {
+		id, ok := unparen(call.Fun).(*ast.Ident)
+		if !ok {
+			return nil
+		}
+		fn, ok := pkg.Info.Uses[id].(*types.Func)
+		if !ok || fn.Exported() || fn.Parent() != pkg.Types.Scope() {
+			return nil
+		}
+		res := fn.Type().(*types.Signature).Results()
+		if res.Len() == 2 && isBasicKind(res.At(0).Type(), types.Int) && isBasicKind(res.At(1).Type(), types.Bool) {
+			return fn
+		}
+		return nil
+	}
+	for _, f := range pkg.Files {
+		// Bless the calls written as `if s, ok := stage(...); ok { ... }`
+		// (parents are visited first), then flag every other one.
+		guarded := map[*ast.CallExpr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ifs, ok := n.(*ast.IfStmt); ok {
+				if asg, ok := ifs.Init.(*ast.AssignStmt); ok && len(asg.Lhs) == 2 && len(asg.Rhs) == 1 {
+					okID, _ := asg.Lhs[1].(*ast.Ident)
+					cond, _ := unparen(ifs.Cond).(*ast.Ident)
+					call, _ := asg.Rhs[0].(*ast.CallExpr)
+					if okID != nil && cond != nil && call != nil && identObj(pkg, okID) == pkg.Info.Uses[cond] {
+						guarded[call] = true
+					}
+				}
+			}
+			call, ok := n.(*ast.CallExpr)
+			if !ok || guarded[call] {
+				return true
+			}
+			if fn := stageCall(call); fn != nil {
+				ff.diag(call.Pos(), fmt.Sprintf("certified stage %s used outside its ok-guard; consume it as `if s, ok := %s(...); ok { ... }` so uncertified signs cannot leak",
+					fn.Name(), fn.Name()))
+			}
+			return true
+		})
+	}
+}
+
+// fallbackReach enforces the second half of rule 3: deleting a sign
+// predicate's exact fallback is a finding, not a silent behavior change.
+func (ff *floatFlow) fallbackReach(pkg *Package, fns []*types.Func) {
+	g := ff.prog.CallGraph()
+	for _, root := range fns {
+		fd := g.decls[root]
+		if fd.Pkg != pkg || !root.Exported() || !strings.HasSuffix(root.Name(), "Sign") {
+			continue
+		}
+		found := false
+		for fn := range g.Reachable([]*types.Func{root}) {
+			if d := g.decls[fn]; d != nil && pathMatch(d.Pkg.Path, ff.cfg.ExactPackages) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			ff.diag(fd.Decl.Pos(), fmt.Sprintf("exported sign predicate %s never reaches an exact fallback; a filter may only accept via the exact path",
+				root.Name()))
+		}
+	}
+}
+
+// rawSignUses enforces rule 4 in one package outside the exact and
+// filter packages.
+func (ff *floatFlow) rawSignUses(pkg *Package) {
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Sign" {
+				return true
+			}
+			tv, ok := pkg.Info.Types[sel.X]
+			if !ok || tv.Type == nil {
+				return true
+			}
+			named, ok := derefType(tv.Type).(*types.Named)
+			if !ok || named.Obj().Pkg() == nil || !pathMatch(named.Obj().Pkg().Path(), ff.cfg.ExactPackages) {
+				return true
+			}
+			ff.diag(sel.Sel.Pos(), fmt.Sprintf("raw %s.Sign() outside the filtered predicate layer; route sign decisions through the filter package so they are certified and counted",
+				named.Obj().Name()))
+			return true
+		})
+	}
 }
 
 // exprTaint computes the taint mask of an expression under the current
@@ -540,6 +724,66 @@ func identObj(pkg *Package, id *ast.Ident) types.Object {
 func typeOfIsFloat(pkg *Package, id *ast.Ident) bool {
 	obj := pkg.Info.Defs[id]
 	return obj != nil && typeHasFloat(obj.Type())
+}
+
+// isFloatExpr reports whether e has floating-point type.
+func isFloatExpr(pkg *Package, e ast.Expr) bool {
+	tv, ok := pkg.Info.Types[e]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	b, ok := tv.Type.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
+}
+
+// isBasicKind reports whether t is the given basic kind.
+func isBasicKind(t types.Type, kind types.BasicKind) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Kind() == kind
+}
+
+// typeHasFloat reports whether t contains a floating-point component
+// (directly or through arrays, slices, structs, pointers, maps,
+// channels, or function signatures).
+func typeHasFloat(t types.Type) bool {
+	seen := map[types.Type]bool{}
+	var walk func(types.Type) bool
+	walk = func(t types.Type) bool {
+		if t == nil || seen[t] {
+			return false
+		}
+		seen[t] = true
+		switch u := t.Underlying().(type) {
+		case *types.Basic:
+			return u.Info()&(types.IsFloat|types.IsComplex) != 0
+		case *types.Array:
+			return walk(u.Elem())
+		case *types.Slice:
+			return walk(u.Elem())
+		case *types.Pointer:
+			return walk(u.Elem())
+		case *types.Map:
+			return walk(u.Key()) || walk(u.Elem())
+		case *types.Chan:
+			return walk(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if walk(u.Field(i).Type()) {
+					return true
+				}
+			}
+		case *types.Signature:
+			for _, tup := range []*types.Tuple{u.Params(), u.Results()} {
+				for i := 0; i < tup.Len(); i++ {
+					if walk(tup.At(i).Type()) {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	return walk(t)
 }
 
 // indirect reports whether writes through a value of this type are

@@ -64,15 +64,12 @@ const DirectiveCheck = "lint-directive"
 // configurations.
 func Default() []*Analyzer {
 	return []*Analyzer{
-		ExactFloat(nil),
 		FloatEq(nil),
 		OverflowMul(nil),
 		PanicFree(nil),
 		TypedErr(nil),
-		PoolBalance(nil),
 		TelemetryName(nil),
 		SlabBuffer(nil),
-		FilterExact(nil),
 		HandlerBound(nil),
 		FloatFlow(nil),
 		CtxFlow(nil),

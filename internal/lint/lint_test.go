@@ -10,13 +10,18 @@ func td(parts ...string) string {
 	return filepath.Join(append([]string{"testdata", "src"}, parts...)...)
 }
 
+// TestExactFloat pins floatflow's float-free rule on the exact
+// packages and every call chain they root.
 func TestExactFloat(t *testing.T) {
 	RunAnalyzerTestDirs(t,
 		[]string{td("exactfloat", "chainhelper"), td("exactfloat", "exactpkg")},
-		ExactFloat(&ExactFloatConfig{ExactPackages: []string{"exactpkg"}}),
+		FloatFlow(&FloatFlowConfig{ExactPackages: []string{"exactpkg"}}),
 	)
 }
 
+// TestFilterExact pins floatflow's filter rules: the ok-guard on
+// certified stages, the exact fallback of every *Sign predicate, and no
+// raw exact Sign() outside the filter and exact packages.
 func TestFilterExact(t *testing.T) {
 	RunAnalyzerTestDirs(t,
 		[]string{
@@ -24,9 +29,9 @@ func TestFilterExact(t *testing.T) {
 			td("filterexact", "filterstub"),
 			td("filterexact", "clientpkg"),
 		},
-		FilterExact(&FilterExactConfig{
-			FilterPackages: []string{"filterstub"},
+		FloatFlow(&FloatFlowConfig{
 			ExactPackages:  []string{"exactstub"},
+			FilterPackages: []string{"filterstub"},
 		}),
 	)
 }
@@ -62,12 +67,6 @@ func TestTypedErr(t *testing.T) {
 	)
 }
 
-func TestPoolBalance(t *testing.T) {
-	RunAnalyzerTest(t, td("poolbalance", "poolpkg"),
-		PoolBalance(&PoolBalanceConfig{HotPackages: []string{"poolpkg"}}),
-	)
-}
-
 func TestSlabBuffer(t *testing.T) {
 	RunAnalyzerTest(t, td("slabbuffer", "slabpkg"),
 		SlabBuffer(&SlabBufferConfig{
@@ -94,7 +93,6 @@ func TestFloatFlow(t *testing.T) {
 		FloatFlow(&FloatFlowConfig{
 			ExactPackages: []string{"exactstub"},
 			FixedPackages: []string{"fixedstub"},
-			SkipPackages:  []string{"exactstub", "fixedstub"},
 		}),
 	)
 }
@@ -115,6 +113,15 @@ func TestPermitBalance(t *testing.T) {
 			Packages:     []string{"permitpkg"},
 			AcquireFuncs: []string{"acquire", "admit"},
 		}),
+	)
+}
+
+// TestPoolBalance pins permitbalance's sync.Pool rules: Put on every
+// path, a retained Get result, and no escape from a package that never
+// Puts to the pool.
+func TestPoolBalance(t *testing.T) {
+	RunAnalyzerTest(t, td("poolbalance", "poolpkg"),
+		PermitBalance(&PermitBalanceConfig{Packages: []string{"poolpkg"}}),
 	)
 }
 
@@ -163,7 +170,7 @@ func TestLoadModule(t *testing.T) {
 // TestDefaultSuiteNames pins the analyzer roster the Makefile's lint
 // gate advertises.
 func TestDefaultSuiteNames(t *testing.T) {
-	want := []string{"exactfloat", "floateq", "overflowmul", "panicfree", "typederr", "poolbalance", "telemetryname", "slabbuffer", "filterexact", "handlerbound", "floatflow", "ctxflow", "lockheld", "permitbalance"}
+	want := []string{"floateq", "overflowmul", "panicfree", "typederr", "telemetryname", "slabbuffer", "handlerbound", "floatflow", "ctxflow", "lockheld", "permitbalance"}
 	got := Default()
 	if len(got) != len(want) {
 		t.Fatalf("Default() has %d analyzers, want %d", len(got), len(want))

@@ -27,9 +27,9 @@ var defaultPermitBalance = &PermitBalanceConfig{
 	AcquireFuncs: []string{"acquire", "admit"},
 }
 
-// PermitBalance is the dataflow upgrade of poolbalance: every acquired
-// resource is released on every path out of the function, panic and
-// error exits included. Three acquire shapes are tracked, each an
+// PermitBalance checks that every acquired resource is released on
+// every path out of the function, panic and error exits included. It
+// runs the shared CFG dataflow engine over three acquire shapes, each an
 // obligation keyed by its acquire site:
 //
 //   - release funcs: `release, err := acquire(ctx)` — the func value
@@ -40,9 +40,14 @@ var defaultPermitBalance = &PermitBalanceConfig{
 //     receive from the same channel retires. A function that sends and
 //     then returns a func value is excused when the package receives
 //     from that channel elsewhere (the release-closure idiom).
-//   - pool gets: a sync.Pool Get whose value must be Put back (or
-//     escape); unlike poolbalance, a Get live at an explicit panic
-//     without a deferred Put is reported.
+//   - pool gets: a sync.Pool Get must be Put back on every path, or
+//     escape the function (returned, stored, sent, or passed on) to an
+//     owner that the same package Puts back somewhere. A Get whose
+//     result is discarded, or one that escapes from a package that
+//     never Puts to that pool, is reported outright.
+//
+// A held obligation without a deferred release is also reported at
+// every explicit panic it is live at.
 func PermitBalance(cfg *PermitBalanceConfig) *Analyzer {
 	if cfg == nil {
 		cfg = defaultPermitBalance
@@ -77,14 +82,20 @@ func runPermitBalance(prog *Program, cfg *PermitBalanceConfig) []Diagnostic {
 		if !pathMatch(pkg.Path, cfg.Packages) {
 			continue
 		}
-		// Channels the package receives from anywhere (release sites may
-		// live in another function, e.g. a returned closure).
-		pkgRecvs := map[types.Object]bool{}
+		// Channels the package receives from and pools it Puts to
+		// anywhere: release sites may live in another function, e.g. a
+		// returned closure or the owning object's release method.
+		pkgReleases := map[types.Object]bool{}
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
-				if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-					if key := chanKeyOf(pkg, u.X); key != nil {
-						pkgRecvs[key] = true
+				switch n := n.(type) {
+				case *ast.UnaryExpr:
+					if n.Op == token.ARROW {
+						pkgReleases[rootObj(pkg, n.X)] = true
+					}
+				case *ast.CallExpr:
+					if pool, op := poolCall(pkg, n); pool != nil && op == "Put" {
+						pkgReleases[pool] = true
 					}
 				}
 				return true
@@ -96,27 +107,11 @@ func runPermitBalance(prog *Program, cfg *PermitBalanceConfig) []Diagnostic {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				diags = append(diags, permitBalanceFunc(prog, pkg, fd, cfg, pkgRecvs)...)
+				diags = append(diags, permitBalanceFunc(prog, pkg, fd, cfg, pkgReleases)...)
 			}
 		}
 	}
 	return diags
-}
-
-// chanKeyOf resolves a stable identity for a channel expression: the
-// struct field object for selectors (shared across methods), the
-// variable object for identifiers.
-func chanKeyOf(pkg *Package, e ast.Expr) types.Object {
-	switch e := unparen(e).(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[e]; ok {
-			return sel.Obj()
-		}
-		return pkg.Info.Uses[e.Sel]
-	case *ast.Ident:
-		return identObj(pkg, e)
-	}
-	return nil
 }
 
 // isStructChan reports whether e is a chan struct{} — the semaphore
@@ -159,7 +154,7 @@ func acquireFuncCall(pkg *Package, call *ast.CallExpr, names []string) *types.Fu
 	return nil
 }
 
-func permitBalanceFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, cfg *PermitBalanceConfig, pkgRecvs map[types.Object]bool) []Diagnostic {
+func permitBalanceFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, cfg *PermitBalanceConfig, pkgReleases map[types.Object]bool) []Diagnostic {
 	// The enclosing function returning a func value is the signal for
 	// the release-closure idiom (acquire here, release in the closure).
 	returnsFunc := false
@@ -176,6 +171,14 @@ func permitBalanceFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, cfg *Permi
 	var diags []Diagnostic
 	for _, c := range funcCFGs(fd) {
 		body := cfgBody(c)
+
+		notRetained := func(get *ast.CallExpr, pool types.Object) {
+			diags = append(diags, Diagnostic{
+				Pos:     prog.Fset.Position(get.Pos()),
+				Check:   "permitbalance",
+				Message: fmt.Sprintf("pool Get %q result is not retained, so it can never be Put back", pool.Name()),
+			})
+		}
 
 		// Collect this graph's obligations.
 		var obs []*obligation
@@ -225,7 +228,11 @@ func permitBalanceFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, cfg *Permi
 					if pool, op := poolCall(pkg, call); pool != nil && op == "Get" {
 						ob := &obligation{site: s, pos: call.Pos(), kind: "pool Get", name: pool.Name(), pool: pool}
 						if i < len(s.Lhs) {
-							if id, ok := unparen(s.Lhs[i]).(*ast.Ident); ok && id.Name != "_" {
+							if id, ok := unparen(s.Lhs[i]).(*ast.Ident); ok {
+								if id.Name == "_" {
+									notRetained(call, pool)
+									continue
+								}
 								ob.bound = identObj(pkg, id)
 							}
 						}
@@ -233,12 +240,18 @@ func permitBalanceFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, cfg *Permi
 						obOf[s] = ob
 					}
 				}
+			case *ast.ExprStmt:
+				if call, ok := unparen(s.X).(*ast.CallExpr); ok {
+					if pool, op := poolCall(pkg, call); pool != nil && op == "Get" {
+						notRetained(call, pool)
+					}
+				}
 			case *ast.SendStmt:
 				if isStructChan(pkg, s.Chan) {
-					if key := chanKeyOf(pkg, s.Chan); key != nil {
+					if key := rootObj(pkg, s.Chan); key != nil {
 						// The release-closure idiom: acquire here, release
 						// in the func value this function hands back.
-						if returnsFunc && pkgRecvs[key] {
+						if returnsFunc && pkgReleases[key] {
 							return
 						}
 						ob := &obligation{site: s, pos: s.Arrow, kind: "permit send", name: chanName(s.Chan), chanKey: key}
@@ -259,7 +272,7 @@ func permitBalanceFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, cfg *Permi
 				deferredRelease[ob] = true
 			}
 			if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				if key := chanKeyOf(pkg, u.X); key != nil {
+				if key := rootObj(pkg, u.X); key != nil {
 					for _, ob := range obs {
 						if ob.chanKey != nil && ob.chanKey == key {
 							deferredRelease[ob] = true
@@ -290,7 +303,7 @@ func permitBalanceFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, cfg *Permi
 					}
 					// A receive retires every obligation on that channel.
 					if u, ok := m.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-						if key := chanKeyOf(pkg, u.X); key != nil {
+						if key := rootObj(pkg, u.X); key != nil {
 							for _, ob := range obs {
 								if ob.chanKey == key {
 									f[ob] = permitReleased
@@ -334,13 +347,17 @@ func permitBalanceFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, cfg *Permi
 		exit := c.run(spec, flowFact{})
 		for _, ob := range obs {
 			if exit[ob]&permitHeld != 0 && !deferredRelease[ob] {
+				msg := fmt.Sprintf("%s %q is not released on every path out of %s", ob.kind, ob.name, fd.Name.Name)
 				if ob.bound != nil && escapes(pkg, fd, ob.bound) {
-					continue // handed to the caller: their obligation now
+					if ob.pool == nil || pkgReleases[ob.pool] {
+						continue // handed to an owner: their obligation now
+					}
+					msg = fmt.Sprintf("pool Get %q result escapes, but nothing in this package ever Puts to the pool", ob.name)
 				}
 				diags = append(diags, Diagnostic{
 					Pos:     prog.Fset.Position(ob.pos),
 					Check:   "permitbalance",
-					Message: fmt.Sprintf("%s %q is not released on every path out of %s", ob.kind, ob.name, fd.Name.Name),
+					Message: msg,
 				})
 			}
 		}
@@ -352,6 +369,87 @@ func permitBalanceFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, cfg *Permi
 		return diags[i].Pos.Column < diags[j].Pos.Column
 	})
 	return diags
+}
+
+// poolCall reports whether call is sync.Pool Get/Put, returning the
+// pool's root object (the variable holding the pool) and "Get"/"Put".
+func poolCall(pkg *Package, call *ast.CallExpr) (types.Object, string) {
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Get" && sel.Sel.Name != "Put") {
+		return nil, ""
+	}
+	s, ok := pkg.Info.Selections[sel]
+	if !ok {
+		return nil, ""
+	}
+	named, ok := derefType(s.Recv()).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil ||
+		named.Obj().Pkg().Path() != "sync" || named.Obj().Name() != "Pool" {
+		return nil, ""
+	}
+	return rootObj(pkg, sel.X), sel.Sel.Name
+}
+
+// escapes reports whether obj's value leaves the function: returned,
+// assigned through a selector/index (struct field, map, global), placed
+// in a composite literal, sent on a channel, or passed bare to a call
+// that is not the pool Put and not a method on obj itself.
+func escapes(pkg *Package, fd *ast.FuncDecl, obj types.Object) bool {
+	esc := false
+	isObj := func(e ast.Expr) bool {
+		id, ok := unparen(e).(*ast.Ident)
+		return ok && pkg.Info.Uses[id] == obj
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if esc {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				if isObj(r) {
+					esc = true
+				}
+			}
+		case *ast.AssignStmt:
+			for i, rhs := range n.Rhs {
+				if !isObj(rhs) || i >= len(n.Lhs) {
+					continue
+				}
+				if _, ok := n.Lhs[i].(*ast.Ident); !ok {
+					esc = true // field, index, or dereference target
+				}
+			}
+		case *ast.CompositeLit:
+			for _, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					el = kv.Value
+				}
+				if isObj(el) {
+					esc = true
+				}
+			}
+		case *ast.SendStmt:
+			if isObj(n.Value) {
+				esc = true
+			}
+		case *ast.CallExpr:
+			if _, kind := poolCall(pkg, n); kind == "Put" {
+				return true
+			}
+			// Method call on obj itself does not transfer ownership.
+			if sel, ok := unparen(n.Fun).(*ast.SelectorExpr); ok && isObj(sel.X) {
+				return true
+			}
+			for _, arg := range n.Args {
+				if isObj(arg) {
+					esc = true
+				}
+			}
+		}
+		return !esc
+	})
+	return esc
 }
 
 // releasesWhich reports the obligation a node discharges: a call of the

@@ -1,4 +1,4 @@
-// Package chainhelper is called from the exactfloat self-test's exact
+// Package chainhelper is called from the float-free self-test's exact
 // package; its float use is a call-chain violation even though the
 // package itself is not an exact package.
 package chainhelper
@@ -10,7 +10,7 @@ func Scale(v int64) int64 {
 }
 
 // Unrelated is never called from the exact package, so its float use
-// is not an exactfloat finding.
+// is not a finding.
 func Unrelated(v float64) float64 {
 	return v * 2
 }

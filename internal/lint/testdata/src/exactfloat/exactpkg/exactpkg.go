@@ -1,5 +1,5 @@
-// Package exactpkg is the exactfloat self-test: it stands in for
-// internal/exact, where no floating point may appear.
+// Package exactpkg is the self-test of floatflow's float-free rule: it
+// stands in for internal/exact, where no floating point may appear.
 package exactpkg
 
 import "chainhelper"

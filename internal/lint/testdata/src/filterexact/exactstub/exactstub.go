@@ -1,5 +1,6 @@
-// Package exactstub stands in for internal/exact in the filterexact
-// self-test: the exact determinant type and the fallback predicates.
+// Package exactstub stands in for internal/exact in the self-test of
+// floatflow's filter rules: the exact determinant type and the fallback
+// predicates.
 package exactstub
 
 // Int128 is the stand-in exact determinant type.

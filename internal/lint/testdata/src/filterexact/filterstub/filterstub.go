@@ -1,6 +1,6 @@
 // Package filterstub stands in for internal/exact/filter in the
-// filterexact self-test: certified stages, ok-guards, and the exact
-// fallback contract.
+// self-test of floatflow's filter rules: certified stages, ok-guards,
+// and the exact fallback contract.
 package filterstub
 
 import "exactstub"

@@ -1,6 +1,7 @@
 // Package permitpkg exercises permitbalance: release funcs, semaphore
 // permits, and pool gets must be released on every path, panics
-// included.
+// included; a pool value may not be discarded, nor escape from a
+// package that never Puts it back.
 package permitpkg
 
 import (
@@ -83,8 +84,10 @@ func GoodSend(g *gate, v int) {
 
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// pools in this stub always Put somewhere, so poolbalance-style orphan
-// checks stay quiet and the path logic is what's under test.
+// orphanPool has a Get but no Put anywhere in the package.
+var orphanPool = sync.Pool{New: func() any { return new([]byte) }}
+
+type holder struct{ buf *[]byte }
 
 // LeakAtPanic holds the pool value when the panic unwinds.
 func LeakAtPanic(v int) {
@@ -111,4 +114,16 @@ func LeakPool(v int) {
 		return
 	}
 	bufPool.Put(b)
+}
+
+// Discarded throws the pooled value away on the spot.
+func Discarded() {
+	bufPool.Get() // want "result is not retained"
+}
+
+// OrphanTransfer escapes into a holder, but nothing in the package
+// ever Puts to orphanPool.
+func OrphanTransfer() *holder {
+	b := orphanPool.Get().(*[]byte) // want "nothing in this package ever Puts"
+	return &holder{buf: b}
 }

@@ -1,4 +1,6 @@
-// Package poolpkg is the poolbalance self-test.
+// Package poolpkg exercises permitbalance's sync.Pool rules: a Get must
+// be Put on every path, its result must be retained, and a value that
+// escapes must go to an owner the package Puts back.
 package poolpkg
 
 import "sync"
@@ -10,28 +12,31 @@ var orphanPool = sync.Pool{New: func() interface{} { return new([]byte) }}
 
 type holder struct{ buf *[]byte }
 
-func deferred() int {
+// maybe keeps the branches opaque to constant folding.
+func maybe(v int) bool { return v > 0 }
+
+func deferred(n int) int {
 	b := bufPool.Get().(*[]byte)
 	defer bufPool.Put(b)
-	if len(*b) > 0 {
+	if maybe(n) {
 		return 1 // deferred Put covers this exit: clean
 	}
-	return 0
+	return len(*b)
 }
 
 func allPaths(n int) int {
 	b := bufPool.Get().(*[]byte)
-	if n > 0 {
+	if maybe(n) {
 		bufPool.Put(b)
 		return n // branch Puts before returning: clean
 	}
 	bufPool.Put(b)
-	return 0
+	return len(*b)
 }
 
 func earlyReturnLeak(n int) int {
-	b := bufPool.Get().(*[]byte) // want "not Put on all paths"
-	if n < 0 {
+	b := bufPool.Get().(*[]byte) // want "pool Get .bufPool. is not released on every path"
+	if maybe(n) {
 		return -1 // leaks b
 	}
 	bufPool.Put(b)
@@ -39,12 +44,16 @@ func earlyReturnLeak(n int) int {
 }
 
 func fallOffEndLeak() {
-	b := bufPool.Get().(*[]byte) // want "not Put on all paths"
+	b := bufPool.Get().(*[]byte) // want "pool Get .bufPool. is not released on every path"
 	_ = b
 }
 
 func discarded() {
 	bufPool.Get() // want "result is not retained"
+}
+
+func discardedBlank() {
+	_ = bufPool.Get() // want "result is not retained"
 }
 
 // transfer hands the buffer to a holder; release Puts it back, so
@@ -66,7 +75,7 @@ func orphanTransfer() *holder {
 }
 
 func suppressed() {
-	//lint:ignore poolbalance buffer intentionally retired from the pool
+	//lint:ignore permitbalance buffer intentionally retired from the pool
 	b := bufPool.Get().(*[]byte)
 	_ = b
 }
