@@ -218,6 +218,78 @@ func TestCompressRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestCompressRejectsCallerTransformOutOfRange pins the input-domain
+// contract for transforms the caller built instead of fitting: on a
+// 16×12 unit-magnitude field at τ = 0.01, FromShift(40) used to
+// "succeed" with a max error of 2.53, FromShift(62) with 1.0, and a NaN
+// through FromShift(20) decoded as 0. Each is now a *fixed.DomainError
+// locating the first offending value, on the kernel's own region, its
+// previous frame, and the lossless escape encoding alike. The range edge
+// itself, |fixed| = MaxMagnitude, is still accepted.
+func TestCompressRejectsCallerTransformOutOfRange(t *testing.T) {
+	unit := func() *field.Field2D {
+		f := field.NewField2D(16, 12)
+		for i := range f.U {
+			f.U[i] = float32(math.Cos(0.37 * float64(i)))
+			f.V[i] = float32(math.Sin(0.23 * float64(i)))
+		}
+		return f
+	}
+	nan := unit()
+	nan.V[29] = float32(math.NaN())
+	for _, tc := range []struct {
+		name      string
+		f         *field.Field2D
+		shift     int
+		comp, idx int
+	}{
+		{"FromShift(40)", unit(), 40, 0, 0},
+		{"FromShift(62)", unit(), 62, 0, 0},
+		{"NaN through FromShift(20)", nan, 20, 1, 29},
+	} {
+		tr := fixed.FromShift(tc.shift)
+		want := func(what string, err error) {
+			t.Helper()
+			var de *fixed.DomainError
+			if !errors.As(err, &de) || de.Component != tc.comp || de.Index != tc.idx {
+				t.Errorf("%s, %s: err = %v, want *fixed.DomainError at component %d index %d", tc.name, what, err, tc.comp, tc.idx)
+			}
+		}
+		_, err := CompressField2D(tc.f, tr, Options{Tau: 0.01})
+		want("CompressField2D", err)
+		_, err = CompressLossless2D(tc.f, tr)
+		want("CompressLossless2D", err)
+	}
+	// A previous frame gets the same check as the frame it predicts.
+	for _, bad := range []float32{float32(math.NaN()), 8} {
+		cur, prev := unit(), unit()
+		prev.V[29] = bad
+		_, err := NewEncoder2D(Block2D{NX: 16, NY: 12, U: cur.U, V: cur.V, PrevU: prev.U, PrevV: prev.V,
+			Transform: fixed.FromShift(18), Opts: Options{Tau: 0.01}})
+		var de *fixed.DomainError
+		if !errors.As(err, &de) || de.Component != 1 || de.Index != 29 {
+			t.Errorf("previous frame %v: err = %v, want *fixed.DomainError at component 1 index 29", bad, err)
+		}
+	}
+	g := tinyField3D(4, 4)
+	g.W[5] = float32(math.Inf(-1))
+	_, err := CompressLossless3D(g, fixed.FromShift(10))
+	var de *fixed.DomainError
+	if !errors.As(err, &de) || de.Component != 2 || de.Index != 5 {
+		t.Errorf("CompressLossless3D: err = %v, want *fixed.DomainError at component 2 index 5", err)
+	}
+	// The edge: 2^20 fixed-point units are in range, one more is not.
+	edge := field.NewField2D(3, 3)
+	edge.U[4] = 1
+	if _, err := CompressField2D(edge, fixed.FromShift(20), Options{Tau: 0.01}); err != nil {
+		t.Errorf("|fixed| = MaxMagnitude: %v", err)
+	}
+	edge.U[4] = 1 + 1.0/(1<<19)
+	if _, err := CompressField2D(edge, fixed.FromShift(20), Options{Tau: 0.01}); !errors.As(err, &de) || de.Index != 4 {
+		t.Errorf("|fixed| = MaxMagnitude+2: err = %v, want *fixed.DomainError at index 4", err)
+	}
+}
+
 // TestCompressRejectsNonFiniteTau: a NaN or infinite τ is a
 // *fixed.DomainError naming the parameter. It used to "succeed" by
 // storing every vertex losslessly, since τ·Scale wrapped in int64.

@@ -62,6 +62,17 @@ func refRelaxation(ndim int, comps [maxComps][]int64, vs []int, vid int) int64 {
 	return r
 }
 
+func sgn(v int64) int {
+	switch {
+	case v > 0:
+		return 1
+	case v < 0:
+		return -1
+	default:
+		return 0
+	}
+}
+
 // adversarialValue draws a fixed-point value biased toward the cases the
 // skip rule branches on: zeros, ±1 (relaxation bound 0), ±(τ′+1)
 // (relaxation bound exactly τ′), and small magnitudes that make cells
@@ -142,7 +153,7 @@ func TestCellBoundMatchesPsiFirst(t *testing.T) {
 			}
 			fillComps(rng, comps, ndim, tau, trial%4 != 3)
 			var pred filter.Local
-			d := newDimOps(ndim, ext, comps, &pred)
+			d := newDimOps(ndim, ext, comps, refSigns(comps, ndim), &pred)
 			var vbuf [4]int
 			for c := 0; c < d.numCells(); c++ {
 				d.cellVertices(c, &vbuf)
@@ -157,7 +168,7 @@ func TestCellBoundMatchesPsiFirst(t *testing.T) {
 							}
 							for _, xi := range xiProbes(rng, r, tau) {
 								for _, open := range []bool{false, true} {
-									cb, rlx := d.cellBound(vid, c, xi, tau, oo, relax, open)
+									cb, rlx := d.cellBound(vid, &vbuf, xi, tau, oo, relax, open)
 									if got, want := min(cb, xi), min(wantCB, xi); got != want {
 										t.Fatalf("%dD cell %d vid %d tau %d xi %d oo=%v relax=%v open=%v: min(cb, xi) = %d, Ψ-first %d",
 											ndim, c, vid, tau, xi, oo, relax, open, got, want)
@@ -194,7 +205,7 @@ func refDeriveBound(k *kernel, vid int) (xi int64, relaxed bool) {
 	xi = k.tau
 	var vbuf [4]int
 	nd := k.blk.ndim
-	for _, c := range k.dim.vertexCells(vid, nil) {
+	for _, c := range refVertexCells(k, vid) {
 		if !k.cellValid[c] {
 			continue
 		}
@@ -226,6 +237,7 @@ func TestDeriveBoundMatchesPsiFirst(t *testing.T) {
 				k := newTestKernel(t, ndim, 7, 6, 4, opts)
 				k.tau = 1 + rng.Int63n(48)
 				fillComps(rng, k.comps, k.blk.nc, k.tau, trial%3 != 2)
+				copy(k.signs, refSigns(k.comps, k.blk.nc))
 				k.prepare()
 				relaxedCells := 0
 				for vid := range k.comps[0] {

@@ -22,17 +22,6 @@ func readLiteral(src []byte) (int64, []byte) {
 	return int64(int32(u)), src[4:]
 }
 
-func sgn(v int64) int {
-	switch {
-	case v > 0:
-		return 1
-	case v < 0:
-		return -1
-	default:
-		return 0
-	}
-}
-
 func absDiff(a, b int64) int64 {
 	if a > b {
 		return a - b

@@ -64,16 +64,21 @@ type blockSpec struct {
 // the public encoders: construct, optionally set ghosts, prepare, run
 // (or run phase by phase), finish.
 type kernel struct {
-	blk       blockSpec
-	tau       int64
-	ext       [3]int // extended dims (ghost layers included)
-	off       [3]int // own-region offset inside the extended arrays
-	comps     [maxComps][]int64
-	own       [maxComps][]int64
-	prev      [maxComps][]int64
-	temporal  bool
-	valid     []bool
-	ownDone   []bool
+	blk      blockSpec
+	tau      int64
+	ext      [3]int // extended dims (ghost layers included)
+	off      [3]int // own-region offset inside the extended arrays
+	comps    [maxComps][]int64
+	own      [maxComps][]int64
+	prev     [maxComps][]int64
+	temporal bool
+	valid    []bool
+	ownDone  []bool
+	// signs is the sign plane: one byte per extended vertex, bit 2c set
+	// when component c is > 0 and bit 2c+1 when it is < 0 (signBits).
+	// It tracks comps at every write: the fixed-point fill, the ghost
+	// planes, commit, and each speculation trial and its restore.
+	signs     []uint8
 	dim       dimOps
 	det       cellChecker
 	cellValid []bool
@@ -83,7 +88,10 @@ type kernel struct {
 	expSyms   []uint32
 	codeSyms  []uint32
 	literals  []byte
-	cellBuf   []int
+	// starCells/starVerts hold the star of the vertex being processed
+	// (dimOps.star); both live in the scratch.
+	starCells *[maxStar]int
+	starVerts *[maxStar][4]int
 	scr       *kernelScratch
 	stats     Stats
 	tel       engineTel
@@ -96,7 +104,10 @@ type kernel struct {
 }
 
 // newKernel validates the block, allocates the extended arrays, converts
-// the own region to fixed point, and binds the per-dimension plug.
+// the own region to fixed point, and binds the per-dimension plug. A
+// source value that is non-finite or falls outside the transform's
+// fixed-point range (the caller may have built the transform for other
+// data) is a *fixed.DomainError.
 func newKernel(blk blockSpec) (*kernel, error) {
 	if err := blk.opts.Validate(); err != nil {
 		return nil, err
@@ -152,48 +163,104 @@ func newKernel(blk blockSpec) (*kernel, error) {
 	scr := scratchPool.Get().(*kernelScratch)
 	k.scr = scr
 	for c := 0; c < blk.nc; c++ {
-		scr.comps[c] = growI64(scr.comps[c], en)
-		scr.own[c] = growI64(scr.own[c], n)
+		scr.comps[c] = grow(scr.comps[c], en)
+		scr.own[c] = grow(scr.own[c], n)
 		k.comps[c] = scr.comps[c]
 		k.own[c] = scr.own[c]
 	}
-	scr.valid = growBool(scr.valid, en)
-	scr.ownDone = growBool(scr.ownDone, n)
+	scr.valid = grow(scr.valid, en)
+	scr.ownDone = grow(scr.ownDone, n)
+	scr.signs = grow(scr.signs, en)
 	k.valid = scr.valid
 	k.ownDone = scr.ownDone
+	k.signs = scr.signs
+	k.starCells, k.starVerts = &scr.starCells, &scr.starVerts
 	k.expSyms = scr.expSyms[:0]
 	k.codeSyms = scr.codeSyms[:0]
 	k.literals = scr.literals[:0]
-	k.cellBuf = scr.cellBuf[:0]
 	if temporal {
 		for c := 0; c < blk.nc; c++ {
-			scr.prev[c] = growI64(scr.prev[c], n)
+			scr.prev[c] = grow(scr.prev[c], n)
 			k.prev[c] = scr.prev[c]
-			blk.transform.ToFixed(blk.prev[c], k.prev[c])
 		}
 		k.temporal = true
 	}
-	k.dim = newDimOps(blk.ndim, k.ext, k.comps, &k.pred)
+	k.dim = newDimOps(blk.ndim, k.ext, k.comps, k.signs, &k.pred)
 	k.tel = newEngineTel(blk.opts, k.dim.name())
-	// Fill the own region.
 	convert := k.tel.stage("fixed-convert")
-	scr.row = growI64(scr.row, blk.nx)
-	row := scr.row
-	for kk := 0; kk < blk.nz; kk++ {
-		for j := 0; j < blk.ny; j++ {
-			src := (kk*blk.ny + j) * blk.nx
-			dst := ((kk+k.off[2])*k.ext[1]+(j+k.off[1]))*k.ext[0] + k.off[0]
-			for c := 0; c < blk.nc; c++ {
-				blk.transform.ToFixed(blk.comps[c][src:src+blk.nx], row)
-				copy(k.comps[c][dst:], row)
-			}
-			for i := 0; i < blk.nx; i++ {
-				k.valid[dst+i] = true
+	err := k.convert()
+	convert.End()
+	if err != nil {
+		k.tel.finish()
+		k.close()
+		return nil, err
+	}
+	return k, nil
+}
+
+// convert converts the own region (and the previous frame, when temporal)
+// to fixed point, checking every value against the transform's range,
+// and initialises the own region's sign plane in the same pass.
+func (k *kernel) convert() error {
+	blk := &k.blk
+	if k.temporal {
+		for c := 0; c < blk.nc; c++ {
+			if err := blk.transform.ToFixedChecked(blk.prev[c], k.prev[c], c, 0); err != nil {
+				return err
 			}
 		}
 	}
-	convert.End()
-	return k, nil
+	for kk := 0; kk < blk.nz; kk++ {
+		for j := 0; j < blk.ny; j++ {
+			src := (kk*blk.ny + j) * blk.nx
+			dst := k.extIdx(0, j, kk)
+			signs := k.signs[dst : dst+blk.nx]
+			for c := 0; c < blk.nc; c++ {
+				row := k.comps[c][dst : dst+blk.nx]
+				if err := blk.transform.ToFixedChecked(blk.comps[c][src:src+blk.nx], row, c, src); err != nil {
+					return err
+				}
+				for i, x := range row {
+					signs[i] |= signBits(x, c)
+				}
+			}
+			for i := dst; i < dst+blk.nx; i++ {
+				k.valid[i] = true
+			}
+		}
+	}
+	return nil
+}
+
+// signBits is one component's share of a sign-plane byte: bit 2c when
+// x > 0, bit 2c+1 when x < 0, nothing for zero. The AND of a cell's
+// bytes then keeps a bit exactly when that component is strictly one
+// sign at every vertex of the cell (THEORY.md §3).
+//
+// Branch-free: the sign bit of -x &^ x is set exactly when x > 0 (for
+// x = MinInt64, -x wraps to x and the result is 0), and the sign bit of
+// x exactly when x < 0.
+func signBits(x int64, c int) uint8 {
+	pos := uint8(uint64(-x&^x) >> 63)
+	neg := uint8(uint64(x) >> 63)
+	return (pos | neg<<1) << (2 * c)
+}
+
+// signOf recomputes the sign-plane byte of extended vertex v from comps.
+func (k *kernel) signOf(v int) uint8 {
+	var s uint8
+	for c := 0; c < k.blk.nc; c++ {
+		s |= signBits(k.comps[c][v], c)
+	}
+	return s
+}
+
+// signDecided reports whether the cell with star entry vs is decided by
+// signs alone: some component strictly one sign at all its vertices
+// (cp's SignDecided, read from the sign plane). Such a cell contains no
+// critical point.
+func (k *kernel) signDecided(vs *[4]int) bool {
+	return k.signs[vs[0]]&k.signs[vs[1]]&k.signs[vs[2]]&k.signs[vs[3]] != 0
 }
 
 // extIdx maps own coordinates to the extended-array vertex index.
@@ -266,6 +333,7 @@ func (k *kernel) setGhostPlane(side int, vals [][]int64) error {
 				k.comps[c][idx] = vals[c][f]
 			}
 			k.valid[idx] = true
+			k.signs[idx] = k.signOf(idx)
 		}
 	}
 	return nil
@@ -339,60 +407,54 @@ func (k *kernel) prepare() {
 	}
 	k.det = k.dim.makeDetector(gid)
 	nc := k.dim.numCells()
-	k.scr.cellValid = growBool(k.scr.cellValid, nc)
-	k.scr.cpCell = growBool(k.scr.cpCell, nc)
+	k.scr.cellValid = grow(k.scr.cellValid, nc)
+	k.scr.cpCell = grow(k.scr.cpCell, nc)
 	k.cellValid = k.scr.cellValid
 	k.cpCell = k.scr.cpCell
-	k.scr.cellEval = growBool(k.scr.cellEval, nc)
-	evalMask := k.scr.cellEval
-	var vsbuf [4]int
-	nv := k.blk.ndim + 1
-	for c := 0; c < nc; c++ {
-		k.dim.cellVertices(c, &vsbuf)
-		vs := vsbuf[:nv]
-		ok := true
-		zero := true
-		for _, vi := range vs {
-			if !k.valid[vi] {
-				ok = false
-				break
-			}
-			for comp := 0; comp < k.blk.nc; comp++ {
-				if k.comps[comp][vi] != 0 {
-					zero = false
-					break
+	for c := range k.cellValid {
+		k.cellValid[c] = true
+	}
+	// Only a ghost-layered block has invalid vertices (ghost positions
+	// no neighbor supplied, such as the diagonal corners and edges of
+	// the ghost layers); every cell touching one is invalid.
+	if k.blk.twoPhase {
+		for v, ok := range k.valid {
+			if !ok {
+				n := k.dim.star(v, k.starCells, k.starVerts)
+				for _, c := range k.starCells[:n] {
+					k.cellValid[c] = false
 				}
 			}
 		}
-		if ok {
-			k.cellValid[c] = true
-			evalMask[c] = !zero
-		}
 	}
-	// Batched containment sweep over the valid non-degenerate cells:
-	// the detector loads each vertex row once instead of per cell.
-	k.det.ContainsBatch(evalMask, k.cpCell)
+	// Batched containment sweep over the valid cells: the detector loads
+	// each vertex row once instead of per cell, and decides all-zero and
+	// sign-uniform cells without a predicate.
+	k.det.ContainsBatch(k.cellValid, k.cpCell)
 	if k.blk.opts.Spec == ST4 {
 		k.origType = make(map[int]cp.Type)
-		for c := 0; c < nc; c++ {
-			if k.cpCell[c] {
-				k.origType[c] = k.det.CellType(c)
-			}
-		}
 	}
-	k.scr.cpAdj = growBool(k.scr.cpAdj, k.blk.nx*k.blk.ny*k.blk.nz)
+	// cpAdj marks the own vertices of the few critical-point cells,
+	// scattered from those cells rather than gathered over every
+	// vertex's star.
+	k.scr.cpAdj = grow(k.scr.cpAdj, k.blk.nx*k.blk.ny*k.blk.nz)
 	k.cpAdj = k.scr.cpAdj
-	for ok2 := 0; ok2 < k.blk.nz; ok2++ {
-		for oj := 0; oj < k.blk.ny; oj++ {
-			for oi := 0; oi < k.blk.nx; oi++ {
-				vid := k.extIdx(oi, oj, ok2)
-				k.cellBuf = k.dim.vertexCells(vid, k.cellBuf[:0])
-				for _, c := range k.cellBuf {
-					if k.cellValid[c] && k.cpCell[c] {
-						k.cpAdj[k.ownIdx(oi, oj, ok2)] = true
-						break
-					}
-				}
+	var vs [4]int
+	for c, hit := range k.cpCell {
+		if !hit {
+			continue
+		}
+		if k.origType != nil {
+			k.origType[c] = k.det.CellType(c)
+		}
+		k.dim.cellVertices(c, &vs)
+		for _, v := range vs {
+			q := v / k.ext[0]
+			oi := v - q*k.ext[0] - k.off[0]
+			oj := q%k.ext[1] - k.off[1]
+			ok := q/k.ext[1] - k.off[2]
+			if oi >= 0 && oi < k.blk.nx && oj >= 0 && oj < k.blk.ny && ok >= 0 && ok < k.blk.nz {
+				k.cpAdj[k.ownIdx(oi, oj, ok)] = true
 			}
 		}
 	}
@@ -533,18 +595,18 @@ func (k *kernel) deriveBound(vid int) (xi int64, relaxed bool) {
 	if k.tel.deriveNS != nil {
 		defer k.tel.deriveNS.AddSince(time.Now())
 	}
-	k.cellBuf = k.dim.vertexCells(vid, k.cellBuf[:0])
+	n := k.dim.star(vid, k.starCells, k.starVerts)
 	xi = k.tau
 	orientOnly := k.blk.opts.OrientationOnly
 	relax := !k.blk.opts.DisableRelaxation
-	for _, c := range k.cellBuf {
+	for s, c := range k.starCells[:n] {
 		if !k.cellValid[c] {
 			continue
 		}
 		if k.cpCell[c] {
 			return 0, false
 		}
-		cb, rlx := k.dim.cellBound(vid, c, xi, k.tau, orientOnly, relax, !relaxed)
+		cb, rlx := k.dim.cellBound(vid, &k.starVerts[s], xi, k.tau, orientOnly, relax, !relaxed)
 		relaxed = relaxed || rlx
 		xi = min(xi, cb)
 	}
@@ -612,27 +674,35 @@ func (k *kernel) speculateFN(oi, oj, ok, vid int, cpA bool) (uint8, int64) {
 	if cpA {
 		return quantizer.LosslessSym, 0
 	}
-	return k.speculateVerify(oi, oj, ok, vid, func(c int) bool {
-		return !k.det.CellContainsLocal(c, &k.pred)
-	})
+	return k.speculateVerify(oi, oj, ok, vid, false)
 }
 
 // speculateFull (ST4) verifies detection result and critical point type on
 // every adjacent cell, including cells that contain critical points.
 func (k *kernel) speculateFull(oi, oj, ok, vid int) (uint8, int64) {
-	return k.speculateVerify(oi, oj, ok, vid, func(c int) bool {
-		if k.det.CellContainsLocal(c, &k.pred) != k.cpCell[c] {
-			return false
-		}
-		return !k.cpCell[c] || k.det.CellType(c) == k.origType[c]
-	})
+	return k.speculateVerify(oi, oj, ok, vid, true)
+}
+
+// cellKeeps is the speculation target on one adjacent cell, with the
+// trial value in place: no critical point appears (ST2/ST3), or, with
+// full, the detection result and critical-point type are both unchanged
+// (ST4). Sign-decided cells never reach the predicate.
+func (k *kernel) cellKeeps(c int, vs *[4]int, full bool) bool {
+	has := !k.signDecided(vs) && k.det.ContainsVertices(vs, &k.pred)
+	if !full {
+		return !has
+	}
+	if has != k.cpCell[c] {
+		return false
+	}
+	return !has || k.det.CellType(c) == k.origType[c]
 }
 
 // speculateVerify is the trial loop of Fig. 2: relax, compress, verify the
-// target on the adjacent cells with the candidate reconstruction in
-// place, restrict on failure, and hard cut-off to lossless after n_l
-// failures.
-func (k *kernel) speculateVerify(oi, oj, ok, vid int, check func(c int) bool) (uint8, int64) {
+// target (cellKeeps) on the adjacent cells with the candidate
+// reconstruction in place, restrict on failure, and hard cut-off to
+// lossless after n_l failures.
+func (k *kernel) speculateVerify(oi, oj, ok, vid int, full bool) (uint8, int64) {
 	nl := k.blk.opts.Spec.retries()
 	try := k.tau << uint(nl)
 	fails := 0
@@ -640,6 +710,8 @@ func (k *kernel) speculateVerify(oi, oj, ok, vid int, check func(c int) bool) (u
 	for c := 0; c < k.blk.nc; c++ {
 		orig[c] = k.comps[c][vid]
 	}
+	origSign := k.signs[vid]
+	n := k.dim.star(vid, k.starCells, k.starVerts)
 	for {
 		k.stats.SpecTrials++
 		k.tel.specTrials.Inc()
@@ -648,10 +720,10 @@ func (k *kernel) speculateVerify(oi, oj, ok, vid int, check func(c int) bool) (u
 		for c := 0; c < k.blk.nc; c++ {
 			k.comps[c][vid] = recons[c]
 		}
+		k.signs[vid] = k.signOf(vid)
 		okAll := true
-		k.cellBuf = k.dim.vertexCells(vid, k.cellBuf[:0])
-		for _, c := range k.cellBuf {
-			if k.cellValid[c] && !check(c) {
+		for s, c := range k.starCells[:n] {
+			if k.cellValid[c] && !k.cellKeeps(c, &k.starVerts[s], full) {
 				okAll = false
 				break
 			}
@@ -659,6 +731,7 @@ func (k *kernel) speculateVerify(oi, oj, ok, vid int, check func(c int) bool) (u
 		for c := 0; c < k.blk.nc; c++ {
 			k.comps[c][vid] = orig[c]
 		}
+		k.signs[vid] = origSign
 		if okAll {
 			return sym, snapped
 		}
@@ -794,6 +867,7 @@ func (k *kernel) commit(vid, own int, sym uint8, codes, recons [maxComps]int64, 
 		k.comps[c][vid] = recons[c]
 		k.own[c][own] = recons[c]
 	}
+	k.signs[vid] = k.signOf(vid)
 	k.ownDone[own] = true
 }
 

@@ -23,7 +23,8 @@ import (
 // ratio. Decompress2D/3D read the result like any other block.
 
 // losslessBlob builds the escape-only block for nc components of n
-// vertices each (raster order).
+// vertices each (raster order). A value outside the transform's range is
+// a *fixed.DomainError, as in the lossy kernel.
 func losslessBlob(h header, tr fixed.Transform, comps [][]float32) ([]byte, error) {
 	n := len(comps[0])
 	nc := len(comps)
@@ -38,11 +39,13 @@ func losslessBlob(h header, tr fixed.Transform, comps [][]float32) ([]byte, erro
 	// The literal stream interleaves components per vertex, matching the
 	// decoder's raster replay.
 	literals := make([]byte, 0, safedim.MustProduct(4, nc, n))
-	row := make([]int64, 1)
+	var fx [1]int64
 	for v := 0; v < n; v++ {
 		for c := 0; c < nc; c++ {
-			tr.ToFixed(comps[c][v:v+1], row)
-			literals = appendLiteral(literals, row[0])
+			if err := tr.ToFixedChecked(comps[c][v:v+1], fx[:], c, v); err != nil {
+				return nil, err
+			}
+			literals = appendLiteral(literals, fx[0])
 		}
 	}
 	expStream := huffman.Compress(expSyms)

@@ -19,40 +19,31 @@ type kernelScratch struct {
 	comps [maxComps][]int64
 	own   [maxComps][]int64
 	prev  [maxComps][]int64
-	row   []int64
 
 	valid     []bool
 	ownDone   []bool
+	signs     []uint8
 	cellValid []bool
-	cellEval  []bool
 	cpCell    []bool
 	cpAdj     []bool
+
+	starCells [maxStar]int
+	starVerts [maxStar][4]int
 
 	expSyms  []uint32
 	codeSyms []uint32
 	literals []byte
-	cellBuf  []int
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(kernelScratch) }}
 
-// growI64 returns buf resized to n and zeroed, reallocating only when the
+// grow returns buf resized to n and zeroed, reallocating only when the
 // capacity is insufficient. Zeroing keeps pooled reuse bit-identical to
-// the make([]int64, n) it replaces.
-func growI64(buf []int64, n int) []int64 {
+// the make([]T, n) it replaces: the progress and cell masks rely on a
+// false zero value, and the sign plane on 0 meaning no strict sign.
+func grow[T int64 | bool | uint8](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int64, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
-
-// growBool is growI64 for the progress and cell masks (which rely on a
-// false zero value).
-func growBool(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	buf = buf[:n]
 	clear(buf)
@@ -74,12 +65,12 @@ func (k *kernel) close() {
 	scr.expSyms = k.expSyms[:0]
 	scr.codeSyms = k.codeSyms[:0]
 	scr.literals = k.literals[:0]
-	scr.cellBuf = k.cellBuf[:0]
 	for c := 0; c < maxComps; c++ {
 		k.comps[c], k.own[c], k.prev[c] = nil, nil, nil
 	}
-	k.valid, k.ownDone = nil, nil
+	k.valid, k.ownDone, k.signs = nil, nil, nil
+	k.starCells, k.starVerts = nil, nil
 	k.cellValid, k.cpCell, k.cpAdj = nil, nil, nil
-	k.expSyms, k.codeSyms, k.literals, k.cellBuf = nil, nil, nil, nil
+	k.expSyms, k.codeSyms, k.literals = nil, nil, nil
 	scratchPool.Put(scr)
 }

@@ -161,7 +161,7 @@ func TestDetectCells3DMatchesBruteForce(t *testing.T) {
 }
 
 // TestCellContainsLocalTieNoAlloc pins the detectors' per-cell predicate
-// allocation-free on cells whose orientations tie: the tie path runs on
+// (the vertex-id form the compression kernel calls) allocation-free on cells whose orientations tie: the tie path runs on
 // the stack, like the filtered path.
 func TestCellContainsLocalTieNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
@@ -173,8 +173,8 @@ func TestCellContainsLocalTieNoAlloc(t *testing.T) {
 	d2.U[vs2[1]], d2.V[vs2[1]] = 7, 9
 	d2.U[vs2[2]], d2.V[vs2[2]] = -5, -3 // mixed signs: not decided by the sign prefilter
 	var loc filter.Local
-	if a := testing.AllocsPerRun(100, func() { d2.CellContainsLocal(0, &loc) }); a != 0 {
-		t.Errorf("Detector2D.CellContainsLocal on a tie cell: %v allocs/op", a)
+	if a := testing.AllocsPerRun(100, func() { d2.ContainsVertices(&vs2, &loc) }); a != 0 {
+		t.Errorf("Detector2D.ContainsVertices on a tie cell: %v allocs/op", a)
 	}
 	d3 := randFixed3D(rng, 4, 4, 4, 1<<20, false)
 	vs3 := d3.Mesh.CellVertices(0)
@@ -182,8 +182,8 @@ func TestCellContainsLocalTieNoAlloc(t *testing.T) {
 		d3.U[vi], d3.V[vi], d3.W[vi] = 7, 9, 11
 	}
 	d3.U[vs3[0]], d3.V[vs3[0]], d3.W[vs3[0]] = -1, -2, -3
-	if a := testing.AllocsPerRun(100, func() { d3.CellContainsLocal(0, &loc) }); a != 0 {
-		t.Errorf("Detector3D.CellContainsLocal on a tie cell: %v allocs/op", a)
+	if a := testing.AllocsPerRun(100, func() { d3.ContainsVertices(&vs3, &loc) }); a != 0 {
+		t.Errorf("Detector3D.ContainsVertices on a tie cell: %v allocs/op", a)
 	}
 	loc.Flush()
 }

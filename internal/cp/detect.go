@@ -33,16 +33,18 @@ func (d *Detector2D) gid(v int) int {
 // tie-breaking. Fully degenerate cells — every vector exactly zero, as in
 // masked land regions — carry no feature by convention.
 func (d *Detector2D) CellContains(c int) bool {
-	return d.CellContainsLocal(c, nil)
+	vs := d.Mesh.CellVertices(c)
+	return d.ContainsVertices(&vs, nil)
 }
 
-// CellContainsLocal is CellContains with batched filter-counter
-// accounting: predicate certifications land in loc (flushed by the
-// caller) instead of the process-wide atomics. A nil loc counts
-// globally per call, exactly like CellContains.
-func (d *Detector2D) CellContainsLocal(c int, loc *filter.Local) bool {
-	vs := d.Mesh.CellVertices(c)
-	if d.signDecided(&vs) {
+// ContainsVertices is CellContains for the triangle with vertex ids vs
+// (in CellVertices order), for callers that already hold a cell's
+// vertices, with batched filter-counter accounting: predicate
+// certifications land in loc (flushed by the caller) instead of the
+// process-wide atomics. A nil loc counts globally per call, exactly like
+// CellContains.
+func (d *Detector2D) ContainsVertices(vs *[3]int, loc *filter.Local) bool {
+	if d.signDecided(vs) {
 		return false
 	}
 	if d.U[vs[0]] == 0 && d.V[vs[0]] == 0 &&
@@ -54,7 +56,7 @@ func (d *Detector2D) CellContainsLocal(c int, loc *filter.Local) bool {
 	for r, vi := range vs {
 		m[r] = [3]int64{d.U[vi], d.V[vi], 1}
 	}
-	return d.triContains(&m, &vs, loc)
+	return d.triContains(&m, vs, loc)
 }
 
 // SignDecided reports whether triangle c is decided by signs alone: some
@@ -217,14 +219,14 @@ func (d *Detector3D) gid(v int) int {
 // CellContains reports whether tetrahedron c contains a critical point.
 // Fully degenerate cells carry no feature by convention.
 func (d *Detector3D) CellContains(c int) bool {
-	return d.CellContainsLocal(c, nil)
+	vs := d.Mesh.CellVertices(c)
+	return d.ContainsVertices(&vs, nil)
 }
 
-// CellContainsLocal is CellContains with batched filter-counter
-// accounting; see Detector2D.CellContainsLocal.
-func (d *Detector3D) CellContainsLocal(c int, loc *filter.Local) bool {
-	vs := d.Mesh.CellVertices(c)
-	if d.signDecided(&vs) {
+// ContainsVertices is CellContains for the tetrahedron with vertex ids
+// vs (in CellVertices order); see Detector2D.ContainsVertices.
+func (d *Detector3D) ContainsVertices(vs *[4]int, loc *filter.Local) bool {
+	if d.signDecided(vs) {
 		return false
 	}
 	zero := true
@@ -241,7 +243,7 @@ func (d *Detector3D) CellContainsLocal(c int, loc *filter.Local) bool {
 	for r, vi := range vs {
 		m[r] = [4]int64{d.U[vi], d.V[vi], d.W[vi], 1}
 	}
-	return d.tetContains(&m, &vs, loc)
+	return d.tetContains(&m, vs, loc)
 }
 
 // SignDecided reports whether tetrahedron c is decided by signs alone;

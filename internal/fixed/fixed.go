@@ -44,11 +44,13 @@ type Transform struct {
 // ErrEmpty is returned by Fit when no values are provided.
 var ErrEmpty = errors.New("fixed: no data to fit")
 
-// DomainError reports an input value no fixed-point transform can
-// represent: a NaN or an infinity. For a field element, Component and
-// Index locate the first offending value (component index, then element
-// index within it); for a parameter such as the error bound, Param names
-// it and Component and Index are unused.
+// DomainError reports an input value the pipeline cannot represent: a
+// NaN or an infinity, or (from ToFixedChecked) a finite value whose
+// fixed-point image under the caller's transform exceeds MaxMagnitude.
+// For a field element, Component and Index locate the first offending
+// value (component index, then element index within it); for a parameter
+// such as the error bound, Param names it and Component and Index are
+// unused.
 type DomainError struct {
 	Param     string
 	Component int
@@ -59,6 +61,10 @@ type DomainError struct {
 func (e *DomainError) Error() string {
 	if e.Param != "" {
 		return fmt.Sprintf("fixed: non-finite %s %v", e.Param, e.Value)
+	}
+	if !math.IsNaN(e.Value) && !math.IsInf(e.Value, 0) {
+		return fmt.Sprintf("fixed: value %v at component %d, index %d exceeds the fixed-point range (magnitude %d) of the transform",
+			e.Value, e.Component, e.Index, MaxMagnitude)
 	}
 	return fmt.Sprintf("fixed: non-finite value %v at component %d, index %d", e.Value, e.Component, e.Index)
 }
@@ -137,6 +143,27 @@ func (t Transform) ToFixed(src []float32, dst []int64) {
 	for i, v := range src {
 		dst[i] = int64(math.RoundToEven(float64(v) * t.Scale))
 	}
+}
+
+// ToFixedChecked is ToFixed for a transform the caller chose, which may
+// not fit the data: it stops at the first value that is non-finite or
+// whose fixed-point magnitude exceeds MaxMagnitude (the contract that
+// keeps the exact predicates overflow-free) and returns a *DomainError
+// for it, with Component comp and Index base+i. Values before it are
+// converted.
+func (t Transform) ToFixedChecked(src []float32, dst []int64, comp, base int) error {
+	if len(src) != len(dst) {
+		// invariant: as in ToFixed.
+		panic("fixed: length mismatch")
+	}
+	for i, v := range src {
+		f := math.RoundToEven(float64(v) * t.Scale)
+		if !(math.Abs(f) <= MaxMagnitude) {
+			return &DomainError{Component: comp, Index: base + i, Value: float64(v)}
+		}
+		dst[i] = int64(f)
+	}
+	return nil
 }
 
 // ToFloat converts fixed-point values back to float32 into dst.
