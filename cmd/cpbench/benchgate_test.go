@@ -2,7 +2,8 @@ package main
 
 import (
 	"encoding/json"
-	"os"
+	"errors"
+	"math"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -11,16 +12,10 @@ import (
 	"repro/internal/experiments"
 )
 
-// TestBenchgateScript pins the acceptance contract of the shell gate:
-// scripts/benchgate.sh OLD.json NEW.json exits nonzero when the new
-// snapshot carries a >=10% sc_mbps regression and zero when the
-// snapshots agree. The script is exercised end to end — a cpbench
-// binary is built into a temp dir and injected via the CPBENCH
-// override, exactly how CI would pin a prebuilt binary.
-func TestBenchgateScript(t *testing.T) {
-	if _, err := exec.LookPath("sh"); err != nil {
-		t.Skip("no sh in PATH")
-	}
+// TestBenchgateExitStatus pins the contract `make benchgate` relies on:
+// the built `cpbench trend OLD.json NEW.json` exits 1 when one cr_all
+// moves by a single ULP and 0 when the snapshots agree.
+func TestBenchgateExitStatus(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "cpbench")
 	build := exec.Command("go", "build", "-o", bin, ".")
@@ -28,72 +23,53 @@ func TestBenchgateScript(t *testing.T) {
 		t.Fatalf("building cpbench: %v\n%s", err, out)
 	}
 
-	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	script := filepath.Join(repoRoot, "scripts", "benchgate.sh")
-	if _, err := os.Stat(script); err != nil {
-		t.Fatal(err)
-	}
-
 	oldP := writeReport(t, dir, "old.json", fixtureReport(nil))
-	regP := writeReport(t, dir, "regressed.json", fixtureReport(func(rep *experiments.BaselineReport) {
-		// 120 -> 100 MB/s: a 16.7% sc_mbps drop, past the 10% gate.
-		tbl := rep.Tables["table5"]
-		tbl.Rows[0].ScMBps = 100
-		rep.Tables["table5"] = tbl
-	}))
+	ulpP := writeReport(t, dir, "ulp.json", fixtureReport(mutateRow(0, func(r *experiments.BaselineRow) {
+		r.CRAll = math.Nextafter(r.CRAll, math.Inf(1))
+	})))
 	sameP := writeReport(t, dir, "same.json", fixtureReport(nil))
 
 	run := func(args ...string) (int, string) {
-		cmd := exec.Command("sh", append([]string{script}, args...)...)
-		cmd.Dir = repoRoot
-		cmd.Env = append(os.Environ(), "CPBENCH="+bin)
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			return 0, string(out)
+		out, err := exec.Command(bin, append([]string{"trend"}, args...)...).CombinedOutput()
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			return ee.ExitCode(), string(out)
 		}
-		ee, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatalf("running benchgate.sh: %v\n%s", err, out)
+		if err != nil {
+			t.Fatalf("running cpbench trend: %v\n%s", err, out)
 		}
-		return ee.ExitCode(), string(out)
+		return 0, string(out)
 	}
 
-	if code, out := run(oldP, regP); code == 0 {
-		t.Errorf("benchgate.sh exited 0 on a 16.7%% sc_mbps regression:\n%s", out)
-	} else if !strings.Contains(out, "REGRESSION table5/ours|tau=0.01: sc_mbps") {
-		t.Errorf("exit %d but no sc_mbps regression line:\n%s", code, out)
+	if code, out := run(oldP, ulpP); code != 1 {
+		t.Errorf("cpbench trend exited %d on a one-ULP cr_all change, want 1:\n%s", code, out)
+	} else if !strings.Contains(out, "MISMATCH table5/ours|tau=0.01: cr_all") {
+		t.Errorf("exit 1 but no cr_all mismatch line:\n%s", out)
 	}
 
 	if code, out := run(oldP, sameP); code != 0 {
-		t.Errorf("benchgate.sh exited %d on identical snapshots:\n%s", code, out)
-	} else if !strings.Contains(out, "trend: no regressions") {
+		t.Errorf("cpbench trend exited %d on identical snapshots:\n%s", code, out)
+	} else if !strings.Contains(out, "rows identical") {
 		t.Errorf("missing pass summary:\n%s", out)
-	}
-
-	// The real checked-in baseline must diff cleanly against itself, so
-	// the make benchgate default invocation cannot false-positive.
-	baseline := filepath.Join(repoRoot, "results", "BENCH_baseline.json")
-	if _, err := os.Stat(baseline); err == nil {
-		if code, out := run(baseline, baseline); code != 0 {
-			t.Errorf("benchgate.sh exited %d on the checked-in baseline vs itself:\n%s", code, out)
-		}
 	}
 }
 
 // TestBaselineFixtureSchema guards the fixtures against schema drift: a
 // renamed JSON field would silently turn every trend comparison into
-// "no data, no regression".
+// "zero equals zero, no mismatch".
 func TestBaselineFixtureSchema(t *testing.T) {
 	b, err := json.Marshal(fixtureReport(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"sc_mbps"`, `"sd_mbps"`, `"cr_all"`, `"compressor"`, `"settings"`, `"tables"`} {
+	for _, key := range []string{`"cr_all"`, `"cr_per_component"`, `"tp"`, `"fp"`, `"fn"`, `"ft"`, `"compressor"`, `"settings"`, `"tables"`} {
 		if !strings.Contains(string(b), key) {
 			t.Errorf("fixture JSON lost key %s:\n%s", key, b)
+		}
+	}
+	for _, key := range []string{`"sc_mbps"`, `"sd_mbps"`} {
+		if strings.Contains(string(b), key) {
+			t.Errorf("fixture JSON still carries throughput key %s; bench/ owns speed:\n%s", key, b)
 		}
 	}
 }

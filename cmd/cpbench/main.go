@@ -1,9 +1,13 @@
 // Command cpbench regenerates the paper's evaluation tables and figures
-// (see DESIGN.md for the experiment index):
+// (see DESIGN.md for the experiment index) and runs the repository's
+// measurement gates:
 //
-//	cpbench table2 table3 table5 table6 table7 fig5 fig6 fig7 fig8 fig9 ablation
+//	cpbench table2 table3 table5 table6 table7 fig5 fig6 fig7 fig8 fig9 ablation shm
 //	cpbench baseline
 //	cpbench all
+//	cpbench trend OLD.json NEW.json
+//	cpbench pred [flags]
+//	cpbench load [flags]
 //
 // Flags scale the synthetic datasets; the defaults run each experiment in
 // seconds to minutes on a laptop. Fig. 5 writes PPM images to -out; pass
@@ -11,7 +15,11 @@
 // to write per-experiment telemetry JSON (stage spans + counters).
 //
 // The baseline command runs Tables V–VII and writes BENCH_baseline.json:
-// ratios, throughputs, preservation counts, and per-stage timings.
+// ratios, preservation counts, and per-stage timings. trend compares two
+// such snapshots exactly (`make benchgate`); pred is the filtered-
+// predicate microbench and gate (`make predgate`); load drives topozipd
+// under a load sweep and a client-fault soak (`make loadgate`). pred and
+// load take their own flags (`cpbench pred -h`).
 package main
 
 import (
@@ -30,14 +38,14 @@ import (
 )
 
 func main() {
-	// trend has its own flag set and no dataset knobs; intercept it before
-	// the global flags parse.
+	// trend takes two snapshot paths and no dataset knobs; intercept it
+	// before the global flags parse.
 	if len(os.Args) > 1 && os.Args[1] == "trend" {
-		regressed, err := runTrend(os.Args[2:], os.Stdout)
+		differs, err := runTrend(os.Args[2:], os.Stdout)
 		if err != nil {
 			fatal(err)
 		}
-		if regressed {
+		if differs {
 			os.Exit(1)
 		}
 		return
@@ -116,7 +124,9 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: cpbench [flags] <table2|table3|table5|table6|table7|fig5|fig6|fig7|fig8|fig9|ablation|shm|baseline|all|trend>...")
+		fmt.Fprintln(os.Stderr, "usage: cpbench [flags] <table2|table3|table5|table6|table7|fig5|fig6|fig7|fig8|fig9|ablation|shm|baseline|all>...")
+		fmt.Fprintln(os.Stderr, "       cpbench trend OLD.json NEW.json")
+		fmt.Fprintln(os.Stderr, "       cpbench pred|load [flags]")
 		os.Exit(2)
 	}
 	if len(args) == 1 && args[0] == "all" {

@@ -112,6 +112,25 @@ func TestWriteBaseline(t *testing.T) {
 			t.Errorf("%s: no stage spans recorded", name)
 		}
 	}
+
+	// The gate compares a fresh snapshot with the committed one exactly,
+	// so two runs of the same tree must agree on every row.
+	again := filepath.Join(t.TempDir(), "BENCH_again.json")
+	if err := writeBaseline(tinyCfg, again); err != nil {
+		t.Fatal(err)
+	}
+	first, err := readBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := readBaseline(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if n, _ := diffBaselines(&out, first, second); n > 0 {
+		t.Fatalf("two baseline runs of the same tree differ:\n%s", out.String())
+	}
 }
 
 func TestTableTitlesMentionPaperArtifacts(t *testing.T) {

@@ -35,10 +35,9 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	minPsiCert := fs.Float64("min-psi-cert", 0.50, "gate: min Ψ certification rate on the derivation corpus")
 	minSpeedup := fs.Float64("min-speedup", 1.5, "gate: min speedup over the reference (3D orientation, SoS ties)")
 	// The Ψ-derivation speedup sits nearer its threshold than orient3
-	// (~1.5x typical vs ~5x), so its gate gets the same kind of noise
-	// headroom benchgate grants throughput metrics: the CI threshold is
-	// set ~10% under the typical measurement, and the typical value is
-	// what DESIGN.md and the PR benchmarks record.
+	// (~1.5x typical vs ~5x), so its gate gets noise headroom: the CI
+	// threshold is set ~10% under the typical measurement, and the
+	// typical value is what DESIGN.md and the PR benchmarks record.
 	minPsiSpeedup := fs.Float64("min-psi-speedup", 1.35, "gate: min filtered-vs-reference speedup (Ψ derivation)")
 	if err := fs.Parse(args); err != nil {
 		return false, err

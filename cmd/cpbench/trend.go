@@ -2,62 +2,51 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/experiments"
 )
 
-// The trend mode diffs two baseline snapshots (results/BENCH_*.json) and
-// fails on performance or fidelity regressions, giving make check a
-// benchmark gate:
+// The trend mode compares two baseline snapshots (results/BENCH_*.json)
+// exactly, giving make check a deterministic gate on Tables V–VII:
 //
-//	cpbench trend [-max-throughput-drop 0.10] [-max-ratio-drop 0.05] OLD.json NEW.json
+//	cpbench trend OLD.json NEW.json
 //
-// Rows are matched by (table, compressor, settings). A regression is a
-// compression/decompression throughput drop beyond -max-throughput-drop,
-// a compression-ratio drop beyond -max-ratio-drop, or any increase in
-// FP/FN/FT counts (fidelity never gets a tolerance). Rows missing from
-// the new snapshot count as regressions too — losing coverage must not
-// pass silently. Exit status 1 signals at least one regression.
+// Rows are matched by (table, compressor, settings). Each row's
+// compression ratios (cr_all, cr_per_component) and TP/FP/FN/FT counts
+// are functions of the code and the inputs alone, so the gate demands
+// they be identical — floats by their bits. A change in either
+// direction fails, as does a table or row present in only one snapshot:
+// the committed snapshot is the record of what the code produces, and
+// an intended change is one the author re-records with `make baseline`
+// and explains. Speed is the bench/ module's business. Exit status 1
+// signals at least one mismatch.
 
-// trendLimits are the relative-drop tolerances of the gate.
-type trendLimits struct {
-	ThroughputDrop float64
-	RatioDrop      float64
-}
-
-// runTrend executes the trend mode and reports whether any regression
-// was found (the caller turns that into exit status 1).
-func runTrend(args []string, w io.Writer) (regressed bool, err error) {
-	fs := flag.NewFlagSet("trend", flag.ContinueOnError)
-	thr := fs.Float64("max-throughput-drop", 0.10, "tolerated relative sc/sd throughput drop")
-	rat := fs.Float64("max-ratio-drop", 0.05, "tolerated relative compression-ratio drop")
-	fs.SetOutput(w)
-	if err := fs.Parse(args); err != nil {
-		return false, err
+// runTrend executes the trend mode and reports whether the snapshots
+// differ (the caller turns that into exit status 1).
+func runTrend(args []string, w io.Writer) (differs bool, err error) {
+	if len(args) != 2 {
+		return false, fmt.Errorf("trend: usage: cpbench trend OLD.json NEW.json (got %d args)", len(args))
 	}
-	rest := fs.Args()
-	if len(rest) != 2 {
-		return false, fmt.Errorf("trend: want exactly two snapshots (old new), got %d args", len(rest))
-	}
-	oldRep, err := readBaseline(rest[0])
+	oldRep, err := readBaseline(args[0])
 	if err != nil {
 		return false, err
 	}
-	newRep, err := readBaseline(rest[1])
+	newRep, err := readBaseline(args[1])
 	if err != nil {
 		return false, err
 	}
-	n := diffBaselines(w, oldRep, newRep, trendLimits{ThroughputDrop: *thr, RatioDrop: *rat})
+	n, rows := diffBaselines(w, oldRep, newRep)
 	if n > 0 {
-		fmt.Fprintf(w, "trend: %d regression(s) against %s\n", n, rest[0])
+		fmt.Fprintf(w, "trend: %d mismatch(es) against %s; if the change is intended, run `make baseline` and explain it in CHANGES.md\n", n, args[0])
 		return true, nil
 	}
-	fmt.Fprintf(w, "trend: no regressions against %s\n", rest[0])
+	fmt.Fprintf(w, "trend: %d rows identical to %s\n", rows, args[0])
 	return false, nil
 }
 
@@ -73,69 +62,94 @@ func readBaseline(path string) (*experiments.BaselineReport, error) {
 	return &rep, nil
 }
 
-// diffBaselines prints one line per checked row and returns the number
-// of regressions. Output order is deterministic (sorted table and row
-// keys) so gate logs diff cleanly across runs.
-func diffBaselines(w io.Writer, oldRep, newRep *experiments.BaselineReport, lim trendLimits) int {
-	regressions := 0
-	for _, tname := range sortedTableNames(oldRep.Tables) {
-		oldTbl := oldRep.Tables[tname]
-		newTbl, ok := newRep.Tables[tname]
-		if !ok {
-			fmt.Fprintf(w, "REGRESSION %s: table missing from new snapshot\n", tname)
-			regressions++
+// diffBaselines prints one line per mismatch and returns the number of
+// mismatches and of rows that matched. Output order is deterministic
+// (sorted table names, snapshot row order) so gate logs diff cleanly.
+func diffBaselines(w io.Writer, oldRep, newRep *experiments.BaselineReport) (mismatches, same int) {
+	for _, tname := range sortedTableNames(oldRep.Tables, newRep.Tables) {
+		oldTbl, inOld := oldRep.Tables[tname]
+		newTbl, inNew := newRep.Tables[tname]
+		if !inOld || !inNew {
+			fmt.Fprintf(w, "MISMATCH %s: table missing from %s snapshot\n", tname, missingSide(inOld))
+			mismatches++
 			continue
 		}
 		newRows := make(map[string]experiments.BaselineRow, len(newTbl.Rows))
 		for _, r := range newTbl.Rows {
-			newRows[r.Compressor+"|"+r.Settings] = r
+			newRows[rowKey(r)] = r
 		}
 		for _, o := range oldTbl.Rows {
-			key := o.Compressor + "|" + o.Settings
+			key := rowKey(o)
 			n, ok := newRows[key]
 			if !ok {
-				fmt.Fprintf(w, "REGRESSION %s/%s: row missing from new snapshot\n", tname, key)
-				regressions++
+				fmt.Fprintf(w, "MISMATCH %s/%s: row missing from new snapshot\n", tname, key)
+				mismatches++
 				continue
 			}
-			regressions += diffRow(w, tname, key, o, n, lim)
+			delete(newRows, key)
+			if d := diffRow(w, tname+"/"+key, o, n); d > 0 {
+				mismatches += d
+			} else {
+				same++
+			}
+		}
+		for _, r := range newTbl.Rows {
+			if _, extra := newRows[rowKey(r)]; extra {
+				fmt.Fprintf(w, "MISMATCH %s/%s: row missing from old snapshot\n", tname, rowKey(r))
+				mismatches++
+			}
 		}
 	}
-	return regressions
+	return mismatches, same
 }
 
-func diffRow(w io.Writer, tname, key string, o, n experiments.BaselineRow, lim trendLimits) int {
-	bad := 0
-	check := func(metric string, oldV, newV, tolerance float64) {
-		if oldV <= 0 {
-			return
-		}
-		drop := (oldV - newV) / oldV
-		if drop > tolerance {
-			fmt.Fprintf(w, "REGRESSION %s/%s: %s %.3g -> %.3g (-%.1f%%, limit %.1f%%)\n",
-				tname, key, metric, oldV, newV, 100*drop, 100*tolerance)
-			bad++
-		}
+func rowKey(r experiments.BaselineRow) string { return r.Compressor + "|" + r.Settings }
+
+func missingSide(inOld bool) string {
+	if inOld {
+		return "new"
 	}
-	check("sc_mbps", o.ScMBps, n.ScMBps, lim.ThroughputDrop)
-	check("sd_mbps", o.SdMBps, n.SdMBps, lim.ThroughputDrop)
-	check("cr_all", o.CRAll, n.CRAll, lim.RatioDrop)
-	oldBad, newBad := o.FP+o.FN+o.FT, n.FP+n.FN+n.FT
-	if newBad > oldBad {
-		fmt.Fprintf(w, "REGRESSION %s/%s: fidelity fp+fn+ft %d -> %d\n", tname, key, oldBad, newBad)
+	return "old"
+}
+
+// diffRow prints and counts the fields of one row that differ.
+func diffRow(w io.Writer, where string, o, n experiments.BaselineRow) int {
+	bad := 0
+	report := func(metric string, oldV, newV any) {
+		fmt.Fprintf(w, "MISMATCH %s: %s %v -> %v\n", where, metric, oldV, newV)
 		bad++
 	}
-	if bad == 0 {
-		fmt.Fprintf(w, "ok %s/%s: sc %.3g sd %.3g cr %.3g fp+fn+ft %d\n",
-			tname, key, n.ScMBps, n.SdMBps, n.CRAll, newBad)
+	if math.Float64bits(o.CRAll) != math.Float64bits(n.CRAll) {
+		report("cr_all", o.CRAll, n.CRAll)
+	}
+	if !slices.EqualFunc(o.CRPer, n.CRPer, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	}) {
+		report("cr_per_component", o.CRPer, n.CRPer)
+	}
+	for _, c := range []struct {
+		metric     string
+		oldV, newV int
+	}{
+		{"tp", o.TP, n.TP}, {"fp", o.FP, n.FP}, {"fn", o.FN, n.FN}, {"ft", o.FT, n.FT},
+	} {
+		if c.oldV != c.newV {
+			report(c.metric, c.oldV, c.newV)
+		}
 	}
 	return bad
 }
 
-func sortedTableNames(m map[string]experiments.BaselineTable) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
+// sortedTableNames returns the union of both snapshots' table names.
+func sortedTableNames(a, b map[string]experiments.BaselineTable) []string {
+	names := make([]string, 0, len(a)+len(b))
+	for k := range a {
 		names = append(names, k)
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			names = append(names, k)
+		}
 	}
 	sort.Strings(names)
 	return names

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,12 +19,12 @@ func fixtureReport(mutate func(*experiments.BaselineReport)) *experiments.Baseli
 			"table5": {Rows: []experiments.BaselineRow{
 				{
 					Compressor: "ours", Settings: "tau=0.01",
-					CRAll: 8.5, ScMBps: 120, SdMBps: 240,
+					CRPer: []float64{8.25, 8.75}, CRAll: 8.5,
 					TP: 27, FP: 0, FN: 0, FT: 0,
 				},
 				{
 					Compressor: "sz3", Settings: "eb=1e-2",
-					CRAll: 10.2, ScMBps: 300, SdMBps: 500,
+					CRPer: []float64{10.1, 10.3}, CRAll: 10.2,
 					TP: 20, FP: 3, FN: 4, FT: 1,
 				},
 			}},
@@ -48,104 +49,69 @@ func writeReport(t *testing.T, dir, name string, rep *experiments.BaselineReport
 	return p
 }
 
-func runTrendCase(t *testing.T, mutate func(*experiments.BaselineReport), args ...string) (bool, string) {
+func runTrendCase(t *testing.T, mutate func(*experiments.BaselineReport)) (bool, string) {
 	t.Helper()
 	dir := t.TempDir()
 	oldP := writeReport(t, dir, "old.json", fixtureReport(nil))
 	newP := writeReport(t, dir, "new.json", fixtureReport(mutate))
 	var out strings.Builder
-	regressed, err := runTrend(append(args, oldP, newP), &out)
+	differs, err := runTrend([]string{oldP, newP}, &out)
 	if err != nil {
 		t.Fatalf("runTrend: %v\n%s", err, out.String())
 	}
-	return regressed, out.String()
+	return differs, out.String()
+}
+
+// mutateRow returns a mutate hook that edits row i of table5.
+func mutateRow(i int, edit func(*experiments.BaselineRow)) func(*experiments.BaselineReport) {
+	return func(rep *experiments.BaselineReport) {
+		edit(&rep.Tables["table5"].Rows[i])
+	}
 }
 
 func TestTrendCleanPasses(t *testing.T) {
-	regressed, out := runTrendCase(t, nil)
-	if regressed {
-		t.Fatalf("identical snapshots regressed:\n%s", out)
+	differs, out := runTrendCase(t, nil)
+	if differs {
+		t.Fatalf("identical snapshots differ:\n%s", out)
 	}
-	if !strings.Contains(out, "trend: no regressions") {
+	if !strings.Contains(out, "trend: 2 rows identical") {
 		t.Fatalf("missing pass summary:\n%s", out)
 	}
 }
 
-func TestTrendThroughputRegression(t *testing.T) {
-	// 120 -> 100 MB/s is a 16.7% sc_mbps drop, beyond the 10% default.
-	regressed, out := runTrendCase(t, func(rep *experiments.BaselineReport) {
-		tbl := rep.Tables["table5"]
-		tbl.Rows[0].ScMBps = 100
-		rep.Tables["table5"] = tbl
-	})
-	if !regressed {
-		t.Fatalf("16.7%% sc_mbps drop not flagged:\n%s", out)
-	}
-	if !strings.Contains(out, "REGRESSION table5/ours|tau=0.01: sc_mbps") {
-		t.Fatalf("missing sc_mbps regression line:\n%s", out)
-	}
-}
-
-func TestTrendThroughputWithinTolerance(t *testing.T) {
-	// A 5% drop stays inside the 10% default tolerance.
-	regressed, out := runTrendCase(t, func(rep *experiments.BaselineReport) {
-		tbl := rep.Tables["table5"]
-		tbl.Rows[0].ScMBps = 114
-		rep.Tables["table5"] = tbl
-	})
-	if regressed {
-		t.Fatalf("5%% drop flagged despite 10%% tolerance:\n%s", out)
-	}
-}
-
-func TestTrendTighterLimitFlagsSmallDrop(t *testing.T) {
-	regressed, out := runTrendCase(t, func(rep *experiments.BaselineReport) {
-		tbl := rep.Tables["table5"]
-		tbl.Rows[0].ScMBps = 114
-		rep.Tables["table5"] = tbl
-	}, "-max-throughput-drop", "0.02")
-	if !regressed {
-		t.Fatalf("5%% drop not flagged under 2%% limit:\n%s", out)
-	}
-}
-
 func TestTrendFidelityRegression(t *testing.T) {
-	// Any fp+fn+ft increase regresses — fidelity has no tolerance.
-	regressed, out := runTrendCase(t, func(rep *experiments.BaselineReport) {
-		tbl := rep.Tables["table5"]
-		tbl.Rows[0].FP = 1
-		rep.Tables["table5"] = tbl
-	})
-	if !regressed {
+	differs, out := runTrendCase(t, mutateRow(0, func(r *experiments.BaselineRow) { r.FP = 1 }))
+	if !differs {
 		t.Fatalf("fp increase not flagged:\n%s", out)
 	}
-	if !strings.Contains(out, "fidelity fp+fn+ft 0 -> 1") {
-		t.Fatalf("missing fidelity regression line:\n%s", out)
+	if !strings.Contains(out, "MISMATCH table5/ours|tau=0.01: fp 0 -> 1") {
+		t.Fatalf("missing fp mismatch line:\n%s", out)
+	}
+	if !strings.Contains(out, "make baseline") {
+		t.Fatalf("failure does not say how to re-record:\n%s", out)
 	}
 }
 
 func TestTrendRatioRegression(t *testing.T) {
-	// 8.5 -> 7.5 is an 11.8% cr_all drop, beyond the 5% default.
-	regressed, out := runTrendCase(t, func(rep *experiments.BaselineReport) {
-		tbl := rep.Tables["table5"]
-		tbl.Rows[0].CRAll = 7.5
-		rep.Tables["table5"] = tbl
-	})
-	if !regressed {
-		t.Fatalf("11.8%% cr_all drop not flagged:\n%s", out)
+	// One ULP below 8.5: no tolerance, floats compare by bits.
+	differs, out := runTrendCase(t, mutateRow(0, func(r *experiments.BaselineRow) {
+		r.CRAll = math.Nextafter(r.CRAll, 0)
+	}))
+	if !differs {
+		t.Fatalf("one-ULP cr_all drop not flagged:\n%s", out)
 	}
-	if !strings.Contains(out, "cr_all") {
-		t.Fatalf("missing cr_all regression line:\n%s", out)
+	if !strings.Contains(out, "MISMATCH table5/ours|tau=0.01: cr_all 8.5 -> 8.499999999999998") {
+		t.Fatalf("missing cr_all mismatch line:\n%s", out)
 	}
 }
 
 func TestTrendMissingRowRegression(t *testing.T) {
-	regressed, out := runTrendCase(t, func(rep *experiments.BaselineReport) {
+	differs, out := runTrendCase(t, func(rep *experiments.BaselineReport) {
 		tbl := rep.Tables["table5"]
 		tbl.Rows = tbl.Rows[:1]
 		rep.Tables["table5"] = tbl
 	})
-	if !regressed {
+	if !differs {
 		t.Fatalf("missing row not flagged:\n%s", out)
 	}
 	if !strings.Contains(out, "row missing from new snapshot") {
@@ -154,10 +120,10 @@ func TestTrendMissingRowRegression(t *testing.T) {
 }
 
 func TestTrendMissingTableRegression(t *testing.T) {
-	regressed, out := runTrendCase(t, func(rep *experiments.BaselineReport) {
+	differs, out := runTrendCase(t, func(rep *experiments.BaselineReport) {
 		delete(rep.Tables, "table5")
 	})
-	if !regressed {
+	if !differs {
 		t.Fatalf("missing table not flagged:\n%s", out)
 	}
 	if !strings.Contains(out, "table missing from new snapshot") {
@@ -165,17 +131,38 @@ func TestTrendMissingTableRegression(t *testing.T) {
 	}
 }
 
-func TestTrendImprovementsPass(t *testing.T) {
-	// Faster, denser, and more accurate must never regress.
-	regressed, out := runTrendCase(t, func(rep *experiments.BaselineReport) {
+func TestTrendImprovementsFail(t *testing.T) {
+	// A better number is still a different number: the committed
+	// snapshot must be re-recorded and the change explained.
+	for _, tc := range []struct {
+		name, line string
+		mutate     func(*experiments.BaselineReport)
+	}{
+		{"ratio rise", "cr_all 8.5 -> 12", mutateRow(0, func(r *experiments.BaselineRow) { r.CRAll = 12 })},
+		{"fp fall", "fp 3 -> 0", mutateRow(1, func(r *experiments.BaselineRow) { r.FP = 0 })},
+		{"per-component ratio", "cr_per_component [8.25 8.75] -> [8.25 9]",
+			mutateRow(0, func(r *experiments.BaselineRow) { r.CRPer = []float64{8.25, 9} })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			differs, out := runTrendCase(t, tc.mutate)
+			if !differs {
+				t.Fatalf("%s passed the gate:\n%s", tc.name, out)
+			}
+			if !strings.Contains(out, tc.line) {
+				t.Fatalf("missing %q:\n%s", tc.line, out)
+			}
+		})
+	}
+}
+
+func TestTrendExtraRowFails(t *testing.T) {
+	differs, out := runTrendCase(t, func(rep *experiments.BaselineReport) {
 		tbl := rep.Tables["table5"]
-		tbl.Rows[0].ScMBps = 200
-		tbl.Rows[0].CRAll = 12
-		tbl.Rows[1].FP = 0
+		tbl.Rows = append(tbl.Rows, experiments.BaselineRow{Compressor: "zfp", Settings: "-P 7", CRAll: 3})
 		rep.Tables["table5"] = tbl
 	})
-	if regressed {
-		t.Fatalf("improvements flagged as regression:\n%s", out)
+	if !differs || !strings.Contains(out, "table5/zfp|-P 7: row missing from old snapshot") {
+		t.Fatalf("row only in the new snapshot not flagged:\n%s", out)
 	}
 }
 
@@ -186,5 +173,8 @@ func TestTrendBadArgs(t *testing.T) {
 	}
 	if _, err := runTrend([]string{"a.json", "b.json"}, &out); err == nil {
 		t.Fatal("nonexistent snapshots accepted")
+	}
+	if _, err := runTrend([]string{"-max-ratio-drop", "0.05", "a.json", "b.json"}, &out); err == nil {
+		t.Fatal("a tolerance flag was accepted")
 	}
 }

@@ -398,7 +398,9 @@ func sign64(x int64) int {
 
 // SoSOrientSign returns the SoS-resolved sign of an n×n orientation
 // matrix (n = 3 or 4, last column all ones) without a certified sign in
-// hand: the exact determinant's sign, or on a tie the tie path.
+// hand: the exact determinant's sign, or on a tie the tie path. The
+// detectors hold a certified sign and call the tie path directly; this
+// entry is what the tests cross-check that path through.
 func SoSOrientSign(m [][]int64, ids []int, replace int) int {
 	if s := detSignN(m); s != 0 {
 		return s

@@ -8,14 +8,14 @@ import (
 )
 
 // BaselineRow is one compressor entry of the machine-readable benchmark
-// baseline (a QuantRow with JSON names).
+// baseline: the deterministic part of a QuantRow (ratios and
+// preservation counts) with JSON names. Throughput is left out; it
+// varies run to run, and the bench/ module measures it.
 type BaselineRow struct {
 	Compressor string    `json:"compressor"`
 	Settings   string    `json:"settings"`
 	CRPer      []float64 `json:"cr_per_component,omitempty"`
 	CRAll      float64   `json:"cr_all"`
-	ScMBps     float64   `json:"sc_mbps"`
-	SdMBps     float64   `json:"sd_mbps"`
 	TP         int       `json:"tp"`
 	FP         int       `json:"fp"`
 	FN         int       `json:"fn"`
@@ -31,8 +31,8 @@ type BaselineTable struct {
 }
 
 // BaselineReport is the full content of BENCH_baseline.json: the
-// compression ratios, throughputs, and preservation counts of Tables
-// V–VII together with per-stage timings, keyed by table name.
+// compression ratios and preservation counts of Tables V–VII together
+// with per-stage timings, keyed by table name.
 type BaselineReport struct {
 	Config Config                   `json:"config"`
 	Tables map[string]BaselineTable `json:"tables"`
@@ -44,7 +44,6 @@ func baselineRows(rows []QuantRow) []BaselineRow {
 		out[i] = BaselineRow{
 			Compressor: r.Compressor, Settings: r.Settings,
 			CRPer: r.CRPer, CRAll: r.CRAll,
-			ScMBps: r.ScMBps, SdMBps: r.SdMBps,
 			TP: r.Report.TP, FP: r.Report.FP, FN: r.Report.FN, FT: r.Report.FT,
 		}
 	}
@@ -79,7 +78,7 @@ func Baseline(cfg Config) (BaselineReport, error) {
 }
 
 // WriteBaseline runs Baseline and writes the report as indented JSON
-// (deterministic key order; timings vary run to run).
+// (deterministic key order and rows; only the timings vary run to run).
 func WriteBaseline(cfg Config, w io.Writer) error {
 	rep, err := Baseline(cfg)
 	if err != nil {

@@ -233,16 +233,22 @@ func runAttempt(i, attempt int, timeout time.Duration, inj *faultinject.Injector
 	if timeout <= 0 {
 		return run(), false
 	}
+	start := time.Now()
 	ch := make(chan attemptResult, 1)
 	go func() { ch <- run() }()
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case res := <-ch:
-		return res, false
+		// When the result and the timer are both ready, select picks
+		// either; judging by elapsed time makes a late result a timeout
+		// every time.
+		if time.Since(start) < timeout {
+			return res, false
+		}
 	case <-timer.C:
-		return attemptResult{err: fmt.Errorf("shm: slab %d attempt %d exceeded deadline %v", i, attempt, timeout)}, true
 	}
+	return attemptResult{err: fmt.Errorf("shm: slab %d attempt %d exceeded deadline %v", i, attempt, timeout)}, true
 }
 
 // encodeSlab drives the bounded attempt loop for one slab: retry with

@@ -7,12 +7,12 @@
 # runs, and fails when the enabled configuration costs more than the
 # budget (default 3%) over the disabled one. The disabled configuration
 # IS the production default — a nil collector and recorder — so this
-# gate bounds what turning observability on costs, while the trend gate
-# (scripts/benchgate.sh) catches regressions of the default path.
+# gate bounds what turning observability on costs, while the bench/
+# module (bench/run.sh) measures the speed of the default path.
 #
 # Knobs: OVERHEAD_COUNT benchmark repetitions (default 3),
 # OVERHEAD_BENCHTIME -benchtime value (default 2x). POSIX sh + awk
-# only, same as scripts/benchdiff.sh.
+# only.
 set -eu
 
 budget="${1:-3}"
