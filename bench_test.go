@@ -157,7 +157,7 @@ func BenchmarkTemporalSeries(b *testing.B) {
 		sw := archive.NewStreamWriter(&buf)
 		series := archive.NewSeries(sw)
 		for _, f := range frames {
-			if err := series.Append3D(f, core.Options{Tau: 0.05}); err != nil {
+			if err := series.Append([]int{f.NX, f.NY, f.NZ}, f.Components(), core.Options{Tau: 0.05}); err != nil {
 				b.Fatal(err)
 			}
 		}

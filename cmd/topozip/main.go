@@ -56,15 +56,14 @@ import (
 	"repro/internal/archive"
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/cp"
 	"repro/internal/datagen"
 	"repro/internal/exact/filter"
 	"repro/internal/faultinject"
 	"repro/internal/field"
-	"repro/internal/fixed"
 	"repro/internal/flightrec"
 	"repro/internal/integrity"
 	"repro/internal/obs"
+	"repro/internal/safedim"
 	"repro/internal/shm"
 	"repro/internal/telemetry"
 )
@@ -111,22 +110,6 @@ func usage() {
 run "topozip <cmd> -h" for command flags`)
 }
 
-func parseDims(s string) ([]int, error) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	if len(parts) != 2 && len(parts) != 3 {
-		return nil, fmt.Errorf("dims must be NXxNY or NXxNYxNZ, got %q", s)
-	}
-	dims := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 2 {
-			return nil, fmt.Errorf("bad dimension %q", p)
-		}
-		dims[i] = v
-	}
-	return dims, nil
-}
-
 // parseMemBudget parses a -max-mem byte budget: a plain byte count or a
 // value with a K/M/G (binary), KiB/MiB/GiB, or KB/MB/GB (decimal)
 // suffix. Empty means no budget.
@@ -169,7 +152,7 @@ func cmdGen(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("-out is required")
 	}
-	dims, err := parseDims(*dimsFlag)
+	dims, err := codec.ParseDims(*dimsFlag)
 	if err != nil {
 		return err
 	}
@@ -208,24 +191,22 @@ func cmdGen(args []string) error {
 	}
 }
 
-func loadRaw(path string, dims []int) (*field.Field2D, *field.Field3D, error) {
+// loadRaw reads a raw float32 file holding one component per dimension
+// of dims, stored one after another.
+func loadRaw(path string, dims []int) ([][]float32, error) {
 	r, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer r.Close()
-	if len(dims) == 2 {
-		f := field.NewField2D(dims[0], dims[1])
-		if err := field.ReadRaw(r, f.U, f.V); err != nil {
-			return nil, nil, err
-		}
-		return f, nil, nil
+	comps := make([][]float32, len(dims))
+	for c := range comps {
+		comps[c] = make([]float32, safedim.MustProduct(dims...))
 	}
-	f := field.NewField3D(dims[0], dims[1], dims[2])
-	if err := field.ReadRaw(r, f.U, f.V, f.W); err != nil {
-		return nil, nil, err
+	if err := field.ReadRaw(r, comps...); err != nil {
+		return nil, err
 	}
-	return nil, f, nil
+	return comps, nil
 }
 
 func cmdCompress(args []string) error {
@@ -257,7 +238,7 @@ func cmdCompress(args []string) error {
 	if *faults == "" {
 		inj = faultinject.FromEnv(os.LookupEnv)
 	}
-	dims, err := parseDims(*dimsFlag)
+	dims, err := codec.ParseDims(*dimsFlag)
 	if err != nil {
 		return err
 	}
@@ -602,12 +583,7 @@ func cmdVerify(args []string) error {
 	}
 	var decSrc field.SlabSource
 	sinkFor := func(dims []int) (shm.PlaneSink, error) {
-		var m *field.Mem
-		if len(dims) == 2 {
-			m = field.Mem2D(field.NewField2D(dims[0], dims[1]))
-		} else {
-			m = field.Mem3D(field.NewField3D(dims[0], dims[1], dims[2]))
-		}
+		m := field.NewMem(dims)
 		decSrc = m
 		return m, nil
 	}
@@ -647,33 +623,17 @@ func cmdVerify(args []string) error {
 		// window runs a third of the scan window.
 		detWindow = window / 3
 	}
-	stats, err := field.SourceStats(origSrc, window)
+	fid, err := analysis.Verify(origSrc, decSrc, window, detWindow)
 	if err != nil {
 		return err
 	}
-	tr := fixed.FromMaxAbs(stats.MaxAbs)
-	detect := cp.DetectSource2D
-	if len(dims) == 3 {
-		detect = cp.DetectSource3D
-	}
-	op, err := detect(origSrc, tr, detWindow)
-	if err != nil {
-		return err
-	}
-	dp, err := detect(decSrc, tr, detWindow)
-	if err != nil {
-		return err
-	}
-	maxErr, psnr, err := analysis.SourceError(origSrc, decSrc, window)
-	if err != nil {
-		return err
-	}
-	return reportVerify(*comp, cp.Compare(op, dp), maxErr, psnr, rawSize(dims), compBytes)
+	return reportVerify(*comp, fid, rawSize(dims), compBytes)
 }
 
 // reportVerify renders the verify outcome: human lines, manifest
 // write-back, machine-readable summary.
-func reportVerify(comp string, rep cp.Report, maxErr, psnr float64, rawBytes, compBytes int64) error {
+func reportVerify(comp string, fid analysis.Fidelity, rawBytes, compBytes int64) error {
+	rep, maxErr, psnr := fid.Report, fid.MaxAbsError, fid.PSNR
 	fmt.Printf("critical points: %v\n", rep)
 	fmt.Printf("max abs error: %.6g  PSNR: %.2f dB\n", maxErr, psnr)
 	sum := verifySummary{

@@ -19,35 +19,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-func TestParseDims(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []int
-		err  bool
-	}{
-		{"64x48", []int{64, 48}, false},
-		{"8X8X8", []int{8, 8, 8}, false},
-		{"64", nil, true},
-		{"2x3x4x5", nil, true},
-		{"64xfoo", nil, true},
-		{"1x5", nil, true}, // below minimum
-	}
-	for _, c := range cases {
-		got, err := parseDims(c.in)
-		if (err != nil) != c.err {
-			t.Errorf("parseDims(%q) err = %v", c.in, err)
-			continue
-		}
-		if err == nil {
-			for i := range c.want {
-				if got[i] != c.want[i] {
-					t.Errorf("parseDims(%q) = %v", c.in, got)
-				}
-			}
-		}
-	}
-}
-
 func TestParseMemBudget(t *testing.T) {
 	cases := []struct {
 		in   string

@@ -31,7 +31,7 @@ func cmdPackSeries(args []string) error {
 	if *pattern == "" || *out == "" || *dimsFlag == "" || *steps < 1 {
 		return fmt.Errorf("-in, -dims, -steps and -out are required")
 	}
-	dims, err := parseDims(*dimsFlag)
+	dims, err := codec.ParseDims(*dimsFlag)
 	if err != nil {
 		return err
 	}
@@ -49,29 +49,21 @@ func cmdPackSeries(args []string) error {
 	var rawTotal int64
 	for s := 0; s < *steps; s++ {
 		path := fmt.Sprintf(*pattern, s)
-		f2, f3, err := loadRaw(path, dims)
+		comps, err := loadRaw(path, dims)
 		if err != nil {
 			return fmt.Errorf("frame %d (%s): %w", s, path, err)
 		}
 		opts := core.Options{Tau: *tau, Spec: spec}
-		if !*abs && f2 != nil {
-			opts.Tau *= field.Range(f2.U, f2.V)
-		} else if !*abs {
-			opts.Tau *= field.Range(f3.U, f3.V, f3.W)
+		if !*abs {
+			opts.Tau *= field.Range(comps...)
 		}
-		var blob []byte
-		switch {
-		case *temporal && f2 != nil:
-			err = series.Append2D(f2, opts)
-		case *temporal:
-			err = series.Append3D(f3, opts)
-		case f2 != nil:
-			blob, _, err = core.Compress2D(f2, opts)
-		default:
-			blob, _, err = core.Compress3D(f3, opts)
-		}
-		if err == nil && blob != nil {
-			_, err = sw.AppendBlob(blob)
+		if *temporal {
+			err = series.Append(dims, comps, opts)
+		} else {
+			var blob []byte
+			if blob, _, err = core.Compress(dims, comps, opts); err == nil {
+				_, err = sw.AppendBlob(blob)
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("frame %d: %w", s, err)

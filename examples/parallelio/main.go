@@ -18,6 +18,7 @@ import (
 	"repro/internal/cp"
 	"repro/internal/datagen"
 	"repro/internal/field"
+	"repro/internal/fixed"
 	"repro/internal/iosim"
 	"repro/internal/mpi"
 	"repro/internal/parallel"
@@ -30,7 +31,7 @@ func main() {
 
 	n := *block * *gridP
 	f := datagen.Turbulence(n, n, n, 1)
-	tr, err := parallel.GlobalTransform3D(f)
+	tr, err := fixed.Fit(f.Components()...)
 	if err != nil {
 		log.Fatal(err)
 	}

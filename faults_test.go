@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cp"
 	"repro/internal/faultinject"
+	"repro/internal/field"
 	"repro/internal/fixed"
 	"repro/internal/integrity"
 	"repro/internal/mpi"
@@ -43,7 +44,7 @@ func TestFaultSoak(t *testing.T) {
 			}
 			opts := core.Options{Tau: 0.02, Spec: core.ST2}
 			po := shm.Options{Slabs: 4, MaxAttempts: 3, RetryBackoff: time.Microsecond}
-			clean, err := shm.Compress2D(f, tr, opts, po)
+			clean, err := shm.Compress(field.Mem2D(f), tr, opts, po)
 			if err != nil {
 				t.Fatalf("seed %d: clean run: %v", seed, err)
 			}
@@ -51,15 +52,15 @@ func TestFaultSoak(t *testing.T) {
 				Seed: uint64(seed),
 				Prob: [faultinject.NumKinds]float64{faultinject.KindPanic: 0.5},
 			})
-			res, err := shm.Compress2D(f, tr, opts, po)
+			res, err := shm.Compress(field.Mem2D(f), tr, opts, po)
 			if err != nil {
 				t.Fatalf("seed %d: faulted run must degrade, not fail: %v", seed, err)
 			}
 			if len(res.Degraded) == 0 && !bytes.Equal(res.Blob, clean.Blob) {
 				t.Fatalf("seed %d: no degradation but bytes differ from clean run", seed)
 			}
-			g, err := shm.Decompress2D(res.Blob, 0)
-			if err != nil {
+			g := field.NewField2D(f.NX, f.NY)
+			if err := shm.Decompress(res.Blob, 0, field.Mem2D(g)); err != nil {
 				t.Fatalf("seed %d: decode: %v", seed, err)
 			}
 			rep := cp.Compare(cp.DetectField2D(f, tr), cp.DetectField2D(g, tr))
@@ -86,12 +87,12 @@ func TestFaultSoak(t *testing.T) {
 			}
 			opts := core.Options{Tau: 0.02}
 			po := shm.Options{Slabs: 4}
-			clean, err := shm.Compress2D(f, tr, opts, po)
+			clean, err := shm.Compress(field.Mem2D(f), tr, opts, po)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := shm.Decompress2D(clean.Blob, 0)
-			if err != nil {
+			want := field.NewField2D(f.NX, f.NY)
+			if err := shm.Decompress(clean.Blob, 0, field.Mem2D(want)); err != nil {
 				t.Fatal(err)
 			}
 			kind := faultinject.KindBitFlip
@@ -106,15 +107,15 @@ func TestFaultSoak(t *testing.T) {
 				MaxFires: 1,
 			})
 			po.Faults = inj
-			res, err := shm.Compress2D(f, tr, opts, po)
+			res, err := shm.Compress(field.Mem2D(f), tr, opts, po)
 			if err != nil {
 				t.Fatalf("seed %d: compress: %v", seed, err)
 			}
 			if inj.Fired(kind) == 0 {
 				t.Fatalf("seed %d: injector never fired at p=1", seed)
 			}
-			g, err := shm.Decompress2D(res.Blob, 0)
-			if err != nil {
+			g := field.NewField2D(f.NX, f.NY)
+			if err := shm.Decompress(res.Blob, 0, field.Mem2D(g)); err != nil {
 				var ie *integrity.IntegrityError
 				if errors.As(err, &ie) {
 					if ie.Slab < 0 {
@@ -146,7 +147,7 @@ func TestFaultSoak(t *testing.T) {
 		for seed := int64(0); seed < int64(mseeds); seed++ {
 			rng := rand.New(rand.NewSource(6000 + seed))
 			f := randomField2D(rng, 48, 48)
-			tr, err := parallel.GlobalTransform2D(f)
+			tr, err := fixed.Fit(f.Components()...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +179,7 @@ func TestFaultSoak(t *testing.T) {
 		}
 		// Unrecoverable: delay far past the whole deadline budget.
 		f := randomField2D(rand.New(rand.NewSource(6999)), 48, 48)
-		tr, err := parallel.GlobalTransform2D(f)
+		tr, err := fixed.Fit(f.Components()...)
 		if err != nil {
 			t.Fatal(err)
 		}

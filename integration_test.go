@@ -102,7 +102,7 @@ func TestEndToEnd3D(t *testing.T) {
 // simulated machine.
 func TestEndToEndDistributed(t *testing.T) {
 	f := datagen.Turbulence(24, 24, 24, 5)
-	tr, err := parallel.GlobalTransform3D(f)
+	tr, err := fixed.Fit(f.Components()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestEndToEndDistributed(t *testing.T) {
 // non-divisible dimensions.
 func TestEndToEndAsymmetricGrids(t *testing.T) {
 	f := datagen.Ocean(70, 54) // not divisible by 3
-	tr, err := parallel.GlobalTransform2D(f)
+	tr, err := fixed.Fit(f.Components()...)
 	if err != nil {
 		t.Fatal(err)
 	}

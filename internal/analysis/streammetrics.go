@@ -4,9 +4,48 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cp"
 	"repro/internal/field"
+	"repro/internal/fixed"
 	"repro/internal/safedim"
 )
+
+// Fidelity is the outcome of a verify pass: the critical-point comparison
+// and the pointwise error of a decoded field against its original.
+type Fidelity struct {
+	Report      cp.Report
+	MaxAbsError float64
+	PSNR        float64
+}
+
+// Verify compares a decoded field with its original, both exposed as
+// slab sources: it fits the transform on the original's range, detects
+// critical points on both fields under it (the paper's preservation
+// criterion is exact agreement cell by cell), and computes the error
+// metrics. scanWindow bounds the planes of the stats and error scans and
+// detectWindow those of the detection windows (<= 0 picks defaults), so
+// peak memory follows the windows, never the field. topozip verify and
+// topozipd's /v1/verify both run it.
+func Verify(orig, dec field.SlabSource, scanWindow, detectWindow int) (Fidelity, error) {
+	stats, err := field.SourceStats(orig, scanWindow)
+	if err != nil {
+		return Fidelity{}, err
+	}
+	tr := fixed.FromMaxAbs(stats.MaxAbs)
+	op, err := cp.DetectSource(orig, tr, detectWindow)
+	if err != nil {
+		return Fidelity{}, err
+	}
+	dp, err := cp.DetectSource(dec, tr, detectWindow)
+	if err != nil {
+		return Fidelity{}, err
+	}
+	maxErr, psnr, err := SourceError(orig, dec, scanWindow)
+	if err != nil {
+		return Fidelity{}, err
+	}
+	return Fidelity{Report: cp.Compare(op, dp), MaxAbsError: maxErr, PSNR: psnr}, nil
+}
 
 // SourceError computes MaxAbsError and PSNR between two fields exposed
 // as slab sources, scanning both in runs of at most window planes

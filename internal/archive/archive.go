@@ -21,13 +21,14 @@
 // presents as a one-step container without a container CRC — core
 // blocks carry their own.
 //
-// Blobs are the outputs of core.Compress2D/3D, so the container itself
+// Blobs are core blocks (core.Encoder output), so the container itself
 // needs no field metadata.
 package archive
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/field"
@@ -62,41 +63,33 @@ type Series struct {
 	sw    *StreamWriter
 	tr    fixed.Transform
 	trSet bool
-	// prev holds the previous frame's decompressed output (the predictor
-	// both sides agree on).
-	prev2 *field.Field2D
-	prev3 *field.Field3D
+	// dims and prev hold the previous frame's shape and decompressed
+	// output (the predictor both sides agree on).
+	dims []int
+	prev [][]float32
 }
 
 // NewSeries returns a Series appending to sw. The caller closes sw.
 func NewSeries(sw *StreamWriter) *Series { return &Series{sw: sw} }
 
-// fit fixes the series transform on the first frame.
-func (s *Series) fit(comps ...[]float32) error {
-	if s.trSet {
-		return nil
+// Append compresses and appends one frame of dims [NX, NY] or
+// [NX, NY, NZ] with one component per dimension.
+func (s *Series) Append(dims []int, comps [][]float32, opts core.Options) error {
+	if !s.trSet {
+		tr, err := fixed.Fit(comps...)
+		if err != nil {
+			return err
+		}
+		s.tr, s.trSet = tr, true
 	}
-	tr, err := fixed.Fit(comps...)
-	if err != nil {
-		return err
-	}
-	s.tr, s.trSet = tr, true
-	return nil
-}
-
-// Append2D compresses and appends one 2D frame.
-func (s *Series) Append2D(f *field.Field2D, opts core.Options) error {
-	if err := s.fit(f.U, f.V); err != nil {
-		return err
-	}
-	blk := core.Block2D{NX: f.NX, NY: f.NY, U: f.U, V: f.V, Transform: s.tr, Opts: opts}
-	if p := s.prev2; p != nil {
-		if p.NX != f.NX || p.NY != f.NY {
+	blk := core.Block{Dims: dims, Comps: comps, Transform: s.tr, Opts: opts}
+	if s.prev != nil {
+		if !slices.Equal(s.dims, dims) {
 			return ErrDimsChanged
 		}
-		blk.PrevU, blk.PrevV = p.U, p.V
+		blk.Prev = s.prev
 	}
-	enc, err := core.NewEncoder2D(blk)
+	enc, err := core.NewEncoder(blk)
 	if err != nil {
 		return err
 	}
@@ -106,36 +99,7 @@ func (s *Series) Append2D(f *field.Field2D, opts core.Options) error {
 	if err != nil {
 		return err
 	}
-	u, v := enc.Decompressed()
-	s.prev2 = &field.Field2D{NX: f.NX, NY: f.NY, U: u, V: v}
-	_, err = s.sw.AppendBlob(blob)
-	return err
-}
-
-// Append3D is the 3D variant of Append2D.
-func (s *Series) Append3D(f *field.Field3D, opts core.Options) error {
-	if err := s.fit(f.U, f.V, f.W); err != nil {
-		return err
-	}
-	blk := core.Block3D{NX: f.NX, NY: f.NY, NZ: f.NZ, U: f.U, V: f.V, W: f.W, Transform: s.tr, Opts: opts}
-	if p := s.prev3; p != nil {
-		if p.NX != f.NX || p.NY != f.NY || p.NZ != f.NZ {
-			return ErrDimsChanged
-		}
-		blk.PrevU, blk.PrevV, blk.PrevW = p.U, p.V, p.W
-	}
-	enc, err := core.NewEncoder3D(blk)
-	if err != nil {
-		return err
-	}
-	defer enc.Close()
-	enc.Run()
-	blob, err := enc.Finish()
-	if err != nil {
-		return err
-	}
-	u, v, w := enc.Decompressed()
-	s.prev3 = &field.Field3D{NX: f.NX, NY: f.NY, NZ: f.NZ, U: u, V: v, W: w}
+	s.dims, s.prev = slices.Clone(dims), enc.Decompressed()
 	_, err = s.sw.AppendBlob(blob)
 	return err
 }

@@ -182,10 +182,11 @@ func TestTypedSentinels(t *testing.T) {
 	var buf bytes.Buffer
 	sw := NewStreamWriter(&buf)
 	s := NewSeries(sw)
-	if err := s.Append2D(step2D(0, 16), core.Options{Tau: 0.1}); err != nil {
+	f0, f1 := step2D(0, 16), step2D(1, 12)
+	if err := s.Append([]int{f0.NX, f0.NY}, f0.Components(), core.Options{Tau: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	err := s.Append2D(step2D(1, 12), core.Options{Tau: 0.1})
+	err := s.Append([]int{f1.NX, f1.NY}, f1.Components(), core.Options{Tau: 0.1})
 	if !errors.Is(err, ErrDimsChanged) {
 		t.Errorf("mid-series dimension change: got %v, want ErrDimsChanged", err)
 	}

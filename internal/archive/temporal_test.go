@@ -42,7 +42,7 @@ func writeSeries2D(t *testing.T, opts core.Options, fields []*field.Field2D) []b
 	sw := NewStreamWriter(&buf)
 	s := NewSeries(sw)
 	for _, f := range fields {
-		if err := s.Append2D(f, opts); err != nil {
+		if err := s.Append([]int{f.NX, f.NY}, f.Components(), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestTemporal3DSeries(t *testing.T) {
 	for s := 0; s < 4; s++ {
 		f := mk(float64(s) * 0.05)
 		fields = append(fields, f)
-		if err := series.Append3D(f, core.Options{Tau: 0.01}); err != nil {
+		if err := series.Append([]int{f.NX, f.NY, f.NZ}, f.Components(), core.Options{Tau: 0.01}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,17 +150,22 @@ func TestTemporal3DSeries(t *testing.T) {
 		}
 	}
 	// A 3D series rejects a frame of another shape too.
-	if err := series.Append3D(field.NewField3D(10, 10, 12), core.Options{Tau: 0.01}); !errors.Is(err, ErrDimsChanged) {
+	if err := series.Append([]int{10, 10, 12}, field.NewField3D(10, 10, 12).Components(), core.Options{Tau: 0.01}); !errors.Is(err, ErrDimsChanged) {
 		t.Errorf("3D dimension change: got %v, want ErrDimsChanged", err)
 	}
 }
 
 func TestTemporalDimensionChangeRejected(t *testing.T) {
 	s := NewSeries(NewStreamWriter(io.Discard))
-	if err := s.Append2D(slowSeries(1, 16)[0], core.Options{Tau: 0.01}); err != nil {
+	a, b := slowSeries(1, 16)[0], slowSeries(1, 20)[0]
+	if err := s.Append([]int{a.NX, a.NY}, a.Components(), core.Options{Tau: 0.01}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append2D(slowSeries(1, 20)[0], core.Options{Tau: 0.01}); err == nil {
+	if err := s.Append([]int{b.NX, b.NY}, b.Components(), core.Options{Tau: 0.01}); err == nil {
 		t.Fatal("dimension change must be rejected")
+	}
+	g := field.NewField3D(16, 16, 4)
+	if err := s.Append([]int{16, 16, 4}, g.Components(), core.Options{Tau: 0.01}); !errors.Is(err, ErrDimsChanged) {
+		t.Fatalf("2D series given a 3D frame: got %v, want ErrDimsChanged", err)
 	}
 }

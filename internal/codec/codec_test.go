@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -67,7 +68,7 @@ func TestCompressMatchesPipeline(t *testing.T) {
 	}
 	tr := fixed.FromMaxAbs(stats.MaxAbs)
 	var want bytes.Buffer
-	_, err = shm.CompressStream2D(src, &want, tr,
+	_, err = shm.CompressStream(src, &want, tr,
 		core.Options{Tau: 0.01 * stats.Range(), Spec: core.ST1}, shm.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +92,8 @@ func TestCompressMatchesPipeline(t *testing.T) {
 	if len(dims) != 2 || dims[0] != 64 || dims[1] != 48 {
 		t.Fatalf("decoded dims %v", dims)
 	}
-	ref, err := shm.Decompress2D(got.Bytes(), 1)
-	if err != nil {
+	ref := field.NewField2D(64, 48)
+	if err := shm.Decompress(got.Bytes(), 1, field.Mem2D(ref)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref.U {
@@ -191,6 +192,32 @@ func TestCompressRejectsNonFiniteTau(t *testing.T) {
 		}
 		if out.Len() != 0 {
 			t.Errorf("tau=%v: %d bytes written before the domain error", tc.tau, out.Len())
+		}
+	}
+}
+
+func TestParseDims(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []int
+		err  bool
+	}{
+		{"64x48", []int{64, 48}, false},
+		{"8X8X8", []int{8, 8, 8}, false},
+		{"64", nil, true},
+		{"2x3x4x5", nil, true},
+		{"64xfoo", nil, true},
+		{"16xfrog", nil, true},
+		{"1x5", nil, true}, // below minimum
+	}
+	for _, c := range cases {
+		got, err := ParseDims(c.in)
+		if (err != nil) != c.err {
+			t.Errorf("ParseDims(%q) err = %v", c.in, err)
+			continue
+		}
+		if err == nil && !slices.Equal(got, c.want) {
+			t.Errorf("ParseDims(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -79,12 +80,7 @@ func (cpCodec) Compress(src field.SlabSource, w io.Writer, p Params) (Result, er
 	}
 	tr := fixed.FromMaxAbs(stats.MaxAbs)
 	opts := core.Options{Tau: t, Spec: spec, Tel: p.Pipeline.Tel, Rec: p.Pipeline.Rec, RecSlab: -1}
-	var res shm.Result
-	if len(dims) == 2 {
-		res, err = shm.CompressStream2D(src, w, tr, opts, p.Pipeline)
-	} else {
-		res, err = shm.CompressStream3D(src, w, tr, opts, p.Pipeline)
-	}
+	res, err := shm.CompressStream(src, w, tr, opts, p.Pipeline)
 	return Result{Result: res, TauAbs: t}, err
 }
 
@@ -101,6 +97,25 @@ func (cpCodec) Decompress(r io.ReaderAt, size int64, p Params, sinkFor func(dims
 		}
 	}
 	return shm.DecompressTo(r, size, p.Pipeline, checked)
+}
+
+// ParseDims parses a grid shape "NXxNY" (2D, two components) or
+// "NXxNYxNZ" (3D, three components), the syntax shared by the topozip
+// command line and the daemon's dims parameter.
+func ParseDims(s string) ([]int, error) {
+	parts := strings.Split(strings.ToLower(s), "x")
+	if len(parts) != 2 && len(parts) != 3 {
+		return nil, fmt.Errorf("bad dims %q: want NXxNY or NXxNYxNZ", s)
+	}
+	dims := make([]int, len(parts))
+	for i, p := range parts {
+		n, err := strconv.Atoi(p)
+		if err != nil || n < 2 {
+			return nil, fmt.Errorf("bad dims %q: each dimension must be an integer >= 2", s)
+		}
+		dims[i] = n
+	}
+	return dims, nil
 }
 
 // StatsWindow sizes the plane window of a stats or scan pass over a

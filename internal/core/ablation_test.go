@@ -90,8 +90,7 @@ func TestEncoderStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := NewEncoder2D(Block2D{NX: f.NX, NY: f.NY, U: f.U, V: f.V, Transform: tr,
-		Opts: Options{Tau: 0.05}})
+	enc, err := NewEncoder(block2D(f, tr, Options{Tau: 0.05}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +109,7 @@ func TestEncoderStats(t *testing.T) {
 		t.Error("NoSpec must not speculate")
 	}
 
-	enc4, _ := NewEncoder2D(Block2D{NX: f.NX, NY: f.NY, U: f.U, V: f.V, Transform: tr,
-		Opts: Options{Tau: 0.05, Spec: ST4}})
+	enc4, _ := NewEncoder(block2D(f, tr, Options{Tau: 0.05, Spec: ST4}))
 	enc4.Run()
 	st4 := enc4.Stats()
 	if st4.SpecTrials == 0 {
@@ -128,8 +126,7 @@ func TestStats3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := NewEncoder3D(Block3D{NX: f.NX, NY: f.NY, NZ: f.NZ, U: f.U, V: f.V, W: f.W,
-		Transform: tr, Opts: Options{Tau: 0.05, Spec: ST2}})
+	enc, err := NewEncoder(block3D(f, tr, Options{Tau: 0.05, Spec: ST2}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,43 +147,40 @@ func TestAdversarialDistributedDegenerateBorders(t *testing.T) {
 	u0, v0 := sub(0, half)
 	u1, v1 := sub(half, half)
 	opts := Options{Tau: 1.5, Spec: ST2}
-	left, err := NewEncoder2D(Block2D{
-		NX: half, NY: 24, U: u0, V: v0, Transform: tr, Opts: opts,
-		GlobalNX: 24, GlobalNY: 24,
-		Neighbor: [4]bool{SideMaxX: true}, TwoPhase: true,
+	left, err := NewEncoder(Block{
+		Dims: []int{half, 24}, Comps: [][]float32{u0, v0}, Transform: tr, Opts: opts,
+		Global:   []int{24, 24},
+		Neighbor: [6]bool{SideMaxX: true}, TwoPhase: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	right, err := NewEncoder2D(Block2D{
-		NX: half, NY: 24, U: u1, V: v1, Transform: tr, Opts: opts,
-		GlobalX0: half, GlobalNX: 24, GlobalNY: 24,
-		Neighbor: [4]bool{SideMinX: true}, TwoPhase: true,
+	right, err := NewEncoder(Block{
+		Dims: []int{half, 24}, Comps: [][]float32{u1, v1}, Transform: tr, Opts: opts,
+		Origin: []int{half, 0}, Global: []int{24, 24},
+		Neighbor: [6]bool{SideMinX: true}, TwoPhase: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ru, rv := right.BorderLine(SideMinX)
-	if err := left.SetGhostLine(SideMaxX, ru, rv); err != nil {
+	if err := left.SetGhostPlane(SideMaxX, right.BorderPlane(SideMinX)); err != nil {
 		t.Fatal(err)
 	}
-	lu, lv := left.BorderLine(SideMaxX)
-	if err := right.SetGhostLine(SideMinX, lu, lv); err != nil {
+	if err := right.SetGhostPlane(SideMinX, left.BorderPlane(SideMaxX)); err != nil {
 		t.Fatal(err)
 	}
 	left.Prepare()
 	right.Prepare()
 	left.RunPhase1()
 	right.RunPhase1()
-	ru, rv = right.BorderLine(SideMinX)
-	if err := left.SetGhostLine(SideMaxX, ru, rv); err != nil {
+	if err := left.SetGhostPlane(SideMaxX, right.BorderPlane(SideMinX)); err != nil {
 		t.Fatal(err)
 	}
 	left.RunPhase2()
 	right.RunPhase2()
 
-	lu2, lv2 := left.Decompressed()
-	ru2, rv2 := right.Decompressed()
+	ld, rd := left.Decompressed(), right.Decompressed()
+	lu2, lv2, ru2, rv2 := ld[0], ld[1], rd[0], rd[1]
 	g := field.NewField2D(24, 24)
 	for j := 0; j < 24; j++ {
 		copy(g.U[j*24:], lu2[j*half:(j+1)*half])
@@ -257,15 +254,16 @@ func TestCompressRejectsCallerTransformOutOfRange(t *testing.T) {
 		}
 		_, err := CompressField2D(tc.f, tr, Options{Tau: 0.01})
 		want("CompressField2D", err)
-		_, err = CompressLossless2D(tc.f, tr)
-		want("CompressLossless2D", err)
+		_, err = CompressLossless([]int{tc.f.NX, tc.f.NY}, tc.f.Components(), tr)
+		want("CompressLossless", err)
 	}
 	// A previous frame gets the same check as the frame it predicts.
 	for _, bad := range []float32{float32(math.NaN()), 8} {
 		cur, prev := unit(), unit()
 		prev.V[29] = bad
-		_, err := NewEncoder2D(Block2D{NX: 16, NY: 12, U: cur.U, V: cur.V, PrevU: prev.U, PrevV: prev.V,
-			Transform: fixed.FromShift(18), Opts: Options{Tau: 0.01}})
+		b := block2D(cur, fixed.FromShift(18), Options{Tau: 0.01})
+		b.Prev = prev.Components()
+		_, err := NewEncoder(b)
 		var de *fixed.DomainError
 		if !errors.As(err, &de) || de.Component != 1 || de.Index != 29 {
 			t.Errorf("previous frame %v: err = %v, want *fixed.DomainError at component 1 index 29", bad, err)
@@ -273,10 +271,10 @@ func TestCompressRejectsCallerTransformOutOfRange(t *testing.T) {
 	}
 	g := tinyField3D(4, 4)
 	g.W[5] = float32(math.Inf(-1))
-	_, err := CompressLossless3D(g, fixed.FromShift(10))
+	_, err := CompressLossless([]int{g.NX, g.NY, g.NZ}, g.Components(), fixed.FromShift(10))
 	var de *fixed.DomainError
 	if !errors.As(err, &de) || de.Component != 2 || de.Index != 5 {
-		t.Errorf("CompressLossless3D: err = %v, want *fixed.DomainError at component 2 index 5", err)
+		t.Errorf("CompressLossless 3D: err = %v, want *fixed.DomainError at component 2 index 5", err)
 	}
 	// The edge: 2^20 fixed-point units are in range, one more is not.
 	edge := field.NewField2D(3, 3)
@@ -320,7 +318,7 @@ func TestCompressHugeTau(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range []Speculation{NoSpec, ST1, ST4} {
-		blob, st, err := CompressField2DStats(f, tr, Options{Tau: 1e30, Spec: spec})
+		blob, st, err := CompressBlock(block2D(f, tr, Options{Tau: 1e30, Spec: spec}))
 		if err != nil {
 			t.Fatalf("%v: %v", spec, err)
 		}

@@ -9,67 +9,37 @@ import (
 // field itself. For distributed runs or when the transform must be shared
 // (e.g. with ground-truth detection), use CompressField2D.
 func Compress2D(f *field.Field2D, opts Options) ([]byte, fixed.Transform, error) {
-	tr, err := fixed.Fit(f.U, f.V)
-	if err != nil {
-		return nil, tr, err
-	}
-	blob, err := CompressField2D(f, tr, opts)
-	return blob, tr, err
+	return Compress([]int{f.NX, f.NY}, f.Components(), opts)
 }
 
 // CompressField2D compresses a single-node 2D field with the given
 // transform.
 func CompressField2D(f *field.Field2D, tr fixed.Transform, opts Options) ([]byte, error) {
-	blob, _, err := CompressField2DStats(f, tr, opts)
+	blob, _, err := CompressBlock(Block{Dims: []int{f.NX, f.NY}, Comps: f.Components(), Transform: tr, Opts: opts})
 	return blob, err
-}
-
-// CompressField2DStats is CompressField2D returning the encoder's Stats
-// alongside the blob, so callers can report speculation and relaxation
-// behaviour without reaching into the encoder.
-func CompressField2DStats(f *field.Field2D, tr fixed.Transform, opts Options) ([]byte, Stats, error) {
-	enc, err := NewEncoder2D(Block2D{
-		NX: f.NX, NY: f.NY, U: f.U, V: f.V,
-		Transform: tr, Opts: opts,
-	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	enc.Run()
-	blob, err := enc.Finish()
-	enc.Close()
-	return blob, enc.Stats(), err
 }
 
 // Compress3D compresses a 3D vector field with a fitted transform.
 func Compress3D(f *field.Field3D, opts Options) ([]byte, fixed.Transform, error) {
-	tr, err := fixed.Fit(f.U, f.V, f.W)
-	if err != nil {
-		return nil, tr, err
-	}
-	blob, err := CompressField3D(f, tr, opts)
-	return blob, tr, err
+	return Compress([]int{f.NX, f.NY, f.NZ}, f.Components(), opts)
 }
 
 // CompressField3D compresses a single-node 3D field with the given
 // transform.
 func CompressField3D(f *field.Field3D, tr fixed.Transform, opts Options) ([]byte, error) {
-	blob, _, err := CompressField3DStats(f, tr, opts)
+	blob, _, err := CompressBlock(Block{Dims: []int{f.NX, f.NY, f.NZ}, Comps: f.Components(), Transform: tr, Opts: opts})
 	return blob, err
 }
 
-// CompressField3DStats is CompressField3D returning the encoder's Stats
-// alongside the blob.
-func CompressField3DStats(f *field.Field3D, tr fixed.Transform, opts Options) ([]byte, Stats, error) {
-	enc, err := NewEncoder3D(Block3D{
-		NX: f.NX, NY: f.NY, NZ: f.NZ, U: f.U, V: f.V, W: f.W,
-		Transform: tr, Opts: opts,
-	})
+// Compress compresses a single-node field of dims [NX, NY] or
+// [NX, NY, NZ] (one component per dimension) as one block, with a
+// transform fitted to the field itself: the dimension-free form of
+// Compress2D/3D, and the inverse of Decompress.
+func Compress(dims []int, comps [][]float32, opts Options) ([]byte, fixed.Transform, error) {
+	tr, err := fixed.Fit(comps...)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, tr, err
 	}
-	enc.Run()
-	blob, err := enc.Finish()
-	enc.Close()
-	return blob, enc.Stats(), err
+	blob, _, err := CompressBlock(Block{Dims: dims, Comps: comps, Transform: tr, Opts: opts})
+	return blob, tr, err
 }

@@ -2,14 +2,25 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cp"
 	"repro/internal/field"
 	"repro/internal/fixed"
 )
+
+// block2D and block3D describe a whole field as one single-node Block.
+func block2D(f *field.Field2D, tr fixed.Transform, opts Options) Block {
+	return Block{Dims: []int{f.NX, f.NY}, Comps: f.Components(), Transform: tr, Opts: opts}
+}
+
+func block3D(f *field.Field3D, tr fixed.Transform, opts Options) Block {
+	return Block{Dims: []int{f.NX, f.NY, f.NZ}, Comps: f.Components(), Transform: tr, Opts: opts}
+}
 
 // smooth2D builds a smooth synthetic field with several critical points.
 func smooth2D(seed int64, nx, ny int) *field.Field2D {
@@ -262,12 +273,13 @@ func TestDeterministicCompression(t *testing.T) {
 func TestEncoderDecompressedMatchesDecoder(t *testing.T) {
 	f := smooth2D(7, 32, 24)
 	tr, _ := fixed.Fit(f.U, f.V)
-	enc, err := NewEncoder2D(Block2D{NX: f.NX, NY: f.NY, U: f.U, V: f.V, Transform: tr, Opts: Options{Tau: 0.02}})
+	enc, err := NewEncoder(block2D(f, tr, Options{Tau: 0.02}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	enc.Run()
-	eu, ev := enc.Decompressed()
+	d := enc.Decompressed()
+	eu, ev := d[0], d[1]
 	blob, err := enc.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -286,12 +298,10 @@ func TestEncoderDecompressedMatchesDecoder(t *testing.T) {
 func TestLosslessBorderBlock(t *testing.T) {
 	f := smooth2D(8, 24, 20)
 	tr, _ := fixed.Fit(f.U, f.V)
-	enc, err := NewEncoder2D(Block2D{
-		NX: f.NX, NY: f.NY, U: f.U, V: f.V, Transform: tr,
-		Opts:           Options{Tau: 0.05},
-		Neighbor:       [4]bool{true, true, true, true},
-		LosslessBorder: true,
-	})
+	b := block2D(f, tr, Options{Tau: 0.05})
+	b.Neighbor = [6]bool{true, true, true, true}
+	b.LosslessBorder = true
+	enc, err := NewEncoder(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,30 +356,28 @@ func TestTwoPhasePair(t *testing.T) {
 	u1, v1 := sub(half, nx-half)
 
 	opts := Options{Tau: 0.05, Spec: NoSpec}
-	left, err := NewEncoder2D(Block2D{
-		NX: half, NY: ny, U: u0, V: v0, Transform: tr, Opts: opts,
-		GlobalX0: 0, GlobalY0: 0, GlobalNX: nx, GlobalNY: ny,
-		Neighbor: [4]bool{false, true, false, false}, TwoPhase: true,
+	left, err := NewEncoder(Block{
+		Dims: []int{half, ny}, Comps: [][]float32{u0, v0}, Transform: tr, Opts: opts,
+		Origin: []int{0, 0}, Global: []int{nx, ny},
+		Neighbor: [6]bool{false, true, false, false}, TwoPhase: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	right, err := NewEncoder2D(Block2D{
-		NX: nx - half, NY: ny, U: u1, V: v1, Transform: tr, Opts: opts,
-		GlobalX0: half, GlobalY0: 0, GlobalNX: nx, GlobalNY: ny,
-		Neighbor: [4]bool{true, false, false, false}, TwoPhase: true,
+	right, err := NewEncoder(Block{
+		Dims: []int{nx - half, ny}, Comps: [][]float32{u1, v1}, Transform: tr, Opts: opts,
+		Origin: []int{half, 0}, Global: []int{nx, ny},
+		Neighbor: [6]bool{true, false, false, false}, TwoPhase: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Phase-1 exchange: originals of the facing borders.
-	ru, rv := right.BorderLine(SideMinX)
-	if err := left.SetGhostLine(SideMaxX, ru, rv); err != nil {
+	if err := left.SetGhostPlane(SideMaxX, right.BorderPlane(SideMinX)); err != nil {
 		t.Fatal(err)
 	}
-	lu, lv := left.BorderLine(SideMaxX)
-	if err := right.SetGhostLine(SideMinX, lu, lv); err != nil {
+	if err := right.SetGhostPlane(SideMinX, left.BorderPlane(SideMaxX)); err != nil {
 		t.Fatal(err)
 	}
 	left.Prepare()
@@ -379,8 +387,7 @@ func TestTwoPhasePair(t *testing.T) {
 
 	// Phase-2 exchange: the right block's min-x column is now
 	// decompressed; the left block needs it to finish its max column.
-	ru, rv = right.BorderLine(SideMinX)
-	if err := left.SetGhostLine(SideMaxX, ru, rv); err != nil {
+	if err := left.SetGhostPlane(SideMaxX, right.BorderPlane(SideMinX)); err != nil {
 		t.Fatal(err)
 	}
 	left.RunPhase2()
@@ -436,15 +443,65 @@ func TestDecompressCorrupt(t *testing.T) {
 	}
 }
 
+// TestCompressRejectsBadInput: an extent below two points and a
+// non-positive τ are *fixed.DomainErrors naming the parameter, from
+// NewEncoder and CompressLossless alike; a malformed Block is a plain
+// error.
 func TestCompressRejectsBadInput(t *testing.T) {
-	if _, err := NewEncoder2D(Block2D{NX: 1, NY: 5}); err == nil {
-		t.Error("1-wide block must be rejected")
+	tr := fixed.FromShift(10)
+	comps := func(nc, n int) [][]float32 {
+		out := make([][]float32, nc)
+		for c := range out {
+			out[c] = make([]float32, n)
+		}
+		return out
 	}
-	if _, err := NewEncoder2D(Block2D{NX: 4, NY: 4, U: make([]float32, 3), V: make([]float32, 16), Opts: Options{Tau: 1}, Transform: fixed.FromShift(10)}); err == nil {
-		t.Error("length mismatch must be rejected")
+	for _, tc := range []struct {
+		name  string
+		blk   Block
+		param string
+		value float64
+	}{
+		{"1x8", Block{Dims: []int{1, 8}, Comps: comps(2, 8), Transform: tr, Opts: Options{Tau: 1}}, "nx", 1},
+		{"8x1", Block{Dims: []int{8, 1}, Comps: comps(2, 8), Transform: tr, Opts: Options{Tau: 1}}, "ny", 1},
+		{"4x4x1", Block{Dims: []int{4, 4, 1}, Comps: comps(3, 16), Transform: tr, Opts: Options{Tau: 1}}, "nz", 1},
+		{"tau=0", Block{Dims: []int{4, 4}, Comps: comps(2, 16), Transform: tr, Opts: Options{Tau: 0}}, "tau", 0},
+		{"tau=-1", Block{Dims: []int{4, 4, 4}, Comps: comps(3, 64), Transform: tr, Opts: Options{Tau: -1}}, "tau", -1},
+	} {
+		_, err := NewEncoder(tc.blk)
+		var de *fixed.DomainError
+		if !errors.As(err, &de) || de.Param != tc.param || de.Value != tc.value {
+			t.Errorf("%s: NewEncoder err = %v, want *fixed.DomainError for %s = %v", tc.name, err, tc.param, tc.value)
+		} else if strings.Contains(err.Error(), "non-finite") || !strings.Contains(err.Error(), "out of domain") {
+			t.Errorf("%s: finite value reported as %q", tc.name, err)
+		}
+		if tc.param == "tau" {
+			continue
+		}
+		_, err = CompressLossless(tc.blk.Dims, tc.blk.Comps, tr)
+		if !errors.As(err, &de) || de.Param != tc.param {
+			t.Errorf("%s: CompressLossless err = %v, want *fixed.DomainError for %s", tc.name, err, tc.param)
+		}
 	}
-	if _, err := NewEncoder3D(Block3D{NX: 4, NY: 4, NZ: 1}); err == nil {
-		t.Error("flat 3D block must be rejected")
+	for _, tc := range []struct {
+		name string
+		blk  Block
+	}{
+		{"1 dim", Block{Dims: []int{16}, Comps: comps(1, 16)}},
+		{"4 dims", Block{Dims: []int{2, 2, 2, 2}, Comps: comps(4, 16)}},
+		{"3 comps in 2D", Block{Dims: []int{4, 4}, Comps: comps(3, 16)}},
+		{"2 comps in 3D", Block{Dims: []int{4, 4, 4}, Comps: comps(2, 64)}},
+		{"length mismatch", Block{Dims: []int{4, 4}, Comps: [][]float32{make([]float32, 3), make([]float32, 16)}}},
+		{"Z neighbor in 2D", Block{Dims: []int{4, 4}, Comps: comps(2, 16), Neighbor: [6]bool{SideMaxZ: true}}},
+		{"short Origin", Block{Dims: []int{4, 4, 4}, Comps: comps(3, 64), Origin: []int{0, 0}}},
+		{"short Prev", Block{Dims: []int{4, 4}, Comps: comps(2, 16), Prev: comps(1, 16)}},
+	} {
+		tc.blk.Transform, tc.blk.Opts = tr, Options{Tau: 1}
+		_, err := NewEncoder(tc.blk)
+		var de *fixed.DomainError
+		if err == nil || errors.As(err, &de) {
+			t.Errorf("%s: err = %v, want a plain validation error", tc.name, err)
+		}
 	}
 }
 

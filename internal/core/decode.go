@@ -14,7 +14,8 @@ import (
 // The dimension-generic decoder. Decompression replays the visit order
 // and the stored bounds only — no critical point detection or bound
 // derivation runs, which is why it is several times faster than
-// compression. Decompress2D/3D are thin adapters over decodeFixed.
+// compression. The decoders in decompress.go are thin adapters over
+// decodeFixed.
 
 // visitOrder yields the own-coordinate vertices of a block in
 // compression order: plain raster, or (two-phase mode) raster excluding
@@ -57,10 +58,10 @@ func visitOrder(nx, ny, nz int, mode orderMode, hasMaxX, hasMaxY, hasMaxZ bool) 
 }
 
 // decodeFixed reconstructs the fixed-point components of a compressed
-// block of the expected dimensionality (the component count equals the
-// dimensionality). For temporally predicted blocks prevOf must return
-// the previous frame's fixed-point components; the dimension adapters
-// supply it along with their frame validation.
+// block of the expected dimensionality (0 accepts either; the component
+// count equals the dimensionality). For temporally predicted blocks
+// prevOf must return the previous frame's fixed-point components; the
+// adapters supply it along with their frame validation.
 func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]int64, error)) (*header, [][]int64, error) {
 	sections, err := encoder.Unpack(blob)
 	if err != nil {
@@ -73,7 +74,7 @@ func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]int64, er
 	if err := h.unmarshal(sections[0]); err != nil {
 		return nil, nil, err
 	}
-	if h.NDim != wantDim {
+	if wantDim != 0 && h.NDim != wantDim {
 		return nil, nil, fmt.Errorf("core: expected %dD block, got %dD", wantDim, h.NDim)
 	}
 	// Version-2 blocks checksum the header and the entropy-coded payload;
@@ -99,7 +100,7 @@ func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]int64, er
 		return nil, nil, fmt.Errorf("core: code stream: %w", err)
 	}
 	literals := sections[3]
-	nc := wantDim
+	nc := h.NDim
 	nz := 1
 	if h.NDim == 3 {
 		nz = h.NZ

@@ -37,17 +37,17 @@ func TestTwoPhasePair3D(t *testing.T) {
 	u1, v1, w1 := sub(half, nz-half)
 	opts := Options{Tau: 0.05}
 
-	lower, err := NewEncoder3D(Block3D{
-		NX: nx, NY: ny, NZ: half, U: u0, V: v0, W: w0, Transform: tr, Opts: opts,
-		GlobalNX: nx, GlobalNY: ny, GlobalNZ: nz,
+	lower, err := NewEncoder(Block{
+		Dims: []int{nx, ny, half}, Comps: [][]float32{u0, v0, w0}, Transform: tr, Opts: opts,
+		Global:   []int{nx, ny, nz},
 		Neighbor: [6]bool{SideMaxZ: true}, TwoPhase: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	upper, err := NewEncoder3D(Block3D{
-		NX: nx, NY: ny, NZ: nz - half, U: u1, V: v1, W: w1, Transform: tr, Opts: opts,
-		GlobalZ0: half, GlobalNX: nx, GlobalNY: ny, GlobalNZ: nz,
+	upper, err := NewEncoder(Block{
+		Dims: []int{nx, ny, nz - half}, Comps: [][]float32{u1, v1, w1}, Transform: tr, Opts: opts,
+		Origin: []int{0, 0, half}, Global: []int{nx, ny, nz},
 		Neighbor: [6]bool{SideMinZ: true}, TwoPhase: true,
 	})
 	if err != nil {
@@ -55,12 +55,10 @@ func TestTwoPhasePair3D(t *testing.T) {
 	}
 
 	// Phase-1 exchange (originals).
-	gu, gv, gw := upper.BorderFace(SideMinZ)
-	if err := lower.SetGhostFace(SideMaxZ, gu, gv, gw); err != nil {
+	if err := lower.SetGhostPlane(SideMaxZ, upper.BorderPlane(SideMinZ)); err != nil {
 		t.Fatal(err)
 	}
-	gu, gv, gw = lower.BorderFace(SideMaxZ)
-	if err := upper.SetGhostFace(SideMinZ, gu, gv, gw); err != nil {
+	if err := upper.SetGhostPlane(SideMinZ, lower.BorderPlane(SideMaxZ)); err != nil {
 		t.Fatal(err)
 	}
 	lower.Prepare()
@@ -69,15 +67,15 @@ func TestTwoPhasePair3D(t *testing.T) {
 	upper.RunPhase1()
 
 	// Phase-2 exchange: the upper block's min-z face is now decompressed.
-	gu, gv, gw = upper.BorderFace(SideMinZ)
-	if err := lower.SetGhostFace(SideMaxZ, gu, gv, gw); err != nil {
+	if err := lower.SetGhostPlane(SideMaxZ, upper.BorderPlane(SideMinZ)); err != nil {
 		t.Fatal(err)
 	}
 	lower.RunPhase2()
 	upper.RunPhase2()
 
 	// In-process reconstruction must agree with the decoded blobs.
-	lu, lv, lw := lower.Decompressed()
+	ld := lower.Decompressed()
+	lu, lv, lw := ld[0], ld[1], ld[2]
 	lblob, err := lower.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -116,57 +114,61 @@ func TestTwoPhasePair3D(t *testing.T) {
 func TestGhostFaceErrors3D(t *testing.T) {
 	f := smooth3D(301, 6, 6, 6)
 	tr, _ := fixed.Fit(f.U, f.V, f.W)
-	enc, err := NewEncoder3D(Block3D{
-		NX: 6, NY: 6, NZ: 6, U: f.U, V: f.V, W: f.W, Transform: tr,
-		Opts: Options{Tau: 0.05}, Neighbor: [6]bool{SideMaxX: true}, TwoPhase: true,
-	})
+	b := block3D(f, tr, Options{Tau: 0.05})
+	b.Neighbor, b.TwoPhase = [6]bool{SideMaxX: true}, true
+	enc, err := NewEncoder(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.SetGhostFace(SideMinX, nil, nil, nil); err == nil {
+	if err := enc.SetGhostPlane(SideMinX, [][]int64{nil, nil, nil}); err == nil {
 		t.Error("ghost on non-neighbor side must fail")
 	}
-	if err := enc.SetGhostFace(SideMaxX, make([]int64, 3), make([]int64, 3), make([]int64, 3)); err == nil {
+	if err := enc.SetGhostPlane(SideMaxX, [][]int64{make([]int64, 3), make([]int64, 3), make([]int64, 3)}); err == nil {
 		t.Error("wrong face size must fail")
 	}
-	if err := enc.SetGhostFace(99, nil, nil, nil); err == nil {
+	if err := enc.SetGhostPlane(SideMaxX, [][]int64{make([]int64, 36), make([]int64, 36)}); err == nil {
+		t.Error("wrong component count must fail")
+	}
+	if err := enc.SetGhostPlane(99, nil); err == nil {
 		t.Error("invalid side must fail")
 	}
-	u, v, w := enc.BorderFace(SideMaxX)
-	if len(u) != 36 || len(v) != 36 || len(w) != 36 {
-		t.Errorf("face sizes %d/%d/%d", len(u), len(v), len(w))
+	p := enc.BorderPlane(SideMaxX)
+	if len(p) != 3 || len(p[0]) != 36 || len(p[1]) != 36 || len(p[2]) != 36 {
+		t.Errorf("face of %d components, sizes %d", len(p), len(p[0]))
 	}
 }
 
 func TestGhostLineErrors2D(t *testing.T) {
 	f := smooth2D(302, 8, 8)
 	tr, _ := fixed.Fit(f.U, f.V)
-	enc, err := NewEncoder2D(Block2D{
-		NX: 8, NY: 8, U: f.U, V: f.V, Transform: tr,
-		Opts: Options{Tau: 0.05}, Neighbor: [4]bool{SideMinY: true}, TwoPhase: true,
-	})
+	b := block2D(f, tr, Options{Tau: 0.05})
+	b.Neighbor, b.TwoPhase = [6]bool{SideMinY: true}, true
+	enc, err := NewEncoder(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.SetGhostLine(SideMaxY, nil, nil); err == nil {
+	if err := enc.SetGhostPlane(SideMaxY, [][]int64{nil, nil}); err == nil {
 		t.Error("ghost on non-neighbor side must fail")
 	}
-	if err := enc.SetGhostLine(SideMinY, make([]int64, 2), make([]int64, 2)); err == nil {
+	if err := enc.SetGhostPlane(SideMinY, [][]int64{make([]int64, 2), make([]int64, 2)}); err == nil {
 		t.Error("wrong line size must fail")
 	}
-	if err := enc.SetGhostLine(SideMinZ, nil, nil); err == nil {
+	if err := enc.SetGhostPlane(SideMinZ, [][]int64{nil, nil}); err == nil {
 		t.Error("3D side on 2D block must fail")
 	}
-	u, v := enc.BorderLine(SideMinX)
-	if len(u) != 8 || len(v) != 8 {
-		t.Errorf("line sizes %d/%d", len(u), len(v))
+	p := enc.BorderPlane(SideMinX)
+	if len(p) != 2 || len(p[0]) != 8 || len(p[1]) != 8 {
+		t.Errorf("line of %d components, sizes %d", len(p), len(p[0]))
+	}
+	if enc.BorderPlane(SideMinZ) != nil {
+		t.Error("3D side on 2D block must have no border plane")
 	}
 }
 
 func TestFinishTwice(t *testing.T) {
 	f := smooth2D(303, 8, 8)
 	tr, _ := fixed.Fit(f.U, f.V)
-	enc, _ := NewEncoder2D(Block2D{NX: 8, NY: 8, U: f.U, V: f.V, Transform: tr, Opts: Options{Tau: 0.05}})
+	enc, _ := NewEncoder(block2D(f, tr, Options{Tau: 0.05}))
 	enc.Run()
 	if _, err := enc.Finish(); err != nil {
 		t.Fatal(err)

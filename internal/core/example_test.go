@@ -46,7 +46,7 @@ func ExampleOptions_Validate() {
 	fmt.Println(core.Options{}.Validate())
 	fmt.Println(core.Options{Tau: 0.01, Spec: core.ST4}.Validate())
 	// Output:
-	// core: Tau must be positive
+	// fixed: tau 0 out of domain
 	// <nil>
 }
 

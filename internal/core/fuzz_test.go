@@ -62,11 +62,9 @@ func fuzzSeeds3D(f *testing.F) {
 	// A temporal blob (decoding it without a previous frame must error,
 	// not panic) and a two-phase blob with ghost faces on every side.
 	prev := smooth3D(79, 8, 8, 6)
-	enc, err := NewEncoder3D(Block3D{
-		NX: 8, NY: 8, NZ: 6, U: fld.U, V: fld.V, W: fld.W,
-		PrevU: prev.U, PrevV: prev.V, PrevW: prev.W,
-		Transform: tr, Opts: Options{Tau: 0.05, Spec: ST2},
-	})
+	tb := block3D(fld, tr, Options{Tau: 0.05, Spec: ST2})
+	tb.Prev = prev.Components()
+	enc, err := NewEncoder(tb)
 	if err != nil {
 		f.Fatal(err)
 	}

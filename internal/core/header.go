@@ -177,6 +177,14 @@ func (h *header) unmarshal(b []byte) error {
 	return nil
 }
 
+// dims returns the block's dims, [NX, NY] or [NX, NY, NZ].
+func (h *header) dims() []int {
+	if h.NDim == 3 {
+		return []int{h.NX, h.NY, h.NZ}
+	}
+	return []int{h.NX, h.NY}
+}
+
 // vertexCount returns NX·NY·NZ with overflow protection: a corrupt header
 // whose per-dimension bounds pass individually must not overflow the
 // product into a small (or negative) length that later slicing trusts.

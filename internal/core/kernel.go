@@ -23,7 +23,7 @@ import (
 // sign-uniformity relaxation, the speculation state machine with
 // rollback, quantize/escape/commit, ghost/border handling, and the
 // two-phase protocol — and delegates the per-dimension parts to a small
-// dimOps plug (see dims.go). Encoder2D/Encoder3D are thin adapters.
+// dimOps plug (see dims.go). Encoder (block.go) is a thin adapter.
 //
 // All index arithmetic is shared by treating a 2D block as nz == 1 with
 // no Z neighbors: every extended/own index formula, the face/ghost
@@ -44,8 +44,8 @@ const (
 const maxComps = 3
 
 // blockSpec is the dimension-erased description of one block to
-// compress. The Block2D/Block3D adapters flatten into it; a 2D block has
-// nz = 1, nc = 2, and no Z neighbors.
+// compress. Block.spec validates a Block and flattens it into one; a 2D
+// block has nz = 1, nc = 2, and no Z neighbors.
 type blockSpec struct {
 	ndim, nc      int
 	nx, ny, nz    int
@@ -103,7 +103,7 @@ type kernel struct {
 	pred filter.Local
 }
 
-// newKernel validates the block, allocates the extended arrays, converts
+// newKernel validates the options, allocates the extended arrays, converts
 // the own region to fixed point, and binds the per-dimension plug. A
 // source value that is non-finite or falls outside the transform's
 // fixed-point range (the caller may have built the transform for other
@@ -112,18 +112,7 @@ func newKernel(blk blockSpec) (*kernel, error) {
 	if err := blk.opts.Validate(); err != nil {
 		return nil, err
 	}
-	if blk.nx < 2 || blk.ny < 2 || (blk.ndim == 3 && blk.nz < 2) {
-		if blk.ndim == 2 {
-			return nil, errors.New("core: block must be at least 2x2")
-		}
-		return nil, errors.New("core: block must be at least 2x2x2")
-	}
 	n := blk.nx * blk.ny * blk.nz
-	for c := 0; c < blk.nc; c++ {
-		if len(blk.comps[c]) != n {
-			return nil, errors.New("core: component length mismatch")
-		}
-	}
 	if blk.gnx == 0 {
 		blk.gnx, blk.gny, blk.gnz = blk.nx, blk.ny, blk.nz
 	}
@@ -144,19 +133,7 @@ func newKernel(blk blockSpec) (*kernel, error) {
 			}
 		}
 	}
-	temporal := false
-	for c := 0; c < blk.nc; c++ {
-		if blk.prev[c] != nil {
-			temporal = true
-		}
-	}
-	if temporal {
-		for c := 0; c < blk.nc; c++ {
-			if len(blk.prev[c]) != n {
-				return nil, errors.New("core: previous-frame length mismatch")
-			}
-		}
-	}
+	temporal := blk.prev[0] != nil
 	// All validation is done: acquire the pooled scratch. From here the
 	// kernel owns it until close().
 	en := k.ext[0] * k.ext[1] * k.ext[2]

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"errors"
-
 	"repro/internal/encoder"
-	"repro/internal/field"
 	"repro/internal/fixed"
 	"repro/internal/huffman"
 	"repro/internal/quantizer"
@@ -20,7 +17,7 @@ import (
 // failing, the slab falls back to this encoding, which trivially
 // preserves every critical point (the decoder reproduces the exact
 // fixed-point values the detector runs on) at the cost of compression
-// ratio. Decompress2D/3D read the result like any other block.
+// ratio. The decoders read the result like any other block.
 
 // losslessBlob builds the escape-only block for nc components of n
 // vertices each (raster order). A value outside the transform's range is
@@ -55,29 +52,17 @@ func losslessBlob(h header, tr fixed.Transform, comps [][]float32) ([]byte, erro
 	return encoder.Pack(h.marshal(), expStream, codeStream, literals)
 }
 
-// CompressLossless2D stores f exactly (up to the fixed-point rounding all
-// paths share) as an escape-only block decodable with Decompress2D.
-func CompressLossless2D(f *field.Field2D, tr fixed.Transform) ([]byte, error) {
-	if f.NX < 2 || f.NY < 2 {
-		return nil, errors.New("core: block must be at least 2x2")
+// CompressLossless stores a field of dims [NX, NY] or [NX, NY, NZ]
+// exactly (up to the fixed-point rounding all paths share) as an
+// escape-only block, decodable like any other. It checks its input like
+// NewEncoder.
+func CompressLossless(dims []int, comps [][]float32, tr fixed.Transform) ([]byte, error) {
+	if _, err := checkShape(dims, comps); err != nil {
+		return nil, err
 	}
-	n := f.NX * f.NY
-	if len(f.U) != n || len(f.V) != n {
-		return nil, errors.New("core: component length mismatch")
+	h := header{NDim: len(dims), NX: dims[0], NY: dims[1], Shift: tr.Shift}
+	if h.NDim == 3 {
+		h.NZ = dims[2]
 	}
-	h := header{NDim: 2, NX: f.NX, NY: f.NY, Shift: tr.Shift}
-	return losslessBlob(h, tr, [][]float32{f.U, f.V})
-}
-
-// CompressLossless3D is the 3D variant of CompressLossless2D.
-func CompressLossless3D(f *field.Field3D, tr fixed.Transform) ([]byte, error) {
-	if f.NX < 2 || f.NY < 2 || f.NZ < 2 {
-		return nil, errors.New("core: block must be at least 2x2x2")
-	}
-	n := f.NX * f.NY * f.NZ
-	if len(f.U) != n || len(f.V) != n || len(f.W) != n {
-		return nil, errors.New("core: component length mismatch")
-	}
-	h := header{NDim: 3, NX: f.NX, NY: f.NY, NZ: f.NZ, Shift: tr.Shift}
-	return losslessBlob(h, tr, [][]float32{f.U, f.V, f.W})
+	return losslessBlob(h, tr, comps)
 }

@@ -21,7 +21,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/fixed"
@@ -158,16 +157,16 @@ func (s *Stats) Add(o Stats) {
 	s.Literals += o.Literals
 }
 
-// Validate reports whether the options are usable. A NaN or infinite
-// Tau is a *fixed.DomainError naming the parameter: no finite bound
-// derives from it, and the fixed-point conversion would silently turn it
-// into lossless storage.
+// Validate reports whether the options are usable. A NaN, infinite or
+// non-positive Tau is a *fixed.DomainError naming the parameter: no
+// finite bound derives from it, and the fixed-point conversion would
+// silently turn it into lossless storage.
 func (o Options) Validate() error {
 	if err := fixed.CheckParam("tau", o.Tau); err != nil {
 		return err
 	}
 	if o.Tau <= 0 {
-		return errors.New("core: Tau must be positive")
+		return &fixed.DomainError{Param: "tau", Value: o.Tau}
 	}
 	if o.Spec > ST4 {
 		return fmt.Errorf("core: unknown speculation target %d", o.Spec)

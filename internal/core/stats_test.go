@@ -7,7 +7,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestCompressStats2D checks that CompressField2DStats surfaces the
+// TestCompressStats2D checks that CompressBlock surfaces the
 // encoder stats and that they are internally consistent.
 func TestCompressStats2D(t *testing.T) {
 	f := smooth2D(11, 48, 40)
@@ -16,7 +16,7 @@ func TestCompressStats2D(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range []Speculation{NoSpec, ST1, ST2, ST3, ST4} {
-		blob, st, err := CompressField2DStats(f, tr, Options{Tau: 0.05, Spec: spec})
+		blob, st, err := CompressBlock(block2D(f, tr, Options{Tau: 0.05, Spec: spec}))
 		if err != nil {
 			t.Fatalf("%v: %v", spec, err)
 		}
@@ -53,7 +53,7 @@ func TestCompressStats3D(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range []Speculation{NoSpec, ST1, ST4} {
-		_, st, err := CompressField3DStats(f, tr, Options{Tau: 0.05, Spec: spec})
+		_, st, err := CompressBlock(block3D(f, tr, Options{Tau: 0.05, Spec: spec}))
 		if err != nil {
 			t.Fatalf("%v: %v", spec, err)
 		}
@@ -82,7 +82,7 @@ func TestTelemetryMatchesStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := telemetry.New()
-	_, st, err := CompressField2DStats(f, tr, Options{Tau: 0.02, Spec: ST3, Tel: tel})
+	_, st, err := CompressBlock(block2D(f, tr, Options{Tau: 0.02, Spec: ST3, Tel: tel}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,7 @@ func TestTelemetryParentSpan(t *testing.T) {
 	}
 	tel := telemetry.New()
 	rank := tel.Span("rank0")
-	enc, err := NewEncoder3D(Block3D{
-		NX: f.NX, NY: f.NY, NZ: f.NZ, U: f.U, V: f.V, W: f.W,
-		Transform: tr, Opts: Options{Tau: 0.05, Tel: tel, TelSpan: rank},
-	})
+	enc, err := NewEncoder(block3D(f, tr, Options{Tau: 0.05, Tel: tel, TelSpan: rank}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,103 +24,63 @@ import (
 // cell layer.
 const minDetectWindow = 2
 
-// DetectSource2D streams detection over a 2D source in windows of at
-// most `window` planes (<= 0 picks a default), returning the same
-// points as DetectField2D on the materialized field.
-func DetectSource2D(src field.SlabSource, tr fixed.Transform, window int) ([]Point, error) {
+// DetectSource streams detection over a 2D or 3D source in windows of at
+// most `window` slow-axis planes (<= 0 picks a default), returning the
+// same points as DetectField2D/3D on the materialized field.
+func DetectSource(src field.SlabSource, tr fixed.Transform, window int) ([]Point, error) {
 	dims := src.Dims()
-	if len(dims) != 2 {
-		return nil, fmt.Errorf("cp: 2D streaming detection needs a 2D source, got %d dims", len(dims))
+	nd := len(dims)
+	if nd != 2 && nd != 3 {
+		return nil, fmt.Errorf("cp: streaming detection needs a 2D or 3D source, got %d dims", nd)
 	}
-	nx, ny := dims[0], dims[1]
-	window = clampWindow(window, ny)
-	wn := safedim.MustProduct(window, nx)
-	comps := [][]float32{
-		make([]float32, wn),
-		make([]float32, wn),
-	}
-	u := make([]int64, wn)
-	v := make([]int64, wn)
-	var pts []Point
-	for s := 0; ; {
-		e := s + window
-		if e > ny {
-			e = ny
-		}
-		count := e - s
-		cu, cv := comps[0][:count*nx], comps[1][:count*nx]
-		if err := src.ReadPlanes(s, count, comps); err != nil {
-			return nil, err
-		}
-		tr.ToFixed(cu, u[:count*nx])
-		tr.ToFixed(cv, v[:count*nx])
-		base := s // capture for the SoS global-id hook
-		d := &Detector2D{
-			Mesh: field.Mesh2D{NX: nx, NY: count},
-			U:    u[:count*nx], V: v[:count*nx],
-			GlobalID: func(vtx int) int { return base*nx + vtx },
-		}
-		cellOff := s * 2 * (nx - 1) // cells are slow-axis-major
-		for _, c := range d.DetectCells() {
-			p := extract2D(d.Mesh, c, d.U, d.V, tr.Scale, s)
-			p.Cell = c + cellOff
-			pts = append(pts, p)
-		}
-		if e == ny {
-			return pts, nil
-		}
-		s = e - 1 // overlap one plane: the next window owns cells based at e-1
-	}
-}
-
-// DetectSource3D is the 3D variant, windowed along Z.
-func DetectSource3D(src field.SlabSource, tr fixed.Transform, window int) ([]Point, error) {
-	dims := src.Dims()
-	if len(dims) != 3 {
-		return nil, fmt.Errorf("cp: 3D streaming detection needs a 3D source, got %d dims", len(dims))
-	}
-	nx, ny, nz := dims[0], dims[1], dims[2]
-	plane := nx * ny
-	window = clampWindow(window, nz)
+	nx, nSlow := dims[0], dims[nd-1]
+	plane := safedim.MustProduct(dims[:nd-1]...)
+	window = clampWindow(window, nSlow)
 	wn := safedim.MustProduct(window, plane)
-	comps := [][]float32{
-		make([]float32, wn),
-		make([]float32, wn),
-		make([]float32, wn),
+	comps := make([][]float32, nd)
+	fx := make([][]int64, nd)
+	for c := range comps {
+		comps[c] = make([]float32, wn)
+		fx[c] = make([]int64, wn)
 	}
-	u := make([]int64, wn)
-	v := make([]int64, wn)
-	w := make([]int64, wn)
 	var pts []Point
 	for s := 0; ; {
 		e := s + window
-		if e > nz {
-			e = nz
+		if e > nSlow {
+			e = nSlow
 		}
 		count := e - s
 		if err := src.ReadPlanes(s, count, comps); err != nil {
 			return nil, err
 		}
 		n := count * plane
-		tr.ToFixed(comps[0][:n], u[:n])
-		tr.ToFixed(comps[1][:n], v[:n])
-		tr.ToFixed(comps[2][:n], w[:n])
-		base := s
-		d := &Detector3D{
-			Mesh: field.Mesh3D{NX: nx, NY: ny, NZ: count},
-			U:    u[:n], V: v[:n], W: w[:n],
-			GlobalID: func(vtx int) int { return base*plane + vtx },
+		for c := range comps {
+			tr.ToFixed(comps[c][:n], fx[c][:n])
 		}
-		cellOff := s * 6 * (nx - 1) * (ny - 1)
-		for _, c := range d.DetectCells() {
-			p := extract3D(d.Mesh, c, d.U, d.V, d.W, tr.Scale, s)
-			p.Cell = c + cellOff
-			pts = append(pts, p)
+		base := s * plane // capture for the SoS global-id hook
+		gid := func(vtx int) int { return base + vtx }
+		if nd == 2 {
+			d := &Detector2D{Mesh: field.Mesh2D{NX: nx, NY: count}, U: fx[0][:n], V: fx[1][:n], GlobalID: gid}
+			cellOff := s * 2 * (nx - 1) // cells are slow-axis-major
+			for _, c := range d.DetectCells() {
+				p := extract2D(d.Mesh, c, d.U, d.V, tr.Scale, s)
+				p.Cell = c + cellOff
+				pts = append(pts, p)
+			}
+		} else {
+			ny := dims[1]
+			d := &Detector3D{Mesh: field.Mesh3D{NX: nx, NY: ny, NZ: count}, U: fx[0][:n], V: fx[1][:n], W: fx[2][:n], GlobalID: gid}
+			cellOff := s * 6 * (nx - 1) * (ny - 1)
+			for _, c := range d.DetectCells() {
+				p := extract3D(d.Mesh, c, d.U, d.V, d.W, tr.Scale, s)
+				p.Cell = c + cellOff
+				pts = append(pts, p)
+			}
 		}
-		if e == nz {
+		if e == nSlow {
 			return pts, nil
 		}
-		s = e - 1
+		s = e - 1 // overlap one plane: the next window owns cells based at e-1
 	}
 }
 

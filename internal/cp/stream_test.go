@@ -22,7 +22,7 @@ func TestStreamDetect2D(t *testing.T) {
 		t.Fatal("test field has no critical points")
 	}
 	for _, window := range []int{0, 2, 3, 7, 48, 1000} {
-		got, err := DetectSource2D(field.Mem2D(f), tr, window)
+		got, err := DetectSource(field.Mem2D(f), tr, window)
 		if err != nil {
 			t.Fatalf("window=%d: %v", window, err)
 		}
@@ -42,11 +42,20 @@ func TestStreamDetect3D(t *testing.T) {
 		t.Fatal("test field has no critical points")
 	}
 	for _, window := range []int{0, 2, 5, 24} {
-		got, err := DetectSource3D(field.Mem3D(f), tr, window)
+		got, err := DetectSource(field.Mem3D(f), tr, window)
 		if err != nil {
 			t.Fatalf("window=%d: %v", window, err)
 		}
 		comparePoints(t, window, got, want)
+	}
+}
+
+// TestStreamDetectRejectsOtherDims: only 2D and 3D sources have a mesh.
+func TestStreamDetectRejectsOtherDims(t *testing.T) {
+	for _, dims := range [][]int{{8}, {4, 4, 4, 4}} {
+		if _, err := DetectSource(field.NewMem(dims), fixed.FromShift(10), 0); err == nil {
+			t.Errorf("dims %v: want an error", dims)
+		}
 	}
 }
 

@@ -50,14 +50,9 @@ func Ablation(cfg Config) ([]AblationRow, Table, error) {
 			{"orientation-only", core.Options{Tau: tau, OrientationOnly: true}},
 			{"ST4", core.Options{Tau: tau, Spec: core.ST4}},
 		} {
-			enc, err := core.NewEncoder2D(core.Block2D{
-				NX: f.NX, NY: f.NY, U: f.U, V: f.V, Transform: tr, Opts: v.opts,
+			blob, st, err := core.CompressBlock(core.Block{
+				Dims: []int{f.NX, f.NY}, Comps: f.Components(), Transform: tr, Opts: v.opts,
 			})
-			if err != nil {
-				return err
-			}
-			enc.Run()
-			blob, err := enc.Finish()
 			if err != nil {
 				return err
 			}
@@ -70,7 +65,7 @@ func Ablation(cfg Config) ([]AblationRow, Table, error) {
 				Variant: v.name,
 				CRAll:   float64(raw) / float64(len(blob)),
 				Report:  cp.Compare(orig, cp.DetectField2D(g, tr)),
-				Stats:   enc.Stats(),
+				Stats:   st,
 			})
 		}
 		return nil
@@ -97,14 +92,9 @@ func Ablation(cfg Config) ([]AblationRow, Table, error) {
 		{"no-relaxation", core.Options{Tau: tau, DisableRelaxation: true}},
 		{"orientation-only", core.Options{Tau: tau, OrientationOnly: true}},
 	} {
-		enc, err := core.NewEncoder3D(core.Block3D{
-			NX: f.NX, NY: f.NY, NZ: f.NZ, U: f.U, V: f.V, W: f.W, Transform: tr, Opts: v.opts,
+		blob, st, err := core.CompressBlock(core.Block{
+			Dims: []int{f.NX, f.NY, f.NZ}, Comps: f.Components(), Transform: tr, Opts: v.opts,
 		})
-		if err != nil {
-			return nil, Table{}, err
-		}
-		enc.Run()
-		blob, err := enc.Finish()
 		if err != nil {
 			return nil, Table{}, err
 		}
@@ -117,7 +107,7 @@ func Ablation(cfg Config) ([]AblationRow, Table, error) {
 			Variant: v.name,
 			CRAll:   float64(raw) / float64(len(blob)),
 			Report:  cp.Compare(orig, cp.DetectField3D(g, tr)),
-			Stats:   enc.Stats(),
+			Stats:   st,
 		})
 	}
 

@@ -54,12 +54,15 @@ func ShmScaling(cfg Config) (ShmResult, error) {
 	err = shmRuns(&res, "Ocean", workerCounts,
 		cfg.TauRel*field.Range(ocean.U, ocean.V),
 		func(tau float64, w int) (shm.Result, error) {
-			return shm.Compress2D(ocean, tr2, core.Options{Tau: tau, Spec: core.ST2, Tel: cfg.Tel},
+			return shm.Compress(field.Mem2D(ocean), tr2, core.Options{Tau: tau, Spec: core.ST2, Tel: cfg.Tel},
 				shm.Options{Workers: w, Tel: cfg.Tel, Faults: cfg.Faults})
 		},
 		func(blob []byte, w int) (rep cp.Report, decode time.Duration, err error) {
 			var g *field.Field2D
-			decode = timeIt(func() { g, err = shm.Decompress2D(blob, w) })
+			decode = timeIt(func() {
+				g = field.NewField2D(ocean.NX, ocean.NY)
+				err = shm.Decompress(blob, w, field.Mem2D(g))
+			})
 			if err != nil {
 				return rep, decode, err
 			}
@@ -77,12 +80,15 @@ func ShmScaling(cfg Config) (ShmResult, error) {
 	err = shmRuns(&res, "Hurricane", workerCounts,
 		cfg.TauRel*field.Range(hurr.U, hurr.V, hurr.W),
 		func(tau float64, w int) (shm.Result, error) {
-			return shm.Compress3D(hurr, tr3, core.Options{Tau: tau, Spec: core.ST2, Tel: cfg.Tel},
+			return shm.Compress(field.Mem3D(hurr), tr3, core.Options{Tau: tau, Spec: core.ST2, Tel: cfg.Tel},
 				shm.Options{Workers: w, Tel: cfg.Tel, Faults: cfg.Faults})
 		},
 		func(blob []byte, w int) (rep cp.Report, decode time.Duration, err error) {
 			var g *field.Field3D
-			decode = timeIt(func() { g, err = shm.Decompress3D(blob, w) })
+			decode = timeIt(func() {
+				g = field.NewField3D(hurr.NX, hurr.NY, hurr.NZ)
+				err = shm.Decompress(blob, w, field.Mem3D(g))
+			})
 			if err != nil {
 				return rep, decode, err
 			}

@@ -87,6 +87,17 @@ func Mem3D(f *Field3D) *Mem {
 	return &Mem{dims: []int{f.NX, f.NY, f.NZ}, comps: [][]float32{f.U, f.V, f.W}}
 }
 
+// NewMem allocates a zeroed in-memory field of dims [NX, NY] or
+// [NX, NY, NZ] with one component per dimension, e.g. as the sink of a
+// decode whose dims are known only once the container has been read.
+func NewMem(dims []int) *Mem {
+	comps := make([][]float32, len(dims))
+	for c := range comps {
+		comps[c] = make([]float32, safedim.MustProduct(dims...))
+	}
+	return &Mem{dims: dims, comps: comps}
+}
+
 func (s *Mem) Dims() []int { return s.dims }
 
 func (s *Mem) ReadPlanes(start, count int, comps [][]float32) error {

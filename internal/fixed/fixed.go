@@ -46,7 +46,9 @@ var ErrEmpty = errors.New("fixed: no data to fit")
 
 // DomainError reports an input value the pipeline cannot represent: a
 // NaN or an infinity, or (from ToFixedChecked) a finite value whose
-// fixed-point image under the caller's transform exceeds MaxMagnitude.
+// fixed-point image under the caller's transform exceeds MaxMagnitude,
+// or a finite parameter outside its domain (a non-positive error bound,
+// a grid extent below two points).
 // For a field element, Component and Index locate the first offending
 // value (component index, then element index within it); for a parameter
 // such as the error bound, Param names it and Component and Index are
@@ -60,7 +62,10 @@ type DomainError struct {
 
 func (e *DomainError) Error() string {
 	if e.Param != "" {
-		return fmt.Sprintf("fixed: non-finite %s %v", e.Param, e.Value)
+		if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
+			return fmt.Sprintf("fixed: non-finite %s %v", e.Param, e.Value)
+		}
+		return fmt.Sprintf("fixed: %s %v out of domain", e.Param, e.Value)
 	}
 	if !math.IsNaN(e.Value) && !math.IsInf(e.Value, 0) {
 		return fmt.Sprintf("fixed: value %v at component %d, index %d exceeds the fixed-point range (magnitude %d) of the transform",

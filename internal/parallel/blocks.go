@@ -1,0 +1,123 @@
+package parallel
+
+import (
+	"repro/internal/core"
+	"repro/internal/field"
+	"repro/internal/fixed"
+	"repro/internal/mpi"
+	"repro/internal/safedim"
+)
+
+// CompressDistributed2D compresses f on a simulated PX×PY machine.
+func CompressDistributed2D(f *field.Field2D, tr fixed.Transform, opts core.Options,
+	grid Grid2D, strat Strategy, mcfg mpi.Config) (Result, error) {
+	return compressDistributed([]int{f.NX, f.NY}, f.Components(), []int{grid.PX, grid.PY}, tr, opts, strat, mcfg)
+}
+
+// DecompressDistributed2D decodes the per-rank blobs on the simulated
+// machine and reassembles the global field. The returned stats carry the
+// decompression makespan.
+func DecompressDistributed2D(blobs [][]byte, grid Grid2D, nx, ny int, mcfg mpi.Config) (*field.Field2D, mpi.Stats, error) {
+	out := field.NewField2D(nx, ny)
+	st, err := decompressDistributed(blobs, []int{nx, ny}, out.Components(), []int{grid.PX, grid.PY}, mcfg)
+	if err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
+}
+
+// CompressDistributed3D compresses f on a simulated PX×PY×PZ machine.
+func CompressDistributed3D(f *field.Field3D, tr fixed.Transform, opts core.Options,
+	grid Grid3D, strat Strategy, mcfg mpi.Config) (Result, error) {
+	return compressDistributed([]int{f.NX, f.NY, f.NZ}, f.Components(), []int{grid.PX, grid.PY, grid.PZ}, tr, opts, strat, mcfg)
+}
+
+// DecompressDistributed3D decodes the per-rank blobs and reassembles the
+// global field.
+func DecompressDistributed3D(blobs [][]byte, grid Grid3D, nx, ny, nz int, mcfg mpi.Config) (*field.Field3D, mpi.Stats, error) {
+	out := field.NewField3D(nx, ny, nz)
+	st, err := decompressDistributed(blobs, []int{nx, ny, nz}, out.Components(), []int{grid.PX, grid.PY, grid.PZ}, mcfg)
+	if err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
+}
+
+// decomposition is the rank layout of one distributed run: the global
+// dims and, per axis, the ranks' spans along it. A 2D run is a 3D one
+// with a single rank along a unit Z axis.
+type decomposition struct {
+	dims  []int
+	spans [][]Span
+	grid  [3]int
+}
+
+func decompose(dims, grid []int) (decomposition, error) {
+	d := decomposition{dims: dims, spans: make([][]Span, len(dims)), grid: [3]int{1, 1, 1}}
+	for a := range dims {
+		spans, err := Partition(dims[a], grid[a])
+		if err != nil {
+			return decomposition{}, err
+		}
+		d.spans[a], d.grid[a] = spans, grid[a]
+	}
+	return d, nil
+}
+
+// ranks returns the rank count.
+func (d decomposition) ranks() int { return safedim.MustProduct(d.grid[:]...) }
+
+// coords maps a rank to its grid position (X fastest).
+func (d decomposition) coords(rank int) [3]int {
+	return [3]int{rank % d.grid[0], (rank / d.grid[0]) % d.grid[1], rank / (d.grid[0] * d.grid[1])}
+}
+
+// box returns the origin and own dims of the sub-block at grid position p.
+func (d decomposition) box(p [3]int) (origin, size []int) {
+	origin, size = make([]int, len(d.dims)), make([]int, len(d.dims))
+	for a, spans := range d.spans {
+		origin[a], size[a] = spans[p[a]].Start, spans[p[a]].Size
+	}
+	return origin, size
+}
+
+// boxCopy moves the sub-block of own dims size at origin between a
+// global component of dims d.dims and a dense block buffer: it gathers
+// into box when gather is set and scatters from it otherwise.
+func (d decomposition) boxCopy(global, box []float32, origin, size []int, gather bool) {
+	dims, o, s := [3]int{1, 1, 1}, [3]int{}, [3]int{1, 1, 1}
+	copy(dims[:], d.dims)
+	copy(o[:], origin)
+	copy(s[:], size)
+	for k := 0; k < s[2]; k++ {
+		for j := 0; j < s[1]; j++ {
+			g := ((o[2]+k)*dims[1]+(o[1]+j))*dims[0] + o[0]
+			b := (k*s[1] + j) * s[0]
+			if gather {
+				copy(box[b:b+s[0]], global[g:])
+			} else {
+				copy(global[g:g+s[0]], box[b:])
+			}
+		}
+	}
+}
+
+// FitTransformDistributed computes the shared transform the way a real
+// MPI program does: every rank reduces the absolute maximum of its local
+// components, the maxima are combined with an allreduce, and each rank
+// derives the (identical) transform from the global maximum.
+func FitTransformDistributed(c *mpi.Comm, comps ...[]float32) fixed.Transform {
+	localMax := 0.0
+	for _, comp := range comps {
+		for _, v := range comp {
+			a := float64(v)
+			if a < 0 {
+				a = -a
+			}
+			if a > localMax {
+				localMax = a
+			}
+		}
+	}
+	return fixed.FromMaxAbs(c.AllReduceMax(localMax))
+}

@@ -2,18 +2,20 @@ package parallel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/fixed"
 	"repro/internal/mpi"
 	"repro/internal/safedim"
 	"repro/internal/telemetry"
 )
 
 // The dimension-generic distributed driver. CompressDistributed2D/3D and
-// DecompressDistributed2D/3D are thin wrappers that extract the per-rank
-// sub-blocks and scatter the decoded blocks; everything else — rank
-// topology, the phase-1/phase-2 ghost exchanges of the ratio-oriented
-// protocol (Fig. 4), timing, and result aggregation — lives here once.
+// DecompressDistributed2D/3D (blocks.go) are one-line wrappers; the
+// sub-block gather and scatter, rank topology, the phase-1/phase-2 ghost
+// exchanges of the ratio-oriented protocol (Fig. 4), timing, and result
+// aggregation all live here once.
 
 // Result summarizes a distributed compression run.
 type Result struct {
@@ -116,20 +118,6 @@ func opposite(side int) int {
 	return side - 1
 }
 
-// blockEncoder is the per-rank encoder surface the driver runs; both
-// core.Encoder2D and core.Encoder3D satisfy it.
-type blockEncoder interface {
-	Prepare()
-	Run()
-	RunPhase1()
-	RunPhase2()
-	Finish() ([]byte, error)
-	Stats() core.Stats
-	BorderPlane(side int) [][]int64
-	SetGhostPlane(side int, vals [][]int64) error
-	Close()
-}
-
 // flatten packs the per-component planes of one border into a single
 // message payload; splitComps is its inverse on the receiving side.
 func flatten(planes [][]int64) []int64 {
@@ -149,36 +137,39 @@ func splitComps(vals []int64, nc int) [][]int64 {
 	return out
 }
 
-// compressDistributed runs one compression job on a simulated machine of
-// dims[0]×dims[1]×dims[2] ranks (a 2D grid passes dims[2] == 1). newEnc
-// builds rank p's encoder from its sub-block; everything else is
-// dimension-generic.
-func compressDistributed(name string, ndim int, dims [3]int, rawBytes int64,
-	opts core.Options, strat Strategy, mcfg mpi.Config,
-	newEnc func(p [3]int, o core.Options, neighbor [6]bool) (blockEncoder, error)) (Result, error) {
+// compressDistributed runs one compression job on a simulated machine
+// of grid[0]×grid[1](×grid[2]) ranks over a field of the given dims and
+// components: each rank gathers its sub-block into a core.Block and
+// drives one encoder through the strategy's protocol.
+func compressDistributed(dims []int, comps [][]float32, grid []int, tr fixed.Transform,
+	opts core.Options, strat Strategy, mcfg mpi.Config) (Result, error) {
 
-	nc := ndim
-	ranks := safedim.MustProduct(dims[0], dims[1], dims[2])
+	d, err := decompose(dims, grid)
+	if err != nil {
+		return Result{}, err
+	}
+	ndim, nc := len(dims), len(comps)
+	ranks := d.ranks()
 	mcfg.Ranks = ranks
 	if mcfg.Tel == nil {
 		mcfg.Tel = opts.Tel
 	}
-	rt := newRunTel(mcfg.Tel, "parallel.compress"+name, ranks)
+	rt := newRunTel(mcfg.Tel, fmt.Sprintf("parallel.compress%dd", ndim), ranks)
 
 	blobs := make([][]byte, ranks)
 	errs := make([]error, ranks)
 	stats := make([]core.Stats, ranks)
 
 	st := mpi.Run(mcfg, func(c *mpi.Comm) {
-		p := [3]int{c.Rank % dims[0], (c.Rank / dims[0]) % dims[1], c.Rank / (dims[0] * dims[1])}
-		stride := [3]int{1, dims[0], dims[0] * dims[1]}
+		p := d.coords(c.Rank)
+		stride := [3]int{1, d.grid[0], d.grid[0] * d.grid[1]}
 		nb := [6]int{-1, -1, -1, -1, -1, -1}
 		var neighbor [6]bool
 		for ax := 0; ax < ndim; ax++ {
 			if p[ax] > 0 {
 				nb[2*ax] = c.Rank - stride[ax]
 			}
-			if p[ax] < dims[ax]-1 {
+			if p[ax] < d.grid[ax]-1 {
 				nb[2*ax+1] = c.Rank + stride[ax]
 			}
 		}
@@ -187,10 +178,21 @@ func compressDistributed(name string, ndim int, dims [3]int, rawBytes int64,
 				neighbor[s] = true
 			}
 		}
+		origin, size := d.box(p)
+		sub := make([][]float32, nc)
+		for ci := range sub {
+			sub[ci] = make([]float32, safedim.MustProduct(size...))
+			d.boxCopy(comps[ci], sub[ci], origin, size, true)
+		}
 		o := opts
 		o.Tel = mcfg.Tel
 		o.TelSpan = rt.rank(c.Rank)
-		enc, err := newEnc(p, o, neighbor)
+		enc, err := core.NewEncoder(core.Block{
+			Dims: size, Comps: sub, Transform: tr, Opts: o,
+			Origin: origin, Global: dims, Neighbor: neighbor,
+			LosslessBorder: strat == LosslessBorders,
+			TwoPhase:       strat == RatioOriented,
+		})
 		if err != nil {
 			errs[c.Rank] = err
 			return
@@ -283,7 +285,7 @@ func compressDistributed(name string, ndim int, dims [3]int, rawBytes int64,
 			return Result{}, err
 		}
 	}
-	res := Result{Blobs: blobs, Stats: st, RawBytes: rawBytes}
+	res := Result{Blobs: blobs, Stats: st, RawBytes: int64(nc*len(comps[0])) * 4}
 	for _, b := range blobs {
 		res.CompressedBytes += int64(len(b))
 	}
@@ -294,18 +296,40 @@ func compressDistributed(name string, ndim int, dims [3]int, rawBytes int64,
 }
 
 // decompressDistributed decodes the per-rank blobs on the simulated
-// machine. decode is rank p's decode-and-scatter step; its decode portion
-// is timed under the rank's "decode" span.
-func decompressDistributed(name string, dims [3]int, mcfg mpi.Config,
-	decode func(c *mpi.Comm, p [3]int, span *telemetry.Span) error) (mpi.Stats, error) {
-
-	ranks := safedim.MustProduct(dims[0], dims[1], dims[2])
+// machine, scattering each decoded sub-block into out (the global
+// components of a field of the given dims). Each rank's decode is timed
+// under its "decode" span.
+func decompressDistributed(blobs [][]byte, dims []int, out [][]float32, grid []int, mcfg mpi.Config) (mpi.Stats, error) {
+	d, err := decompose(dims, grid)
+	if err != nil {
+		return mpi.Stats{}, err
+	}
+	ranks := d.ranks()
+	if len(blobs) != ranks {
+		return mpi.Stats{}, fmt.Errorf("parallel: %d blobs for %d ranks", len(blobs), ranks)
+	}
 	mcfg.Ranks = ranks
 	errs := make([]error, ranks)
-	rt := newRunTel(mcfg.Tel, "parallel.decompress"+name, ranks)
+	rt := newRunTel(mcfg.Tel, fmt.Sprintf("parallel.decompress%dd", len(dims)), ranks)
 	st := mpi.Run(mcfg, func(c *mpi.Comm) {
-		p := [3]int{c.Rank % dims[0], (c.Rank / dims[0]) % dims[1], c.Rank / (dims[0] * dims[1])}
-		errs[c.Rank] = decode(c, p, rt.rank(c.Rank))
+		origin, size := d.box(d.coords(c.Rank))
+		var got []int
+		var comps [][]float32
+		var err error
+		dt := c.Time(func() {
+			got, comps, err = core.Decompress(blobs[c.Rank])
+		})
+		rt.rank(c.Rank).AddChild("decode", dt)
+		if err == nil && !slices.Equal(got, size) {
+			err = fmt.Errorf("parallel: rank %d block has dims %v, want %v", c.Rank, got, size)
+		}
+		if err != nil {
+			errs[c.Rank] = err
+			return
+		}
+		for ci := range out {
+			d.boxCopy(out[ci], comps[ci], origin, size, false)
+		}
 	})
 	rt.finish()
 	for _, err := range errs {

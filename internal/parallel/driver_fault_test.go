@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/fixed"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
@@ -17,7 +18,7 @@ import (
 // stragglers show up in telemetry.
 func TestDistributedGhostStragglerRecovers(t *testing.T) {
 	f := smooth2D(7, 48, 48)
-	tr, err := GlobalTransform2D(f)
+	tr, err := fixed.Fit(f.Components()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestDistributedGhostStragglerRecovers(t *testing.T) {
 // from the driver, not a hang and not a bad archive.
 func TestDistributedGhostTimeoutFails(t *testing.T) {
 	f := smooth2D(7, 48, 48)
-	tr, err := GlobalTransform2D(f)
+	tr, err := fixed.Fit(f.Components()...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cp"
 	"repro/internal/encoder"
 	"repro/internal/field"
+	"repro/internal/fixed"
 	"repro/internal/mpi"
 )
 
@@ -91,7 +92,7 @@ func TestStrategyString(t *testing.T) {
 
 func runStrategy2D(t *testing.T, f *field.Field2D, grid Grid2D, strat Strategy, spec core.Speculation) (cp.Report, Result) {
 	t.Helper()
-	tr, err := GlobalTransform2D(f)
+	tr, err := fixed.Fit(f.Components()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestNaiveBreaksBorderCells2D(t *testing.T) {
 	// that preservation *may* fail, never that interior points break:
 	// every false case must touch a rank boundary.
 	f := smooth2D(5, 48, 40)
-	tr, _ := GlobalTransform2D(f)
+	tr, _ := fixed.Fit(f.Components()...)
 	orig := cp.DetectField2D(f, tr)
 	res, err := CompressDistributed2D(f, tr, core.Options{Tau: 0.05, Spec: core.NoSpec}, Grid2D{PX: 4, PY: 4}, Naive, mpi.Config{})
 	if err != nil {
@@ -206,7 +207,7 @@ func TestRatioOrientedBeatsLosslessBordersRatio(t *testing.T) {
 
 func TestDistributed3DPreservation(t *testing.T) {
 	f := smooth3D(7, 16)
-	tr, err := GlobalTransform3D(f)
+	tr, err := fixed.Fit(f.Components()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestDistributed3DPreservation(t *testing.T) {
 
 func TestErrorBoundHolds2DDistributed(t *testing.T) {
 	f := smooth2D(8, 48, 40)
-	tr, _ := GlobalTransform2D(f)
+	tr, _ := fixed.Fit(f.Components()...)
 	res, err := CompressDistributed2D(f, tr, core.Options{Tau: 0.02}, Grid2D{PX: 2, PY: 2}, RatioOriented, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +251,7 @@ func TestErrorBoundHolds2DDistributed(t *testing.T) {
 
 func TestSingleRankMatchesSingleNode(t *testing.T) {
 	f := smooth2D(9, 32, 32)
-	tr, _ := GlobalTransform2D(f)
+	tr, _ := fixed.Fit(f.Components()...)
 	res, err := CompressDistributed2D(f, tr, core.Options{Tau: 0.01}, Grid2D{PX: 1, PY: 1}, RatioOriented, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +283,7 @@ func TestSingleRankMatchesSingleNode(t *testing.T) {
 
 func TestFitTransformDistributedMatchesGlobal(t *testing.T) {
 	f := smooth2D(11, 40, 32)
-	want, err := GlobalTransform2D(f)
+	want, err := fixed.Fit(f.Components()...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,7 @@
 // strategy (ghost exchange, near-single-node ratios).
 package parallel
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Strategy selects the distributed compression scheme.
 type Strategy int
@@ -79,5 +76,3 @@ func Partition(n, p int) ([]Span, error) {
 	}
 	return spans, nil
 }
-
-var errGrid = errors.New("parallel: invalid rank grid")

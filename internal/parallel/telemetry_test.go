@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fixed"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
@@ -15,7 +16,7 @@ import (
 // encoder stats.
 func TestDistributedTelemetry2D(t *testing.T) {
 	f := smooth2D(21, 64, 56)
-	tr, err := GlobalTransform2D(f)
+	tr, err := fixed.Fit(f.Components()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestDistributedTelemetry2D(t *testing.T) {
 // the same field (vertex count only; border handling differs).
 func TestDistributedTelemetry3D(t *testing.T) {
 	f := smooth3D(22, 12)
-	tr, err := GlobalTransform3D(f)
+	tr, err := fixed.Fit(f.Components()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestDistributedTelemetry3D(t *testing.T) {
 // TestDistributedDecompressTelemetry checks the decompress run span.
 func TestDistributedDecompressTelemetry(t *testing.T) {
 	f := smooth2D(23, 48, 40)
-	tr, err := GlobalTransform2D(f)
+	tr, err := fixed.Fit(f.Components()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestDistributedDecompressTelemetry(t *testing.T) {
 // distributed path fully functional (the disabled fast path).
 func TestTelemetryDisabledDistributed(t *testing.T) {
 	f := smooth2D(24, 48, 40)
-	tr, err := GlobalTransform2D(f)
+	tr, err := fixed.Fit(f.Components()...)
 	if err != nil {
 		t.Fatal(err)
 	}

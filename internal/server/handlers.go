@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/codec"
-	"repro/internal/cp"
 	"repro/internal/field"
 	"repro/internal/fixed"
 	"repro/internal/flightrec"
@@ -207,7 +206,7 @@ func parseParams(r *http.Request, needDims bool) (reqParams, error) {
 		p.version = n
 	}
 	if d := q.Get("dims"); d != "" {
-		dims, err := parseDims(d)
+		dims, err := codec.ParseDims(d)
 		if err != nil {
 			return p, err
 		}
@@ -247,23 +246,6 @@ func paramStatus(err error) int {
 		return http.StatusUnprocessableEntity
 	}
 	return http.StatusBadRequest
-}
-
-// parseDims parses "NXxNY" or "NXxNYxNZ" (the topozip CLI syntax).
-func parseDims(s string) ([]int, error) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	if len(parts) != 2 && len(parts) != 3 {
-		return nil, fmt.Errorf("bad dims %q: want NXxNY or NXxNYxNZ", s)
-	}
-	dims := make([]int, len(parts))
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad dims %q: each dimension must be an integer >= 2", s)
-		}
-		dims[i] = n
-	}
-	return dims, nil
 }
 
 // pipelineOpts builds the per-request slab pipeline configuration: the
@@ -620,41 +602,19 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Critical points of both fields under the shared transform — the
-	// paper's preservation criterion is exact agreement cell by cell.
-	stats, err := field.SourceStats(src, 0)
+	fid, err := analysis.Verify(src, decSrc, 0, 0)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	tr := fixed.FromMaxAbs(stats.MaxAbs)
-	detect := cp.DetectSource2D
-	if len(p.dims) == 3 {
-		detect = cp.DetectSource3D
-	}
-	op, err := detect(src, tr, 0)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	dp, err := detect(decSrc, tr, 0)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	rep := cp.Compare(op, dp)
-	maxErr, psnr, err := analysis.SourceError(src, decSrc, 0)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
+	rep := fid.Report
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(verifyReport{
 		Dims: p.dims, TauAbs: res.TauAbs,
 		RawBytes: res.RawBytes, CompressedBytes: res.CompressedBytes,
 		Ratio: float64(res.RawBytes) / float64(res.CompressedBytes),
 		TP:    rep.TP, FP: rep.FP, FN: rep.FN, FT: rep.FT,
-		Preserved: rep.Preserved(), MaxAbsError: maxErr, PSNRdB: psnr,
+		Preserved: rep.Preserved(), MaxAbsError: fid.MaxAbsError, PSNRdB: fid.PSNR,
 	})
 }
 

@@ -126,8 +126,8 @@ func TestRoundTripDecompress(t *testing.T) {
 	}
 	// The streamed answer must match an in-memory decode of the same
 	// container bit for bit.
-	ref, err := shm.Decompress2D(container, 1)
-	if err != nil {
+	ref := field.NewField2D(48, 40)
+	if err := shm.Decompress(container, 1, field.Mem2D(ref)); err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
@@ -398,7 +398,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	// The container from the panicking run must still decode cleanly
 	// (topology preservation of the escape path is pinned down by the
 	// shm fault tests).
-	if _, err := shm.Decompress2D(container, 1); err != nil {
+	if err := shm.Decompress(container, 1, field.Mem2D(field.NewField2D(64, 64))); err != nil {
 		t.Fatalf("container from panicking run is corrupt: %v", err)
 	}
 	hz, err := http.Get(base + "/healthz")

@@ -50,7 +50,7 @@ func TestStreamCompressCanceledBeforeRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	_, err := CompressStream2D(field.Mem2D(f), &buf, tr, core.Options{Tau: 0.01},
+	_, err := CompressStream(field.Mem2D(f), &buf, tr, core.Options{Tau: 0.01},
 		Options{Ctx: ctx, Workers: 2, Slabs: 6})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -67,7 +67,7 @@ func TestStreamCompressCanceledMidRun(t *testing.T) {
 	errCh := make(chan error, 1)
 	var buf bytes.Buffer
 	go func() {
-		_, err := CompressStream2D(gate, &buf, tr, core.Options{Tau: 0.01},
+		_, err := CompressStream(gate, &buf, tr, core.Options{Tau: 0.01},
 			Options{Ctx: ctx, Workers: 2, Slabs: 8, Window: 2})
 		errCh <- err
 	}()
@@ -93,7 +93,7 @@ func TestStreamCompressDeadlineExceeded(t *testing.T) {
 	errCh := make(chan error, 1)
 	var buf bytes.Buffer
 	go func() {
-		_, err := CompressStream2D(gate, &buf, tr, core.Options{Tau: 0.01},
+		_, err := CompressStream(gate, &buf, tr, core.Options{Tau: 0.01},
 			Options{Ctx: ctx, Workers: 1, Slabs: 8, Window: 1})
 		errCh <- err
 	}()
@@ -112,7 +112,7 @@ func TestStreamCompressDeadlineExceeded(t *testing.T) {
 // A canceled context aborts the streaming decode with the typed error.
 func TestDecompressToCanceled(t *testing.T) {
 	f, tr := testField2D(t)
-	res, err := Compress2D(f, tr, core.Options{Tau: 0.01}, Options{Workers: 2, Slabs: 4})
+	res, err := Compress(field.Mem2D(f), tr, core.Options{Tau: 0.01}, Options{Workers: 2, Slabs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestDecompressToCanceled(t *testing.T) {
 // bytes to a plain run.
 func TestNilContextIdentical(t *testing.T) {
 	f, tr := testField2D(t)
-	plain, err := Compress2D(f, tr, core.Options{Tau: 0.01}, Options{Workers: 2, Slabs: 4})
+	plain, err := Compress(field.Mem2D(f), tr, core.Options{Tau: 0.01}, Options{Workers: 2, Slabs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := Compress2D(f, tr, core.Options{Tau: 0.01},
+	withCtx, err := Compress(field.Mem2D(f), tr, core.Options{Tau: 0.01},
 		Options{Ctx: context.Background(), Workers: 2, Slabs: 4})
 	if err != nil {
 		t.Fatal(err)

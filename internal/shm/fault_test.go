@@ -10,6 +10,7 @@ import (
 	"repro/internal/cp"
 	"repro/internal/datagen"
 	"repro/internal/faultinject"
+	"repro/internal/field"
 	"repro/internal/fixed"
 	"repro/internal/flightrec"
 	"repro/internal/integrity"
@@ -27,7 +28,7 @@ func TestSlabPanicRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.Options{Tau: 0.01, Spec: core.ST2}
-	clean, err := Compress2D(f, tr, opts, Options{Slabs: 6})
+	clean, err := Compress(field.Mem2D(f), tr, opts, Options{Slabs: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestSlabPanicRetry(t *testing.T) {
 		Seed: 11,
 		Prob: [faultinject.NumKinds]float64{faultinject.KindPanic: 0.4},
 	})
-	res, err := Compress2D(f, tr, opts, Options{
+	res, err := Compress(field.Mem2D(f), tr, opts, Options{
 		Slabs: 6, Faults: inj, MaxAttempts: 8, RetryBackoff: time.Microsecond,
 	})
 	if err != nil {
@@ -74,7 +75,7 @@ func TestSlabDegradationPreservesTopology(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Compress2D(f, tr, core.Options{Tau: 0.02, Spec: core.ST2}, Options{
+		res, err := Compress(field.Mem2D(f), tr, core.Options{Tau: 0.02, Spec: core.ST2}, Options{
 			Slabs: 5, Faults: inj(), MaxAttempts: 2, RetryBackoff: time.Microsecond, Tel: tel,
 		})
 		if err != nil {
@@ -86,7 +87,7 @@ func TestSlabDegradationPreservesTopology(t *testing.T) {
 		if res.Ratio() >= 1 {
 			t.Logf("note: degraded ratio %.2f (lossless escapes are big)", res.Ratio())
 		}
-		g, err := Decompress2D(res.Blob, 0)
+		g, err := decode2D(res.Blob, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestSlabDegradationPreservesTopology(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Compress3D(f, tr, core.Options{Tau: 0.02}, Options{
+		res, err := Compress(field.Mem3D(f), tr, core.Options{Tau: 0.02}, Options{
 			Slabs: 4, Faults: inj(), MaxAttempts: 2, RetryBackoff: time.Microsecond, Tel: tel,
 		})
 		if err != nil {
@@ -117,7 +118,7 @@ func TestSlabDegradationPreservesTopology(t *testing.T) {
 		if len(res.Degraded) != 4 {
 			t.Fatalf("all 4 slabs should degrade, got %v", res.Degraded)
 		}
-		g, err := Decompress3D(res.Blob, 0)
+		g, err := decode3D(res.Blob, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +142,7 @@ func TestSlabTimeoutDegrades(t *testing.T) {
 	}
 	// A 1ns deadline: every real encode times out, the fallback (which
 	// runs outside the deadline) completes.
-	res, err := Compress2D(f, tr, core.Options{Tau: 0.02}, Options{
+	res, err := Compress(field.Mem2D(f), tr, core.Options{Tau: 0.02}, Options{
 		Slabs: 3, SlabTimeout: time.Nanosecond,
 		MaxAttempts: 2, RetryBackoff: time.Microsecond,
 	})
@@ -151,7 +152,7 @@ func TestSlabTimeoutDegrades(t *testing.T) {
 	if res.Timeouts == 0 || len(res.Degraded) != 3 {
 		t.Fatalf("want timeouts and 3 degraded slabs, got %+v", res)
 	}
-	if _, err := Decompress2D(res.Blob, 0); err != nil {
+	if _, err := decode2D(res.Blob, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -172,14 +173,14 @@ func TestSlabCorruptionDetected(t *testing.T) {
 		// slab attributable.
 		MaxFires: 1,
 	})
-	res, err := Compress2D(f, tr, core.Options{Tau: 0.01}, Options{Slabs: 6, Faults: inj})
+	res, err := Compress(field.Mem2D(f), tr, core.Options{Tau: 0.01}, Options{Slabs: 6, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inj.Fired(faultinject.KindBitFlip) != 1 {
 		t.Fatal("bit flip did not fire")
 	}
-	g, err := Decompress2D(res.Blob, 0)
+	g, err := decode2D(res.Blob, 0)
 	if err == nil {
 		// The decode survived a post-encode flip only if it decoded to
 		// exactly the clean bytes, which a flipped bit cannot.
@@ -210,11 +211,11 @@ func TestSlabTruncationDetected(t *testing.T) {
 		Prob:     [faultinject.NumKinds]float64{faultinject.KindTruncate: 1},
 		MaxFires: 1,
 	})
-	res, err := Compress2D(f, tr, core.Options{Tau: 0.01}, Options{Slabs: 4, Faults: inj})
+	res, err := Compress(field.Mem2D(f), tr, core.Options{Tau: 0.01}, Options{Slabs: 4, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress2D(res.Blob, 0); err == nil {
+	if _, err := decode2D(res.Blob, 0); err == nil {
 		t.Fatal("truncated slab decoded without error")
 	}
 }
@@ -235,7 +236,7 @@ func TestFlightRecorderCapturesDegradation(t *testing.T) {
 	})
 	rec := flightrec.New(0)
 	inj.SetRecorder(rec)
-	res, err := Compress2D(f, tr, core.Options{Tau: 0.02, Spec: core.ST2}, Options{
+	res, err := Compress(field.Mem2D(f), tr, core.Options{Tau: 0.02, Spec: core.ST2}, Options{
 		Slabs: 5, Faults: inj, MaxAttempts: 2, RetryBackoff: time.Microsecond, Rec: rec,
 	})
 	if err != nil {
@@ -305,5 +306,49 @@ func TestFlightRecorderCapturesDegradation(t *testing.T) {
 	written, err := rec.DumpOnOutcome(nil, len(res.Degraded) > 0)
 	if err != nil || written != path {
 		t.Fatalf("DumpOnOutcome = %q, %v", written, err)
+	}
+}
+
+// TestInputErrorNotRetried: a value outside the transform's range fails
+// every attempt and the lossless fallback alike, so the slab returns its
+// *fixed.DomainError at once — no retry, no backoff, no retry or
+// degraded events — with the index re-based onto the whole field. The
+// same holds for a block too thin to hold a cell.
+func TestInputErrorNotRetried(t *testing.T) {
+	f := datagen.Ocean(16, 32)
+	tr, err := fixed.Fit(f.U[:16*10], f.V[:16*10]) // fitted on rows 0-9 only
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 323 // row 20, in slab 2 of 4
+	f.V[bad] = 1e30
+	rec := flightrec.New(0)
+	po := Options{Slabs: 4, Workers: 2, Rec: rec, RetryBackoff: time.Second}
+	t0 := time.Now()
+	_, err = Compress(field.Mem2D(f), tr, core.Options{Tau: 0.01}, po)
+	var de *fixed.DomainError
+	if !errors.As(err, &de) || de.Component != 1 || de.Index != bad {
+		t.Fatalf("err = %v, want *fixed.DomainError at component 1, global index %d", err, bad)
+	}
+	if d := time.Since(t0); d >= po.RetryBackoff {
+		t.Errorf("run took %v: the input error was retried with backoff", d)
+	}
+	for _, ev := range rec.Snapshot() {
+		if ev.Kind == flightrec.KindRetry || ev.Kind == flightrec.KindDegraded {
+			t.Errorf("input error recorded a %v event for slab %d", ev.Kind, ev.Slab)
+		}
+	}
+
+	thin := field.NewField2D(1, 32)
+	rec = flightrec.New(0)
+	po.Rec = rec
+	_, err = Compress(field.Mem2D(thin), fixed.FromShift(10), core.Options{Tau: 0.01}, po)
+	if !errors.As(err, &de) || de.Param != "nx" {
+		t.Fatalf("1-wide field: err = %v, want *fixed.DomainError for nx", err)
+	}
+	for _, ev := range rec.Snapshot() {
+		if ev.Kind == flightrec.KindRetry || ev.Kind == flightrec.KindDegraded {
+			t.Errorf("1-wide field recorded a %v event for slab %d", ev.Kind, ev.Slab)
+		}
 	}
 }

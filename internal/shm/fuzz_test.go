@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/field"
 	"repro/internal/fixed"
 )
 
@@ -24,7 +25,7 @@ func FuzzContainerDecompress(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	res, err := Compress2D(fld, tr, core.Options{Tau: 0.05}, Options{Slabs: 4, Workers: 2})
+	res, err := Compress(field.Mem2D(fld), tr, core.Options{Tau: 0.05}, Options{Slabs: 4, Workers: 2})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func FuzzContainerDecompress(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := Decompress2D(data, 2)
+		out, err := decode2D(data, 2)
 		if err != nil {
 			return
 		}

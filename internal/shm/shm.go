@@ -18,12 +18,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/field"
+	"repro/internal/fixed"
 	"repro/internal/flightrec"
 	"repro/internal/integrity"
 	"repro/internal/telemetry"
@@ -254,7 +256,8 @@ func runAttempt(i, attempt int, timeout time.Duration, inj *faultinject.Injector
 // encodeSlab drives the bounded attempt loop for one slab: retry with
 // exponential backoff on panic/error/deadline, then degrade to the
 // lossless escape encoding so the run completes with every critical
-// point intact.
+// point intact. A *fixed.DomainError (input outside the pipeline's
+// domain) is returned at once.
 func encodeSlab(i int, name string, po Options, span *telemetry.Span,
 	encode func(i int, span *telemetry.Span) ([]byte, core.Stats, error),
 	fallback func(i int) ([]byte, core.Stats, error)) slabOutcome {
@@ -286,6 +289,14 @@ func encodeSlab(i int, name string, po Options, span *telemetry.Span,
 		res, timedOut := runAttempt(i, attempt, po.SlabTimeout, po.Faults, span, encode)
 		if res.err == nil {
 			out.blob, out.stats = res.blob, res.stats
+			return out
+		}
+		// Input the pipeline cannot represent fails every attempt and the
+		// lossless fallback alike: report it at once, neither retried nor
+		// counted as a degradation.
+		var de *fixed.DomainError
+		if errors.As(res.err, &de) {
+			out.err = res.err
 			return out
 		}
 		lastErr = res.err
@@ -344,39 +355,17 @@ func firstSlabErr(errs []error) error {
 	return nil
 }
 
-// Decompress2D decodes a Compress2D container (or a bare 2D block) held
-// in memory: the in-memory convenience wrapper over DecompressTo, with
-// the field itself as the sink. The result is identical for any worker
-// count (<= 0 means GOMAXPROCS).
-func Decompress2D(data []byte, workers int) (*field.Field2D, error) {
-	var f *field.Field2D
+// Decompress decodes a container (or a bare block) held in memory into
+// dst, whose dims must equal the stored field's: the in-memory
+// convenience wrapper over DecompressTo. The result is identical for any
+// worker count (<= 0 means GOMAXPROCS).
+func Decompress(data []byte, workers int, dst *field.Mem) error {
 	_, err := DecompressTo(bytes.NewReader(data), int64(len(data)), Options{Workers: workers},
 		func(dims []int) (PlaneSink, error) {
-			if len(dims) != 2 {
-				return nil, fmt.Errorf("shm: container holds a %dD field, want 2D", len(dims))
+			if !slices.Equal(dims, dst.Dims()) {
+				return nil, fmt.Errorf("shm: container holds a field of dims %v, want %v", dims, dst.Dims())
 			}
-			f = field.NewField2D(dims[0], dims[1])
-			return field.Mem2D(f), nil
+			return dst, nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Decompress3D is the 3D variant of Decompress2D.
-func Decompress3D(data []byte, workers int) (*field.Field3D, error) {
-	var f *field.Field3D
-	_, err := DecompressTo(bytes.NewReader(data), int64(len(data)), Options{Workers: workers},
-		func(dims []int) (PlaneSink, error) {
-			if len(dims) != 3 {
-				return nil, fmt.Errorf("shm: container holds a %dD field, want 3D", len(dims))
-			}
-			f = field.NewField3D(dims[0], dims[1], dims[2])
-			return field.Mem3D(f), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+	return err
 }

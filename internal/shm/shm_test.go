@@ -2,6 +2,8 @@ package shm
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/archive"
@@ -25,7 +27,7 @@ func TestShmDeterministic(t *testing.T) {
 		opts := core.Options{Tau: 0.01, Spec: core.ST2}
 		var ref []byte
 		for _, workers := range []int{1, 2, 4, 8} {
-			res, err := Compress2D(f, tr, opts, Options{Workers: workers, Slabs: 6})
+			res, err := Compress(field.Mem2D(f), tr, opts, Options{Workers: workers, Slabs: 6})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -48,7 +50,7 @@ func TestShmDeterministic(t *testing.T) {
 		opts := core.Options{Tau: 0.01}
 		var ref []byte
 		for _, workers := range []int{1, 3, 8} {
-			res, err := Compress3D(f, tr, opts, Options{Workers: workers, Slabs: 5})
+			res, err := Compress(field.Mem3D(f), tr, opts, Options{Workers: workers, Slabs: 5})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -71,14 +73,14 @@ func TestShmRoundTrip2D(t *testing.T) {
 	}
 	const tau = 0.02
 	opts := core.Options{Tau: tau, Spec: core.ST2}
-	res, err := Compress2D(f, tr, opts, Options{Workers: 4})
+	res, err := Compress(field.Mem2D(f), tr, opts, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sr, err := archive.OpenStream(bytes.NewReader(res.Blob), int64(len(res.Blob))); err != nil || sr.Version() != 3 {
 		t.Fatalf("shm output is not a version-3 container: %v", err)
 	}
-	g, err := Decompress2D(res.Blob, 4)
+	g, err := decode2D(res.Blob, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +106,11 @@ func TestShmRoundTrip3D(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.Options{Tau: 0.02}
-	res, err := Compress3D(f, tr, opts, Options{Workers: 3})
+	res, err := Compress(field.Mem3D(f), tr, opts, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decompress3D(res.Blob, 0)
+	g, err := decode3D(res.Blob, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestShmSingleSlab(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.Options{Tau: 0.01}
-	res, err := Compress2D(f, tr, opts, Options{Slabs: 1, Workers: 4})
+	res, err := Compress(field.Mem2D(f), tr, opts, Options{Slabs: 1, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,15 +170,25 @@ func TestDecompressBareBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := Decompress2D(blob, 2)
+	got2, err := decode2D(blob, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !floatsEqual(got2.U, want2.U) || !floatsEqual(got2.V, want2.V) {
 		t.Fatal("2D bare block decodes differently through the container path")
 	}
-	if _, err := Decompress3D(blob, 2); err == nil {
+	if _, err := decode3D(blob, 2); err == nil {
 		t.Error("2D block decoded as 3D")
+	}
+	g := field.NewField2D(f2.NX, f2.NY)
+	if err := Decompress(blob, 2, field.Mem2D(g)); err != nil || !floatsEqual(g.U, want2.U) || !floatsEqual(g.V, want2.V) {
+		t.Errorf("Decompress into a matching field: err %v or values differ", err)
+	}
+	if err := Decompress(blob, 2, field.Mem2D(field.NewField2D(f2.NY, f2.NX))); err == nil {
+		t.Error("Decompress into a transposed field must fail")
+	}
+	if err := Decompress(blob, 2, field.Mem3D(field.NewField3D(f2.NX, f2.NY, 2))); err == nil {
+		t.Error("Decompress of a 2D block into a 3D field must fail")
 	}
 
 	f3 := datagen.Hurricane(12, 12, 10)
@@ -188,7 +200,7 @@ func TestDecompressBareBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got3, err := Decompress3D(blob, 2)
+	got3, err := decode3D(blob, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +211,9 @@ func TestDecompressBareBlock(t *testing.T) {
 
 // TestStreamCompressRejectsBadOptions pins up-front validation: options
 // every slab encode would reject fail the run with an error and write
-// nothing, instead of degrading every slab to lossless storage.
+// nothing, instead of degrading every slab to lossless storage. A
+// non-positive τ and an extent below two points are *fixed.DomainErrors
+// naming the parameter.
 func TestStreamCompressRejectsBadOptions(t *testing.T) {
 	f2 := datagen.Ocean(32, 24)
 	f3 := datagen.Hurricane(8, 8, 8)
@@ -207,15 +221,43 @@ func TestStreamCompressRejectsBadOptions(t *testing.T) {
 	tr3, _ := fixed.Fit(f3.U, f3.V, f3.W)
 	for _, opts := range []core.Options{
 		{Tau: 0},
+		{Tau: -1},
 		{Tau: -0.5},
 		{Tau: 0.01, Spec: core.ST4 + 1},
 	} {
 		var buf bytes.Buffer
-		if _, err := CompressStream2D(field.Mem2D(f2), &buf, tr2, opts, Options{Workers: 2}); err == nil || buf.Len() != 0 {
+		_, err := CompressStream(field.Mem2D(f2), &buf, tr2, opts, Options{Workers: 2})
+		if err == nil || buf.Len() != 0 {
 			t.Errorf("2D %+v: err %v, %d bytes written", opts, err, buf.Len())
 		}
-		if _, err := CompressStream3D(field.Mem3D(f3), &buf, tr3, opts, Options{Workers: 2}); err == nil || buf.Len() != 0 {
+		var de *fixed.DomainError
+		if opts.Tau <= 0 && (!errors.As(err, &de) || de.Param != "tau" || de.Value != opts.Tau) {
+			t.Errorf("2D tau=%v: err = %v, want *fixed.DomainError for tau", opts.Tau, err)
+		}
+		_, err = CompressStream(field.Mem3D(f3), &buf, tr3, opts, Options{Workers: 2})
+		if err == nil || buf.Len() != 0 {
 			t.Errorf("3D %+v: err %v, %d bytes written", opts, err, buf.Len())
+		}
+		if opts.Tau <= 0 && (!errors.As(err, &de) || de.Param != "tau") {
+			t.Errorf("3D tau=%v: err = %v, want *fixed.DomainError for tau", opts.Tau, err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		src   *field.Mem
+		param string
+	}{
+		{"1x8", field.Mem2D(field.NewField2D(1, 8)), "nx"},
+		{"4x4x1", field.Mem3D(field.NewField3D(4, 4, 1)), "nz"},
+	} {
+		var buf bytes.Buffer
+		_, err := CompressStream(tc.src, &buf, fixed.FromShift(10), core.Options{Tau: 0.01}, Options{Workers: 2})
+		var de *fixed.DomainError
+		if !errors.As(err, &de) || de.Param != tc.param || de.Value != 1 {
+			t.Errorf("%s: err = %v, want *fixed.DomainError for %s = 1", tc.name, err, tc.param)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: %d bytes written", tc.name, buf.Len())
 		}
 	}
 }
@@ -226,7 +268,7 @@ func TestShmSlabValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compress2D(f, tr, core.Options{Tau: 0.01}, Options{Slabs: 5}); err == nil {
+	if _, err := Compress(field.Mem2D(f), tr, core.Options{Tau: 0.01}, Options{Slabs: 5}); err == nil {
 		t.Fatal("expected error: 8 planes cannot form 5 slabs of >=2")
 	}
 }
@@ -238,4 +280,38 @@ func TestDefaultSlabs(t *testing.T) {
 			t.Errorf("DefaultSlabs(%d) = %d, want %d", n, got, want)
 		}
 	}
+}
+
+// decode2D and decode3D decode an in-memory container, sizing the field
+// from the dims its blob headers store.
+func decode2D(data []byte, workers int) (*field.Field2D, error) {
+	var f *field.Field2D
+	_, err := DecompressTo(bytes.NewReader(data), int64(len(data)), Options{Workers: workers},
+		func(dims []int) (PlaneSink, error) {
+			if len(dims) != 2 {
+				return nil, fmt.Errorf("container holds %v, want 2D", dims)
+			}
+			f = field.NewField2D(dims[0], dims[1])
+			return field.Mem2D(f), nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func decode3D(data []byte, workers int) (*field.Field3D, error) {
+	var f *field.Field3D
+	_, err := DecompressTo(bytes.NewReader(data), int64(len(data)), Options{Workers: workers},
+		func(dims []int) (PlaneSink, error) {
+			if len(dims) != 3 {
+				return nil, fmt.Errorf("container holds %v, want 3D", dims)
+			}
+			f = field.NewField3D(dims[0], dims[1], dims[2])
+			return field.Mem3D(f), nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }

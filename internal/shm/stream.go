@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -307,14 +308,14 @@ flush:
 	return res, nil
 }
 
-// CompressStream2D compresses the field behind src, slabbed along Y,
-// writing the version-3 container incrementally to w. Peak memory is
+// CompressStream compresses the field behind src, slabbed along its
+// slow axis (the last entry of src.Dims(): Y in 2D, Z in 3D), writing
+// the version-3 container incrementally to w. Peak memory is
 // O(window × slab): at most Options.Window slabs are admitted at once,
-// each worker holds one slab's raw planes, and sealed blobs leave
-// memory as the ordered flusher appends them. Output bytes depend only
-// on the field, tr, opts, and the slab count — never on Workers or
-// Window.
-func CompressStream2D(src field.SlabSource, w io.Writer, tr fixed.Transform, opts core.Options, po Options) (Result, error) {
+// each worker holds one slab's raw planes, and sealed blobs leave memory
+// as the ordered flusher appends them. Output bytes depend only on the
+// field, tr, opts, and the slab count — never on Workers or Window.
+func CompressStream(src field.SlabSource, w io.Writer, tr fixed.Transform, opts core.Options, po Options) (Result, error) {
 	// Options every slab encode would reject (a non-positive or
 	// non-finite bound, an unknown speculation target) would degrade the
 	// whole field to lossless storage: reject them up front instead.
@@ -322,31 +323,52 @@ func CompressStream2D(src field.SlabSource, w io.Writer, tr fixed.Transform, opt
 		return Result{}, err
 	}
 	dims := src.Dims()
-	if len(dims) != 2 {
-		return Result{}, fmt.Errorf("shm: 2D stream compress needs a 2D source, got %d dims", len(dims))
+	nd := len(dims)
+	if nd != 2 && nd != 3 {
+		return Result{}, fmt.Errorf("shm: stream compress needs a 2D or 3D source, got %d dims", nd)
 	}
-	nx, ny := dims[0], dims[1]
-	po = po.applyBudget(int64(nx)*2*4, ny)
-	slabs, err := slabCount(po.Slabs, ny)
+	nSlow := dims[nd-1]
+	plane, ok := safedim.Product(dims[:nd-1]...)
+	if !ok {
+		return Result{}, fmt.Errorf("shm: source dims %v overflow", dims)
+	}
+	slabBytes := func(planes int) int64 { return int64(plane) * int64(planes) * int64(nd) * 4 }
+	po = po.applyBudget(slabBytes(1), nSlow)
+	slabs, err := slabCount(po.Slabs, nSlow)
 	if err != nil {
 		return Result{}, err
 	}
-	workers := pool.Workers(po.Workers)
-	ys := []parallel.Span{{Start: 0, Size: ny}}
+	spans := []parallel.Span{{Start: 0, Size: nSlow}}
 	if slabs > 1 {
-		if ys, err = parallel.Partition(ny, slabs); err != nil {
+		if spans, err = parallel.Partition(nSlow, slabs); err != nil {
 			return Result{}, err
 		}
 	}
-	rawBytes := int64(safedim.MustProduct(nx, ny)) * 2 * 4
-	return streamRun("shm.compress2d", rawBytes, slabs, workers, po, w,
+	// read loads slab i into the attempt's buffers and describes it as a
+	// block. Every attempt re-reads: a failed encode may have mutated the
+	// buffers, and the source is the only clean copy.
+	read := func(i int, sc *slabScratch) ([]int, [][]float32, error) {
+		sp := spans[i]
+		bufs := sc.buffers(nd, plane*sp.Size)
+		if err := src.ReadPlanes(sp.Start, sp.Size, bufs); err != nil {
+			return nil, nil, err
+		}
+		own := append(slices.Clone(dims[:nd-1]), sp.Size)
+		return own, bufs, nil
+	}
+	// globalIndex re-bases a slab-local value error onto the field, so
+	// the caller is told where in its input the value sits.
+	globalIndex := func(i int, err error) error {
+		var de *fixed.DomainError
+		if errors.As(err, &de) && de.Param == "" {
+			de.Index += spans[i].Start * plane
+		}
+		return err
+	}
+	return streamRun(fmt.Sprintf("shm.compress%dd", nd), slabBytes(nSlow), slabs, pool.Workers(po.Workers), po, w,
 		func(i int, span *telemetry.Span, sc *slabScratch) ([]byte, core.Stats, error) {
-			sy := ys[i]
-			n := safedim.MustProduct(nx, sy.Size)
-			bufs := sc.buffers(2, n)
-			// Re-read per attempt: a failed encode may have mutated the
-			// buffers, and the source is the only clean copy.
-			if err := src.ReadPlanes(sy.Start, sy.Size, bufs); err != nil {
+			own, bufs, err := read(i, sc)
+			if err != nil {
 				return nil, core.Stats{}, err
 			}
 			o := opts
@@ -354,112 +376,29 @@ func CompressStream2D(src field.SlabSource, w io.Writer, tr fixed.Transform, opt
 			o.TelSpan = span
 			o.Rec = po.Rec
 			o.RecSlab = i
-			blk := core.Block2D{
-				NX: nx, NY: sy.Size, U: bufs[0], V: bufs[1],
-				Transform: tr, Opts: o,
-				GlobalY0: sy.Start,
-				GlobalNX: nx, GlobalNY: ny,
+			origin := make([]int, nd)
+			origin[nd-1] = spans[i].Start
+			blk := core.Block{
+				Dims: own, Comps: bufs, Transform: tr, Opts: o,
+				Origin: origin, Global: dims,
 				// A lone slab has no borders; leaving the flag off keeps
 				// its block byte-identical to the single-node output.
 				LosslessBorder: slabs > 1,
 			}
-			blk.Neighbor[core.SideMinY] = i > 0
-			blk.Neighbor[core.SideMaxY] = i < slabs-1
-			enc, err := core.NewEncoder2D(blk)
+			blk.Neighbor[2*(nd-1)] = i > 0
+			blk.Neighbor[2*(nd-1)+1] = i < slabs-1
+			blob, st, err := core.CompressBlock(blk)
+			return blob, st, globalIndex(i, err)
+		},
+		func(i int, sc *slabScratch) ([]byte, core.Stats, error) {
+			own, bufs, err := read(i, sc)
 			if err != nil {
 				return nil, core.Stats{}, err
 			}
-			enc.Run()
-			blob, err := enc.Finish()
-			st := enc.Stats()
-			enc.Close()
-			return blob, st, err
+			blob, err := core.CompressLossless(own, bufs, tr)
+			return blob, core.Stats{}, globalIndex(i, err)
 		},
-		func(i int, sc *slabScratch) ([]byte, core.Stats, error) {
-			sy := ys[i]
-			n := safedim.MustProduct(nx, sy.Size)
-			bufs := sc.buffers(2, n)
-			if err := src.ReadPlanes(sy.Start, sy.Size, bufs); err != nil {
-				return nil, core.Stats{}, err
-			}
-			sub := &field.Field2D{NX: nx, NY: sy.Size, U: bufs[0], V: bufs[1]}
-			blob, err := core.CompressLossless2D(sub, tr)
-			return blob, core.Stats{}, err
-		},
-		func(i int) int64 { return int64(safedim.MustProduct(nx, ys[i].Size)) * 2 * 4 })
-}
-
-// CompressStream3D is the 3D variant, slabbed along Z.
-func CompressStream3D(src field.SlabSource, w io.Writer, tr fixed.Transform, opts core.Options, po Options) (Result, error) {
-	// Options every slab encode would reject (a non-positive or
-	// non-finite bound, an unknown speculation target) would degrade the
-	// whole field to lossless storage: reject them up front instead.
-	if err := opts.Validate(); err != nil {
-		return Result{}, err
-	}
-	dims := src.Dims()
-	if len(dims) != 3 {
-		return Result{}, fmt.Errorf("shm: 3D stream compress needs a 3D source, got %d dims", len(dims))
-	}
-	nx, ny, nz := dims[0], dims[1], dims[2]
-	po = po.applyBudget(int64(nx)*int64(ny)*3*4, nz)
-	slabs, err := slabCount(po.Slabs, nz)
-	if err != nil {
-		return Result{}, err
-	}
-	workers := pool.Workers(po.Workers)
-	zs := []parallel.Span{{Start: 0, Size: nz}}
-	if slabs > 1 {
-		if zs, err = parallel.Partition(nz, slabs); err != nil {
-			return Result{}, err
-		}
-	}
-	plane := safedim.MustProduct(nx, ny)
-	rawBytes := int64(safedim.MustProduct(plane, nz)) * 3 * 4
-	return streamRun("shm.compress3d", rawBytes, slabs, workers, po, w,
-		func(i int, span *telemetry.Span, sc *slabScratch) ([]byte, core.Stats, error) {
-			sz := zs[i]
-			n := safedim.MustProduct(plane, sz.Size)
-			bufs := sc.buffers(3, n)
-			if err := src.ReadPlanes(sz.Start, sz.Size, bufs); err != nil {
-				return nil, core.Stats{}, err
-			}
-			o := opts
-			o.Tel = po.Tel
-			o.TelSpan = span
-			o.Rec = po.Rec
-			o.RecSlab = i
-			blk := core.Block3D{
-				NX: nx, NY: ny, NZ: sz.Size, U: bufs[0], V: bufs[1], W: bufs[2],
-				Transform: tr, Opts: o,
-				GlobalZ0: sz.Start,
-				GlobalNX: nx, GlobalNY: ny, GlobalNZ: nz,
-				LosslessBorder: slabs > 1,
-			}
-			blk.Neighbor[core.SideMinZ] = i > 0
-			blk.Neighbor[core.SideMaxZ] = i < slabs-1
-			enc, err := core.NewEncoder3D(blk)
-			if err != nil {
-				return nil, core.Stats{}, err
-			}
-			enc.Run()
-			blob, err := enc.Finish()
-			st := enc.Stats()
-			enc.Close()
-			return blob, st, err
-		},
-		func(i int, sc *slabScratch) ([]byte, core.Stats, error) {
-			sz := zs[i]
-			n := safedim.MustProduct(plane, sz.Size)
-			bufs := sc.buffers(3, n)
-			if err := src.ReadPlanes(sz.Start, sz.Size, bufs); err != nil {
-				return nil, core.Stats{}, err
-			}
-			sub := &field.Field3D{NX: nx, NY: ny, NZ: sz.Size, U: bufs[0], V: bufs[1], W: bufs[2]}
-			blob, err := core.CompressLossless3D(sub, tr)
-			return blob, core.Stats{}, err
-		},
-		func(i int) int64 { return int64(safedim.MustProduct(plane, zs[i].Size)) * 3 * 4 })
+		func(i int) int64 { return slabBytes(spans[i].Size) })
 }
 
 // PlaneSink receives decoded planes at global slow-axis offsets; the
@@ -611,7 +550,6 @@ func DecompressTo(r io.ReaderAt, size int64, po Options, sinkFor func(dims []int
 	if w := po.windowOf(n); workers > w {
 		workers = w
 	}
-	ndim := len(plan.dims)
 	errs := make([]error, n)
 	pool.Do(workers, n, func(i int) {
 		// Cancellation check at slab admission: an abandoned decode stops
@@ -627,14 +565,9 @@ func DecompressTo(r io.ReaderAt, size int64, po Options, sinkFor func(dims []int
 			errs[i] = err
 			return
 		}
-		write := func(start int, comps [][]float32) error {
+		_, errs[i] = core.DecompressTo(blob, decodeChunkPlanes, func(start int, comps [][]float32) error {
 			return sink.WritePlanes(plan.starts[i]+start, comps)
-		}
-		if ndim == 3 {
-			_, _, _, errs[i] = core.Decompress3DTo(blob, decodeChunkPlanes, write)
-		} else {
-			_, _, errs[i] = core.Decompress2DTo(blob, decodeChunkPlanes, write)
-		}
+		})
 		po.Rec.Record(flightrec.Event{Kind: flightrec.KindWindowEvict, Subsystem: "shm.decompress",
 			Slab: int32(i), Attempt: -1, Detail: "slab decoded and written"})
 	})
@@ -644,28 +577,17 @@ func DecompressTo(r io.ReaderAt, size int64, po Options, sinkFor func(dims []int
 	return plan.dims, nil
 }
 
-// Compress2D compresses f with the shared transform tr on the in-process
-// worker pool. The output container decodes with Decompress2D (any
-// worker count) and preserves critical points exactly like the
-// single-node path: interior vertices follow the τ/speculation pipeline,
-// slab border vertices are lossless. This is the in-memory convenience
-// wrapper over CompressStream2D; the result buffers the whole container
-// in Blob, so memory-bounded callers should use the stream API.
-func Compress2D(f *field.Field2D, tr fixed.Transform, opts core.Options, po Options) (Result, error) {
+// Compress compresses the field behind src with the shared transform tr
+// on the in-process worker pool: the in-memory convenience wrapper over
+// CompressStream, which buffers the whole container in Result.Blob
+// (memory-bounded callers should use the stream API). Wrap an in-memory
+// field with field.Mem2D or field.Mem3D. The container decodes with
+// Decompress or DecompressTo (any worker count) and preserves critical
+// points exactly like the single-node path: interior vertices follow the
+// τ/speculation pipeline, slab border vertices are lossless.
+func Compress(src field.SlabSource, tr fixed.Transform, opts core.Options, po Options) (Result, error) {
 	var buf bytes.Buffer
-	res, err := CompressStream2D(field.Mem2D(f), &buf, tr, opts, po)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Blob = buf.Bytes()
-	return res, nil
-}
-
-// Compress3D compresses f on the worker pool, slabbed along Z. See
-// Compress2D for the memory contract.
-func Compress3D(f *field.Field3D, tr fixed.Transform, opts core.Options, po Options) (Result, error) {
-	var buf bytes.Buffer
-	res, err := CompressStream3D(field.Mem3D(f), &buf, tr, opts, po)
+	res, err := CompressStream(src, &buf, tr, opts, po)
 	if err != nil {
 		return Result{}, err
 	}

@@ -22,14 +22,14 @@ func TestStreamWindowDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.Options{Tau: 0.01, Spec: core.ST2}
-	ref, err := Compress2D(f, tr, opts, Options{Workers: 1, Slabs: 8})
+	ref, err := Compress(field.Mem2D(f), tr, opts, Options{Workers: 1, Slabs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, window := range []int{1, 2, 3, 8} {
 		for _, workers := range []int{1, 4, 8} {
 			var buf bytes.Buffer
-			res, err := CompressStream2D(field.Mem2D(f), &buf, tr, opts,
+			res, err := CompressStream(field.Mem2D(f), &buf, tr, opts,
 				Options{Workers: workers, Slabs: 8, Window: window})
 			if err != nil {
 				t.Fatalf("window=%d workers=%d: %v", window, workers, err)
@@ -57,16 +57,16 @@ func TestStreamMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.Options{Tau: 0.01}
-	res, err := Compress3D(f, tr, opts, Options{Workers: 2, Slabs: 5})
+	res, err := Compress(field.Mem3D(f), tr, opts, Options{Workers: 2, Slabs: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := CompressStream3D(field.Mem3D(f), &buf, tr, opts, Options{Workers: 4, Slabs: 5}); err != nil {
+	if _, err := CompressStream(field.Mem3D(f), &buf, tr, opts, Options{Workers: 4, Slabs: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), res.Blob) {
-		t.Fatal("CompressStream3D bytes differ from Compress3D")
+		t.Fatal("CompressStream bytes differ from Compress (3D)")
 	}
 }
 
@@ -79,11 +79,11 @@ func TestDecompressTo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Compress2D(f, tr, core.Options{Tau: 0.02, Spec: core.ST2}, Options{Slabs: 6})
+		res, err := Compress(field.Mem2D(f), tr, core.Options{Tau: 0.02, Spec: core.ST2}, Options{Slabs: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Decompress2D(res.Blob, 2)
+		want, err := decode2D(res.Blob, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,11 +107,11 @@ func TestDecompressTo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Compress3D(f, tr, core.Options{Tau: 0.02}, Options{Slabs: 4})
+		res, err := Compress(field.Mem3D(f), tr, core.Options{Tau: 0.02}, Options{Slabs: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Decompress3D(res.Blob, 0)
+		want, err := decode3D(res.Blob, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestDecompressToRejectsOversizedHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress2D(blob, 2); err != nil {
+	if _, err := decode2D(blob, 2); err != nil {
 		t.Fatalf("whole block (%d bytes) must decode: %v", len(blob), err)
 	}
 	cut := blob[:120]

@@ -153,7 +153,7 @@ func TestStreamSoakOutOfCore(t *testing.T) {
 			t.Fatal(err)
 		}
 		sampler := startHeapSampler()
-		res, err := shm.CompressStream2D(src, outF, tr, opts,
+		res, err := shm.CompressStream(src, outF, tr, opts,
 			shm.Options{Workers: workers, MaxMemBytes: soakBudget})
 		peak := sampler.Stop()
 		if err != nil {
@@ -229,11 +229,11 @@ func TestStreamSoakOutOfCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	origPts, err := cp.DetectSource2D(src, tr, 64)
+	origPts, err := cp.DetectSource(src, tr, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decPts, err := cp.DetectSource2D(decSrc, tr, 64)
+	decPts, err := cp.DetectSource(decSrc, tr, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
