@@ -36,7 +36,7 @@ benchtest:
 
 # Race-detector pass over the concurrently instrumented packages
 # (telemetry counters, simulated MPI ranks, distributed strategies, the
-# shared-memory pipeline — including its faultinject-instrumented retry
+# shared-memory pipeline — including its faultinject-instrumented panic
 # and degradation tests), the compression kernel they drive, and the
 # exact predicates whose SoS plan table every concurrent sweep reads.
 .PHONY: race
@@ -49,9 +49,10 @@ race:
 # never silent corruption.
 .PHONY: faults
 faults:
-	$(GO) test -count=1 -run 'Fault|Integrity|Corrupt|Degrad|Straggler|Timeout|Fuzz|Checksum|Verify' \
+	$(GO) test -count=1 -run 'Fault|Integrity|Corrupt|Degrad|Straggler|Timeout|Fuzz|Checksum|Verify|Panic|FlightRecorder' \
 		. ./internal/faultinject/ ./internal/integrity/ ./internal/archive/ \
-		./internal/shm/ ./internal/mpi/ ./internal/parallel/ ./internal/core/
+		./internal/shm/ ./internal/mpi/ ./internal/parallel/ ./internal/core/ \
+		./internal/server/ ./cmd/topozip/
 
 # Short coverage-guided fuzzing of every decode surface. Raise FUZZTIME
 # for a real session; `go test -fuzz` takes one target per invocation.

@@ -442,9 +442,7 @@ func writeCompressManifest(args []string, in, out string, dims []int,
 		Workers:         res.Workers,
 		Window:          res.Window,
 		PeakWindowBytes: res.PeakWindowBytes,
-		Retries:         res.Retries,
 		Panics:          res.Panics,
-		Timeouts:        res.Timeouts,
 		DegradedSlabs:   res.Degraded,
 		Degradation:     res.DegradationReport(),
 	}

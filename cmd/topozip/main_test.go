@@ -423,7 +423,7 @@ func TestCLIManifestLifecycle(t *testing.T) {
 
 // TestCLIFlightRecorderDump pins the acceptance criterion: a
 // faults-enabled run that degrades leaves a flight-recorder JSON dump
-// naming slab, attempt, and the event sequence.
+// naming each degraded slab and the event sequence.
 func TestCLIFlightRecorderDump(t *testing.T) {
 	dir := t.TempDir()
 	raw := filepath.Join(dir, "ocean.f32")
@@ -447,17 +447,24 @@ func TestCLIFlightRecorderDump(t *testing.T) {
 	if dump.Recorded == 0 || len(dump.Events) == 0 {
 		t.Fatalf("empty dump: %+v", dump)
 	}
-	var degraded, withSlabAttempt bool
+	// panic=1 fails every slab's one encode: each of the 4 slabs records
+	// exactly one panic and one degradation, attributed to its index.
+	panics, degraded := map[int32]int{}, map[int32]int{}
 	for _, ev := range dump.Events {
-		if ev.Kind == flightrec.KindDegraded {
-			degraded = true
-		}
-		if ev.Slab >= 0 && ev.Attempt >= 1 {
-			withSlabAttempt = true
+		switch ev.Kind {
+		case flightrec.KindPanic:
+			panics[ev.Slab]++
+		case flightrec.KindDegraded:
+			degraded[ev.Slab]++
 		}
 	}
-	if !degraded || !withSlabAttempt {
-		t.Errorf("dump must name degradations and slab/attempt attribution; got %+v", dump.Events)
+	for slab := int32(0); slab < 4; slab++ {
+		if panics[slab] != 1 || degraded[slab] != 1 {
+			t.Errorf("slab %d: %d panic and %d degraded events, want 1 each", slab, panics[slab], degraded[slab])
+		}
+	}
+	if len(panics) != 4 || len(degraded) != 4 {
+		t.Errorf("events attributed to slabs outside 0-3: panics %v, degraded %v", panics, degraded)
 	}
 	// The manifest cross-references the dump and the degradation.
 	man, err := telemetry.ReadManifest(telemetry.ManifestPath(comp))

@@ -24,8 +24,9 @@ import (
 // k-slice of NX×NY points (3D); components are ordered (u, v[, w]).
 //
 // Implementations must be safe for concurrent ReadPlanes calls: the
-// slab pipeline's workers each read their own slab, and retries re-read
-// a slab that an earlier encode attempt may have mutated.
+// slab pipeline's workers each read their own slab, and a degraded slab
+// is read again for its lossless fallback because the failed encode may
+// have mutated the first copy.
 type SlabSource interface {
 	// Dims returns the grid dimensions, [NX, NY] or [NX, NY, NZ]. The
 	// last entry is the slow axis; len(Dims()) is also the component

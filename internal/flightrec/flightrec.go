@@ -1,8 +1,8 @@
 // Package flightrec is the pipeline's flight recorder: a fixed-size,
 // allocation-free ring of structured events recording the rare,
-// diagnosis-critical moments of a run — slab retries, recovered panics,
-// degradations to the lossless escape, integrity failures, speculation
-// rollbacks, missed deadlines, and injected faults. When a run ends in an
+// diagnosis-critical moments of a run — recovered panics, degradations
+// to the lossless escape, integrity failures, speculation rollbacks,
+// missed message deadlines, and injected faults. When a run ends in an
 // error or a degradation, the ring is dumped as JSON so the postmortem
 // shows the exact event sequence that led there, oldest first.
 //
@@ -33,15 +33,13 @@ type Kind uint8
 const (
 	// KindNote is a free-form marker (run start, stage transitions).
 	KindNote Kind = iota
-	// KindRetry is one retried slab attempt (attempt > 0).
-	KindRetry
 	// KindPanic is a recovered worker panic.
 	KindPanic
-	// KindDeadline is a slab attempt or message receive that exceeded its
+	// KindDeadline is a simulated-MPI message receive that exceeded its
 	// deadline.
 	KindDeadline
 	// KindDegraded is a slab falling back to the lossless escape encoding
-	// after exhausting its attempts.
+	// after its one encode attempt panicked or failed.
 	KindDegraded
 	// KindIntegrityFail is a checksum or structural integrity failure
 	// surfaced by a decode.
@@ -73,7 +71,7 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"note", "retry", "panic", "deadline", "degraded",
+	"note", "panic", "deadline", "degraded",
 	"integrity_fail", "rollback", "fault_injected", "straggler",
 	"window_refill", "window_evict", "shed", "client_gone",
 }
@@ -120,8 +118,8 @@ type Event struct {
 	// Slab is the slab index the event belongs to, -1 when not slab
 	// scoped.
 	Slab int32 `json:"slab"`
-	// Attempt is the attempt number (0-based) for retry-shaped events,
-	// -1 when not applicable.
+	// Attempt is the attempt number (0-based) for retry-shaped events
+	// (simulated-MPI receives), -1 when not applicable.
 	Attempt int32 `json:"attempt"`
 	// Code carries an event-specific payload: a vertex id for rollbacks,
 	// a fault kind for injections, a byte offset for integrity failures.
@@ -133,7 +131,7 @@ type Event struct {
 }
 
 // DefaultCapacity is the ring size New uses when given a non-positive
-// capacity: large enough to hold the full retry/degradation history of a
+// capacity: large enough to hold the full panic/degradation history of a
 // saturated 16-slab run with room for kernel rollback context.
 const DefaultCapacity = 4096
 
@@ -181,15 +179,6 @@ func (r *Recorder) Record(ev Event) {
 	r.ring[r.next%uint64(len(r.ring))] = ev
 	r.next++
 	r.mu.Unlock()
-}
-
-// RecordKind is the common-case helper: kind plus slab/attempt
-// attribution under a subsystem name.
-func (r *Recorder) RecordKind(kind Kind, subsystem string, slab, attempt int) {
-	if r == nil {
-		return
-	}
-	r.Record(Event{Kind: kind, Subsystem: subsystem, Slab: int32(slab), Attempt: int32(attempt)})
 }
 
 // Total returns how many events were ever recorded (including ones the

@@ -33,12 +33,12 @@ func TestServeEndpoints(t *testing.T) {
 		run.Child("slab").End()
 	}
 	run.End()
-	col.Counter("shm.compress2d.slab.retries").Add(1)
+	col.Counter("shm.compress2d.slab.panics").Add(1)
 	col.Histogram("core.2d.bound_exp").Observe(7)
 
 	rec := flightrec.New(64)
-	rec.RecordKind(flightrec.KindRetry, "shm.compress2d", 2, 1)
-	rec.RecordKind(flightrec.KindDegraded, "shm.compress2d", 2, 3)
+	rec.Record(flightrec.Event{Kind: flightrec.KindPanic, Subsystem: "shm.compress2d", Slab: 2, Attempt: -1})
+	rec.Record(flightrec.Event{Kind: flightrec.KindDegraded, Subsystem: "shm.compress2d", Slab: 2, Attempt: -1})
 
 	srv, err := Serve("127.0.0.1:0", col, rec)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("/metrics status %d", code)
 	}
 	for _, want := range []string{
-		"topozip_shm_compress2d_slab_retries_total 1",
+		"topozip_shm_compress2d_slab_panics_total 1",
 		"topozip_core_2d_bound_exp_p99 7",
 		`topozip_stage_latency_seconds{stage="slab",quantile="0.99"}`,
 	} {

@@ -377,9 +377,9 @@ func TestClientDisconnectReleasesPermit(t *testing.T) {
 }
 
 // Injected worker panics must never kill the daemon. The slab pipeline
-// recovers each panic, retries, and degrades the slab to the lossless
-// escape — so even under panic=1 the request succeeds (degraded) and the
-// decoded bytes are exact.
+// recovers each panic and degrades the slab to the lossless escape — so
+// even under panic=1 the request succeeds (degraded) and the decoded
+// bytes are exact.
 func TestWorkerPanicIsolated(t *testing.T) {
 	inj, err := faultinject.Parse("seed=7,panic=1")
 	if err != nil {

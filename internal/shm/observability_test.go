@@ -45,10 +45,11 @@ func TestObservabilityConcurrent(t *testing.T) {
 	}()
 
 	pool.Do(workers, tasks, func(i int) {
-		ctr := col.Counter("shm.compress2d.slab.retries")
+		ctr := col.Counter("shm.compress2d.slab.panics")
 		h := col.Histogram("core.2d.bound_exp_sym")
 		for j := 0; j < perTask; j++ {
-			rec.RecordKind(flightrec.KindRetry, "shm.compress2d", i, j)
+			rec.Record(flightrec.Event{Kind: flightrec.KindPanic, Subsystem: "shm.compress2d",
+				Slab: int32(i), Attempt: -1, Code: int64(j)})
 			ctr.Inc()
 			h.Observe(int64(j + 1))
 		}
@@ -65,7 +66,7 @@ func TestObservabilityConcurrent(t *testing.T) {
 	if got := rec.Dropped(); got != total-256 {
 		t.Errorf("dropped = %d, want %d", got, total-256)
 	}
-	if got := col.Counter("shm.compress2d.slab.retries").Value(); got != total {
+	if got := col.Counter("shm.compress2d.slab.panics").Value(); got != total {
 		t.Errorf("counter = %d, want %d", got, total)
 	}
 	snap := col.Snapshot()
@@ -80,7 +81,7 @@ func TestObservabilityConcurrent(t *testing.T) {
 			t.Fatalf("duplicate seq %d after concurrent wrap", ev.Seq)
 		}
 		seen[ev.Seq] = true
-		if ev.Kind != flightrec.KindRetry || ev.Slab < 0 || ev.Slab >= tasks {
+		if ev.Kind != flightrec.KindPanic || ev.Slab < 0 || ev.Slab >= tasks {
 			t.Fatalf("mangled event %+v", ev)
 		}
 	}

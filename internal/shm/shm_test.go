@@ -138,6 +138,9 @@ func TestShmSingleSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Workers != 1 {
+		t.Fatalf("Workers = %d, want 1: one slab runs on one worker", res.Workers)
+	}
 	sr, err := archive.OpenStream(bytes.NewReader(res.Blob), int64(len(res.Blob)))
 	if err != nil {
 		t.Fatal(err)

@@ -108,7 +108,7 @@ func buildSampleCollector() *Collector {
 	}
 	run.AddChild("exchange", 5*time.Millisecond)
 	run.End()
-	c.Counter("shm.compress2d.slab.retries").Add(2)
+	c.Counter("shm.compress2d.slab.panics").Add(2)
 	c.Gauge("shm.compress2d.workers").Set(4)
 	h := c.Histogram("core.2d.bound_exp_sym")
 	for v := int64(1); v <= 64; v++ {
@@ -125,8 +125,8 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# TYPE topozip_shm_compress2d_slab_retries_total counter",
-		"topozip_shm_compress2d_slab_retries_total 2",
+		"# TYPE topozip_shm_compress2d_slab_panics_total counter",
+		"topozip_shm_compress2d_slab_panics_total 2",
 		"# TYPE topozip_shm_compress2d_workers gauge",
 		"topozip_shm_compress2d_workers 4",
 		"# TYPE topozip_core_2d_bound_exp_sym histogram",
@@ -227,8 +227,8 @@ func TestManifestRoundTripAndRender(t *testing.T) {
 	m.Run = ManifestRun{
 		WallNS: int64(120 * time.Millisecond), ThroughputMBps: 123.4,
 		CompressedBytes: 4096, Ratio: 6, Slabs: 8, Workers: 4,
-		Retries: 2, Panics: 1, DegradedSlabs: []int{3},
-		Degradation: "shm: 2 retries (1 panics, 0 timeouts), 1/8 slabs degraded to lossless [3]",
+		Panics: 1, DegradedSlabs: []int{3},
+		Degradation: "shm: 1 panics, 1/8 slabs degraded to lossless [3]",
 	}
 	m.Bounds = ManifestBounds{Vertices: 3072, Lossless: 100, SpecTrials: 900, SpecFails: 40,
 		BoundExp: &HistSnapshot{Count: 10, Min: 1, Max: 32, P50: 8, P90: 16, P99: 32}}

@@ -71,11 +71,9 @@ type ManifestRun struct {
 	// buffers plus sealed-but-unflushed blobs). Zero for in-memory runs.
 	Window          int   `json:"window,omitempty"`
 	PeakWindowBytes int64 `json:"peak_window_bytes,omitempty"`
-	// Fault-tolerance outcome: recovered attempt failures and the slabs
+	// Fault-tolerance outcome: recovered worker panics and the slabs
 	// that degraded to the lossless escape encoding.
-	Retries       int    `json:"retries,omitempty"`
 	Panics        int    `json:"panics,omitempty"`
-	Timeouts      int    `json:"timeouts,omitempty"`
 	DegradedSlabs []int  `json:"degraded_slabs,omitempty"`
 	Degradation   string `json:"degradation,omitempty"`
 	// FlightRecorder is the path of the postmortem dump, when one was

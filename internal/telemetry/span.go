@@ -12,9 +12,8 @@ import (
 // nil *Span is a no-op handle, and Child on a nil span returns nil, so a
 // whole instrumented call tree degrades to nil checks when telemetry is
 // off. An ended span is closed for business the same way: Child on it
-// returns nil and AddChild is a no-op, so late stragglers (an abandoned
-// slab attempt finishing after its deadline) cannot mutate a tree that
-// has already been snapshotted.
+// returns nil and AddChild is a no-op, so late stragglers cannot mutate
+// a tree that has already been snapshotted.
 type Span struct {
 	c     *Collector
 	name  string
