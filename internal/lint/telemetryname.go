@@ -21,7 +21,7 @@ var defaultTelemetryName = &TelemetryNameConfig{
 // metricNameRx is the canonical metric-name shape: a lowercase
 // subsystem prefix followed by at least one dotted segment, every
 // segment [a-z0-9_]+. Examples: "mpi.recv_timeouts",
-// "core.2d.st3.spec_trials", "shm.compress2d.slab.retries".
+// "core.2d.st3.spec_trials", "shm.compress2d.slab.degraded".
 var metricNameRx = mustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$`)
 
 // metricPartRx bounds the literal fragments of a concatenated name
