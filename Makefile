@@ -64,6 +64,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzArchiveDecode -fuzztime=$(FUZZTIME) ./internal/archive/
 	$(GO) test -fuzz=FuzzContainerDecompress -fuzztime=$(FUZZTIME) ./internal/shm/
 	$(GO) test -fuzz=FuzzServerRequest -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -fuzz='^FuzzDecompress$$' -fuzztime=$(FUZZTIME) ./internal/cpsz/
+	$(GO) test -fuzz='^FuzzSZLikeDecompress$$' -fuzztime=$(FUZZTIME) ./internal/baselines/
+	$(GO) test -fuzz='^FuzzZFPLikeDecompress$$' -fuzztime=$(FUZZTIME) ./internal/baselines/
+	$(GO) test -fuzz='^FuzzFPZIPLikeDecompress$$' -fuzztime=$(FUZZTIME) ./internal/baselines/
 
 # Coverage gate for the compression kernel: fails below COVER_MIN%.
 COVER_MIN ?= 85

@@ -65,14 +65,15 @@ func main() {
 	}
 
 	// The cpSZ baseline for comparison.
-	blob, err := cpsz.Compress3D(f, cpsz.Options{Rel: 0.05, Scheme: cpsz.Coupled})
+	blob, err := cpsz.Compress([]int{nx, ny, nz}, f.Components(), cpsz.Options{Rel: 0.05, Scheme: cpsz.Coupled})
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, dec, err := cpsz.Decompress(blob)
+	_, comps, err := cpsz.Decompress(blob)
 	if err != nil {
 		log.Fatal(err)
 	}
+	dec := &field.Field3D{NX: nx, NY: ny, NZ: nz, U: comps[0], V: comps[1], W: comps[2]}
 	rep := cp.Compare(orig, cp.DetectField3D(dec, tr))
 	div := analysis.StreamlineDivergence(ref, analysis.TraceAll3D(dec, seeds, 0.25, 300))
 	fmt.Printf("cpSZ coupled ratio %6.2f  %v  streamline divergence %.4f\n",

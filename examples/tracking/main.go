@@ -53,16 +53,17 @@ func main() {
 
 		// Generic compressor with the same error bound — pointwise error
 		// control without topology awareness.
-		gblob, err := baselines.SZLike{Abs: tau * 2}.Compress2D(f)
+		dims := []int{f.NX, f.NY}
+		gblob, err := baselines.SZLike{Abs: tau * 2}.Compress(dims, f.Components())
 		if err != nil {
 			log.Fatal(err)
 		}
 		genBytes += len(gblob)
-		gdec, err := baselines.SZLike{}.Decompress2D(gblob)
+		_, gdec, err := baselines.SZLike{}.Decompress(gblob)
 		if err != nil {
 			log.Fatal(err)
 		}
-		generic = append(generic, cp.DetectField2D(gdec, tr))
+		generic = append(generic, cp.Detect(dims, gdec, tr))
 	}
 
 	opts := tracking.Options{Radius: 3, MatchType: true}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bitstream"
 	"repro/internal/encoder"
-	"repro/internal/field"
 	"repro/internal/huffman"
 	"repro/internal/safedim"
 	"repro/internal/telemetry"
@@ -47,34 +46,31 @@ func unmonotonic(m uint32) float32 {
 	return math.Float32frombits(b)
 }
 
-// Compress2D compresses a 2D field.
-func (z FPZIPLike) Compress2D(f *field.Field2D) ([]byte, error) {
-	defer z.Tel.Span("baselines.fpzip.compress2d").End()
-	return z.compress(2, f.NX, f.NY, 1, f.Components())
+// Compress compresses a field of dims [NX, NY] or [NX, NY, NZ], one
+// component per dimension.
+func (z FPZIPLike) Compress(dims []int, comps [][]float32) ([]byte, error) {
+	return compressField(z.Tel, "fpzip", dims, comps, z.compress)
 }
 
-// Compress3D compresses a 3D field.
-func (z FPZIPLike) Compress3D(f *field.Field3D) ([]byte, error) {
-	defer z.Tel.Span("baselines.fpzip.compress3d").End()
-	return z.compress(3, f.NX, f.NY, f.NZ, f.Components())
-}
-
-// CompressedSizeOne compresses a single component over the given grid and
+// CompressedSizeOne compresses a single component over the grid dims and
 // returns the compressed size (per-component table columns).
-func (z FPZIPLike) CompressedSizeOne(nx, ny, nz int, comp []float32) (int, error) {
-	ndim := 3
-	if nz <= 1 {
-		ndim, nz = 2, 1
-	}
-	blob, err := z.compress(ndim, nx, ny, nz, [][]float32{comp})
-	return len(blob), err
+func (z FPZIPLike) CompressedSizeOne(dims []int, comp []float32) (int, error) {
+	return sizeOne(dims, comp, z.compress)
 }
 
-func (z FPZIPLike) compress(ndim, nx, ny, nz int, comps [][]float32) ([]byte, error) {
+// Decompress reconstructs a field compressed by FPZIPLike and returns its
+// dims and components.
+func (z FPZIPLike) Decompress(blob []byte) ([]int, [][]float32, error) {
+	defer decodeSpan(z.Tel, "fpzip", blob).End()
+	return fpzipDecompress(blob)
+}
+
+func (z FPZIPLike) compress(g grid, comps [][]float32) ([]byte, error) {
 	if z.Precision < 1 || z.Precision > 32 {
 		return nil, fmt.Errorf("baselines: precision %d out of range", z.Precision)
 	}
 	shift := uint(32 - z.Precision)
+	nx, ny, nz := g.nx, g.ny, g.nz
 	n := safedim.MustProduct(nx, ny, nz)
 	var classSyms []uint32
 	var bits bitstream.Writer
@@ -101,7 +97,7 @@ func (z FPZIPLike) compress(ndim, nx, ny, nz int, comps [][]float32) ([]byte, er
 			}
 		}
 	}
-	head := szHeader(fpMagic, ndim, nx, ny, nz)
+	head := szHeader(fpMagic, g)
 	head = append(head, byte(z.Precision))
 	return encoder.Pack(head, huffman.Compress(classSyms), bits.Bytes())
 }
@@ -127,73 +123,39 @@ func bitsLen(v uint64) int {
 	return n
 }
 
-// Decompress2D reconstructs a 2D field.
-func (z FPZIPLike) Decompress2D(blob []byte) (*field.Field2D, error) {
-	defer z.Tel.Span("baselines.fpzip.decompress2d").End()
-	ndim, nx, ny, _, comps, err := z.decompress(blob)
-	if err != nil {
-		return nil, err
-	}
-	if ndim != 2 {
-		return nil, errors.New("baselines: not a 2D stream")
-	}
-	f := field.NewField2D(nx, ny)
-	copy(f.U, comps[0])
-	copy(f.V, comps[1])
-	return f, nil
-}
-
-// Decompress3D reconstructs a 3D field.
-func (z FPZIPLike) Decompress3D(blob []byte) (*field.Field3D, error) {
-	defer z.Tel.Span("baselines.fpzip.decompress3d").End()
-	ndim, nx, ny, nz, comps, err := z.decompress(blob)
-	if err != nil {
-		return nil, err
-	}
-	if ndim != 3 {
-		return nil, errors.New("baselines: not a 3D stream")
-	}
-	f := field.NewField3D(nx, ny, nz)
-	copy(f.U, comps[0])
-	copy(f.V, comps[1])
-	copy(f.W, comps[2])
-	return f, nil
-}
-
-func (z FPZIPLike) decompress(blob []byte) (ndim, nx, ny, nz int, comps [][]float32, err error) {
+func fpzipDecompress(blob []byte) ([]int, [][]float32, error) {
 	sections, err := encoder.Unpack(blob)
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return nil, nil, err
 	}
 	if len(sections) != 3 {
-		return 0, 0, 0, 0, nil, errors.New("baselines: wrong section count")
+		return nil, nil, errors.New("baselines: wrong section count")
 	}
-	head := sections[0]
-	ndim, nx, ny, nz, head, err = szReadHeader(head, fpMagic)
+	g, head, err := szReadHeader(sections[0], fpMagic)
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return nil, nil, err
 	}
 	if len(head) < 1 {
-		return 0, 0, 0, 0, nil, errors.New("baselines: truncated header")
+		return nil, nil, errors.New("baselines: truncated header")
 	}
 	prec := int(head[0])
 	shift := uint(32 - prec)
 	classSyms, err := huffman.Decompress(sections[1])
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return nil, nil, err
 	}
 	bits := bitstream.NewReader(sections[2])
-	n, err := szVertexCount(nx, ny, nz)
+	n, err := g.vertexCount()
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return nil, nil, err
 	}
-	ncomp := ndim
-	if len(classSyms) != n*ncomp {
-		return 0, 0, 0, 0, nil, errors.New("baselines: stream length mismatch")
+	if len(classSyms) != n*g.ndim {
+		return nil, nil, errors.New("baselines: stream length mismatch")
 	}
-	comps = make([][]float32, ncomp)
+	nx, ny, nz := g.nx, g.ny, g.nz
+	comps := make([][]float32, g.ndim)
 	pos := 0
-	for c := 0; c < ncomp; c++ {
+	for c := range comps {
 		rec := make([]int64, n)
 		out := make([]float32, n)
 		for k := 0; k < nz; k++ {
@@ -206,7 +168,7 @@ func (z FPZIPLike) decompress(blob []byte) (ndim, nx, ny, nz int, comps [][]floa
 					// corrupt symbols before they reach the bit reader's
 					// width limit.
 					if cls > 48 {
-						return 0, 0, 0, 0, nil, errors.New("baselines: corrupt residual class")
+						return nil, nil, errors.New("baselines: corrupt residual class")
 					}
 					var zz uint64
 					if cls == 1 {
@@ -214,7 +176,7 @@ func (z FPZIPLike) decompress(blob []byte) (ndim, nx, ny, nz int, comps [][]floa
 					} else if cls > 1 {
 						low, err := bits.ReadBits(cls - 1)
 						if err != nil {
-							return 0, 0, 0, 0, nil, err
+							return nil, nil, err
 						}
 						zz = low | 1<<(cls-1)
 					}
@@ -228,7 +190,7 @@ func (z FPZIPLike) decompress(blob []byte) (ndim, nx, ny, nz int, comps [][]floa
 		}
 		comps[c] = out
 	}
-	return ndim, nx, ny, nz, comps, nil
+	return g.dims(), comps, nil
 }
 
 // lorenzoI is the integer Lorenzo predictor used in the monotonic domain.

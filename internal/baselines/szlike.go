@@ -14,15 +14,25 @@ package baselines
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/encoder"
-	"repro/internal/field"
 	"repro/internal/huffman"
 	"repro/internal/quantizer"
 	"repro/internal/safedim"
 	"repro/internal/telemetry"
 )
+
+// Codec is the dimension-free surface the three compressors share. A
+// field has dims [NX, NY] or [NX, NY, NZ], fast axis first, and one
+// component per dimension in that raster order.
+type Codec interface {
+	Compress(dims []int, comps [][]float32) ([]byte, error)
+	Decompress(blob []byte) ([]int, [][]float32, error)
+	CompressedSizeOne(dims []int, comp []float32) (int, error)
+}
 
 // SZLike is a prediction-based compressor with a global absolute error
 // bound (the "-A" mode of SZ3 in the paper's tables).
@@ -35,34 +45,32 @@ type SZLike struct {
 
 const szMagic = 0x5A53 // "SZ"
 
-// Compress2D compresses a 2D field.
-func (s SZLike) Compress2D(f *field.Field2D) ([]byte, error) {
-	defer s.Tel.Span("baselines.sz.compress2d").End()
-	return szCompress(s.Abs, 2, f.NX, f.NY, 1, f.Components())
+// Compress compresses a field of dims [NX, NY] or [NX, NY, NZ], one
+// component per dimension.
+func (s SZLike) Compress(dims []int, comps [][]float32) ([]byte, error) {
+	return compressField(s.Tel, "sz", dims, comps, s.compress)
 }
 
-// Compress3D compresses a 3D field.
-func (s SZLike) Compress3D(f *field.Field3D) ([]byte, error) {
-	defer s.Tel.Span("baselines.sz.compress3d").End()
-	return szCompress(s.Abs, 3, f.NX, f.NY, f.NZ, f.Components())
-}
-
-// CompressedSizeOne compresses a single component over the given grid and
+// CompressedSizeOne compresses a single component over the grid dims and
 // returns the compressed size — the per-component ratio columns (CR_u,
 // CR_v, CR_w) of the paper's tables.
-func (s SZLike) CompressedSizeOne(nx, ny, nz int, comp []float32) (int, error) {
-	ndim := 3
-	if nz <= 1 {
-		ndim, nz = 2, 1
-	}
-	blob, err := szCompress(s.Abs, ndim, nx, ny, nz, [][]float32{comp})
-	return len(blob), err
+func (s SZLike) CompressedSizeOne(dims []int, comp []float32) (int, error) {
+	return sizeOne(dims, comp, s.compress)
 }
 
-func szCompress(abs float64, ndim, nx, ny, nz int, comps [][]float32) ([]byte, error) {
+// Decompress reconstructs a field compressed by SZLike and returns its
+// dims and components.
+func (s SZLike) Decompress(blob []byte) ([]int, [][]float32, error) {
+	defer decodeSpan(s.Tel, "sz", blob).End()
+	return szDecompress(blob)
+}
+
+func (s SZLike) compress(g grid, comps [][]float32) ([]byte, error) {
+	abs := s.Abs
 	if abs <= 0 {
 		return nil, errors.New("baselines: Abs must be positive")
 	}
+	nx, ny, nz := g.nx, g.ny, g.nz
 	n := safedim.MustProduct(nx, ny, nz)
 	var codeSyms []uint32
 	var literals []byte
@@ -90,79 +98,45 @@ func szCompress(abs float64, ndim, nx, ny, nz int, comps [][]float32) ([]byte, e
 			}
 		}
 	}
-	head := szHeader(szMagic, ndim, nx, ny, nz)
+	head := szHeader(szMagic, g)
 	head = binary.LittleEndian.AppendUint64(head, math.Float64bits(abs))
 	return encoder.Pack(head, huffman.Compress(codeSyms), literals)
 }
 
 const escSym = uint32(2 * quantizer.Radius)
 
-// Decompress2D reconstructs a 2D field compressed by SZLike.
-func (s SZLike) Decompress2D(blob []byte) (*field.Field2D, error) {
-	defer s.Tel.Span("baselines.sz.decompress2d").End()
-	ndim, nx, ny, _, comps, err := szDecompress(blob)
-	if err != nil {
-		return nil, err
-	}
-	if ndim != 2 {
-		return nil, errors.New("baselines: not a 2D stream")
-	}
-	f := field.NewField2D(nx, ny)
-	copy(f.U, comps[0])
-	copy(f.V, comps[1])
-	return f, nil
-}
-
-// Decompress3D reconstructs a 3D field compressed by SZLike.
-func (s SZLike) Decompress3D(blob []byte) (*field.Field3D, error) {
-	defer s.Tel.Span("baselines.sz.decompress3d").End()
-	ndim, nx, ny, nz, comps, err := szDecompress(blob)
-	if err != nil {
-		return nil, err
-	}
-	if ndim != 3 {
-		return nil, errors.New("baselines: not a 3D stream")
-	}
-	f := field.NewField3D(nx, ny, nz)
-	copy(f.U, comps[0])
-	copy(f.V, comps[1])
-	copy(f.W, comps[2])
-	return f, nil
-}
-
-func szDecompress(blob []byte) (ndim, nx, ny, nz int, comps [][]float32, err error) {
+func szDecompress(blob []byte) ([]int, [][]float32, error) {
 	sections, err := encoder.Unpack(blob)
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return nil, nil, err
 	}
 	if len(sections) != 3 {
-		return 0, 0, 0, 0, nil, errors.New("baselines: wrong section count")
+		return nil, nil, errors.New("baselines: wrong section count")
 	}
-	head := sections[0]
-	ndim, nx, ny, nz, head, err = szReadHeader(head, szMagic)
+	g, head, err := szReadHeader(sections[0], szMagic)
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return nil, nil, err
 	}
 	if len(head) < 8 {
-		return 0, 0, 0, 0, nil, errors.New("baselines: truncated header")
+		return nil, nil, errors.New("baselines: truncated header")
 	}
 	abs := math.Float64frombits(binary.LittleEndian.Uint64(head))
 	codeSyms, err := huffman.Decompress(sections[1])
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return nil, nil, err
 	}
 	literals := sections[2]
-	n, err := szVertexCount(nx, ny, nz)
+	n, err := g.vertexCount()
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return nil, nil, err
 	}
-	ncomp := ndim
-	if len(codeSyms) != n*ncomp {
-		return 0, 0, 0, 0, nil, errors.New("baselines: stream length mismatch")
+	nx, ny, nz := g.nx, g.ny, g.nz
+	if len(codeSyms) != n*g.ndim {
+		return nil, nil, errors.New("baselines: stream length mismatch")
 	}
-	comps = make([][]float32, ncomp)
+	comps := make([][]float32, g.ndim)
 	pos := 0
-	for c := 0; c < ncomp; c++ {
+	for c := range comps {
 		rec := make([]float64, n)
 		out := make([]float32, n)
 		for k := 0; k < nz; k++ {
@@ -173,7 +147,7 @@ func szDecompress(blob []byte) (ndim, nx, ny, nz int, comps [][]float32, err err
 					pos++
 					if sym == escSym {
 						if len(literals) < 4 {
-							return 0, 0, 0, 0, nil, errors.New("baselines: literal underrun")
+							return nil, nil, errors.New("baselines: literal underrun")
 						}
 						v := math.Float32frombits(binary.LittleEndian.Uint32(literals))
 						literals = literals[4:]
@@ -190,7 +164,7 @@ func szDecompress(blob []byte) (ndim, nx, ny, nz int, comps [][]float32, err err
 		}
 		comps[c] = out
 	}
-	return ndim, nx, ny, nz, comps, nil
+	return g.dims(), comps, nil
 }
 
 // lorenzoF is the float Lorenzo predictor over a (possibly flat) volume.
@@ -219,23 +193,101 @@ func lorenzoF(rec []float64, nx, ny, i, j, k int) float64 {
 	}
 }
 
-func szHeader(magic uint16, ndim, nx, ny, nz int) []byte {
+// grid is a baseline stream's shape, flattened so that a 2D field has
+// nz = 1.
+type grid struct{ ndim, nx, ny, nz int }
+
+// gridOf validates a field handed to a baseline: dims [NX, NY] or
+// [NX, NY, NZ] and ncomp components of the matching length.
+func gridOf(dims []int, comps [][]float32, ncomp int) (grid, error) {
+	if _, err := safedim.Field(dims, comps, ncomp); err != nil {
+		return grid{}, fmt.Errorf("baselines: %w", err)
+	}
+	g := grid{ndim: len(dims), nx: dims[0], ny: dims[1], nz: 1}
+	if g.ndim == 3 {
+		g.nz = dims[2]
+	}
+	return g, nil
+}
+
+func (g grid) dims() []int { return []int{g.nx, g.ny, g.nz}[:g.ndim] }
+
+// vertexCount returns nx·ny·nz with overflow protection: the
+// per-dimension bounds of szReadHeader still allow a product past
+// int64, which must not wrap into a small length that stream checks
+// would then trust.
+func (g grid) vertexCount() (int, error) {
+	p := uint64(g.nx) * uint64(g.ny) // each <= 2^28, no overflow
+	if p > 1<<40 || p > (1<<40)/uint64(g.nz) {
+		return 0, errors.New("baselines: field too large")
+	}
+	return int(p * uint64(g.nz)), nil
+}
+
+// compressField is the Compress of every baseline: it checks the shape
+// (one component per dimension) and runs compress under the
+// baselines.<codec>.compress<n>d span.
+func compressField(tel *telemetry.Collector, codec string, dims []int, comps [][]float32,
+	compress func(grid, [][]float32) ([]byte, error)) ([]byte, error) {
+	defer span(tel, codec, "compress", len(dims)).End()
+	g, err := gridOf(dims, comps, len(dims))
+	if err != nil {
+		return nil, err
+	}
+	return compress(g, comps)
+}
+
+// sizeOne is the CompressedSizeOne of every baseline.
+func sizeOne(dims []int, comp []float32, compress func(grid, [][]float32) ([]byte, error)) (int, error) {
+	comps := [][]float32{comp}
+	g, err := gridOf(dims, comps, 1)
+	if err != nil {
+		return 0, err
+	}
+	blob, err := compress(g, comps)
+	return len(blob), err
+}
+
+// span opens the baselines.<codec>.<op><n>d span of one call on an
+// ndim-dimensional field; without a collector it is a no-op.
+func span(tel *telemetry.Collector, codec, op string, ndim int) *telemetry.Span {
+	if tel == nil {
+		return nil
+	}
+	return tel.Span("baselines." + codec + "." + op + strconv.Itoa(ndim) + "d")
+}
+
+// decodeSpan opens the decompress span of blob, named after the
+// dimensionality its header declares (peeked without decoding the
+// payload).
+func decodeSpan(tel *telemetry.Collector, codec string, blob []byte) *telemetry.Span {
+	if tel == nil {
+		return nil
+	}
+	head, err := encoder.UnpackFirst(blob)
+	if err != nil || len(head) < 3 {
+		return tel.Span("baselines." + codec + ".decompress")
+	}
+	return span(tel, codec, "decompress", int(head[2]))
+}
+
+func szHeader(magic uint16, g grid) []byte {
 	var b []byte
 	b = binary.LittleEndian.AppendUint16(b, magic)
-	b = append(b, byte(ndim))
-	b = binary.AppendUvarint(b, uint64(nx))
-	b = binary.AppendUvarint(b, uint64(ny))
-	b = binary.AppendUvarint(b, uint64(nz))
+	b = append(b, byte(g.ndim))
+	b = binary.AppendUvarint(b, uint64(g.nx))
+	b = binary.AppendUvarint(b, uint64(g.ny))
+	b = binary.AppendUvarint(b, uint64(g.nz))
 	return b
 }
 
-func szReadHeader(b []byte, magic uint16) (ndim, nx, ny, nz int, rest []byte, err error) {
+func szReadHeader(b []byte, magic uint16) (g grid, rest []byte, err error) {
 	if len(b) < 3 || binary.LittleEndian.Uint16(b) != magic {
-		return 0, 0, 0, 0, nil, errors.New("baselines: bad magic")
+		return grid{}, nil, errors.New("baselines: bad magic")
 	}
-	ndim = int(b[2])
-	if ndim != 2 && ndim != 3 {
-		return 0, 0, 0, 0, nil, errors.New("baselines: bad dimensionality")
+	g.ndim = int(b[2])
+	if g.ndim != 2 && g.ndim != 3 {
+		return grid{}, nil, errors.New("baselines: bad dimensionality")
 	}
 	b = b[3:]
 	bad := false
@@ -248,21 +300,14 @@ func szReadHeader(b []byte, magic uint16) (ndim, nx, ny, nz int, rest []byte, er
 		b = b[k:]
 		return int(v)
 	}
-	nx, ny, nz = read(), read(), read()
+	g.nx, g.ny, g.nz = read(), read(), read()
 	if bad {
-		return 0, 0, 0, 0, nil, errors.New("baselines: bad dims")
+		return grid{}, nil, errors.New("baselines: bad dims")
 	}
-	return ndim, nx, ny, nz, b, nil
-}
-
-// szVertexCount returns nx·ny·nz with overflow protection: the
-// per-dimension bounds of szReadHeader still allow a product past
-// int64, which must not wrap into a small length that stream checks
-// would then trust.
-func szVertexCount(nx, ny, nz int) (int, error) {
-	p := uint64(nx) * uint64(ny) // each <= 2^28, no overflow
-	if p > 1<<40 || p > (1<<40)/uint64(nz) {
-		return 0, errors.New("baselines: field too large")
+	// A 2D stream is one plane: a 2D header with nz > 1 would decode
+	// only the first of its planes.
+	if g.ndim == 2 && g.nz != 1 {
+		return grid{}, nil, fmt.Errorf("baselines: corrupt 2D header with nz = %d", g.nz)
 	}
-	return int(p * uint64(nz)), nil
+	return g, b, nil
 }

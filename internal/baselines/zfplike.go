@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bitstream"
 	"repro/internal/encoder"
-	"repro/internal/field"
 	"repro/internal/telemetry"
 )
 
@@ -41,30 +40,27 @@ const (
 	liftHeadroom = 4
 )
 
-// Compress2D compresses a 2D field.
-func (z ZFPLike) Compress2D(f *field.Field2D) ([]byte, error) {
-	defer z.Tel.Span("baselines.zfp.compress2d").End()
-	return z.compress(2, f.NX, f.NY, 1, f.Components())
+// Compress compresses a field of dims [NX, NY] or [NX, NY, NZ], one
+// component per dimension.
+func (z ZFPLike) Compress(dims []int, comps [][]float32) ([]byte, error) {
+	return compressField(z.Tel, "zfp", dims, comps, z.compress)
 }
 
-// Compress3D compresses a 3D field.
-func (z ZFPLike) Compress3D(f *field.Field3D) ([]byte, error) {
-	defer z.Tel.Span("baselines.zfp.compress3d").End()
-	return z.compress(3, f.NX, f.NY, f.NZ, f.Components())
-}
-
-// CompressedSizeOne compresses a single component over the given grid and
+// CompressedSizeOne compresses a single component over the grid dims and
 // returns the compressed size (per-component table columns).
-func (z ZFPLike) CompressedSizeOne(nx, ny, nz int, comp []float32) (int, error) {
-	ndim := 3
-	if nz <= 1 {
-		ndim, nz = 2, 1
-	}
-	blob, err := z.compress(ndim, nx, ny, nz, [][]float32{comp})
-	return len(blob), err
+func (z ZFPLike) CompressedSizeOne(dims []int, comp []float32) (int, error) {
+	return sizeOne(dims, comp, z.compress)
 }
 
-func (z ZFPLike) compress(ndim, nx, ny, nz int, comps [][]float32) ([]byte, error) {
+// Decompress reconstructs a field compressed by ZFPLike and returns its
+// dims and components.
+func (z ZFPLike) Decompress(blob []byte) ([]int, [][]float32, error) {
+	defer decodeSpan(z.Tel, "zfp", blob).End()
+	return z.decompress(blob)
+}
+
+func (z ZFPLike) compress(g grid, comps [][]float32) ([]byte, error) {
+	ndim, nx, ny, nz := g.ndim, g.nx, g.ny, g.nz
 	if z.Accuracy <= 0 && (z.Precision < 1 || z.Precision > blockQ) {
 		return nil, fmt.Errorf("baselines: zfp precision %d out of range", z.Precision)
 	}
@@ -99,7 +95,7 @@ func (z ZFPLike) compress(ndim, nx, ny, nz int, comps [][]float32) ([]byte, erro
 			}
 		}
 	}
-	head := szHeader(zfpMagic, ndim, nx, ny, nz)
+	head := szHeader(zfpMagic, g)
 	head = append(head, byte(z.Precision))
 	head = binary.LittleEndian.AppendUint64(head, math.Float64bits(z.Accuracy))
 	return encoder.Pack(head, bits.Bytes())
@@ -332,61 +328,25 @@ func decodeBlock(r *bitstream.Reader, block []int64, planes int) error {
 	return nil
 }
 
-// Decompress2D reconstructs a 2D field.
-func (z ZFPLike) Decompress2D(blob []byte) (*field.Field2D, error) {
-	defer z.Tel.Span("baselines.zfp.decompress2d").End()
-	ndim, nx, ny, _, comps, err := z.decompress(blob)
-	if err != nil {
-		return nil, err
-	}
-	if ndim != 2 {
-		return nil, errors.New("baselines: not a 2D stream")
-	}
-	f := field.NewField2D(nx, ny)
-	copy(f.U, comps[0])
-	copy(f.V, comps[1])
-	return f, nil
-}
-
-// Decompress3D reconstructs a 3D field.
-func (z ZFPLike) Decompress3D(blob []byte) (*field.Field3D, error) {
-	defer z.Tel.Span("baselines.zfp.decompress3d").End()
-	ndim, nx, ny, nz, comps, err := z.decompress(blob)
-	if err != nil {
-		return nil, err
-	}
-	if ndim != 3 {
-		return nil, errors.New("baselines: not a 3D stream")
-	}
-	f := field.NewField3D(nx, ny, nz)
-	copy(f.U, comps[0])
-	copy(f.V, comps[1])
-	copy(f.W, comps[2])
-	return f, nil
-}
-
-func (z ZFPLike) decompress(blob []byte) (ndim, nx, ny, nz int, comps [][]float32, err error) {
+func (z ZFPLike) decompress(blob []byte) ([]int, [][]float32, error) {
 	sections, err := encoder.Unpack(blob)
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return nil, nil, err
 	}
 	if len(sections) != 2 {
-		return 0, 0, 0, 0, nil, errors.New("baselines: wrong section count")
+		return nil, nil, errors.New("baselines: wrong section count")
 	}
-	head := sections[0]
-	ndim, nx, ny, nz, head, err = szReadHeader(head, zfpMagic)
+	g, head, err := szReadHeader(sections[0], zfpMagic)
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return nil, nil, err
 	}
 	if len(head) < 9 {
-		return 0, 0, 0, 0, nil, errors.New("baselines: truncated header")
+		return nil, nil, errors.New("baselines: truncated header")
 	}
 	zz := ZFPLike{Precision: int(head[0]), Accuracy: math.Float64frombits(binary.LittleEndian.Uint64(head[1:]))}
 	bits := bitstream.NewReader(sections[1])
 	const bs = 4
-	if nx < 1 || ny < 1 || (ndim == 3 && nz < 1) {
-		return 0, 0, 0, 0, nil, errors.New("baselines: bad dims")
-	}
+	ndim, nx, ny, nz := g.ndim, g.nx, g.ny, g.nz
 	bx, by, bz := ceilDiv(nx, bs), ceilDiv(ny, bs), 1
 	if ndim == 3 {
 		bz = ceilDiv(nz, bs)
@@ -395,33 +355,32 @@ func (z ZFPLike) decompress(blob []byte) (ndim, nx, ny, nz int, comps [][]float3
 	// claims the bit stream cannot possibly back (corrupt headers would
 	// otherwise trigger huge allocations).
 	if int64(bx)*int64(by)*int64(bz)*7 > int64(len(sections[1]))*8+8 {
-		return 0, 0, 0, 0, nil, errors.New("baselines: dims exceed stream capacity")
+		return nil, nil, errors.New("baselines: dims exceed stream capacity")
 	}
 	blockLen := bs * bs
 	if ndim == 3 {
 		blockLen = bs * bs * bs
 	}
-	ncomp := ndim
-	n, err := szVertexCount(nx, ny, nz)
+	n, err := g.vertexCount()
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return nil, nil, err
 	}
-	comps = make([][]float32, ncomp)
+	comps := make([][]float32, ndim)
 	block := make([]int64, blockLen)
 	vals := make([]float64, blockLen)
-	for c := 0; c < ncomp; c++ {
+	for c := range comps {
 		out := make([]float32, n)
 		for kb := 0; kb < bz; kb++ {
 			for jb := 0; jb < by; jb++ {
 				for ib := 0; ib < bx; ib++ {
 					eb, err := bits.ReadBits(7)
 					if err != nil {
-						return 0, 0, 0, 0, nil, err
+						return nil, nil, err
 					}
 					e := int(eb) - 63
 					planes := zz.planeCount(e)
 					if err := decodeBlock(bits, block, planes); err != nil {
-						return 0, 0, 0, 0, nil, err
+						return nil, nil, err
 					}
 					inverseLift(block, bs, ndim)
 					scale := math.Ldexp(1, e-blockQ)
@@ -434,7 +393,7 @@ func (z ZFPLike) decompress(blob []byte) (ndim, nx, ny, nz int, comps [][]float3
 		}
 		comps[c] = out
 	}
-	return ndim, nx, ny, nz, comps, nil
+	return g.dims(), comps, nil
 }
 
 func min(a, b int) int {

@@ -50,25 +50,16 @@ var dimNames = [3]string{"nx", "ny", "nz"}
 // An extent below two points (no cell) is a *fixed.DomainError naming
 // the axis.
 func checkShape(dims []int, comps [][]float32) (int, error) {
-	if len(dims) != 2 && len(dims) != 3 {
-		return 0, fmt.Errorf("core: a block has 2 or 3 dims, got %d", len(dims))
-	}
-	for a, d := range dims {
-		if d < 2 {
-			return 0, &fixed.DomainError{Param: dimNames[a], Value: float64(d)}
+	if len(dims) == 2 || len(dims) == 3 {
+		for a, d := range dims {
+			if d < 2 {
+				return 0, &fixed.DomainError{Param: dimNames[a], Value: float64(d)}
+			}
 		}
 	}
-	if len(comps) != len(dims) {
-		return 0, fmt.Errorf("core: a %dD block has %d components, got %d", len(dims), len(dims), len(comps))
-	}
-	n, ok := safedim.Product(dims...)
-	if !ok {
-		return 0, fmt.Errorf("core: block dims %v overflow", dims)
-	}
-	for _, c := range comps {
-		if len(c) != n {
-			return 0, errors.New("core: component length mismatch")
-		}
+	n, err := safedim.Field(dims, comps, len(dims))
+	if err != nil {
+		return 0, fmt.Errorf("core: %w", err)
 	}
 	return n, nil
 }

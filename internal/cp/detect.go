@@ -1,6 +1,8 @@
 package cp
 
 import (
+	"slices"
+
 	"repro/internal/exact"
 	"repro/internal/exact/filter"
 	"repro/internal/field"
@@ -423,38 +425,48 @@ func detectStripes(stripes, stripeCells int, sweep func(s0, s1 int, hits []int) 
 	return out
 }
 
-// DetectField2D converts f to fixed point with tr and extracts all
+// Detect converts a whole field of dims [NX, NY] or [NX, NY, NZ] (one
+// component per dimension) to fixed point with tr and extracts all
 // critical points with position and type.
-func DetectField2D(f *field.Field2D, tr fixed.Transform) []Point {
-	n := len(f.U)
-	u := make([]int64, n)
-	v := make([]int64, n)
-	tr.ToFixed(f.U, u)
-	tr.ToFixed(f.V, v)
-	d := &Detector2D{Mesh: field.Mesh2D{NX: f.NX, NY: f.NY}, U: u, V: v}
-	cells := d.DetectCells()
-	pts := make([]Point, 0, len(cells))
-	for _, c := range cells {
-		pts = append(pts, extract2D(d.Mesh, c, u, v, tr.Scale, 0))
+func Detect(dims []int, comps [][]float32, tr fixed.Transform) []Point {
+	fx := make([][]int64, len(comps))
+	for c := range comps {
+		fx[c] = make([]int64, len(comps[c]))
+		tr.ToFixed(comps[c], fx[c])
 	}
-	return pts
+	return appendPoints(nil, dims, fx, tr.Scale, 0, nil)
 }
 
-// DetectField3D converts f to fixed point with tr and extracts all
-// critical points with position and type.
+// DetectField2D is Detect on a 2D field.
+func DetectField2D(f *field.Field2D, tr fixed.Transform) []Point {
+	return Detect([]int{f.NX, f.NY}, f.Components(), tr)
+}
+
+// DetectField3D is Detect on a 3D field.
 func DetectField3D(f *field.Field3D, tr fixed.Transform) []Point {
-	n := len(f.U)
-	u := make([]int64, n)
-	v := make([]int64, n)
-	w := make([]int64, n)
-	tr.ToFixed(f.U, u)
-	tr.ToFixed(f.V, v)
-	tr.ToFixed(f.W, w)
-	d := &Detector3D{Mesh: field.Mesh3D{NX: f.NX, NY: f.NY, NZ: f.NZ}, U: u, V: v, W: w}
+	return Detect([]int{f.NX, f.NY, f.NZ}, f.Components(), tr)
+}
+
+// appendPoints runs the robust detector over a fixed-point field of dims
+// and appends each critical point, extracted in the global frame, to pts.
+// off is the slow-axis index of the field's first plane in the global
+// domain and gid its vertex-id map (0 and nil for a whole field); cell
+// ids stay local.
+func appendPoints(pts []Point, dims []int, fx [][]int64, scale float64, off int, gid func(int) int) []Point {
+	if len(dims) == 2 {
+		d := &Detector2D{Mesh: field.Mesh2D{NX: dims[0], NY: dims[1]}, U: fx[0], V: fx[1], GlobalID: gid}
+		cells := d.DetectCells()
+		pts = slices.Grow(pts, len(cells))
+		for _, c := range cells {
+			pts = append(pts, extract2D(d.Mesh, c, d.U, d.V, scale, off))
+		}
+		return pts
+	}
+	d := &Detector3D{Mesh: field.Mesh3D{NX: dims[0], NY: dims[1], NZ: dims[2]}, U: fx[0], V: fx[1], W: fx[2], GlobalID: gid}
 	cells := d.DetectCells()
-	pts := make([]Point, 0, len(cells))
+	pts = slices.Grow(pts, len(cells))
 	for _, c := range cells {
-		pts = append(pts, extract3D(d.Mesh, c, u, v, w, tr.Scale, 0))
+		pts = append(pts, extract3D(d.Mesh, c, d.U, d.V, d.W, scale, off))
 	}
 	return pts
 }

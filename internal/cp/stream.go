@@ -2,6 +2,7 @@ package cp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/field"
 	"repro/internal/fixed"
@@ -9,7 +10,7 @@ import (
 )
 
 // Windowed critical point detection: identical output to
-// DetectField2D/3D while holding only a bounded run of slow-axis planes
+// Detect while holding only a bounded run of slow-axis planes
 // in memory, which is how topozip verify checks fields larger than RAM.
 //
 // Windows chain with a one-plane overlap — window [s, e) is followed by
@@ -26,15 +27,21 @@ const minDetectWindow = 2
 
 // DetectSource streams detection over a 2D or 3D source in windows of at
 // most `window` slow-axis planes (<= 0 picks a default), returning the
-// same points as DetectField2D/3D on the materialized field.
+// same points as Detect on the materialized field.
 func DetectSource(src field.SlabSource, tr fixed.Transform, window int) ([]Point, error) {
 	dims := src.Dims()
 	nd := len(dims)
 	if nd != 2 && nd != 3 {
 		return nil, fmt.Errorf("cp: streaming detection needs a 2D or 3D source, got %d dims", nd)
 	}
-	nx, nSlow := dims[0], dims[nd-1]
+	nSlow := dims[nd-1]
 	plane := safedim.MustProduct(dims[:nd-1]...)
+	// Cells per slow-axis layer: 2 triangles per 2D square, 6 tetrahedra
+	// per 3D cube.
+	layerCells := 2 * (dims[0] - 1)
+	if nd == 3 {
+		layerCells = 6 * (dims[0] - 1) * (dims[1] - 1)
+	}
 	window = clampWindow(window, nSlow)
 	wn := safedim.MustProduct(window, plane)
 	comps := make([][]float32, nd)
@@ -54,28 +61,17 @@ func DetectSource(src field.SlabSource, tr fixed.Transform, window int) ([]Point
 			return nil, err
 		}
 		n := count * plane
+		wfx := make([][]int64, nd)
 		for c := range comps {
-			tr.ToFixed(comps[c][:n], fx[c][:n])
+			wfx[c] = fx[c][:n]
+			tr.ToFixed(comps[c][:n], wfx[c])
 		}
 		base := s * plane // capture for the SoS global-id hook
-		gid := func(vtx int) int { return base + vtx }
-		if nd == 2 {
-			d := &Detector2D{Mesh: field.Mesh2D{NX: nx, NY: count}, U: fx[0][:n], V: fx[1][:n], GlobalID: gid}
-			cellOff := s * 2 * (nx - 1) // cells are slow-axis-major
-			for _, c := range d.DetectCells() {
-				p := extract2D(d.Mesh, c, d.U, d.V, tr.Scale, s)
-				p.Cell = c + cellOff
-				pts = append(pts, p)
-			}
-		} else {
-			ny := dims[1]
-			d := &Detector3D{Mesh: field.Mesh3D{NX: nx, NY: ny, NZ: count}, U: fx[0][:n], V: fx[1][:n], W: fx[2][:n], GlobalID: gid}
-			cellOff := s * 6 * (nx - 1) * (ny - 1)
-			for _, c := range d.DetectCells() {
-				p := extract3D(d.Mesh, c, d.U, d.V, d.W, tr.Scale, s)
-				p.Cell = c + cellOff
-				pts = append(pts, p)
-			}
+		wdims := append(slices.Clone(dims[:nd-1]), count)
+		first := len(pts)
+		pts = appendPoints(pts, wdims, wfx, tr.Scale, s, func(vtx int) int { return base + vtx })
+		for i := first; i < len(pts); i++ {
+			pts[i].Cell += s * layerCells // cells are slow-axis-major
 		}
 		if e == nSlow {
 			return pts, nil

@@ -28,10 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
-	"repro/internal/cp"
 	"repro/internal/encoder"
-	"repro/internal/field"
 	"repro/internal/huffman"
 	"repro/internal/quantizer"
 	"repro/internal/safedim"
@@ -123,32 +122,42 @@ const (
 	tinyValue = 1e-30 // |v| below this is escaped to a literal
 )
 
-// Compress2D compresses a 2D field under cpSZ.
-func Compress2D(f *field.Field2D, opts Options) ([]byte, error) {
+// Compress compresses a field of dims [NX, NY] or [NX, NY, NZ] (one
+// component per dimension) under cpSZ. A 2D field is the NZ = 1 case of
+// one k, j, i raster walk; only the mesh and the float bound differ.
+func Compress(dims []int, comps [][]float32, opts Options) ([]byte, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	nx, ny := f.NX, f.NY
-	mesh := field.Mesh2D{NX: nx, NY: ny}
-	n := safedim.MustProduct(nx, ny)
-	tel := newCpszTel(opts, "2d")
+	n, err := safedim.Field(dims, comps, len(dims))
+	if err != nil {
+		return nil, fmt.Errorf("cpsz: %w", err)
+	}
+	nd := len(dims)
+	nx, ny, nz := dims[0], dims[1], 1
+	if nd == 3 {
+		nz = dims[2]
+	}
+	m := newMesh(dims, comps)
+	tel := newCpszTel(opts, strconv.Itoa(nd)+"d")
 	defer tel.finish()
 
 	// Working copies (float64; overwritten with decompressed values).
-	u := toF64(f.U)
-	v := toF64(f.V)
+	z := make([][]float64, nd)
+	for c := range z {
+		z[c] = toF64(comps[c])
+	}
 
 	// Numerical critical point detection on the original data.
 	sp := tel.stage("cp-detect")
-	nc := mesh.NumCells()
-	cpCell := make([]bool, nc)
-	for c := 0; c < nc; c++ {
-		cpCell[c] = cp.NumericalCellContains2D(mesh, c, f.U, f.V)
+	cpCell := make([]bool, m.numCells)
+	for c := range cpCell {
+		cpCell[c] = m.contains(c)
 	}
 	lossless := make([]bool, n)
 	var cellBuf []int
 	for i := 0; i < n; i++ {
-		cellBuf = mesh.VertexCells(i, cellBuf[:0])
+		cellBuf = m.vertexCells(i, cellBuf[:0])
 		for _, c := range cellBuf {
 			if cpCell[c] {
 				lossless[i] = true
@@ -160,134 +169,25 @@ func Compress2D(f *field.Field2D, opts Options) ([]byte, error) {
 	sp.End()
 
 	// Decoupled: derive every bound up front from the original data,
-	// shared among the 3 vertices of each cell.
+	// shared among the nd+1 vertices of each cell.
 	var preBounds []float64
 	if opts.Scheme == Decoupled {
 		sp = tel.stage("derive-bounds")
 		preBounds = make([]float64, n)
 		for i := 0; i < n; i++ {
-			preBounds[i] = deriveVertex2D(mesh, i, u, v, cellBuf) / 3
+			cellBuf = m.vertexCells(i, cellBuf[:0])
+			preBounds[i] = deriveVertexCells(m, i, z, cellBuf, nil) / float64(nd+1)
 		}
 		sp.End()
 	}
 
 	sp = tel.stage("quantize")
-	st := newStreams(n, 2)
+	st := newStreams(n, nd)
 	delta := math.Log2(1 + opts.Rel)
-	logU := make([]float64, n) // reconstructed log-domain values
-	logV := make([]float64, n)
-
-	for j := 0; j < ny; j++ {
-		for i := 0; i < nx; i++ {
-			idx := j*nx + i
-			var xi float64
-			switch {
-			case lossless[idx]:
-				xi = 0
-			case opts.Scheme == Decoupled:
-				xi = preBounds[idx]
-			default:
-				cellBuf = mesh.VertexCells(idx, cellBuf[:0])
-				xi = deriveVertexCells2D(mesh, idx, u, v, cellBuf, cpCell)
-			}
-			for comp, z := range [2][]float64{u, v} {
-				logs := logU
-				if comp == 1 {
-					logs = logV
-				}
-				val := z[idx]
-				// Per-vertex effective relative bound.
-				rel := opts.Rel
-				if a := math.Abs(val); a > tinyValue && xi/a < rel {
-					rel = xi / a
-				}
-				d := math.Log2(1 + rel)
-				exp, snapped := snapDelta(d, delta)
-				if xi == 0 || math.Abs(val) <= tinyValue || snapped == 0 {
-					st.escape(idx, comp, val, logs, nx, i, j)
-					continue
-				}
-				pred := predictLog(logs, st.done, nx, i, j)
-				l := math.Log2(math.Abs(val))
-				code := math.Round((l - pred) / (2 * snapped))
-				if math.Abs(code) >= quantizer.Radius {
-					st.escape(idx, comp, val, logs, nx, i, j)
-					continue
-				}
-				lrec := pred + code*2*snapped
-				vrec := math.Exp2(lrec)
-				if val < 0 {
-					vrec = -vrec
-				}
-				// Defensive: the log-domain bound must imply the value
-				// bound; escape when float slop violates it.
-				if relErr(val, vrec) > rel*1.0000001 {
-					st.escape(idx, comp, val, logs, nx, i, j)
-					continue
-				}
-				st.emit(comp, exp, int64(code), val < 0)
-				logs[idx] = lrec
-				z[idx] = vrec
-			}
-			st.done[idx] = true
-		}
+	logs := make([][]float64, nd) // reconstructed log-domain values
+	for c := range logs {
+		logs[c] = make([]float64, n)
 	}
-	sp.End()
-	tel.vertices.Add(int64(n))
-	tel.escapes.Add(int64(len(st.literals) / 4))
-	sp = tel.stage("entropy-code")
-	defer sp.End()
-	return st.pack(2, nx, ny, 0, opts)
-}
-
-// Compress3D compresses a 3D field under cpSZ.
-func Compress3D(f *field.Field3D, opts Options) ([]byte, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	nx, ny, nz := f.NX, f.NY, f.NZ
-	mesh := field.Mesh3D{NX: nx, NY: ny, NZ: nz}
-	n := safedim.MustProduct(nx, ny, nz)
-	tel := newCpszTel(opts, "3d")
-	defer tel.finish()
-
-	u := toF64(f.U)
-	v := toF64(f.V)
-	w := toF64(f.W)
-
-	sp := tel.stage("cp-detect")
-	nc := mesh.NumCells()
-	cpCell := make([]bool, nc)
-	for c := 0; c < nc; c++ {
-		cpCell[c] = cp.NumericalCellContains3D(mesh, c, f.U, f.V, f.W)
-	}
-	lossless := make([]bool, n)
-	var cellBuf []int
-	for i := 0; i < n; i++ {
-		cellBuf = mesh.VertexCells(i, cellBuf[:0])
-		for _, c := range cellBuf {
-			if cpCell[c] {
-				lossless[i] = true
-				tel.lossless.Inc()
-				break
-			}
-		}
-	}
-	sp.End()
-	var preBounds []float64
-	if opts.Scheme == Decoupled {
-		sp = tel.stage("derive-bounds")
-		preBounds = make([]float64, n)
-		for i := 0; i < n; i++ {
-			preBounds[i] = deriveVertex3D(mesh, i, u, v, w, cellBuf) / 4
-		}
-		sp.End()
-	}
-
-	sp = tel.stage("quantize")
-	st := newStreams(n, 3)
-	delta := math.Log2(1 + opts.Rel)
-	logs3 := [3][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
 
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
@@ -300,12 +200,12 @@ func Compress3D(f *field.Field3D, opts Options) ([]byte, error) {
 				case opts.Scheme == Decoupled:
 					xi = preBounds[idx]
 				default:
-					cellBuf = mesh.VertexCells(idx, cellBuf[:0])
-					xi = deriveVertexCells3D(mesh, idx, u, v, w, cellBuf, cpCell)
+					cellBuf = m.vertexCells(idx, cellBuf[:0])
+					xi = deriveVertexCells(m, idx, z, cellBuf, cpCell)
 				}
-				for comp, z := range [3][]float64{u, v, w} {
-					logs := logs3[comp]
-					val := z[idx]
+				for comp := range z {
+					val := z[comp][idx]
+					// Per-vertex effective relative bound.
 					rel := opts.Rel
 					if a := math.Abs(val); a > tinyValue && xi/a < rel {
 						rel = xi / a
@@ -313,14 +213,14 @@ func Compress3D(f *field.Field3D, opts Options) ([]byte, error) {
 					d := math.Log2(1 + rel)
 					exp, snapped := snapDelta(d, delta)
 					if xi == 0 || math.Abs(val) <= tinyValue || snapped == 0 {
-						st.escape3(idx, comp, val, logs, nx, ny, i, j, k)
+						st.escape(idx, val, logs[comp])
 						continue
 					}
-					pred := predictLog3(logs, st.done, nx, ny, i, j, k)
+					pred := predictLog(logs[comp], st.done, nx, ny, i, j, k)
 					l := math.Log2(math.Abs(val))
 					code := math.Round((l - pred) / (2 * snapped))
 					if math.Abs(code) >= quantizer.Radius {
-						st.escape3(idx, comp, val, logs, nx, ny, i, j, k)
+						st.escape(idx, val, logs[comp])
 						continue
 					}
 					lrec := pred + code*2*snapped
@@ -328,13 +228,15 @@ func Compress3D(f *field.Field3D, opts Options) ([]byte, error) {
 					if val < 0 {
 						vrec = -vrec
 					}
+					// Defensive: the log-domain bound must imply the value
+					// bound; escape when float slop violates it.
 					if relErr(val, vrec) > rel*1.0000001 {
-						st.escape3(idx, comp, val, logs, nx, ny, i, j, k)
+						st.escape(idx, val, logs[comp])
 						continue
 					}
-					st.emit(comp, exp, int64(code), val < 0)
-					logs[idx] = lrec
-					z[idx] = vrec
+					st.emit(exp, int64(code), val < 0)
+					logs[comp][idx] = lrec
+					z[comp][idx] = vrec
 				}
 				st.done[idx] = true
 			}
@@ -345,7 +247,7 @@ func Compress3D(f *field.Field3D, opts Options) ([]byte, error) {
 	tel.escapes.Add(int64(len(st.literals) / 4))
 	sp = tel.stage("entropy-code")
 	defer sp.End()
-	return st.pack(3, nx, ny, nz, opts)
+	return st.pack(dims, opts)
 }
 
 func relErr(orig, rec float64) float64 {
@@ -389,25 +291,9 @@ func deltaFromExp(exp uint8, delta float64) float64 {
 	return delta / math.Pow(2, float64(exp))
 }
 
-// predictLog is a masked Lorenzo predictor in the log domain.
-func predictLog(logs []float64, done []bool, nx, i, j int) float64 {
-	idx := j*nx + i
-	w := i > 0 && done[idx-1]
-	s := j > 0 && done[idx-nx]
-	sw := i > 0 && j > 0 && done[idx-nx-1]
-	switch {
-	case w && s && sw:
-		return logs[idx-1] + logs[idx-nx] - logs[idx-nx-1]
-	case w:
-		return logs[idx-1]
-	case s:
-		return logs[idx-nx]
-	default:
-		return 0
-	}
-}
-
-func predictLog3(logs []float64, done []bool, nx, ny, i, j, k int) float64 {
+// predictLog is a masked Lorenzo predictor in the log domain. On a 2D
+// field (k = 0 throughout) it reduces to the 2D stencil.
+func predictLog(logs []float64, done []bool, nx, ny, i, j, k int) float64 {
 	idx := (k*ny+j)*nx + i
 	sx, sy, sz := 1, nx, nx*ny
 	av := func(d int, cond bool) bool { return cond && done[idx-d] }
@@ -453,7 +339,7 @@ func newStreams(n, ncomp int) *streams {
 
 const cpszEscape = uint32(2 * quantizer.Radius)
 
-func (st *streams) emit(comp int, exp uint8, code int64, neg bool) {
+func (st *streams) emit(exp uint8, code int64, neg bool) {
 	st.expSyms = append(st.expSyms, uint32(exp))
 	st.codeSyms = append(st.codeSyms, huffman.Zigzag(code))
 	if neg {
@@ -463,7 +349,7 @@ func (st *streams) emit(comp int, exp uint8, code int64, neg bool) {
 	}
 }
 
-func (st *streams) escape(idx, comp int, val float64, logs []float64, nx, i, j int) {
+func (st *streams) escape(idx int, val float64, logs []float64) {
 	st.expSyms = append(st.expSyms, uint32(0xFF))
 	st.codeSyms = append(st.codeSyms, cpszEscape)
 	st.signBits = append(st.signBits, 0)
@@ -471,10 +357,6 @@ func (st *streams) escape(idx, comp int, val float64, logs []float64, nx, i, j i
 	binary.LittleEndian.PutUint32(b[:], math.Float32bits(float32(val)))
 	st.literals = append(st.literals, b[:]...)
 	logs[idx] = safeLog(val)
-}
-
-func (st *streams) escape3(idx, comp int, val float64, logs []float64, nx, ny, i, j, k int) {
-	st.escape(idx, comp, val, logs, 0, 0, 0)
 }
 
 func safeLog(v float64) float64 {
@@ -485,14 +367,12 @@ func safeLog(v float64) float64 {
 	return math.Log2(a)
 }
 
-func (st *streams) pack(ndim, nx, ny, nz int, opts Options) ([]byte, error) {
+func (st *streams) pack(dims []int, opts Options) ([]byte, error) {
 	var head []byte
 	head = binary.LittleEndian.AppendUint16(head, cpszMagic)
-	head = append(head, byte(ndim), byte(opts.Scheme))
-	head = binary.AppendUvarint(head, uint64(nx))
-	head = binary.AppendUvarint(head, uint64(ny))
-	if ndim == 3 {
-		head = binary.AppendUvarint(head, uint64(nz))
+	head = append(head, byte(len(dims)), byte(opts.Scheme))
+	for _, d := range dims {
+		head = binary.AppendUvarint(head, uint64(d))
 	}
 	head = binary.LittleEndian.AppendUint64(head, math.Float64bits(opts.Rel))
 	return encoder.Pack(head,
@@ -502,9 +382,9 @@ func (st *streams) pack(ndim, nx, ny, nz int, opts Options) ([]byte, error) {
 		st.literals)
 }
 
-// Decompress reconstructs a field compressed by Compress2D or Compress3D.
-// It returns a 2D or 3D field depending on the header.
-func Decompress(blob []byte) (*field.Field2D, *field.Field3D, error) {
+// Decompress reconstructs a field compressed by Compress and returns its
+// dims ([NX, NY] or [NX, NY, NZ]) and components.
+func Decompress(blob []byte) ([]int, [][]float32, error) {
 	sections, err := encoder.Unpack(blob)
 	if err != nil {
 		return nil, nil, err
@@ -524,24 +404,18 @@ func Decompress(blob []byte) (*field.Field2D, *field.Field3D, error) {
 	// Bounds-checked varint reads: a truncated buffer (k <= 0) or an
 	// absurd dimension must fail cleanly, not slice out of range or
 	// overflow the vertex-count product below.
-	var perr error
-	read := func() int {
+	dims := make([]int, ndim)
+	for a := range dims {
 		v, k := binary.Uvarint(head)
 		if k <= 0 || v < 1 || v > 1<<28 {
-			perr = errors.New("cpsz: truncated or oversized header")
-			return 1
+			return nil, nil, errors.New("cpsz: truncated or oversized header")
 		}
 		head = head[k:]
-		return int(v)
+		dims[a] = int(v)
 	}
-	nx := read()
-	ny := read()
-	nz := 1
+	nx, ny, nz := dims[0], dims[1], 1
 	if ndim == 3 {
-		nz = read()
-	}
-	if perr != nil {
-		return nil, nil, perr
+		nz = dims[2]
 	}
 	if p := uint64(nx) * uint64(ny); p > 1<<40 || p > (1<<40)/uint64(nz) {
 		return nil, nil, errors.New("cpsz: field too large")
@@ -568,87 +442,48 @@ func Decompress(blob []byte) (*field.Field2D, *field.Field3D, error) {
 
 	// The vertex count cannot overflow: the header check above bounds
 	// nx*ny*nz by 2^40.
-	ncomp := ndim
-	n := safedim.MustProduct(nx, ny)
-	if ndim == 3 {
-		n = safedim.MustProduct(nx, ny, nz)
-	}
-	if len(expSyms) != n*ncomp || len(codeSyms) != n*ncomp || len(signBits) != n*ncomp {
+	n := safedim.MustProduct(dims...)
+	if len(expSyms) != n*ndim || len(codeSyms) != n*ndim || len(signBits) != n*ndim {
 		return nil, nil, errors.New("cpsz: stream length mismatch")
 	}
 
-	vals := make([][]float64, ncomp)
-	logs := make([][]float64, ncomp)
-	for c := range vals {
-		vals[c] = make([]float64, n)
+	out := make([][]float32, ndim)
+	logs := make([][]float64, ndim)
+	for c := range out {
+		out[c] = make([]float32, n)
 		logs[c] = make([]float64, n)
 	}
 	done := make([]bool, n)
-
-	k := 0
-	decodeOne := func(idx, comp int, pred float64) error {
-		sym := codeSyms[k*ncomp+comp]
-		if sym == cpszEscape {
-			if len(literals) < 4 {
-				return errors.New("cpsz: literal underrun")
-			}
-			f := math.Float32frombits(binary.LittleEndian.Uint32(literals))
-			literals = literals[4:]
-			vals[comp][idx] = float64(f)
-			logs[comp][idx] = safeLog(float64(f))
-			return nil
-		}
-		snapped := deltaFromExp(uint8(expSyms[k*ncomp+comp]), delta)
-		code := float64(huffman.Unzigzag(sym))
-		lrec := pred + code*2*snapped
-		vrec := math.Exp2(lrec)
-		if signBits[k*ncomp+comp] == 1 {
-			vrec = -vrec
-		}
-		vals[comp][idx] = vrec
-		logs[comp][idx] = lrec
-		return nil
-	}
-
-	if ndim == 2 {
+	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
-				idx := j*nx + i
-				for c := 0; c < 2; c++ {
-					if err := decodeOne(idx, c, predictLog(logs[c], done, nx, i, j)); err != nil {
-						return nil, nil, err
+				idx := (k*ny+j)*nx + i
+				for c := range out {
+					s := idx*ndim + c // symbols interleave the components
+					if codeSyms[s] == cpszEscape {
+						if len(literals) < 4 {
+							return nil, nil, errors.New("cpsz: literal underrun")
+						}
+						f := math.Float32frombits(binary.LittleEndian.Uint32(literals))
+						literals = literals[4:]
+						out[c][idx] = f
+						logs[c][idx] = safeLog(float64(f))
+						continue
 					}
+					pred := predictLog(logs[c], done, nx, ny, i, j, k)
+					snapped := deltaFromExp(uint8(expSyms[s]), delta)
+					code := float64(huffman.Unzigzag(codeSyms[s]))
+					lrec := pred + code*2*snapped
+					vrec := math.Exp2(lrec)
+					if signBits[s] == 1 {
+						vrec = -vrec
+					}
+					out[c][idx] = float32(vrec)
+					logs[c][idx] = lrec
 				}
 				done[idx] = true
-				k++
-			}
-		}
-		f := field.NewField2D(nx, ny)
-		for i := 0; i < n; i++ {
-			f.U[i] = float32(vals[0][i])
-			f.V[i] = float32(vals[1][i])
-		}
-		return f, nil, nil
-	}
-	for kz := 0; kz < nz; kz++ {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				idx := (kz*ny+j)*nx + i
-				for c := 0; c < 3; c++ {
-					if err := decodeOne(idx, c, predictLog3(logs[c], done, nx, ny, i, j, kz)); err != nil {
-						return nil, nil, err
-					}
-				}
-				done[idx] = true
-				k++
 			}
 		}
 	}
-	f := field.NewField3D(nx, ny, nz)
-	for i := 0; i < n; i++ {
-		f.U[i] = float32(vals[0][i])
-		f.V[i] = float32(vals[1][i])
-		f.W[i] = float32(vals[2][i])
-	}
-	return nil, f, nil
+	return dims, out, nil
 }

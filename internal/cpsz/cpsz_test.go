@@ -106,16 +106,16 @@ func TestOptionsValidate(t *testing.T) {
 func TestRelativeErrorBound2D(t *testing.T) {
 	f := smooth2D(1, 40, 32)
 	for _, scheme := range []Scheme{Decoupled, Coupled} {
-		blob, err := Compress2D(f, Options{Rel: 0.1, Scheme: scheme})
+		blob, err := Compress([]int{f.NX, f.NY}, f.Components(), Options{Rel: 0.1, Scheme: scheme})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, _, err := Decompress(blob)
+		_, g, err := Decompress(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range f.U {
-			for _, pair := range [][2]float32{{f.U[i], g.U[i]}, {f.V[i], g.V[i]}} {
+			for _, pair := range [][2]float32{{f.U[i], g[0][i]}, {f.V[i], g[1][i]}} {
 				if relErr(float64(pair[0]), float64(pair[1])) > 0.1*1.001 {
 					t.Fatalf("%v: relative error violated at %d: %v vs %v", scheme, i, pair[0], pair[1])
 				}
@@ -130,17 +130,17 @@ func TestNumericalCPPreservation2D(t *testing.T) {
 	f := smooth2D(2, 40, 32)
 	mesh := field.Mesh2D{NX: f.NX, NY: f.NY}
 	for _, scheme := range []Scheme{Decoupled, Coupled} {
-		blob, err := Compress2D(f, Options{Rel: 0.1, Scheme: scheme})
+		blob, err := Compress([]int{f.NX, f.NY}, f.Components(), Options{Rel: 0.1, Scheme: scheme})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, _, err := Decompress(blob)
+		_, g, err := Decompress(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for c := 0; c < mesh.NumCells(); c++ {
 			before := cp.NumericalCellContains2D(mesh, c, f.U, f.V)
-			after := cp.NumericalCellContains2D(mesh, c, g.U, g.V)
+			after := cp.NumericalCellContains2D(mesh, c, g[0], g[1])
 			if before != after {
 				t.Errorf("%v: numerical detection flipped in cell %d", scheme, c)
 			}
@@ -150,11 +150,11 @@ func TestNumericalCPPreservation2D(t *testing.T) {
 
 func TestCoupledBeatsDecoupledRatio(t *testing.T) {
 	f := smooth2D(3, 64, 48)
-	dec, err := Compress2D(f, Options{Rel: 0.1, Scheme: Decoupled})
+	dec, err := Compress([]int{f.NX, f.NY}, f.Components(), Options{Rel: 0.1, Scheme: Decoupled})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cou, err := Compress2D(f, Options{Rel: 0.1, Scheme: Coupled})
+	cou, err := Compress([]int{f.NX, f.NY}, f.Components(), Options{Rel: 0.1, Scheme: Coupled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,16 +165,16 @@ func TestCoupledBeatsDecoupledRatio(t *testing.T) {
 
 func TestRoundTrip3DDecoupled(t *testing.T) {
 	f := smooth3D(14, 8)
-	blob, err := Compress3D(f, Options{Rel: 0.05, Scheme: Decoupled})
+	blob, err := Compress([]int{f.NX, f.NY, f.NZ}, f.Components(), Options{Rel: 0.05, Scheme: Decoupled})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, g, err := Decompress(blob)
-	if err != nil || g == nil {
-		t.Fatalf("decode: %v", err)
+	dims, g, err := Decompress(blob)
+	if err != nil || len(dims) != 3 {
+		t.Fatalf("decode: dims %v, %v", dims, err)
 	}
 	for i := range f.U {
-		if relErr(float64(f.U[i]), float64(g.U[i])) > 0.05*1.001 {
+		if relErr(float64(f.U[i]), float64(g[0][i])) > 0.05*1.001 {
 			t.Fatalf("relative error violated at %d", i)
 		}
 	}
@@ -182,26 +182,26 @@ func TestRoundTrip3DDecoupled(t *testing.T) {
 
 func TestRoundTrip3D(t *testing.T) {
 	f := smooth3D(4, 10)
-	blob, err := Compress3D(f, Options{Rel: 0.05, Scheme: Coupled})
+	blob, err := Compress([]int{f.NX, f.NY, f.NZ}, f.Components(), Options{Rel: 0.05, Scheme: Coupled})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, g, err := Decompress(blob)
+	dims, g, err := Decompress(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g == nil || g.NX != 10 {
-		t.Fatal("3D decode failed")
+	if len(dims) != 3 || dims[0] != 10 || len(g) != 3 {
+		t.Fatalf("3D decode failed: dims %v", dims)
 	}
 	for i := range f.U {
-		if relErr(float64(f.U[i]), float64(g.U[i])) > 0.05*1.001 {
+		if relErr(float64(f.U[i]), float64(g[0][i])) > 0.05*1.001 {
 			t.Fatalf("relative error violated at %d", i)
 		}
 	}
 	mesh := field.Mesh3D{NX: f.NX, NY: f.NY, NZ: f.NZ}
 	for c := 0; c < mesh.NumCells(); c++ {
 		if cp.NumericalCellContains3D(mesh, c, f.U, f.V, f.W) !=
-			cp.NumericalCellContains3D(mesh, c, g.U, g.V, g.W) {
+			cp.NumericalCellContains3D(mesh, c, g[0], g[1], g[2]) {
 			t.Errorf("3D numerical detection flipped in cell %d", c)
 		}
 	}
@@ -215,7 +215,7 @@ func TestRoundTrip3D(t *testing.T) {
 func TestDegenerateFieldAmbiguity(t *testing.T) {
 	f := degenerate3D(4, 10)
 	mesh := field.Mesh3D{NX: f.NX, NY: f.NY, NZ: f.NZ}
-	blob, err := Compress3D(f, Options{Rel: 0.05, Scheme: Coupled})
+	blob, err := Compress([]int{f.NX, f.NY, f.NZ}, f.Components(), Options{Rel: 0.05, Scheme: Coupled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestDegenerateFieldAmbiguity(t *testing.T) {
 	flips := 0
 	for c := 0; c < mesh.NumCells(); c++ {
 		if cp.NumericalCellContains3D(mesh, c, f.U, f.V, f.W) !=
-			cp.NumericalCellContains3D(mesh, c, g.U, g.V, g.W) {
+			cp.NumericalCellContains3D(mesh, c, g[0], g[1], g[2]) {
 			flips++
 		}
 	}
@@ -245,17 +245,37 @@ func TestZeroValuesEscape(t *testing.T) {
 			f.V[f.Idx(i, j)] = float32(j) * 0.1
 		}
 	}
-	blob, err := Compress2D(f, Options{Rel: 0.1, Scheme: Coupled})
+	blob, err := Compress([]int{f.NX, f.NY}, f.Components(), Options{Rel: 0.1, Scheme: Coupled})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := Decompress(blob)
+	_, g, err := Decompress(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range f.U {
-		if f.U[i] == 0 && g.U[i] != 0 {
+		if f.U[i] == 0 && g[0][i] != 0 {
 			t.Fatalf("zero value altered at %d", i)
+		}
+	}
+}
+
+func TestCompressRejectsBadShape(t *testing.T) {
+	f := smooth2D(5, 8, 6)
+	opts := Options{Rel: 0.1}
+	for _, c := range []struct {
+		name  string
+		dims  []int
+		comps [][]float32
+	}{
+		{"3 dims, 2 components", []int{8, 6, 1}, f.Components()},
+		{"2 dims, 1 component", []int{8, 6}, f.Components()[:1]},
+		{"short component", []int{8, 6}, [][]float32{f.U, f.V[:47]}},
+		{"1 dim", []int{48}, f.Components()[:1]},
+		{"zero extent", []int{0, 6}, [][]float32{nil, nil}},
+	} {
+		if _, err := Compress(c.dims, c.comps, opts); err == nil {
+			t.Errorf("%s: want an error", c.name)
 		}
 	}
 }
@@ -313,7 +333,7 @@ func BenchmarkCompressCoupled2D(b *testing.B) {
 	f := smooth2D(8, 64, 64)
 	b.SetBytes(int64(len(f.U)+len(f.V)) * 4)
 	for i := 0; i < b.N; i++ {
-		if _, err := Compress2D(f, Options{Rel: 0.1, Scheme: Coupled}); err != nil {
+		if _, err := Compress([]int{f.NX, f.NY}, f.Components(), Options{Rel: 0.1, Scheme: Coupled}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -321,7 +341,7 @@ func BenchmarkCompressCoupled2D(b *testing.B) {
 
 func BenchmarkDecompress2D(b *testing.B) {
 	f := smooth2D(9, 64, 64)
-	blob, _ := Compress2D(f, Options{Rel: 0.1, Scheme: Coupled})
+	blob, _ := Compress([]int{f.NX, f.NY}, f.Components(), Options{Rel: 0.1, Scheme: Coupled})
 	b.SetBytes(int64(len(f.U)+len(f.V)) * 4)
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Decompress(blob); err != nil {

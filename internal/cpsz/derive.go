@@ -3,6 +3,7 @@ package cpsz
 import (
 	"math"
 
+	"repro/internal/cp"
 	"repro/internal/field"
 )
 
@@ -13,36 +14,57 @@ import (
 // case under robust (exact) re-extraction.
 const floatSafety = 0.999
 
-// deriveVertex2D returns the sufficient absolute bound for perturbing
-// vertex idx, taking all adjacent cells into account, on original data
-// (decoupled scheme).
-func deriveVertex2D(mesh field.Mesh2D, idx int, u, v []float64, buf []int) float64 {
-	buf = mesh.VertexCells(idx, buf[:0])
-	xi := math.Inf(1)
-	for _, c := range buf {
-		vs := mesh.CellVertices(c)
-		a, b := other2(vs, idx)
-		if p := psi2f(u[a], v[a], u[b], v[b], u[idx], v[idx]); p < xi {
-			xi = p
-		}
-	}
-	if math.IsInf(xi, 1) {
-		return 0
-	}
-	return xi
+// mesh is the per-dimension part of cpSZ, picked once per call: the
+// simplicial mesh walk, the numerical containment test on the original
+// data, and the float bound of one cell.
+type mesh struct {
+	numCells    int
+	vertexCells func(v int, buf []int) []int
+	// contains reports numerical detection in cell c of the original
+	// (float32) field.
+	contains func(c int) bool
+	// psi bounds the perturbation of vertex idx that keeps cell c's
+	// numerical decision, on the working values z.
+	psi func(c, idx int, z [][]float64) float64
 }
 
-// deriveVertexCells2D is the coupled variant: cells containing numerically
-// detected critical points force bound zero.
-func deriveVertexCells2D(mesh field.Mesh2D, idx int, u, v []float64, cells []int, cpCell []bool) float64 {
+func newMesh(dims []int, comps [][]float32) mesh {
+	if len(dims) == 2 {
+		m := field.Mesh2D{NX: dims[0], NY: dims[1]}
+		return mesh{
+			numCells:    m.NumCells(),
+			vertexCells: m.VertexCells,
+			contains:    func(c int) bool { return cp.NumericalCellContains2D(m, c, comps[0], comps[1]) },
+			psi: func(c, idx int, z [][]float64) float64 {
+				a, b := other2(m.CellVertices(c), idx)
+				u, v := z[0], z[1]
+				return psi2f(u[a], v[a], u[b], v[b], u[idx], v[idx])
+			},
+		}
+	}
+	m := field.Mesh3D{NX: dims[0], NY: dims[1], NZ: dims[2]}
+	return mesh{
+		numCells:    m.NumCells(),
+		vertexCells: m.VertexCells,
+		contains:    func(c int) bool { return cp.NumericalCellContains3D(m, c, comps[0], comps[1], comps[2]) },
+		psi: func(c, idx int, z [][]float64) float64 {
+			o := other3(m.CellVertices(c), idx)
+			return psi3f(z[0], z[1], z[2], o[0], o[1], o[2], idx)
+		},
+	}
+}
+
+// deriveVertexCells returns the sufficient absolute bound for perturbing
+// vertex idx over its adjacent cells. The decoupled scheme passes a nil
+// cpCell (original data); the coupled one passes the numerically
+// detected cells, which force bound zero.
+func deriveVertexCells(m mesh, idx int, z [][]float64, cells []int, cpCell []bool) float64 {
 	xi := math.Inf(1)
 	for _, c := range cells {
-		if cpCell[c] {
+		if cpCell != nil && cpCell[c] {
 			return 0
 		}
-		vs := mesh.CellVertices(c)
-		a, b := other2(vs, idx)
-		if p := psi2f(u[a], v[a], u[b], v[b], u[idx], v[idx]); p < xi {
+		if p := m.psi(c, idx, z); p < xi {
 			xi = p
 		}
 	}
@@ -80,41 +102,6 @@ func quotient(num, den float64) float64 {
 		return math.Inf(1)
 	}
 	return num / den
-}
-
-// deriveVertex3D mirrors deriveVertex2D for tetrahedral meshes.
-func deriveVertex3D(mesh field.Mesh3D, idx int, u, v, w []float64, buf []int) float64 {
-	buf = mesh.VertexCells(idx, buf[:0])
-	xi := math.Inf(1)
-	for _, c := range buf {
-		vs := mesh.CellVertices(c)
-		o := other3(vs, idx)
-		if p := psi3f(u, v, w, o[0], o[1], o[2], idx); p < xi {
-			xi = p
-		}
-	}
-	if math.IsInf(xi, 1) {
-		return 0
-	}
-	return xi
-}
-
-func deriveVertexCells3D(mesh field.Mesh3D, idx int, u, v, w []float64, cells []int, cpCell []bool) float64 {
-	xi := math.Inf(1)
-	for _, c := range cells {
-		if cpCell[c] {
-			return 0
-		}
-		vs := mesh.CellVertices(c)
-		o := other3(vs, idx)
-		if p := psi3f(u, v, w, o[0], o[1], o[2], idx); p < xi {
-			xi = p
-		}
-	}
-	if math.IsInf(xi, 1) {
-		return 0
-	}
-	return xi
 }
 
 func other3(vs [4]int, idx int) [3]int {

@@ -11,7 +11,7 @@ import (
 func TestTelemetryStages(t *testing.T) {
 	f := smooth2D(31, 40, 36)
 	tel := telemetry.New()
-	if _, err := Compress2D(f, Options{Rel: 0.1, Scheme: Coupled, Tel: tel}); err != nil {
+	if _, err := Compress([]int{f.NX, f.NY}, f.Components(), Options{Rel: 0.1, Scheme: Coupled, Tel: tel}); err != nil {
 		t.Fatal(err)
 	}
 	snap := tel.Snapshot()
@@ -46,7 +46,7 @@ func TestTelemetryDecoupledStage(t *testing.T) {
 	f := smooth2D(32, 32, 30)
 	tel := telemetry.New()
 	parent := tel.Span("bench")
-	if _, err := Compress2D(f, Options{Rel: 0.1, Scheme: Decoupled, Tel: tel, TelSpan: parent}); err != nil {
+	if _, err := Compress([]int{f.NX, f.NY}, f.Components(), Options{Rel: 0.1, Scheme: Decoupled, Tel: tel, TelSpan: parent}); err != nil {
 		t.Fatal(err)
 	}
 	parent.End()
@@ -62,5 +62,23 @@ func TestTelemetryDecoupledStage(t *testing.T) {
 	}
 	if !found {
 		t.Error("decoupled run missing derive-bounds stage span")
+	}
+}
+
+// TestTelemetryNames3D checks that the dimension in the counter and span
+// names follows len(dims): a 3D call reports under cpsz.3d.* and
+// cpsz.compress3d.
+func TestTelemetryNames3D(t *testing.T) {
+	f := smooth3D(33, 6)
+	tel := telemetry.New()
+	if _, err := Compress([]int{f.NX, f.NY, f.NZ}, f.Components(), Options{Rel: 0.05, Scheme: Decoupled, Tel: tel}); err != nil {
+		t.Fatal(err)
+	}
+	snap := tel.Snapshot()
+	if got := snap.Counters["cpsz.3d.decoupled.vertices"]; got != int64(len(f.U)) {
+		t.Errorf("cpsz.3d.decoupled.vertices = %d, want %d", got, len(f.U))
+	}
+	if len(snap.Spans) != 1 || snap.Spans[0].Name != "cpsz.compress3d" {
+		t.Fatalf("expected one cpsz.compress3d root span, got %+v", snap.Spans)
 	}
 }

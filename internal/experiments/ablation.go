@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cp"
-	"repro/internal/field"
-	"repro/internal/fixed"
 )
 
 // AblationRow is one configuration of the ablation study.
@@ -32,16 +30,12 @@ type AblationRow struct {
 func Ablation(cfg Config) ([]AblationRow, Table, error) {
 	cfg = cfg.WithDefaults()
 	var rows []AblationRow
-
-	run2D := func(dataset string, f *field.Field2D) error {
-		tr, err := fixed.Fit(f.U, f.V)
+	for _, ds := range []dataset{oceanData(cfg), nekData(cfg)} {
+		tr, tau, orig, err := ds.fit(cfg.TauRel)
 		if err != nil {
-			return err
+			return nil, Table{}, err
 		}
-		tau := cfg.TauRel * field.Range(f.U, f.V)
-		orig := cp.DetectField2D(f, tr)
-		raw := 4 * 2 * len(f.U)
-		for _, v := range []struct {
+		variants := []struct {
 			name string
 			opts core.Options
 		}{
@@ -49,66 +43,27 @@ func Ablation(cfg Config) ([]AblationRow, Table, error) {
 			{"no-relaxation", core.Options{Tau: tau, DisableRelaxation: true}},
 			{"orientation-only", core.Options{Tau: tau, OrientationOnly: true}},
 			{"ST4", core.Options{Tau: tau, Spec: core.ST4}},
-		} {
-			blob, st, err := core.CompressBlock(core.Block{
-				Dims: []int{f.NX, f.NY}, Comps: f.Components(), Transform: tr, Opts: v.opts,
-			})
+		}
+		if len(ds.dims) == 3 {
+			variants = variants[:3] // the speculation ladder runs in 2D only
+		}
+		for _, v := range variants {
+			blob, st, err := core.CompressBlock(ds.block(tr, v.opts))
 			if err != nil {
-				return err
+				return nil, Table{}, err
 			}
-			g, err := core.Decompress2D(blob)
+			_, g, err := core.Decompress(blob)
 			if err != nil {
-				return err
+				return nil, Table{}, err
 			}
 			rows = append(rows, AblationRow{
-				Dataset: dataset,
+				Dataset: ds.name,
 				Variant: v.name,
-				CRAll:   float64(raw) / float64(len(blob)),
-				Report:  cp.Compare(orig, cp.DetectField2D(g, tr)),
+				CRAll:   float64(ds.rawBytes()) / float64(len(blob)),
+				Report:  cp.Compare(orig, cp.Detect(ds.dims, g, tr)),
 				Stats:   st,
 			})
 		}
-		return nil
-	}
-
-	if err := run2D("Ocean", oceanField(cfg)); err != nil {
-		return nil, Table{}, err
-	}
-
-	// 3D variant on the Nek5000 stand-in.
-	f := nekField(cfg)
-	tr, err := fixed.Fit(f.U, f.V, f.W)
-	if err != nil {
-		return nil, Table{}, err
-	}
-	tau := cfg.TauRel * field.Range(f.U, f.V, f.W)
-	orig := cp.DetectField3D(f, tr)
-	raw := 4 * 3 * len(f.U)
-	for _, v := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"full", core.Options{Tau: tau}},
-		{"no-relaxation", core.Options{Tau: tau, DisableRelaxation: true}},
-		{"orientation-only", core.Options{Tau: tau, OrientationOnly: true}},
-	} {
-		blob, st, err := core.CompressBlock(core.Block{
-			Dims: []int{f.NX, f.NY, f.NZ}, Comps: f.Components(), Transform: tr, Opts: v.opts,
-		})
-		if err != nil {
-			return nil, Table{}, err
-		}
-		g, err := core.Decompress3D(blob)
-		if err != nil {
-			return nil, Table{}, err
-		}
-		rows = append(rows, AblationRow{
-			Dataset: "Nek5000",
-			Variant: v.name,
-			CRAll:   float64(raw) / float64(len(blob)),
-			Report:  cp.Compare(orig, cp.DetectField3D(g, tr)),
-			Stats:   st,
-		})
 	}
 
 	t := Table{

@@ -34,54 +34,30 @@ func Fig6(cfg Config) ([]RDPoint, Table, error) {
 	specs := []core.Speculation{core.NoSpec, core.ST1, core.ST2, core.ST3, core.ST4}
 
 	var pts []RDPoint
-
-	ocean := oceanField(cfg)
-	tr2, err := fixed.Fit(ocean.U, ocean.V)
-	if err != nil {
-		return nil, Table{}, err
-	}
-	rng2 := field.Range(ocean.U, ocean.V)
-	n2 := 2 * len(ocean.U)
-	for _, spec := range specs {
-		for _, taurel := range taus {
-			blob, err := core.CompressField2D(ocean, tr2, core.Options{Tau: taurel * rng2, Spec: spec})
-			if err != nil {
-				return nil, Table{}, err
-			}
-			dec, err := core.Decompress2D(blob)
-			if err != nil {
-				return nil, Table{}, err
-			}
-			pts = append(pts, RDPoint{
-				Dataset: "Ocean", Spec: spec, Tau: taurel,
-				BitRate: analysis.BitRate(len(blob), n2),
-				PSNR:    analysis.PSNR(ocean.Components(), dec.Components()),
-			})
-		}
-	}
-
 	nek := datagen.Nek5000(cfg.RDNekN, cfg.RDNekN, cfg.RDNekN)
-	tr3, err := fixed.Fit(nek.U, nek.V, nek.W)
-	if err != nil {
-		return nil, Table{}, err
-	}
-	rng3 := field.Range(nek.U, nek.V, nek.W)
-	n3 := 3 * len(nek.U)
-	for _, spec := range specs {
-		for _, taurel := range taus {
-			blob, err := core.CompressField3D(nek, tr3, core.Options{Tau: taurel * rng3, Spec: spec})
-			if err != nil {
-				return nil, Table{}, err
+	for _, ds := range []dataset{oceanData(cfg), data3D("Nek5000", nek)} {
+		tr, err := fixed.Fit(ds.comps...)
+		if err != nil {
+			return nil, Table{}, err
+		}
+		rng := field.Range(ds.comps...)
+		n := len(ds.comps) * len(ds.comps[0])
+		for _, spec := range specs {
+			for _, taurel := range taus {
+				blob, _, err := core.CompressBlock(ds.block(tr, core.Options{Tau: taurel * rng, Spec: spec}))
+				if err != nil {
+					return nil, Table{}, err
+				}
+				_, dec, err := core.Decompress(blob)
+				if err != nil {
+					return nil, Table{}, err
+				}
+				pts = append(pts, RDPoint{
+					Dataset: ds.name, Spec: spec, Tau: taurel,
+					BitRate: analysis.BitRate(len(blob), n),
+					PSNR:    analysis.PSNR(ds.comps, dec),
+				})
 			}
-			dec, err := core.Decompress3D(blob)
-			if err != nil {
-				return nil, Table{}, err
-			}
-			pts = append(pts, RDPoint{
-				Dataset: "Nek5000", Spec: spec, Tau: taurel,
-				BitRate: analysis.BitRate(len(blob), n3),
-				PSNR:    analysis.PSNR(nek.Components(), dec.Components()),
-			})
 		}
 	}
 

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/analysis"
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/cp"
 	"repro/internal/cpsz"
@@ -35,107 +34,34 @@ type QualRow struct {
 // outDir receives one PPM per method; pass "" to skip image output.
 func Fig5(cfg Config, outDir string) ([]QualRow, Table, error) {
 	cfg = cfg.WithDefaults()
-	f := oceanField(cfg)
-	tr, err := fixed.Fit(f.U, f.V)
+	ds := oceanData(cfg)
+	tr, tau, orig, err := ds.fit(cfg.TauRel)
 	if err != nil {
 		return nil, Table{}, err
 	}
-	tau := cfg.TauRel * field.Range(f.U, f.V)
-	orig := cp.DetectField2D(f, tr)
-	raw := 4 * 2 * len(f.U)
-
-	ours, err := core.CompressField2D(f, tr, core.Options{Tau: tau})
+	methods, err := qualMethods(ds, tr, tau, 0.1, sz3Abs, zfpAcc, fpzipPrec)
 	if err != nil {
 		return nil, Table{}, err
 	}
-	target := len(ours)
-
-	type method struct {
-		name string
-		run  func() (*field.Field2D, int, error)
-	}
-	rng := field.Range(f.U, f.V)
-	methods := []method{
-		{"original", func() (*field.Field2D, int, error) { return f, raw, nil }},
-		{"ours-NoSpec", func() (*field.Field2D, int, error) {
-			g, err := core.Decompress2D(ours)
-			return g, len(ours), err
-		}},
-		{"ours-ST4", func() (*field.Field2D, int, error) {
-			b, err := core.CompressField2D(f, tr, core.Options{Tau: tau, Spec: core.ST4})
-			if err != nil {
-				return nil, 0, err
-			}
-			g, err := core.Decompress2D(b)
-			return g, len(b), err
-		}},
-		{"cpSZ-coupled", func() (*field.Field2D, int, error) {
-			b, err := cpsz.Compress2D(f, cpsz.Options{Rel: 0.1, Scheme: cpsz.Coupled})
-			if err != nil {
-				return nil, 0, err
-			}
-			g, _, err := cpsz.Decompress(b)
-			return g, len(b), err
-		}},
-		{"SZ3", func() (*field.Field2D, int, error) {
-			abs := tuneFloat(rng*1e-7, rng, target, func(p float64) int {
-				b, _ := baselines.SZLike{Abs: p}.Compress2D(f)
-				return len(b)
-			})
-			b, err := baselines.SZLike{Abs: abs}.Compress2D(f)
-			if err != nil {
-				return nil, 0, err
-			}
-			g, err := baselines.SZLike{}.Decompress2D(b)
-			return g, len(b), err
-		}},
-		{"ZFP", func() (*field.Field2D, int, error) {
-			acc := tuneFloat(rng*1e-7, rng, target, func(p float64) int {
-				b, _ := baselines.ZFPLike{Accuracy: p}.Compress2D(f)
-				return len(b)
-			})
-			b, err := baselines.ZFPLike{Accuracy: acc}.Compress2D(f)
-			if err != nil {
-				return nil, 0, err
-			}
-			g, err := baselines.ZFPLike{}.Decompress2D(b)
-			return g, len(b), err
-		}},
-		{"FPZIP", func() (*field.Field2D, int, error) {
-			p := tuneInt(1, 32, target, func(p int) int {
-				b, _ := baselines.FPZIPLike{Precision: p}.Compress2D(f)
-				return len(b)
-			})
-			b, err := baselines.FPZIPLike{Precision: p}.Compress2D(f)
-			if err != nil {
-				return nil, 0, err
-			}
-			g, err := baselines.FPZIPLike{}.Decompress2D(b)
-			return g, len(b), err
-		}},
-	}
+	original := qualMethod{"original", func() ([][]float32, int, error) { return ds.comps, ds.rawBytes(), nil }}
+	methods = append([]qualMethod{original}, methods...)
 
 	var rows []QualRow
 	for _, m := range methods {
-		g, size, err := m.run()
+		row, pts, g, err := m.eval(ds, tr, orig)
 		if err != nil {
-			return nil, Table{}, fmt.Errorf("%s: %w", m.name, err)
-		}
-		pts := cp.DetectField2D(g, tr)
-		row := QualRow{
-			Method: m.name,
-			Ratio:  float64(raw) / float64(size),
-			Report: cp.Compare(orig, pts),
+			return nil, Table{}, err
 		}
 		if outDir != "" {
-			img := analysis.LIC(g, 10, 7)
-			color := analysis.OverlayCriticalPoints(img, g.NX, g.NY, pts)
+			f := &field.Field2D{NX: ds.dims[0], NY: ds.dims[1], U: g[0], V: g[1]}
+			img := analysis.LIC(f, 10, 7)
+			color := analysis.OverlayCriticalPoints(img, f.NX, f.NY, pts)
 			path := filepath.Join(outDir, "fig5-"+m.name+".ppm")
 			file, err := os.Create(path)
 			if err != nil {
 				return nil, Table{}, err
 			}
-			if err := analysis.WritePPM(file, color, g.NX, g.NY); err != nil {
+			if err := analysis.WritePPM(file, color, f.NX, f.NY); err != nil {
 				file.Close()
 				return nil, Table{}, err
 			}
@@ -153,87 +79,100 @@ func Fig5(cfg Config, outDir string) ([]QualRow, Table, error) {
 // statistics (the quantitative counterpart of the paper's renderings).
 func Fig7(cfg Config) ([]QualRow, Table, error) {
 	cfg = cfg.WithDefaults()
-	f := hurricaneField(cfg)
-	return qual3D(cfg, f, "Fig. 7: qualitative results on 3D Hurricane data (streamline divergence)")
+	return qual3D(cfg, hurricaneData(cfg), "Fig. 7: qualitative results on 3D Hurricane data (streamline divergence)")
 }
 
 // Fig8 reproduces the Nek5000 streamline comparison.
 func Fig8(cfg Config) ([]QualRow, Table, error) {
 	cfg = cfg.WithDefaults()
-	f := nekField(cfg)
-	return qual3D(cfg, f, "Fig. 8: qualitative results on 3D Nek5000 data (streamline divergence)")
+	return qual3D(cfg, nekData(cfg), "Fig. 8: qualitative results on 3D Nek5000 data (streamline divergence)")
 }
 
-func qual3D(cfg Config, f *field.Field3D, title string) ([]QualRow, Table, error) {
-	tr, err := fixed.Fit(f.U, f.V, f.W)
+func qual3D(cfg Config, ds dataset, title string) ([]QualRow, Table, error) {
+	tr, tau, orig, err := ds.fit(cfg.TauRel)
 	if err != nil {
 		return nil, Table{}, err
 	}
-	tau := cfg.TauRel * field.Range(f.U, f.V, f.W)
-	orig := cp.DetectField3D(f, tr)
-	raw := 4 * 3 * len(f.U)
+	f := &field.Field3D{NX: ds.dims[0], NY: ds.dims[1], NZ: ds.dims[2], U: ds.comps[0], V: ds.comps[1], W: ds.comps[2]}
 	seeds := analysis.DiagonalSeeds3D(f, 12)
 	base := analysis.TraceAll3D(f, seeds, 0.25, 400)
 
-	ours, err := core.CompressField3D(f, tr, core.Options{Tau: tau})
+	methods, err := qualMethods(ds, tr, tau, 0.05, fpzipPrec)
 	if err != nil {
 		return nil, Table{}, err
 	}
-	target := len(ours)
-
-	type method struct {
-		name string
-		run  func() (*field.Field3D, int, error)
-	}
-	methods := []method{
-		{"ours-NoSpec", func() (*field.Field3D, int, error) {
-			g, err := core.Decompress3D(ours)
-			return g, len(ours), err
-		}},
-		{"ours-ST4", func() (*field.Field3D, int, error) {
-			b, err := core.CompressField3D(f, tr, core.Options{Tau: tau, Spec: core.ST4})
-			if err != nil {
-				return nil, 0, err
-			}
-			g, err := core.Decompress3D(b)
-			return g, len(b), err
-		}},
-		{"cpSZ-coupled", func() (*field.Field3D, int, error) {
-			b, err := cpsz.Compress3D(f, cpsz.Options{Rel: 0.05, Scheme: cpsz.Coupled})
-			if err != nil {
-				return nil, 0, err
-			}
-			_, g, err := cpsz.Decompress(b)
-			return g, len(b), err
-		}},
-		{"FPZIP", func() (*field.Field3D, int, error) {
-			p := tuneInt(1, 32, target, func(p int) int {
-				b, _ := baselines.FPZIPLike{Precision: p}.Compress3D(f)
-				return len(b)
-			})
-			b, err := baselines.FPZIPLike{Precision: p}.Compress3D(f)
-			if err != nil {
-				return nil, 0, err
-			}
-			g, err := baselines.FPZIPLike{}.Decompress3D(b)
-			return g, len(b), err
-		}},
-	}
-
 	var rows []QualRow
 	for _, m := range methods {
-		g, size, err := m.run()
+		row, _, g, err := m.eval(ds, tr, orig)
 		if err != nil {
-			return nil, Table{}, fmt.Errorf("%s: %w", m.name, err)
+			return nil, Table{}, err
 		}
-		rows = append(rows, QualRow{
-			Method:    m.name,
-			Ratio:     float64(raw) / float64(size),
-			Report:    cp.Compare(orig, cp.DetectField3D(g, tr)),
-			StreamDiv: analysis.StreamlineDivergence(base, analysis.TraceAll3D(g, seeds, 0.25, 400)),
-		})
+		dec := &field.Field3D{NX: f.NX, NY: f.NY, NZ: f.NZ, U: g[0], V: g[1], W: g[2]}
+		row.StreamDiv = analysis.StreamlineDivergence(base, analysis.TraceAll3D(dec, seeds, 0.25, 400))
+		rows = append(rows, row)
 	}
 	return rows, qualTable(title, rows, true), nil
+}
+
+// qualMethod is one compressor of a qualitative figure: run returns its
+// decompressed components and compressed size.
+type qualMethod struct {
+	name string
+	run  func() ([][]float32, int, error)
+}
+
+// qualMethods lists the compressors a qualitative figure compares on ds:
+// ours (NoSpec, ST4), cpSZ coupled at cpszRel, and the given generic
+// compressors tuned to our NoSpec size.
+func qualMethods(ds dataset, tr fixed.Transform, tau, cpszRel float64, generics ...generic) ([]qualMethod, error) {
+	ours, _, err := core.CompressBlock(ds.block(tr, core.Options{Tau: tau}))
+	if err != nil {
+		return nil, err
+	}
+	decode := func(blob []byte, decompress func([]byte) ([]int, [][]float32, error)) ([][]float32, int, error) {
+		_, g, err := decompress(blob)
+		return g, len(blob), err
+	}
+	methods := []qualMethod{
+		{"ours-NoSpec", func() ([][]float32, int, error) { return decode(ours, core.Decompress) }},
+		{"ours-ST4", func() ([][]float32, int, error) {
+			b, _, err := core.CompressBlock(ds.block(tr, core.Options{Tau: tau, Spec: core.ST4}))
+			if err != nil {
+				return nil, 0, err
+			}
+			return decode(b, core.Decompress)
+		}},
+		{"cpSZ-coupled", func() ([][]float32, int, error) {
+			b, err := cpsz.Compress(ds.dims, ds.comps, cpsz.Options{Rel: cpszRel, Scheme: cpsz.Coupled})
+			if err != nil {
+				return nil, 0, err
+			}
+			return decode(b, cpsz.Decompress)
+		}},
+	}
+	for _, gen := range generics {
+		methods = append(methods, qualMethod{gen.name, func() ([][]float32, int, error) {
+			codec, _ := gen.tune(ds, len(ours), nil)
+			b, err := codec.Compress(ds.dims, ds.comps)
+			if err != nil {
+				return nil, 0, err
+			}
+			return decode(b, codec.Decompress)
+		}})
+	}
+	return methods, nil
+}
+
+// eval runs m and compares the critical points of its output with orig.
+// It returns the row, the output's critical points and its components.
+func (m qualMethod) eval(ds dataset, tr fixed.Transform, orig []cp.Point) (QualRow, []cp.Point, [][]float32, error) {
+	g, size, err := m.run()
+	if err != nil {
+		return QualRow{}, nil, nil, fmt.Errorf("%s: %w", m.name, err)
+	}
+	pts := cp.Detect(ds.dims, g, tr)
+	row := QualRow{Method: m.name, Ratio: float64(ds.rawBytes()) / float64(size), Report: cp.Compare(orig, pts)}
+	return row, pts, g, nil
 }
 
 func qualTable(title string, rows []QualRow, withDiv bool) Table {

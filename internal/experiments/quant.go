@@ -9,6 +9,7 @@ import (
 	"repro/internal/cpsz"
 	"repro/internal/field"
 	"repro/internal/fixed"
+	"repro/internal/telemetry"
 )
 
 // QuantRow is one row of the quantitative comparison tables (V–VII).
@@ -67,18 +68,31 @@ func quantTable(title string, ncomp int, rows []QuantRow) QuantResult {
 // Table5 reproduces the 2D Ocean quantitative comparison.
 func Table5(cfg Config) (QuantResult, error) {
 	cfg = cfg.WithDefaults()
-	return quant2D(cfg, "Table V: quantitative results on 2D Ocean data")
+	return quant(cfg, oceanData(cfg), 0.1, "Table V: quantitative results on 2D Ocean data")
 }
 
-func quant2D(cfg Config, title string) (QuantResult, error) {
-	f := oceanField(cfg)
-	tr, err := fixed.Fit(f.U, f.V)
+// Table6 reproduces the 3D Hurricane quantitative comparison.
+func Table6(cfg Config) (QuantResult, error) {
+	cfg = cfg.WithDefaults()
+	return quant(cfg, hurricaneData(cfg), 0.05, "Table VI: quantitative results on 3D Hurricane data")
+}
+
+// Table7 reproduces the 3D Nek5000 quantitative comparison.
+func Table7(cfg Config) (QuantResult, error) {
+	cfg = cfg.WithDefaults()
+	return quant(cfg, nekData(cfg), 0.05, "Table VII: quantitative results on 3D Nek5000 data")
+}
+
+// quant runs one quantitative table: ours at every speculation target,
+// cpSZ with both schemes at the relative bound cpszRel (the authors'
+// suggested setting: 0.1 in 2D, 0.05 in 3D), and the generic compressors
+// tuned to our NoSpec size.
+func quant(cfg Config, ds dataset, cpszRel float64, title string) (QuantResult, error) {
+	tr, tau, orig, err := ds.fit(cfg.TauRel)
 	if err != nil {
 		return QuantResult{}, err
 	}
-	raw := 4 * (len(f.U) + len(f.V))
-	tau := cfg.TauRel * field.Range(f.U, f.V)
-	orig := cp.DetectField2D(f, tr)
+	raw := ds.rawBytes()
 
 	var rows []QuantRow
 	var target int
@@ -90,312 +104,132 @@ func quant2D(cfg Config, title string) (QuantResult, error) {
 		var cerr error
 		sp := cfg.Tel.Span("ours-" + spec.String())
 		dc := timeIt(func() {
-			blob, cerr = core.CompressField2D(f, tr, core.Options{Tau: tau, Spec: spec, Tel: cfg.Tel, TelSpan: sp})
+			blob, _, cerr = core.CompressBlock(ds.block(tr, core.Options{Tau: tau, Spec: spec, Tel: cfg.Tel, TelSpan: sp}))
 		})
 		if cerr != nil {
 			return QuantResult{}, cerr
 		}
-		var g *field.Field2D
-		dd := timeIt(func() { g, cerr = core.Decompress2D(blob) })
+		var g [][]float32
+		dd := timeIt(func() { _, g, cerr = core.Decompress(blob) })
 		sp.AddChild("decompress", dd)
 		sp.End()
 		if cerr != nil {
 			return QuantResult{}, cerr
 		}
-		rep := cp.Compare(orig, cp.DetectField2D(g, tr))
 		rows = append(rows, QuantRow{
 			Compressor: "Ours", Settings: fmt.Sprintf("%v -R %.3g", spec, cfg.TauRel),
 			CRAll:  float64(raw) / float64(len(blob)),
-			ScMBps: mbps(raw, dc), SdMBps: mbps(raw, dd), Report: rep,
+			ScMBps: mbps(raw, dc), SdMBps: mbps(raw, dd), Report: cp.Compare(orig, cp.Detect(ds.dims, g, tr)),
 		})
 		if spec == core.NoSpec {
 			target = len(blob)
 		}
 	}
 
-	// cpSZ, both schemes, -R 0.1 (the authors' suggested 2D setting).
+	// cpSZ, both schemes.
 	for _, scheme := range []cpsz.Scheme{cpsz.Decoupled, cpsz.Coupled} {
 		var blob []byte
 		var cerr error
 		sp := cfg.Tel.Span("cpsz-" + scheme.String())
 		dc := timeIt(func() {
-			blob, cerr = cpsz.Compress2D(f, cpsz.Options{Rel: 0.1, Scheme: scheme, Tel: cfg.Tel, TelSpan: sp})
+			blob, cerr = cpsz.Compress(ds.dims, ds.comps, cpsz.Options{Rel: cpszRel, Scheme: scheme, Tel: cfg.Tel, TelSpan: sp})
 		})
 		if cerr != nil {
 			return QuantResult{}, cerr
 		}
-		var g *field.Field2D
-		dd := timeIt(func() { g, _, cerr = cpsz.Decompress(blob) })
-		sp.AddChild("decompress", dd)
-		sp.End()
-		if cerr != nil {
-			return QuantResult{}, cerr
-		}
-		rep := cp.Compare(orig, cp.DetectField2D(g, tr))
-		rows = append(rows, QuantRow{
-			Compressor: "cpSZ", Settings: scheme.String() + " -R 0.1",
-			CRAll:  float64(raw) / float64(len(blob)),
-			ScMBps: mbps(raw, dc), SdMBps: mbps(raw, dd), Report: rep,
-		})
-	}
-
-	// Generic compressors tuned to our NoSpec ratio.
-	rng := field.Range(f.U, f.V)
-
-	// SZ3-like, absolute bound.
-	szAbs := tuneFloat(rng*1e-7, rng, target, func(p float64) int {
-		b, _ := baselines.SZLike{Abs: p}.Compress2D(f)
-		return len(b)
-	})
-	sz := baselines.SZLike{Abs: szAbs, Tel: cfg.Tel}
-	rows = append(rows, evalBaseline2D(f, tr, orig, raw,
-		"SZ3", fmt.Sprintf("-A %.3g", szAbs),
-		func() ([]byte, error) { return sz.Compress2D(f) },
-		func(b []byte) (*field.Field2D, error) { return sz.Decompress2D(b) },
-		func(c []float32) int { n, _ := sz.CompressedSizeOne(f.NX, f.NY, 1, c); return n },
-	))
-
-	// ZFP-like, accuracy mode.
-	zfpAcc := tuneFloat(rng*1e-7, rng, target, func(p float64) int {
-		b, _ := baselines.ZFPLike{Accuracy: p}.Compress2D(f)
-		return len(b)
-	})
-	za := baselines.ZFPLike{Accuracy: zfpAcc, Tel: cfg.Tel}
-	rows = append(rows, evalBaseline2D(f, tr, orig, raw,
-		"ZFP", fmt.Sprintf("-A %.3g", zfpAcc),
-		func() ([]byte, error) { return za.Compress2D(f) },
-		func(b []byte) (*field.Field2D, error) { return za.Decompress2D(b) },
-		func(c []float32) int { n, _ := za.CompressedSizeOne(f.NX, f.NY, 1, c); return n },
-	))
-
-	// ZFP-like, precision mode.
-	zfpP := tuneInt(1, 30, target, func(p int) int {
-		b, _ := baselines.ZFPLike{Precision: p}.Compress2D(f)
-		return len(b)
-	})
-	zp := baselines.ZFPLike{Precision: zfpP, Tel: cfg.Tel}
-	rows = append(rows, evalBaseline2D(f, tr, orig, raw,
-		"ZFP", fmt.Sprintf("-P %d", zfpP),
-		func() ([]byte, error) { return zp.Compress2D(f) },
-		func(b []byte) (*field.Field2D, error) { return zp.Decompress2D(b) },
-		func(c []float32) int { n, _ := zp.CompressedSizeOne(f.NX, f.NY, 1, c); return n },
-	))
-
-	// FPZIP-like, precision mode.
-	fpP := tuneInt(1, 32, target, func(p int) int {
-		b, _ := baselines.FPZIPLike{Precision: p}.Compress2D(f)
-		return len(b)
-	})
-	fp := baselines.FPZIPLike{Precision: fpP, Tel: cfg.Tel}
-	rows = append(rows, evalBaseline2D(f, tr, orig, raw,
-		"FPZIP", fmt.Sprintf("-P %d", fpP),
-		func() ([]byte, error) { return fp.Compress2D(f) },
-		func(b []byte) (*field.Field2D, error) { return fp.Decompress2D(b) },
-		func(c []float32) int { n, _ := fp.CompressedSizeOne(f.NX, f.NY, 1, c); return n },
-	))
-
-	// Present in the paper's order: generic compressors, cpSZ, ours.
-	ordered := make([]QuantRow, 0, len(rows))
-	ordered = append(ordered, rows[7:]...)
-	ordered = append(ordered, rows[5], rows[6])
-	ordered = append(ordered, rows[:5]...)
-	return quant2DResult(title, ordered), nil
-}
-
-func quant2DResult(title string, rows []QuantRow) QuantResult {
-	return quantTable(title, 2, rows)
-}
-
-func evalBaseline2D(f *field.Field2D, tr fixed.Transform, orig []cp.Point, raw int,
-	name, settings string,
-	compress func() ([]byte, error),
-	decompress func([]byte) (*field.Field2D, error),
-	sizeOne func([]float32) int) QuantRow {
-
-	var blob []byte
-	var err error
-	dc := timeIt(func() { blob, err = compress() })
-	if err != nil {
-		return QuantRow{Compressor: name, Settings: settings + " (error: " + err.Error() + ")"}
-	}
-	var g *field.Field2D
-	dd := timeIt(func() { g, err = decompress(blob) })
-	if err != nil {
-		return QuantRow{Compressor: name, Settings: settings + " (error: " + err.Error() + ")"}
-	}
-	rep := cp.Compare(orig, cp.DetectField2D(g, tr))
-	perRaw := 4 * len(f.U)
-	return QuantRow{
-		Compressor: name, Settings: settings,
-		CRPer: []float64{
-			float64(perRaw) / float64(sizeOne(f.U)),
-			float64(perRaw) / float64(sizeOne(f.V)),
-		},
-		CRAll:  float64(raw) / float64(len(blob)),
-		ScMBps: mbps(raw, dc), SdMBps: mbps(raw, dd), Report: rep,
-	}
-}
-
-// Table6 reproduces the 3D Hurricane quantitative comparison.
-func Table6(cfg Config) (QuantResult, error) {
-	cfg = cfg.WithDefaults()
-	f := hurricaneField(cfg)
-	return quant3D(cfg, f, "Table VI: quantitative results on 3D Hurricane data")
-}
-
-// Table7 reproduces the 3D Nek5000 quantitative comparison.
-func Table7(cfg Config) (QuantResult, error) {
-	cfg = cfg.WithDefaults()
-	f := nekField(cfg)
-	return quant3D(cfg, f, "Table VII: quantitative results on 3D Nek5000 data")
-}
-
-func quant3D(cfg Config, f *field.Field3D, title string) (QuantResult, error) {
-	tr, err := fixed.Fit(f.U, f.V, f.W)
-	if err != nil {
-		return QuantResult{}, err
-	}
-	raw := 4 * 3 * len(f.U)
-	tau := cfg.TauRel * field.Range(f.U, f.V, f.W)
-	orig := cp.DetectField3D(f, tr)
-
-	var rows []QuantRow
-	var target int
-	for _, spec := range []core.Speculation{core.NoSpec, core.ST1, core.ST2, core.ST3, core.ST4} {
-		var blob []byte
-		var cerr error
-		sp := cfg.Tel.Span("ours-" + spec.String())
-		dc := timeIt(func() {
-			blob, cerr = core.CompressField3D(f, tr, core.Options{Tau: tau, Spec: spec, Tel: cfg.Tel, TelSpan: sp})
-		})
-		if cerr != nil {
-			return QuantResult{}, cerr
-		}
-		var g *field.Field3D
-		dd := timeIt(func() { g, cerr = core.Decompress3D(blob) })
-		sp.AddChild("decompress", dd)
-		sp.End()
-		if cerr != nil {
-			return QuantResult{}, cerr
-		}
-		rep := cp.Compare(orig, cp.DetectField3D(g, tr))
-		rows = append(rows, QuantRow{
-			Compressor: "Ours", Settings: fmt.Sprintf("%v -R %.3g", spec, cfg.TauRel),
-			CRAll:  float64(raw) / float64(len(blob)),
-			ScMBps: mbps(raw, dc), SdMBps: mbps(raw, dd), Report: rep,
-		})
-		if spec == core.NoSpec {
-			target = len(blob)
-		}
-	}
-
-	for _, scheme := range []cpsz.Scheme{cpsz.Decoupled, cpsz.Coupled} {
-		var blob []byte
-		var cerr error
-		sp := cfg.Tel.Span("cpsz-" + scheme.String())
-		dc := timeIt(func() {
-			blob, cerr = cpsz.Compress3D(f, cpsz.Options{Rel: 0.05, Scheme: scheme, Tel: cfg.Tel, TelSpan: sp})
-		})
-		if cerr != nil {
-			return QuantResult{}, cerr
-		}
-		var g *field.Field3D
+		var g [][]float32
 		dd := timeIt(func() { _, g, cerr = cpsz.Decompress(blob) })
 		sp.AddChild("decompress", dd)
 		sp.End()
 		if cerr != nil {
 			return QuantResult{}, cerr
 		}
-		rep := cp.Compare(orig, cp.DetectField3D(g, tr))
 		rows = append(rows, QuantRow{
-			Compressor: "cpSZ", Settings: scheme.String() + " -R 0.05",
+			Compressor: "cpSZ", Settings: fmt.Sprintf("%v -R %g", scheme, cpszRel),
 			CRAll:  float64(raw) / float64(len(blob)),
-			ScMBps: mbps(raw, dc), SdMBps: mbps(raw, dd), Report: rep,
+			ScMBps: mbps(raw, dc), SdMBps: mbps(raw, dd), Report: cp.Compare(orig, cp.Detect(ds.dims, g, tr)),
 		})
 	}
 
-	rng := field.Range(f.U, f.V, f.W)
-	szAbs := tuneFloat(rng*1e-7, rng, target, func(p float64) int {
-		b, _ := baselines.SZLike{Abs: p}.Compress3D(f)
-		return len(b)
-	})
-	sz := baselines.SZLike{Abs: szAbs, Tel: cfg.Tel}
-	rows = append(rows, evalBaseline3D(f, tr, orig, raw,
-		"SZ3", fmt.Sprintf("-A %.3g", szAbs),
-		func() ([]byte, error) { return sz.Compress3D(f) },
-		func(b []byte) (*field.Field3D, error) { return sz.Decompress3D(b) },
-		func(c []float32) int { n, _ := sz.CompressedSizeOne(f.NX, f.NY, f.NZ, c); return n },
-	))
+	// Generic compressors tuned to our NoSpec ratio.
+	for _, gen := range []generic{sz3Abs, zfpAcc, zfpPrec, fpzipPrec} {
+		codec, settings := gen.tune(ds, target, cfg.Tel)
+		rows = append(rows, evalBaseline(ds, tr, orig, gen.name, settings, codec))
+	}
 
-	zfpAcc := tuneFloat(rng*1e-7, rng, target, func(p float64) int {
-		b, _ := baselines.ZFPLike{Accuracy: p}.Compress3D(f)
-		return len(b)
-	})
-	za := baselines.ZFPLike{Accuracy: zfpAcc, Tel: cfg.Tel}
-	rows = append(rows, evalBaseline3D(f, tr, orig, raw,
-		"ZFP", fmt.Sprintf("-A %.3g", zfpAcc),
-		func() ([]byte, error) { return za.Compress3D(f) },
-		func(b []byte) (*field.Field3D, error) { return za.Decompress3D(b) },
-		func(c []float32) int { n, _ := za.CompressedSizeOne(f.NX, f.NY, f.NZ, c); return n },
-	))
-
-	zfpP := tuneInt(1, 30, target, func(p int) int {
-		b, _ := baselines.ZFPLike{Precision: p}.Compress3D(f)
-		return len(b)
-	})
-	zp := baselines.ZFPLike{Precision: zfpP, Tel: cfg.Tel}
-	rows = append(rows, evalBaseline3D(f, tr, orig, raw,
-		"ZFP", fmt.Sprintf("-P %d", zfpP),
-		func() ([]byte, error) { return zp.Compress3D(f) },
-		func(b []byte) (*field.Field3D, error) { return zp.Decompress3D(b) },
-		func(c []float32) int { n, _ := zp.CompressedSizeOne(f.NX, f.NY, f.NZ, c); return n },
-	))
-
-	fpP := tuneInt(1, 32, target, func(p int) int {
-		b, _ := baselines.FPZIPLike{Precision: p}.Compress3D(f)
-		return len(b)
-	})
-	fp := baselines.FPZIPLike{Precision: fpP, Tel: cfg.Tel}
-	rows = append(rows, evalBaseline3D(f, tr, orig, raw,
-		"FPZIP", fmt.Sprintf("-P %d", fpP),
-		func() ([]byte, error) { return fp.Compress3D(f) },
-		func(b []byte) (*field.Field3D, error) { return fp.Decompress3D(b) },
-		func(c []float32) int { n, _ := fp.CompressedSizeOne(f.NX, f.NY, f.NZ, c); return n },
-	))
-
+	// Present in the paper's order: generic compressors, cpSZ, ours.
 	ordered := make([]QuantRow, 0, len(rows))
 	ordered = append(ordered, rows[7:]...)
 	ordered = append(ordered, rows[5], rows[6])
 	ordered = append(ordered, rows[:5]...)
-	return quantTable(title, 3, ordered), nil
+	return quantTable(title, len(ds.dims), ordered), nil
 }
 
-func evalBaseline3D(f *field.Field3D, tr fixed.Transform, orig []cp.Point, raw int,
-	name, settings string,
-	compress func() ([]byte, error),
-	decompress func([]byte) (*field.Field3D, error),
-	sizeOne func([]float32) int) QuantRow {
+// generic is one topology-agnostic compressor of the comparison, with
+// its parameter tuned so the output size lands near a target.
+type generic struct {
+	name string
+	// tune returns the tuned codec (reporting to tel) and its settings
+	// column.
+	tune func(ds dataset, target int, tel *telemetry.Collector) (baselines.Codec, string)
+}
 
+// sizeOf is the blob length of c on ds (0 when c rejects the parameter).
+func sizeOf(c baselines.Codec, ds dataset) int {
+	b, _ := c.Compress(ds.dims, ds.comps)
+	return len(b)
+}
+
+// The generic compressors: SZ3 and ZFP in absolute-error mode, searched
+// over [range·1e-7, range]; ZFP and FPZIP in precision mode, over their
+// bit-plane counts.
+var (
+	sz3Abs = generic{"SZ3", func(ds dataset, target int, tel *telemetry.Collector) (baselines.Codec, string) {
+		rng := field.Range(ds.comps...)
+		p := tuneFloat(rng*1e-7, rng, target, func(p float64) int { return sizeOf(baselines.SZLike{Abs: p}, ds) })
+		return baselines.SZLike{Abs: p, Tel: tel}, fmt.Sprintf("-A %.3g", p)
+	}}
+	zfpAcc = generic{"ZFP", func(ds dataset, target int, tel *telemetry.Collector) (baselines.Codec, string) {
+		rng := field.Range(ds.comps...)
+		p := tuneFloat(rng*1e-7, rng, target, func(p float64) int { return sizeOf(baselines.ZFPLike{Accuracy: p}, ds) })
+		return baselines.ZFPLike{Accuracy: p, Tel: tel}, fmt.Sprintf("-A %.3g", p)
+	}}
+	zfpPrec = generic{"ZFP", func(ds dataset, target int, tel *telemetry.Collector) (baselines.Codec, string) {
+		p := tuneInt(1, 30, target, func(p int) int { return sizeOf(baselines.ZFPLike{Precision: p}, ds) })
+		return baselines.ZFPLike{Precision: p, Tel: tel}, fmt.Sprintf("-P %d", p)
+	}}
+	fpzipPrec = generic{"FPZIP", func(ds dataset, target int, tel *telemetry.Collector) (baselines.Codec, string) {
+		p := tuneInt(1, 32, target, func(p int) int { return sizeOf(baselines.FPZIPLike{Precision: p}, ds) })
+		return baselines.FPZIPLike{Precision: p, Tel: tel}, fmt.Sprintf("-P %d", p)
+	}}
+)
+
+// evalBaseline measures one tuned generic compressor on ds: ratios
+// (overall and per component), throughput and critical point
+// preservation. A codec error becomes a row that reports it.
+func evalBaseline(ds dataset, tr fixed.Transform, orig []cp.Point, name, settings string, codec baselines.Codec) QuantRow {
+	raw := ds.rawBytes()
 	var blob []byte
 	var err error
-	dc := timeIt(func() { blob, err = compress() })
+	dc := timeIt(func() { blob, err = codec.Compress(ds.dims, ds.comps) })
 	if err != nil {
 		return QuantRow{Compressor: name, Settings: settings + " (error: " + err.Error() + ")"}
 	}
-	var g *field.Field3D
-	dd := timeIt(func() { g, err = decompress(blob) })
+	var g [][]float32
+	dd := timeIt(func() { _, g, err = codec.Decompress(blob) })
 	if err != nil {
 		return QuantRow{Compressor: name, Settings: settings + " (error: " + err.Error() + ")"}
 	}
-	rep := cp.Compare(orig, cp.DetectField3D(g, tr))
-	perRaw := 4 * len(f.U)
+	rep := cp.Compare(orig, cp.Detect(ds.dims, g, tr))
+	perRaw := 4 * len(ds.comps[0])
+	crPer := make([]float64, len(ds.comps))
+	for c, comp := range ds.comps {
+		n, _ := codec.CompressedSizeOne(ds.dims, comp)
+		crPer[c] = float64(perRaw) / float64(n)
+	}
 	return QuantRow{
 		Compressor: name, Settings: settings,
-		CRPer: []float64{
-			float64(perRaw) / float64(sizeOne(f.U)),
-			float64(perRaw) / float64(sizeOne(f.V)),
-			float64(perRaw) / float64(sizeOne(f.W)),
-		},
+		CRPer:  crPer,
 		CRAll:  float64(raw) / float64(len(blob)),
 		ScMBps: mbps(raw, dc), SdMBps: mbps(raw, dd), Report: rep,
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cp"
 	"repro/internal/field"
-	"repro/internal/fixed"
 	"repro/internal/shm"
 )
 
@@ -45,83 +44,48 @@ func ShmScaling(cfg Config) (ShmResult, error) {
 			"S_c(MB/s)", "S_d(MB/s)", "Speedup", "Identical", "#TP", "#FP", "#FN", "#FT"},
 	}}
 	workerCounts := []int{1, 2, 4, 8}
-
-	ocean := oceanField(cfg)
-	tr2, err := fixed.Fit(ocean.U, ocean.V)
-	if err != nil {
-		return res, err
+	for _, ds := range []dataset{oceanData(cfg), hurricaneData(cfg)} {
+		if err := shmRuns(cfg, &res, ds, workerCounts); err != nil {
+			return res, err
+		}
 	}
-	err = shmRuns(&res, "Ocean", workerCounts,
-		cfg.TauRel*field.Range(ocean.U, ocean.V),
-		func(tau float64, w int) (shm.Result, error) {
-			return shm.Compress(field.Mem2D(ocean), tr2, core.Options{Tau: tau, Spec: core.ST2, Tel: cfg.Tel},
-				shm.Options{Workers: w, Tel: cfg.Tel, Faults: cfg.Faults})
-		},
-		func(blob []byte, w int) (rep cp.Report, decode time.Duration, err error) {
-			var g *field.Field2D
-			decode = timeIt(func() {
-				g = field.NewField2D(ocean.NX, ocean.NY)
-				err = shm.Decompress(blob, w, field.Mem2D(g))
-			})
-			if err != nil {
-				return rep, decode, err
-			}
-			return cp.Compare(cp.DetectField2D(ocean, tr2), cp.DetectField2D(g, tr2)), decode, nil
-		})
-	if err != nil {
-		return res, err
-	}
-
-	hurr := hurricaneField(cfg)
-	tr3, err := fixed.Fit(hurr.U, hurr.V, hurr.W)
-	if err != nil {
-		return res, err
-	}
-	err = shmRuns(&res, "Hurricane", workerCounts,
-		cfg.TauRel*field.Range(hurr.U, hurr.V, hurr.W),
-		func(tau float64, w int) (shm.Result, error) {
-			return shm.Compress(field.Mem3D(hurr), tr3, core.Options{Tau: tau, Spec: core.ST2, Tel: cfg.Tel},
-				shm.Options{Workers: w, Tel: cfg.Tel, Faults: cfg.Faults})
-		},
-		func(blob []byte, w int) (rep cp.Report, decode time.Duration, err error) {
-			var g *field.Field3D
-			decode = timeIt(func() {
-				g = field.NewField3D(hurr.NX, hurr.NY, hurr.NZ)
-				err = shm.Decompress(blob, w, field.Mem3D(g))
-			})
-			if err != nil {
-				return rep, decode, err
-			}
-			return cp.Compare(cp.DetectField3D(hurr, tr3), cp.DetectField3D(g, tr3)), decode, nil
-		})
-	return res, err
+	return res, nil
 }
 
-// shmRuns executes one dataset's worker sweep and appends its rows.
-// compress runs the pipeline; check decodes the container with the same
-// worker count (reporting the decode wall time alone) and compares
-// critical points against the original field.
-func shmRuns(res *ShmResult, dataset string, workerCounts []int, tau float64,
-	compress func(tau float64, w int) (shm.Result, error),
-	check func(blob []byte, w int) (cp.Report, time.Duration, error)) error {
-
+// shmRuns executes one dataset's worker sweep and appends its rows: each
+// worker count compresses the field through the pipeline, decodes the
+// container with the same worker count (timing the decode alone) and
+// compares critical points against the original field.
+func shmRuns(cfg Config, res *ShmResult, ds dataset, workerCounts []int) error {
+	tr, tau, orig, err := ds.fit(cfg.TauRel)
+	if err != nil {
+		return err
+	}
 	var ref []byte
 	var baseWall time.Duration
 	for _, w := range workerCounts {
-		r, err := compress(tau, w)
+		r, err := shm.Compress(field.MemOf(ds.dims, ds.comps), tr, core.Options{Tau: tau, Spec: core.ST2, Tel: cfg.Tel},
+			shm.Options{Workers: w, Tel: cfg.Tel, Faults: cfg.Faults})
 		if err != nil {
 			return err
 		}
-		rep, decode, err := check(r.Blob, w)
+		g := make([][]float32, len(ds.comps))
+		decode := timeIt(func() {
+			for c := range g {
+				g[c] = make([]float32, len(ds.comps[c]))
+			}
+			err = shm.Decompress(r.Blob, w, field.MemOf(ds.dims, g))
+		})
 		if err != nil {
 			return err
 		}
+		rep := cp.Compare(orig, cp.Detect(ds.dims, g, tr))
 		if ref == nil {
 			ref = r.Blob
 			baseWall = r.Wall
 		}
 		row := ShmRow{
-			Dataset:   dataset,
+			Dataset:   ds.name,
 			Workers:   w,
 			Slabs:     r.Slabs,
 			Ratio:     r.Ratio(),

@@ -76,16 +76,22 @@ type Mem struct {
 	comps [][]float32
 }
 
-// Mem2D wraps an in-memory 2D field. Reads copy out of the field, so
-// encode attempts can scribble on their buffers without corrupting the
-// source; writes copy into it.
+// MemOf wraps the components of an in-memory field of dims [NX, NY] or
+// [NX, NY, NZ], one per dimension, without copying them. Reads copy out
+// of the field, so encode attempts can scribble on their buffers without
+// corrupting the source; writes copy into it.
+func MemOf(dims []int, comps [][]float32) *Mem {
+	return &Mem{dims: dims, comps: comps}
+}
+
+// Mem2D wraps an in-memory 2D field.
 func Mem2D(f *Field2D) *Mem {
-	return &Mem{dims: []int{f.NX, f.NY}, comps: [][]float32{f.U, f.V}}
+	return MemOf([]int{f.NX, f.NY}, f.Components())
 }
 
 // Mem3D wraps an in-memory 3D field.
 func Mem3D(f *Field3D) *Mem {
-	return &Mem{dims: []int{f.NX, f.NY, f.NZ}, comps: [][]float32{f.U, f.V, f.W}}
+	return MemOf([]int{f.NX, f.NY, f.NZ}, f.Components())
 }
 
 // NewMem allocates a zeroed in-memory field of dims [NX, NY] or

@@ -15,9 +15,16 @@
 //     (encode paths, constructors whose contract requires sane sizes,
 //     decode paths downstream of a successful header validation): an
 //     overflow there is a programmer error, reported by panic.
+//
+// Field applies Product to a caller-supplied field and checks its
+// components against the result, for the dimension-free compressors.
 package safedim
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Product returns the product of dims, reporting ok=false when any
 // dimension is negative or the product overflows int. A zero dimension
@@ -49,4 +56,28 @@ func MustProduct(dims ...int) int {
 		panic("safedim: dimension product overflows int")
 	}
 	return n
+}
+
+// Field validates the shape of a field handed to a dimension-free
+// compressor: dims is [NX, NY] or [NX, NY, NZ] with every extent at
+// least 1, comps holds ncomp components, and each holds one value per
+// grid point. It returns the point count. Errors carry no package
+// prefix; callers add their own.
+func Field(dims []int, comps [][]float32, ncomp int) (int, error) {
+	if len(dims) != 2 && len(dims) != 3 {
+		return 0, fmt.Errorf("a field has 2 or 3 dims, got %d", len(dims))
+	}
+	if len(comps) != ncomp {
+		return 0, fmt.Errorf("want %d components, got %d", ncomp, len(comps))
+	}
+	n, ok := Product(dims...)
+	if !ok || slices.Min(dims) < 1 {
+		return 0, fmt.Errorf("bad dims %v", dims)
+	}
+	for _, c := range comps {
+		if len(c) != n {
+			return 0, fmt.Errorf("component of length %d for dims %v", len(c), dims)
+		}
+	}
+	return n, nil
 }

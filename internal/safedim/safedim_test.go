@@ -45,3 +45,31 @@ func TestMustProduct(t *testing.T) {
 	}()
 	MustProduct(1<<32, 1<<32)
 }
+
+func TestField(t *testing.T) {
+	two := [][]float32{make([]float32, 6), make([]float32, 6)}
+	if n, err := Field([]int{3, 2}, two, 2); err != nil || n != 6 {
+		t.Errorf("Field(3x2, 2 comps) = %d, %v", n, err)
+	}
+	if n, err := Field([]int{3, 2, 1}, two[:1], 1); err != nil || n != 6 {
+		t.Errorf("Field(3x2x1, 1 comp) = %d, %v", n, err)
+	}
+	for _, c := range []struct {
+		name  string
+		dims  []int
+		comps [][]float32
+		ncomp int
+	}{
+		{"1 dim", []int{6}, two[:1], 1},
+		{"4 dims", []int{3, 2, 1, 1}, two, 2},
+		{"component count", []int{3, 2}, two[:1], 2},
+		{"zero extent", []int{0, 2}, [][]float32{nil, nil}, 2},
+		{"negative extent", []int{-3, -2}, two, 2},
+		{"overflow", []int{1 << 40, 1 << 40}, two, 2},
+		{"length", []int{3, 3}, two, 2},
+	} {
+		if _, err := Field(c.dims, c.comps, c.ncomp); err == nil {
+			t.Errorf("%s: want an error", c.name)
+		}
+	}
+}
