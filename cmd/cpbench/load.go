@@ -114,7 +114,7 @@ func runLoad(args []string, w io.Writer) (failed bool, err error) {
 		return false, err
 	}
 	var contBuf bytes.Buffer
-	if _, err := c.Compress(field.Mem2D(f), &contBuf, codec.Params{Tau: *tau, Spec: *spec}); err != nil {
+	if _, err := c.Compress(field.MemOf(f.Dims(), f.Components()), &contBuf, codec.Params{Tau: *tau, Spec: *spec}); err != nil {
 		return false, err
 	}
 	container := contBuf.Bytes()

@@ -207,21 +207,21 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	// SoS ties on the decoded golden fields (see sos.go): Ocean NoSpec and
 	// Nek ST4 round trips, harvested over the same cell strides as the
 	// orientation rows.
-	dec2, err := roundTrip2D(f2, tr2, *tauRel*field.Range(f2.U, f2.V), core.NoSpec)
+	dec2, err := roundTrip(f2.Dims(), f2.Components(), *tauRel*field.Range(f2.U, f2.V), core.NoSpec)
 	if err != nil {
 		return false, err
 	}
-	dec3, err := roundTrip3D(f3, tr3, *tauRel*field.Range(f3.U, f3.V, f3.W), core.ST4)
+	dec3, err := roundTrip(f3.Dims(), f3.Components(), *tauRel*field.Range(f3.U, f3.V, f3.W), core.ST4)
 	if err != nil {
 		return false, err
 	}
 	du2, dv2 := make([]int64, len(u2)), make([]int64, len(v2))
-	tr2.ToFixed(dec2.U, du2)
-	tr2.ToFixed(dec2.V, dv2)
+	tr2.ToFixed(dec2[0], du2)
+	tr2.ToFixed(dec2[1], dv2)
 	du3, dv3, dw3 := make([]int64, len(u3)), make([]int64, len(v3)), make([]int64, len(w3))
-	tr3.ToFixed(dec3.U, du3)
-	tr3.ToFixed(dec3.V, dv3)
-	tr3.ToFixed(dec3.W, dw3)
+	tr3.ToFixed(dec3[0], du3)
+	tr3.ToFixed(dec3[1], dv3)
+	tr3.ToFixed(dec3[2], dw3)
 	tieCap := *samples / 20
 	ties2 := thin(harvestTies2(d2.Mesh, du2, dv2, stride2), tieCap)
 	ties3 := thin(harvestTies3(m3, du3, dv3, dw3, stride3), tieCap)

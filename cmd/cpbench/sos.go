@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/field"
-	"repro/internal/fixed"
 )
 
 // The SoS row of `cpbench pred`: the tie-only SoS entry points against
@@ -46,22 +45,15 @@ func (r sosResult) speedup() float64 {
 	return r.refNs / r.tieNs
 }
 
-// roundTrip2D returns f compressed with spec and decoded again.
-func roundTrip2D(f *field.Field2D, tr fixed.Transform, tau float64, spec core.Speculation) (*field.Field2D, error) {
-	blob, err := core.CompressField2D(f, tr, core.Options{Tau: tau, Spec: spec})
+// roundTrip returns the components of a field of dims compressed with
+// spec and decoded again.
+func roundTrip(dims []int, comps [][]float32, tau float64, spec core.Speculation) ([][]float32, error) {
+	blob, _, err := core.Compress(dims, comps, core.Options{Tau: tau, Spec: spec})
 	if err != nil {
 		return nil, err
 	}
-	return core.Decompress2D(blob)
-}
-
-// roundTrip3D is roundTrip2D for 3D fields.
-func roundTrip3D(f *field.Field3D, tr fixed.Transform, tau float64, spec core.Speculation) (*field.Field3D, error) {
-	blob, err := core.CompressField3D(f, tr, core.Options{Tau: tau, Spec: spec})
-	if err != nil {
-		return nil, err
-	}
-	return core.Decompress3D(blob)
+	_, dec, err := core.Decompress(blob)
+	return dec, err
 }
 
 // harvestTies2 collects every exactly-zero orientation predicate of the

@@ -99,40 +99,22 @@ func cmdTrack(args []string) error {
 	if sr.Steps() == 0 {
 		return fmt.Errorf("archive is empty")
 	}
-	first, err := sr.ReadBlobInto(nil, 0)
+	// Decode the whole series (handles temporal chaining) and detect
+	// every step with the first frame's transform, so detection is
+	// consistent across steps.
+	dims, frames, err := archive.DecodeSeries(sr)
 	if err != nil {
 		return err
 	}
-	ndim, _, _, _, err := core.PeekHeader(first)
-	if err != nil {
-		return err
-	}
-	// Decode the whole series (handles temporal chaining) and use the
-	// first frame's transform so detection is consistent across steps.
-	var steps [][]cp.Point
 	var tr fixed.Transform
-	if ndim == 2 {
-		frames, err := archive.DecodeSeries2D(sr)
-		if err != nil {
-			return err
+	steps := make([][]cp.Point, len(frames))
+	for i, comps := range frames {
+		if i == 0 {
+			if tr, err = fixed.Fit(comps...); err != nil {
+				return err
+			}
 		}
-		if tr, err = fixed.Fit(frames[0].U, frames[0].V); err != nil {
-			return err
-		}
-		for _, f := range frames {
-			steps = append(steps, cp.DetectField2D(f, tr))
-		}
-	} else {
-		frames, err := archive.DecodeSeries3D(sr)
-		if err != nil {
-			return err
-		}
-		if tr, err = fixed.Fit(frames[0].U, frames[0].V, frames[0].W); err != nil {
-			return err
-		}
-		for _, f := range frames {
-			steps = append(steps, cp.DetectField3D(f, tr))
-		}
+		steps[i] = cp.Detect(dims, comps, tr)
 	}
 	tracks := tracking.Build(steps, tracking.Options{Radius: *radius, MatchType: true})
 	sum := tracking.Summarize(tracks)

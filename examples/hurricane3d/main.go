@@ -35,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tau := 0.01 * field.Range(f.U, f.V, f.W)
-	orig := cp.DetectField3D(f, tr)
+	orig := cp.Detect(f.Dims(), f.Components(), tr)
 	fmt.Printf("hurricane %dx%dx%d: %d critical points (vortex core and background eddies)\n",
 		nx, ny, nz, len(orig))
 
@@ -47,15 +47,16 @@ func main() {
 
 	// Our compressor at two speculation levels.
 	for _, spec := range []core.Speculation{core.NoSpec, core.ST4} {
-		blob, err := core.CompressField3D(f, tr, core.Options{Tau: tau, Spec: spec})
+		blob, _, err := core.Compress(f.Dims(), f.Components(), core.Options{Tau: tau, Spec: spec})
 		if err != nil {
 			log.Fatal(err)
 		}
-		dec, err := core.Decompress3D(blob)
+		_, comps, err := core.Decompress(blob)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep := cp.Compare(orig, cp.DetectField3D(dec, tr))
+		rep := cp.Compare(orig, cp.Detect(f.Dims(), comps, tr))
+		dec := &field.Field3D{NX: nx, NY: ny, NZ: nz, U: comps[0], V: comps[1], W: comps[2]}
 		div := analysis.StreamlineDivergence(ref, analysis.TraceAll3D(dec, seeds, 0.25, 300))
 		fmt.Printf("ours %-7s ratio %6.2f  %v  streamline divergence %.4f\n",
 			spec, float64(raw)/float64(len(blob)), rep, div)
@@ -74,7 +75,7 @@ func main() {
 		log.Fatal(err)
 	}
 	dec := &field.Field3D{NX: nx, NY: ny, NZ: nz, U: comps[0], V: comps[1], W: comps[2]}
-	rep := cp.Compare(orig, cp.DetectField3D(dec, tr))
+	rep := cp.Compare(orig, cp.Detect(f.Dims(), comps, tr))
 	div := analysis.StreamlineDivergence(ref, analysis.TraceAll3D(dec, seeds, 0.25, 300))
 	fmt.Printf("cpSZ coupled ratio %6.2f  %v  streamline divergence %.4f\n",
 		float64(raw)/float64(len(blob)), rep, div)

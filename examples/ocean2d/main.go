@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tau := 0.01 * field.Range(f.U, f.V)
-	orig := cp.DetectField2D(f, tr)
+	orig := cp.Detect(f.Dims(), f.Components(), tr)
 	fmt.Printf("ocean %dx%d: %d critical points in the original field\n", nx, ny, len(orig))
 
 	if err := render(f, orig, filepath.Join(*out, "ocean-original.ppm")); err != nil {
@@ -45,15 +45,16 @@ func main() {
 
 	raw := 4 * 2 * len(f.U)
 	for _, spec := range []core.Speculation{core.NoSpec, core.ST1, core.ST2, core.ST3, core.ST4} {
-		blob, err := core.CompressField2D(f, tr, core.Options{Tau: tau, Spec: spec})
+		blob, _, err := core.Compress(f.Dims(), f.Components(), core.Options{Tau: tau, Spec: spec})
 		if err != nil {
 			log.Fatal(err)
 		}
-		dec, err := core.Decompress2D(blob)
+		_, comps, err := core.Decompress(blob)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pts := cp.DetectField2D(dec, tr)
+		pts := cp.Detect(f.Dims(), comps, tr)
+		dec := &field.Field2D{NX: nx, NY: ny, U: comps[0], V: comps[1]}
 		rep := cp.Compare(orig, pts)
 		fmt.Printf("%-7s ratio %6.2f  %v\n", spec, float64(raw)/float64(len(blob)), rep)
 		if !rep.Preserved() {

@@ -36,9 +36,10 @@ func main() {
 		log.Fatal(err)
 	}
 	tau := 0.01 * field.Range(f.U, f.V, f.W)
-	orig := cp.DetectField3D(f, tr)
-	grid := parallel.Grid3D{PX: *gridP, PY: *gridP, PZ: *gridP}
-	ranks := grid.Ranks()
+	dims := f.Dims()
+	orig := cp.Detect(dims, f.Components(), tr)
+	grid := []int{*gridP, *gridP, *gridP}
+	ranks := *gridP * *gridP * *gridP
 	raw := int64(4 * 3 * len(f.U))
 	fmt.Printf("turbulence %d³ on %d simulated ranks, %d critical points\n", n, ranks, len(orig))
 
@@ -47,15 +48,15 @@ func main() {
 	fmt.Printf("%-18s ratio  1.00   write %-12v read %v\n", "vanilla", vanilla, vanilla)
 
 	for _, strat := range []parallel.Strategy{parallel.LosslessBorders, parallel.RatioOriented} {
-		res, err := parallel.CompressDistributed3D(f, tr, core.Options{Tau: tau}, grid, strat, mpi.Config{})
+		res, err := parallel.CompressDistributed(dims, f.Components(), grid, tr, core.Options{Tau: tau}, strat, mpi.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		dec, dst, err := parallel.DecompressDistributed3D(res.Blobs, grid, n, n, n, mpi.Config{})
+		dec, dst, err := parallel.DecompressDistributed(res.Blobs, dims, grid, mpi.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep := cp.Compare(orig, cp.DetectField3D(dec, tr))
+		rep := cp.Compare(orig, cp.Detect(dims, dec, tr))
 		write := res.Stats.Makespan + fs.TransferTime(res.CompressedBytes, ranks)
 		read := fs.TransferTime(res.CompressedBytes, ranks) + dst.Makespan
 		fmt.Printf("%-18s ratio %5.2f   write %-12v read %-12v %v  (%d msgs, %d bytes comm)\n",

@@ -32,12 +32,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	orig := cp.DetectField2D(f, tr)
+	orig := cp.Detect(f.Dims(), f.Components(), tr)
 	fmt.Printf("original field: %d critical points\n", len(orig))
 
 	// Compress with the most aggressive speculation target; the critical
 	// points are preserved exactly no matter the target.
-	blob, _, err := core.Compress2D(f, core.Options{Tau: 0.02, Spec: core.ST4})
+	blob, _, err := core.Compress(f.Dims(), f.Components(), core.Options{Tau: 0.02, Spec: core.ST4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,13 +45,13 @@ func main() {
 	fmt.Printf("compressed %d -> %d bytes (ratio %.1fx)\n", raw, len(blob),
 		float64(raw)/float64(len(blob)))
 
-	dec, err := core.Decompress2D(blob)
+	dims, dec, err := core.Decompress(blob)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := cp.Compare(orig, cp.DetectField2D(dec, tr))
+	rep := cp.Compare(orig, cp.Detect(dims, dec, tr))
 	fmt.Printf("critical points after decompression: %v\n", rep)
-	fmt.Printf("PSNR: %.1f dB\n", analysis.PSNR(f.Components(), dec.Components()))
+	fmt.Printf("PSNR: %.1f dB\n", analysis.PSNR(f.Components(), dec))
 	if !rep.Preserved() {
 		log.Fatal("critical points were not preserved!")
 	}

@@ -38,22 +38,25 @@ func main() {
 	var ourBytes, genBytes, raw int
 	for _, f := range fields {
 		raw += 4 * 2 * len(f.U)
-		orig = append(orig, cp.DetectField2D(f, tr))
+		dims := f.Dims()
+		orig = append(orig, cp.Detect(dims, f.Components(), tr))
 
-		blob, err := core.CompressField2D(f, tr, core.Options{Tau: tau, Spec: core.ST2})
+		// Every frame shares frame 0's transform, so the block is built
+		// with it rather than with one fitted on this frame.
+		blob, _, err := core.CompressBlock(core.Block{Dims: dims, Comps: f.Components(), Transform: tr,
+			Opts: core.Options{Tau: tau, Spec: core.ST2}})
 		if err != nil {
 			log.Fatal(err)
 		}
 		ourBytes += len(blob)
-		dec, err := core.Decompress2D(blob)
+		_, dec, err := core.Decompress(blob)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ours = append(ours, cp.DetectField2D(dec, tr))
+		ours = append(ours, cp.Detect(dims, dec, tr))
 
 		// Generic compressor with the same error bound — pointwise error
 		// control without topology awareness.
-		dims := []int{f.NX, f.NY}
 		gblob, err := baselines.SZLike{Abs: tau * 2}.Compress(dims, f.Components())
 		if err != nil {
 			log.Fatal(err)

@@ -152,14 +152,14 @@ func TestFaultSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := core.Options{Tau: 0.01}
-			grid := parallel.Grid2D{PX: 2, PY: 2}
-			clean, err := parallel.CompressDistributed2D(f, tr, opts, grid,
-				parallel.RatioOriented, mpi.Config{})
+			grid := []int{2, 2}
+			clean, err := parallel.CompressDistributed(f.Dims(), f.Components(), grid, tr,
+				opts, parallel.RatioOriented, mpi.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := parallel.CompressDistributed2D(f, tr, opts, grid,
-				parallel.RatioOriented, mpi.Config{
+			res, err := parallel.CompressDistributed(f.Dims(), f.Components(), grid, tr,
+				opts, parallel.RatioOriented, mpi.Config{
 					Inject: faultinject.New(faultinject.Config{
 						Seed:  uint64(seed),
 						Prob:  [faultinject.NumKinds]float64{faultinject.KindDelay: 0.5},
@@ -183,8 +183,8 @@ func TestFaultSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = parallel.CompressDistributed2D(f, tr, core.Options{Tau: 0.01},
-			parallel.Grid2D{PX: 2, PY: 2}, parallel.RatioOriented, mpi.Config{
+		_, err = parallel.CompressDistributed(f.Dims(), f.Components(), []int{2, 2}, tr,
+			core.Options{Tau: 0.01}, parallel.RatioOriented, mpi.Config{
 				Inject: faultinject.New(faultinject.Config{
 					Seed:  1,
 					Prob:  [faultinject.NumKinds]float64{faultinject.KindDelay: 1},

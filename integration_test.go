@@ -114,17 +114,17 @@ func TestEndToEndDistributed(t *testing.T) {
 	for _, strat := range []parallel.Strategy{parallel.LosslessBorders, parallel.RatioOriented} {
 		for _, p := range []int{2, 3} {
 			t.Run(fmt.Sprintf("%v/p%d", strat, p), func(t *testing.T) {
-				grid := parallel.Grid3D{PX: p, PY: p, PZ: p}
-				res, err := parallel.CompressDistributed3D(f, tr,
-					core.Options{Tau: tau}, grid, strat, mpi.Config{})
+				grid := []int{p, p, p}
+				res, err := parallel.CompressDistributed(f.Dims(), f.Components(), grid, tr,
+					core.Options{Tau: tau}, strat, mpi.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				dec, _, err := parallel.DecompressDistributed3D(res.Blobs, grid, 24, 24, 24, mpi.Config{})
+				dec, _, err := parallel.DecompressDistributed(res.Blobs, f.Dims(), grid, mpi.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep := cp.Compare(orig, cp.DetectField3D(dec, tr))
+				rep := cp.Compare(orig, cp.Detect(f.Dims(), dec, tr))
 				if !rep.Preserved() {
 					t.Fatalf("distributed run broke critical points: %v", rep)
 				}
@@ -142,18 +142,18 @@ func TestEndToEndAsymmetricGrids(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := cp.DetectField2D(f, tr)
-	for _, grid := range []parallel.Grid2D{{PX: 3, PY: 1}, {PX: 1, PY: 3}, {PX: 3, PY: 2}} {
-		t.Run(fmt.Sprintf("%dx%d", grid.PX, grid.PY), func(t *testing.T) {
-			res, err := parallel.CompressDistributed2D(f, tr,
-				core.Options{Tau: 0.05, Spec: core.ST2}, grid, parallel.RatioOriented, mpi.Config{})
+	for _, grid := range [][]int{{3, 1}, {1, 3}, {3, 2}} {
+		t.Run(fmt.Sprintf("%dx%d", grid[0], grid[1]), func(t *testing.T) {
+			res, err := parallel.CompressDistributed(f.Dims(), f.Components(), grid, tr,
+				core.Options{Tau: 0.05, Spec: core.ST2}, parallel.RatioOriented, mpi.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, _, err := parallel.DecompressDistributed2D(res.Blobs, grid, f.NX, f.NY, mpi.Config{})
+			dec, _, err := parallel.DecompressDistributed(res.Blobs, f.Dims(), grid, mpi.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := cp.Compare(orig, cp.DetectField2D(dec, tr))
+			rep := cp.Compare(orig, cp.Detect(f.Dims(), dec, tr))
 			if !rep.Preserved() {
 				t.Fatalf("asymmetric grid broke critical points: %v", rep)
 			}

@@ -25,7 +25,7 @@ type Separatrix struct {
 }
 
 // Separatrices traces all separatrix branches of the field's saddles.
-// pts is the full critical point list (typically cp.DetectField2D output);
+// pts is the full critical point list (typically cp.Detect output);
 // only saddles spawn branches.
 func Separatrices(f *field.Field2D, pts []cp.Point, h float64, steps int) []Separatrix {
 	var out []Separatrix

@@ -73,7 +73,8 @@ func TestArchiveHeaderCorruptionDetected(t *testing.T) {
 // checksums) archive and checks it still parses and decodes, and that a
 // bare block opens as a one-step container of version 0.
 func TestArchiveV1Readable(t *testing.T) {
-	blob, _, err := core.Compress2D(step2D(0, 16), core.Options{Tau: 0.1})
+	f := step2D(0, 16)
+	blob, _, err := core.Compress(f.Dims(), f.Components(), core.Options{Tau: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,8 @@ func buildBlobs(t testing.TB, steps int) [][]byte {
 	t.Helper()
 	blobs := make([][]byte, steps)
 	for s := range blobs {
-		blob, _, err := core.Compress2D(step2D(s, 16), core.Options{Tau: 0.1})
+		f := step2D(s, 16)
+		blob, _, err := core.Compress(f.Dims(), f.Components(), core.Options{Tau: 0.1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +124,7 @@ func TestCrossVersionGolden(t *testing.T) {
 					t.Fatalf("%s step %d blob differs", tc.name, s)
 				}
 			}
-			if _, err := DecodeSeries2D(sr); err != nil {
+			if _, _, err := DecodeSeries(sr); err != nil {
 				t.Fatal(err)
 			}
 		})

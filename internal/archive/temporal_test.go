@@ -58,18 +58,18 @@ func TestTemporalSeriesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeSeries2D(sr)
+	dims, dec, err := DecodeSeries(sr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr, _ := fixed.Fit(fields[0].U, fields[0].V)
 	for s := range fields {
 		for i := range fields[s].U {
-			if math.Abs(float64(fields[s].U[i])-float64(dec[s].U[i])) > 0.01 {
+			if math.Abs(float64(fields[s].U[i])-float64(dec[s][0][i])) > 0.01 {
 				t.Fatalf("step %d error bound violated", s)
 			}
 		}
-		rep := cp.Compare(cp.DetectField2D(fields[s], tr), cp.DetectField2D(dec[s], tr))
+		rep := cp.Compare(cp.DetectField2D(fields[s], tr), cp.Detect(dims, dec[s], tr))
 		if !rep.Preserved() {
 			t.Fatalf("step %d: %v", s, rep)
 		}
@@ -138,13 +138,13 @@ func TestTemporal3DSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeSeries3D(sr)
+	_, dec, err := DecodeSeries(sr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := range fields {
 		for i := range fields[s].U {
-			if math.Abs(float64(fields[s].U[i])-float64(dec[s].U[i])) > 0.01 {
+			if math.Abs(float64(fields[s].U[i])-float64(dec[s][0][i])) > 0.01 {
 				t.Fatalf("step %d error bound violated", s)
 			}
 		}

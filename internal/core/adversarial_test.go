@@ -201,16 +201,16 @@ func TestCompressRejectsNonFinite(t *testing.T) {
 	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1))} {
 		f := tinyField2D(1, 9, 7)
 		f.U[10] = bad
-		_, _, err := Compress2D(f, Options{Tau: 0.5})
+		_, _, err := Compress(f.Dims(), f.Components(), Options{Tau: 0.5})
 		var de *fixed.DomainError
 		if !errors.As(err, &de) || de.Component != 0 || de.Index != 10 {
-			t.Errorf("%v: Compress2D err = %v, want *fixed.DomainError at component 0 index 10", bad, err)
+			t.Errorf("%v: 2D Compress err = %v, want *fixed.DomainError at component 0 index 10", bad, err)
 		}
 		g := tinyField3D(2, 5)
 		g.W[3] = bad
-		_, _, err = Compress3D(g, Options{Tau: 0.5})
+		_, _, err = Compress(g.Dims(), g.Components(), Options{Tau: 0.5})
 		if !errors.As(err, &de) || de.Component != 2 || de.Index != 3 {
-			t.Errorf("%v: Compress3D err = %v, want *fixed.DomainError at component 2 index 3", bad, err)
+			t.Errorf("%v: 3D Compress err = %v, want *fixed.DomainError at component 2 index 3", bad, err)
 		}
 	}
 }
@@ -296,11 +296,11 @@ func TestCompressRejectsNonFiniteTau(t *testing.T) {
 	g := tinyField3D(6, 6)
 	for _, tau := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		var de *fixed.DomainError
-		if _, _, err := Compress2D(f, Options{Tau: tau}); !errors.As(err, &de) || de.Param != "tau" {
-			t.Errorf("tau=%v: Compress2D err = %v, want *fixed.DomainError for tau", tau, err)
+		if _, _, err := Compress(f.Dims(), f.Components(), Options{Tau: tau}); !errors.As(err, &de) || de.Param != "tau" {
+			t.Errorf("tau=%v: 2D Compress err = %v, want *fixed.DomainError for tau", tau, err)
 		}
-		if _, _, err := Compress3D(g, Options{Tau: tau, Spec: ST2}); !errors.As(err, &de) || de.Param != "tau" {
-			t.Errorf("tau=%v: Compress3D err = %v, want *fixed.DomainError for tau", tau, err)
+		if _, _, err := Compress(g.Dims(), g.Components(), Options{Tau: tau, Spec: ST2}); !errors.As(err, &de) || de.Param != "tau" {
+			t.Errorf("tau=%v: 3D Compress err = %v, want *fixed.DomainError for tau", tau, err)
 		}
 	}
 }

@@ -21,7 +21,7 @@ type Block struct {
 	// predicted by the *decompressed* previous frame instead of the
 	// spatial Lorenzo stencil — the natural mode for slowly evolving time
 	// series (package archive). The decoder must be given the same
-	// previous frame (Decompress2DWithPrev/3DWithPrev).
+	// previous frame (DecompressWithPrev).
 	Prev [][]float32
 	// Transform is the float↔fixed mapping. It must be identical on every
 	// rank of a distributed run (fit it on the global field).
@@ -110,7 +110,7 @@ func (b *Block) spec() (blockSpec, error) {
 
 // Encoder compresses one block: a thin adapter over the
 // dimension-generic kernel. For single-node use call CompressBlock (or
-// CompressField2D/3D) instead; the parallel strategies drive the encoder
+// Compress) instead; the parallel strategies drive the encoder
 // phase by phase.
 type Encoder struct {
 	k *kernel

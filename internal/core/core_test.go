@@ -145,7 +145,7 @@ func TestSpeculationString(t *testing.T) {
 func TestRoundTrip2DErrorBound(t *testing.T) {
 	f := smooth2D(1, 48, 40)
 	const tau = 0.01
-	blob, _, err := Compress2D(f, Options{Tau: tau})
+	blob, _, err := Compress(f.Dims(), f.Components(), Options{Tau: tau})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestRoundTrip2DErrorBound(t *testing.T) {
 func TestRoundTrip3DErrorBound(t *testing.T) {
 	f := smooth3D(2, 14, 12, 10)
 	const tau = 0.01
-	blob, _, err := Compress3D(f, Options{Tau: tau})
+	blob, _, err := Compress(f.Dims(), f.Components(), Options{Tau: tau})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +260,11 @@ func TestSpeculationImprovesRatio(t *testing.T) {
 
 func TestDeterministicCompression(t *testing.T) {
 	f := smooth2D(6, 32, 32)
-	a, _, err := Compress2D(f, Options{Tau: 0.01, Spec: ST2})
+	a, _, err := Compress(f.Dims(), f.Components(), Options{Tau: 0.01, Spec: ST2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, _ := Compress2D(f, Options{Tau: 0.01, Spec: ST2})
+	b, _, _ := Compress(f.Dims(), f.Components(), Options{Tau: 0.01, Spec: ST2})
 	if !bytes.Equal(a, b) {
 		t.Fatal("compression not deterministic")
 	}
@@ -433,7 +433,7 @@ func TestDecompressCorrupt(t *testing.T) {
 		t.Error("garbage must fail")
 	}
 	f := smooth2D(10, 16, 16)
-	blob, _, _ := Compress2D(f, Options{Tau: 0.01})
+	blob, _, _ := Compress(f.Dims(), f.Components(), Options{Tau: 0.01})
 	if _, err := Decompress3D(blob); err == nil {
 		t.Error("decoding a 2D blob as 3D must fail")
 	}
@@ -543,7 +543,7 @@ func BenchmarkCompress2DNoSpec(b *testing.B) {
 	b.SetBytes(int64(len(f.U)+len(f.V)) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Compress2D(f, Options{Tau: 0.01}); err != nil {
+		if _, _, err := Compress(f.Dims(), f.Components(), Options{Tau: 0.01}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -554,7 +554,7 @@ func BenchmarkCompress2DST4(b *testing.B) {
 	b.SetBytes(int64(len(f.U)+len(f.V)) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Compress2D(f, Options{Tau: 0.01, Spec: ST4}); err != nil {
+		if _, _, err := Compress(f.Dims(), f.Components(), Options{Tau: 0.01, Spec: ST4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -562,7 +562,7 @@ func BenchmarkCompress2DST4(b *testing.B) {
 
 func BenchmarkDecompress2D(b *testing.B) {
 	f := smooth2D(13, 64, 64)
-	blob, _, _ := Compress2D(f, Options{Tau: 0.01})
+	blob, _, _ := Compress(f.Dims(), f.Components(), Options{Tau: 0.01})
 	b.SetBytes(int64(len(f.U)+len(f.V)) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,28 +9,32 @@ import (
 	"repro/internal/safedim"
 )
 
-// The decode adapters over decodeFixed: whole-field decoders for each
-// dimension (optionally chained to a previous frame) and the
-// dimension-free plane streamer the slab pipeline uses.
+// The decode adapters over decodeFixed: the whole-field decoders
+// (optionally chained to a previous frame) and the dimension-free plane
+// streamer the slab pipeline uses.
 
-// Decompress2D reconstructs a 2D block. Decompression replays the visit
-// order and the stored bounds only — no critical point detection or
-// bound derivation runs, which is why it is several times faster than
-// compression.
-func Decompress2D(blob []byte) (*field.Field2D, error) {
-	return Decompress2DWithPrev(blob, nil)
+// Decompress reconstructs a spatially predicted block of either
+// dimension and returns its dims ([NX, NY] or [NX, NY, NZ]) and float
+// components. Decompression replays the visit order and the stored
+// bounds only — no critical point detection or bound derivation runs,
+// which is why it is several times faster than compression.
+func Decompress(blob []byte) ([]int, [][]float32, error) {
+	return decompress(blob, 0, nil, nil)
 }
 
-// Decompress2DWithPrev reconstructs a temporally predicted 2D block
-// against the previous decompressed frame (which must be the exact output
-// of decoding the preceding archive step).
-func Decompress2DWithPrev(blob []byte, prev *field.Field2D) (*field.Field2D, error) {
-	var pd []int
-	var pc [][]float32
-	if prev != nil {
-		pd, pc = []int{prev.NX, prev.NY}, prev.Components()
-	}
-	dims, c, err := decompress(blob, 2, pd, pc)
+// DecompressWithPrev is Decompress for one step of a time series: a
+// temporally predicted block decodes against prev, the previous step's
+// decoded components of dims prevDims (the exact output of decoding that
+// step); a spatial block ignores both.
+func DecompressWithPrev(blob []byte, prevDims []int, prev [][]float32) ([]int, [][]float32, error) {
+	return decompress(blob, 0, prevDims, prev)
+}
+
+// Decompress2D reconstructs a 2D block.
+//
+// Deprecated: use Decompress.
+func Decompress2D(blob []byte) (*field.Field2D, error) {
+	dims, c, err := decompress(blob, 2, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -38,30 +42,14 @@ func Decompress2DWithPrev(blob []byte, prev *field.Field2D) (*field.Field2D, err
 }
 
 // Decompress3D reconstructs a 3D block.
+//
+// Deprecated: use Decompress.
 func Decompress3D(blob []byte) (*field.Field3D, error) {
-	return Decompress3DWithPrev(blob, nil)
-}
-
-// Decompress3DWithPrev reconstructs a temporally predicted 3D block
-// against the previous decompressed frame.
-func Decompress3DWithPrev(blob []byte, prev *field.Field3D) (*field.Field3D, error) {
-	var pd []int
-	var pc [][]float32
-	if prev != nil {
-		pd, pc = []int{prev.NX, prev.NY, prev.NZ}, prev.Components()
-	}
-	dims, c, err := decompress(blob, 3, pd, pc)
+	dims, c, err := decompress(blob, 3, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &field.Field3D{NX: dims[0], NY: dims[1], NZ: dims[2], U: c[0], V: c[1], W: c[2]}, nil
-}
-
-// Decompress reconstructs a spatially predicted block of either
-// dimension and returns its dims ([NX, NY] or [NX, NY, NZ]) and float
-// components.
-func Decompress(blob []byte) ([]int, [][]float32, error) {
-	return decompress(blob, 0, nil, nil)
 }
 
 // decompress reconstructs an ndim-dimensional block (0 accepts either) and returns its dims

@@ -24,7 +24,7 @@ func Example() {
 		}
 	}
 
-	blob, tr, err := core.Compress2D(f, core.Options{Tau: 0.1, Spec: core.ST2})
+	blob, tr, err := core.Compress(f.Dims(), f.Components(), core.Options{Tau: 0.1, Spec: core.ST2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -176,11 +176,11 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := core.Decompress2DWithPrev(blob, prev)
+			_, dec, err := core.DecompressWithPrev(blob, prev.Dims(), prev.Components())
 			if err != nil {
 				t.Fatal(err)
 			}
-			return goldenResult{[][]byte{blob}, [][]float32{dec.U, dec.V}, st}
+			return goldenResult{[][]byte{blob}, dec, st}
 		},
 	}, goldenCase{
 		name: "3d-temporal",
@@ -195,11 +195,11 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := core.Decompress3DWithPrev(blob, prev)
+			_, dec, err := core.DecompressWithPrev(blob, prev.Dims(), prev.Components())
 			if err != nil {
 				t.Fatal(err)
 			}
-			return goldenResult{[][]byte{blob}, [][]float32{dec.U, dec.V, dec.W}, st}
+			return goldenResult{[][]byte{blob}, dec, st}
 		},
 	})
 
@@ -256,34 +256,34 @@ func goldenCases() []goldenCase {
 		run: func(t *testing.T) goldenResult {
 			f := goldenField2D(41, 2*nx2, 2*ny2)
 			tr := mustFit(t, f.U, f.V)
-			grid := parallel.Grid2D{PX: 2, PY: 2}
-			res, err := parallel.CompressDistributed2D(f, tr,
-				core.Options{Tau: tau, Spec: core.ST2}, grid, parallel.RatioOriented, mpi.Config{})
+			grid := []int{2, 2}
+			res, err := parallel.CompressDistributed(f.Dims(), f.Components(), grid, tr,
+				core.Options{Tau: tau, Spec: core.ST2}, parallel.RatioOriented, mpi.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, _, err := parallel.DecompressDistributed2D(res.Blobs, grid, f.NX, f.NY, mpi.Config{})
+			dec, _, err := parallel.DecompressDistributed(res.Blobs, f.Dims(), grid, mpi.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return goldenResult{res.Blobs, [][]float32{dec.U, dec.V}, res.EncStats}
+			return goldenResult{res.Blobs, dec, res.EncStats}
 		},
 	}, goldenCase{
 		name: "3d-twophase",
 		run: func(t *testing.T) goldenResult {
 			f := goldenField3D(43, 2*nx3, 2*ny3, nz3)
 			tr := mustFit(t, f.U, f.V, f.W)
-			grid := parallel.Grid3D{PX: 2, PY: 2, PZ: 1}
-			res, err := parallel.CompressDistributed3D(f, tr,
-				core.Options{Tau: tau, Spec: core.ST2}, grid, parallel.RatioOriented, mpi.Config{})
+			grid := []int{2, 2, 1}
+			res, err := parallel.CompressDistributed(f.Dims(), f.Components(), grid, tr,
+				core.Options{Tau: tau, Spec: core.ST2}, parallel.RatioOriented, mpi.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, _, err := parallel.DecompressDistributed3D(res.Blobs, grid, f.NX, f.NY, f.NZ, mpi.Config{})
+			dec, _, err := parallel.DecompressDistributed(res.Blobs, f.Dims(), grid, mpi.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return goldenResult{res.Blobs, [][]float32{dec.U, dec.V, dec.W}, res.EncStats}
+			return goldenResult{res.Blobs, dec, res.EncStats}
 		},
 	})
 
@@ -341,7 +341,7 @@ func goldenCases() []goldenCase {
 			sw := archive.NewStreamWriter(&buf)
 			series := archive.NewSeries(sw)
 			for _, f := range frames {
-				if err := series.Append([]int{f.NX, f.NY}, f.Components(), core.Options{Tau: tau, Spec: core.ST2, Tel: tel}); err != nil {
+				if err := series.Append(f.Dims(), f.Components(), core.Options{Tau: tau, Spec: core.ST2, Tel: tel}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -352,13 +352,13 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := archive.DecodeSeries2D(sr)
+			_, dec, err := archive.DecodeSeries(sr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var decoded [][]float32
-			for _, g := range dec {
-				decoded = append(decoded, g.U, g.V)
+			for _, comps := range dec {
+				decoded = append(decoded, comps...)
 			}
 			c := tel.Snapshot().Counters
 			const p = "core.2d.st2."
@@ -549,37 +549,35 @@ func TestGoldenV1Decode(t *testing.T) {
 	cases = append(cases,
 		v1Case{"2d-temporal", func(t *testing.T, blobs [][]byte) [][]float32 {
 			prev := goldenField2D(21, nx2, ny2)
-			dec, err := core.Decompress2DWithPrev(blobs[0], prev)
+			_, dec, err := core.DecompressWithPrev(blobs[0], prev.Dims(), prev.Components())
 			if err != nil {
 				t.Fatal(err)
 			}
-			return [][]float32{dec.U, dec.V}
+			return dec
 		}},
 		v1Case{"3d-temporal", func(t *testing.T, blobs [][]byte) [][]float32 {
 			prev := goldenField3D(23, nx3, ny3, nz3)
-			dec, err := core.Decompress3DWithPrev(blobs[0], prev)
+			_, dec, err := core.DecompressWithPrev(blobs[0], prev.Dims(), prev.Components())
 			if err != nil {
 				t.Fatal(err)
 			}
-			return [][]float32{dec.U, dec.V, dec.W}
+			return dec
 		}},
 		v1Case{"2d-border", one2D},
 		v1Case{"3d-border", one3D},
 		v1Case{"2d-twophase", func(t *testing.T, blobs [][]byte) [][]float32 {
-			dec, _, err := parallel.DecompressDistributed2D(blobs,
-				parallel.Grid2D{PX: 2, PY: 2}, 2*nx2, 2*ny2, mpi.Config{})
+			dec, _, err := parallel.DecompressDistributed(blobs, []int{2 * nx2, 2 * ny2}, []int{2, 2}, mpi.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return [][]float32{dec.U, dec.V}
+			return dec
 		}},
 		v1Case{"3d-twophase", func(t *testing.T, blobs [][]byte) [][]float32 {
-			dec, _, err := parallel.DecompressDistributed3D(blobs,
-				parallel.Grid3D{PX: 2, PY: 2, PZ: 1}, 2*nx3, 2*ny3, nz3, mpi.Config{})
+			dec, _, err := parallel.DecompressDistributed(blobs, []int{2 * nx3, 2 * ny3, nz3}, []int{2, 2, 1}, mpi.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return [][]float32{dec.U, dec.V, dec.W}
+			return dec
 		}})
 	dir := filepath.Join("testdata", "golden-v1")
 	for _, c := range cases {

@@ -438,13 +438,17 @@ func Detect(dims []int, comps [][]float32, tr fixed.Transform) []Point {
 }
 
 // DetectField2D is Detect on a 2D field.
+//
+// Deprecated: use Detect(f.Dims(), f.Components(), tr).
 func DetectField2D(f *field.Field2D, tr fixed.Transform) []Point {
-	return Detect([]int{f.NX, f.NY}, f.Components(), tr)
+	return Detect(f.Dims(), f.Components(), tr)
 }
 
 // DetectField3D is Detect on a 3D field.
+//
+// Deprecated: use Detect(f.Dims(), f.Components(), tr).
 func DetectField3D(f *field.Field3D, tr fixed.Transform) []Point {
-	return Detect([]int{f.NX, f.NY, f.NZ}, f.Components(), tr)
+	return Detect(f.Dims(), f.Components(), tr)
 }
 
 // appendPoints runs the robust detector over a fixed-point field of dims

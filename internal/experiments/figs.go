@@ -120,8 +120,8 @@ func Fig9(cfg Config) ([]IORow, Table, error) {
 			return nil, Table{}, err
 		}
 		tau := cfg.TauRel * field.Range(f.U, f.V, f.W)
-		grid := parallel.Grid3D{PX: p, PY: p, PZ: p}
-		ranks := grid.Ranks()
+		grid := []int{p, p, p}
+		ranks := p * p * p
 		raw := int64(3*len(f.U)) * 4
 
 		// Vanilla: raw bytes through the filesystem.
@@ -132,7 +132,7 @@ func Fig9(cfg Config) ([]IORow, Table, error) {
 		})
 
 		// GZIP (lossless DEFLATE per rank).
-		gz, err := gzipIO(f, grid, fs)
+		gz, err := gzipIO(f, ranks, fs)
 		if err != nil {
 			return nil, Table{}, err
 		}
@@ -144,7 +144,8 @@ func Fig9(cfg Config) ([]IORow, Table, error) {
 			if strat == parallel.RatioOriented {
 				name = "ratio-oriented"
 			}
-			res, err := parallel.CompressDistributed3D(f, tr, core.Options{Tau: tau}, grid, strat, mpi.Config{})
+			res, err := parallel.CompressDistributed(f.Dims(), f.Components(), grid, tr,
+				core.Options{Tau: tau}, strat, mpi.Config{})
 			if err != nil {
 				return nil, Table{}, err
 			}
@@ -153,7 +154,7 @@ func Fig9(cfg Config) ([]IORow, Table, error) {
 			// inflated by unrelated load on the host.
 			var dst mpi.Stats
 			for trial := 0; trial < 3; trial++ {
-				_, st, err := parallel.DecompressDistributed3D(res.Blobs, grid, n, n, n, mpi.Config{})
+				_, st, err := parallel.DecompressDistributed(res.Blobs, f.Dims(), grid, mpi.Config{})
 				if err != nil {
 					return nil, Table{}, err
 				}
@@ -190,8 +191,7 @@ func Fig9(cfg Config) ([]IORow, Table, error) {
 
 // gzipIO measures the lossless GZIP baseline of Fig. 9 on the simulated
 // machine.
-func gzipIO(f *field.Field3D, grid parallel.Grid3D, fs iosim.FileSystem) (IORow, error) {
-	ranks := grid.Ranks()
+func gzipIO(f *field.Field3D, ranks int, fs iosim.FileSystem) (IORow, error) {
 	raw := int64(3*len(f.U)) * 4
 	perRank := raw / int64(ranks)
 	// Use one representative block (the data is statistically homogeneous):

@@ -61,26 +61,27 @@ func parallelRuns(cfg Config, strats []parallel.Strategy, specs []core.Speculati
 		return nil, err
 	}
 	tau := cfg.TauRel * field.Range(f.U, f.V, f.W)
-	orig := cp.DetectField3D(f, tr)
+	dims := f.Dims()
+	orig := cp.Detect(dims, f.Components(), tr)
 	raw := 4 * 3 * len(f.U)
 
 	var rows []ParallelRow
 	for _, p := range []int{1, 2, 4} { // 1, 8, 64 cores as p³ grids
-		grid := parallel.Grid3D{PX: p, PY: p, PZ: p}
+		grid := []int{p, p, p}
 		for _, strat := range strats {
 			for _, spec := range specs {
-				res, err := parallel.CompressDistributed3D(f, tr,
-					core.Options{Tau: tau, Spec: spec, Tel: cfg.Tel}, grid, strat, mpi.Config{})
+				res, err := parallel.CompressDistributed(dims, f.Components(), grid, tr,
+					core.Options{Tau: tau, Spec: spec, Tel: cfg.Tel}, strat, mpi.Config{})
 				if err != nil {
 					return nil, err
 				}
-				g, dst, err := parallel.DecompressDistributed3D(res.Blobs, grid, f.NX, f.NY, f.NZ, mpi.Config{Tel: cfg.Tel})
+				g, dst, err := parallel.DecompressDistributed(res.Blobs, dims, grid, mpi.Config{Tel: cfg.Tel})
 				if err != nil {
 					return nil, err
 				}
-				rep := cp.Compare(orig, cp.DetectField3D(g, tr))
+				rep := cp.Compare(orig, cp.Detect(dims, g, tr))
 				rows = append(rows, ParallelRow{
-					Cores:       grid.Ranks(),
+					Cores:       p * p * p,
 					Method:      strat.String(),
 					Speculation: spec.String(),
 					Report:      rep,

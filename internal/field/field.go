@@ -46,6 +46,10 @@ func (f *Field2D) Idx(i, j int) int { return j*f.NX + i }
 // Components returns the component slices in order (u, v).
 func (f *Field2D) Components() [][]float32 { return [][]float32{f.U, f.V} }
 
+// Dims returns the grid dims [NX, NY], the shape the dimension-free
+// codecs take next to Components.
+func (f *Field2D) Dims() []int { return []int{f.NX, f.NY} }
+
 // At returns the vector at grid point (i, j).
 func (f *Field2D) At(i, j int) (u, v float32) {
 	idx := f.Idx(i, j)
@@ -102,6 +106,9 @@ func (f *Field3D) Idx(i, j, k int) int { return (k*f.NY+j)*f.NX + i }
 
 // Components returns the component slices in order (u, v, w).
 func (f *Field3D) Components() [][]float32 { return [][]float32{f.U, f.V, f.W} }
+
+// Dims returns the grid dims [NX, NY, NZ].
+func (f *Field3D) Dims() []int { return []int{f.NX, f.NY, f.NZ} }
 
 // At returns the vector at grid point (i, j, k).
 func (f *Field3D) At(i, j, k int) (u, v, w float32) {

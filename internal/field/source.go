@@ -85,14 +85,14 @@ func MemOf(dims []int, comps [][]float32) *Mem {
 }
 
 // Mem2D wraps an in-memory 2D field.
-func Mem2D(f *Field2D) *Mem {
-	return MemOf([]int{f.NX, f.NY}, f.Components())
-}
+//
+// Deprecated: use MemOf(f.Dims(), f.Components()).
+func Mem2D(f *Field2D) *Mem { return MemOf(f.Dims(), f.Components()) }
 
 // Mem3D wraps an in-memory 3D field.
-func Mem3D(f *Field3D) *Mem {
-	return MemOf([]int{f.NX, f.NY, f.NZ}, f.Components())
-}
+//
+// Deprecated: use MemOf(f.Dims(), f.Components()).
+func Mem3D(f *Field3D) *Mem { return MemOf(f.Dims(), f.Components()) }
 
 // NewMem allocates a zeroed in-memory field of dims [NX, NY] or
 // [NX, NY, NZ] with one component per dimension, e.g. as the sink of a

@@ -90,27 +90,28 @@ func TestStrategyString(t *testing.T) {
 	}
 }
 
-func runStrategy2D(t *testing.T, f *field.Field2D, grid Grid2D, strat Strategy, spec core.Speculation) (cp.Report, Result) {
+func runStrategy2D(t *testing.T, f *field.Field2D, grid []int, strat Strategy, spec core.Speculation) (cp.Report, Result) {
 	t.Helper()
 	tr, err := fixed.Fit(f.Components()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	orig := cp.DetectField2D(f, tr)
-	res, err := CompressDistributed2D(f, tr, core.Options{Tau: 0.05, Spec: spec}, grid, strat, mpi.Config{})
+	res, err := CompressDistributed(f.Dims(), f.Components(), grid, tr,
+		core.Options{Tau: 0.05, Spec: spec}, strat, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := DecompressDistributed2D(res.Blobs, grid, f.NX, f.NY, mpi.Config{})
+	g, _, err := DecompressDistributed(res.Blobs, f.Dims(), grid, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cp.Compare(orig, cp.DetectField2D(g, tr)), res
+	return cp.Compare(orig, cp.Detect(f.Dims(), g, tr)), res
 }
 
 func TestLosslessBordersPreserves2D(t *testing.T) {
 	f := smooth2D(1, 48, 40)
-	rep, res := runStrategy2D(t, f, Grid2D{PX: 2, PY: 2}, LosslessBorders, core.NoSpec)
+	rep, res := runStrategy2D(t, f, []int{2, 2}, LosslessBorders, core.NoSpec)
 	if !rep.Preserved() {
 		t.Errorf("lossless borders broke critical points: %v", rep)
 	}
@@ -121,7 +122,7 @@ func TestLosslessBordersPreserves2D(t *testing.T) {
 
 func TestRatioOrientedPreserves2D(t *testing.T) {
 	f := smooth2D(2, 48, 40)
-	rep, res := runStrategy2D(t, f, Grid2D{PX: 2, PY: 2}, RatioOriented, core.NoSpec)
+	rep, res := runStrategy2D(t, f, []int{2, 2}, RatioOriented, core.NoSpec)
 	if !rep.Preserved() {
 		t.Errorf("ratio-oriented broke critical points: %v", rep)
 	}
@@ -133,7 +134,7 @@ func TestRatioOrientedPreserves2D(t *testing.T) {
 func TestRatioOrientedPreserves2DWithSpeculation(t *testing.T) {
 	f := smooth2D(3, 48, 40)
 	for _, spec := range []core.Speculation{core.ST2, core.ST4} {
-		rep, _ := runStrategy2D(t, f, Grid2D{PX: 2, PY: 2}, RatioOriented, spec)
+		rep, _ := runStrategy2D(t, f, []int{2, 2}, RatioOriented, spec)
 		if !rep.Preserved() {
 			t.Errorf("%v: ratio-oriented broke critical points: %v", spec, rep)
 		}
@@ -142,7 +143,7 @@ func TestRatioOrientedPreserves2DWithSpeculation(t *testing.T) {
 
 func TestLosslessBordersPreservesWithSpeculation(t *testing.T) {
 	f := smooth2D(4, 48, 40)
-	rep, _ := runStrategy2D(t, f, Grid2D{PX: 2, PY: 2}, LosslessBorders, core.ST4)
+	rep, _ := runStrategy2D(t, f, []int{2, 2}, LosslessBorders, core.ST4)
 	if !rep.Preserved() {
 		t.Errorf("ST4 lossless borders broke critical points: %v", rep)
 	}
@@ -156,15 +157,16 @@ func TestNaiveBreaksBorderCells2D(t *testing.T) {
 	f := smooth2D(5, 48, 40)
 	tr, _ := fixed.Fit(f.Components()...)
 	orig := cp.DetectField2D(f, tr)
-	res, err := CompressDistributed2D(f, tr, core.Options{Tau: 0.05, Spec: core.NoSpec}, Grid2D{PX: 4, PY: 4}, Naive, mpi.Config{})
+	res, err := CompressDistributed(f.Dims(), f.Components(), []int{4, 4}, tr,
+		core.Options{Tau: 0.05, Spec: core.NoSpec}, Naive, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := DecompressDistributed2D(res.Blobs, Grid2D{PX: 4, PY: 4}, f.NX, f.NY, mpi.Config{})
+	g, _, err := DecompressDistributed(res.Blobs, f.Dims(), []int{4, 4}, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := cp.DetectField2D(g, tr)
+	dec := cp.Detect(f.Dims(), g, tr)
 	om := map[int]cp.Type{}
 	for _, p := range orig {
 		om[p.Cell] = p.Type
@@ -197,8 +199,8 @@ func TestNaiveBreaksBorderCells2D(t *testing.T) {
 
 func TestRatioOrientedBeatsLosslessBordersRatio(t *testing.T) {
 	f := smooth2D(6, 64, 64)
-	_, resLB := runStrategy2D(t, f, Grid2D{PX: 4, PY: 4}, LosslessBorders, core.NoSpec)
-	_, resRO := runStrategy2D(t, f, Grid2D{PX: 4, PY: 4}, RatioOriented, core.NoSpec)
+	_, resLB := runStrategy2D(t, f, []int{4, 4}, LosslessBorders, core.NoSpec)
+	_, resRO := runStrategy2D(t, f, []int{4, 4}, RatioOriented, core.NoSpec)
 	if resRO.Ratio() <= resLB.Ratio() {
 		t.Errorf("ratio-oriented (%.2f) should beat lossless borders (%.2f)",
 			resRO.Ratio(), resLB.Ratio())
@@ -216,15 +218,16 @@ func TestDistributed3DPreservation(t *testing.T) {
 		t.Fatal("no critical points in 3D test field")
 	}
 	for _, strat := range []Strategy{LosslessBorders, RatioOriented} {
-		res, err := CompressDistributed3D(f, tr, core.Options{Tau: 0.05}, Grid3D{2, 2, 2}, strat, mpi.Config{})
+		res, err := CompressDistributed(f.Dims(), f.Components(), []int{2, 2, 2}, tr,
+			core.Options{Tau: 0.05}, strat, mpi.Config{})
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
-		g, _, err := DecompressDistributed3D(res.Blobs, Grid3D{2, 2, 2}, 16, 16, 16, mpi.Config{})
+		g, _, err := DecompressDistributed(res.Blobs, []int{16, 16, 16}, []int{2, 2, 2}, mpi.Config{})
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
-		rep := cp.Compare(orig, cp.DetectField3D(g, tr))
+		rep := cp.Compare(orig, cp.Detect(f.Dims(), g, tr))
 		if !rep.Preserved() {
 			t.Errorf("%v: 3D distributed run broke critical points: %v", strat, rep)
 		}
@@ -234,16 +237,17 @@ func TestDistributed3DPreservation(t *testing.T) {
 func TestErrorBoundHolds2DDistributed(t *testing.T) {
 	f := smooth2D(8, 48, 40)
 	tr, _ := fixed.Fit(f.Components()...)
-	res, err := CompressDistributed2D(f, tr, core.Options{Tau: 0.02}, Grid2D{PX: 2, PY: 2}, RatioOriented, mpi.Config{})
+	res, err := CompressDistributed(f.Dims(), f.Components(), []int{2, 2}, tr,
+		core.Options{Tau: 0.02}, RatioOriented, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := DecompressDistributed2D(res.Blobs, Grid2D{PX: 2, PY: 2}, f.NX, f.NY, mpi.Config{})
+	g, _, err := DecompressDistributed(res.Blobs, f.Dims(), []int{2, 2}, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range f.U {
-		if math.Abs(float64(f.U[i])-float64(g.U[i])) > 0.02 {
+		if math.Abs(float64(f.U[i])-float64(g[0][i])) > 0.02 {
 			t.Fatalf("error bound violated at %d", i)
 		}
 	}
@@ -252,7 +256,8 @@ func TestErrorBoundHolds2DDistributed(t *testing.T) {
 func TestSingleRankMatchesSingleNode(t *testing.T) {
 	f := smooth2D(9, 32, 32)
 	tr, _ := fixed.Fit(f.Components()...)
-	res, err := CompressDistributed2D(f, tr, core.Options{Tau: 0.01}, Grid2D{PX: 1, PY: 1}, RatioOriented, mpi.Config{})
+	res, err := CompressDistributed(f.Dims(), f.Components(), []int{1, 1}, tr,
+		core.Options{Tau: 0.01}, RatioOriented, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

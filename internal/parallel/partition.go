@@ -38,18 +38,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// Grid2D is a PX×PY rank decomposition.
-type Grid2D struct{ PX, PY int }
-
-// Ranks returns the number of ranks.
-func (g Grid2D) Ranks() int { return g.PX * g.PY }
-
-// Grid3D is a PX×PY×PZ rank decomposition.
-type Grid3D struct{ PX, PY, PZ int }
-
-// Ranks returns the number of ranks.
-func (g Grid3D) Ranks() int { return g.PX * g.PY * g.PZ }
-
 // Span is one block's extent along one axis of the lossless-border
 // decomposition. It is shared by the simulated-MPI drivers and the
 // shared-memory pipeline (package shm) so both split a field identically.

@@ -21,9 +21,9 @@ func TestDistributedTelemetry2D(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := telemetry.New()
-	grid := Grid2D{PX: 2, PY: 2}
-	res, err := CompressDistributed2D(f, tr, core.Options{Tau: 0.05, Spec: core.ST2, Tel: tel},
-		grid, RatioOriented, mpi.Config{})
+	grid, ranks := []int{2, 2}, 4
+	res, err := CompressDistributed(f.Dims(), f.Components(), grid, tr,
+		core.Options{Tau: 0.05, Spec: core.ST2, Tel: tel}, RatioOriented, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +39,8 @@ func TestDistributedTelemetry2D(t *testing.T) {
 		t.Fatalf("expected one parallel.compress2d root span, got %+v", snap.Spans)
 	}
 	run := snap.Spans[0]
-	if len(run.Children) != grid.Ranks() {
-		t.Fatalf("run span has %d children, want %d ranks", len(run.Children), grid.Ranks())
+	if len(run.Children) != ranks {
+		t.Fatalf("run span has %d children, want %d ranks", len(run.Children), ranks)
 	}
 	for r, rank := range run.Children {
 		if want := fmt.Sprintf("rank%d", r); rank.Name != want {
@@ -72,8 +72,8 @@ func TestDistributedTelemetry2D(t *testing.T) {
 	if got := snap.Counters["mpi.p2p.msgs"]; got != 12 {
 		t.Errorf("mpi.p2p.msgs = %d, want 12", got)
 	}
-	if snap.Gauges["mpi.ranks"] != int64(grid.Ranks()) {
-		t.Errorf("mpi.ranks gauge = %d, want %d", snap.Gauges["mpi.ranks"], grid.Ranks())
+	if snap.Gauges["mpi.ranks"] != int64(ranks) {
+		t.Errorf("mpi.ranks gauge = %d, want %d", snap.Gauges["mpi.ranks"], ranks)
 	}
 	if h := snap.Histograms["mpi.msg_bytes"]; h.Count != 12 {
 		t.Errorf("mpi.msg_bytes count = %d, want 12", h.Count)
@@ -90,8 +90,8 @@ func TestDistributedTelemetry3D(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := telemetry.New()
-	res, err := CompressDistributed3D(f, tr, core.Options{Tau: 0.05, Spec: core.ST1, Tel: tel},
-		Grid3D{PX: 2, PY: 1, PZ: 1}, RatioOriented, mpi.Config{})
+	res, err := CompressDistributed(f.Dims(), f.Components(), []int{2, 1, 1}, tr,
+		core.Options{Tau: 0.05, Spec: core.ST1, Tel: tel}, RatioOriented, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +121,13 @@ func TestDistributedDecompressTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := Grid2D{PX: 2, PY: 1}
-	res, err := CompressDistributed2D(f, tr, core.Options{Tau: 0.05}, grid, RatioOriented, mpi.Config{})
+	grid := []int{2, 1}
+	res, err := CompressDistributed(f.Dims(), f.Components(), grid, tr, core.Options{Tau: 0.05}, RatioOriented, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tel := telemetry.New()
-	if _, _, err := DecompressDistributed2D(res.Blobs, grid, f.NX, f.NY, mpi.Config{Tel: tel}); err != nil {
+	if _, _, err := DecompressDistributed(res.Blobs, f.Dims(), grid, mpi.Config{Tel: tel}); err != nil {
 		t.Fatal(err)
 	}
 	snap := tel.Snapshot()
@@ -149,8 +149,8 @@ func TestTelemetryDisabledDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompressDistributed2D(f, tr, core.Options{Tau: 0.05, Spec: core.ST2},
-		Grid2D{PX: 2, PY: 2}, RatioOriented, mpi.Config{})
+	res, err := CompressDistributed(f.Dims(), f.Components(), []int{2, 2}, tr,
+		core.Options{Tau: 0.05, Spec: core.ST2}, RatioOriented, mpi.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,7 +165,7 @@ func TestShmSingleSlab(t *testing.T) {
 // core block as a one-slab container, with the block decoder's floats.
 func TestDecompressBareBlock(t *testing.T) {
 	f2 := datagen.Ocean(48, 40)
-	blob, _, err := core.Compress2D(f2, core.Options{Tau: 0.05, Spec: core.ST2})
+	blob, _, err := core.Compress(f2.Dims(), f2.Components(), core.Options{Tau: 0.05, Spec: core.ST2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestDecompressBareBlock(t *testing.T) {
 	}
 
 	f3 := datagen.Hurricane(12, 12, 10)
-	blob, _, err = core.Compress3D(f3, core.Options{Tau: 0.05})
+	blob, _, err = core.Compress(f3.Dims(), f3.Components(), core.Options{Tau: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
