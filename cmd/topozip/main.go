@@ -708,16 +708,31 @@ func cmdInfo(args []string) error {
 	}
 	// Header peeks only: no slab is decoded to report the shape.
 	dims, err := shm.ContainerDims(sr)
+	kind, fields := fmt.Sprintf("shm container: %d slabs,", sr.Steps()), int64(1)
+	if errors.Is(err, shm.ErrNotSlabs) {
+		// A time series: every step has step 0's shape.
+		kind, fields = fmt.Sprintf("series: %d steps,", sr.Steps()), int64(sr.Steps())
+		dims, err = stepDims(sr)
+	}
 	if err != nil {
 		return err
 	}
-	kind := fmt.Sprintf("shm container: %d slabs,", sr.Steps())
 	if sr.Version() == 0 {
 		kind = "bare block,"
 	}
 	fmt.Printf("%s %s, %d compressed bytes (%.2fx vs raw)\n",
-		kind, shape(dims), size, float64(rawSize(dims))/float64(size))
+		kind, shape(dims), size, float64(fields*rawSize(dims))/float64(size))
 	return renderManifestIfPresent(*in)
+}
+
+// stepDims returns the dims in the header of a container's step 0.
+func stepDims(sr *archive.StreamReader) ([]int, error) {
+	blob, err := sr.ReadBlobInto(nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	h, err := core.PeekBlock(blob)
+	return h.Dims, err
 }
 
 // renderManifestIfPresent prints the run manifest an archive travels

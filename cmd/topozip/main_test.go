@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/archive"
@@ -477,5 +480,74 @@ func TestCLIFlightRecorderDump(t *testing.T) {
 	// A degraded archive still verifies: every critical point survives.
 	if err := cmdVerify([]string{"-orig", raw, "-comp", comp}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// captureStdout runs fn and returns what it printed to os.Stdout.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	ferr := fn()
+	w.Close()
+	return string(<-out), ferr
+}
+
+// TestCLITrackCorruptSlabContainer pins that track reads time series
+// only: the slabs of one field, even of equal height, are not time
+// steps.
+func TestCLITrackCorruptSlabContainer(t *testing.T) {
+	dir := t.TempDir()
+	raw := filepath.Join(dir, "ocean.f32")
+	comp := filepath.Join(dir, "ocean.szp")
+	if err := cmdGen([]string{"-data", "ocean", "-dims", "96x72", "-out", raw}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdCompress([]string{"-in", raw, "-dims", "96x72", "-slabs", "4", "-out", comp}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdTrack([]string{"-in", comp}); !errors.Is(err, archive.ErrCorrupt) {
+		t.Fatalf("track on a 4-slab container: err = %v, want archive.ErrCorrupt", err)
+	}
+}
+
+// TestCLIDecompressCorruptSeries pins that decompress and verify do not
+// stack a series' steps into one tall field, and that info names the
+// archive a series.
+func TestCLIDecompressCorruptSeries(t *testing.T) {
+	dir := t.TempDir()
+	for s := 0; s < 3; s++ {
+		if err := cmdGen([]string{"-data", "ocean", "-dims", "64x48",
+			"-out", filepath.Join(dir, fmt.Sprintf("frame%03d.f32", s))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arch := filepath.Join(dir, "series.scar")
+	if err := cmdPackSeries([]string{"-in", filepath.Join(dir, "frame%03d.f32"),
+		"-steps", "3", "-dims", "64x48", "-out", arch}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdDecompress([]string{"-in", arch, "-out", filepath.Join(dir, "back.f32")}); !errors.Is(err, archive.ErrCorrupt) {
+		t.Fatalf("decompress of a series: err = %v, want archive.ErrCorrupt", err)
+	}
+	if err := cmdVerify([]string{"-orig", filepath.Join(dir, "frame000.f32"), "-comp", arch}); !errors.Is(err, archive.ErrCorrupt) {
+		t.Fatalf("verify of a series: err = %v, want archive.ErrCorrupt", err)
+	}
+	out, err := captureStdout(t, func() error { return cmdInfo([]string{"-in", arch}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out, "series: 3 steps, 2D field 64x48,") {
+		t.Fatalf("info printed %q, want a series line", out)
 	}
 }

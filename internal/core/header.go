@@ -3,13 +3,14 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"repro/internal/encoder"
 	"repro/internal/integrity"
 )
 
 // The self-describing block header, shared by the 2D and 3D streams: the
-// encoder emits it from the kernel, the decoders and PeekHeader parse it.
+// encoder emits it from the kernel, the decoders and PeekBlock parse it.
 
 // orderMode identifies the vertex visit order stored in the header.
 type orderMode uint8
@@ -203,21 +204,49 @@ func (h *header) vertexCount() (int, error) {
 	return int(n), nil
 }
 
-// PeekHeader reports the dimensionality and sizes of a compressed block
-// without decoding the payload. It serves both dimensions: NZ is 0 for a
-// 2D block.
-func PeekHeader(blob []byte) (ndim, nx, ny, nz int, err error) {
+// BlockHeader is what a compressed block's header says about the block,
+// read by PeekBlock without decoding the payload.
+type BlockHeader struct {
+	// Dims is [NX, NY] or [NX, NY, NZ].
+	Dims []int
+	// Placed reports a block compressed as one piece of a decomposed
+	// field: it has the lossless-border flag or a neighbor side. A
+	// whole-field block, such as a series step, has neither.
+	Placed bool
+	// Lossless reports a fixed-point bound τ′ of 0: every vertex is
+	// stored exactly, as in a CompressLossless block (the form a degraded
+	// shm slab falls back to).
+	Lossless bool
+}
+
+// PeekBlock parses a compressed block's header without decoding the
+// payload.
+func PeekBlock(blob []byte) (BlockHeader, error) {
 	// UnpackFirst inflates only the header section, so peeking a blob —
 	// or a long-enough prefix of one, which is how the streaming
 	// container reader sizes its plan without loading slabs — costs
 	// O(header), not O(payload).
 	sec, err := encoder.UnpackFirst(blob)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return BlockHeader{}, err
 	}
 	var h header
 	if err := h.unmarshal(sec); err != nil {
+		return BlockHeader{}, err
+	}
+	placed := h.Border || slices.Contains(h.HasGhost[:], true)
+	return BlockHeader{Dims: h.dims(), Placed: placed, Lossless: h.Tau == 0}, nil
+}
+
+// PeekHeader reports the dimensionality and sizes of a compressed block
+// without decoding the payload. NZ is 0 for a 2D block.
+//
+// Deprecated: use PeekBlock.
+func PeekHeader(blob []byte) (ndim, nx, ny, nz int, err error) {
+	b, err := PeekBlock(blob)
+	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	return h.NDim, h.NX, h.NY, h.NZ, nil
+	d := append(b.Dims, 0)
+	return len(b.Dims), d[0], d[1], d[2], nil
 }

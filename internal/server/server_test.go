@@ -21,7 +21,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/faultinject"
 	"repro/internal/field"
@@ -60,6 +62,28 @@ func oceanRaw(t *testing.T, nx, ny int) []byte {
 	f := datagen.Ocean(nx, ny)
 	var buf bytes.Buffer
 	if err := field.WriteRaw(&buf, f.U, f.V); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// seriesBody packs two whole 16×16 fields into one container: a time
+// series, whose steps /v1/decompress must not stack into one field.
+func seriesBody(t *testing.T) []byte {
+	t.Helper()
+	f := datagen.Ocean(16, 16)
+	var buf bytes.Buffer
+	sw := archive.NewStreamWriter(&buf)
+	for s := 0; s < 2; s++ {
+		blob, _, err := core.Compress(f.Dims(), f.Components(), core.Options{Tau: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sw.AppendBlob(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -179,6 +203,7 @@ func TestBadRequests(t *testing.T) {
 		{"overflowing dims", base + "/v1/compress?dims=2000000000x2000000000x2000000000", raw, http.StatusBadRequest},
 		{"dims over body limit", base + "/v1/compress?dims=20000x20000", raw, http.StatusRequestEntityTooLarge},
 		{"garbage container", base + "/v1/decompress", []byte("not an archive"), http.StatusUnprocessableEntity},
+		{"series container", base + "/v1/decompress", seriesBody(t), http.StatusUnprocessableEntity},
 		{"empty body", base + "/v1/decompress", nil, http.StatusBadRequest},
 	} {
 		resp, body := postBytes(t, tc.url, tc.body)
