@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzSZLikeDecompress$$' -fuzztime=$(FUZZTIME) ./internal/baselines/
 	$(GO) test -fuzz='^FuzzZFPLikeDecompress$$' -fuzztime=$(FUZZTIME) ./internal/baselines/
 	$(GO) test -fuzz='^FuzzFPZIPLikeDecompress$$' -fuzztime=$(FUZZTIME) ./internal/baselines/
+	$(GO) test -fuzz='^FuzzHuffmanDecompress$$' -fuzztime=$(FUZZTIME) ./internal/huffman/
 
 # Coverage gate for the compression kernel: fails below COVER_MIN%.
 COVER_MIN ?= 85

@@ -107,3 +107,40 @@ func (r *Reader) ReadBit() (uint, error) {
 	v, err := r.ReadBits(1)
 	return uint(v), err
 }
+
+// Peek returns the next n bits without consuming them, zero-padded past
+// the end of the stream, and how many of them are real (m <= n). One
+// Peek holds at least 57 bits, so m < n also when a wider n is asked
+// for with more of the stream left.
+func (r *Reader) Peek(n uint) (v uint64, m uint) {
+	if r.nacc < n {
+		r.refill()
+	}
+	return r.acc & (1<<n - 1), min(n, r.nacc)
+}
+
+// Skip consumes n bits (n <= 57). Skipping no more than the real bits
+// of the last Peek cannot fail; past the end of the stream it returns
+// ErrShortStream and consumes nothing.
+func (r *Reader) Skip(n uint) error {
+	if r.nacc < n {
+		r.refill()
+		if r.nacc < n {
+			return ErrShortStream
+		}
+	}
+	r.acc >>= n
+	r.nacc -= n
+	return nil
+}
+
+// refill loads whole bytes into the accumulator until it holds more
+// than 56 bits or the stream ends. Bits above nacc stay zero, which is
+// the zero padding Peek promises.
+func (r *Reader) refill() {
+	for r.nacc <= 56 && r.pos < len(r.buf) {
+		r.acc |= uint64(r.buf[r.pos]) << r.nacc
+		r.pos++
+		r.nacc += 8
+	}
+}

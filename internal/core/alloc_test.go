@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -60,5 +61,44 @@ func TestSteadyStateAllocs(t *testing.T) {
 		if allocs > maxSteadyAllocs {
 			t.Errorf("%s: %v allocs/op, gate %d", tc.name, allocs, maxSteadyAllocs)
 		}
+	}
+}
+
+// maxDecodeBytesPerVertex gates the heap bytes one warm Decompress of a
+// 2D block allocates per vertex. What a decode must allocate is the
+// fixed-point components (16 B), the float output (8 B) and the two
+// decoded symbol streams (12 B); the rest is the inflated sections and
+// the Huffman tables. A materialized visit order (24 B) or a progress
+// mask (1 B) per vertex does not fit.
+const maxDecodeBytesPerVertex = 45
+
+// TestDecompressAllocBytes gates the bytes per vertex of one warm
+// Decompress of a 384×288 Ocean block.
+func TestDecompressAllocBytes(t *testing.T) {
+	ocean := datagen.Ocean(384, 288)
+	blob, _, err := core.Compress(ocean.Dims(), ocean.Components(), core.Options{Tau: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() {
+		if _, _, err := core.Decompress(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode() // warm
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	perVertex := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(ocean.NX*ocean.NY)
+	t.Logf("decode: %.1f B/vertex", perVertex)
+	if raceEnabled {
+		return
+	}
+	if perVertex > maxDecodeBytesPerVertex {
+		t.Errorf("decode allocates %.1f B/vertex, gate %d", perVertex, maxDecodeBytesPerVertex)
 	}
 }

@@ -505,9 +505,16 @@ func TestCompressRejectsBadInput(t *testing.T) {
 	}
 }
 
+// visited lists the own coordinates o.walkAll visits, in order.
+func visited(o vertexOrder) [][3]int {
+	var order [][3]int
+	o.walkAll(func(oi, oj, ok int) { order = append(order, [3]int{oi, oj, ok}) })
+	return order
+}
+
 func TestVisitOrderCoversAllVertices(t *testing.T) {
-	for _, mode := range []orderMode{orderRaster, orderTwoPhase} {
-		order := visitOrder(5, 4, 1, mode, true, true, false)
+	for _, twoPhase := range []bool{false, true} {
+		order := visited(vertexOrder{nx: 5, ny: 4, nz: 1, twoPhase: twoPhase, maxPlane: [3]bool{true, true, false}})
 		if len(order) != 20 {
 			t.Fatalf("order covers %d vertices", len(order))
 		}
@@ -519,14 +526,14 @@ func TestVisitOrderCoversAllVertices(t *testing.T) {
 			seen[v] = true
 		}
 	}
-	o3 := visitOrder(3, 3, 3, orderTwoPhase, true, false, true)
+	o3 := visited(vertexOrder{nx: 3, ny: 3, nz: 3, twoPhase: true, maxPlane: [3]bool{true, false, true}})
 	if len(o3) != 27 {
 		t.Fatalf("3D order covers %d", len(o3))
 	}
 }
 
 func TestTwoPhaseOrderPutsMaxPlanesLast(t *testing.T) {
-	order := visitOrder(4, 3, 1, orderTwoPhase, true, false, false)
+	order := visited(vertexOrder{nx: 4, ny: 3, nz: 1, twoPhase: true, maxPlane: [3]bool{true, false, false}})
 	// Vertices with i == 3 must all come after the others.
 	phase2Started := false
 	for _, v := range order {
@@ -535,6 +542,49 @@ func TestTwoPhaseOrderPutsMaxPlanesLast(t *testing.T) {
 		} else if phase2Started {
 			t.Fatalf("phase-1 vertex %v after phase 2 started", v)
 		}
+	}
+}
+
+// TestLowerNeighborsVisitedFirst is the invariant behind the mask-free
+// predictLorenzo: in either order, with any combination of max planes,
+// every in-range lower Lorenzo neighbor (offsets in {-1,0}^3) of every
+// vertex is visited before the vertex, and every vertex exactly once.
+func TestLowerNeighborsVisitedFirst(t *testing.T) {
+	for nz := 1; nz <= 4; nz++ {
+		for ny := 2; ny <= 4; ny++ {
+			for nx := 2; nx <= 4; nx++ {
+				for _, twoPhase := range []bool{false, true} {
+					for planes := 0; planes < 8; planes++ {
+						o := vertexOrder{nx: nx, ny: ny, nz: nz, twoPhase: twoPhase,
+							maxPlane: [3]bool{planes&1 != 0, planes&2 != 0, planes&4 != 0}}
+						checkLowerNeighborsFirst(t, o)
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkLowerNeighborsFirst(t *testing.T, o vertexOrder) {
+	t.Helper()
+	done := make([]bool, o.nx*o.ny*o.nz)
+	count := 0
+	o.walkAll(func(oi, oj, ok int) {
+		own := (ok*o.ny+oj)*o.nx + oi
+		if done[own] {
+			t.Fatalf("%+v: (%d,%d,%d) visited twice", o, oi, oj, ok)
+		}
+		for d := 1; d < 8; d++ {
+			i, j, k := oi-d&1, oj-d>>1&1, ok-d>>2&1
+			if i >= 0 && j >= 0 && k >= 0 && !done[(k*o.ny+j)*o.nx+i] {
+				t.Fatalf("%+v: (%d,%d,%d) visited before its lower neighbor (%d,%d,%d)", o, oi, oj, ok, i, j, k)
+			}
+		}
+		done[own] = true
+		count++
+	})
+	if count != len(done) {
+		t.Fatalf("%+v: visited %d of %d vertices", o, count, len(done))
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/huffman"
 	"repro/internal/integrity"
 	"repro/internal/quantizer"
-	"repro/internal/safedim"
 )
 
 // The dimension-generic decoder. Decompression replays the visit order
@@ -17,44 +16,60 @@ import (
 // compression. The decoders in decompress.go are thin adapters over
 // decodeFixed.
 
-// visitOrder yields the own-coordinate vertices of a block in
-// compression order: plain raster, or (two-phase mode) raster excluding
-// neighbor-facing max planes followed by a raster over those planes. A
-// 2D block passes nz == 1 (and every entry has k == 0).
-func visitOrder(nx, ny, nz int, mode orderMode, hasMaxX, hasMaxY, hasMaxZ bool) [][3]int {
-	order := make([][3]int, 0, safedim.MustProduct(nx, ny, nz))
-	phase2 := func(i, j, k int) bool {
-		return (hasMaxX && i == nx-1) || (hasMaxY && j == ny-1) || (hasMaxZ && k == nz-1)
-	}
-	if mode != orderTwoPhase {
-		for k := 0; k < nz; k++ {
-			for j := 0; j < ny; j++ {
-				for i := 0; i < nx; i++ {
-					order = append(order, [3]int{i, j, k})
+// vertexOrder is the order in which the encoder visits a block's own
+// vertices and the decoder replays them: one raster pass, or (two-phase
+// mode) a raster over the vertices off the neighbor-facing max planes
+// followed by a raster over the vertices on them. A 2D block has
+// nz == 1 and no Z max plane.
+//
+// In both orders every in-range lower neighbor of a vertex is visited
+// before it: a vertex off the max planes has no lower neighbor on one,
+// and the second phase is itself a raster. predictLorenzo relies on
+// this to read availability from the coordinates alone.
+type vertexOrder struct {
+	nx, ny, nz int
+	twoPhase   bool
+	maxPlane   [3]bool // a neighbor faces the max plane of axis X, Y, Z
+}
+
+// The phases walk visits: every vertex (a raster block), or the first
+// or second phase of a two-phase block.
+const (
+	phaseAll = iota
+	phaseOne
+	phaseTwo
+)
+
+// phase2 reports whether own vertex (oi, oj, ok) lies on a
+// neighbor-facing max plane, which a two-phase block visits last.
+func (o *vertexOrder) phase2(oi, oj, ok int) bool {
+	return (o.maxPlane[0] && oi == o.nx-1) ||
+		(o.maxPlane[1] && oj == o.ny-1) ||
+		(o.maxPlane[2] && ok == o.nz-1)
+}
+
+// walk calls visit on the own coordinates of the vertices of one phase,
+// in raster order.
+func (o *vertexOrder) walk(phase int, visit func(oi, oj, ok int)) {
+	for ok := 0; ok < o.nz; ok++ {
+		for oj := 0; oj < o.ny; oj++ {
+			for oi := 0; oi < o.nx; oi++ {
+				if phase == phaseAll || o.phase2(oi, oj, ok) == (phase == phaseTwo) {
+					visit(oi, oj, ok)
 				}
 			}
 		}
-		return order
 	}
-	for k := 0; k < nz; k++ {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				if !phase2(i, j, k) {
-					order = append(order, [3]int{i, j, k})
-				}
-			}
-		}
+}
+
+// walkAll visits every vertex in the block's order.
+func (o *vertexOrder) walkAll(visit func(oi, oj, ok int)) {
+	if !o.twoPhase {
+		o.walk(phaseAll, visit)
+		return
 	}
-	for k := 0; k < nz; k++ {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				if phase2(i, j, k) {
-					order = append(order, [3]int{i, j, k})
-				}
-			}
-		}
-	}
-	return order
+	o.walk(phaseOne, visit)
+	o.walk(phaseTwo, visit)
 }
 
 // decodeFixed reconstructs the fixed-point components of a compressed
@@ -118,24 +133,22 @@ func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]int64, er
 			return nil, nil, err
 		}
 	}
+	if err := checkStreams(expSyms, codeSyms, literals); err != nil {
+		return nil, nil, err
+	}
 	comps := make([][]int64, nc)
 	for c := range comps {
 		comps[c] = make([]int64, n)
 	}
-	done := make([]bool, n)
-	order := visitOrder(h.NX, h.NY, nz, h.Order,
-		h.HasGhost[SideMaxX], h.HasGhost[SideMaxY], h.NDim == 3 && h.HasGhost[SideMaxZ])
+	ord := vertexOrder{nx: h.NX, ny: h.NY, nz: nz, twoPhase: h.Order == orderTwoPhase,
+		maxPlane: [3]bool{h.HasGhost[SideMaxX], h.HasGhost[SideMaxY], h.NDim == 3 && h.HasGhost[SideMaxZ]}}
 	kth := 0
-	for _, ov := range order {
-		oi, oj, ok := ov[0], ov[1], ov[2]
+	ord.walkAll(func(oi, oj, ok int) {
 		idx := (ok*h.NY+oj)*h.NX + oi
 		bound := quantizer.BoundFromSym(uint8(expSyms[kth]), h.Tau)
 		for c := 0; c < nc; c++ {
 			sym := codeSyms[nc*kth+c]
 			if sym == escapeSym {
-				if len(literals) < 4 {
-					return nil, nil, errors.New("core: literal stream underrun")
-				}
 				comps[c][idx], literals = readLiteral(literals)
 				continue
 			}
@@ -143,12 +156,32 @@ func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]int64, er
 			if h.Temporal {
 				pred = prevs[c][idx]
 			} else {
-				pred = predictLorenzo(comps[c], done, h.NX, h.NY, oi, oj, ok)
+				pred = predictLorenzo(comps[c], h.NX, h.NY, oi, oj, ok)
 			}
 			comps[c][idx] = quantizer.Reconstruct(huffman.Unzigzag(sym), pred, bound)
 		}
-		done[idx] = true
 		kth++
-	}
+	})
 	return &h, comps, nil
+}
+
+// checkStreams rejects what the replay would otherwise misread: a bound
+// symbol off the bound grid, which would decode as some other bound,
+// and a literal stream shorter than the escapes in the code stream.
+func checkStreams(expSyms, codeSyms []uint32, literals []byte) error {
+	for _, s := range expSyms {
+		if s > quantizer.MaxBoundUp+quantizer.MaxBoundDown && s != uint32(quantizer.LosslessSym) {
+			return fmt.Errorf("core: corrupt bound stream: symbol %d is off the bound grid", s)
+		}
+	}
+	escapes := 0
+	for _, s := range codeSyms {
+		if s == escapeSym {
+			escapes++
+		}
+	}
+	if len(literals) < 4*escapes {
+		return errors.New("core: literal stream underrun")
+	}
+	return nil
 }

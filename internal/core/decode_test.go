@@ -1,0 +1,127 @@
+package core
+
+import (
+	"errors"
+	"slices"
+	"testing"
+
+	"repro/internal/encoder"
+	"repro/internal/fixed"
+	"repro/internal/huffman"
+	"repro/internal/quantizer"
+)
+
+// craftV1 rewrites a block as a version-1 (no-CRC) block after edit has
+// changed its header or bound symbols, so the decoder meets the edit
+// itself rather than a checksum mismatch.
+func craftV1(t *testing.T, blob []byte, edit func(h *header, expSyms []uint32)) []byte {
+	t.Helper()
+	secs, err := encoder.Unpack(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h header
+	if err := h.unmarshal(secs[0]); err != nil {
+		t.Fatal(err)
+	}
+	expSyms, err := huffman.Decompress(secs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(&h, expSyms)
+	hb := h.marshal()
+	hb[2] = version1
+	out, err := encoder.Pack(hb[:len(hb)-4], huffman.Compress(expSyms), secs[2], secs[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func craftBase(t *testing.T) ([]byte, [][]float32) {
+	t.Helper()
+	f := smooth2D(91, 12, 10)
+	blob, _, err := Compress(f.Dims(), f.Components(), Options{Tau: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := Decompress(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The unedited v1 rewrite decodes to the same field, so a failure
+	// below is the edit's doing.
+	_, got, err := Decompress(craftV1(t, blob, func(*header, []uint32) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range want {
+		if !slices.Equal(got[c], want[c]) {
+			t.Fatal("v1 rewrite decodes differently")
+		}
+	}
+	return blob, want
+}
+
+// TestDecodeRejectsUnknownOrder: an Order byte other than raster or
+// two-phase is a malformed header, not a raster block.
+func TestDecodeRejectsUnknownOrder(t *testing.T) {
+	blob, _ := craftBase(t)
+	for _, order := range []orderMode{2, 7, 255} {
+		bad := craftV1(t, blob, func(h *header, _ []uint32) { h.Order = order })
+		if _, _, err := Decompress(bad); !errors.Is(err, errHeader) {
+			t.Errorf("order %d: Decompress err = %v, want errHeader", order, err)
+		}
+		if _, err := PeekBlock(bad); !errors.Is(err, errHeader) {
+			t.Errorf("order %d: PeekBlock err = %v, want errHeader", order, err)
+		}
+	}
+}
+
+// TestDecodeRejectsOffGridBoundSymbols: a bound symbol outside
+// [0, MaxBoundUp+MaxBoundDown] ∪ {LosslessSym} is a corrupt stream. Such
+// symbols used to wrap (256 and up) or decode as bound 0 (61–254).
+func TestDecodeRejectsOffGridBoundSymbols(t *testing.T) {
+	blob, want := craftBase(t)
+	top := uint32(quantizer.MaxBoundUp + quantizer.MaxBoundDown)
+	for _, sym := range []uint32{top + 1, 100, 254, 256, 256 + 3, 1 << 20} {
+		bad := craftV1(t, blob, func(_ *header, exp []uint32) { exp[len(exp)/2] = sym })
+		if _, _, err := Decompress(bad); err == nil {
+			t.Errorf("bound symbol %d decoded without error", sym)
+		}
+	}
+	// The grid's ends and the lossless sentinel still decode.
+	for _, sym := range []uint32{0, top, uint32(quantizer.LosslessSym)} {
+		ok := craftV1(t, blob, func(_ *header, exp []uint32) { exp[len(exp)/2] = sym })
+		_, got, err := Decompress(ok)
+		if err != nil {
+			t.Errorf("bound symbol %d: %v", sym, err)
+		} else if len(got) != len(want) {
+			t.Errorf("bound symbol %d: %d components", sym, len(got))
+		}
+	}
+}
+
+// TestDecodeTemporalNeedsEveryComponent: a previous frame with the right
+// dims but too few components is an error, not an index panic.
+func TestDecodeTemporalNeedsEveryComponent(t *testing.T) {
+	f, prev := smooth2D(92, 12, 10), smooth2D(93, 12, 10)
+	tr, err := fixed.Fit(f.U, f.V, prev.U, prev.V)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := block2D(f, tr, Options{Tau: 0.05})
+	blk.Prev = prev.Components()
+	blob, _, err := CompressBlock(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecompressWithPrev(blob, prev.Dims(), prev.Components()); err != nil {
+		t.Fatal(err)
+	}
+	for _, comps := range [][][]float32{{}, {prev.U}} {
+		if _, _, err := DecompressWithPrev(blob, prev.Dims(), comps); err == nil {
+			t.Errorf("%d previous components decoded a 2-component block", len(comps))
+		}
+	}
+}

@@ -58,7 +58,7 @@ func Decompress3D(blob []byte) (*field.Field3D, error) {
 // ignores both (nil is fine).
 func decompress(blob []byte, ndim int, prevDims []int, prev [][]float32) ([]int, [][]float32, error) {
 	h, comps, err := decodeFixed(blob, ndim, func(h *header) ([][]int64, error) {
-		if prev == nil || !slices.Equal(prevDims, h.dims()) {
+		if len(prev) != h.NDim || !slices.Equal(prevDims, h.dims()) {
 			return nil, errors.New("core: temporally predicted block needs the matching previous frame")
 		}
 		n, _ := h.vertexCount()

@@ -164,6 +164,9 @@ func (h *header) unmarshal(b []byte) error {
 	}
 	h.Spec = Speculation(b[0])
 	h.Order = orderMode(b[1])
+	if h.Order != orderRaster && h.Order != orderTwoPhase {
+		return errHeader
+	}
 	for i := range h.HasGhost {
 		h.HasGhost[i] = b[2]&(1<<i) != 0
 	}

@@ -27,8 +27,8 @@ import (
 //
 // All index arithmetic is shared by treating a 2D block as nz == 1 with
 // no Z neighbors: every extended/own index formula, the face/ghost
-// indexing, the visit orders, and the masked Lorenzo predictor then
-// reduce bit-exactly to their 2D forms.
+// indexing, the visit orders, and the Lorenzo predictor then reduce
+// bit-exactly to their 2D forms.
 
 // Ghost side indices for the Neighbor arrays and the ghost setters.
 const (
@@ -72,8 +72,8 @@ type kernel struct {
 	own      [maxComps][]int64
 	prev     [maxComps][]int64
 	temporal bool
+	order    vertexOrder
 	valid    []bool
-	ownDone  []bool
 	// signs is the sign plane: one byte per extended vertex, bit 2c set
 	// when component c is > 0 and bit 2c+1 when it is < 0 (signBits).
 	// It tracks comps at every write: the fixed-point fill, the ghost
@@ -121,6 +121,8 @@ func newKernel(blk blockSpec) (*kernel, error) {
 			blk.opts.Tau, blk.transform.Resolution())
 	}
 	k := &kernel{blk: blk, tau: blk.transform.Bound(blk.opts.Tau)}
+	k.order = vertexOrder{nx: blk.nx, ny: blk.ny, nz: blk.nz, twoPhase: blk.twoPhase,
+		maxPlane: [3]bool{blk.neighbor[SideMaxX], blk.neighbor[SideMaxY], blk.neighbor[SideMaxZ]}}
 	k.ext = [3]int{blk.nx, blk.ny, blk.nz}
 	if blk.twoPhase {
 		for a := 0; a < 3; a++ {
@@ -146,10 +148,8 @@ func newKernel(blk blockSpec) (*kernel, error) {
 		k.own[c] = scr.own[c]
 	}
 	scr.valid = grow(scr.valid, en)
-	scr.ownDone = grow(scr.ownDone, n)
 	scr.signs = grow(scr.signs, en)
 	k.valid = scr.valid
-	k.ownDone = scr.ownDone
 	k.signs = scr.signs
 	k.starCells, k.starVerts = &scr.starCells, &scr.starVerts
 	k.expSyms = scr.expSyms[:0]
@@ -453,13 +453,7 @@ func (k *kernel) run() {
 		return
 	}
 	process := k.tel.stage("process")
-	for ok := 0; ok < k.blk.nz; ok++ {
-		for oj := 0; oj < k.blk.ny; oj++ {
-			for oi := 0; oi < k.blk.nx; oi++ {
-				k.processVertex(oi, oj, ok)
-			}
-		}
-	}
+	k.order.walk(phaseAll, k.processVertex)
 	process.End()
 }
 
@@ -471,15 +465,7 @@ func (k *kernel) runPhase1() {
 	}
 	process := k.tel.stage("process-phase1")
 	defer process.End()
-	for ok := 0; ok < k.blk.nz; ok++ {
-		for oj := 0; oj < k.blk.ny; oj++ {
-			for oi := 0; oi < k.blk.nx; oi++ {
-				if !k.phase2Vertex(oi, oj, ok) {
-					k.processVertex(oi, oj, ok)
-				}
-			}
-		}
-	}
+	k.order.walk(phaseOne, k.processVertex)
 }
 
 // runPhase2 compresses the remaining max-plane vertices. Ghost planes on
@@ -488,21 +474,7 @@ func (k *kernel) runPhase1() {
 func (k *kernel) runPhase2() {
 	process := k.tel.stage("process-phase2")
 	defer process.End()
-	for ok := 0; ok < k.blk.nz; ok++ {
-		for oj := 0; oj < k.blk.ny; oj++ {
-			for oi := 0; oi < k.blk.nx; oi++ {
-				if k.phase2Vertex(oi, oj, ok) {
-					k.processVertex(oi, oj, ok)
-				}
-			}
-		}
-	}
-}
-
-func (k *kernel) phase2Vertex(oi, oj, ok int) bool {
-	return (k.blk.neighbor[SideMaxX] && oi == k.blk.nx-1) ||
-		(k.blk.neighbor[SideMaxY] && oj == k.blk.ny-1) ||
-		(k.blk.neighbor[SideMaxZ] && ok == k.blk.nz-1)
+	k.order.walk(phaseTwo, k.processVertex)
 }
 
 // forcedLossless reports whether the strategy pins this vertex to zero
@@ -758,7 +730,7 @@ func (k *kernel) tryQuantize(oi, oj, ok, vid int, snapped int64) (codes, recons 
 		if k.temporal {
 			pred = k.prev[c][own]
 		} else {
-			pred = predictLorenzo(k.own[c], k.ownDone, k.blk.nx, k.blk.ny, oi, oj, ok)
+			pred = predictLorenzo(k.own[c], k.blk.nx, k.blk.ny, oi, oj, ok)
 		}
 		code, recon, qok := quantizer.Quantize(k.comps[c][vid], pred, snapped)
 		if !qok {
@@ -772,37 +744,27 @@ func (k *kernel) tryQuantize(oi, oj, ok, vid int, snapped int64) (codes, recons 
 	return codes, recons, esc
 }
 
-// predictLorenzo is the masked Lorenzo predictor restricted to own,
-// already-processed neighbors, shared by the encoder and the decoder —
-// which guarantees bit-identical predictions even in the two-phase visit
-// order. With ok == 0 on an nz == 1 block the Z terms vanish and the
-// stencil reduces exactly to the 2D Lorenzo predictor.
-func predictLorenzo(z []int64, done []bool, nx, ny, oi, oj, ok int) int64 {
+// predictLorenzo is the Lorenzo predictor over own, already-processed
+// neighbors, shared by the encoder and the decoder, which keeps their
+// predictions bit-identical in either visit order. It reads only lower
+// neighbors, and vertexOrder visits every in-range lower neighbor before
+// its vertex, so a neighbor is available exactly when its coordinates
+// are not below zero. With ok == 0 on an nz == 1 block the Z terms
+// vanish and the stencil reduces exactly to the 2D Lorenzo predictor.
+func predictLorenzo(z []int64, nx, ny, oi, oj, ok int) int64 {
 	idx := (ok*ny+oj)*nx + oi
 	sx, sy, sz := 1, nx, nx*ny
-	av := func(di, dj, dk int) bool {
-		if oi+di < 0 || oj+dj < 0 || ok+dk < 0 {
-			return false
-		}
-		return done[idx+di*sx+dj*sy+dk*sz]
-	}
-	x := av(-1, 0, 0)
-	y := av(0, -1, 0)
-	zz := av(0, 0, -1)
-	xy := av(-1, -1, 0)
-	xz := av(-1, 0, -1)
-	yz := av(0, -1, -1)
-	xyz := av(-1, -1, -1)
+	x, y, zz := oi > 0, oj > 0, ok > 0
 	switch {
-	case x && y && zz && xy && xz && yz && xyz:
+	case x && y && zz:
 		return z[idx-sx] + z[idx-sy] + z[idx-sz] -
 			z[idx-sx-sy] - z[idx-sx-sz] - z[idx-sy-sz] +
 			z[idx-sx-sy-sz]
-	case x && y && xy:
+	case x && y:
 		return z[idx-sx] + z[idx-sy] - z[idx-sx-sy]
-	case x && zz && xz:
+	case x && zz:
 		return z[idx-sx] + z[idx-sz] - z[idx-sx-sz]
-	case y && zz && yz:
+	case y && zz:
 		return z[idx-sy] + z[idx-sz] - z[idx-sy-sz]
 	case x:
 		return z[idx-sx]
@@ -845,7 +807,6 @@ func (k *kernel) commit(vid, own int, sym uint8, codes, recons [maxComps]int64, 
 		k.own[c][own] = recons[c]
 	}
 	k.signs[vid] = k.signOf(vid)
-	k.ownDone[own] = true
 }
 
 // finish packs the compressed block.

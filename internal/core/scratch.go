@@ -4,7 +4,7 @@ import "sync"
 
 // kernelScratch carries the working buffers of one block compression.
 // Every run of the sweep needs the same family of arrays (extended
-// fixed-point components, progress masks, the cell maps, the output
+// fixed-point components, the validity mask, the cell maps, the output
 // symbol streams), and a throughput-oriented caller — the shared-memory
 // pipeline, the experiment sweeps, the per-step archive appends — builds
 // kernels in a tight loop. Recycling the buffers through a sync.Pool
@@ -21,7 +21,6 @@ type kernelScratch struct {
 	prev  [maxComps][]int64
 
 	valid     []bool
-	ownDone   []bool
 	signs     []uint8
 	cellValid []bool
 	cpCell    []bool
@@ -39,7 +38,7 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(kernelScratch) 
 
 // grow returns buf resized to n and zeroed, reallocating only when the
 // capacity is insufficient. Zeroing keeps pooled reuse bit-identical to
-// the make([]T, n) it replaces: the progress and cell masks rely on a
+// the make([]T, n) it replaces: the validity and cell masks rely on a
 // false zero value, and the sign plane on 0 meaning no strict sign.
 func grow[T int64 | bool | uint8](buf []T, n int) []T {
 	if cap(buf) < n {
@@ -68,7 +67,7 @@ func (k *kernel) close() {
 	for c := 0; c < maxComps; c++ {
 		k.comps[c], k.own[c], k.prev[c] = nil, nil, nil
 	}
-	k.valid, k.ownDone, k.signs = nil, nil, nil
+	k.valid, k.signs = nil, nil
 	k.starCells, k.starVerts = nil, nil
 	k.cellValid, k.cpCell, k.cpAdj = nil, nil, nil
 	k.expSyms, k.codeSyms, k.literals = nil, nil, nil

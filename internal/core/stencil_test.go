@@ -329,7 +329,7 @@ func TestSignPlaneTracksComponents(t *testing.T) {
 					for ok := 0; ok < k.blk.nz; ok++ {
 						for oj := 0; oj < k.blk.ny; oj++ {
 							for oi := 0; oi < k.blk.nx; oi++ {
-								if k.blk.twoPhase && k.phase2Vertex(oi, oj, ok) != phase2 {
+								if k.blk.twoPhase && k.order.phase2(oi, oj, ok) != phase2 {
 									continue
 								}
 								if spec >= ST2 && !k.forcedLossless(oi, oj, ok) {

@@ -9,6 +9,12 @@
 // outlier symbols fall back to maps. The emitted byte stream is identical
 // to the map-based implementation's — table storage is an internal detail,
 // the canonical code assignment is not.
+//
+// Decoding is table-driven: one 11-bit peek resolves every code of at
+// most 11 bits through a lookup table built by replaying the canonical
+// first-code-per-length walk, so corrupt length tables decode exactly
+// as they do through the walk. Longer codes, and codes that would run
+// past the end of the stream, take the walk itself.
 package huffman
 
 import (
@@ -118,30 +124,48 @@ func Compress(syms []uint32) []byte {
 
 // Decompress decodes a block produced by Compress.
 func Decompress(data []byte) ([]uint32, error) {
+	n, dec, r, err := parse(data)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint32, n)
+	for i := range out {
+		s, err := dec.decode(r)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = s
+	}
+	return out, nil
+}
+
+// parse reads a block's symbol count and code length table and returns
+// the count, a decoder for the table and a reader over the code bits.
+func parse(data []byte) (uint64, *decoder, *bitstream.Reader, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
-		return nil, errors.New("huffman: bad count")
+		return 0, nil, nil, errors.New("huffman: bad count")
 	}
 	data = data[k:]
 	// Every symbol costs at least one bit; reject counts a corrupt header
 	// could not possibly back with data (prevents huge allocations).
 	if n > uint64(len(data))*8+1 {
-		return nil, errors.New("huffman: symbol count exceeds stream capacity")
+		return 0, nil, nil, errors.New("huffman: symbol count exceeds stream capacity")
 	}
 	nnz, k := binary.Uvarint(data)
 	if k <= 0 {
-		return nil, errors.New("huffman: bad table size")
+		return 0, nil, nil, errors.New("huffman: bad table size")
 	}
 	data = data[k:]
 	if nnz > uint64(len(data)) {
-		return nil, errors.New("huffman: table size exceeds stream capacity")
+		return 0, nil, nil, errors.New("huffman: table size exceeds stream capacity")
 	}
 	list := make([]symLen, 0, nnz)
 	prev := uint32(0)
 	for i := uint64(0); i < nnz; i++ {
 		d, k := binary.Uvarint(data)
 		if k <= 0 || len(data) < k+1 {
-			return nil, errors.New("huffman: truncated table")
+			return 0, nil, nil, errors.New("huffman: truncated table")
 		}
 		sym := prev + uint32(d)
 		// Deltas are nondecreasing, so a duplicate symbol (corrupt input)
@@ -157,18 +181,9 @@ func Decompress(data []byte) ([]uint32, error) {
 	}
 	dec, err := newDecoder(list)
 	if err != nil {
-		return nil, err
+		return 0, nil, nil, err
 	}
-	out := make([]uint32, n)
-	r := bitstream.NewReader(data)
-	for i := range out {
-		s, err := dec.decode(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
+	return n, dec, bitstream.NewReader(data), nil
 }
 
 type code struct {
@@ -314,14 +329,28 @@ func reverseBits(v uint64, n uint8) uint64 {
 	return r
 }
 
+// tableBits is the width of the decoder's lookup table: every code of
+// at most this many bits decodes with one Peek, one table read and one
+// Skip. Quantization codes and bound exponents almost never need more.
+const tableBits = 11
+
 // decoder performs canonical decoding with the first-code-per-length
-// method.
+// method, fronted by a lookup table over the next tableBits bits.
 type decoder struct {
 	// For each length l: firstCode[l] is the numeric value of the first
 	// canonical code of that length, and symbols[l] the symbols in order.
 	firstCode [maxCodeLen + 1]uint64
 	symbols   [maxCodeLen + 1][]uint32
 	maxLen    uint8
+	// table maps the next tableBits stream bits to the symbol the walk
+	// resolves on them and its code length, or length 0 when the walk
+	// does not resolve within tableBits bits.
+	table [1 << tableBits]tableEntry
+}
+
+type tableEntry struct {
+	sym uint32
+	len uint8
 }
 
 func newDecoder(list []symLen) (*decoder, error) {
@@ -359,10 +388,57 @@ func newDecoder(list []symLen) (*decoder, error) {
 		c++
 		prevLen = e.len
 	}
+	d.fill(0, 0, 0)
 	return d, nil
 }
 
+// match is one step of the walk: the symbol whose length-l code has
+// numeric value c, if there is one.
+func (d *decoder) match(l uint8, c uint64) (uint32, bool) {
+	syms := d.symbols[l]
+	idx := c - d.firstCode[l]
+	if len(syms) > 0 && c >= d.firstCode[l] && idx < uint64(len(syms)) {
+		return syms[idx], true
+	}
+	return 0, false
+}
+
+// fill builds the lookup table by replaying the walk over every
+// tableBits-bit prefix, depth first. After l bits the walk holds c, the
+// bits read so far with the first one most significant; p holds the
+// same bits as they sit in the stream, the first one least significant.
+// The first length at which the walk resolves is recorded for every
+// prefix that extends p, so a corrupt or oversubscribed length table
+// decodes through the table exactly as it does through the walk.
+func (d *decoder) fill(l uint8, c uint64, p uint32) {
+	if l > 0 {
+		if s, ok := d.match(l, c); ok {
+			for x := p; x < 1<<tableBits; x += 1 << l {
+				d.table[x] = tableEntry{sym: s, len: l}
+			}
+			return
+		}
+	}
+	if l == tableBits || l == d.maxLen {
+		return
+	}
+	d.fill(l+1, c<<1, p)
+	d.fill(l+1, c<<1|1, p|1<<l)
+}
+
+// decode reads one symbol. A code the table resolves within the real
+// bits left is one lookup; longer codes, and codes that would run past
+// the end of the stream, take the walk.
 func (d *decoder) decode(r *bitstream.Reader) (uint32, error) {
+	p, m := r.Peek(tableBits)
+	if e := d.table[p]; e.len != 0 && uint(e.len) <= m {
+		return e.sym, r.Skip(uint(e.len))
+	}
+	return d.walk(r)
+}
+
+// walk decodes one symbol bit by bit, trying each code length in turn.
+func (d *decoder) walk(r *bitstream.Reader) (uint32, error) {
 	var c uint64
 	for l := uint8(1); l <= d.maxLen; l++ {
 		b, err := r.ReadBit()
@@ -370,12 +446,8 @@ func (d *decoder) decode(r *bitstream.Reader) (uint32, error) {
 			return 0, err
 		}
 		c = (c << 1) | uint64(b)
-		syms := d.symbols[l]
-		if len(syms) > 0 {
-			idx := c - d.firstCode[l]
-			if c >= d.firstCode[l] && idx < uint64(len(syms)) {
-				return syms[idx], nil
-			}
+		if s, ok := d.match(l, c); ok {
+			return s, nil
 		}
 	}
 	return 0, errors.New("huffman: invalid code")

@@ -1,9 +1,13 @@
 package huffman
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bitstream"
 )
 
 func roundTrip(t *testing.T, syms []uint32) {
@@ -107,6 +111,162 @@ func TestDecompressCorrupt(t *testing.T) {
 	if _, err := Decompress(blob[:2]); err == nil {
 		t.Error("truncated input should error")
 	}
+}
+
+// walkDecompress is Decompress with every symbol read by the
+// bit-by-bit walk: the reference the table decoder must match.
+func walkDecompress(data []byte) ([]uint32, error) {
+	n, dec, r, err := parse(data)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint32, n)
+	for i := range out {
+		s, err := dec.walk(r)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = s
+	}
+	return out, nil
+}
+
+// sameAsWalk checks that Decompress returns the walk's symbols, or the
+// walk's error, on data, and returns the symbols and error.
+func sameAsWalk(t *testing.T, data []byte) ([]uint32, error) {
+	t.Helper()
+	got, gotErr := Decompress(data)
+	want, wantErr := walkDecompress(data)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("table decode error %v, walk error %v", gotErr, wantErr)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("table decode %v, walk %v", got, want)
+	}
+	return got, gotErr
+}
+
+// rawBlock frames a block as Compress does — count, (delta symbol,
+// length) table, code bits — from an arbitrary length table and
+// arbitrary code bits, so corrupt tables can be built.
+func rawBlock(n int, table []symLen, bits []byte) []byte {
+	b := binary.AppendUvarint(nil, uint64(n))
+	b = binary.AppendUvarint(b, uint64(len(table)))
+	prev := uint32(0)
+	for _, e := range table {
+		b = binary.AppendUvarint(b, uint64(e.sym-prev))
+		b = append(b, e.len)
+		prev = e.sym
+	}
+	return append(b, bits...)
+}
+
+// codedBlock encodes syms with the canonical code of table.
+func codedBlock(table []symLen, syms []uint32) []byte {
+	var dense [denseSyms]code
+	sparse := canonicalCodes(table, &dense, nil)
+	var w bitstream.Writer
+	for _, s := range syms {
+		c := sparse[s]
+		if s < denseSyms {
+			c = dense[s]
+		}
+		w.WriteBits(c.bits, uint(c.len))
+	}
+	return rawBlock(len(syms), table, w.Bytes())
+}
+
+// longTable is a complete code with one symbol of each length 1..47 and
+// two of length maxCodeLen: symbol s has length s+1.
+func longTable() []symLen {
+	var table []symLen
+	for l := uint8(1); l <= maxCodeLen; l++ {
+		table = append(table, symLen{sym: uint32(l - 1), len: l})
+	}
+	return append(table, symLen{sym: maxCodeLen, len: maxCodeLen})
+}
+
+func TestTableDecodeLongCodes(t *testing.T) {
+	table := longTable()
+	rng := rand.New(rand.NewSource(36))
+	var syms []uint32
+	for s := range table {
+		syms = append(syms, uint32(s))
+	}
+	for i := 0; i < 500; i++ {
+		syms = append(syms, uint32(rng.Intn(len(table))))
+	}
+	rng.Shuffle(len(syms), func(i, j int) { syms[i], syms[j] = syms[j], syms[i] })
+	got, err := sameAsWalk(t, codedBlock(table, syms))
+	if err != nil || !slices.Equal(got, syms) {
+		t.Fatalf("codes up to %d bits: %v (err %v)", maxCodeLen, got, err)
+	}
+}
+
+func TestTableDecodeOneSymbolAlphabet(t *testing.T) {
+	table := []symLen{{sym: 9, len: 1}}
+	got, err := sameAsWalk(t, codedBlock(table, []uint32{9, 9, 9}))
+	if err != nil || !slices.Equal(got, []uint32{9, 9, 9}) {
+		t.Fatalf("one-symbol alphabet: %v (err %v)", got, err)
+	}
+	// The lone code is a 0 bit; a 1 bit is no code.
+	if _, err := sameAsWalk(t, rawBlock(3, table, []byte{0b010})); err == nil {
+		t.Fatal("a 1 bit decoded in a one-symbol alphabet")
+	}
+}
+
+// TestTableDecodeOversubscribed: length tables whose Kraft sum exceeds
+// one decode through the table exactly as through the walk, on random
+// code bits.
+func TestTableDecodeOversubscribed(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, table := range [][]symLen{
+		{{0, 1}, {1, 1}, {2, 1}},
+		{{0, 1}, {1, 1}, {2, 2}, {3, 2}},
+		{{0, 2}, {1, 1}, {2, 3}, {3, 3}, {4, 3}, {5, 12}, {6, 12}},
+		{{3, 11}, {4, 11}, {5, 12}, {6, 1}, {7, 1}, {8, 1}},
+	} {
+		for trial := 0; trial < 50; trial++ {
+			bits := make([]byte, 1+rng.Intn(8))
+			rng.Read(bits)
+			sameAsWalk(t, rawBlock(1+rng.Intn(8*len(bits)), table, bits))
+		}
+	}
+}
+
+// TestTableDecodeStreamEndsInsideCode: a stream cut inside a code fails
+// as the walk does, whether the code is longer than the table or fits it
+// but runs past the real bits left.
+func TestTableDecodeStreamEndsInsideCode(t *testing.T) {
+	table := longTable()
+	for _, sym := range []uint32{3, 10, 20, maxCodeLen} {
+		blob := codedBlock(table, []uint32{0, sym})
+		for cut := 1; cut <= 6 && cut < len(blob); cut++ {
+			if _, err := sameAsWalk(t, blob[:len(blob)-cut]); err == nil && sym > 8 {
+				t.Fatalf("symbol %d cut by %d bytes decoded", sym, cut)
+			}
+		}
+	}
+	// Two short codes end the stream within one byte: the table
+	// resolves them on fewer real bits than it is wide.
+	got, err := sameAsWalk(t, codedBlock(table, []uint32{1, 2}))
+	if err != nil || !slices.Equal(got, []uint32{1, 2}) {
+		t.Fatalf("short tail: %v (err %v)", got, err)
+	}
+}
+
+// FuzzHuffmanDecompress: on any input the table decoder returns the
+// walk's symbols or the walk's error.
+func FuzzHuffmanDecompress(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(Compress([]uint32{1, 2, 3, 4, 5, 6, 7, 8}))
+	f.Add(Compress([]uint32{7, 7, 7}))
+	f.Add(Compress([]uint32{0, 1000000, 5, 1000000, 0, 42}))
+	f.Add(codedBlock(longTable(), []uint32{0, 12, 30, 47, 48, 1}))
+	f.Add(rawBlock(9, []symLen{{0, 2}, {1, 1}, {2, 3}, {3, 3}, {5, 12}}, []byte{0x5a, 0xc3, 0x11}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sameAsWalk(t, data)
+	})
 }
 
 func TestZigzag(t *testing.T) {
