@@ -153,7 +153,7 @@ func TestCellBoundMatchesPsiFirst(t *testing.T) {
 			}
 			fillComps(rng, comps, ndim, tau, trial%4 != 3)
 			var pred filter.Local
-			d := newDimOps(ndim, ext, comps, refSigns(comps, ndim), &pred)
+			d := newDimOps(ndim, ext, comps, refSigns(comps, ndim))
 			var vbuf [4]int
 			for c := 0; c < d.numCells(); c++ {
 				d.cellVertices(c, &vbuf)
@@ -168,7 +168,7 @@ func TestCellBoundMatchesPsiFirst(t *testing.T) {
 							}
 							for _, xi := range xiProbes(rng, r, tau) {
 								for _, open := range []bool{false, true} {
-									cb, rlx := d.cellBound(vid, &vbuf, xi, tau, oo, relax, open)
+									cb, rlx := d.cellBound(vid, &vbuf, xi, tau, oo, relax, open, &pred)
 									if got, want := min(cb, xi), min(wantCB, xi); got != want {
 										t.Fatalf("%dD cell %d vid %d tau %d xi %d oo=%v relax=%v open=%v: min(cb, xi) = %d, Ψ-first %d",
 											ndim, c, vid, tau, xi, oo, relax, open, got, want)
@@ -239,9 +239,10 @@ func TestDeriveBoundMatchesPsiFirst(t *testing.T) {
 				fillComps(rng, k.comps, k.blk.nc, k.tau, trial%3 != 2)
 				copy(k.signs, refSigns(k.comps, k.blk.nc))
 				k.prepare()
+				s := k.sweepers(1)[0]
 				relaxedCells := 0
 				for vid := range k.comps[0] {
-					gotXi, gotRlx := k.deriveBound(vid)
+					gotXi, gotRlx := s.deriveBound(vid)
 					wantXi, wantRlx := refDeriveBound(k, vid)
 					if gotXi != wantXi || gotRlx != wantRlx {
 						t.Fatalf("%dD %+v trial %d vid %d: deriveBound = (%d, %v), Ψ-first (%d, %v)",

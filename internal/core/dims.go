@@ -45,23 +45,26 @@ type dimOps interface {
 	// caller's flag is decided it may be false. r is computed first, and
 	// psiCap decides whether Ψ is needed and at which cap (THEORY.md §3).
 	// The whole per-cell computation sits behind one call so the sign
-	// test and the Ψ call stay concrete on the kernel's hottest path.
-	cellBound(vid int, vs *[4]int, xi, tau int64, orientationOnly, relax, flagOpen bool) (cb int64, relaxed bool)
+	// test and the Ψ call stay concrete on the kernel's hottest path. loc
+	// is the calling sweeper's batch of filter counters (the 3D Ψ
+	// derivation counts its certifications there; the 2D derivation is
+	// pure int64 and uncounted).
+	cellBound(vid int, vs *[4]int, xi, tau int64, orientationOnly, relax, flagOpen bool, loc *filter.Local) (cb int64, relaxed bool)
 }
 
 // cellChecker is the detector surface the kernel speculates against.
-// ContainsBatch is the cache-blocked bulk form used by the prepare()
-// sweep: it evaluates the containment predicate for every cell whose
-// mask bit is set, writing into out, amortizing fixed-point loads across
-// a cell row.
+// ContainsRows is the cache-blocked bulk form used by the prepare()
+// sweep: it evaluates the containment predicate for every cell of a
+// range of cell rows whose mask bit is set, writing into out, amortizing
+// fixed-point loads across a cell row.
 type cellChecker interface {
 	// ContainsVertices is the containment predicate of the cell with
 	// vertex ids vs (a star entry), with batched filter-counter
-	// accounting for the speculation trial loop (one kernel, one
-	// goroutine, one Local).
+	// accounting in loc (one Local per goroutine).
 	ContainsVertices(vs *[4]int, loc *filter.Local) bool
 	CellType(c int) cp.Type
-	ContainsBatch(mask, out []bool)
+	CellRows() int
+	ContainsRows(mask, out []bool, r0, r1 int, loc *filter.Local)
 }
 
 // maxStar is the most cells incident to one vertex: 24 tetrahedra in
@@ -131,11 +134,8 @@ func (st *stencil) fill(v, base int, cells *[maxStar]int, verts *[maxStar][4]int
 
 // newDimOps builds the plug for one dimension over the kernel's extended
 // working arrays and sign plane (which the kernel mutates in place, so
-// the detector and Ψ always see the current decompressed prefix). pred
-// is the kernel's batched filter-counter block; the 3D Ψ derivation
-// counts its certifications there (the 2D derivation is pure int64 and
-// uncounted).
-func newDimOps(ndim int, ext [3]int, comps [maxComps][]int64, signs []uint8, pred *filter.Local) dimOps {
+// the detector and Ψ always see the current decompressed prefix).
+func newDimOps(ndim int, ext [3]int, comps [maxComps][]int64, signs []uint8) dimOps {
 	st := newStencil(ndim, ext[0], ext[1])
 	if ndim == 2 {
 		return &dim2{
@@ -150,7 +150,6 @@ func newDimOps(ndim int, ext [3]int, comps [maxComps][]int64, signs []uint8, pre
 		st:   st,
 		u:    comps[0], v: comps[1], w: comps[2],
 		signs: signs,
-		pred:  pred,
 	}
 }
 
@@ -196,7 +195,7 @@ func (d triChecker) ContainsVertices(vs *[4]int, loc *filter.Local) bool {
 	return d.Detector2D.ContainsVertices((*[3]int)(vs[:3]), loc)
 }
 
-func (d *dim2) cellBound(vid int, vs *[4]int, xi, tau int64, orientationOnly, relax, flagOpen bool) (cb int64, relaxed bool) {
+func (d *dim2) cellBound(vid int, vs *[4]int, xi, tau int64, orientationOnly, relax, flagOpen bool, _ *filter.Local) (cb int64, relaxed bool) {
 	var r int64
 	if relax {
 		if and := d.signs[vs[0]] & d.signs[vs[1]] & d.signs[vs[2]]; and != 0 {
@@ -256,7 +255,6 @@ type dim3 struct {
 	st      stencil
 	u, v, w []int64
 	signs   []uint8
-	pred    *filter.Local
 }
 
 func (d *dim3) name() string  { return "3d" }
@@ -286,7 +284,7 @@ func (d *dim3) makeDetector(gid func(v int) int) cellChecker {
 	return &cp.Detector3D{Mesh: d.mesh, U: d.u, V: d.v, W: d.w, GlobalID: gid}
 }
 
-func (d *dim3) cellBound(vid int, vs *[4]int, xi, tau int64, orientationOnly, relax, flagOpen bool) (cb int64, relaxed bool) {
+func (d *dim3) cellBound(vid int, vs *[4]int, xi, tau int64, orientationOnly, relax, flagOpen bool, loc *filter.Local) (cb int64, relaxed bool) {
 	var r int64
 	if relax {
 		if and := d.signs[vs[0]] & d.signs[vs[1]] & d.signs[vs[2]] & d.signs[vs[3]]; and != 0 {
@@ -315,7 +313,7 @@ func (d *dim3) cellBound(vid int, vs *[4]int, xi, tau int64, orientationOnly, re
 		// Capped form: the float filter certifies "Ψ ≥ limit" for
 		// candidates that cannot lower the min, skipping their exact
 		// int128 evaluation; bit-identical to min(Psi3D, limit).
-		cb = derive.Psi3DCappedLocal(d.u, d.v, d.w, o[0], o[1], o[2], vid, limit, d.pred)
+		cb = derive.Psi3DCappedLocal(d.u, d.v, d.w, o[0], o[1], o[2], vid, limit, loc)
 	}
 	if r > cb {
 		return r, true

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cp"
 	"repro/internal/encoder"
-	"repro/internal/exact/filter"
 	"repro/internal/fixed"
 	"repro/internal/flightrec"
 	"repro/internal/huffman"
@@ -85,22 +84,28 @@ type kernel struct {
 	cpCell    []bool
 	origType  map[int]cp.Type
 	cpAdj     []bool
-	expSyms   []uint32
-	codeSyms  []uint32
-	literals  []byte
-	// starCells/starVerts hold the star of the vertex being processed
-	// (dimOps.star); both live in the scratch.
-	starCells *[maxStar]int
-	starVerts *[maxStar][4]int
-	scr       *kernelScratch
-	stats     Stats
-	tel       engineTel
-	prepared  bool
-	finished  bool
-	// pred batches the filter-efficacy counters of this kernel's
-	// derivation and speculation predicates (one goroutine per kernel),
-	// flushed to the process-wide totals in finish/close.
-	pred filter.Local
+	// expSyms and codeSyms are the positional symbol streams: the
+	// vertex at stream position pos (its place in the visit order) owns
+	// expSyms[pos] and codeSyms[pos*nc : pos*nc+nc], so sweepers on
+	// different goroutines fill them in any order. literals is the
+	// literal stream, rebuilt in visit order by finish.
+	expSyms  []uint32
+	codeSyms []uint32
+	literals []byte
+	// next is the stream position of the next vertex a sequential sweep
+	// visits (a running counter across the two phases of a two-phase
+	// block).
+	next int
+	// swept marks the phases already swept (phaseAll, phaseOne,
+	// phaseTwo); resweep is the error a second sweep of one leaves for
+	// finish, since its stream positions are already taken.
+	swept    [3]bool
+	resweep  error
+	scr      *kernelScratch
+	stats    Stats // the flushed totals of every sweep so far
+	tel      engineTel
+	prepared bool
+	finished bool
 }
 
 // newKernel validates the options, allocates the extended arrays, converts
@@ -151,9 +156,9 @@ func newKernel(blk blockSpec) (*kernel, error) {
 	scr.signs = grow(scr.signs, en)
 	k.valid = scr.valid
 	k.signs = scr.signs
-	k.starCells, k.starVerts = &scr.starCells, &scr.starVerts
-	k.expSyms = scr.expSyms[:0]
-	k.codeSyms = scr.codeSyms[:0]
+	scr.expSyms = resize(scr.expSyms, n)
+	scr.codeSyms = resize(scr.codeSyms, blk.nc*n)
+	k.expSyms, k.codeSyms = scr.expSyms, scr.codeSyms
 	k.literals = scr.literals[:0]
 	if temporal {
 		for c := 0; c < blk.nc; c++ {
@@ -162,7 +167,7 @@ func newKernel(blk blockSpec) (*kernel, error) {
 		}
 		k.temporal = true
 	}
-	k.dim = newDimOps(blk.ndim, k.ext, k.comps, k.signs, &k.pred)
+	k.dim = newDimOps(blk.ndim, k.ext, k.comps, k.signs)
 	k.tel = newEngineTel(blk.opts, k.dim.name())
 	convert := k.tel.stage("fixed-convert")
 	err := k.convert()
@@ -395,19 +400,18 @@ func (k *kernel) prepare() {
 	// no neighbor supplied, such as the diagonal corners and edges of
 	// the ghost layers); every cell touching one is invalid.
 	if k.blk.twoPhase {
+		var cells [maxStar]int
+		var verts [maxStar][4]int
 		for v, ok := range k.valid {
 			if !ok {
-				n := k.dim.star(v, k.starCells, k.starVerts)
-				for _, c := range k.starCells[:n] {
+				n := k.dim.star(v, &cells, &verts)
+				for _, c := range cells[:n] {
 					k.cellValid[c] = false
 				}
 			}
 		}
 	}
-	// Batched containment sweep over the valid cells: the detector loads
-	// each vertex row once instead of per cell, and decides all-zero and
-	// sign-uniform cells without a predicate.
-	k.det.ContainsBatch(k.cellValid, k.cpCell)
+	k.containsBatch()
 	if k.blk.opts.Spec == ST4 {
 		k.origType = make(map[int]cp.Type)
 	}
@@ -442,7 +446,8 @@ func (k *kernel) prepare() {
 // lossless-border blocks). On a two-phase block it runs both phases
 // back-to-back — callers that exchange ghosts between the phases must
 // drive runPhase1/runPhase2 themselves, but the visit order stays
-// consistent with the decoder either way.
+// consistent with the decoder either way. A whole-domain block sweeps as
+// a slice wavefront (wavefront.go), with the same result.
 func (k *kernel) run() {
 	if !k.prepared {
 		k.prepare()
@@ -452,8 +457,15 @@ func (k *kernel) run() {
 		k.runPhase2()
 		return
 	}
+	if !k.claim(phaseAll) {
+		return
+	}
 	process := k.tel.stage("process")
-	k.order.walk(phaseAll, k.processVertex)
+	if w := k.width(); w > 1 {
+		k.wavefront(w)
+	} else {
+		k.sweep(phaseAll)
+	}
 	process.End()
 }
 
@@ -463,18 +475,46 @@ func (k *kernel) runPhase1() {
 	if !k.prepared {
 		k.prepare()
 	}
+	if !k.claim(phaseOne) {
+		return
+	}
 	process := k.tel.stage("process-phase1")
 	defer process.End()
-	k.order.walk(phaseOne, k.processVertex)
+	k.sweep(phaseOne)
 }
 
 // runPhase2 compresses the remaining max-plane vertices. Ghost planes on
 // the max sides should have been refreshed with the neighbors'
 // decompressed borders.
 func (k *kernel) runPhase2() {
+	if !k.claim(phaseTwo) {
+		return
+	}
 	process := k.tel.stage("process-phase2")
 	defer process.End()
-	k.order.walk(phaseTwo, k.processVertex)
+	k.sweep(phaseTwo)
+}
+
+// claim marks phase as swept and reports whether it was not already. A
+// second sweep is refused, and finish reports it.
+func (k *kernel) claim(phase int) bool {
+	if k.swept[phase] {
+		k.resweep = errors.New("core: a phase of the block was swept twice (Run, RunPhase1 or RunPhase2 called again)")
+		return false
+	}
+	k.swept[phase] = true
+	return true
+}
+
+// sweep compresses one phase's vertices in raster order on the caller's
+// goroutine, at consecutive stream positions.
+func (k *kernel) sweep(phase int) {
+	s := k.sweepers(1)[0]
+	defer s.flush()
+	k.order.walk(phase, func(oi, oj, ok int) {
+		s.processVertex(oi, oj, ok, k.next)
+		k.next++
+	})
 }
 
 // forcedLossless reports whether the strategy pins this vertex to zero
@@ -502,7 +542,10 @@ func (k *kernel) forcedLossless(oi, oj, ok int) bool {
 	return false
 }
 
-func (k *kernel) processVertex(oi, oj, ok int) {
+// processVertex compresses own vertex (oi, oj, ok) and commits it at
+// stream position pos.
+func (s *sweeper) processVertex(oi, oj, ok, pos int) {
+	k := s.k
 	vid := k.extIdx(oi, oj, ok)
 	own := k.ownIdx(oi, oj, ok)
 	spec := k.blk.opts.Spec
@@ -517,22 +560,21 @@ func (k *kernel) processVertex(oi, oj, ok int) {
 		xi := int64(0)
 		if !cpA {
 			var relaxed bool
-			xi, relaxed = k.deriveBound(vid)
+			xi, relaxed = s.deriveBound(vid)
 			if relaxed {
-				k.stats.Relaxed++
-				k.tel.relaxed.Inc()
+				s.stats.Relaxed++
 			}
 		}
 		sym, snapped = quantizer.BoundSym(xi, k.tau)
 	case spec == ST1:
-		sym, snapped = k.speculateST1(oi, oj, ok, vid, cpA)
+		sym, snapped = s.speculateST1(oi, oj, ok, vid, cpA)
 	case spec == ST2 || spec == ST3:
-		sym, snapped = k.speculateFN(oi, oj, ok, vid, cpA)
+		sym, snapped = s.speculateFN(oi, oj, ok, vid, cpA)
 	default: // ST4
-		sym, snapped = k.speculateFull(oi, oj, ok, vid)
+		sym, snapped = s.speculateFull(oi, oj, ok, vid)
 	}
 	codes, recons, esc := k.tryQuantize(oi, oj, ok, vid, snapped)
-	k.commit(vid, own, sym, codes, recons, esc)
+	s.commit(vid, own, pos, sym, codes, recons, esc)
 }
 
 // deriveBound is Algorithm 2 lines 5–17: the minimum over adjacent cells
@@ -540,22 +582,23 @@ func (k *kernel) processVertex(oi, oj, ok int) {
 // running minimum and whether the relaxed flag is still open, so it can
 // skip or tighten its Ψ evaluation without changing ξ or the flag (see
 // cellBound).
-func (k *kernel) deriveBound(vid int) (xi int64, relaxed bool) {
+func (s *sweeper) deriveBound(vid int) (xi int64, relaxed bool) {
+	k := s.k
 	if k.tel.deriveNS != nil {
-		defer k.tel.deriveNS.AddSince(time.Now())
+		defer s.addDeriveSince(time.Now())
 	}
-	n := k.dim.star(vid, k.starCells, k.starVerts)
+	n := k.dim.star(vid, &s.cells, &s.verts)
 	xi = k.tau
 	orientOnly := k.blk.opts.OrientationOnly
 	relax := !k.blk.opts.DisableRelaxation
-	for s, c := range k.starCells[:n] {
+	for i, c := range s.cells[:n] {
 		if !k.cellValid[c] {
 			continue
 		}
 		if k.cpCell[c] {
 			return 0, false
 		}
-		cb, rlx := k.dim.cellBound(vid, &k.starVerts[s], xi, k.tau, orientOnly, relax, !relaxed)
+		cb, rlx := k.dim.cellBound(vid, &s.verts[i], xi, k.tau, orientOnly, relax, !relaxed, &s.pred)
 		relaxed = relaxed || rlx
 		xi = min(xi, cb)
 	}
@@ -564,11 +607,12 @@ func (k *kernel) deriveBound(vid int) (xi int64, relaxed bool) {
 
 // speculateST1 relaxes the derived bound and accepts when the realized
 // quantization error still meets the derived bound.
-func (k *kernel) speculateST1(oi, oj, ok, vid int, cpA bool) (uint8, int64) {
+func (s *sweeper) speculateST1(oi, oj, ok, vid int, cpA bool) (uint8, int64) {
 	if cpA {
 		return quantizer.LosslessSym, 0
 	}
-	xi, _ := k.deriveBound(vid)
+	k := s.k
+	xi, _ := s.deriveBound(vid)
 	if xi <= 0 {
 		return quantizer.LosslessSym, 0
 	}
@@ -587,8 +631,7 @@ func (k *kernel) speculateST1(oi, oj, ok, vid int, cpA bool) (uint8, int64) {
 	}
 	fails := 0
 	for {
-		k.stats.SpecTrials++
-		k.tel.specTrials.Inc()
+		s.stats.SpecTrials++
 		sym, snapped := quantizer.BoundSym(try, k.tau)
 		_, recons, _ := k.tryQuantize(oi, oj, ok, vid, snapped)
 		within := true
@@ -601,43 +644,43 @@ func (k *kernel) speculateST1(oi, oj, ok, vid int, cpA bool) (uint8, int64) {
 		if within {
 			return sym, snapped
 		}
-		k.stats.SpecFails++
-		k.tel.specFails.Inc()
+		s.stats.SpecFails++
 		fails++
 		if fails == 1 {
 			k.recordRollback(vid)
 		}
 		if fails > nl {
-			return k.specCutoff(vid)
+			return s.specCutoff(vid)
 		}
 		try >>= 1
 		if try <= 0 {
-			return k.specCutoff(vid)
+			return s.specCutoff(vid)
 		}
 	}
 }
 
 // speculateFN (ST2/ST3) skips derivation: it compresses with a relaxed
 // bound and verifies that no adjacent cell gains a critical point.
-func (k *kernel) speculateFN(oi, oj, ok, vid int, cpA bool) (uint8, int64) {
+func (s *sweeper) speculateFN(oi, oj, ok, vid int, cpA bool) (uint8, int64) {
 	if cpA {
 		return quantizer.LosslessSym, 0
 	}
-	return k.speculateVerify(oi, oj, ok, vid, false)
+	return s.speculateVerify(oi, oj, ok, vid, false)
 }
 
 // speculateFull (ST4) verifies detection result and critical point type on
 // every adjacent cell, including cells that contain critical points.
-func (k *kernel) speculateFull(oi, oj, ok, vid int) (uint8, int64) {
-	return k.speculateVerify(oi, oj, ok, vid, true)
+func (s *sweeper) speculateFull(oi, oj, ok, vid int) (uint8, int64) {
+	return s.speculateVerify(oi, oj, ok, vid, true)
 }
 
 // cellKeeps is the speculation target on one adjacent cell, with the
 // trial value in place: no critical point appears (ST2/ST3), or, with
 // full, the detection result and critical-point type are both unchanged
 // (ST4). Sign-decided cells never reach the predicate.
-func (k *kernel) cellKeeps(c int, vs *[4]int, full bool) bool {
-	has := !k.signDecided(vs) && k.det.ContainsVertices(vs, &k.pred)
+func (s *sweeper) cellKeeps(c int, vs *[4]int, full bool) bool {
+	k := s.k
+	has := !k.signDecided(vs) && k.det.ContainsVertices(vs, &s.pred)
 	if !full {
 		return !has
 	}
@@ -651,7 +694,8 @@ func (k *kernel) cellKeeps(c int, vs *[4]int, full bool) bool {
 // target (cellKeeps) on the adjacent cells with the candidate
 // reconstruction in place, restrict on failure, and hard cut-off to
 // lossless after n_l failures.
-func (k *kernel) speculateVerify(oi, oj, ok, vid int, full bool) (uint8, int64) {
+func (s *sweeper) speculateVerify(oi, oj, ok, vid int, full bool) (uint8, int64) {
+	k := s.k
 	nl := k.blk.opts.Spec.retries()
 	try := k.tau << uint(nl)
 	fails := 0
@@ -660,10 +704,9 @@ func (k *kernel) speculateVerify(oi, oj, ok, vid int, full bool) (uint8, int64) 
 		orig[c] = k.comps[c][vid]
 	}
 	origSign := k.signs[vid]
-	n := k.dim.star(vid, k.starCells, k.starVerts)
+	n := k.dim.star(vid, &s.cells, &s.verts)
 	for {
-		k.stats.SpecTrials++
-		k.tel.specTrials.Inc()
+		s.stats.SpecTrials++
 		sym, snapped := quantizer.BoundSym(try, k.tau)
 		_, recons, _ := k.tryQuantize(oi, oj, ok, vid, snapped)
 		for c := 0; c < k.blk.nc; c++ {
@@ -671,8 +714,8 @@ func (k *kernel) speculateVerify(oi, oj, ok, vid int, full bool) (uint8, int64) 
 		}
 		k.signs[vid] = k.signOf(vid)
 		okAll := true
-		for s, c := range k.starCells[:n] {
-			if k.cellValid[c] && !k.cellKeeps(c, &k.starVerts[s], full) {
+		for i, c := range s.cells[:n] {
+			if k.cellValid[c] && !s.cellKeeps(c, &s.verts[i], full) {
 				okAll = false
 				break
 			}
@@ -684,18 +727,17 @@ func (k *kernel) speculateVerify(oi, oj, ok, vid int, full bool) (uint8, int64) 
 		if okAll {
 			return sym, snapped
 		}
-		k.stats.SpecFails++
-		k.tel.specFails.Inc()
+		s.stats.SpecFails++
 		fails++
 		if fails == 1 {
 			k.recordRollback(vid)
 		}
 		if fails > nl {
-			return k.specCutoff(vid)
+			return s.specCutoff(vid)
 		}
 		try >>= 1
 		if try <= 0 {
-			return k.specCutoff(vid)
+			return s.specCutoff(vid)
 		}
 	}
 }
@@ -712,11 +754,10 @@ func (k *kernel) recordRollback(vid int) {
 // specCutoff records the hard cut-off to lossless storage after
 // speculation exhausts its retry budget (n_l failures or a trial bound
 // shrunk to zero).
-func (k *kernel) specCutoff(vid int) (uint8, int64) {
-	k.stats.SpecCutoffs++
-	k.tel.specCutoffs.Inc()
-	k.blk.opts.Rec.Record(flightrec.Event{Kind: flightrec.KindRollback, Subsystem: "core",
-		Slab: int32(k.blk.opts.RecSlab), Attempt: -1, Code: int64(vid),
+func (s *sweeper) specCutoff(vid int) (uint8, int64) {
+	s.stats.SpecCutoffs++
+	s.k.blk.opts.Rec.Record(flightrec.Event{Kind: flightrec.KindRollback, Subsystem: "core",
+		Slab: int32(s.k.blk.opts.RecSlab), Attempt: -1, Code: int64(vid),
 		Detail: "speculation cut off to lossless"})
 	return quantizer.LosslessSym, 0
 }
@@ -777,32 +818,26 @@ func predictLorenzo(z []int64, nx, ny, oi, oj, ok int) int64 {
 	}
 }
 
-// commit emits the streams for the vertex and overwrites the working
-// arrays with the decompressed values (Algorithm 2 lines 18–22).
-func (k *kernel) commit(vid, own int, sym uint8, codes, recons [maxComps]int64, esc [maxComps]bool) {
-	k.stats.Vertices++
-	k.tel.vertices.Inc()
-	k.tel.boundExp.Observe(int64(sym))
+// commit emits the vertex's symbols at stream position pos and
+// overwrites the working arrays with the decompressed values (Algorithm 2
+// lines 18–22). An escaped component's decompressed value is its exact
+// value, so own keeps what finish writes to the literal stream.
+func (s *sweeper) commit(vid, own, pos int, sym uint8, codes, recons [maxComps]int64, esc [maxComps]bool) {
+	k := s.k
+	s.stats.Vertices++
+	s.bounds[sym]++
 	if sym == quantizer.LosslessSym {
-		k.stats.Lossless++
-		k.tel.lossless.Inc()
+		s.stats.Lossless++
 	}
-	for c := 0; c < k.blk.nc; c++ {
+	k.expSyms[pos] = uint32(sym)
+	nc := k.blk.nc
+	for c := 0; c < nc; c++ {
 		if esc[c] {
-			k.stats.Literals++
-			k.tel.literals.Inc()
-		}
-	}
-	k.expSyms = append(k.expSyms, uint32(sym))
-	for c := 0; c < k.blk.nc; c++ {
-		if esc[c] {
-			k.codeSyms = append(k.codeSyms, escapeSym)
-			k.literals = appendLiteral(k.literals, k.comps[c][vid])
+			s.stats.Literals++
+			k.codeSyms[pos*nc+c] = escapeSym
 		} else {
-			k.codeSyms = append(k.codeSyms, huffman.Zigzag(codes[c]))
+			k.codeSyms[pos*nc+c] = huffman.Zigzag(codes[c])
 		}
-	}
-	for c := 0; c < k.blk.nc; c++ {
 		k.comps[c][vid] = recons[c]
 		k.own[c][own] = recons[c]
 	}
@@ -814,11 +849,16 @@ func (k *kernel) finish() ([]byte, error) {
 	if k.finished {
 		return nil, errors.New("core: Finish called twice")
 	}
+	if k.resweep != nil {
+		return nil, k.resweep
+	}
+	// The streams are positional: a vertex never committed would leave a
+	// slot that decodes silently as a zero code.
+	if n := k.blk.nx * k.blk.ny * k.blk.nz; k.stats.Vertices < n {
+		return nil, fmt.Errorf("core: Finish after %d of %d vertices: the sweep (Run, or both phases) is incomplete",
+			k.stats.Vertices, n)
+	}
 	k.finished = true
-	// The block's predicate work is done: publish the batched filter
-	// counters (close() flushes again for kernels that never finish;
-	// Flush resets, so the double call cannot double-count).
-	k.pred.Flush()
 	h := header{
 		NDim:  k.blk.ndim,
 		NX:    k.blk.nx,
@@ -838,6 +878,7 @@ func (k *kernel) finish() ([]byte, error) {
 	h.Border = k.blk.losslessBord
 	h.Temporal = k.temporal
 	entropy := k.tel.stage("entropy-code")
+	k.literals = k.literalStream()
 	expStream := huffman.Compress(k.expSyms)
 	codeStream := huffman.Compress(k.codeSyms)
 	h.HasCRC = true
@@ -846,6 +887,27 @@ func (k *kernel) finish() ([]byte, error) {
 	entropy.End()
 	k.tel.finish()
 	return blob, err
+}
+
+// literalStream rebuilds the literal stream: the exact value of every
+// escaped component, in visit order and per vertex in component order. It
+// replays the visit order, whose running count is the stream position.
+func (k *kernel) literalStream() []byte {
+	lits := k.literals[:0]
+	if k.stats.Literals == 0 {
+		return lits
+	}
+	nc := k.blk.nc
+	pos := 0
+	k.order.walkAll(func(oi, oj, ok int) {
+		for c, sym := range k.codeSyms[pos*nc : pos*nc+nc] {
+			if sym == escapeSym {
+				lits = appendLiteral(lits, k.own[c][k.ownIdx(oi, oj, ok)])
+			}
+		}
+		pos++
+	})
+	return lits
 }
 
 // decompressed returns the reconstructed own block as float32 components

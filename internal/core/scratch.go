@@ -26,12 +26,12 @@ type kernelScratch struct {
 	cpCell    []bool
 	cpAdj     []bool
 
-	starCells [maxStar]int
-	starVerts [maxStar][4]int
-
 	expSyms  []uint32
 	codeSyms []uint32
 	literals []byte
+
+	sweepers []*sweeper
+	slices   []progress
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(kernelScratch) }}
@@ -39,14 +39,22 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(kernelScratch) 
 // grow returns buf resized to n and zeroed, reallocating only when the
 // capacity is insufficient. Zeroing keeps pooled reuse bit-identical to
 // the make([]T, n) it replaces: the validity and cell masks rely on a
-// false zero value, and the sign plane on 0 meaning no strict sign.
-func grow[T int64 | bool | uint8](buf []T, n int) []T {
+// false zero value, the sign plane on 0 meaning no strict sign, and the
+// wavefront on zero slice progress.
+func grow[T any](buf []T, n int) []T {
+	buf = resize(buf, n)
+	clear(buf)
+	return buf
+}
+
+// resize returns buf resized to n without zeroing, for the positional
+// symbol streams, whose every slot a complete sweep writes (finish
+// refuses an incomplete one).
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
 	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
+	return buf[:n]
 }
 
 // close releases the kernel's scratch back to the pool. The kernel must
@@ -54,21 +62,21 @@ func grow[T int64 | bool | uint8](buf []T, n int) []T {
 // border copies remain valid — they never alias scratch — but the kernel
 // methods will panic on their nil'd views.
 func (k *kernel) close() {
-	k.pred.Flush()
 	scr := k.scr
 	if scr == nil {
 		return
 	}
 	k.scr = nil
-	// Hand the append-grown streams back so their capacity is kept.
-	scr.expSyms = k.expSyms[:0]
-	scr.codeSyms = k.codeSyms[:0]
+	// Hand the append-grown literal stream back so its capacity is kept,
+	// and drop the sweepers' hold on the kernel.
 	scr.literals = k.literals[:0]
+	for _, s := range scr.sweepers {
+		s.k = nil
+	}
 	for c := 0; c < maxComps; c++ {
 		k.comps[c], k.own[c], k.prev[c] = nil, nil, nil
 	}
 	k.valid, k.signs = nil, nil
-	k.starCells, k.starVerts = nil, nil
 	k.cellValid, k.cpCell, k.cpAdj = nil, nil, nil
 	k.expSyms, k.codeSyms, k.literals = nil, nil, nil
 	scratchPool.Put(scr)

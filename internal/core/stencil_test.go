@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/exact/filter"
 	"repro/internal/field"
 	"repro/internal/fixed"
 )
@@ -55,8 +54,10 @@ func refCellVertices(k *kernel, c int) [4]int {
 func checkStar(t *testing.T, name string, k *kernel) {
 	t.Helper()
 	interior := 0
+	var cells [maxStar]int
+	var verts [maxStar][4]int
 	for v := range k.comps[0] {
-		n := k.dim.star(v, k.starCells, k.starVerts)
+		n := k.dim.star(v, &cells, &verts)
 		want := refVertexCells(k, v)
 		if n != len(want) {
 			t.Fatalf("%s: vertex %d: star has %d cells, VertexCells %d", name, v, n, len(want))
@@ -65,10 +66,10 @@ func checkStar(t *testing.T, name string, k *kernel) {
 			interior++
 		}
 		for s, c := range want {
-			if k.starCells[s] != c {
-				t.Fatalf("%s: vertex %d: star cell %d = %d, VertexCells %d", name, v, s, k.starCells[s], c)
+			if cells[s] != c {
+				t.Fatalf("%s: vertex %d: star cell %d = %d, VertexCells %d", name, v, s, cells[s], c)
 			}
-			if got, vs := k.starVerts[s], refCellVertices(k, c); got != vs {
+			if got, vs := verts[s], refCellVertices(k, c); got != vs {
 				t.Fatalf("%s: vertex %d cell %d: star vertices %v, CellVertices %v", name, v, c, got, vs)
 			}
 		}
@@ -169,10 +170,8 @@ func TestStarMatchesMesh(t *testing.T) {
 		for c := 0; c < ndim; c++ {
 			comps[c] = make([]int64, ext[0]*ext[1]*ext[2])
 		}
-		var pred filter.Local
-		scr := new(kernelScratch)
 		k := &kernel{blk: blockSpec{ndim: ndim}, ext: ext, comps: comps,
-			dim: newDimOps(ndim, ext, comps, nil, &pred), starCells: &scr.starCells, starVerts: &scr.starVerts}
+			dim: newDimOps(ndim, ext, comps, nil)}
 		checkStar(t, fmt.Sprintf("%dD %v", ndim, ext), k)
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -325,6 +324,7 @@ func TestSignPlaneTracksComponents(t *testing.T) {
 				k := stencilKernel(t, rng, ndim, nx, ny, nz, kind, blockNb, Options{Tau: 0.1, Spec: spec})
 				checkSigns(t, name+" after fill", k)
 				k.prepare()
+				sw := k.sweepers(1)[0]
 				step := func(phase2 bool) {
 					for ok := 0; ok < k.blk.nz; ok++ {
 						for oj := 0; oj < k.blk.ny; oj++ {
@@ -335,13 +335,14 @@ func TestSignPlaneTracksComponents(t *testing.T) {
 								if spec >= ST2 && !k.forcedLossless(oi, oj, ok) {
 									// The trial loop alone: every trial's write is
 									// rolled back before it returns.
-									k.speculateVerify(oi, oj, ok, k.extIdx(oi, oj, ok), spec == ST4)
+									sw.speculateVerify(oi, oj, ok, k.extIdx(oi, oj, ok), spec == ST4)
 									checkSigns(t, fmt.Sprintf("%s after the trials of (%d,%d,%d)", name, oi, oj, ok), k)
 								}
-								fails := k.stats.SpecFails
-								k.processVertex(oi, oj, ok)
+								fails := sw.stats.SpecFails
+								sw.processVertex(oi, oj, ok, k.next)
+								k.next++
 								what := "commit"
-								if k.stats.SpecFails > fails {
+								if sw.stats.SpecFails > fails {
 									what = "rollback"
 								}
 								checkSigns(t, fmt.Sprintf("%s after the %s of (%d,%d,%d)", name, what, oi, oj, ok), k)
@@ -359,6 +360,7 @@ func TestSignPlaneTracksComponents(t *testing.T) {
 					checkSigns(t, name+" after the phase-2 ghosts", k)
 					step(true)
 				}
+				sw.flush()
 				rollbacks += k.stats.SpecFails
 				if _, err := k.finish(); err != nil {
 					t.Fatal(err)

@@ -152,10 +152,20 @@ func (d *Detector2D) DetectCells() []int {
 // cell through CellVertices.
 func (d *Detector2D) ContainsBatch(mask, out []bool) {
 	var loc filter.Local
-	for j := 0; j < d.Mesh.NY-1; j++ {
-		d.sweepRow(j, mask, out, nil, &loc)
-	}
+	d.ContainsRows(mask, out, 0, d.CellRows(), &loc)
 	loc.Flush()
+}
+
+// CellRows is the number of cell rows: one per quad row.
+func (d *Detector2D) CellRows() int { return d.Mesh.NY - 1 }
+
+// ContainsRows is ContainsBatch over cell rows [r0, r1) only, counting
+// into loc (flushed by the caller). Row ranges touch disjoint cells of
+// out, so callers may sweep disjoint ranges concurrently.
+func (d *Detector2D) ContainsRows(mask, out []bool, r0, r1 int, loc *filter.Local) {
+	for j := r0; j < r1; j++ {
+		d.sweepRow(j, mask, out, nil, loc)
+	}
 }
 
 // sweepRow evaluates the two triangles of every quad in cell row j. In
@@ -315,14 +325,22 @@ func (d *Detector3D) DetectCells() []int {
 // mask[c] set (nil mask means all cells), writing results to out[c].
 // Cells with mask[c] unset are left untouched. See Detector2D.ContainsBatch.
 func (d *Detector3D) ContainsBatch(mask, out []bool) {
-	ny1, nz1 := d.Mesh.NY-1, d.Mesh.NZ-1
 	var loc filter.Local
-	for k := 0; k < nz1; k++ {
-		for j := 0; j < ny1; j++ {
-			d.sweepRow(k, j, mask, out, nil, &loc)
-		}
-	}
+	d.ContainsRows(mask, out, 0, d.CellRows(), &loc)
 	loc.Flush()
+}
+
+// CellRows is the number of cell rows: one per cube row (j, k), row
+// k·(NY−1)+j.
+func (d *Detector3D) CellRows() int { return (d.Mesh.NY - 1) * (d.Mesh.NZ - 1) }
+
+// ContainsRows is ContainsBatch over cell rows [r0, r1) only; see
+// Detector2D.ContainsRows.
+func (d *Detector3D) ContainsRows(mask, out []bool, r0, r1 int, loc *filter.Local) {
+	ny1 := d.Mesh.NY - 1
+	for r := r0; r < r1; r++ {
+		d.sweepRow(r/ny1, r%ny1, mask, out, nil, loc)
+	}
 }
 
 // sweepRow evaluates the six tetrahedra of every cube in cube row (k,j):

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"time"
 
@@ -144,6 +145,16 @@ func timeIt(f func()) time.Duration {
 	start := time.Now()
 	f()
 	return time.Since(start)
+}
+
+// timeOneCore measures one execution of f under GOMAXPROCS 1. The
+// paper's timings are per core, but core fans a whole-domain compress
+// out over every core (DESIGN.md, the slice wavefront); the tables that
+// compare codecs or rank counts time them this way to compare like with
+// like.
+func timeOneCore(f func()) time.Duration {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	return timeIt(f)
 }
 
 // mbps converts bytes and a duration to MB/s.

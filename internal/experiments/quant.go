@@ -103,14 +103,14 @@ func quant(cfg Config, ds dataset, cpszRel float64, title string) (QuantResult, 
 		var blob []byte
 		var cerr error
 		sp := cfg.Tel.Span("ours-" + spec.String())
-		dc := timeIt(func() {
+		dc := timeOneCore(func() {
 			blob, _, cerr = core.CompressBlock(ds.block(tr, core.Options{Tau: tau, Spec: spec, Tel: cfg.Tel, TelSpan: sp}))
 		})
 		if cerr != nil {
 			return QuantResult{}, cerr
 		}
 		var g [][]float32
-		dd := timeIt(func() { _, g, cerr = core.Decompress(blob) })
+		dd := timeOneCore(func() { _, g, cerr = core.Decompress(blob) })
 		sp.AddChild("decompress", dd)
 		sp.End()
 		if cerr != nil {
@@ -131,14 +131,14 @@ func quant(cfg Config, ds dataset, cpszRel float64, title string) (QuantResult, 
 		var blob []byte
 		var cerr error
 		sp := cfg.Tel.Span("cpsz-" + scheme.String())
-		dc := timeIt(func() {
+		dc := timeOneCore(func() {
 			blob, cerr = cpsz.Compress(ds.dims, ds.comps, cpsz.Options{Rel: cpszRel, Scheme: scheme, Tel: cfg.Tel, TelSpan: sp})
 		})
 		if cerr != nil {
 			return QuantResult{}, cerr
 		}
 		var g [][]float32
-		dd := timeIt(func() { _, g, cerr = cpsz.Decompress(blob) })
+		dd := timeOneCore(func() { _, g, cerr = cpsz.Decompress(blob) })
 		sp.AddChild("decompress", dd)
 		sp.End()
 		if cerr != nil {
@@ -211,12 +211,12 @@ func evalBaseline(ds dataset, tr fixed.Transform, orig []cp.Point, name, setting
 	raw := ds.rawBytes()
 	var blob []byte
 	var err error
-	dc := timeIt(func() { blob, err = codec.Compress(ds.dims, ds.comps) })
+	dc := timeOneCore(func() { blob, err = codec.Compress(ds.dims, ds.comps) })
 	if err != nil {
 		return QuantRow{Compressor: name, Settings: settings + " (error: " + err.Error() + ")"}
 	}
 	var g [][]float32
-	dd := timeIt(func() { _, g, err = codec.Decompress(blob) })
+	dd := timeOneCore(func() { _, g, err = codec.Decompress(blob) })
 	if err != nil {
 		return QuantRow{Compressor: name, Settings: settings + " (error: " + err.Error() + ")"}
 	}

@@ -70,8 +70,20 @@ func parallelRuns(cfg Config, strats []parallel.Strategy, specs []core.Speculati
 		grid := []int{p, p, p}
 		for _, strat := range strats {
 			for _, spec := range specs {
-				res, err := parallel.CompressDistributed(dims, f.Components(), grid, tr,
-					core.Options{Tau: tau, Spec: spec, Tel: cfg.Tel}, strat, mpi.Config{})
+				var res parallel.Result
+				compress := func() {
+					res, err = parallel.CompressDistributed(dims, f.Components(), grid, tr,
+						core.Options{Tau: tau, Spec: spec, Tel: cfg.Tel}, strat, mpi.Config{})
+				}
+				if p == 1 {
+					// A one-rank naive run is a whole domain, which
+					// core would fan out over every core; time the
+					// one-rank runs on one, like each rank of the
+					// larger grids.
+					timeOneCore(compress)
+				} else {
+					compress()
+				}
 				if err != nil {
 					return nil, err
 				}

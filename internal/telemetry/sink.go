@@ -156,8 +156,8 @@ func (h *Histogram) snapshot() HistSnapshot {
 		Sum:   h.sum.Load(),
 	}
 	if out.Count > 0 {
-		out.Min = h.min.Load()
-		out.Max = h.max.Load()
+		out.Min = fromKey(^h.lo.Load())
+		out.Max = fromKey(h.hi.Load())
 	}
 	for i := 0; i < histBuckets; i++ {
 		n := h.buckets[i].Load()

@@ -148,15 +148,6 @@ func (c *Counter) Add(d int64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// AddSince adds the wall time elapsed since t0, in nanoseconds. It is the
-// accumulating-stopwatch idiom for stages too fine-grained for spans.
-func (c *Counter) AddSince(t0 time.Time) {
-	if c == nil {
-		return
-	}
-	c.v.Add(int64(time.Since(t0)))
-}
-
 // Value returns the current count (0 on a nil handle).
 func (c *Counter) Value() int64 {
 	if c == nil {
@@ -207,11 +198,31 @@ const histBuckets = 65
 // sum, min, and max exactly; the buckets give the shape of the
 // distribution without per-value storage.
 type Histogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	min     atomic.Int64 // valid when count > 0
-	max     atomic.Int64
+	count atomic.Int64
+	sum   atomic.Int64
+	// lo and hi hold the minimum and maximum as order-preserving keys
+	// (ordKey) that only ever rise: lo stores ^ordKey(min), hi stores
+	// ordKey(max). Their zero values decode to MaxInt64 and MinInt64, the
+	// identities of min and max, so every observer — the first included —
+	// updates them with compare-and-swap alone, and no seeding store can
+	// overwrite a racing observer's value.
+	lo, hi  atomic.Uint64
 	buckets [histBuckets]atomic.Int64
+}
+
+// ordKey maps int64 onto uint64 preserving order (MinInt64 → 0);
+// fromKey inverts it.
+func ordKey(v int64) uint64  { return uint64(v) ^ 1<<63 }
+func fromKey(k uint64) int64 { return int64(k ^ 1<<63) }
+
+// raise lifts a to k if k is larger.
+func raise(a *atomic.Uint64, k uint64) {
+	for {
+		cur := a.Load()
+		if k <= cur || a.CompareAndSwap(cur, k) {
+			return
+		}
+	}
 }
 
 // bucketIndex maps an observation to its bucket: 0 for v ≤ 0; bucket
@@ -229,29 +240,22 @@ func bucketIndex(v int64) int {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the value v at once, exactly as n
+// calls of Observe(v) would; n ≤ 0 records nothing. It lets a hot loop
+// batch its observations per value and publish them in one go.
+func (h *Histogram) ObserveN(v, n int64) {
+	if h == nil || n <= 0 {
 		return
 	}
-	if h.count.Add(1) == 1 {
-		// First observation seeds min/max; racing observers correct below.
-		h.min.Store(v)
-		h.max.Store(v)
-	}
-	h.sum.Add(v)
-	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	h.buckets[bucketIndex(v)].Add(1)
+	raise(&h.lo, ^ordKey(v))
+	raise(&h.hi, ordKey(v))
+	h.sum.Add(v * n)
+	h.buckets[bucketIndex(v)].Add(n)
+	// Counted last: a snapshot that reads a positive count then also
+	// reads a min and max some observer has already set.
+	h.count.Add(n)
 }
 
 // Count returns the number of observations (0 on a nil handle).

@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -16,7 +18,6 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	ctr := c.Counter("x")
 	ctr.Inc()
 	ctr.Add(5)
-	ctr.AddSince(time.Now())
 	if ctr.Value() != 0 {
 		t.Fatal("nil counter must stay zero")
 	}
@@ -127,6 +128,64 @@ func TestHistogramBuckets(t *testing.T) {
 	for i, b := range want {
 		if s.Buckets[i] != b {
 			t.Errorf("bucket %d = %+v, want %+v", i, s.Buckets[i], b)
+		}
+	}
+}
+
+// TestHistogramConcurrentFirstObservations releases two observers of a
+// fresh histogram together, over and over: whichever observes first, the
+// snapshot keeps both the minimum and the maximum. An empty histogram
+// still reports a zero min and max.
+func TestHistogramConcurrentFirstObservations(t *testing.T) {
+	if s := (&Histogram{}).snapshot(); s.Count != 0 || s.Min != 0 || s.Max != 0 {
+		t.Fatalf("empty snapshot = %+v", s)
+	}
+	const trials = 100000
+	bad := 0
+	for i := 0; i < trials; i++ {
+		h := &Histogram{}
+		var ready atomic.Int32
+		var wg sync.WaitGroup
+		for _, v := range []int64{5, 100} {
+			wg.Add(1)
+			go func(v int64) {
+				defer wg.Done()
+				// Spin barrier: both observers leave it together.
+				ready.Add(1)
+				for ready.Load() < 2 {
+					runtime.Gosched()
+				}
+				h.Observe(v)
+			}(v)
+		}
+		wg.Wait()
+		if s := h.snapshot(); s.Min != 5 || s.Max != 100 || s.Count != 2 {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d trials lost the min or max of two concurrent first observations", bad, trials)
+	}
+}
+
+// TestHistogramObserveN: ObserveN(v, n) leaves the same snapshot as n
+// calls of Observe(v), and n ≤ 0 records nothing.
+func TestHistogramObserveN(t *testing.T) {
+	batched, single := &Histogram{}, &Histogram{}
+	for _, o := range []struct{ v, n int64 }{{3, 4}, {-2, 1}, {900, 3}, {7, 0}, {8, -1}} {
+		batched.ObserveN(o.v, o.n)
+		for i := int64(0); i < o.n; i++ {
+			single.Observe(o.v)
+		}
+	}
+	b, s := batched.snapshot(), single.snapshot()
+	if b.Count != 8 || b.Count != s.Count || b.Sum != s.Sum || b.Min != s.Min || b.Max != s.Max ||
+		b.P50 != s.P50 || b.P90 != s.P90 || len(b.Buckets) != len(s.Buckets) {
+		t.Fatalf("ObserveN snapshot %+v, Observe snapshot %+v", b, s)
+	}
+	for i := range b.Buckets {
+		if b.Buckets[i] != s.Buckets[i] {
+			t.Fatalf("bucket %d: ObserveN %+v, Observe %+v", i, b.Buckets[i], s.Buckets[i])
 		}
 	}
 }
