@@ -37,11 +37,13 @@ benchtest:
 # Race-detector pass over the concurrently instrumented packages
 # (telemetry counters, simulated MPI ranks, distributed strategies, the
 # shared-memory pipeline — including its faultinject-instrumented panic
-# and degradation tests), the compression kernel they drive, and the
-# exact predicates whose SoS plan table every concurrent sweep reads.
+# and degradation tests), the compression kernel they drive, the exact
+# predicates whose SoS plan table every concurrent sweep reads, and the
+# decode pipeline's shared state: the Huffman progress counter and the
+# pooled DEFLATE readers.
 .PHONY: race
 race:
-	$(GO) test -race ./internal/exact/ ./internal/telemetry/ ./internal/mpi/ ./internal/parallel/ ./internal/core/ ./internal/shm/... ./internal/faultinject/ ./internal/flightrec/ ./internal/obs/ ./internal/codec/ ./internal/server/ ./internal/field/ ./internal/cp/ ./internal/archive/
+	$(GO) test -race ./internal/exact/ ./internal/telemetry/ ./internal/mpi/ ./internal/parallel/ ./internal/core/ ./internal/shm/... ./internal/faultinject/ ./internal/flightrec/ ./internal/obs/ ./internal/codec/ ./internal/server/ ./internal/field/ ./internal/cp/ ./internal/archive/ ./internal/huffman/ ./internal/encoder/
 
 # Fault soak: fault-injected pipeline runs plus the stream-integrity
 # tests. Every run must end in a typed error, a degradation report with

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -65,15 +67,22 @@ func TestSteadyStateAllocs(t *testing.T) {
 }
 
 // maxDecodeBytesPerVertex gates the heap bytes one warm Decompress of a
-// 2D block allocates per vertex. What a decode must allocate is the
-// fixed-point components (16 B), the float output (8 B) and the two
-// decoded symbol streams (12 B); the rest is the inflated sections and
-// the Huffman tables. A materialized visit order (24 B) or a progress
-// mask (1 B) per vertex does not fit.
-const maxDecodeBytesPerVertex = 45
+// 2D block allocates per vertex. The fixed-point components, the decoded
+// symbol streams and a temporal block's previous frame come from the
+// decode scratch pool, so what a decode allocates is the float output
+// (8 B) and the inflated sections, with the Huffman tables and the
+// container framing; it measured 11.5 B when the gate was set. A working
+// buffer that misses the pool — a symbol stream (4 B) or a component
+// (8 B) — does not fit.
+const maxDecodeBytesPerVertex = 13
 
 // TestDecompressAllocBytes gates the bytes per vertex of one warm
-// Decompress of a 384×288 Ocean block.
+// Decompress of a 384×288 Ocean block: the least of several decodes. A
+// decode can miss the pool — a collection empties it, and a scratch Put
+// on one P stays in that P's private slot, out of reach of a Get on
+// another — so the collector is off while the decodes run, and the
+// least of them is the decode that found its buffers pooled. A decode
+// that never does fails as before.
 func TestDecompressAllocBytes(t *testing.T) {
 	ocean := datagen.Ocean(384, 288)
 	blob, _, err := core.Compress(ocean.Dims(), ocean.Components(), core.Options{Tau: 0.05})
@@ -86,19 +95,22 @@ func TestDecompressAllocBytes(t *testing.T) {
 		}
 	}
 	decode() // warm
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const runs = 5
+	perVertex := make([]float64, runs)
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	for i := range perVertex {
+		runtime.ReadMemStats(&before)
 		decode()
+		runtime.ReadMemStats(&after)
+		perVertex[i] = float64(after.TotalAlloc-before.TotalAlloc) / float64(ocean.NX*ocean.NY)
 	}
-	runtime.ReadMemStats(&after)
-	perVertex := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(ocean.NX*ocean.NY)
-	t.Logf("decode: %.1f B/vertex", perVertex)
+	least := slices.Min(perVertex)
+	t.Logf("decode: %.1f B/vertex (runs: %.1f)", least, perVertex)
 	if raceEnabled {
 		return
 	}
-	if perVertex > maxDecodeBytesPerVertex {
-		t.Errorf("decode allocates %.1f B/vertex, gate %d", perVertex, maxDecodeBytesPerVertex)
+	if least > maxDecodeBytesPerVertex {
+		t.Errorf("decode allocates %.1f B/vertex, gate %d", least, maxDecodeBytesPerVertex)
 	}
 }

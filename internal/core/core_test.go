@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -505,16 +506,28 @@ func TestCompressRejectsBadInput(t *testing.T) {
 	}
 }
 
-// visited lists the own coordinates o.walkAll visits, in order.
-func visited(o vertexOrder) [][3]int {
+// visited lists the own coordinates of o's runs in order, failing t
+// unless each run starts at the stream position where the last ended.
+func visited(t *testing.T, o vertexOrder) [][3]int {
+	t.Helper()
 	var order [][3]int
-	o.walkAll(func(oi, oj, ok int) { order = append(order, [3]int{oi, oj, ok}) })
+	if err := o.allRuns(func(r orderRun) error {
+		if r.pos != len(order) {
+			return fmt.Errorf("run %+v starts at stream position %d, want %d", r, r.pos, len(order))
+		}
+		for oi := r.i0; oi < r.i1; oi++ {
+			order = append(order, [3]int{oi, r.oj, r.ok})
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("%+v: %v", o, err)
+	}
 	return order
 }
 
 func TestVisitOrderCoversAllVertices(t *testing.T) {
 	for _, twoPhase := range []bool{false, true} {
-		order := visited(vertexOrder{nx: 5, ny: 4, nz: 1, twoPhase: twoPhase, maxPlane: [3]bool{true, true, false}})
+		order := visited(t, vertexOrder{nx: 5, ny: 4, nz: 1, twoPhase: twoPhase, maxPlane: [3]bool{true, true, false}})
 		if len(order) != 20 {
 			t.Fatalf("order covers %d vertices", len(order))
 		}
@@ -526,14 +539,14 @@ func TestVisitOrderCoversAllVertices(t *testing.T) {
 			seen[v] = true
 		}
 	}
-	o3 := visited(vertexOrder{nx: 3, ny: 3, nz: 3, twoPhase: true, maxPlane: [3]bool{true, false, true}})
+	o3 := visited(t, vertexOrder{nx: 3, ny: 3, nz: 3, twoPhase: true, maxPlane: [3]bool{true, false, true}})
 	if len(o3) != 27 {
 		t.Fatalf("3D order covers %d", len(o3))
 	}
 }
 
 func TestTwoPhaseOrderPutsMaxPlanesLast(t *testing.T) {
-	order := visited(vertexOrder{nx: 4, ny: 3, nz: 1, twoPhase: true, maxPlane: [3]bool{true, false, false}})
+	order := visited(t, vertexOrder{nx: 4, ny: 3, nz: 1, twoPhase: true, maxPlane: [3]bool{true, false, false}})
 	// Vertices with i == 3 must all come after the others.
 	phase2Started := false
 	for _, v := range order {
@@ -569,7 +582,8 @@ func checkLowerNeighborsFirst(t *testing.T, o vertexOrder) {
 	t.Helper()
 	done := make([]bool, o.nx*o.ny*o.nz)
 	count := 0
-	o.walkAll(func(oi, oj, ok int) {
+	for _, v := range visited(t, o) {
+		oi, oj, ok := v[0], v[1], v[2]
 		own := (ok*o.ny+oj)*o.nx + oi
 		if done[own] {
 			t.Fatalf("%+v: (%d,%d,%d) visited twice", o, oi, oj, ok)
@@ -582,7 +596,7 @@ func checkLowerNeighborsFirst(t *testing.T, o vertexOrder) {
 		}
 		done[own] = true
 		count++
-	})
+	}
 	if count != len(done) {
 		t.Fatalf("%+v: visited %d of %d vertices", o, count, len(done))
 	}

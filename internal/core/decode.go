@@ -3,8 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/encoder"
+	"repro/internal/fixed"
 	"repro/internal/huffman"
 	"repro/internal/integrity"
 	"repro/internal/quantizer"
@@ -13,8 +18,14 @@ import (
 // The dimension-generic decoder. Decompression replays the visit order
 // and the stored bounds only — no critical point detection or bound
 // derivation runs, which is why it is several times faster than
-// compression. The decoders in decompress.go are thin adapters over
-// decodeFixed.
+// compression. decodeFixed is one pipeline over pooled buffers: the
+// bound and code streams are Huffman-decoded, and the components are
+// reconstructed run by run in visit order (replay). A whole-domain block
+// decodes its code stream on a helper goroutine while the caller decodes
+// the bound stream and reconstructs behind it; a placed block, and any
+// block under GOMAXPROCS 1, decodes the two streams one after the other
+// on the caller's goroutine. The output is the same either way. The
+// decoders in decompress.go are thin adapters over decodeFixed.
 
 // vertexOrder is the order in which the encoder visits a block's own
 // vertices and the decoder replays them: one raster pass, or (two-phase
@@ -24,15 +35,15 @@ import (
 //
 // In both orders every in-range lower neighbor of a vertex is visited
 // before it: a vertex off the max planes has no lower neighbor on one,
-// and the second phase is itself a raster. predictLorenzo relies on
-// this to read availability from the coordinates alone.
+// and the second phase is itself a raster. The Lorenzo predictor relies
+// on this to read availability from the coordinates alone.
 type vertexOrder struct {
 	nx, ny, nz int
 	twoPhase   bool
 	maxPlane   [3]bool // a neighbor faces the max plane of axis X, Y, Z
 }
 
-// The phases walk visits: every vertex (a raster block), or the first
+// The phases runs visits: every vertex (a raster block), or the first
 // or second phase of a two-phase block.
 const (
 	phaseAll = iota
@@ -48,36 +59,125 @@ func (o *vertexOrder) phase2(oi, oj, ok int) bool {
 		(o.maxPlane[2] && ok == o.nz-1)
 }
 
-// walk calls visit on the own coordinates of the vertices of one phase,
-// in raster order.
-func (o *vertexOrder) walk(phase int, visit func(oi, oj, ok int)) {
-	for ok := 0; ok < o.nz; ok++ {
-		for oj := 0; oj < o.ny; oj++ {
-			for oi := 0; oi < o.nx; oi++ {
-				if phase == phaseAll || o.phase2(oi, oj, ok) == (phase == phaseTwo) {
-					visit(oi, oj, ok)
-				}
-			}
-		}
-	}
+// orderRun is one run of the visit order: own vertices oi = i0 … i1−1
+// of row (oj, ok), consecutive raster indices visited at consecutive
+// stream positions from pos.
+type orderRun struct {
+	oj, ok, i0, i1, pos int
 }
 
-// walkAll visits every vertex in the block's order.
-func (o *vertexOrder) walkAll(visit func(oi, oj, ok int)) {
-	if !o.twoPhase {
-		o.walk(phaseAll, visit)
-		return
+// runs calls visit on the runs of one phase in visit order, numbering
+// stream positions from pos, and returns the position after the phase's
+// last vertex; an error from visit stops the walk and is returned. A
+// raster phase is one run per row. In a two-phase block a row on a
+// neighbor-facing Y or Z max plane belongs to the second phase whole;
+// any other row gives its vertex on a neighbor-facing X max plane to
+// the second phase and the rest to the first.
+func (o *vertexOrder) runs(phase, pos int, visit func(r orderRun) error) (int, error) {
+	for ok := 0; ok < o.nz; ok++ {
+		for oj := 0; oj < o.ny; oj++ {
+			i0, i1 := 0, o.nx
+			// oi = 0 is off the X max plane (nx ≥ 2), so phase2 asks
+			// whether the whole row lies on a Y or Z max plane.
+			switch onMax := o.phase2(0, oj, ok); {
+			case phase == phaseAll:
+			case onMax && phase == phaseOne, !onMax && phase == phaseTwo && !o.maxPlane[0]:
+				continue
+			case !onMax && phase == phaseOne && o.maxPlane[0]:
+				i1 = o.nx - 1
+			case !onMax && phase == phaseTwo:
+				i0 = o.nx - 1
+			}
+			if err := visit(orderRun{oj: oj, ok: ok, i0: i0, i1: i1, pos: pos}); err != nil {
+				return pos, err
+			}
+			pos += i1 - i0
+		}
 	}
-	o.walk(phaseOne, visit)
-	o.walk(phaseTwo, visit)
+	return pos, nil
+}
+
+// allRuns calls visit on every run of the block's order.
+func (o *vertexOrder) allRuns(visit func(r orderRun) error) error {
+	if !o.twoPhase {
+		_, err := o.runs(phaseAll, 0, visit)
+		return err
+	}
+	pos, err := o.runs(phaseOne, 0, visit)
+	if err != nil {
+		return err
+	}
+	_, err = o.runs(phaseTwo, pos, visit)
+	return err
+}
+
+// minPipelineVertices is the smallest whole-domain block whose code
+// stream decodes on a helper goroutine; below it, starting and joining
+// the helper costs more than the overlap gains. Timed on a 2-vCPU Linux
+// container as the median warm Decompress under GOMAXPROCS 2 over
+// GOMAXPROCS 1, alternating in one process (NoSpec, τ = 1% of the
+// range), two runs each: Ocean 32×32 / 64×32 / 64×64 / 128×64 /
+// 256×256 1.04 / 1.03–1.05 / 0.98–1.00 / 0.92 / 0.74–0.75×; Nek 12³ /
+// 16³ / 20³ / 32³ 1.03 / 0.93–0.96 / 0.91–0.94 / 0.74–0.87×.
+const minPipelineVertices = 4096
+
+// decodeScratch carries one decode, pooled like the kernel's scratch
+// (scratch.go): the working buffers — the fixed-point components, the
+// previous frame's (a temporal block), the two symbol streams and the
+// run buffers — and the state of the replay, which walks the visit
+// order run by run and turns each vertex's bound and code symbols back
+// into its components. The buffers only grow, and none but zeros is
+// cleared: the stream decodes write every symbol, and the replay writes
+// every component value and run slot before it reads it.
+//
+// Ownership: decodeFixed hands the scratch to its caller, which reads
+// the components and then calls release; the components must not be
+// used afterwards.
+type decodeScratch struct {
+	comps [maxComps][]int64
+	prev  [maxComps][]int64
+	exp   []uint32
+	code  []uint32
+	// The run buffers, sized for the longest run (a row): runSteps holds
+	// the steps of the run's vertices and runLits the literals of its
+	// escaped code symbols, indexed like the symbols; zeros stands in
+	// for the Lorenzo terms a run's position lacks.
+	runSteps []int64
+	runLits  []int64
+	zeros    []int64
+
+	order    vertexOrder
+	nc       int
+	temporal bool
+	lits     []byte
+	// steps maps a bound symbol to its quantization step 2·bound+1, or
+	// to 0 (never a step: it is odd) for a symbol off the bound grid.
+	steps [256]int64
+}
+
+var decodePool = sync.Pool{New: func() interface{} { return new(decodeScratch) }}
+
+// release returns the scratch to the pool, without its view of the
+// inflated block's literals.
+func (d *decodeScratch) release() {
+	d.lits = nil
+	decodePool.Put(d)
 }
 
 // decodeFixed reconstructs the fixed-point components of a compressed
 // block of the expected dimensionality (0 accepts either; the component
-// count equals the dimensionality). For temporally predicted blocks
-// prevOf must return the previous frame's fixed-point components; the
-// adapters supply it along with their frame validation.
-func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]int64, error)) (*header, [][]int64, error) {
+// count equals the dimensionality) into a pooled scratch, which the
+// caller releases. For a temporally predicted block prevOf must return
+// the previous frame's float components; the adapters supply it along
+// with their frame validation.
+//
+// Every check runs before the working buffers are sized: the header
+// (and its CRC), and both streams' symbol counts against the header's
+// vertex count. The replay rejects a bound symbol off the bound grid
+// and a literal stream shorter than the escapes. Of several faults in
+// one block the first met in stream order is reported, the bound
+// stream's before the code stream's before the replay's.
+func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]float32, error)) (*header, *decodeScratch, error) {
 	sections, err := encoder.Unpack(blob)
 	if err != nil {
 		return nil, nil, err
@@ -106,82 +206,265 @@ func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]int64, er
 			}
 		}
 	}
-	expSyms, err := huffman.Decompress(sections[1])
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: bound stream: %w", err)
-	}
-	codeSyms, err := huffman.Decompress(sections[2])
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: code stream: %w", err)
-	}
-	literals := sections[3]
-	nc := h.NDim
-	nz := 1
-	if h.NDim == 3 {
-		nz = h.NZ
-	}
 	n, err := h.vertexCount()
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(expSyms) != n || len(codeSyms) != nc*n {
+	exp, err := huffman.Open(sections[1])
+	if err != nil {
+		return nil, nil, boundStreamError(err)
+	}
+	code, err := huffman.Open(sections[2])
+	if err != nil {
+		return nil, nil, codeStreamError(err)
+	}
+	if exp.Len() != n || code.Len() != h.NDim*n {
 		return nil, nil, errors.New("core: stream length mismatch")
 	}
-	var prevs [][]int64
+	var prev [][]float32
 	if h.Temporal {
-		if prevs, err = prevOf(&h); err != nil {
+		if prev, err = prevOf(&h); err != nil {
 			return nil, nil, err
 		}
 	}
-	if err := checkStreams(expSyms, codeSyms, literals); err != nil {
+	ds := decodePool.Get().(*decodeScratch)
+	if err := ds.decode(&h, exp, code, sections[3], prev); err != nil {
+		ds.release()
 		return nil, nil, err
 	}
-	comps := make([][]int64, nc)
-	for c := range comps {
-		comps[c] = make([]int64, n)
-	}
-	ord := vertexOrder{nx: h.NX, ny: h.NY, nz: nz, twoPhase: h.Order == orderTwoPhase,
-		maxPlane: [3]bool{h.HasGhost[SideMaxX], h.HasGhost[SideMaxY], h.NDim == 3 && h.HasGhost[SideMaxZ]}}
-	kth := 0
-	ord.walkAll(func(oi, oj, ok int) {
-		idx := (ok*h.NY+oj)*h.NX + oi
-		bound := quantizer.BoundFromSym(uint8(expSyms[kth]), h.Tau)
-		for c := 0; c < nc; c++ {
-			sym := codeSyms[nc*kth+c]
-			if sym == escapeSym {
-				comps[c][idx], literals = readLiteral(literals)
-				continue
-			}
-			var pred int64
-			if h.Temporal {
-				pred = prevs[c][idx]
-			} else {
-				pred = predictLorenzo(comps[c], h.NX, h.NY, oi, oj, ok)
-			}
-			comps[c][idx] = quantizer.Reconstruct(huffman.Unzigzag(sym), pred, bound)
-		}
-		kth++
-	})
-	return &h, comps, nil
+	return &h, ds, nil
 }
 
-// checkStreams rejects what the replay would otherwise misread: a bound
-// symbol off the bound grid, which would decode as some other bound,
-// and a literal stream shorter than the escapes in the code stream.
-func checkStreams(expSyms, codeSyms []uint32, literals []byte) error {
-	for _, s := range expSyms {
-		if s > quantizer.MaxBoundUp+quantizer.MaxBoundDown && s != uint32(quantizer.LosslessSym) {
-			return fmt.Errorf("core: corrupt bound stream: symbol %d is off the bound grid", s)
+func boundStreamError(err error) error { return fmt.Errorf("core: bound stream: %w", err) }
+func codeStreamError(err error) error  { return fmt.Errorf("core: code stream: %w", err) }
+
+// decode sizes the scratch for the block, builds the step table for its
+// τ′, decodes both streams and replays the components: pipelined for a
+// whole-domain block of at least minPipelineVertices under GOMAXPROCS
+// ≥ 2, else serially.
+func (d *decodeScratch) decode(h *header, exp, code *huffman.Stream, literals []byte, prev [][]float32) error {
+	n, nc := exp.Len(), h.NDim
+	nz := 1
+	if h.NDim == 3 {
+		nz = h.NZ
+	}
+	d.order = vertexOrder{nx: h.NX, ny: h.NY, nz: nz, twoPhase: h.Order == orderTwoPhase,
+		maxPlane: [3]bool{h.HasGhost[SideMaxX], h.HasGhost[SideMaxY], h.NDim == 3 && h.HasGhost[SideMaxZ]}}
+	d.nc, d.temporal, d.lits = nc, h.Temporal, literals
+	d.exp = resize(d.exp, n)
+	d.code = resize(d.code, code.Len())
+	d.runSteps = resize(d.runSteps, h.NX)
+	d.runLits = resize(d.runLits, nc*h.NX)
+	d.zeros = grow(d.zeros, h.NX)
+	tr := fixed.FromShift(h.Shift)
+	for c := 0; c < nc; c++ {
+		d.comps[c] = resize(d.comps[c], n)
+		if h.Temporal {
+			d.prev[c] = resize(d.prev[c], n)
+			tr.ToFixed(prev[c], d.prev[c])
 		}
 	}
-	escapes := 0
-	for _, s := range codeSyms {
+	for s := range d.steps {
+		d.steps[s] = 0
+		if s <= quantizer.MaxBoundUp+quantizer.MaxBoundDown || s == int(quantizer.LosslessSym) {
+			d.steps[s] = 2*quantizer.BoundFromSym(uint8(s), h.Tau) + 1
+		}
+	}
+	if !h.placed() && n >= minPipelineVertices && runtime.GOMAXPROCS(0) >= 2 {
+		return d.pipelined(exp, code)
+	}
+	return guard(func() error {
+		if err := exp.DecodeInto(d.exp, nil, nil); err != nil {
+			return boundStreamError(err)
+		}
+		if err := code.DecodeInto(d.code, nil, nil); err != nil {
+			return codeStreamError(err)
+		}
+		return d.run(nil)
+	})
+}
+
+// codeFailed is the progress a failed code-stream decode publishes, so
+// a replay waiting on it stops.
+const codeFailed = -1
+
+// errCodeFailed is the replay's error when the code stream failed; the
+// pipeline returns the code stream's own error instead.
+var errCodeFailed = errors.New("core: code stream failed")
+
+// pipelined decodes the code stream on a helper goroutine while the
+// caller decodes the bound stream and replays behind the code decoder's
+// published progress. An error or a panic on either side stops the
+// other, and pipelined returns only after the helper has, with a panic
+// turned into an error. The error returned is the one the serial decode
+// would meet first: the bound stream's, then the code stream's, then the
+// replay's.
+func (d *decodeScratch) pipelined(exp, code *huffman.Stream) error {
+	var done atomic.Int64
+	var stop atomic.Bool
+	codeErr := make(chan error, 1)
+	go func() {
+		err := guard(func() error {
+			if pipelineHook != nil {
+				pipelineHook()
+			}
+			return code.DecodeInto(d.code, &done, &stop)
+		})
+		if err != nil {
+			done.Store(codeFailed)
+		}
+		codeErr <- err
+	}()
+	err := guard(func() error { return exp.DecodeInto(d.exp, nil, nil) })
+	boundFailed := err != nil
+	if boundFailed {
+		err = boundStreamError(err)
+	} else {
+		err = guard(func() error { return d.run(&done) })
+	}
+	if err != nil {
+		stop.Store(true)
+	}
+	cerr := <-codeErr
+	if !boundFailed && cerr != nil && !errors.Is(cerr, huffman.ErrStopped) {
+		return codeStreamError(cerr)
+	}
+	return err
+}
+
+// pipelineHook, when set (by tests), runs on the helper goroutine of a
+// pipelined decode before it decodes the code stream.
+var pipelineHook func()
+
+// guard runs f and returns its error, or a panic in f as an error.
+func guard(f func() error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("core: decode panicked: %v", p)
+		}
+	}()
+	return f()
+}
+
+// run replays every run in visit order. With done not nil the code
+// stream is still being decoded on another goroutine, and each run
+// first waits until done covers its code symbols.
+func (d *decodeScratch) run(done *atomic.Int64) error {
+	avail := int64(len(d.code))
+	if done != nil {
+		avail = done.Load()
+	}
+	return d.order.allRuns(func(run orderRun) error {
+		need := int64(d.nc * (run.pos + run.i1 - run.i0))
+		for polls := 0; avail < need; polls++ {
+			if avail == codeFailed {
+				return errCodeFailed
+			}
+			if polls < spinPolls {
+				runtime.Gosched()
+			} else {
+				time.Sleep(time.Microsecond)
+			}
+			avail = done.Load()
+		}
+		if err := d.prepare(run); err != nil {
+			return err
+		}
+		d.replayRun(run)
+		return nil
+	})
+}
+
+// prepare checks the bound symbols of a run and fills runSteps with
+// their steps, then pops the literals of the run's escapes off the
+// literal stream into runLits, in stream order.
+func (d *decodeScratch) prepare(run orderRun) error {
+	n := run.i1 - run.i0
+	steps := d.runSteps[:n]
+	for k, e := range d.exp[run.pos : run.pos+n] {
+		if e > 255 || d.steps[e] == 0 {
+			return fmt.Errorf("core: corrupt bound stream: symbol %d is off the bound grid", e)
+		}
+		steps[k] = d.steps[e]
+	}
+	for j, s := range d.code[d.nc*run.pos : d.nc*(run.pos+n)] {
 		if s == escapeSym {
-			escapes++
+			if len(d.lits) < 4 {
+				return errors.New("core: literal stream underrun")
+			}
+			d.runLits[j], d.lits = readLiteral(d.lits)
 		}
-	}
-	if len(literals) < 4*escapes {
-		return errors.New("core: literal stream underrun")
 	}
 	return nil
+}
+
+// replayRun reconstructs a prepared run one component at a time. An
+// escaped value is its literal. A temporal block predicts each vertex by
+// the previous frame's value. The Lorenzo prediction of raster index i
+// is z[i−1] + D(i) − D(i−1), where D(i) sums i's lower neighbors off its
+// row: z[i−sy] + z[i−sz] − z[i−sy−sz] in the interior, z[i−sy] on the
+// first plane, z[i−sz] on the first row of a later plane, nothing on
+// the first row of the first plane; at oi = 0 the terms z[i−1] and
+// D(i−1) are 0. Each term of D is a view of the row it reads, or of
+// zeros where the run's position lacks it, fixed for the run, and
+// z[i−1] − D(i−1) carries over from the previous vertex. The sum equals
+// predictLorenzo's term for term in two's-complement arithmetic, so the
+// values match the encoder's bit for bit.
+func (d *decodeScratch) replayRun(run orderRun) {
+	o := &d.order
+	sy, sz := o.nx, o.nx*o.ny
+	i0 := (run.ok*o.ny+run.oj)*o.nx + run.i0
+	steps := d.runSteps[:run.i1-run.i0]
+	n, nc := len(steps), d.nc
+	code := d.code[nc*run.pos : nc*(run.pos+n)]
+	lits := d.runLits[:len(code)]
+	for c := 0; c < nc; c++ {
+		out := d.comps[c][i0 : i0+n]
+		if d.temporal {
+			prev := d.prev[c][i0 : i0+n]
+			for k, j := 0, c; k < n; k, j = k+1, j+nc {
+				v := prev[k] + huffman.Unzigzag(code[j])*steps[k]
+				if code[j] == escapeSym {
+					v = lits[j]
+				}
+				out[k] = v
+			}
+			continue
+		}
+		z := d.comps[c]
+		// D's terms: the rows at −sy, −sz and −sy−sz.
+		ty, tz, tyz := d.zeros[:n], d.zeros[:n], d.zeros[:n]
+		var carry int64 // z[i−1] − D(i−1)
+		if run.oj > 0 {
+			ty = z[i0-sy : i0-sy+n]
+		}
+		if run.ok > 0 {
+			tz = z[i0-sz : i0-sz+n]
+		}
+		if run.oj > 0 && run.ok > 0 {
+			tyz = z[i0-sy-sz : i0-sy-sz+n]
+		}
+		if run.i0 > 0 {
+			// The one-vertex runs on a two-phase block's X max plane.
+			carry = z[i0-1]
+			if run.oj > 0 {
+				carry -= z[i0-1-sy]
+			}
+			if run.ok > 0 {
+				carry -= z[i0-1-sz]
+			}
+			if run.oj > 0 && run.ok > 0 {
+				carry += z[i0-1-sy-sz]
+			}
+		}
+		for k, j := 0, c; k < n; k, j = k+1, j+nc {
+			dk := ty[k] + tz[k] - tyz[k]
+			v := carry + dk + huffman.Unzigzag(code[j])*steps[k]
+			if code[j] == escapeSym {
+				v = lits[j]
+			}
+			out[k] = v
+			carry = v - dk
+		}
+	}
 }

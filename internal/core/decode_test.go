@@ -11,10 +11,10 @@ import (
 	"repro/internal/quantizer"
 )
 
-// craftV1 rewrites a block as a version-1 (no-CRC) block after edit has
-// changed its header or bound symbols, so the decoder meets the edit
-// itself rather than a checksum mismatch.
-func craftV1(t *testing.T, blob []byte, edit func(h *header, expSyms []uint32)) []byte {
+// rewriteV1 rewrites a block as a version-1 (no-CRC) block after edit
+// has changed its header or payload sections, so the decoder meets the
+// edit itself rather than a checksum mismatch.
+func rewriteV1(t *testing.T, blob []byte, edit func(h *header, secs [][]byte)) []byte {
 	t.Helper()
 	secs, err := encoder.Unpack(blob)
 	if err != nil {
@@ -24,18 +24,30 @@ func craftV1(t *testing.T, blob []byte, edit func(h *header, expSyms []uint32)) 
 	if err := h.unmarshal(secs[0]); err != nil {
 		t.Fatal(err)
 	}
-	expSyms, err := huffman.Decompress(secs[1])
-	if err != nil {
-		t.Fatal(err)
+	for i := range secs {
+		secs[i] = slices.Clone(secs[i])
 	}
-	edit(&h, expSyms)
+	edit(&h, secs)
 	hb := h.marshal()
 	hb[2] = version1
-	out, err := encoder.Pack(hb[:len(hb)-4], huffman.Compress(expSyms), secs[2], secs[3])
+	out, err := encoder.Pack(hb[:len(hb)-4], secs[1], secs[2], secs[3])
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// craftV1 is rewriteV1 for an edit of the header or the bound symbols.
+func craftV1(t *testing.T, blob []byte, edit func(h *header, expSyms []uint32)) []byte {
+	t.Helper()
+	return rewriteV1(t, blob, func(h *header, secs [][]byte) {
+		expSyms, err := huffman.Decompress(secs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(h, expSyms)
+		secs[1] = huffman.Compress(expSyms)
+	})
 }
 
 func craftBase(t *testing.T) ([]byte, [][]float32) {

@@ -17,7 +17,12 @@ import (
 // dimension and returns its dims ([NX, NY] or [NX, NY, NZ]) and float
 // components. Decompression replays the visit order and the stored
 // bounds only — no critical point detection or bound derivation runs,
-// which is why it is several times faster than compression.
+// which is why it is several times faster than compression. A
+// whole-domain block of at least 4096 vertices decodes its code stream
+// on a second goroutine when GOMAXPROCS ≥ 2; a placed block, and every
+// block under GOMAXPROCS 1, decodes on the caller's goroutine alone. The
+// output is the same either way, and only it is allocated per call: the
+// working buffers are pooled.
 func Decompress(blob []byte) ([]int, [][]float32, error) {
 	return decompress(blob, 0, nil, nil)
 }
@@ -57,7 +62,7 @@ func Decompress3D(blob []byte) (*field.Field3D, error) {
 // prev, the previous decompressed frame of dims prevDims; a spatial block
 // ignores both (nil is fine).
 func decompress(blob []byte, ndim int, prevDims []int, prev [][]float32) ([]int, [][]float32, error) {
-	h, comps, err := decodeFixed(blob, ndim, func(h *header) ([][]int64, error) {
+	h, ds, err := decodeFixed(blob, ndim, func(h *header) ([][]float32, error) {
 		if len(prev) != h.NDim || !slices.Equal(prevDims, h.dims()) {
 			return nil, errors.New("core: temporally predicted block needs the matching previous frame")
 		}
@@ -67,30 +72,19 @@ func decompress(blob []byte, ndim int, prevDims []int, prev [][]float32) ([]int,
 				return nil, errors.New("core: previous frame component length mismatch")
 			}
 		}
-		return prevFixed(h, prev), nil
+		return prev, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
+	defer ds.release()
 	tr := fixed.FromShift(h.Shift)
-	out := make([][]float32, len(comps))
-	for c := range comps {
-		out[c] = make([]float32, len(comps[c]))
-		tr.ToFloat(comps[c], out[c])
+	out := make([][]float32, h.NDim)
+	for c := range out {
+		out[c] = make([]float32, len(ds.comps[c]))
+		tr.ToFloat(ds.comps[c], out[c])
 	}
 	return h.dims(), out, nil
-}
-
-// prevFixed converts a previous frame's float components to fixed point
-// under the block's transform, for temporal prediction during decode.
-func prevFixed(h *header, srcs [][]float32) [][]int64 {
-	tr := fixed.FromShift(h.Shift)
-	prevs := make([][]int64, len(srcs))
-	for c, src := range srcs {
-		prevs[c] = make([]int64, len(src))
-		tr.ToFixed(src, prevs[c])
-	}
-	return prevs
 }
 
 // errTemporalTo reports a temporally predicted block reaching
@@ -108,10 +102,12 @@ var errTemporalTo = errors.New("core: temporally predicted block cannot stream-d
 // is one slab in the streaming pipeline, so peak memory stays O(slab).
 // Returns the block's dims.
 func DecompressTo(blob []byte, chunk int, write func(start int, comps [][]float32) error) ([]int, error) {
-	h, comps, err := decodeFixed(blob, 0, func(*header) ([][]int64, error) { return nil, errTemporalTo })
+	h, ds, err := decodeFixed(blob, 0, func(*header) ([][]float32, error) { return nil, errTemporalTo })
 	if err != nil {
 		return nil, err
 	}
+	defer ds.release()
+	comps := ds.comps[:h.NDim]
 	dims := h.dims()
 	nSlow := dims[len(dims)-1]
 	if err := planesTo(comps, fixed.FromShift(h.Shift), len(comps[0])/nSlow, nSlow, chunk, write); err != nil {

@@ -27,6 +27,20 @@ func fuzzSeeds2D(f *testing.F) {
 		mut[i] ^= 0x55
 	}
 	f.Add(mut)
+	// A whole-domain block at the pipeline's vertex floor, which decodes
+	// on two goroutines under GOMAXPROCS ≥ 2.
+	f.Add(pipelineSeed(f, atFloor2D))
+}
+
+// pipelineSeed compresses a whole-domain field of dims with literal
+// escapes; dims must reach minPipelineVertices.
+func pipelineSeed(f *testing.F, dims []int) []byte {
+	comps, _ := spikyField(80, dims)
+	blob, _, err := Compress(dims, comps, Options{Tau: 0.05})
+	if err != nil {
+		f.Fatal(err)
+	}
+	return blob
 }
 
 func FuzzDecompress2D(f *testing.F) {
@@ -80,6 +94,7 @@ func fuzzSeeds3D(f *testing.F) {
 		mut[i] ^= 0xA3
 	}
 	f.Add(mut)
+	f.Add(pipelineSeed(f, atFloor3D))
 }
 
 func FuzzDecompress3D(f *testing.F) {

@@ -237,8 +237,13 @@ func PeekBlock(blob []byte) (BlockHeader, error) {
 	if err := h.unmarshal(sec); err != nil {
 		return BlockHeader{}, err
 	}
-	placed := h.Border || slices.Contains(h.HasGhost[:], true)
-	return BlockHeader{Dims: h.dims(), Placed: placed, Lossless: h.Tau == 0}, nil
+	return BlockHeader{Dims: h.dims(), Placed: h.placed(), Lossless: h.Tau == 0}, nil
+}
+
+// placed reports a block compressed as one piece of a decomposed field:
+// it has the lossless-border flag or a neighbor side.
+func (h *header) placed() bool {
+	return h.Border || slices.Contains(h.HasGhost[:], true)
 }
 
 // PeekHeader reports the dimensionality and sizes of a compressed block

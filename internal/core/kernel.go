@@ -511,9 +511,11 @@ func (k *kernel) claim(phase int) bool {
 func (k *kernel) sweep(phase int) {
 	s := k.sweepers(1)[0]
 	defer s.flush()
-	k.order.walk(phase, func(oi, oj, ok int) {
-		s.processVertex(oi, oj, ok, k.next)
-		k.next++
+	k.next, _ = k.order.runs(phase, k.next, func(r orderRun) error {
+		for oi, pos := r.i0, r.pos; oi < r.i1; oi, pos = oi+1, pos+1 {
+			s.processVertex(oi, r.oj, r.ok, pos)
+		}
+		return nil
 	})
 }
 
@@ -891,21 +893,23 @@ func (k *kernel) finish() ([]byte, error) {
 
 // literalStream rebuilds the literal stream: the exact value of every
 // escaped component, in visit order and per vertex in component order. It
-// replays the visit order, whose running count is the stream position.
+// replays the visit order's runs, which carry the stream positions.
 func (k *kernel) literalStream() []byte {
 	lits := k.literals[:0]
 	if k.stats.Literals == 0 {
 		return lits
 	}
 	nc := k.blk.nc
-	pos := 0
-	k.order.walkAll(func(oi, oj, ok int) {
-		for c, sym := range k.codeSyms[pos*nc : pos*nc+nc] {
-			if sym == escapeSym {
-				lits = appendLiteral(lits, k.own[c][k.ownIdx(oi, oj, ok)])
+	_ = k.order.allRuns(func(r orderRun) error {
+		own := k.ownIdx(r.i0, r.oj, r.ok)
+		for pos := r.pos; pos < r.pos+r.i1-r.i0; pos, own = pos+1, own+1 {
+			for c, sym := range k.codeSyms[pos*nc : pos*nc+nc] {
+				if sym == escapeSym {
+					lits = appendLiteral(lits, k.own[c][own])
+				}
 			}
 		}
-		pos++
+		return nil
 	})
 	return lits
 }

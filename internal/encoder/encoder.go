@@ -47,11 +47,46 @@ func Deflate(data []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// inflater is a pooled DEFLATE reader over a reusable byte source.
+type inflater struct {
+	src bytes.Reader
+	fr  io.Reader
+}
+
+// inflatePool recycles DEFLATE readers across Inflate and UnpackFirst
+// calls, as flatePool does writers: flate.NewReader allocates a ~40 KB
+// decompressor with its 32 KB window, once per block decode and per
+// header peek otherwise.
+var inflatePool = sync.Pool{New: func() interface{} {
+	x := new(inflater)
+	x.fr = flate.NewReader(&x.src)
+	return x
+}}
+
+// getInflater returns a pooled DEFLATE reader over data; the caller
+// hands it to putInflater when done reading.
+func getInflater(data []byte) *inflater {
+	x := inflatePool.Get().(*inflater)
+	x.src.Reset(data)
+	// x.fr comes from flate.NewReader, a flate.Resetter. Its Reset
+	// returns no error; should one ever, a fresh reader takes its place.
+	if err := x.fr.(flate.Resetter).Reset(&x.src, nil); err != nil {
+		x.fr = flate.NewReader(&x.src)
+	}
+	return x
+}
+
+// putInflater returns x to the pool, without its hold on the data.
+func putInflater(x *inflater) {
+	x.src.Reset(nil)
+	inflatePool.Put(x)
+}
+
 // Inflate decompresses DEFLATE data.
 func Inflate(data []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(data))
-	defer r.Close()
-	out, err := io.ReadAll(r)
+	x := getInflater(data)
+	out, err := io.ReadAll(x.fr)
+	putInflater(x)
 	if err != nil {
 		return nil, fmt.Errorf("encoder: inflate: %w", err)
 	}
@@ -86,9 +121,9 @@ const maxFirstSection = 1 << 20
 // prefix the error wraps io.ErrUnexpectedEOF so callers can retry with a
 // longer one.
 func UnpackFirst(data []byte) ([]byte, error) {
-	fr := flate.NewReader(bytes.NewReader(data))
-	defer fr.Close()
-	br := bufio.NewReaderSize(fr, 512)
+	x := getInflater(data)
+	defer putInflater(x)
+	br := bufio.NewReaderSize(x.fr, 512)
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, truncOrCorrupt(err)

@@ -3,6 +3,7 @@ package encoder
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -87,6 +88,62 @@ func TestQuickPackRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPooledReadersConcurrent: Inflate, Unpack and UnpackFirst share
+// pooled DEFLATE readers. Concurrent calls over different containers —
+// some corrupt or cut short, which leave a reader mid-stream — each get
+// their own container's bytes or error, and a reader that failed serves
+// the next call cleanly.
+func TestPooledReadersConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	type container struct {
+		sections [][]byte
+		blob     []byte
+	}
+	var cs []container
+	for i := 0; i < 8; i++ {
+		secs := make([][]byte, 1+i%3)
+		for j := range secs {
+			secs[j] = make([]byte, rng.Intn(40000))
+			for k := range secs[j] {
+				secs[j][k] = byte(rng.Intn(4 + i))
+			}
+		}
+		blob, err := Pack(secs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, container{secs, blob})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				c := cs[(w+r)%len(cs)]
+				if _, err := Unpack(c.blob[:len(c.blob)/2]); err == nil {
+					t.Error("a container cut in half unpacked")
+				}
+				got, err := Unpack(c.blob)
+				if err != nil || len(got) != len(c.sections) {
+					t.Errorf("Unpack: %d sections, err %v", len(got), err)
+					return
+				}
+				for k := range got {
+					if !bytes.Equal(got[k], c.sections[k]) {
+						t.Errorf("Unpack: section %d differs", k)
+					}
+				}
+				first, err := UnpackFirst(c.blob)
+				if err != nil || !bytes.Equal(first, c.sections[0]) {
+					t.Errorf("UnpackFirst: err %v", err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func BenchmarkDeflate(b *testing.B) {

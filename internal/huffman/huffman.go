@@ -10,11 +10,15 @@
 // to the map-based implementation's — table storage is an internal detail,
 // the canonical code assignment is not.
 //
-// Decoding is table-driven: one 11-bit peek resolves every code of at
+// Decoding is table-driven: the next 11 bits resolve every code of at
 // most 11 bits through a lookup table built by replaying the canonical
 // first-code-per-length walk, so corrupt length tables decode exactly
 // as they do through the walk. Longer codes, and codes that would run
-// past the end of the stream, take the walk itself.
+// past the end of the stream, take the walk itself. The code bits are
+// read a 64-bit word at a time until the last 8 bytes. Open and
+// DecodeInto split a decode so a caller can check the symbol count
+// before it sizes the output, and trail the decode from another
+// goroutine.
 package huffman
 
 import (
@@ -24,6 +28,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitstream"
 	"repro/internal/safedim"
@@ -124,24 +129,129 @@ func Compress(syms []uint32) []byte {
 
 // Decompress decodes a block produced by Compress.
 func Decompress(data []byte) ([]uint32, error) {
-	n, dec, r, err := parse(data)
+	s, err := Open(data)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]uint32, n)
-	for i := range out {
-		s, err := dec.decode(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
+	out := make([]uint32, s.Len())
+	if err := s.DecodeInto(out, nil, nil); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// Stream is a block whose symbol count and code length table are
+// parsed and whose code bits are not yet decoded. A caller that knows
+// how many symbols the block must hold compares Len with that count
+// before it sizes a buffer for DecodeInto.
+type Stream struct {
+	n   int
+	dec *decoder
+	// bits are the code bits; pos is how many of them are decoded while
+	// at least 8 bytes remain, and tail reads the rest once fewer do.
+	bits []byte
+	pos  int
+	tail *bitstream.Reader
+}
+
+// Open parses a block's symbol count and code length table. The count
+// is already bounded by the block's size: every symbol costs a bit.
+func Open(data []byte) (*Stream, error) {
+	n, dec, bits, err := parse(data)
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{n: int(n), dec: dec, bits: bits}, nil
+}
+
+// Len returns the block's symbol count.
+func (s *Stream) Len() int { return s.n }
+
+// progressStep is how many symbols DecodeInto decodes between two
+// stores of its progress and two loads of its stop flag: a few
+// microseconds of decoding, so a consumer trailing the decoder waits
+// little and the shared cache line is written rarely.
+const progressStep = 4096
+
+// ErrStopped is DecodeInto's error when its stop flag ended the decode.
+var ErrStopped = errors.New("huffman: decode stopped")
+
+// DecodeInto decodes the stream into out, which must hold exactly Len
+// symbols; a Stream decodes once. A consumer on another goroutine may
+// trail the decode: when done is not nil, DecodeInto stores the number
+// of symbols already in out every progressStep symbols and after the
+// last, and when stop is not nil, it returns ErrStopped once stop is
+// set. On an error done keeps its last value.
+func (s *Stream) DecodeInto(out []uint32, done *atomic.Int64, stop *atomic.Bool) error {
+	if len(out) != s.n {
+		return fmt.Errorf("huffman: %d-symbol buffer for a %d-symbol block", len(out), s.n)
+	}
+	for i := 0; i < len(out); {
+		if stop != nil && stop.Load() {
+			return ErrStopped
+		}
+		end := min(i+progressStep, len(out))
+		var err error
+		if i, err = s.decodeRange(out, i, end); err != nil {
+			return err
+		}
+		if done != nil {
+			done.Store(int64(i))
+		}
+	}
+	return nil
+}
+
+// decodeRange decodes out[i:end] and returns end. While at least 8 bytes
+// of code bits remain it reads them a 64-bit word at a time. A word
+// holds at least 57 stream bits, and symbols are taken from it while it
+// still holds need of them, enough for any walk (maxLen) and any table
+// lookup (tableBits), so each resolves as it does on the reader. The
+// last bytes go through the bitstream reader, where a code running past
+// the end of the stream takes the walk.
+func (s *Stream) decodeRange(out []uint32, i, end int) (int, error) {
+	d := s.dec
+	need := max(int(d.maxLen), tableBits)
+	pos := s.pos
+	for s.tail == nil && i < end {
+		b := pos >> 3
+		if b+8 > len(s.bits) {
+			s.tail = bitstream.NewReader(s.bits[b:])
+			// Skipping the bits already read of the first byte cannot fail.
+			if err := s.tail.Skip(uint(pos & 7)); err != nil {
+				return i, err
+			}
+			break
+		}
+		w := binary.LittleEndian.Uint64(s.bits[b:]) >> (pos & 7)
+		for avail := 64 - pos&7; avail >= need && i < end; i++ {
+			e := d.table[w&(1<<tableBits-1)]
+			if e.len == 0 {
+				var err error
+				if e.sym, e.len, err = d.walkWord(w); err != nil {
+					return i, err
+				}
+			}
+			out[i] = e.sym
+			w >>= e.len
+			avail -= int(e.len)
+			pos += int(e.len)
+		}
+	}
+	s.pos = pos
+	for ; i < end; i++ {
+		sym, err := d.decode(s.tail)
+		if err != nil {
+			return i, err
+		}
+		out[i] = sym
+	}
+	return i, nil
+}
+
 // parse reads a block's symbol count and code length table and returns
-// the count, a decoder for the table and a reader over the code bits.
-func parse(data []byte) (uint64, *decoder, *bitstream.Reader, error) {
+// the count, a decoder for the table and the code bits.
+func parse(data []byte) (uint64, *decoder, []byte, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
 		return 0, nil, nil, errors.New("huffman: bad count")
@@ -183,7 +293,7 @@ func parse(data []byte) (uint64, *decoder, *bitstream.Reader, error) {
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	return n, dec, bitstream.NewReader(data), nil
+	return n, dec, data, nil
 }
 
 type code struct {
@@ -451,6 +561,20 @@ func (d *decoder) walk(r *bitstream.Reader) (uint32, error) {
 		}
 	}
 	return 0, errors.New("huffman: invalid code")
+}
+
+// walkWord is the walk over the bits of w, which holds at least maxLen
+// stream bits: it returns the symbol and its code length.
+func (d *decoder) walkWord(w uint64) (uint32, uint8, error) {
+	var c uint64
+	for l := uint8(1); l <= d.maxLen; l++ {
+		c = c<<1 | w&1
+		w >>= 1
+		if s, ok := d.match(l, c); ok {
+			return s, l, nil
+		}
+	}
+	return 0, 0, errors.New("huffman: invalid code")
 }
 
 // Zigzag maps a signed integer to an unsigned one with small magnitudes

@@ -1,9 +1,13 @@
 package huffman
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -116,10 +120,11 @@ func TestDecompressCorrupt(t *testing.T) {
 // walkDecompress is Decompress with every symbol read by the
 // bit-by-bit walk: the reference the table decoder must match.
 func walkDecompress(data []byte) ([]uint32, error) {
-	n, dec, r, err := parse(data)
+	n, dec, bits, err := parse(data)
 	if err != nil {
 		return nil, err
 	}
+	r := bitstream.NewReader(bits)
 	out := make([]uint32, n)
 	for i := range out {
 		s, err := dec.walk(r)
@@ -255,6 +260,79 @@ func TestTableDecodeStreamEndsInsideCode(t *testing.T) {
 	}
 }
 
+// TestWordDecodeMatchesWalk: streams long enough for the word-at-a-time
+// decode — valid, oversubscribed and with codes up to maxCodeLen bits,
+// across the progress steps — decode as the walk does, up to the same
+// error where the stream ends inside a code or holds no code.
+func TestWordDecodeMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for _, table := range [][]symLen{
+		longTable(),
+		{{0, 1}, {1, 1}, {2, 1}},
+		{{0, 2}, {1, 1}, {2, 3}, {3, 3}, {4, 3}, {5, 12}, {6, 12}},
+		{{3, 11}, {4, 11}, {5, 12}, {6, 1}, {7, 1}, {8, 1}},
+		{{0, 3}, {1, 3}, {2, 3}, {7, 20}}, // incomplete: most 20-bit words hold no code
+	} {
+		for trial := 0; trial < 40; trial++ {
+			bits := make([]byte, 9+rng.Intn(300))
+			rng.Read(bits)
+			sameAsWalk(t, rawBlock(1+rng.Intn(8*len(bits)), table, bits))
+		}
+	}
+	syms := make([]uint32, 3*progressStep+17)
+	for i := range syms {
+		syms[i] = uint32(rng.Intn(len(longTable())))
+	}
+	blob := codedBlock(longTable(), syms)
+	if got, err := sameAsWalk(t, blob); err != nil || !slices.Equal(got, syms) {
+		t.Fatalf("long stream: err %v", err)
+	}
+	sameAsWalk(t, blob[:len(blob)-3])
+}
+
+// TestDecodeIntoProgress: a consumer on another goroutine that trails
+// DecodeInto's progress only ever reads decoded symbols; a set stop flag
+// ends the decode with ErrStopped; a buffer of the wrong length is an
+// error.
+func TestDecodeIntoProgress(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	syms := make([]uint32, 5*progressStep+3)
+	for i := range syms {
+		syms[i] = uint32(rng.Intn(50))
+	}
+	blob := Compress(syms)
+	s, err := Open(blob)
+	if err != nil || s.Len() != len(syms) {
+		t.Fatalf("Open: len %d, err %v", s.Len(), err)
+	}
+	out := make([]uint32, s.Len())
+	var done atomic.Int64
+	errc := make(chan error, 1)
+	go func() { errc <- s.DecodeInto(out, &done, nil) }()
+	for read := 0; read < len(out); {
+		d := int(done.Load())
+		if !slices.Equal(out[read:d], syms[read:d]) {
+			t.Fatalf("symbols %d..%d published before they were decoded", read, d)
+		}
+		read = d
+		runtime.Gosched()
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+
+	s, _ = Open(blob)
+	var stop atomic.Bool
+	stop.Store(true)
+	if err := s.DecodeInto(out, &done, &stop); !errors.Is(err, ErrStopped) {
+		t.Fatalf("stopped decode: err %v, want ErrStopped", err)
+	}
+	s, _ = Open(blob)
+	if err := s.DecodeInto(out[1:], nil, nil); err == nil {
+		t.Fatal("a short buffer decoded")
+	}
+}
+
 // FuzzHuffmanDecompress: on any input the table decoder returns the
 // walk's symbols or the walk's error.
 func FuzzHuffmanDecompress(f *testing.F) {
@@ -264,6 +342,7 @@ func FuzzHuffmanDecompress(f *testing.F) {
 	f.Add(Compress([]uint32{0, 1000000, 5, 1000000, 0, 42}))
 	f.Add(codedBlock(longTable(), []uint32{0, 12, 30, 47, 48, 1}))
 	f.Add(rawBlock(9, []symLen{{0, 2}, {1, 1}, {2, 3}, {3, 3}, {5, 12}}, []byte{0x5a, 0xc3, 0x11}))
+	f.Add(rawBlock(80, []symLen{{0, 2}, {1, 1}, {2, 3}, {3, 3}, {5, 12}}, bytes.Repeat([]byte{0x5a, 0xc3, 0x11}, 5)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sameAsWalk(t, data)
 	})
