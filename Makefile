@@ -38,12 +38,14 @@ benchtest:
 # (telemetry counters, simulated MPI ranks, distributed strategies, the
 # shared-memory pipeline — including its faultinject-instrumented panic
 # and degradation tests), the compression kernel they drive, the exact
-# predicates whose SoS plan table every concurrent sweep reads, and the
-# decode pipeline's shared state: the Huffman progress counter and the
-# pooled DEFLATE readers.
+# predicates whose SoS plan table every concurrent sweep reads, the
+# filter counters that per-goroutine Locals flush into and the Ψ
+# derivation that books into them, and the decode pipeline's shared
+# state: the Huffman progress counter, the pooled Huffman decoders and
+# the pooled DEFLATE readers.
 .PHONY: race
 race:
-	$(GO) test -race ./internal/exact/ ./internal/telemetry/ ./internal/mpi/ ./internal/parallel/ ./internal/core/ ./internal/shm/... ./internal/faultinject/ ./internal/flightrec/ ./internal/obs/ ./internal/codec/ ./internal/server/ ./internal/field/ ./internal/cp/ ./internal/archive/ ./internal/huffman/ ./internal/encoder/
+	$(GO) test -race ./internal/exact/ ./internal/exact/filter/ ./internal/derive/ ./internal/telemetry/ ./internal/mpi/ ./internal/parallel/ ./internal/core/ ./internal/shm/... ./internal/faultinject/ ./internal/flightrec/ ./internal/obs/ ./internal/codec/ ./internal/server/ ./internal/field/ ./internal/cp/ ./internal/archive/ ./internal/huffman/ ./internal/encoder/
 
 # Fault soak: fault-injected pipeline runs plus the stream-integrity
 # tests. Every run must end in a typed error, a degradation report with
@@ -56,7 +58,8 @@ faults:
 		./internal/shm/ ./internal/mpi/ ./internal/parallel/ ./internal/core/ \
 		./internal/server/ ./cmd/topozip/
 
-# Short coverage-guided fuzzing of every decode surface. Raise FUZZTIME
+# Short coverage-guided fuzzing of every decode surface and of the
+# filtered predicates against their big.Int oracles. Raise FUZZTIME
 # for a real session; `go test -fuzz` takes one target per invocation.
 FUZZTIME ?= 5s
 .PHONY: fuzz
@@ -71,6 +74,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzZFPLikeDecompress$$' -fuzztime=$(FUZZTIME) ./internal/baselines/
 	$(GO) test -fuzz='^FuzzFPZIPLikeDecompress$$' -fuzztime=$(FUZZTIME) ./internal/baselines/
 	$(GO) test -fuzz='^FuzzHuffmanDecompress$$' -fuzztime=$(FUZZTIME) ./internal/huffman/
+	$(GO) test -fuzz='^FuzzFilterPredicates$$' -fuzztime=$(FUZZTIME) ./internal/exact/filter/
 
 # Coverage gate for the compression kernel: fails below COVER_MIN%.
 COVER_MIN ?= 85

@@ -157,7 +157,7 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	filtPsi := bestOf(*reps, func() {
 		for i := range tets {
 			vs := &tets[i]
-			psiAcc += derive.Psi3DCappedLocal(u3, v3, w3, vs[0], vs[1], vs[2], vs[3], tau3, &loc)
+			psiAcc += derive.Psi3D(u3, v3, w3, vs[0], vs[1], vs[2], vs[3], tau3, &loc)
 		}
 		loc.Flush()
 	})

@@ -153,11 +153,13 @@ func measureSoS(t2 []tie2, t3 []tie3, reps int) sosResult {
 	tie := bestOf(reps, func() {
 		for i := range t2 {
 			t := &t2[i]
-			sink += exact.SoSOrient2Tie(&t.m, &t.ids, t.replace)
+			s, _ := exact.SoSOrient2Tie(&t.m, &t.ids, t.replace)
+			sink += s
 		}
 		for i := range t3 {
 			t := &t3[i]
-			sink += exact.SoSOrient3Tie(&t.m, &t.ids, t.replace)
+			s, _ := exact.SoSOrient3Tie(&t.m, &t.ids, t.replace)
+			sink += s
 		}
 	})
 	var pbuf [4][4]int
@@ -184,7 +186,7 @@ func measureSoS(t2 []tie2, t3 []tie3, reps int) sosResult {
 	plans := 0
 	for i := range t2 {
 		t := &t2[i]
-		s, p := exact.SoSOrient2TiePlans(&t.m, &t.ids, t.replace)
+		s, p := exact.SoSOrient2Tie(&t.m, &t.ids, t.replace)
 		plans += p
 		if s != refSigns[i] {
 			res.mismatches++
@@ -192,7 +194,7 @@ func measureSoS(t2 []tie2, t3 []tie3, reps int) sosResult {
 	}
 	for i := range t3 {
 		t := &t3[i]
-		s, p := exact.SoSOrient3TiePlans(&t.m, &t.ids, t.replace)
+		s, p := exact.SoSOrient3Tie(&t.m, &t.ids, t.replace)
 		plans += p
 		if s != refSigns[len(t2)+i] {
 			res.mismatches++

@@ -114,3 +114,51 @@ func TestDecompressAllocBytes(t *testing.T) {
 		t.Errorf("decode allocates %.1f B/vertex, gate %d", least, maxDecodeBytesPerVertex)
 	}
 }
+
+// maxSmallDecodeBytes gates the heap bytes of one warm Decompress of a
+// 128×8 Ocean block, the slab shape a daemon or a windowed stream
+// decodes many times. Its float output is 8 KB. The Huffman decoders
+// (an 18 KB lookup table each, two streams per block) and their code
+// length scratch come from a pool, so what remains is the output, the
+// inflated sections and the container framing, 21.6 KB in 35
+// allocations when the gate was set. One decoder that misses the pool
+// does not fit.
+const maxSmallDecodeBytes = 32 << 10
+
+// TestDecompressSmallBlockAllocs gates the bytes of a warm decode of a
+// small block, where fixed per-decode costs dominate: the least of
+// several decodes with the collector off, as in TestDecompressAllocBytes,
+// because a decode can miss the pools.
+func TestDecompressSmallBlockAllocs(t *testing.T) {
+	ocean := datagen.Ocean(128, 8)
+	blob, _, err := core.Compress(ocean.Dims(), ocean.Components(), core.Options{Tau: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() {
+		if _, _, err := core.Decompress(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode() // warm
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 20
+	bytes := make([]uint64, runs)
+	mallocs := make([]uint64, runs)
+	var before, after runtime.MemStats
+	for i := range bytes {
+		runtime.ReadMemStats(&before)
+		decode()
+		runtime.ReadMemStats(&after)
+		bytes[i] = after.TotalAlloc - before.TotalAlloc
+		mallocs[i] = after.Mallocs - before.Mallocs
+	}
+	least := slices.Min(bytes)
+	t.Logf("small decode: %d B, %d allocs (least of %d)", least, slices.Min(mallocs), runs)
+	if raceEnabled {
+		return
+	}
+	if least > maxSmallDecodeBytes {
+		t.Errorf("small decode allocates %d B, gate %d", least, maxSmallDecodeBytes)
+	}
+}

@@ -222,7 +222,7 @@ func (d *dim2) cellBound(vid int, vs *[4]int, xi, tau int64, orientationOnly, re
 	if orientationOnly {
 		cb = min(derive.Psi2DOrientationOnly(d.u, d.v, a, b, vid), limit)
 	} else {
-		cb = derive.Psi2DCapped(d.u, d.v, a, b, vid, limit)
+		cb = min(derive.Psi2D(d.u, d.v, a, b, vid), limit)
 	}
 	if r > cb {
 		return r, true
@@ -310,10 +310,9 @@ func (d *dim3) cellBound(vid int, vs *[4]int, xi, tau int64, orientationOnly, re
 	if orientationOnly {
 		cb = min(derive.Psi3DOrientationOnly(d.u, d.v, d.w, o[0], o[1], o[2], vid), limit)
 	} else {
-		// Capped form: the float filter certifies "Ψ ≥ limit" for
-		// candidates that cannot lower the min, skipping their exact
-		// int128 evaluation; bit-identical to min(Psi3D, limit).
-		cb = derive.Psi3DCappedLocal(d.u, d.v, d.w, o[0], o[1], o[2], vid, limit, loc)
+		// The float filter certifies "Ψ ≥ limit" for candidates that
+		// cannot lower the min, skipping their exact int128 evaluation.
+		cb = derive.Psi3D(d.u, d.v, d.w, o[0], o[1], o[2], vid, limit, loc)
 	}
 	if r > cb {
 		return r, true

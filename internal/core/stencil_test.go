@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/exact/filter"
 	"repro/internal/field"
 	"repro/internal/fixed"
 )
@@ -226,10 +227,11 @@ func TestPrepareMatchesCellScan(t *testing.T) {
 				name := fmt.Sprintf("%v %dD %dx%dx%d %v trial %d", kind, sh.ndim, sh.nx, sh.ny, sh.nz, nb, trial)
 				refValid := make([]bool, k.dim.numCells())
 				refCP := make([]bool, len(refValid))
+				var pred filter.Local
 				for c := range refValid {
 					vs := refCellVertices(k, c)
 					refValid[c] = k.valid[vs[0]] && k.valid[vs[1]] && k.valid[vs[2]] && k.valid[vs[3]]
-					refCP[c] = refValid[c] && k.det.ContainsVertices(&vs, nil)
+					refCP[c] = refValid[c] && k.det.ContainsVertices(&vs, &pred)
 					if k.cellValid[c] != refValid[c] || k.cpCell[c] != refCP[c] {
 						t.Fatalf("%s: cell %d: valid %v cp %v, reference valid %v cp %v",
 							name, c, k.cellValid[c], k.cpCell[c], refValid[c], refCP[c])

@@ -53,19 +53,46 @@ func randFixed3D(rng *rand.Rand, nx, ny, nz int, bound int64, zr bool) *Detector
 	return &Detector3D{Mesh: field.Mesh3D{NX: nx, NY: ny, NZ: nz}, U: u, V: v, W: w}
 }
 
+// cellContains2D runs the per-cell predicate the compression kernel
+// calls, ContainsVertices, on triangle c, counting into a throwaway Local.
+func cellContains2D(d *Detector2D, c int) bool {
+	vs := d.Mesh.CellVertices(c)
+	var loc filter.Local
+	return d.ContainsVertices(&vs, &loc)
+}
+
+func cellContains3D(d *Detector3D, c int) bool {
+	vs := d.Mesh.CellVertices(c)
+	var loc filter.Local
+	return d.ContainsVertices(&vs, &loc)
+}
+
+// containsAll2D runs the cache-blocked row sweep, ContainsRows, over
+// every cell row.
+func containsAll2D(d *Detector2D, mask, out []bool) {
+	var loc filter.Local
+	d.ContainsRows(mask, out, 0, d.CellRows(), &loc)
+}
+
+func containsAll3D(d *Detector3D, mask, out []bool) {
+	var loc filter.Local
+	d.ContainsRows(mask, out, 0, d.CellRows(), &loc)
+}
+
 // TestContainsBatch2DMatchesCellContains pins the cache-blocked row
-// sweep cell-for-cell equal to the per-cell predicate, with and without
-// masks, across magnitudes (tiny ranges force degenerate/SoS paths).
+// sweep (ContainsRows over all rows) cell-for-cell equal to the
+// per-cell predicate (ContainsVertices), with and without masks, across
+// magnitudes (tiny ranges force degenerate/SoS paths).
 func TestContainsBatch2DMatchesCellContains(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial, bound := range []int64{1 << 20, 1 << 8, 3, 1} {
 		d := randFixed2D(rng, 17, 13, bound, trial%2 == 0)
 		nc := d.Mesh.NumCells()
 		out := make([]bool, nc)
-		d.ContainsBatch(nil, out)
+		containsAll2D(d, nil, out)
 		for c := 0; c < nc; c++ {
-			if got, want := out[c], d.CellContains(c); got != want {
-				t.Fatalf("bound=%d: batch[%d] = %v, CellContains = %v", bound, c, got, want)
+			if got, want := out[c], cellContains2D(d, c); got != want {
+				t.Fatalf("bound=%d: batch[%d] = %v, per-cell = %v", bound, c, got, want)
 			}
 		}
 		// Masked: untouched cells keep their sentinel value.
@@ -75,7 +102,7 @@ func TestContainsBatch2DMatchesCellContains(t *testing.T) {
 			mask[c] = rng.Intn(2) == 0
 			got[c] = true
 		}
-		d.ContainsBatch(mask, got)
+		containsAll2D(d, mask, got)
 		for c := 0; c < nc; c++ {
 			if !mask[c] {
 				if !got[c] {
@@ -83,7 +110,7 @@ func TestContainsBatch2DMatchesCellContains(t *testing.T) {
 				}
 				continue
 			}
-			if want := d.CellContains(c); got[c] != want {
+			if want := cellContains2D(d, c); got[c] != want {
 				t.Fatalf("bound=%d: masked batch[%d] = %v, want %v", bound, c, got[c], want)
 			}
 		}
@@ -96,10 +123,10 @@ func TestContainsBatch3DMatchesCellContains(t *testing.T) {
 		d := randFixed3D(rng, 7, 6, 5, bound, trial%2 == 1)
 		nc := d.Mesh.NumCells()
 		out := make([]bool, nc)
-		d.ContainsBatch(nil, out)
+		containsAll3D(d, nil, out)
 		for c := 0; c < nc; c++ {
-			if got, want := out[c], d.CellContains(c); got != want {
-				t.Fatalf("bound=%d: batch[%d] = %v, CellContains = %v", bound, c, got, want)
+			if got, want := out[c], cellContains3D(d, c); got != want {
+				t.Fatalf("bound=%d: batch[%d] = %v, per-cell = %v", bound, c, got, want)
 			}
 		}
 		mask := make([]bool, nc)
@@ -107,9 +134,9 @@ func TestContainsBatch3DMatchesCellContains(t *testing.T) {
 		for c := range mask {
 			mask[c] = rng.Intn(3) != 0
 		}
-		d.ContainsBatch(mask, got)
+		containsAll3D(d, mask, got)
 		for c := 0; c < nc; c++ {
-			want := mask[c] && d.CellContains(c)
+			want := mask[c] && cellContains3D(d, c)
 			if got[c] != want {
 				t.Fatalf("bound=%d: masked batch[%d] = %v, want %v", bound, c, got[c], want)
 			}
@@ -125,7 +152,7 @@ func TestDetectCells2DMatchesBruteForce(t *testing.T) {
 	d := randFixed2D(rng, 160, 120, 1<<16, true)
 	var want []int
 	for c := 0; c < d.Mesh.NumCells(); c++ {
-		if d.CellContains(c) {
+		if cellContains2D(d, c) {
 			want = append(want, c)
 		}
 	}
@@ -145,7 +172,7 @@ func TestDetectCells3DMatchesBruteForce(t *testing.T) {
 	d := randFixed3D(rng, 24, 20, 16, 1<<14, true)
 	var want []int
 	for c := 0; c < d.Mesh.NumCells(); c++ {
-		if d.CellContains(c) {
+		if cellContains3D(d, c) {
 			want = append(want, c)
 		}
 	}

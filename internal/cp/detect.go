@@ -30,21 +30,13 @@ func (d *Detector2D) gid(v int) int {
 	return v
 }
 
-// CellContains reports whether triangle c contains a critical point
-// according to the robust point-in-simplex test (Algorithm 1) with SoS
-// tie-breaking. Fully degenerate cells — every vector exactly zero, as in
-// masked land regions — carry no feature by convention.
-func (d *Detector2D) CellContains(c int) bool {
-	vs := d.Mesh.CellVertices(c)
-	return d.ContainsVertices(&vs, nil)
-}
-
-// ContainsVertices is CellContains for the triangle with vertex ids vs
-// (in CellVertices order), for callers that already hold a cell's
-// vertices, with batched filter-counter accounting: predicate
-// certifications land in loc (flushed by the caller) instead of the
-// process-wide atomics. A nil loc counts globally per call, exactly like
-// CellContains.
+// ContainsVertices reports whether the triangle with vertex ids vs (in
+// CellVertices order) contains a critical point according to the robust
+// point-in-simplex test (Algorithm 1) with SoS tie-breaking. Fully
+// degenerate cells — every vector exactly zero, as in masked land
+// regions — carry no feature by convention. Predicate certifications
+// are counted into loc, which the caller flushes and which must not be
+// nil.
 func (d *Detector2D) ContainsVertices(vs *[3]int, loc *filter.Local) bool {
 	if d.signDecided(vs) {
 		return false
@@ -111,7 +103,7 @@ func (d *Detector2D) triContains(m *[3][3]int64, vs *[3]int, loc *filter.Local) 
 				gids = [3]int{d.gid(vs[0]), d.gid(vs[1]), d.gid(vs[2])}
 				haveGids = true
 			}
-			si = exact.SoSOrient2Tie(&mr, &gids, i)
+			si, _ = exact.SoSOrient2Tie(&mr, &gids, i)
 		}
 		if i < 0 {
 			s = si
@@ -144,24 +136,17 @@ func (d *Detector2D) DetectCells() []int {
 	})
 }
 
-// ContainsBatch evaluates the containment predicate for every cell with
-// mask[c] set (nil mask means all cells), writing results to out[c].
-// Cells with mask[c] unset are left untouched. The evaluation is the
-// cache-blocked row sweep: vertex rows are loaded once per quad row and
-// corner values slide across the row instead of being re-fetched per
-// cell through CellVertices.
-func (d *Detector2D) ContainsBatch(mask, out []bool) {
-	var loc filter.Local
-	d.ContainsRows(mask, out, 0, d.CellRows(), &loc)
-	loc.Flush()
-}
-
 // CellRows is the number of cell rows: one per quad row.
 func (d *Detector2D) CellRows() int { return d.Mesh.NY - 1 }
 
-// ContainsRows is ContainsBatch over cell rows [r0, r1) only, counting
-// into loc (flushed by the caller). Row ranges touch disjoint cells of
-// out, so callers may sweep disjoint ranges concurrently.
+// ContainsRows evaluates the containment predicate for every cell of
+// cell rows [r0, r1) with mask[c] set (nil mask means all cells),
+// writing results to out[c] and counting into loc (flushed by the
+// caller). Cells with mask[c] unset are left untouched. The evaluation
+// is the cache-blocked row sweep: vertex rows are loaded once per quad
+// row and corner values slide across the row instead of being
+// re-fetched per cell through CellVertices. Row ranges touch disjoint
+// cells of out, so callers may sweep disjoint ranges concurrently.
 func (d *Detector2D) ContainsRows(mask, out []bool, r0, r1 int, loc *filter.Local) {
 	for j := r0; j < r1; j++ {
 		d.sweepRow(j, mask, out, nil, loc)
@@ -228,15 +213,9 @@ func (d *Detector3D) gid(v int) int {
 	return v
 }
 
-// CellContains reports whether tetrahedron c contains a critical point.
-// Fully degenerate cells carry no feature by convention.
-func (d *Detector3D) CellContains(c int) bool {
-	vs := d.Mesh.CellVertices(c)
-	return d.ContainsVertices(&vs, nil)
-}
-
-// ContainsVertices is CellContains for the tetrahedron with vertex ids
-// vs (in CellVertices order); see Detector2D.ContainsVertices.
+// ContainsVertices reports whether the tetrahedron with vertex ids vs
+// (in CellVertices order) contains a critical point; see
+// Detector2D.ContainsVertices.
 func (d *Detector3D) ContainsVertices(vs *[4]int, loc *filter.Local) bool {
 	if d.signDecided(vs) {
 		return false
@@ -289,7 +268,7 @@ func (d *Detector3D) tetContains(m *[4][4]int64, vs *[4]int, loc *filter.Local) 
 				gids = [4]int{d.gid(vs[0]), d.gid(vs[1]), d.gid(vs[2]), d.gid(vs[3])}
 				haveGids = true
 			}
-			si = exact.SoSOrient3Tie(&mr, &gids, i)
+			si, _ = exact.SoSOrient3Tie(&mr, &gids, i)
 		}
 		if i < 0 {
 			s = si
@@ -321,21 +300,12 @@ func (d *Detector3D) DetectCells() []int {
 	})
 }
 
-// ContainsBatch evaluates the containment predicate for every cell with
-// mask[c] set (nil mask means all cells), writing results to out[c].
-// Cells with mask[c] unset are left untouched. See Detector2D.ContainsBatch.
-func (d *Detector3D) ContainsBatch(mask, out []bool) {
-	var loc filter.Local
-	d.ContainsRows(mask, out, 0, d.CellRows(), &loc)
-	loc.Flush()
-}
-
 // CellRows is the number of cell rows: one per cube row (j, k), row
 // k·(NY−1)+j.
 func (d *Detector3D) CellRows() int { return (d.Mesh.NY - 1) * (d.Mesh.NZ - 1) }
 
-// ContainsRows is ContainsBatch over cell rows [r0, r1) only; see
-// Detector2D.ContainsRows.
+// ContainsRows evaluates the containment predicate over cell rows
+// [r0, r1); see Detector2D.ContainsRows.
 func (d *Detector3D) ContainsRows(mask, out []bool, r0, r1 int, loc *filter.Local) {
 	ny1 := d.Mesh.NY - 1
 	for r := r0; r < r1; r++ {

@@ -100,7 +100,7 @@ func TestDetectCellsParallelMatchesSerial(t *testing.T) {
 	got := d.DetectCells()
 	idx := 0
 	for c := 0; c < d.Mesh.NumCells(); c++ {
-		want := d.CellContains(c)
+		want := cellContains2D(d, c)
 		inList := idx < len(got) && got[idx] == c
 		if inList {
 			idx++

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/exact/filter"
 )
 
 // Differential tests of the sign prefilter: a cell on which some
@@ -21,7 +23,8 @@ func fullContains2D(d *Detector2D, c int) bool {
 		m[r] = [3]int64{d.U[vi], d.V[vi], 1}
 		zero = zero && d.U[vi] == 0 && d.V[vi] == 0
 	}
-	return !zero && d.triContains(&m, &vs, nil)
+	var loc filter.Local
+	return !zero && d.triContains(&m, &vs, &loc)
 }
 
 func fullContains3D(d *Detector3D, c int) bool {
@@ -32,7 +35,8 @@ func fullContains3D(d *Detector3D, c int) bool {
 		m[r] = [4]int64{d.U[vi], d.V[vi], d.W[vi], 1}
 		zero = zero && d.U[vi] == 0 && d.V[vi] == 0 && d.W[vi] == 0
 	}
-	return !zero && d.tetContains(&m, &vs, nil)
+	var loc filter.Local
+	return !zero && d.tetContains(&m, &vs, &loc)
 }
 
 // hasZeroSideComponent reports whether some component is zero on at
@@ -77,7 +81,7 @@ func TestSignPrefilter2DMatchesFullPredicate(t *testing.T) {
 		nc := d.Mesh.NumCells()
 		var want []int
 		batch := make([]bool, nc)
-		d.ContainsBatch(nil, batch)
+		containsAll2D(d, nil, batch)
 		for c := 0; c < nc; c++ {
 			full := fullContains2D(d, c)
 			vs := d.Mesh.CellVertices(c)
@@ -89,11 +93,11 @@ func TestSignPrefilter2DMatchesFullPredicate(t *testing.T) {
 			} else if full && hasZeroSideComponent([][]int64{d.U, d.V}, vs[:]) {
 				zeroSideHits++
 			}
-			if got := d.CellContains(c); got != full {
-				t.Fatalf("bound=%d cell %d: CellContains = %v, full predicate %v", bound, c, got, full)
+			if got := cellContains2D(d, c); got != full {
+				t.Fatalf("bound=%d cell %d: ContainsVertices = %v, full predicate %v", bound, c, got, full)
 			}
 			if batch[c] != full {
-				t.Fatalf("bound=%d cell %d: ContainsBatch = %v, full predicate %v", bound, c, batch[c], full)
+				t.Fatalf("bound=%d cell %d: ContainsRows = %v, full predicate %v", bound, c, batch[c], full)
 			}
 			if full {
 				want = append(want, c)
@@ -122,7 +126,7 @@ func TestSignPrefilter3DMatchesFullPredicate(t *testing.T) {
 		nc := d.Mesh.NumCells()
 		var want []int
 		batch := make([]bool, nc)
-		d.ContainsBatch(nil, batch)
+		containsAll3D(d, nil, batch)
 		for c := 0; c < nc; c++ {
 			full := fullContains3D(d, c)
 			vs := d.Mesh.CellVertices(c)
@@ -134,11 +138,11 @@ func TestSignPrefilter3DMatchesFullPredicate(t *testing.T) {
 			} else if full && hasZeroSideComponent([][]int64{d.U, d.V, d.W}, vs[:]) {
 				zeroSideHits++
 			}
-			if got := d.CellContains(c); got != full {
-				t.Fatalf("bound=%d cell %d: CellContains = %v, full predicate %v", bound, c, got, full)
+			if got := cellContains3D(d, c); got != full {
+				t.Fatalf("bound=%d cell %d: ContainsVertices = %v, full predicate %v", bound, c, got, full)
 			}
 			if batch[c] != full {
-				t.Fatalf("bound=%d cell %d: ContainsBatch = %v, full predicate %v", bound, c, batch[c], full)
+				t.Fatalf("bound=%d cell %d: ContainsRows = %v, full predicate %v", bound, c, batch[c], full)
 			}
 			if full {
 				want = append(want, c)
@@ -182,8 +186,8 @@ func TestSignPrefilterForcedTies(t *testing.T) {
 	for trial := 0; trial < 24; trial++ {
 		d2.GlobalID = permutedIDs(rng, 4)
 		for c := 0; c < d2.Mesh.NumCells(); c++ {
-			if got, want := d2.CellContains(c), fullContains2D(d2, c); got != want {
-				t.Fatalf("2D mixed tie cell %d: CellContains = %v, full %v", c, got, want)
+			if got, want := cellContains2D(d2, c), fullContains2D(d2, c); got != want {
+				t.Fatalf("2D mixed tie cell %d: ContainsVertices = %v, full %v", c, got, want)
 			}
 		}
 	}

@@ -141,16 +141,6 @@ func Psi2D(u, v []int64, a, b, last int) int64 {
 	return best
 }
 
-// Psi2DCapped returns min(Psi2D, cap). The 2D derivation is already pure
-// int64, so no filtering is needed; the capped form exists for call-site
-// symmetry with Psi3DCapped.
-func Psi2DCapped(u, v []int64, a, b, last int, cap int64) int64 {
-	if psi := Psi2D(u, v, a, b, last); psi < cap {
-		return psi
-	}
-	return cap
-}
-
 // Psi2DReference is the original Int128-based evaluation of Lemma 3,
 // kept as the cross-check oracle for tests and the predicate
 // microbenchmark. It must stay semantically identical to Psi2D on
@@ -191,30 +181,15 @@ func Psi3DOrientationOnly(u, v, w []int64, a, b, c, last int) int64 {
 }
 
 // Psi3D is Lemma 4: the sufficient bound for perturbing the three
-// components of vertex `last` of the tetrahedron (a, b, c, last).
-func Psi3D(u, v, w []int64, a, b, c, last int) int64 {
-	return psi3D(u, v, w, a, b, c, last, Unbounded, false, nil)
-}
-
-// Psi3DCapped returns min(Psi3D, cap), letting the float filter certify
-// "this candidate's Ψ is at least cap" and skip its exact evaluation —
-// the common case when the derived bound saturates at τ′. The result is
-// bit-identical to min(Psi3D, cap): a candidate is skipped only when the
-// filter *proves* it cannot lower the min.
-func Psi3DCapped(u, v, w []int64, a, b, c, last int, cap int64) int64 {
-	return psi3D(u, v, w, a, b, c, last, cap, true, nil)
-}
-
-// Psi3DCappedLocal is Psi3DCapped with batched filter-counter
-// accounting: the certification counts land in loc (flushed by the
-// caller) instead of the process-wide atomics, keeping the kernel's
-// hottest derivation loop free of per-candidate atomic traffic. A nil
-// loc behaves exactly like Psi3DCapped.
-func Psi3DCappedLocal(u, v, w []int64, a, b, c, last int, cap int64, loc *filter.Local) int64 {
-	return psi3D(u, v, w, a, b, c, last, cap, true, loc)
-}
-
-func psi3D(u, v, w []int64, a, b, c, last int, cap int64, filtered bool, loc *filter.Local) int64 {
+// components of vertex `last` of the tetrahedron (a, b, c, last),
+// capped: it returns min(Ψ, cap). The float filter certifies "this
+// candidate's Ψ is at least cap" and skips its exact evaluation — the
+// common case when the derived bound saturates at τ′ — counting each
+// certification into loc (flushed by the caller). The result is
+// bit-identical to min(Psi3DReference, cap): a candidate is skipped only
+// when the filter *proves* it cannot lower the min. Pass Unbounded for
+// the uncapped bound.
+func Psi3D(u, v, w []int64, a, b, c, last int, cap int64, loc *filter.Local) int64 {
 	vs := [4]int{a, b, c, last}
 	if !inContractVals3(u, v, w, &vs) {
 		return psi3DWide(u, v, w, &vs, cap)
@@ -226,9 +201,7 @@ func psi3D(u, v, w []int64, a, b, c, last int, cap int64, filtered bool, loc *fi
 	// One admission check + float conversion of the twelve data values,
 	// shared by all four quotient certifications of this tetrahedron.
 	var pf filter.Psi3
-	if filtered {
-		pf.Load(&lam)
-	}
+	pf.Load(&lam)
 	// Lemma 1 denominator: homogeneous 3×3 minors over the data columns,
 	// computed in the translated form directly from the differences
 	// (exact in int64: diffs < 2^23, products < 2^46, sums < 2^48) —
@@ -238,7 +211,7 @@ func psi3D(u, v, w []int64, a, b, c, last int, cap int64, filtered bool, loc *fi
 	du1, dv1, dw1 := u[b]-u[c], v[b]-v[c], w[b]-w[c]
 	denom := absInt64(dv0*dw1-dw0*dv1) + absInt64(du0*dw1-dw0*du1) + absInt64(du0*dv1-dv0*du1)
 	best := cap
-	if !filtered || !pf.OrientAtLeast(loc, denom, best) {
+	if !pf.OrientAtLeast(loc, denom, best) {
 		if psi := psiFromParts(exact.Det4H(&lam), denom); psi < best {
 			best = psi
 		}
@@ -262,10 +235,7 @@ func psi3D(u, v, w []int64, a, b, c, last int, cap int64, filtered bool, loc *fi
 			absInt64(exact.Det2(u[r0], w[r0], u[r1], w[r1])) +
 			absInt64(exact.Det2(u[r0], v[r0], u[r1], v[r1]))
 	}
-	var certMask uint32
-	if filtered {
-		certMask = pf.DropsAtLeast(loc, &ds, best)
-	}
+	certMask := pf.DropsAtLeast(loc, &ds, best)
 	for drop := 0; drop < 3; drop++ {
 		if certMask&(1<<drop) != 0 {
 			continue
@@ -401,7 +371,7 @@ func psi2DWide(u, v []int64, a, b, last int) int64 {
 }
 
 // psi3DWide is the arbitrary-precision evaluation of Lemma 4 for inputs
-// outside the magnitude contract. cap bounds the result like Psi3DCapped.
+// outside the magnitude contract. cap bounds the result like Psi3D.
 func psi3DWide(u, v, w []int64, vs *[4]int, cap int64) int64 {
 	last := vs[3]
 	lam := make([][]int64, 4)

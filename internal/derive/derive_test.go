@@ -157,6 +157,7 @@ func contains3(u, v, w [4]int64) (bool, bool) {
 
 func TestPsi3DPreservesDetection(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
+	var loc filter.Local
 	tested := 0
 	for trial := 0; trial < 3000; trial++ {
 		var u, v, w [4]int64
@@ -173,7 +174,7 @@ func TestPsi3DPreservesDetection(t *testing.T) {
 		if !ok {
 			continue
 		}
-		psi := Psi3D(us, vs, ws, 0, 1, 2, 3)
+		psi := Psi3D(us, vs, ws, 0, 1, 2, 3, Unbounded, &loc)
 		if psi <= 0 {
 			continue
 		}
@@ -305,8 +306,9 @@ func BenchmarkPsi3D(b *testing.B) {
 	u := []int64{40, -17, 23, 8}
 	v := []int64{-9, 31, 5, -12}
 	w := []int64{14, -6, 9, 27}
+	var loc filter.Local
 	for i := 0; i < b.N; i++ {
-		Psi3D(u, v, w, 0, 1, 2, 3)
+		Psi3D(u, v, w, 0, 1, 2, 3, Unbounded, &loc)
 	}
 }
 
@@ -341,7 +343,7 @@ func BenchmarkPsi3DCapped(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vs := &tets[i%len(tets)]
-		sink += Psi3DCappedLocal(u, v, w, vs[0], vs[1], vs[2], vs[3], cap, &loc)
+		sink += Psi3D(u, v, w, vs[0], vs[1], vs[2], vs[3], cap, &loc)
 	}
 	benchSink = sink
 }

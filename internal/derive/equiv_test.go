@@ -40,15 +40,14 @@ func pick4(rng *rand.Rand, n int) (int, int, int, int) {
 	return a, b, c, d
 }
 
-// TestPsi2DMatchesReference pins the int64 fast path (and the capped
-// form) exactly equal to the original Int128 evaluation, at full
-// contract magnitude, small magnitudes, and degenerate data.
+// TestPsi2DMatchesReference pins the int64 fast path exactly equal to
+// the original Int128 evaluation, at full contract magnitude, small
+// magnitudes, and degenerate data.
 func TestPsi2DMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	const nv = 8
 	u := make([]int64, nv)
 	v := make([]int64, nv)
-	caps := []int64{0, 1, 3, 100, 1 << 20, Unbounded}
 	bounds := []int64{filter.MaxMag, 1 << 12, 64, 4, 1}
 	for i := 0; i < 200000; i++ {
 		fillVals(rng, nv, bounds[i%len(bounds)], u, v)
@@ -59,14 +58,6 @@ func TestPsi2DMatchesReference(t *testing.T) {
 		want := Psi2DReference(u, v, a, b, last)
 		if got := Psi2D(u, v, a, b, last); got != want {
 			t.Fatalf("Psi2D(u=%v v=%v %d,%d,%d) = %d, reference %d", u, v, a, b, last, got, want)
-		}
-		cap := caps[i%len(caps)]
-		wantCap := want
-		if cap < wantCap {
-			wantCap = cap
-		}
-		if got := Psi2DCapped(u, v, a, b, last, cap); got != wantCap {
-			t.Fatalf("Psi2DCapped(cap=%d) = %d, want min(%d,%d)", cap, got, want, cap)
 		}
 	}
 }
@@ -90,10 +81,13 @@ func TestPsi2DWideMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPsi3DMatchesReference pins the filtered derivation (and its
-// capped form) exactly equal to the original Int128 evaluation. The
-// filter may only skip exact evaluations it has proven cannot lower the
-// result, so equality must be bit-exact for every cap.
+// TestPsi3DMatchesReference pins the filtered derivation exactly equal
+// to min(reference, cap) of the original Int128 evaluation. The filter
+// may only skip exact evaluations it has proven cannot lower the
+// result, so equality must be bit-exact for every cap, Unbounded
+// included. Every call books four certification outcomes (the
+// orientation and the three drops) unless it returns early on a zero
+// orientation bound, so the Local's totals must stay within that.
 func TestPsi3DMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	const nv = 8
@@ -102,7 +96,8 @@ func TestPsi3DMatchesReference(t *testing.T) {
 	w := make([]int64, nv)
 	caps := []int64{0, 1, 3, 100, 1 << 20, Unbounded}
 	bounds := []int64{filter.MaxMag, 1 << 12, 64, 4, 1}
-	certBefore := filter.Stats()
+	var loc filter.Local
+	calls := 0
 	for i := 0; i < 100000; i++ {
 		fillVals(rng, nv, bounds[i%len(bounds)], u, v, w)
 		if i%11 == 0 {
@@ -110,25 +105,23 @@ func TestPsi3DMatchesReference(t *testing.T) {
 		}
 		a, b, c, last := pick4(rng, nv)
 		want := Psi3DReference(u, v, w, a, b, c, last)
-		if got := Psi3D(u, v, w, a, b, c, last); got != want {
-			t.Fatalf("Psi3D(%d,%d,%d,%d) = %d, reference %d (u=%v v=%v w=%v)", a, b, c, last, got, want, u, v, w)
-		}
 		for _, cap := range caps {
-			wantCap := want
-			if cap < wantCap {
-				wantCap = cap
-			}
-			if got := Psi3DCapped(u, v, w, a, b, c, last, cap); got != wantCap {
-				t.Fatalf("Psi3DCapped(cap=%d) = %d, want min(%d,%d) (u=%v v=%v w=%v vs=%d,%d,%d,%d)",
+			calls++
+			if got := Psi3D(u, v, w, a, b, c, last, cap, &loc); got != min(want, cap) {
+				t.Fatalf("Psi3D(cap=%d) = %d, want min(%d,%d) (u=%v v=%v w=%v vs=%d,%d,%d,%d)",
 					cap, got, want, cap, u, v, w, a, b, c, last)
 			}
 		}
 	}
 	// The capped runs above must actually exercise the filter: small
 	// caps against generic data are exactly its target case.
-	if d := filter.Stats().Sub(certBefore); d.PsiCert == 0 {
-		t.Errorf("filter never certified a capped Ψ candidate over %d capped calls", 100000*len(caps))
+	if loc.PsiCert == 0 {
+		t.Errorf("filter never certified a capped Ψ candidate over %d calls", calls)
 	}
+	if n := loc.PsiCert + loc.PsiFallback; n == 0 || n > 4*uint64(calls) {
+		t.Errorf("Ψ certifications booked %d outcomes over %d calls, want 1..%d", n, calls, 4*calls)
+	}
+	loc.Flush()
 }
 
 // TestPsi3DWideMatchesReference covers the out-of-contract wide path in
@@ -140,21 +133,19 @@ func TestPsi3DWideMatchesReference(t *testing.T) {
 	v := make([]int64, nv)
 	w := make([]int64, nv)
 	caps := []int64{0, 7, Unbounded}
+	var loc filter.Local
 	for i := 0; i < 10000; i++ {
 		fillVals(rng, nv, 1<<25, u, v, w)
 		w[i%nv] = -(filter.MaxMag + 1 + rng.Int63n(1<<24))
 		a, b, c, last := pick4(rng, nv)
 		want := Psi3DReference(u, v, w, a, b, c, last)
-		if got := Psi3D(u, v, w, a, b, c, last); got != want {
-			t.Fatalf("wide Psi3D = %d, reference %d (u=%v v=%v w=%v)", got, want, u, v, w)
-		}
 		cap := caps[i%len(caps)]
-		wantCap := want
-		if cap < wantCap {
-			wantCap = cap
+		if got := Psi3D(u, v, w, a, b, c, last, cap, &loc); got != min(want, cap) {
+			t.Fatalf("wide Psi3D(cap=%d) = %d, want min(%d,%d) (u=%v v=%v w=%v)", cap, got, want, cap, u, v, w)
 		}
-		if got := Psi3DCapped(u, v, w, a, b, c, last, cap); got != wantCap {
-			t.Fatalf("wide Psi3DCapped(cap=%d) = %d, want %d", cap, got, wantCap)
-		}
+	}
+	// The wide path never reaches the filter.
+	if (loc.Snapshot != filter.Snapshot{}) {
+		t.Errorf("wide Psi3D booked filter outcomes: %+v", loc.Snapshot)
 	}
 }

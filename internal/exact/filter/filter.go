@@ -15,6 +15,13 @@
 // analyzer); this package is deliberately a subpackage so the float
 // stages live outside that invariant while the fallback lives inside it.
 //
+// Each predicate has one form. The orientation signs are
+// Local.Orient2Sign and Local.Orient3Sign; the Ψ-quotient certificates
+// of the 3D derivation are Psi3.OrientAtLeast and Psi3.DropsAtLeast over
+// a tetrahedron admitted once by Psi3.Load. All of them count into a
+// caller-owned Local, which the caller flushes into the process-wide
+// counters that Stats reads.
+//
 // # Error-bound derivation
 //
 // All hot-path inputs obey the fixed-point magnitude contract
@@ -95,23 +102,20 @@ const orient3Admit = 1 << 22
 // 3u·3·2^70 = 9·2^17 < 2^21.
 const orient3Static = 1 << 21
 
-// orient3RunEps is the stage-B running-error coefficient. The true
-// forward error is <= 3u·(|t0|+|t1|+|t2|) with u = 2^-53; 2^-48 leaves
-// a >10× margin that also covers the rounding incurred computing the
-// error bound itself.
-const orient3RunEps = 1.0 / (1 << 48)
+// runEps is the stage-B running-error coefficient, shared by the
+// translated 3D orientation (terms < 2^70) and the raw 3×3 drop
+// matrices of the Ψ derivation (entries < 2^22, minors exact < 2^45,
+// terms < 2^67). The true forward error of t0 − t1 + t2 is
+// <= 3u·(|t0|+|t1|+|t2|) with u = 2^-53; 2^-48 leaves a >10× margin
+// that also covers the rounding incurred computing the error bound
+// itself.
+const runEps = 1.0 / (1 << 48)
 
-// det3RunEps is the running-error coefficient for raw (untranslated)
-// 3×3 determinants of admitted entries (|x| <= 2^22): minors exact
-// (< 2^45), terms < 2^67, same 3u error shape as the orientation bound
-// with the same >10× margin.
-const det3RunEps = 1.0 / (1 << 48)
-
-// Counters tracks filter efficacy. All fields are monotonic totals,
-// updated atomically; Snapshot returns a copy safe to diff across a
+// counters tracks filter efficacy. All fields are monotonic totals,
+// updated atomically; Stats returns a copy safe to diff across a
 // run. The accounting identity per predicate family is
 // calls = sum(accept stages) + exact + wide.
-type Counters struct {
+type counters struct {
 	// 2D orientation (translated int64 fast path).
 	orient2Fast atomic.Uint64 // exact int64 fast path certified a sign (or zero)
 	orient2Zero atomic.Uint64 // ... of which certified exact zero (degenerate → SoS)
@@ -145,7 +149,7 @@ type Snapshot struct {
 	PsiFallback uint64 `json:"psi_fallback"`
 }
 
-var ctr Counters
+var ctr counters
 
 // Stats returns a snapshot of the process-wide filter counters.
 func Stats() Snapshot {
@@ -252,15 +256,6 @@ func inContract3(m *[4][4]int64) bool {
 	return (or>>23)|ones == 0
 }
 
-// admit3x3 is the admission fold for raw (untranslated) 3×3 data
-// matrices: all nine entries in [-2^22, 2^22).
-func admit3x3(m *[3][3]int64) bool {
-	or := uint64(m[0][0]+orient3Admit) | uint64(m[0][1]+orient3Admit) | uint64(m[0][2]+orient3Admit) |
-		uint64(m[1][0]+orient3Admit) | uint64(m[1][1]+orient3Admit) | uint64(m[1][2]+orient3Admit) |
-		uint64(m[2][0]+orient3Admit) | uint64(m[2][1]+orient3Admit) | uint64(m[2][2]+orient3Admit)
-	return or>>23 == 0
-}
-
 func sgn64(x int64) int {
 	switch {
 	case x > 0:
@@ -271,77 +266,11 @@ func sgn64(x int64) int {
 	return 0
 }
 
-// Orient2Sign returns the exact sign of a homogeneous 3×3 orientation
-// determinant (last column ones). For admitted entries (well beyond the
-// magnitude contract, see inContract2) the translated 2×2 evaluation is
-// exact in int64 and always certifies; anything else falls back to the
-// wide exact path. A zero return is a *certified* exact zero — callers
-// resolve it with SoS.
-func Orient2Sign(m *[3][3]int64) int {
-	if s, ok := orient2Fast(m); ok {
-		return s
-	}
-	ctr.orient2Wide.Add(1)
-	rows := [][]int64{m[0][:], m[1][:], m[2][:]}
-	return exact.DetSignWide(rows)
-}
-
-// orient2Fast is the certified 2D stage: exact translated int64
-// evaluation, valid only under the magnitude contract.
-func orient2Fast(m *[3][3]int64) (int, bool) {
-	if !inContract2(m) {
-		return 0, false
-	}
-	ctr.orient2Fast.Add(1)
-	s := sgn64(exact.Det3H(m))
-	if s == 0 {
-		ctr.orient2Zero.Add(1)
-	}
-	return s, true
-}
-
-// Orient3Sign returns the exact sign of a homogeneous 4×4 orientation
-// determinant (last column ones). The float stages certify the common
-// cases; inconclusive cases fall back to the exact int128 evaluation,
-// and out-of-contract inputs to the wide exact path. A zero return is
-// a *certified* exact zero — callers resolve it with SoS.
-func Orient3Sign(m *[4][4]int64) int {
-	var stage o3stage
-	if s, ok := orient3Float(m, &stage); ok {
-		switch stage {
-		case o3static:
-			ctr.orient3Static.Add(1)
-		case o3run:
-			ctr.orient3Run.Add(1)
-		default:
-			ctr.orient3Zero.Add(1)
-		}
-		return s
-	}
-	if !inContract3(m) {
-		ctr.orient3Wide.Add(1)
-		rows := [][]int64{m[0][:], m[1][:], m[2][:], m[3][:]}
-		return exact.DetSignWide(rows)
-	}
-	ctr.orient3Exact.Add(1)
-	return exact.Det4H(m).Sign()
-}
-
-// o3stage identifies which certified stage accepted a 3D orientation
-// sign. Reported through the out-param of orient3Float so the global
-// and the batched (Local) counter paths share one evaluation.
-type o3stage uint8
-
-const (
-	o3static o3stage = iota // stage A: constant static bound
-	o3run                   // stage B: running error bound
-	o3zero                  // certified exact zero
-)
-
 // orient3Float runs stages A, B and the certified-zero stage over the
-// translated 3×3, recording the accepting stage in *stage. ok is false
-// when the filter is inconclusive or the input is out of contract.
-func orient3Float(m *[4][4]int64, stage *o3stage) (int, bool) {
+// translated 3×3, counting the accepting stage into l. ok is false when
+// the filter is inconclusive or the input is out of contract; nothing
+// is counted then, the caller's fallback books the call.
+func orient3Float(m *[4][4]int64, l *Local) (int, bool) {
 	if !inContract3(m) {
 		return 0, false
 	}
@@ -366,7 +295,7 @@ func orient3Float(m *[4][4]int64, stage *o3stage) (int, bool) {
 	}
 	// Stage A: constant static bound.
 	if adet > orient3Static {
-		*stage = o3static
+		l.Orient3Static++
 		return signFloat(det), true
 	}
 	// Stage B: running error bound from the actual term magnitudes.
@@ -380,15 +309,15 @@ func orient3Float(m *[4][4]int64, stage *o3stage) (int, bool) {
 	if at2 < 0 {
 		at2 = -at2
 	}
-	errB := (at0 + at1 + at2) * orient3RunEps
+	errB := (at0 + at1 + at2) * runEps
 	if adet > errB {
-		*stage = o3run
+		l.Orient3Run++
 		return signFloat(det), true
 	}
 	// Certified zero: the true integer determinant lies in
 	// [det-errB, det+errB] ⊆ (-1, 1), so it is exactly 0.
 	if errB+adet < 0.5 {
-		*stage = o3zero
+		l.Orient3Zero++
 		return 0, true
 	}
 	return 0, false
@@ -422,37 +351,10 @@ func quotAtLeast(adet, errB float64, denom, cap int64) bool {
 	return lhs >= rhs+rhs*quotGuard
 }
 
-// Orient3PsiAtLeast certifies that the homogeneous 4×4 orientation
-// determinant satisfies floor((|det|-1)/denom) >= cap, i.e. that the
-// Ψ candidate for this matrix is at least cap (so a caller taking
-// min(Ψ, cap) may skip the exact evaluation entirely). denom must be
-// the caller's exact nonnegative denominator. A false return means
-// "not certified", never "false": callers must then evaluate exactly.
-func Orient3PsiAtLeast(m *[4][4]int64, denom, cap int64) bool {
-	if ok := orient3QuotCert(m, denom, cap); ok {
-		ctr.psiCert.Add(1)
-		return true
-	}
-	ctr.psiFallback.Add(1)
-	return false
-}
-
-func orient3QuotCert(m *[4][4]int64, denom, cap int64) bool {
-	if !inContract3(m) {
-		return false
-	}
-	x0 := float64(m[0][0] - m[3][0])
-	y0 := float64(m[0][1] - m[3][1])
-	z0 := float64(m[0][2] - m[3][2])
-	x1 := float64(m[1][0] - m[3][0])
-	y1 := float64(m[1][1] - m[3][1])
-	z1 := float64(m[1][2] - m[3][2])
-	x2 := float64(m[2][0] - m[3][0])
-	y2 := float64(m[2][1] - m[3][1])
-	z2 := float64(m[2][2] - m[3][2])
-	t0 := x0 * (y1*z2 - z1*y2)
-	t1 := x1 * (y0*z2 - z0*y2)
-	t2 := x2 * (y0*z1 - z0*y1)
+// termsAtLeast finishes one quotient certification from the three
+// cofactor terms of a 3×3 determinant: det = t0 − t1 + t2 with forward
+// error at most (|t0|+|t1|+|t2|)·runEps.
+func termsAtLeast(t0, t1, t2 float64, denom, cap int64) bool {
 	det := t0 - t1 + t2
 	if det < 0 {
 		det = -det
@@ -466,70 +368,23 @@ func orient3QuotCert(m *[4][4]int64, denom, cap int64) bool {
 	if t2 < 0 {
 		t2 = -t2
 	}
-	return quotAtLeast(det, (t0+t1+t2)*orient3RunEps, denom, cap)
-}
-
-// Det3PsiAtLeast is the raw (untranslated) 3×3 analogue of
-// Orient3PsiAtLeast, for the data submatrices of the 3D Ψ derivation.
-// Entries must be within the admission range for certification;
-// unadmitted inputs are simply never certified.
-func Det3PsiAtLeast(m *[3][3]int64, denom, cap int64) bool {
-	if ok := det3QuotCert(m, denom, cap); ok {
-		ctr.psiCert.Add(1)
-		return true
-	}
-	ctr.psiFallback.Add(1)
-	return false
-}
-
-func det3QuotCert(m *[3][3]int64, denom, cap int64) bool {
-	if !admit3x3(m) {
-		return false
-	}
-	// Conversions exact (< 2^22), minors exact (< 2^45 < 2^53);
-	// only the three terms (< 2^67) and two sums round, same shape
-	// as the orientation bound with one fewer doubling.
-	a := float64(m[0][0])
-	b := float64(m[0][1])
-	c := float64(m[0][2])
-	d := float64(m[1][0])
-	e := float64(m[1][1])
-	f := float64(m[1][2])
-	g := float64(m[2][0])
-	h := float64(m[2][1])
-	i := float64(m[2][2])
-	t0 := a * (e*i - f*h)
-	t1 := b * (d*i - f*g)
-	t2 := c * (d*h - e*g)
-	det := t0 - t1 + t2
-	if det < 0 {
-		det = -det
-	}
-	if t0 < 0 {
-		t0 = -t0
-	}
-	if t1 < 0 {
-		t1 = -t1
-	}
-	if t2 < 0 {
-		t2 = -t2
-	}
-	return quotAtLeast(det, (t0+t1+t2)*det3RunEps, denom, cap)
+	return quotAtLeast(det, (t0+t1+t2)*runEps, denom, cap)
 }
 
 // Psi3 is the per-tetrahedron state of the Ψ-derivation filter: the
 // float64 images of the four vertex data rows, admitted and converted
 // once by Load and then shared by the orientation certification and the
 // three drop-matrix certifications of one Lemma-4 evaluation. The int64
-// → float64 conversions dominate the cost of an individual quotient
-// cert, and the four candidate matrices of a tetrahedron are built from
-// the same twelve values, so converting per candidate (as the
-// standalone Orient3PsiAtLeast / Det3PsiAtLeast do) triples the work.
+// → float64 conversions dominate the cost of a quotient certification,
+// and the four candidate matrices of a tetrahedron are built from the
+// same twelve values, so they are converted once, not per candidate.
 //
-// Soundness is unchanged: Load re-checks the admission range on the
-// integer entries, conversions of admitted entries are exact (< 2^23
-// ≪ 2^53), and every certification goes through quotAtLeast with the
-// same error coefficients as the standalone certs.
+// Soundness: Load checks the admission range on the integer entries,
+// conversions of admitted entries are exact (< 2^23 ≪ 2^53), and every
+// certification goes through quotAtLeast with the runEps error bound.
+// A certification answers "floor((|det|−1)/denom) >= cap" with a proof
+// or declines; a decline means "not certified", never "false", and the
+// caller then evaluates exactly.
 type Psi3 struct {
 	f  [4][3]float64
 	ok bool
@@ -551,88 +406,38 @@ func (p *Psi3) Load(lam *[4][4]int64) {
 	}
 }
 
-// OrientAtLeast is Orient3PsiAtLeast over the loaded tetrahedron: it
-// certifies floor((|det lam|−1)/denom) >= cap for the homogeneous 4×4
-// passed to Load, counting into loc (nil loc counts globally).
+// OrientAtLeast certifies floor((|det lam|−1)/denom) >= cap for the
+// homogeneous 4×4 passed to Load, counting the outcome into loc.
 func (p *Psi3) OrientAtLeast(loc *Local, denom, cap int64) bool {
-	cert := false
-	if p.ok {
-		// Translation in float64 is exact: differences of integers
-		// below 2^23 are integers below 2^24 < 2^53. From here the
-		// evaluation and error shape match orient3QuotCert exactly.
-		x0 := p.f[0][0] - p.f[3][0]
-		y0 := p.f[0][1] - p.f[3][1]
-		z0 := p.f[0][2] - p.f[3][2]
-		x1 := p.f[1][0] - p.f[3][0]
-		y1 := p.f[1][1] - p.f[3][1]
-		z1 := p.f[1][2] - p.f[3][2]
-		x2 := p.f[2][0] - p.f[3][0]
-		y2 := p.f[2][1] - p.f[3][1]
-		z2 := p.f[2][2] - p.f[3][2]
-		t0 := x0 * (y1*z2 - z1*y2)
-		t1 := x1 * (y0*z2 - z0*y2)
-		t2 := x2 * (y0*z1 - z0*y1)
-		det := t0 - t1 + t2
-		if det < 0 {
-			det = -det
-		}
-		if t0 < 0 {
-			t0 = -t0
-		}
-		if t1 < 0 {
-			t1 = -t1
-		}
-		if t2 < 0 {
-			t2 = -t2
-		}
-		cert = quotAtLeast(det, (t0+t1+t2)*orient3RunEps, denom, cap)
+	if !p.ok {
+		loc.PsiFallback++
+		return false
 	}
-	countPsi(loc, cert)
-	return cert
+	// Translation in float64 is exact: differences of integers below
+	// 2^23 are integers below 2^24 < 2^53. The 2×2 minors (< 2^47) are
+	// exact too; only the three terms (< 2^70) and their sums round.
+	f0, f1, f2, f3 := &p.f[0], &p.f[1], &p.f[2], &p.f[3]
+	x0, y0, z0 := f0[0]-f3[0], f0[1]-f3[1], f0[2]-f3[2]
+	x1, y1, z1 := f1[0]-f3[0], f1[1]-f3[1], f1[2]-f3[2]
+	x2, y2, z2 := f2[0]-f3[0], f2[1]-f3[1], f2[2]-f3[2]
+	if termsAtLeast(x0*(y1*z2-z1*y2), x1*(y0*z2-z0*y2), x2*(y0*z1-z0*y1), denom, cap) {
+		loc.PsiCert++
+		return true
+	}
+	loc.PsiFallback++
+	return false
 }
 
-// DropAtLeast is Det3PsiAtLeast over the loaded tetrahedron's drop
-// matrix with data rows (i, j, 3): the raw 3×3 formed by vertices i and
-// j plus the perturbed vertex in row three, exactly the matrix the
-// Lemma-4 drop loop hands to the exact fallback. Certifies
-// floor((|det|−1)/denom) >= cap, counting into loc.
-func (p *Psi3) DropAtLeast(loc *Local, i, j int, denom, cap int64) bool {
-	cert := false
-	if p.ok {
-		// Same evaluation and error shape as det3QuotCert: raw entries
-		// below 2^22, minors exact, terms < 2^67.
-		r0, r1, r2 := &p.f[i], &p.f[j], &p.f[3]
-		t0 := r0[0] * (r1[1]*r2[2] - r1[2]*r2[1])
-		t1 := r0[1] * (r1[0]*r2[2] - r1[2]*r2[0])
-		t2 := r0[2] * (r1[0]*r2[1] - r1[1]*r2[0])
-		det := t0 - t1 + t2
-		if det < 0 {
-			det = -det
-		}
-		if t0 < 0 {
-			t0 = -t0
-		}
-		if t1 < 0 {
-			t1 = -t1
-		}
-		if t2 < 0 {
-			t2 = -t2
-		}
-		cert = quotAtLeast(det, (t0+t1+t2)*det3RunEps, denom, cap)
-	}
-	countPsi(loc, cert)
-	return cert
-}
-
-// DropsAtLeast certifies all three drop matrices of the loaded
-// tetrahedron in one pass against the same cap, returning a bit mask
-// (bit k set ⟺ drop k certified floor((|det_k|−1)/d[k]) >= cap).
-// Equivalent to three DropAtLeast calls with (i,j) = (1,2), (0,2),
-// (0,1) — the Lemma-4 drop order — but drops 0 and 1 share the cross
-// product of rows (f2, f3), and the three bookings collapse into two
-// counter adds. Certifying against the caller's entry cap is sound
-// even when a fallback between drops lowers the running min: the
-// certified bound only gets stronger relative to a smaller cap.
+// DropsAtLeast certifies the three drop matrices of the loaded
+// tetrahedron in one pass against the same cap, counting the three
+// outcomes into loc and returning a bit mask: bit k set ⟺ drop k
+// certified floor((|det_k|−1)/d[k]) >= cap. Drop k is the raw 3×3 with
+// data rows (i, j, 3), (i,j) = (1,2), (0,2), (0,1) for k = 0, 1, 2 —
+// the Lemma-4 drop order, with the perturbed vertex in row three.
+// Drops 0 and 1 share the cross product of rows (f2, f3). Certifying
+// against the caller's entry cap is sound even when a fallback between
+// drops lowers the running min: the certified bound only gets stronger
+// relative to a smaller cap.
 func (p *Psi3) DropsAtLeast(loc *Local, d *[3]int64, cap int64) uint32 {
 	var mask uint32
 	if p.ok {
@@ -640,87 +445,40 @@ func (p *Psi3) DropsAtLeast(loc *Local, d *[3]int64, cap int64) uint32 {
 		// Cofactor columns of the shared third row f3: c(r, f3) holds
 		// the three 2×2 minors of rows (r, f3), so det(q, r, f3) =
 		// q[0]·cx − q[1]·cy + q[2]·cz. Products < 2^44, minors < 2^45
-		// exact, terms < 2^67 — the det3RunEps bound applies per drop.
+		// exact, terms < 2^67 — the runEps bound applies per drop.
 		c23x := f2[1]*f3[2] - f2[2]*f3[1]
 		c23y := f2[0]*f3[2] - f2[2]*f3[0]
 		c23z := f2[0]*f3[1] - f2[1]*f3[0]
 		c13x := f1[1]*f3[2] - f1[2]*f3[1]
 		c13y := f1[0]*f3[2] - f1[2]*f3[0]
 		c13z := f1[0]*f3[1] - f1[1]*f3[0]
-		if dropQuot(f1[0]*c23x, f1[1]*c23y, f1[2]*c23z, d[0], cap) {
+		if termsAtLeast(f1[0]*c23x, f1[1]*c23y, f1[2]*c23z, d[0], cap) {
 			mask |= 1
 		}
-		if dropQuot(f0[0]*c23x, f0[1]*c23y, f0[2]*c23z, d[1], cap) {
+		if termsAtLeast(f0[0]*c23x, f0[1]*c23y, f0[2]*c23z, d[1], cap) {
 			mask |= 2
 		}
-		if dropQuot(f0[0]*c13x, f0[1]*c13y, f0[2]*c13z, d[2], cap) {
+		if termsAtLeast(f0[0]*c13x, f0[1]*c13y, f0[2]*c13z, d[2], cap) {
 			mask |= 4
 		}
 	}
 	certs := uint64(mask&1 + mask>>1&1 + mask>>2&1)
-	if loc == nil {
-		if certs != 0 {
-			ctr.psiCert.Add(certs)
-		}
-		if certs != 3 {
-			ctr.psiFallback.Add(3 - certs)
-		}
-	} else {
-		loc.PsiCert += certs
-		loc.PsiFallback += 3 - certs
-	}
+	loc.PsiCert += certs
+	loc.PsiFallback += 3 - certs
 	return mask
 }
 
-// dropQuot finishes one drop certification from its three cofactor
-// terms: det = t0 − t1 + t2, errB = (|t0|+|t1|+|t2|)·det3RunEps.
-func dropQuot(t0, t1, t2 float64, denom, cap int64) bool {
-	det := t0 - t1 + t2
-	if det < 0 {
-		det = -det
-	}
-	if t0 < 0 {
-		t0 = -t0
-	}
-	if t1 < 0 {
-		t1 = -t1
-	}
-	if t2 < 0 {
-		t2 = -t2
-	}
-	return quotAtLeast(det, (t0+t1+t2)*det3RunEps, denom, cap)
-}
-
-// countPsi books one Ψ-quotient certification outcome, batched when a
-// Local is supplied and process-wide otherwise.
-func countPsi(loc *Local, cert bool) {
-	if loc == nil {
-		if cert {
-			ctr.psiCert.Add(1)
-		} else {
-			ctr.psiFallback.Add(1)
-		}
-		return
-	}
-	if cert {
-		loc.PsiCert++
-	} else {
-		loc.PsiFallback++
-	}
-}
-
-// Local is a goroutine-local batch of filter counters. The process-wide
-// counters are atomic, and on this package's hottest paths — the
-// cache-blocked detection sweeps and the per-vertex Ψ derivation — a
-// LOCK-prefixed add per predicate costs more than the certified stage
-// it is accounting for. A caller that owns a tight predicate loop keeps
-// a Local on its stack (or per worker), calls the predicate methods on
-// it (plain increments), and Flushes once per batch, merging into the
-// process-wide totals with a handful of atomic adds. The accounting
-// identity calls = sum(stages) holds exactly per Local and therefore
-// globally after every Flush. A nil *Local is valid: the methods then
-// count straight into the process-wide atomics, so cold call sites
-// need no batch plumbing.
+// Local is a goroutine-local batch of filter counters, and the receiver
+// of every predicate in this package. The process-wide counters are
+// atomic, and on this package's hottest paths — the cache-blocked
+// detection sweeps and the per-vertex Ψ derivation — a LOCK-prefixed add
+// per predicate costs more than the certified stage it is accounting
+// for. A caller that owns a predicate loop keeps a Local on its stack
+// (or per worker), calls the predicates on it (plain increments), and
+// Flushes once per batch, merging into the process-wide totals with a
+// handful of atomic adds. The accounting identity calls = sum(stages)
+// holds exactly per Local and therefore globally after every Flush. A
+// Local must not be nil.
 type Local struct {
 	Snapshot
 }
@@ -762,11 +520,13 @@ func (l *Local) Flush() {
 	}
 }
 
-// Orient2Sign is Orient2Sign with batched counting; see Local.
+// Orient2Sign returns the exact sign of a homogeneous 3×3 orientation
+// determinant (last column ones). For admitted entries (well beyond the
+// magnitude contract, see inContract2) the translated 2×2 evaluation is
+// exact in int64 and always certifies; anything else falls back to the
+// wide exact path. A zero return is a *certified* exact zero — callers
+// resolve it with SoS.
 func (l *Local) Orient2Sign(m *[3][3]int64) int {
-	if l == nil {
-		return Orient2Sign(m)
-	}
 	if !inContract2(m) {
 		l.Orient2Wide++
 		rows := [][]int64{m[0][:], m[1][:], m[2][:]}
@@ -780,21 +540,13 @@ func (l *Local) Orient2Sign(m *[3][3]int64) int {
 	return s
 }
 
-// Orient3Sign is Orient3Sign with batched counting; see Local.
+// Orient3Sign returns the exact sign of a homogeneous 4×4 orientation
+// determinant (last column ones). The float stages certify the common
+// cases; inconclusive cases fall back to the exact int128 evaluation,
+// and out-of-contract inputs to the wide exact path. A zero return is
+// a *certified* exact zero — callers resolve it with SoS.
 func (l *Local) Orient3Sign(m *[4][4]int64) int {
-	if l == nil {
-		return Orient3Sign(m)
-	}
-	var stage o3stage
-	if s, ok := orient3Float(m, &stage); ok {
-		switch stage {
-		case o3static:
-			l.Orient3Static++
-		case o3run:
-			l.Orient3Run++
-		default:
-			l.Orient3Zero++
-		}
+	if s, ok := orient3Float(m, l); ok {
 		return s
 	}
 	if !inContract3(m) {
@@ -804,30 +556,4 @@ func (l *Local) Orient3Sign(m *[4][4]int64) int {
 	}
 	l.Orient3Exact++
 	return exact.Det4H(m).Sign()
-}
-
-// Orient3PsiAtLeast is Orient3PsiAtLeast with batched counting.
-func (l *Local) Orient3PsiAtLeast(m *[4][4]int64, denom, cap int64) bool {
-	if l == nil {
-		return Orient3PsiAtLeast(m, denom, cap)
-	}
-	if orient3QuotCert(m, denom, cap) {
-		l.PsiCert++
-		return true
-	}
-	l.PsiFallback++
-	return false
-}
-
-// Det3PsiAtLeast is Det3PsiAtLeast with batched counting.
-func (l *Local) Det3PsiAtLeast(m *[3][3]int64, denom, cap int64) bool {
-	if l == nil {
-		return Det3PsiAtLeast(m, denom, cap)
-	}
-	if det3QuotCert(m, denom, cap) {
-		l.PsiCert++
-		return true
-	}
-	l.PsiFallback++
-	return false
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/exact"
@@ -78,11 +79,11 @@ func homRand3(rng *rand.Rand, bound int64) [4][4]int64 {
 // not move.
 func TestOrient2SignMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	before := Stats()
+	var loc Local
 	n := 0
 	check := func(m *[3][3]int64) {
 		n++
-		if got, want := Orient2Sign(m), big3(m).Sign(); got != want {
+		if got, want := loc.Orient2Sign(m), big3(m).Sign(); got != want {
 			t.Fatalf("Orient2Sign(%v) = %d, want %d", *m, got, want)
 		}
 	}
@@ -106,7 +107,7 @@ func TestOrient2SignMatchesOracle(t *testing.T) {
 			check(&m)
 		}
 	}
-	d := Stats().Sub(before)
+	d := loc.Snapshot
 	if d.Orient2Fast != uint64(n) {
 		t.Errorf("orient2_fast = %d, want %d (every in-contract call certifies)", d.Orient2Fast, n)
 	}
@@ -121,11 +122,11 @@ func TestOrient2SignMatchesOracle(t *testing.T) {
 // fallback and still demands oracle-exact signs.
 func TestOrient2SignOutOfContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	before := Stats()
+	var loc Local
 	n := 0
 	check := func(m *[3][3]int64) {
 		n++
-		if got, want := Orient2Sign(m), big3(m).Sign(); got != want {
+		if got, want := loc.Orient2Sign(m), big3(m).Sign(); got != want {
 			t.Fatalf("Orient2Sign(%v) = %d, want %d", *m, got, want)
 		}
 	}
@@ -147,7 +148,7 @@ func TestOrient2SignOutOfContract(t *testing.T) {
 		}
 		check(&m3)
 	}
-	d := Stats().Sub(before)
+	d := loc.Snapshot
 	if d.Orient2Wide != uint64(n) {
 		t.Errorf("orient2_wide = %d, want %d (every call violates the contract)", d.Orient2Wide, n)
 	}
@@ -162,7 +163,7 @@ func TestOrient2SignOutOfContract(t *testing.T) {
 // stages certified essentially all of a non-adversarial corpus.
 func TestOrient3SignMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	before := Stats()
+	var loc Local
 	n := 0
 	bounds := []int64{MaxMag, MaxMag, MaxMag, 1 << 16, 1 << 10, 64, 8, 2}
 	for i := 0; i < 1200000; i++ {
@@ -171,11 +172,11 @@ func TestOrient3SignMatchesExact(t *testing.T) {
 			m[i%4] = [4]int64{0, 0, 0, 1} // SoS-replaced row
 		}
 		n++
-		if got, want := Orient3Sign(&m), exact.Det4(&m).Sign(); got != want {
+		if got, want := loc.Orient3Sign(&m), exact.Det4(&m).Sign(); got != want {
 			t.Fatalf("Orient3Sign(%v) = %d, want %d", m, got, want)
 		}
 	}
-	d := Stats().Sub(before)
+	d := loc.Snapshot
 	if calls := d.Orient3Calls(); calls != uint64(n) {
 		t.Errorf("accounting identity broken: stages sum to %d, want %d calls", calls, n)
 	}
@@ -194,13 +195,14 @@ func TestOrient3SignMatchesExact(t *testing.T) {
 // oracle, independent of any production determinant code.
 func TestOrient3SignBigOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
+	var loc Local
 	for i := 0; i < 50000; i++ {
 		m := homRand3(rng, MaxMag)
-		if got, want := Orient3Sign(&m), big4(&m).Sign(); got != want {
+		if got, want := loc.Orient3Sign(&m), big4(&m).Sign(); got != want {
 			t.Fatalf("Orient3Sign(%v) = %d, want %d", m, got, want)
 		}
 		s := homRand3(rng, 16)
-		if got, want := Orient3Sign(&s), big4(&s).Sign(); got != want {
+		if got, want := loc.Orient3Sign(&s), big4(&s).Sign(); got != want {
 			t.Fatalf("Orient3Sign(%v) = %d, want %d", s, got, want)
 		}
 	}
@@ -234,9 +236,10 @@ func adversarial3(A, P, Q, e, x2, y2, z2 int64) [4][4]int64 {
 // big.Int oracle on every one.
 func TestOrient3SignAdversarial(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
+	var loc Local
 	check := func(m *[4][4]int64) {
 		t.Helper()
-		if got, want := Orient3Sign(m), big4(m).Sign(); got != want {
+		if got, want := loc.Orient3Sign(m), big4(m).Sign(); got != want {
 			t.Fatalf("Orient3Sign(%v) = %d, want %d", *m, got, want)
 		}
 	}
@@ -291,11 +294,11 @@ func TestOrient3SignAdversarial(t *testing.T) {
 // signs.
 func TestOrient3SignOutOfContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	before := Stats()
+	var loc Local
 	n := 0
 	check := func(m *[4][4]int64) {
 		n++
-		if got, want := Orient3Sign(m), big4(m).Sign(); got != want {
+		if got, want := loc.Orient3Sign(m), big4(m).Sign(); got != want {
 			t.Fatalf("Orient3Sign(%v) = %d, want %d", *m, got, want)
 		}
 	}
@@ -312,7 +315,7 @@ func TestOrient3SignOutOfContract(t *testing.T) {
 		}
 		check(&f)
 	}
-	d := Stats().Sub(before)
+	d := loc.Snapshot
 	if d.Orient3Wide != uint64(n) {
 		t.Errorf("orient3_wide = %d, want %d", d.Orient3Wide, n)
 	}
@@ -343,19 +346,22 @@ func TestOrient3FallbackAccounting(t *testing.T) {
 		m[2] = [4]int64{rng.Int63n(2*M+1) - M, b, c, 1}
 		corpus = append(corpus, m)
 	}
+	var probe Local
 	for _, m := range corpus {
-		var stage o3stage
-		if s, ok := orient3Float(&m, &stage); ok {
+		if s, ok := orient3Float(&m, &probe); ok {
 			t.Fatalf("orient3Float certified (%d) on a must-fall-back input %v", s, m)
 		}
 	}
-	before := Stats()
+	if (probe.Snapshot != Snapshot{}) {
+		t.Fatalf("declining float stages booked counts: %+v", probe.Snapshot)
+	}
+	var loc Local
 	for _, m := range corpus {
-		if got := Orient3Sign(&m); got != 0 {
+		if got := loc.Orient3Sign(&m); got != 0 {
 			t.Fatalf("Orient3Sign(%v) = %d, want 0 (duplicate points)", m, got)
 		}
 	}
-	d := Stats().Sub(before)
+	d := loc.Snapshot
 	if d.Orient3Exact != uint64(len(corpus)) {
 		t.Errorf("orient3_exact = %d, want %d", d.Orient3Exact, len(corpus))
 	}
@@ -376,13 +382,13 @@ func TestOrient3CertifiedZeroAccounting(t *testing.T) {
 		m[1] = m[0] // duplicate point, tiny terms → errB < 0.5
 		corpus = append(corpus, m)
 	}
-	before := Stats()
+	var loc Local
 	for _, m := range corpus {
-		if got := Orient3Sign(&m); got != 0 {
+		if got := loc.Orient3Sign(&m); got != 0 {
 			t.Fatalf("Orient3Sign(%v) = %d, want 0", m, got)
 		}
 	}
-	d := Stats().Sub(before)
+	d := loc.Snapshot
 	if d.Orient3Zero != uint64(len(corpus)) {
 		t.Errorf("orient3_zero = %d, want %d", d.Orient3Zero, len(corpus))
 	}
@@ -401,13 +407,15 @@ func quotFloor(det *big.Int, denom int64) *big.Int {
 	return a.Div(a, big.NewInt(denom))
 }
 
-// TestOrient3PsiAtLeastSound verifies the one-sided contract: a true
-// return is a proof that floor((|det|−1)/denom) >= cap; certifying a
-// cap above the true quotient — or anything at all when det = 0 — is a
-// bug. It also demands the stage actually fires on easy margins.
+// TestOrient3PsiAtLeastSound verifies the one-sided contract of the
+// orientation certificate, Psi3.OrientAtLeast: a true return is a proof
+// that floor((|det|−1)/denom) >= cap; certifying a cap above the true
+// quotient — or anything at all when det = 0 — is a bug. It also
+// demands the stage actually fires on easy margins, and that every call
+// books exactly one outcome.
 func TestOrient3PsiAtLeastSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
-	before := Stats()
+	var loc Local
 	calls, certs, easy, easyCert := 0, 0, 0, 0
 	for i := 0; i < 100000; i++ {
 		m := homRand3(rng, MaxMag)
@@ -422,9 +430,11 @@ func TestOrient3PsiAtLeastSound(t *testing.T) {
 				caps = append(caps, qv+1)
 			}
 		}
+		var p Psi3
+		p.Load(&m)
 		for _, cap := range caps {
 			calls++
-			ok := Orient3PsiAtLeast(&m, denom, cap)
+			ok := p.OrientAtLeast(&loc, denom, cap)
 			if ok {
 				certs++
 				if q.Cmp(big.NewInt(cap)) < 0 {
@@ -444,59 +454,85 @@ func TestOrient3PsiAtLeastSound(t *testing.T) {
 		// Degenerate: duplicate points, det exactly 0 — must never
 		// certify any cap.
 		m[1] = m[0]
+		p.Load(&m)
 		calls++
-		if Orient3PsiAtLeast(&m, denom, 0) {
+		if p.OrientAtLeast(&loc, denom, 0) {
 			t.Fatalf("certified cap=0 on duplicate-point matrix %v", m)
 		}
 	}
-	d := Stats().Sub(before)
-	if got := d.PsiCert + d.PsiFallback; got != uint64(calls) {
+	if got := loc.PsiCert + loc.PsiFallback; got != uint64(calls) {
 		t.Errorf("psi accounting: cert+fallback = %d, want %d", got, calls)
 	}
-	if d.PsiCert != uint64(certs) {
-		t.Errorf("psi_cert = %d, want %d", d.PsiCert, certs)
+	if loc.PsiCert != uint64(certs) {
+		t.Errorf("psi_cert = %d, want %d", loc.PsiCert, certs)
 	}
 	if easy == 0 || float64(easyCert)/float64(easy) < 0.95 {
 		t.Errorf("easy-margin certification rate %d/%d, want >= 0.95", easyCert, easy)
 	}
 }
 
-// TestDet3PsiAtLeastSound is the raw-3×3 analogue, covering the data
-// submatrices of the 3D Ψ derivation, plus out-of-contract declines.
+// dropMatrix is drop k of a tetrahedron: the raw 3×3 of the data columns
+// of rows (i, j, 3), (i,j) = (1,2), (0,2), (0,1) — the matrix whose
+// quotient bit k of Psi3.DropsAtLeast certifies.
+func dropMatrix(m *[4][4]int64, k int) [3][3]int64 {
+	ij := [3][2]int{{1, 2}, {0, 2}, {0, 1}}[k]
+	return [3][3]int64{
+		{m[ij[0]][0], m[ij[0]][1], m[ij[0]][2]},
+		{m[ij[1]][0], m[ij[1]][1], m[ij[1]][2]},
+		{m[3][0], m[3][1], m[3][2]},
+	}
+}
+
+// TestDet3PsiAtLeastSound covers the raw-3×3 certificates of the 3D Ψ
+// derivation, Psi3.DropsAtLeast: every set bit is oracle-sound against
+// caps placed at, just above and well below the true quotients, easy
+// margins certify, and an unadmitted tetrahedron declines every drop
+// while still booking three outcomes.
 func TestDet3PsiAtLeastSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
-	easy, easyCert := 0, 0
-	for i := 0; i < 100000; i++ {
-		var m [3][3]int64
-		for r := 0; r < 3; r++ {
-			for c := 0; c < 3; c++ {
-				m[r][c] = rng.Int63n(2*MaxMag+1) - MaxMag
-			}
-		}
-		denom := int64(1 + rng.Int63n(1<<20))
-		det := big3(&m)
-		q := quotFloor(det, denom)
+	var loc Local
+	calls, easy, easyCert := 0, 0, 0
+	for i := 0; i < 50000; i++ {
+		m := homRand3(rng, MaxMag)
+		var ds [3]int64
+		var qs [3]*big.Int
 		caps := []int64{0, rng.Int63n(1 << 35)}
-		if q.IsInt64() && q.Int64() >= 0 {
-			caps = append(caps, q.Int64(), q.Int64()/2, q.Int64()+1)
-		}
-		for _, cap := range caps {
-			ok := Det3PsiAtLeast(&m, denom, cap)
-			if ok && (q.Cmp(big.NewInt(cap)) < 0 || det.Sign() == 0) {
-				t.Fatalf("certified cap=%d denom=%d, true quotient %v (det %v)", cap, denom, q, det)
+		for k := range ds {
+			ds[k] = 1 + rng.Int63n(1<<20)
+			m3 := dropMatrix(&m, k)
+			qs[k] = quotFloor(big3(&m3), ds[k])
+			if q := qs[k]; q.IsInt64() && q.Int64() >= 0 {
+				caps = append(caps, q.Int64(), q.Int64()/2, q.Int64()+1)
 			}
-			if q.IsInt64() && cap <= q.Int64()/2 && cap < 1<<50 {
-				easy++
-				if ok {
-					easyCert++
+		}
+		var p Psi3
+		p.Load(&m)
+		for _, cap := range caps {
+			calls++
+			mask := p.DropsAtLeast(&loc, &ds, cap)
+			for k, q := range qs {
+				ok := mask&(1<<k) != 0
+				if ok && q.Cmp(big.NewInt(cap)) < 0 {
+					t.Fatalf("certified drop %d cap=%d denom=%d, true quotient %v (m %v)", k, cap, ds[k], q, m)
+				}
+				if q.IsInt64() && cap <= q.Int64()/2 && cap < 1<<50 {
+					easy++
+					if ok {
+						easyCert++
+					}
 				}
 			}
 		}
 		// Out of contract: never certified, even with huge margins.
 		m[0][0] = math.MaxInt64
-		if Det3PsiAtLeast(&m, 1, 0) {
-			t.Fatalf("certified an out-of-contract matrix")
+		p.Load(&m)
+		calls++
+		if mask := p.DropsAtLeast(&loc, &ds, 0); mask != 0 {
+			t.Fatalf("certified drops %b of an out-of-contract tetrahedron", mask)
 		}
+	}
+	if got := loc.PsiCert + loc.PsiFallback; got != 3*uint64(calls) {
+		t.Errorf("psi accounting: cert+fallback = %d, want %d", got, 3*calls)
 	}
 	if easy == 0 || float64(easyCert)/float64(easy) < 0.95 {
 		t.Errorf("easy-margin certification rate %d/%d, want >= 0.95", easyCert, easy)
@@ -551,168 +587,12 @@ func TestSnapshotHelpers(t *testing.T) {
 	}
 }
 
-// TestLocalMatchesGlobal pins the batched Local predicate methods to
-// the package-level predicates: identical signs and certifications on
-// the same inputs, with the same per-stage accounting landing in the
-// process-wide counters after Flush. Includes out-of-contract rows so
-// the wide paths are exercised through the Local methods too.
-func TestLocalMatchesGlobal(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	var loc Local
-	before := Stats()
-	var want Snapshot
-	for n := 0; n < 20000; n++ {
-		bound := int64(MaxMag)
-		if n%7 == 0 {
-			bound = 4 // degenerate-heavy: exercises zero stages
-		}
-		m2 := homRand2(rng, bound)
-		if n%211 == 0 {
-			m2[rng.Intn(3)][rng.Intn(2)] = math.MaxInt64 - int64(rng.Intn(3))
-		}
-		g := Stats()
-		ws := Orient2Sign(&m2)
-		want = want.merge(Stats().Sub(g))
-		if gs := loc.Orient2Sign(&m2); gs != ws {
-			t.Fatalf("Local.Orient2Sign(%v) = %d, global %d", m2, gs, ws)
-		}
-
-		m3 := homRand3(rng, bound)
-		if n%193 == 0 {
-			m3[rng.Intn(4)][rng.Intn(3)] = math.MinInt64 + int64(rng.Intn(3))
-		}
-		g = Stats()
-		ws = Orient3Sign(&m3)
-		want = want.merge(Stats().Sub(g))
-		if gs := loc.Orient3Sign(&m3); gs != ws {
-			t.Fatalf("Local.Orient3Sign(%v) = %d, global %d", m3, gs, ws)
-		}
-
-		denom := rng.Int63n(1 << 22)
-		cap := rng.Int63n(1 << 40)
-		g = Stats()
-		wb := Orient3PsiAtLeast(&m3, denom, cap)
-		want = want.merge(Stats().Sub(g))
-		if gb := loc.Orient3PsiAtLeast(&m3, denom, cap); gb != wb {
-			t.Fatalf("Local.Orient3PsiAtLeast = %v, global %v", gb, wb)
-		}
-
-		var d3 [3][3]int64
-		for r := 0; r < 3; r++ {
-			for c := 0; c < 3; c++ {
-				d3[r][c] = rng.Int63n(2*bound+1) - bound
-			}
-		}
-		g = Stats()
-		wb = Det3PsiAtLeast(&d3, denom, cap)
-		want = want.merge(Stats().Sub(g))
-		if gb := loc.Det3PsiAtLeast(&d3, denom, cap); gb != wb {
-			t.Fatalf("Local.Det3PsiAtLeast = %v, global %v", gb, wb)
-		}
-	}
-	if loc.Snapshot != want {
-		t.Fatalf("Local accumulated %+v, global deltas %+v", loc.Snapshot, want)
-	}
-	mid := Stats()
-	loc.Flush()
-	if d := Stats().Sub(mid); d != want {
-		t.Fatalf("Flush merged %+v, want %+v", d, want)
-	}
-	if (loc.Snapshot != Snapshot{}) {
-		t.Fatalf("Flush did not reset the Local: %+v", loc.Snapshot)
-	}
-	// A nil Local counts straight into the process-wide counters.
-	var nilLoc *Local
-	m2 := homRand2(rng, MaxMag)
-	mid = Stats()
-	if gs, ws := nilLoc.Orient2Sign(&m2), Orient2Sign(&m2); gs != ws {
-		t.Fatalf("nil Local Orient2Sign = %d, global %d", gs, ws)
-	}
-	if d := Stats().Sub(mid); d.Orient2Fast+d.Orient2Wide != 2 {
-		t.Fatalf("nil Local did not count globally: %+v", d)
-	}
-	_ = before
-}
-
-// TestPsi3MatchesStandalone pins the shared-conversion Psi3 certs to
-// the standalone predicates: OrientAtLeast must agree with
-// Orient3PsiAtLeast on the same matrix, DropAtLeast with Det3PsiAtLeast
-// on the materialized drop matrix, and the fused DropsAtLeast with the
-// three individual DropAtLeast outcomes — including identical counter
-// accounting and out-of-admission inputs declining everywhere.
-func TestPsi3MatchesStandalone(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	drops := [3][2]int{{1, 2}, {0, 2}, {0, 1}}
-	for n := 0; n < 50000; n++ {
-		bound := int64(MaxMag)
-		switch n % 5 {
-		case 1:
-			bound = 1 << 10
-		case 2:
-			bound = 8
-		}
-		m := homRand3(rng, bound)
-		poisoned := n%97 == 0
-		if poisoned {
-			m[rng.Intn(4)][rng.Intn(3)] = math.MinInt64 + rng.Int63n(5)
-		}
-		denom := rng.Int63n(1 << 20)
-		cap := rng.Int63n(1 << 30)
-		var p Psi3
-		p.Load(&m)
-
-		var loc Local
-		if got, want := p.OrientAtLeast(&loc, denom, cap), Orient3PsiAtLeast(&m, denom, cap); got != want {
-			t.Fatalf("OrientAtLeast = %v, standalone %v (m=%v denom=%d cap=%d)", got, want, m, denom, cap)
-		}
-		var ds [3]int64
-		var want [3]bool
-		for k, ij := range drops {
-			var m3 [3][3]int64
-			m3[0] = [3]int64{m[ij[0]][0], m[ij[0]][1], m[ij[0]][2]}
-			m3[1] = [3]int64{m[ij[1]][0], m[ij[1]][1], m[ij[1]][2]}
-			m3[2] = [3]int64{m[3][0], m[3][1], m[3][2]}
-			ds[k] = 1 + rng.Int63n(1<<18)
-			// An unadmitted tetrahedron declines every Psi3 cert, even
-			// for a drop matrix that excludes the offending row — the
-			// standalone cert sees only the 3×3, so only compare when
-			// the tetrahedron was admitted.
-			want[k] = Det3PsiAtLeast(&m3, ds[k], cap) && !poisoned
-			if got := p.DropAtLeast(&loc, ij[0], ij[1], ds[k], cap); got != want[k] {
-				t.Fatalf("DropAtLeast(%d,%d) = %v, standalone %v (m=%v d=%d cap=%d)",
-					ij[0], ij[1], got, want[k], m, ds[k], cap)
-			}
-		}
-		mask := p.DropsAtLeast(&loc, &ds, cap)
-		for k := range want {
-			if got := mask&(1<<k) != 0; got != want[k] {
-				t.Fatalf("DropsAtLeast bit %d = %v, individual %v (m=%v ds=%v cap=%d)", k, got, want[k], m, ds, cap)
-			}
-		}
-		// 1 orient + 3 single drops + 3 fused drops booked in the Local.
-		if loc.PsiCert+loc.PsiFallback != 7 {
-			t.Fatalf("Psi3 certs booked %d outcomes, want 7 (%+v)", loc.PsiCert+loc.PsiFallback, loc.Snapshot)
-		}
-	}
-	// nil-Local bookings land in the process-wide counters.
-	m := homRand3(rng, MaxMag)
-	var p Psi3
-	p.Load(&m)
-	before := Stats()
-	p.OrientAtLeast(nil, 3, 1)
-	p.DropAtLeast(nil, 0, 1, 3, 1)
-	p.DropsAtLeast(nil, &[3]int64{1, 2, 3}, 1)
-	if d := Stats().Sub(before); d.PsiCert+d.PsiFallback != 5 {
-		t.Fatalf("nil-Local Psi3 certs booked %d outcomes globally, want 5", d.PsiCert+d.PsiFallback)
-	}
-}
-
 // TestPsi3CertSound is the oracle soundness check for the fused drop
 // certification: a set mask bit is a proof about the exact integer
 // quotient of that drop matrix, never just a float opinion.
 func TestPsi3CertSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
-	drops := [3][2]int{{1, 2}, {0, 2}, {0, 1}}
+	var loc Local
 	certs := 0
 	for n := 0; n < 50000; n++ {
 		m := homRand3(rng, MaxMag)
@@ -723,17 +603,13 @@ func TestPsi3CertSound(t *testing.T) {
 			ds[k] = 1 + rng.Int63n(1<<16)
 		}
 		cap := rng.Int63n(1 << 34)
-		mask := p.DropsAtLeast(nil, &ds, cap)
-		for k, ij := range drops {
+		mask := p.DropsAtLeast(&loc, &ds, cap)
+		for k := range ds {
 			if mask&(1<<k) == 0 {
 				continue
 			}
 			certs++
-			m3 := [3][3]int64{
-				{m[ij[0]][0], m[ij[0]][1], m[ij[0]][2]},
-				{m[ij[1]][0], m[ij[1]][1], m[ij[1]][2]},
-				{m[3][0], m[3][1], m[3][2]},
-			}
+			m3 := dropMatrix(&m, k)
 			det := big3(&m3)
 			if det.Sign() == 0 {
 				t.Fatalf("certified drop %d on a zero determinant (m=%v)", k, m)
@@ -749,7 +625,7 @@ func TestPsi3CertSound(t *testing.T) {
 	}
 }
 
-// merge is field-wise addition, the inverse of Sub, for the test above.
+// merge is field-wise addition, the inverse of Sub.
 func (s Snapshot) merge(d Snapshot) Snapshot {
 	s.Orient2Fast += d.Orient2Fast
 	s.Orient2Zero += d.Orient2Zero
@@ -762,4 +638,68 @@ func (s Snapshot) merge(d Snapshot) Snapshot {
 	s.PsiCert += d.PsiCert
 	s.PsiFallback += d.PsiFallback
 	return s
+}
+
+// TestLocalFlushConcurrent runs the predicates from eight goroutines,
+// each into its own Local and flushing every few hundred calls, and
+// requires the process-wide delta to equal the sum of what the Locals
+// counted, with calls = Σ stages for every predicate family. The corpus
+// mixes in-contract, degenerate and out-of-contract inputs so every
+// counter moves. Run under -race by `make race`.
+func TestLocalFlushConcurrent(t *testing.T) {
+	const goroutines, iters = 8, 3000
+	before := Stats()
+	var totals [goroutines]Snapshot
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(200 + g)))
+			var loc Local
+			for i := 0; i < iters; i++ {
+				bound := int64(MaxMag)
+				if i%5 == 0 {
+					bound = 4 // degenerate-heavy: certified zeros
+				}
+				m2 := homRand2(rng, bound)
+				m3 := homRand3(rng, bound)
+				if i%101 == 0 {
+					m2[i%3][i%2] = math.MaxInt64 - int64(i%3)
+					m3[i%4][i%3] = math.MinInt64 + int64(i%3)
+				}
+				loc.Orient2Sign(&m2)
+				loc.Orient3Sign(&m3)
+				var p Psi3
+				p.Load(&m3)
+				p.OrientAtLeast(&loc, rng.Int63n(1<<22), rng.Int63n(1<<30))
+				p.DropsAtLeast(&loc, &[3]int64{rng.Int63n(1 << 20), rng.Int63n(1 << 20), rng.Int63n(1 << 20)}, rng.Int63n(1<<30))
+				if i%300 == 299 || i == iters-1 {
+					totals[g] = totals[g].merge(loc.Snapshot)
+					loc.Flush()
+					if (loc.Snapshot != Snapshot{}) {
+						t.Errorf("goroutine %d: Flush did not reset the Local", g)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	var want Snapshot
+	for _, s := range totals {
+		want = want.merge(s)
+	}
+	d := Stats().Sub(before)
+	if d != want {
+		t.Fatalf("process-wide delta %+v, want the Locals' sum %+v", d, want)
+	}
+	const calls = goroutines * iters
+	if d.Orient2Fast+d.Orient2Wide != calls || d.Orient3Calls() != calls || d.PsiCert+d.PsiFallback != 4*calls {
+		t.Fatalf("calls != Σ stages over %d calls per predicate: %+v", calls, d)
+	}
+	if d.Orient2Zero == 0 || d.Orient2Wide == 0 || d.Orient3Static == 0 || d.Orient3Run == 0 ||
+		d.Orient3Zero == 0 || d.Orient3Wide == 0 || d.PsiCert == 0 || d.PsiFallback == 0 {
+		t.Errorf("corpus left a counter at zero: %+v", d)
+	}
 }

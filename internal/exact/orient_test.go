@@ -29,13 +29,15 @@ func tieSign(m [][]int64, ids []int, replace int) int {
 		for r := range a {
 			copy(a[r][:], m[r])
 		}
-		return SoSOrient2Tie(&a, (*[3]int)(ids), replace)
+		s, _ := SoSOrient2Tie(&a, (*[3]int)(ids), replace)
+		return s
 	}
 	var a [4][4]int64
 	for r := range a {
 		copy(a[r][:], m[r])
 	}
-	return SoSOrient3Tie(&a, (*[4]int)(ids), replace)
+	s, _ := SoSOrient3Tie(&a, (*[4]int)(ids), replace)
+	return s
 }
 
 // tieShapes generate n data rows of n-1 components each in the shapes
@@ -279,11 +281,11 @@ func TestSoSTieNoAlloc(t *testing.T) {
 	ids3 := [4]int{8, 2, 5, 7}
 	for replace := -1; replace < 4; replace++ {
 		if replace < 3 {
-			if a := testing.AllocsPerRun(100, func() { _ = SoSOrient2Tie(&m2, &ids2, replace) }); a != 0 {
+			if a := testing.AllocsPerRun(100, func() { _, _ = SoSOrient2Tie(&m2, &ids2, replace) }); a != 0 {
 				t.Errorf("SoSOrient2Tie replace=%d: %v allocs/op", replace, a)
 			}
 		}
-		if a := testing.AllocsPerRun(100, func() { _ = SoSOrient3Tie(&m3, &ids3, replace) }); a != 0 {
+		if a := testing.AllocsPerRun(100, func() { _, _ = SoSOrient3Tie(&m3, &ids3, replace) }); a != 0 {
 			t.Errorf("SoSOrient3Tie replace=%d: %v allocs/op", replace, a)
 		}
 	}
@@ -303,6 +305,6 @@ func BenchmarkSoSOrient3Tie(b *testing.B) {
 	ids := [4]int{8, 2, 5, 7}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = SoSOrient3Tie(&m, &ids, -1)
+		_, _ = SoSOrient3Tie(&m, &ids, -1)
 	}
 }

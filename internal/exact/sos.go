@@ -325,22 +325,12 @@ func tiePlanOf(n int, pos []matchPos) (p tiePlan, ok bool) {
 // column all ones) whose exact determinant is zero — the caller has
 // certified the tie, so the determinant is not re-evaluated. ids are the
 // rows' distinct global vertex ids and replace the origin row (-1 for
-// none). It never allocates.
-func SoSOrient2Tie(m *[3][3]int64, ids *[3]int, replace int) int {
-	s, _ := sosTie2(m, ids, replace)
-	return s
-}
-
-// SoSOrient2TiePlans is SoSOrient2Tie reporting the number of plans
-// walked, for the predicate microbenchmark.
-func SoSOrient2TiePlans(m *[3][3]int64, ids *[3]int, replace int) (sign, plans int) {
-	return sosTie2(m, ids, replace)
-}
-
-func sosTie2(m *[3][3]int64, ids *[3]int, replace int) (int, int) {
-	plans := tie2[replace+1][order3(ids)]
-	for i := range plans {
-		p := &plans[i]
+// none). plans is the number of tie plans walked, which the predicate
+// microbenchmark reports. It never allocates.
+func SoSOrient2Tie(m *[3][3]int64, ids *[3]int, replace int) (sign, plans int) {
+	table := tie2[replace+1][order3(ids)]
+	for i := range table {
+		p := &table[i]
 		if p.k == 1 {
 			return int(p.sign), i + 1
 		}
@@ -348,25 +338,14 @@ func sosTie2(m *[3][3]int64, ids *[3]int, replace int) (int, int) {
 			return int(p.sign) * s, i + 1
 		}
 	}
-	return 0, len(plans) // unreachable for distinct ids
+	return 0, len(table) // unreachable for distinct ids
 }
 
 // SoSOrient3Tie is SoSOrient2Tie for a 4×4 orientation matrix.
-func SoSOrient3Tie(m *[4][4]int64, ids *[4]int, replace int) int {
-	s, _ := sosTie3(m, ids, replace)
-	return s
-}
-
-// SoSOrient3TiePlans is SoSOrient3Tie reporting the number of plans
-// walked, for the predicate microbenchmark.
-func SoSOrient3TiePlans(m *[4][4]int64, ids *[4]int, replace int) (sign, plans int) {
-	return sosTie3(m, ids, replace)
-}
-
-func sosTie3(m *[4][4]int64, ids *[4]int, replace int) (int, int) {
-	plans := tie3[replace+1][order4(ids)]
-	for i := range plans {
-		p := &plans[i]
+func SoSOrient3Tie(m *[4][4]int64, ids *[4]int, replace int) (sign, plans int) {
+	table := tie3[replace+1][order4(ids)]
+	for i := range table {
+		p := &table[i]
 		var s int
 		switch p.k {
 		case 1:
@@ -383,7 +362,7 @@ func sosTie3(m *[4][4]int64, ids *[4]int, replace int) (int, int) {
 			return int(p.sign) * s, i + 1
 		}
 	}
-	return 0, len(plans) // unreachable for distinct ids
+	return 0, len(table) // unreachable for distinct ids
 }
 
 func sign64(x int64) int {
@@ -410,13 +389,15 @@ func SoSOrientSign(m [][]int64, ids []int, replace int) int {
 		for r := range a {
 			copy(a[r][:], m[r])
 		}
-		return SoSOrient2Tie(&a, (*[3]int)(ids), replace)
+		s, _ := SoSOrient2Tie(&a, (*[3]int)(ids), replace)
+		return s
 	}
 	var a [4][4]int64
 	for r := range a {
 		copy(a[r][:], m[r])
 	}
-	return SoSOrient3Tie(&a, (*[4]int)(ids), replace)
+	s, _ := SoSOrient3Tie(&a, (*[4]int)(ids), replace)
+	return s
 }
 
 // DetN returns the exact determinant of an n×n int64 matrix, n <= 4,

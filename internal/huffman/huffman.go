@@ -22,10 +22,12 @@
 package huffman
 
 import (
+	"cmp"
 	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -177,12 +179,21 @@ const progressStep = 4096
 var ErrStopped = errors.New("huffman: decode stopped")
 
 // DecodeInto decodes the stream into out, which must hold exactly Len
-// symbols; a Stream decodes once. A consumer on another goroutine may
-// trail the decode: when done is not nil, DecodeInto stores the number
-// of symbols already in out every progressStep symbols and after the
-// last, and when stop is not nil, it returns ErrStopped once stop is
-// set. On an error done keeps its last value.
+// symbols; a Stream decodes once, and hands its decoder back to the
+// pool when DecodeInto returns, whatever the outcome. A consumer on
+// another goroutine may trail the decode: when done is not nil,
+// DecodeInto stores the number of symbols already in out every
+// progressStep symbols and after the last, and when stop is not nil, it
+// returns ErrStopped once stop is set. On an error done keeps its last
+// value.
 func (s *Stream) DecodeInto(out []uint32, done *atomic.Int64, stop *atomic.Bool) error {
+	if s.dec == nil {
+		return errors.New("huffman: stream already decoded")
+	}
+	defer func() {
+		decoderPool.Put(s.dec)
+		s.dec = nil
+	}()
 	if len(out) != s.n {
 		return fmt.Errorf("huffman: %d-symbol buffer for a %d-symbol block", len(out), s.n)
 	}
@@ -250,7 +261,7 @@ func (s *Stream) decodeRange(out []uint32, i, end int) (int, error) {
 }
 
 // parse reads a block's symbol count and code length table and returns
-// the count, a decoder for the table and the code bits.
+// the count, a decoder for the table (from the pool) and the code bits.
 func parse(data []byte) (uint64, *decoder, []byte, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -270,11 +281,13 @@ func parse(data []byte) (uint64, *decoder, []byte, error) {
 	if nnz > uint64(len(data)) {
 		return 0, nil, nil, errors.New("huffman: table size exceeds stream capacity")
 	}
-	list := make([]symLen, 0, nnz)
+	dec := decoderPool.Get().(*decoder)
+	list := dec.list[:0]
 	prev := uint32(0)
 	for i := uint64(0); i < nnz; i++ {
 		d, k := binary.Uvarint(data)
 		if k <= 0 || len(data) < k+1 {
+			decoderPool.Put(dec)
 			return 0, nil, nil, errors.New("huffman: truncated table")
 		}
 		sym := prev + uint32(d)
@@ -289,8 +302,9 @@ func parse(data []byte) (uint64, *decoder, []byte, error) {
 		data = data[k+1:]
 		prev = sym
 	}
-	dec, err := newDecoder(list)
-	if err != nil {
+	dec.list = list
+	if err := dec.init(list); err != nil {
+		decoderPool.Put(dec)
 		return 0, nil, nil, err
 	}
 	return n, dec, data, nil
@@ -448,10 +462,14 @@ const tableBits = 11
 // method, fronted by a lookup table over the next tableBits bits.
 type decoder struct {
 	// For each length l: firstCode[l] is the numeric value of the first
-	// canonical code of that length, and symbols[l] the symbols in order.
+	// canonical code of that length, and symbols[l] the symbols in order,
+	// a view of backing.
 	firstCode [maxCodeLen + 1]uint64
 	symbols   [maxCodeLen + 1][]uint32
+	backing   []uint32
 	maxLen    uint8
+	// list is parse's scratch for the code length table.
+	list []symLen
 	// table maps the next tableBits stream bits to the symbol the walk
 	// resolves on them and its code length, or length 0 when the walk
 	// does not resolve within tableBits bits.
@@ -463,28 +481,43 @@ type tableEntry struct {
 	len uint8
 }
 
-func newDecoder(list []symLen) (*decoder, error) {
-	d := &decoder{}
+// decoderPool recycles decoders across streams and decodes: a decoder
+// is about 18 KB, nearly all lookup table, and every block decode opens
+// two streams, so on small blocks a fresh decoder per stream costs more
+// allocation than the decoded output. parse takes a decoder,
+// Stream.DecodeInto returns it, and init clears what the previous table
+// left.
+var decoderPool = sync.Pool{New: func() any { return new(decoder) }}
+
+// init builds the decoder for a code length table, first clearing the
+// lookup table, the per-length codes and symbols and the maximum length
+// an earlier table left. list is sorted in place.
+func (d *decoder) init(list []symLen) error {
+	d.table = [1 << tableBits]tableEntry{}
+	d.firstCode = [maxCodeLen + 1]uint64{}
+	d.symbols = [maxCodeLen + 1][]uint32{}
+	d.maxLen = 0
 	for _, e := range list {
 		if e.len == 0 || e.len > maxCodeLen {
-			return nil, fmt.Errorf("huffman: invalid code length %d", e.len)
+			return fmt.Errorf("huffman: invalid code length %d", e.len)
 		}
 		if e.len > d.maxLen {
 			d.maxLen = e.len
 		}
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].len != list[j].len {
-			return list[i].len < list[j].len
+	slices.SortFunc(list, func(a, b symLen) int {
+		if a.len != b.len {
+			return int(a.len) - int(b.len)
 		}
-		return list[i].sym < list[j].sym
+		return cmp.Compare(a.sym, b.sym)
 	})
 	// After the (len, sym) sort each length's symbols are one contiguous
 	// run; a single backing slice serves every per-length view.
-	backing := make([]uint32, len(list))
-	for i, e := range list {
-		backing[i] = e.sym
+	backing := slices.Grow(d.backing[:0], len(list))
+	for _, e := range list {
+		backing = append(backing, e.sym)
 	}
+	d.backing = backing
 	c := uint64(0)
 	prevLen := uint8(0)
 	start := 0
@@ -499,7 +532,7 @@ func newDecoder(list []symLen) (*decoder, error) {
 		prevLen = e.len
 	}
 	d.fill(0, 0, 0)
-	return d, nil
+	return nil
 }
 
 // match is one step of the walk: the symbol whose length-l code has

@@ -208,6 +208,61 @@ func TestTableDecodeLongCodes(t *testing.T) {
 	}
 }
 
+// TestDecoderReuse rebuilds one decoder, as the pool hands it from
+// stream to stream, for a table of short codes, then for one with codes
+// longer than tableBits, then back, and decodes each stream through it:
+// the output must be the walk's every time, so no lookup entry, code,
+// symbol run or maximum length of the previous table survives init. A
+// stream with an invalid code after the long table must fail as the
+// walk does, after its own maximum length, not the previous one. The
+// same sequence then runs through Decompress and the pool itself.
+func TestDecoderReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	shortSyms := make([]uint32, 3000)
+	for i := range shortSyms {
+		shortSyms[i] = uint32(rng.Intn(20))
+	}
+	table := longTable()
+	longSyms := make([]uint32, 0, 600)
+	for s := range table {
+		longSyms = append(longSyms, uint32(s))
+	}
+	for len(longSyms) < cap(longSyms) {
+		longSyms = append(longSyms, uint32(rng.Intn(len(table))))
+	}
+	short, long := Compress(shortSyms), codedBlock(table, longSyms)
+	invalid := rawBlock(2, []symLen{{sym: 5, len: 1}}, []byte{0xff})
+	seq := [][]byte{short, long, short, long, invalid}
+	d := new(decoder)
+	for i, blob := range seq {
+		want, wantErr := walkDecompress(blob)
+		n, pd, bits, err := parse(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.init(slices.Clone(pd.list)); err != nil {
+			t.Fatal(err)
+		}
+		s := &Stream{n: int(n), dec: d, bits: bits}
+		out := make([]uint32, n)
+		_, err = s.decodeRange(out, 0, len(out))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("stream %d through the rebuilt decoder: error %v, walk error %v", i, err, wantErr)
+		}
+		if err == nil && !slices.Equal(out, want) {
+			t.Fatalf("stream %d through the rebuilt decoder differs from the walk", i)
+		}
+	}
+	if _, err := walkDecompress(invalid); err == nil {
+		t.Fatal("the invalid-code stream decoded")
+	}
+	for range 3 {
+		for _, blob := range seq {
+			sameAsWalk(t, blob)
+		}
+	}
+}
+
 func TestTableDecodeOneSymbolAlphabet(t *testing.T) {
 	table := []symLen{{sym: 9, len: 1}}
 	got, err := sameAsWalk(t, codedBlock(table, []uint32{9, 9, 9}))
@@ -330,6 +385,10 @@ func TestDecodeIntoProgress(t *testing.T) {
 	s, _ = Open(blob)
 	if err := s.DecodeInto(out[1:], nil, nil); err == nil {
 		t.Fatal("a short buffer decoded")
+	}
+	// The failed decode handed the decoder back: the stream is spent.
+	if err := s.DecodeInto(out, nil, nil); err == nil {
+		t.Fatal("a stream decoded twice")
 	}
 }
 

@@ -152,12 +152,15 @@ func (r Result) ThroughputMBps() float64 {
 	return float64(r.RawBytes) / 1e6 / s
 }
 
-// DefaultSlabs derives the slab count from the slow-axis extent. More
-// slabs expose more parallelism but store more lossless border planes;
-// one slab per four planes, capped at 16, keeps the ratio loss in the
-// low percents at Table-2 scales while feeding an 8-way pool. The result
-// depends on the field shape only — never on the host — so the same
-// input always produces the same archive.
+// DefaultSlabs derives the slab count from the slow-axis extent: one
+// slab per four planes, capped at 16, enough to feed an 8-way pool. More
+// slabs expose more parallelism but store more lossless border planes,
+// and the loss is large: measured on Ocean (1 worker), 16 slabs keep only
+// 31% of the one-slab ratio at 128² ST1 (4.40 against 13.99) and 55% at
+// 768×576 NoSpec (19.60 against 35.78), and both shapes get 16 slabs
+// here. The "Two-phase slab borders in shm" item of ROADMAP.md is the
+// fix. The result depends on the field shape only — never on the host —
+// so the same input always produces the same archive.
 func DefaultSlabs(nSlow int) int {
 	s := nSlow / 4
 	if s > 16 {
