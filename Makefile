@@ -48,7 +48,8 @@ race:
 	$(GO) test -race ./internal/exact/ ./internal/exact/filter/ ./internal/derive/ ./internal/telemetry/ ./internal/mpi/ ./internal/parallel/ ./internal/core/ ./internal/shm/... ./internal/faultinject/ ./internal/flightrec/ ./internal/obs/ ./internal/codec/ ./internal/server/ ./internal/field/ ./internal/cp/ ./internal/archive/ ./internal/huffman/ ./internal/encoder/
 
 # Fault soak: fault-injected pipeline runs plus the stream-integrity
-# tests. Every run must end in a typed error, a degradation report with
+# tests and the seed corpora of the fuzz targets (FuzzSeamEquivalence
+# among them). Every run must end in a typed error, a degradation report with
 # correct output, or bytes identical to a clean run — never a panic,
 # never silent corruption.
 .PHONY: faults
@@ -58,8 +59,9 @@ faults:
 		./internal/shm/ ./internal/mpi/ ./internal/parallel/ ./internal/core/ \
 		./internal/server/ ./cmd/topozip/
 
-# Short coverage-guided fuzzing of every decode surface and of the
-# filtered predicates against their big.Int oracles. Raise FUZZTIME
+# Short coverage-guided fuzzing of every decode surface, of the
+# filtered predicates against their big.Int oracles, and of slab-seam
+# equivalence across the shm, codec and daemon entry points. Raise FUZZTIME
 # for a real session; `go test -fuzz` takes one target per invocation.
 FUZZTIME ?= 5s
 .PHONY: fuzz
@@ -75,6 +77,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzFPZIPLikeDecompress$$' -fuzztime=$(FUZZTIME) ./internal/baselines/
 	$(GO) test -fuzz='^FuzzHuffmanDecompress$$' -fuzztime=$(FUZZTIME) ./internal/huffman/
 	$(GO) test -fuzz='^FuzzFilterPredicates$$' -fuzztime=$(FUZZTIME) ./internal/exact/filter/
+	$(GO) test -fuzz='^FuzzSeamEquivalence$$' -fuzztime=$(FUZZTIME) .
 
 # Coverage gate for the compression kernel: fails below COVER_MIN%.
 COVER_MIN ?= 85

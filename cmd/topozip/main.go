@@ -21,12 +21,13 @@
 // -abs to interpret it as an absolute bound.
 //
 // Every compress runs the codec's slab pipeline (the same call path as
-// topozipd) and writes a version-3 archive container; decompress and
-// verify decode through the same codec. By default the field is one
-// slab, whose container holds exactly the single-node block. -workers
-// (or -slabs) splits the field along its slow axis into slabs with
-// lossless borders that compress concurrently; the output bytes depend
-// only on the slab count, never on the worker count.
+// topozipd, with the same bytes) and writes a version-3 archive
+// container; decompress and verify decode through the same codec. A
+// field below 128 Ki vertices is one slab, whose container holds exactly
+// the single-node block; a larger one, or -slabs, splits the field along
+// its slow axis into slabs that compress concurrently and meet at
+// two-phase seams, keeping the single-block ratio. The output bytes
+// depend only on the slab count, never on -workers.
 // decompress/verify/info also read bare blocks and older containers.
 //
 // -max-mem <bytes, e.g. 64M, 1GiB> bounds peak memory: compress pulls
@@ -217,8 +218,8 @@ func cmdCompress(args []string) error {
 	tau := fs.Float64("tau", 0.01, "error bound")
 	abs := fs.Bool("abs", false, "interpret -tau as an absolute bound (default: relative to value range)")
 	specFlag := fs.String("spec", "NoSpec", "speculation target: NoSpec, ST1..ST4")
-	workers := fs.Int("workers", 0, "slab-pipeline workers (-1 = all cores); any nonzero value splits the field into slabs (see -slabs)")
-	slabs := fs.Int("slabs", 0, "slab count (0 = one slab, or derived from the field shape when -workers or -max-mem is set)")
+	workers := fs.Int("workers", 0, "slab-pipeline workers (0 or -1 = all cores); never changes the output bytes")
+	slabs := fs.Int("slabs", 0, "slab count (0 = derived from -max-mem when set, else from the field shape)")
 	maxMem := fs.String("max-mem", "", "peak-memory budget, e.g. 256MiB; sizes slabs and the admission window automatically")
 	metrics := fs.String("metrics", "", "write telemetry (span tree + counters) as JSON to this file")
 	traceOut := fs.String("trace", "", "write the span forest as Chrome trace-event JSON (Perfetto-loadable) to this file")
@@ -288,11 +289,6 @@ func cmdCompress(args []string) error {
 		defer pprof.StopCPUProfile()
 	}
 	po := shm.Options{Workers: *workers, Slabs: *slabs, MaxMemBytes: budget, Tel: tel, Rec: rec, Faults: inj}
-	if *workers == 0 && *slabs <= 0 && budget <= 0 {
-		// One slab has no lossless borders: its container holds exactly
-		// the single-node block, so the default keeps that ratio.
-		po.Slabs = 1
-	}
 	res, err := compressFile(*in, *out, codec.Params{Dims: dims, Tau: *tau, TauAbsolute: *abs, Spec: *specFlag, Pipeline: po})
 	// The postmortem contract: any failed or degraded run dumps the
 	// flight-recorder ring before the error surfaces.

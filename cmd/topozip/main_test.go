@@ -126,9 +126,10 @@ func readManifest(t *testing.T, archivePath string) *telemetry.Manifest {
 }
 
 // TestCLIMatchesCodec pins that the CLI runs the codec's call path:
-// compress -workers 2 writes the bytes codec.Compress (and so topozipd)
-// writes for Pipeline{Workers: 2}, and the default one-slab container
-// holds exactly the single-node block for the same transform and bound.
+// compress -workers 2 and the default compress both write the bytes
+// codec.Compress (and so topozipd) writes for Pipeline{Workers: 2}, and
+// that one-slab container holds exactly the single-node block for the
+// same transform and bound.
 func TestCLIMatchesCodec(t *testing.T) {
 	dir := t.TempDir()
 	raw := filepath.Join(dir, "ocean.f32")
@@ -159,6 +160,9 @@ func TestCLIMatchesCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := readFile(t, comp)
+	if !bytes.Equal(data, want.Bytes()) {
+		t.Fatal("default compress differs from codec.Compress: the slab count must not depend on -workers")
+	}
 	sr, err := archive.OpenStream(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)

@@ -71,18 +71,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 // symbol streams and a temporal block's previous frame come from the
 // decode scratch pool, so what a decode allocates is the float output
 // (8 B) and the inflated sections, with the Huffman tables and the
-// container framing; it measured 11.5 B when the gate was set. A working
-// buffer that misses the pool — a symbol stream (4 B) or a component
-// (8 B) — does not fit.
+// container framing; it measured 10.8–11.0 B on average when the gate
+// was set. A working buffer that misses the pool — a symbol stream (4 B)
+// or a component (8 B) — does not fit.
 const maxDecodeBytesPerVertex = 13
 
-// TestDecompressAllocBytes gates the bytes per vertex of one warm
-// Decompress of a 384×288 Ocean block: the least of several decodes. A
-// decode can miss the pool — a collection empties it, and a scratch Put
-// on one P stays in that P's private slot, out of reach of a Get on
-// another — so the collector is off while the decodes run, and the
-// least of them is the decode that found its buffers pooled. A decode
-// that never does fails as before.
+// TestDecompressAllocBytes gates the bytes per vertex of a warm
+// Decompress of a 384×288 Ocean block: the mean of several decodes. The
+// decode scratch comes from a pool whose Put every goroutine's Get sees
+// (sharedPool), so no warm decode allocates it again; a collection ages
+// that pool, so the collector is off while the decodes run.
 func TestDecompressAllocBytes(t *testing.T) {
 	ocean := datagen.Ocean(384, 288)
 	blob, _, err := core.Compress(ocean.Dims(), ocean.Components(), core.Options{Tau: 0.05})
@@ -96,22 +94,23 @@ func TestDecompressAllocBytes(t *testing.T) {
 	}
 	decode() // warm
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const runs = 5
+	const runs = 8
 	perVertex := make([]float64, runs)
 	var before, after runtime.MemStats
+	mean := 0.0
 	for i := range perVertex {
 		runtime.ReadMemStats(&before)
 		decode()
 		runtime.ReadMemStats(&after)
 		perVertex[i] = float64(after.TotalAlloc-before.TotalAlloc) / float64(ocean.NX*ocean.NY)
+		mean += perVertex[i] / runs
 	}
-	least := slices.Min(perVertex)
-	t.Logf("decode: %.1f B/vertex (runs: %.1f)", least, perVertex)
+	t.Logf("decode: %.1f B/vertex mean (runs: %.1f)", mean, perVertex)
 	if raceEnabled {
 		return
 	}
-	if least > maxDecodeBytesPerVertex {
-		t.Errorf("decode allocates %.1f B/vertex, gate %d", least, maxDecodeBytesPerVertex)
+	if mean > maxDecodeBytesPerVertex {
+		t.Errorf("decode allocates %.1f B/vertex on average, gate %d", mean, maxDecodeBytesPerVertex)
 	}
 }
 
@@ -119,11 +118,12 @@ func TestDecompressAllocBytes(t *testing.T) {
 // 128×8 Ocean block, the slab shape a daemon or a windowed stream
 // decodes many times. Its float output is 8 KB. The Huffman decoders
 // (an 18 KB lookup table each, two streams per block) and their code
-// length scratch come from a pool, so what remains is the output, the
-// inflated sections and the container framing, 21.6 KB in 35
-// allocations when the gate was set. One decoder that misses the pool
-// does not fit.
-const maxSmallDecodeBytes = 32 << 10
+// length scratch come from a pool, and the sections are inflated into
+// buffers sized from their stored lengths, so what remains is the
+// output, the sections and the container framing: 12.5 KB in 33
+// allocations when the gate was set. A section read that grows by
+// doubling again does not fit.
+const maxSmallDecodeBytes = 14 << 10
 
 // TestDecompressSmallBlockAllocs gates the bytes of a warm decode of a
 // small block, where fixed per-decode costs dominate: the least of

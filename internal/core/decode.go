@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -155,13 +154,13 @@ type decodeScratch struct {
 	steps [256]int64
 }
 
-var decodePool = sync.Pool{New: func() interface{} { return new(decodeScratch) }}
+var decodePool = newSharedPool[decodeScratch]()
 
 // release returns the scratch to the pool, without its view of the
 // inflated block's literals.
 func (d *decodeScratch) release() {
 	d.lits = nil
-	decodePool.Put(d)
+	decodePool.put(d)
 }
 
 // decodeFixed reconstructs the fixed-point components of a compressed
@@ -227,7 +226,7 @@ func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]float32, 
 			return nil, nil, err
 		}
 	}
-	ds := decodePool.Get().(*decodeScratch)
+	ds := decodePool.get()
 	if err := ds.decode(&h, exp, code, sections[3], prev); err != nil {
 		ds.release()
 		return nil, nil, err

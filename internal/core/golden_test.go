@@ -289,7 +289,7 @@ func goldenCases() []goldenCase {
 
 	// Slab containers of the shared-memory pipeline: the version-3
 	// container bytes (index, per-slab blobs, CRCs) are pinned whole, so
-	// the slab decomposition, its lossless borders and the container
+	// the slab decomposition, its two-phase seams and the container
 	// framing cannot drift. Workers and Window never change the bytes.
 	cases = append(cases, goldenCase{
 		name: "2d-shm-container",
@@ -598,6 +598,51 @@ func TestGoldenV1Decode(t *testing.T) {
 			}
 			if got := hashDecoded(decoded); got != string(bytes.TrimSpace(wantSum)) {
 				t.Errorf("v1 decoded field digest differs from %s.sum", c.name)
+			}
+		})
+	}
+}
+
+// TestGoldenLosslessBorderContainersDecode decodes the frozen shm
+// containers under testdata/golden-v3-lossless-border, written while
+// every slab stored its border planes losslessly (before two-phase
+// seams), and pins the decoded fields against their digests: containers
+// already on disk keep decoding bit for bit.
+func TestGoldenLosslessBorderContainersDecode(t *testing.T) {
+	dir := filepath.Join("testdata", "golden-v3-lossless-border")
+	for _, c := range []struct {
+		name string
+		dims []int
+	}{
+		{"2d-shm-container", []int{2 * 23, 2 * 17}},
+		{"3d-shm-container", []int{11, 9, 8}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join(dir, c.name+".bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs, err := unpackBlobs(data)
+			if err != nil || len(blobs) != 1 {
+				t.Fatalf("bad golden container: %v", err)
+			}
+			n := 1
+			for _, d := range c.dims {
+				n *= d
+			}
+			comps := make([][]float32, len(c.dims))
+			for i := range comps {
+				comps[i] = make([]float32, n)
+			}
+			if err := shm.Decompress(blobs[0], 2, field.MemOf(c.dims, comps)); err != nil {
+				t.Fatal(err)
+			}
+			wantSum, err := os.ReadFile(filepath.Join(dir, c.name+".sum"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hashDecoded(comps); got != string(bytes.TrimSpace(wantSum)) {
+				t.Errorf("decoded field digest differs from %s.sum", c.name)
 			}
 		})
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
 // kernelScratch carries the working buffers of one block compression.
 // Every run of the sweep needs the same family of arrays (extended
@@ -35,6 +38,71 @@ type kernelScratch struct {
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(kernelScratch) }}
+
+// sharedPool is a free list whose Put any goroutine's Get sees. A
+// sync.Pool keeps a Put in the putting P's private slot when that slot
+// is empty, and a Get on another P cannot reach it: the pipelined
+// decoder's caller often releases its scratch on another P than the
+// next decode starts on, and about one warm 384×288 decode in eight then
+// allocated its whole scratch again (39–40 B/vertex against 10.8, with
+// no collection in between). Like a sync.Pool, it lets the collector
+// have what stays idle: each collection moves the free list to a victim
+// list and drops the previous victims, so an entry survives one idle
+// collection.
+type sharedPool[T any] struct {
+	mu           sync.Mutex
+	free, victim []*T
+}
+
+// newSharedPool returns an empty pool that ages at every collection.
+func newSharedPool[T any]() *sharedPool[T] {
+	p := new(sharedPool[T])
+	afterGC(p.age)
+	return p
+}
+
+// get returns a pooled T, or a new zero one.
+func (p *sharedPool[T]) get() *T {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, l := range [2]*[]*T{&p.free, &p.victim} {
+		if n := len(*l); n > 0 {
+			x := (*l)[n-1]
+			(*l)[n-1] = nil
+			*l = (*l)[:n-1]
+			return x
+		}
+	}
+	return new(T)
+}
+
+// put returns x to the pool for any goroutine's next get.
+func (p *sharedPool[T]) put(x *T) {
+	p.mu.Lock()
+	p.free = append(p.free, x)
+	p.mu.Unlock()
+}
+
+// age drops the victims and makes the free list the new victims.
+func (p *sharedPool[T]) age() {
+	p.mu.Lock()
+	p.victim, p.free = p.free, nil
+	p.mu.Unlock()
+}
+
+// gcSentinel is the object whose finalizer afterGC re-arms; it is too
+// large for the tiny allocator, whose blocks free late.
+type gcSentinel struct{ _ [32]byte }
+
+// afterGC runs f on the finalizer goroutine once after every
+// collection: a sentinel's finalizer runs in the first collection that
+// finds it unreachable and arms the next one.
+func afterGC(f func()) {
+	runtime.SetFinalizer(new(gcSentinel), func(*gcSentinel) {
+		f()
+		afterGC(f)
+	})
+}
 
 // grow returns buf resized to n and zeroed, reallocating only when the
 // capacity is insufficient. Zeroing keeps pooled reuse bit-identical to

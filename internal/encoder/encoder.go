@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -47,10 +48,12 @@ func Deflate(data []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// inflater is a pooled DEFLATE reader over a reusable byte source.
+// inflater is a pooled DEFLATE reader over a reusable byte source, with
+// a small buffered reader over it for the uvarint section lengths.
 type inflater struct {
 	src bytes.Reader
 	fr  io.Reader
+	br  *bufio.Reader
 }
 
 // inflatePool recycles DEFLATE readers across Inflate and UnpackFirst
@@ -60,6 +63,7 @@ type inflater struct {
 var inflatePool = sync.Pool{New: func() interface{} {
 	x := new(inflater)
 	x.fr = flate.NewReader(&x.src)
+	x.br = bufio.NewReaderSize(x.fr, 512)
 	return x
 }}
 
@@ -73,6 +77,7 @@ func getInflater(data []byte) *inflater {
 	if err := x.fr.(flate.Resetter).Reset(&x.src, nil); err != nil {
 		x.fr = flate.NewReader(&x.src)
 	}
+	x.br.Reset(x.fr)
 	return x
 }
 
@@ -123,7 +128,7 @@ const maxFirstSection = 1 << 20
 func UnpackFirst(data []byte) ([]byte, error) {
 	x := getInflater(data)
 	defer putInflater(x)
-	br := bufio.NewReaderSize(x.fr, 512)
+	br := x.br
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, truncOrCorrupt(err)
@@ -154,31 +159,75 @@ func truncOrCorrupt(err error) error {
 	return fmt.Errorf("%w: %v", ErrCorrupt, err)
 }
 
-// Unpack reverses Pack.
+// maxInflateRatio bounds how many bytes one byte of DEFLATE data can
+// inflate to: the format's ceiling is about 1032:1. Unpack checks each
+// section length against it, so a corrupt length cannot size a huge
+// allocation.
+const maxInflateRatio = 1040
+
+// Unpack reverses Pack. It inflates the sections one at a time, each
+// into a buffer sized from its stored length, so a block decode
+// allocates its sections and nothing more (io.ReadAll's doubling was
+// about half of what a warm 128×8 decode allocated).
 func Unpack(data []byte) ([][]byte, error) {
-	raw, err := Inflate(data)
+	x := getInflater(data)
+	defer putInflater(x)
+	limit := maxInflateRatio*uint64(len(data)) + 64
+	n, err := binary.ReadUvarint(x.br)
 	if err != nil {
-		return nil, err
+		return nil, unpackErr(err)
 	}
-	n, k := binary.Uvarint(raw)
-	if k <= 0 {
-		return nil, ErrCorrupt
-	}
-	raw = raw[k:]
 	// Each section costs at least a one-byte length prefix; a corrupt
 	// count beyond that cannot be valid and must not drive a huge
 	// preallocation.
-	if n > uint64(len(raw))+1 {
+	if n > limit {
 		return nil, ErrCorrupt
 	}
 	sections := make([][]byte, 0, n)
 	for i := uint64(0); i < n; i++ {
-		l, k := binary.Uvarint(raw)
-		if k <= 0 || uint64(len(raw)-k) < l {
+		l, err := binary.ReadUvarint(x.br)
+		if err != nil {
+			return nil, unpackErr(err)
+		}
+		if l > limit {
 			return nil, ErrCorrupt
 		}
-		sections = append(sections, raw[k:k+int(l)])
-		raw = raw[k+int(l):]
+		sec, err := readSection(x.br, int(l))
+		if err != nil {
+			return nil, unpackErr(err)
+		}
+		sections = append(sections, sec)
 	}
 	return sections, nil
+}
+
+// sectionPrealloc caps the buffer readSection sizes from a stored
+// length before any of the section's bytes have arrived.
+const sectionPrealloc = 4 << 20
+
+// readSection reads a section of l bytes into a buffer sized from l.
+// Past sectionPrealloc the buffer doubles only as bytes arrive, so a
+// corrupt length costs at most twice the data actually behind it.
+func readSection(r io.Reader, l int) ([]byte, error) {
+	sec := make([]byte, min(l, sectionPrealloc))
+	if _, err := io.ReadFull(r, sec); err != nil {
+		return nil, err
+	}
+	for n := len(sec); n < l; n = len(sec) {
+		sec = slices.Grow(sec, min(l-n, n))[:n+min(l-n, n)]
+		if _, err := io.ReadFull(r, sec[n:]); err != nil {
+			return nil, err
+		}
+	}
+	return sec, nil
+}
+
+// unpackErr maps a failed read of a container: the stream ending inside
+// it is ErrCorrupt, and a DEFLATE fault is an inflate error, as from
+// Inflate.
+func unpackErr(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return ErrCorrupt
+	}
+	return fmt.Errorf("encoder: inflate: %w", err)
 }

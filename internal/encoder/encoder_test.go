@@ -2,7 +2,10 @@ package encoder
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -70,6 +73,40 @@ func TestUnpackCorrupt(t *testing.T) {
 	z, _ := Deflate([]byte{5}) // claims 5 sections, provides none
 	if _, err := Unpack(z); err == nil {
 		t.Error("truncated container should error")
+	}
+}
+
+// TestUnpackSectionSizing pins Unpack's section reads: a section longer
+// than the preallocation round-trips through the growth path, and a
+// length that claims more bytes than the stream holds fails as corrupt
+// after allocating about what the stream does hold, not what it claims.
+func TestUnpackSectionSizing(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), (2*sectionPrealloc+12345)/16)
+	blob, err := Pack([]byte("hdr"), big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Unpack(blob)
+	if err != nil || len(got) != 2 || !bytes.Equal(got[0], []byte("hdr")) || !bytes.Equal(got[1], big) {
+		t.Fatalf("large section: err %v, %d sections", err, len(got))
+	}
+
+	raw := binary.AppendUvarint(nil, 1)
+	raw = binary.AppendUvarint(raw, 1<<30) // claims 1 GiB
+	raw = append(raw, make([]byte, 64<<10)...)
+	z, err := Deflate(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Unpack(z)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("lying length: err %v, want ErrCorrupt", err)
+	}
+	if a := after.TotalAlloc - before.TotalAlloc; a > 2*sectionPrealloc {
+		t.Fatalf("lying length allocated %d B", a)
 	}
 }
 

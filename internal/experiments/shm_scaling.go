@@ -39,7 +39,7 @@ type ShmResult struct {
 func ShmScaling(cfg Config) (ShmResult, error) {
 	cfg = cfg.WithDefaults()
 	res := ShmResult{Table: Table{
-		Title: "Shared-memory scaling: lossless-border slabs on a worker pool (wall clock)",
+		Title: "Shared-memory scaling: two-phase slabs on a worker pool (wall clock)",
 		Columns: []string{"Dataset", "Workers", "Slabs", "Ratio",
 			"S_c(MB/s)", "S_d(MB/s)", "Speedup", "Identical", "#TP", "#FP", "#FN", "#FT"},
 	}}
@@ -51,6 +51,11 @@ func ShmScaling(cfg Config) (ShmResult, error) {
 	}
 	return res, nil
 }
+
+// scalingSlabs pins the decomposition the worker sweep runs on. The
+// default slab count gives these Table-2-scale fields one or two slabs
+// (shm.DefaultSlabs), which a worker count cannot spread.
+const scalingSlabs = 8
 
 // shmRuns executes one dataset's worker sweep and appends its rows: each
 // worker count compresses the field through the pipeline, decodes the
@@ -65,7 +70,7 @@ func shmRuns(cfg Config, res *ShmResult, ds dataset, workerCounts []int) error {
 	var baseWall time.Duration
 	for _, w := range workerCounts {
 		r, err := shm.Compress(field.MemOf(ds.dims, ds.comps), tr, core.Options{Tau: tau, Spec: core.ST2, Tel: cfg.Tel},
-			shm.Options{Workers: w, Tel: cfg.Tel, Faults: cfg.Faults})
+			shm.Options{Workers: w, Slabs: scalingSlabs, Tel: cfg.Tel, Faults: cfg.Faults})
 		if err != nil {
 			return err
 		}

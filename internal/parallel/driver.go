@@ -3,6 +3,7 @@ package parallel
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fixed"
@@ -136,6 +137,55 @@ func splitComps(vals []int64, nc int) [][]int64 {
 	return out
 }
 
+// rankTransport carries one rank's seam exchanges over the simulated
+// machine: phase-1 originals and phase-2 decompressed borders travel as
+// tagged messages to and from the neighbor ranks nb (-1: none).
+type rankTransport struct {
+	c  *mpi.Comm
+	nb [6]int
+	nc int
+	rt runTel
+}
+
+// sendOriginals sends the rank's original border plane to every
+// neighbor, the phase-1 ghosts Original receives on the other side.
+func (t rankTransport) sendOriginals(enc *core.Encoder) {
+	for s, r := range t.nb {
+		if r >= 0 {
+			vals := flatten(enc.BorderPlane(s))
+			t.rt.sent(false, 8*len(vals))
+			t.c.SendInt64s(r, s, vals)
+		}
+	}
+}
+
+// recv waits for the plane the neighbor across side sent with tag. The
+// deadline/retry policy of the machine's Config guards against
+// straggling or wedged neighbor ranks; with no deadline configured it
+// blocks like a plain receive.
+func (t rankTransport) recv(side, tag int) ([][]int64, error) {
+	vals, err := t.c.RecvInt64sTimeout(t.nb[side], tag)
+	if err != nil {
+		return nil, err
+	}
+	return splitComps(vals, t.nc), nil
+}
+
+func (t rankTransport) Original(side int) ([][]int64, error) {
+	return t.recv(side, opposite(side))
+}
+
+func (t rankTransport) Hand(side int, plane [][]int64) error {
+	vals := flatten(plane)
+	t.rt.sent(true, 8*len(vals))
+	t.c.SendInt64s(t.nb[side], phase2TagOffset+side, vals)
+	return nil
+}
+
+func (t rankTransport) Decompressed(side int) ([][]int64, error) {
+	return t.recv(side, phase2TagOffset+opposite(side))
+}
+
 // CompressDistributed compresses a field of dims [NX, NY] or
 // [NX, NY, NZ] (one component per dimension) on a simulated machine of
 // grid[0]×grid[1](×grid[2]) ranks: each rank gathers its sub-block into a
@@ -213,70 +263,23 @@ func CompressDistributed(dims []int, comps [][]float32, grid []int, tr fixed.Tra
 			return
 		}
 
-		// Phase-1 exchange: original border values to every neighbor.
-		// Exchange spans report virtual time (clock advance across the
-		// exchange), since the data movement itself is simulated.
+		// Phase-1 exchange: original border values to every neighbor,
+		// then the seam protocol. Exchange spans report virtual time
+		// (clock advance less the measured compute), since the data
+		// movement itself is simulated.
+		t := rankTransport{c: c, nb: nb, nc: nc, rt: rt}
+		var computed time.Duration
+		compute := func(f func()) { computed += c.Time(f) }
 		x0 := c.Elapsed()
-		for s, r := range nb {
-			if r < 0 {
-				continue
-			}
-			vals := flatten(enc.BorderPlane(s))
-			rt.sent(false, 8*len(vals))
-			c.SendInt64s(r, s, vals)
+		t.sendOriginals(enc)
+		if err := PhaseOne(enc, neighbor, t, compute); err != nil {
+			errs[c.Rank] = err
+			return
 		}
-		for s, r := range nb {
-			if r < 0 {
-				continue
-			}
-			// The deadline/retry policy of mcfg guards against straggling
-			// or wedged neighbor ranks; with no deadline configured this
-			// blocks exactly like the seed driver.
-			vals, err := c.RecvInt64sTimeout(r, opposite(s))
-			if err != nil {
-				errs[c.Rank] = err
-				return
-			}
-			if err := enc.SetGhostPlane(s, splitComps(vals, nc)); err != nil {
-				errs[c.Rank] = err
-				return
-			}
-		}
-		rt.rank(c.Rank).AddChild("ghost-exchange-p1", c.Elapsed()-x0)
-		c.Time(func() {
-			enc.Prepare()
-			enc.RunPhase1()
-		})
-		// Phase-2 exchange: decompressed min borders flow to min-side
-		// neighbors, becoming their max-side ghosts.
-		x1 := c.Elapsed()
-		for ax := 0; ax < ndim; ax++ {
-			if s := 2 * ax; nb[s] >= 0 {
-				vals := flatten(enc.BorderPlane(s))
-				rt.sent(true, 8*len(vals))
-				c.SendInt64s(nb[s], phase2TagOffset+s, vals)
-			}
-		}
-		for ax := 0; ax < ndim; ax++ {
-			if s := 2*ax + 1; nb[s] >= 0 {
-				vals, err := c.RecvInt64sTimeout(nb[s], phase2TagOffset+opposite(s))
-				if err != nil {
-					errs[c.Rank] = err
-					return
-				}
-				if err := enc.SetGhostPlane(s, splitComps(vals, nc)); err != nil {
-					errs[c.Rank] = err
-					return
-				}
-			}
-		}
-		rt.rank(c.Rank).AddChild("ghost-exchange-p2", c.Elapsed()-x1)
-		var blob []byte
-		var ferr error
-		c.Time(func() {
-			enc.RunPhase2()
-			blob, ferr = enc.Finish()
-		})
+		rt.rank(c.Rank).AddChild("ghost-exchange-p1", c.Elapsed()-x0-computed)
+		x1, c1 := c.Elapsed(), computed
+		blob, ferr := PhaseTwo(enc, neighbor, t, compute)
+		rt.rank(c.Rank).AddChild("ghost-exchange-p2", c.Elapsed()-x1-(computed-c1))
 		blobs[c.Rank], errs[c.Rank] = blob, ferr
 		stats[c.Rank] = enc.Stats()
 		enc.Close()

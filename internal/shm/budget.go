@@ -10,7 +10,9 @@
 // (2x), the residual/bound streams plus the sealed blob awaiting flush
 // (~1x), and headroom for the Go runtime between collections (~2x).
 // Decoding skips the encode streams but still inflates to int64 before
-// converting, so it sits a notch lower.
+// converting, so it sits a notch lower. A slab parked at its seam keeps
+// its encoder's fixed-point state until its successor's phase 1 is done,
+// so it costs the compress overhead until it seals.
 
 package shm
 
@@ -19,29 +21,25 @@ const (
 	decompressSlabOverhead = 5
 )
 
-// budgetSlabs picks a slab count whose largest slab fits the budget
-// with room for a window of at least two, floored at DefaultSlabs so a
-// generous budget does not serialize the pipeline, and capped at
-// nSlow/2 (slabs need two planes each).
+// seamWindow is the window budgetSlabs sizes slabs for: at two-phase
+// seams a slab stays resident until its successor has run phase 1, so
+// keeping two workers busy takes three slabs.
+const seamWindow = 3
+
+// budgetSlabs picks the slab count from the budget and the field shape
+// alone: the largest slab fits the budget with room for a window of
+// three — two slabs in phase 1 and one waiting at its seam for its
+// successor — capped at nSlow/2 (slabs need two planes each). A budget
+// that holds the whole field that way gives one slab; there is no
+// parallelism floor, since a whole-domain slab already runs on every
+// core.
 func budgetSlabs(budget, planeBytes int64, nSlow int) int {
-	target := budget / (2 * compressSlabOverhead)
-	planes := target / planeBytes
+	planes := budget / (seamWindow * compressSlabOverhead) / planeBytes
 	if planes < 2 {
 		planes = 2
 	}
 	slabs := int((int64(nSlow) + planes - 1) / planes)
-	if d := DefaultSlabs(nSlow); slabs < d {
-		// More slabs always shrink per-slab memory, so taking the
-		// parallelism floor never breaks the budget.
-		slabs = d
-	}
-	if max := nSlow / 2; slabs > max {
-		slabs = max
-	}
-	if slabs < 1 {
-		slabs = 1
-	}
-	return slabs
+	return max(1, min(slabs, nSlow/2))
 }
 
 // budgetWindow derives the admission window from the budget and the

@@ -1,16 +1,22 @@
 // Package shm is the shared-memory parallel compression pipeline: the
-// paper's lossless-border decomposition (Sec. V-A) executed on real OS
-// threads instead of the simulated message-passing machine of package
-// parallel. The field is split into slabs along its slowest-varying axis
-// (Y in 2D, Z in 3D), each slab compresses independently on a worker
-// drawn from a GOMAXPROCS-sized pool — border vertices are stored
-// losslessly, so no worker ever communicates — and the per-slab blobs
-// are concatenated in slab order into the existing archive container.
+// paper's ratio-oriented decomposition (Sec. V-A, Fig. 4) executed on
+// real OS threads instead of the simulated message-passing machine of
+// package parallel. A field too large for one memory window is split
+// into slabs along its slowest-varying axis (Y in 2D, Z in 3D); each
+// slab compresses on a worker drawn from a GOMAXPROCS-sized pool, and
+// neighboring slabs meet at two-phase seams: a slab's max plane is
+// compressed last, against its successor's decompressed min plane, so
+// a slab container keeps the single-block ratio and every critical
+// point. The per-slab blobs are concatenated in slab order into the
+// archive container. A field that fits is one whole-domain slab, which
+// compresses on the slice wavefront and decodes pipelined.
 //
 // Determinism is load-bearing: the slab count is a function of the field
-// shape only (never of the worker count), blobs land in an indexed slice,
-// and the container writes them in slab order — so workers=N output is
-// byte-identical to workers=1. TestShmDeterministic pins this.
+// shape and the memory budget only (never of the worker count), a seam
+// plane is a pure function of its slab's input, blobs land in an indexed
+// slice, and the container writes them in slab order — so the output is
+// byte-identical for any worker count and any window.
+// TestShmDeterministic pins this.
 package shm
 
 import (
@@ -24,9 +30,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/field"
-	"repro/internal/fixed"
 	"repro/internal/flightrec"
 	"repro/internal/integrity"
+	"repro/internal/safedim"
 	"repro/internal/telemetry"
 )
 
@@ -42,17 +48,20 @@ type Options struct {
 	// Workers caps the worker pool; <= 0 means runtime.GOMAXPROCS(0).
 	// Workers never influences the output bytes, only the wall time.
 	Workers int
-	// Slabs fixes the slab count; <= 0 derives it from the field shape
-	// with DefaultSlabs. The slab count determines the output bytes
-	// (border vertices are stored losslessly), so runs that must be
-	// comparable byte-for-byte must agree on it.
+	// Slabs fixes the slab count; <= 0 derives it from MaxMemBytes when
+	// that is set, else from the field shape with DefaultSlabs. The slab
+	// count determines the output bytes (each seam changes the visit
+	// order), so runs that must be comparable byte-for-byte must agree
+	// on it.
 	Slabs int
 	// Window bounds how many slabs the streaming pipeline admits at
 	// once — the out-of-core memory knob: peak memory is O(Window ×
 	// slab), and a worker stalls until the ordered flusher retires the
 	// oldest admitted slab. <= 0 means unbounded (every slab at once,
-	// the in-memory behavior). Window never influences the output
-	// bytes, only peak memory and stalls.
+	// the in-memory behavior). A slab waits at its seam for its
+	// successor's phase 1, so a run of several slabs admits at least
+	// two at once. Window never influences the output bytes, only peak
+	// memory and stalls.
 	Window int
 	// MaxMemBytes is the operator-facing peak-memory budget of the
 	// streaming pipeline (topozip -max-mem). When set, it derives the
@@ -152,24 +161,35 @@ func (r Result) ThroughputMBps() float64 {
 	return float64(r.RawBytes) / 1e6 / s
 }
 
-// DefaultSlabs derives the slab count from the slow-axis extent: one
-// slab per four planes, capped at 16, enough to feed an 8-way pool. More
-// slabs expose more parallelism but store more lossless border planes,
-// and the loss is large: measured on Ocean (1 worker), 16 slabs keep only
-// 31% of the one-slab ratio at 128² ST1 (4.40 against 13.99) and 55% at
-// 768×576 NoSpec (19.60 against 35.78), and both shapes get 16 slabs
-// here. The "Two-phase slab borders in shm" item of ROADMAP.md is the
-// fix. The result depends on the field shape only — never on the host —
-// so the same input always produces the same archive.
-func DefaultSlabs(nSlow int) int {
-	s := nSlow / 4
-	if s > 16 {
-		s = 16
+// minSlabVertices is the smallest slab DefaultSlabs cuts: one slab per
+// this many vertices, so a default slab holds at least 64 Ki vertices.
+// Timed on a 2-vCPU Linux container with shm.Compress/Decompress on 2
+// workers (τ = 1% of the range, medians of 9–11 runs, alternating k;
+// results/slab_sweep.txt). Two-phase slabs cost ratio only when small
+// and 2D, where each slab's code table weighs: Ocean 128² ST1 loses
+// 2.4% at 2 slabs of 8 Ki and gains no time (compress 9.3 against 9.5
+// ms, decode 1.40 against 1.21 ms); Ocean 256² loses 1.1% at 2 slabs of
+// 32 Ki for 17–23% less time. From 48 Ki vertices per slab no shape lost
+// more than 0.3% (Ocean 512×384 ×4 +0.5%, 768×576 ×8 +2.0%, 1536×1152
+// ×8 +4.2%, Hurricane 64×64×96 ×8 −0.2%, Nek 48³ ST4 ×2 +1.3%, 96³ ×8
+// +0.3%), and slabs decoded 1.4–2.4× and compressed 1.1–1.6× faster
+// than one block. Below it a field is one whole-domain block, which
+// already compresses on the slice wavefront and decodes pipelined.
+const minSlabVertices = 1 << 16
+
+// DefaultSlabs derives the slab count of a field of dims ([NX, NY] or
+// [NX, NY, NZ]) when no memory budget sets it: one slab per
+// minSlabVertices vertices, clamped to [1, 16] and to half the slow-axis
+// extent (a slab needs two planes). Two-phase seams keep the kernel's
+// ratio, so slabs only bound the size of a unit of work and of a
+// windowed decode. The result depends on the field shape only — never
+// on the host — so the same input always produces the same archive.
+func DefaultSlabs(dims []int) int {
+	n, ok := safedim.Product(dims...)
+	if !ok || len(dims) == 0 {
+		return 1
 	}
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return max(1, min(n/minSlabVertices, 16, dims[len(dims)-1]/2))
 }
 
 // slabOutcome is what one slab's encode produced.
@@ -181,60 +201,13 @@ type slabOutcome struct {
 	degraded bool
 }
 
-// encodeSlab runs one slab's encode under a recover barrier. A slab is a
-// pure function of its own planes (border vertices are lossless), so
-// encoding it again could only repeat the failure: a panic or error
-// degrades the slab at once to the lossless escape encoding, and the run
-// completes with every critical point intact. A *fixed.DomainError
-// (input outside the pipeline's domain, which the fallback would reject
-// too) is returned as is.
-func encodeSlab(i int, name string, po Options, span *telemetry.Span, sc *slabScratch,
-	encode func(i int, span *telemetry.Span, sc *slabScratch) ([]byte, core.Stats, error),
-	fallback func(i int, sc *slabScratch) ([]byte, core.Stats, error)) (out slabOutcome) {
-
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				out.panicked = true
-				err = fmt.Errorf("shm: slab %d panicked: %v", i, r)
-			}
-		}()
-		po.Faults.MaybePanic("shm.slab", uint64(i))
-		out.blob, out.stats, err = encode(i, span, sc)
-		return err
-	}()
-	if err == nil {
-		return out
-	}
-	var de *fixed.DomainError
-	if errors.As(err, &de) {
-		out.err = err
-		return out
-	}
-	if out.panicked {
-		po.Rec.Record(flightrec.Event{Kind: flightrec.KindPanic, Subsystem: name,
-			Slab: int32(i), Attempt: -1, Detail: "recovered worker panic"})
-	}
-	po.Rec.Record(flightrec.Event{Kind: flightrec.KindDegraded, Subsystem: name,
-		Slab: int32(i), Attempt: -1, Detail: "slab degraded to lossless escape"})
-	// The fallback re-reads the slab from the source: the failed encode
-	// may have scribbled on the scratch buffers.
-	blob, st, ferr := fallback(i, sc)
-	if ferr != nil {
-		out.err = fmt.Errorf("shm: slab %d failed (%w) and lossless fallback failed: %v", i, err, ferr)
-		return out
-	}
-	out.blob, out.stats, out.degraded = blob, st, true
-	return out
-}
-
-// slabCount resolves the requested slab count against the slow axis.
-func slabCount(requested, nSlow int) (int, error) {
+// slabCount resolves the requested slab count against the field shape.
+func slabCount(requested int, dims []int) (int, error) {
 	s := requested
 	if s <= 0 {
-		s = DefaultSlabs(nSlow)
+		s = DefaultSlabs(dims)
 	}
-	if s > 1 && nSlow < 2*s {
+	if nSlow := dims[len(dims)-1]; s > 1 && nSlow < 2*s {
 		return 0, fmt.Errorf("shm: cannot split %d planes into %d slabs of >=2", nSlow, s)
 	}
 	return s, nil

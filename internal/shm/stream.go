@@ -4,26 +4,40 @@
 // memory is O(window × slab), never O(field), and the output bytes are
 // identical to the in-memory path for any worker count and any window.
 //
-// Pipeline shape and its deadlock-freedom argument:
+// Slabs meet at two-phase seams (parallel.PhaseOne/PhaseTwo, the
+// ratio-oriented strategy of Fig. 4). Phase 1 of slab i reads one
+// original ghost plane per inner side from the source and compresses
+// all but its max plane; it hands its decompressed min plane to slab
+// i-1. Slab i's max plane is compressed in phase 2, against slab i+1's
+// decompressed min plane. Whichever of slabs i and i+1 finishes phase 1
+// second runs slab i's phase 2, so no worker waits on a neighbor:
 //
 //	worker: acquire window permit → take next slab index → read slab
-//	        from source → encode (degrading once to lossless on a panic
-//	        or error) → hand the sealed blob to the flusher
+//	        and ghosts from source → phase 1 (degrading once to
+//	        lossless on a panic or error) → hand the min plane to seam
+//	        i-1, completing slab i-1 if it is parked there → park slab
+//	        i at seam i, or complete it if slab i+1 already handed over
+//	        (the last slab completes at once) → hand the sealed blob to
+//	        the flusher
 //	flusher (caller's goroutine): for each slab in order: await its
 //	        blob → append to the stream writer → drop the blob →
 //	        release the permit
 //
-// Permits are acquired before a slab index is taken, so admitted slabs
-// form a prefix-contiguous set and the flusher's lowest unflushed slab
-// is always one some worker holds; per-slab hand-off channels are
-// buffered, so that worker cannot block. The first slab error cancels
-// the run context, so workers stop at their next admission and the
-// flusher stops waiting for slabs that will never be admitted.
+// Deadlock freedom: permits are acquired before a slab index is taken,
+// so admitted slabs form a prefix-contiguous set, and the window holds
+// at least two slabs. The flusher's lowest unflushed slab f is admitted
+// and so is f+1; phase 1 never blocks, so both finish it, and then slab
+// f completes. Per-slab hand-off channels are buffered, so no worker
+// blocks on the flusher. The first slab error cancels the run context,
+// so workers stop at their next admission, the flusher stops waiting
+// for slabs that will never complete, and slabs still parked at a seam
+// release their encoders when the run ends.
 
 package shm
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -43,11 +57,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// slabScratch is one worker's reusable raw-plane buffers, grown to the
-// largest slab the worker has seen and recycled across slabs — the
-// engine's raw memory is O(workers × slab).
+// slabScratch is one worker's reusable buffers: the raw planes of its
+// current slab (ghost planes included) and their fixed-point ghosts,
+// grown to the largest slab the worker has seen — the engine's raw
+// memory is O(workers × slab). An encoder keeps its own fixed-point
+// copy, so the buffers are free again once phase 1 has started.
 type slabScratch struct {
 	comps [][]float32
+	ghost [2][][]int64
 }
 
 // buffers returns nc component buffers of n points each, reusing prior
@@ -80,49 +97,414 @@ func (o Options) windowOf(slabs int) int {
 	return w
 }
 
-// streamRun executes the windowed fan-out and writes the version-3
-// container on w. It carries the fault handling of the pipeline:
-// encodeSlab's one-attempt degrade, the post-encode corruption fault
-// hook, flight-recorder attribution, stop-on-first-error, and the
-// per-slab telemetry spans (pre-created in slab order so snapshots are
-// deterministic).
-func streamRun(name string, rawBytes int64, slabs, workers int, po Options, w io.Writer,
-	encode func(i int, span *telemetry.Span, sc *slabScratch) ([]byte, core.Stats, error),
-	fallback func(i int, sc *slabScratch) ([]byte, core.Stats, error),
-	slabRawBytes func(i int) int64) (Result, error) {
+// slabState is one admitted slab from its phase 1 to its outcome.
+type slabState struct {
+	i int
+	// nb marks the slab's neighbor sides: the slab axis's min side
+	// unless it is the first slab, its max side unless it is the last.
+	nb [6]bool
+	// enc is the slab's encoder while it is parked at seam i, waiting
+	// for slab i+1's decompressed min plane; nil once the slab is
+	// complete.
+	enc *core.Encoder
+	// hand is the min plane handed to slab i-1: decompressed after
+	// phase 1, exact when the slab degraded first. nil for slab 0.
+	hand [][]int64
+	// raw is the slab's share of the window before it seals.
+	raw int64
+	out slabOutcome
+}
 
+// seam joins slab i (left) and slab i+1 (right). Whichever of the two
+// arrives second, at the end of its phase 1, completes slab i.
+type seam struct {
+	mu    sync.Mutex
+	left  *slabState
+	right [][]int64
+}
+
+// arriveLeft parks slab i, or returns slab i+1's plane when it is
+// already here and the caller completes slab i.
+func (s *seam) arriveLeft(st *slabState) [][]int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.right != nil {
+		return s.right
+	}
+	s.left = st
+	return nil
+}
+
+// arriveRight leaves slab i+1's plane, and returns slab i when it is
+// parked here and the caller completes it.
+func (s *seam) arriveRight(plane [][]int64) *slabState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.right = plane
+	st := s.left
+	s.left = nil
+	return st
+}
+
+// slabSeams is slab i's side of the exchange: phase-1 ghosts read from
+// the source, the min plane it hands over, and slab i+1's plane for
+// phase 2.
+type slabSeams struct {
+	ghost [6][][]int64
+	hand  [][]int64
+	next  [][]int64
+}
+
+func (t *slabSeams) Original(side int) ([][]int64, error) { return t.ghost[side], nil }
+
+func (t *slabSeams) Hand(_ int, plane [][]int64) error {
+	t.hand = plane
+	return nil
+}
+
+func (t *slabSeams) Decompressed(int) ([][]int64, error) { return t.next, nil }
+
+// compressRun is one CompressStream call: its decomposition and the
+// state its workers and flusher share.
+type compressRun struct {
+	name   string
+	src    field.SlabSource
+	dims   []int
+	plane  int // vertices per slow-axis plane
+	spans  []parallel.Span
+	tr     fixed.Transform
+	opts   core.Options
+	po     Options
+	tspans []*telemetry.Span
+	seams  []seam
+	outCh  []chan slabOutcome
+	// errs holds each slab's error, read once every worker has left:
+	// a stopped run reports the lowest-indexed one.
+	errs      []error
+	ctx       context.Context
+	stop      context.CancelCauseFunc
+	cur, peak atomic.Int64
+}
+
+// side returns the min and max side indices of the slab axis.
+func (r *compressRun) side() (lo, hi int) {
+	a := len(r.dims) - 1
+	return 2 * a, 2*a + 1
+}
+
+// slabBytes is the raw float32 size of planes planes.
+func (r *compressRun) slabBytes(planes int) int64 {
+	return int64(r.plane) * int64(planes) * int64(len(r.dims)) * 4
+}
+
+func (r *compressRun) addWindowBytes(d int64) {
+	v := r.cur.Add(d)
+	for {
+		p := r.peak.Load()
+		if v <= p || r.peak.CompareAndSwap(p, v) {
+			return
+		}
+	}
+}
+
+// globalIndex re-bases a slab-local value error onto the field, so the
+// caller is told where in its input the value sits.
+func (r *compressRun) globalIndex(i int, err error) error {
+	var de *fixed.DomainError
+	if errors.As(err, &de) && de.Param == "" {
+		de.Index += r.spans[i].Start * r.plane
+	}
+	return err
+}
+
+// attempt runs one step of slab i's encode under a recover barrier.
+func attempt(i int, f func() error) (panicked bool, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			panicked, err = true, fmt.Errorf("shm: slab %d panicked: %v", i, p)
+		}
+	}()
+	return false, f()
+}
+
+// phaseOne reads slab i with one original ghost plane per inner side
+// and runs its phase 1. It returns the slab parked for phase 2, or
+// complete: a lone slab compresses whole, the last slab has no phase-2
+// neighbor, and a failed slab degrades.
+func (r *compressRun) phaseOne(i int, sc *slabScratch) *slabState {
+	sp := r.spans[i]
+	slabs := len(r.spans)
+	nd := len(r.dims)
+	lo, hi := r.side()
+	st := &slabState{i: i}
+	nb := &st.nb
+	nb[lo], nb[hi] = i > 0, i < slabs-1
+	first, planes := sp.Start, sp.Size
+	if nb[lo] {
+		first--
+		planes++
+	}
+	if nb[hi] {
+		planes++
+	}
+	st.raw = r.slabBytes(planes)
+	r.addWindowBytes(st.raw)
+	panicked, err := attempt(i, func() error {
+		r.po.Faults.MaybePanic("shm.slab", uint64(i))
+		bufs := sc.buffers(nd, r.plane*planes)
+		if err := r.src.ReadPlanes(first, planes, bufs); err != nil {
+			return err
+		}
+		off := 0
+		if nb[lo] {
+			off = r.plane
+		}
+		own := make([][]float32, nd)
+		for c := range own {
+			own[c] = bufs[c][off : off+r.plane*sp.Size]
+		}
+		o := r.opts
+		o.Tel, o.TelSpan = r.po.Tel, r.tspans[i]
+		o.Rec, o.RecSlab = r.po.Rec, i
+		origin := make([]int, nd)
+		origin[nd-1] = sp.Start
+		blk := core.Block{
+			Dims: append(slices.Clone(r.dims[:nd-1]), sp.Size), Comps: own,
+			Transform: r.tr, Opts: o, Origin: origin, Global: r.dims,
+			Neighbor: *nb, TwoPhase: slabs > 1,
+		}
+		if slabs == 1 {
+			// A lone slab is the whole domain: exactly the single-node
+			// block.
+			blob, stats, err := core.CompressBlock(blk)
+			st.out.blob, st.out.stats = blob, stats
+			return r.globalIndex(i, err)
+		}
+		enc, err := core.NewEncoder(blk)
+		if err != nil {
+			return r.globalIndex(i, err)
+		}
+		st.enc = enc
+		t := &slabSeams{}
+		for g, s := range [2]int{lo, hi} {
+			if !nb[s] {
+				continue
+			}
+			at := first // the min ghost leads the buffers
+			if s == hi {
+				at = sp.Start + sp.Size
+			}
+			t.ghost[s] = sc.ghostPlane(g, nd, r.plane)
+			for c := range t.ghost[s] {
+				src := bufs[c][(at-first)*r.plane : (at-first+1)*r.plane]
+				if err := r.tr.ToFixedChecked(src, t.ghost[s][c], c, at*r.plane); err != nil {
+					return err
+				}
+			}
+		}
+		if err := parallel.PhaseOne(enc, *nb, t, nil); err != nil {
+			return err
+		}
+		st.hand = t.hand
+		if !nb[hi] {
+			return r.seal(st, t)
+		}
+		return nil
+	})
+	if err != nil {
+		st.closeEncoder()
+		st.hand = nil
+		r.degrade(st, panicked, err, sc)
+	}
+	return st
+}
+
+// closeEncoder releases the slab's encoder, if it still holds one.
+func (st *slabState) closeEncoder() {
+	if st.enc != nil {
+		st.enc.Close()
+		st.enc = nil
+	}
+}
+
+// ghostPlane returns ghost buffer g (0: min side, 1: max side) sized to
+// one plane of nc components.
+func (sc *slabScratch) ghostPlane(g, nc, n int) [][]int64 {
+	for len(sc.ghost[g]) < nc {
+		sc.ghost[g] = append(sc.ghost[g], nil)
+	}
+	for c := 0; c < nc; c++ {
+		if cap(sc.ghost[g][c]) < n {
+			sc.ghost[g][c] = make([]int64, n)
+		}
+		sc.ghost[g][c] = sc.ghost[g][c][:n]
+	}
+	return sc.ghost[g][:nc]
+}
+
+// seal runs slab st's phase 2 against t's phase-2 ghost and closes its
+// encoder.
+func (r *compressRun) seal(st *slabState, t *slabSeams) error {
+	blob, err := parallel.PhaseTwo(st.enc, st.nb, t, nil)
+	st.out.blob, st.out.stats = blob, st.enc.Stats()
+	st.closeEncoder()
+	return err
+}
+
+// complete runs parked slab st's phase 2 against slab i+1's
+// decompressed min plane and emits its outcome. A stopped run releases
+// the slab instead.
+func (r *compressRun) complete(st *slabState, next [][]int64, sc *slabScratch) {
+	if r.ctx.Err() != nil {
+		r.release(st)
+		return
+	}
+	panicked, err := attempt(st.i, func() error {
+		r.po.Faults.MaybePanic("shm.seam", uint64(st.i), 2)
+		return r.seal(st, &slabSeams{next: next})
+	})
+	if err != nil {
+		st.closeEncoder()
+		r.degrade(st, panicked, err, sc)
+	}
+	r.emit(st)
+}
+
+// release frees a parked slab that will never complete.
+func (r *compressRun) release(st *slabState) {
+	st.closeEncoder()
+	r.addWindowBytes(-st.raw)
+}
+
+// degrade handles slab st's failed encode. A slab is a pure function of
+// its planes and its neighbors' seam planes, so encoding it again could
+// only repeat the failure: a panic or error degrades the slab at once to
+// the lossless escape encoding, and the run completes with every
+// critical point intact. A *fixed.DomainError (input outside the
+// pipeline's domain, which the fallback would reject too) is kept as
+// the slab's error.
+func (r *compressRun) degrade(st *slabState, panicked bool, err error, sc *slabScratch) {
+	var de *fixed.DomainError
+	if errors.As(err, &de) {
+		st.out.err = err
+		return
+	}
+	if panicked {
+		r.po.Rec.Record(flightrec.Event{Kind: flightrec.KindPanic, Subsystem: r.name,
+			Slab: int32(st.i), Attempt: -1, Detail: "recovered worker panic"})
+	}
+	r.po.Rec.Record(flightrec.Event{Kind: flightrec.KindDegraded, Subsystem: r.name,
+		Slab: int32(st.i), Attempt: -1, Detail: "slab degraded to lossless escape"})
+	blob, ferr := r.lossless(st, sc)
+	if ferr != nil {
+		st.out = slabOutcome{panicked: panicked,
+			err: fmt.Errorf("shm: slab %d failed (%w) and lossless fallback failed: %v", st.i, err, ferr)}
+		return
+	}
+	st.out = slabOutcome{blob: blob, panicked: panicked, degraded: true}
+}
+
+// lossless stores slab st exactly, re-read from the source: the failed
+// encode may have scribbled on the buffers. A slab that already handed
+// its min plane to slab i-1 stores those handed values there, so both
+// sides of the seam agree on it; otherwise it hands its exact min plane
+// over.
+func (r *compressRun) lossless(st *slabState, sc *slabScratch) ([]byte, error) {
+	sp := r.spans[st.i]
+	nd := len(r.dims)
+	bufs := sc.buffers(nd, r.plane*sp.Size)
+	if err := r.src.ReadPlanes(sp.Start, sp.Size, bufs); err != nil {
+		return nil, err
+	}
+	if st.hand != nil {
+		for c := range bufs {
+			r.tr.ToFloat(st.hand[c], bufs[c][:r.plane])
+		}
+	}
+	blob, err := core.CompressLossless(append(slices.Clone(r.dims[:nd-1]), sp.Size), bufs, r.tr)
+	if err != nil {
+		return nil, r.globalIndex(st.i, err)
+	}
+	if st.hand == nil && st.i > 0 {
+		st.hand = make([][]int64, nd)
+		for c := range st.hand {
+			st.hand[c] = make([]int64, r.plane)
+			r.tr.ToFixed(bufs[c][:r.plane], st.hand[c])
+		}
+	}
+	return blob, nil
+}
+
+// emit hands complete slab st to the flusher. The first failure ends
+// the run: no further slab is admitted.
+func (r *compressRun) emit(st *slabState) {
+	out := st.out
+	if out.err != nil {
+		r.errs[st.i] = out.err
+		r.stop(out.err)
+	}
+	// Only the sealed blob still occupies the window.
+	r.addWindowBytes(int64(len(out.blob)) - st.raw)
+	r.outCh[st.i] <- out
+}
+
+// slab runs slab i through its phase 1 and whatever seam work that
+// unblocks on the calling worker.
+func (r *compressRun) slab(i int, sc *slabScratch) {
+	st := r.phaseOne(i, sc)
+	if i > 0 && st.out.err == nil {
+		if left := r.seams[i-1].arriveRight(st.hand); left != nil {
+			r.complete(left, st.hand, sc)
+		}
+	}
+	if st.enc == nil {
+		r.emit(st)
+		return
+	}
+	if next := r.seams[i].arriveLeft(st); next != nil {
+		r.complete(st, next, sc)
+	}
+}
+
+// streamRun executes the windowed fan-out and writes the version-3
+// container on w. It carries the fault handling of the pipeline: the
+// one-attempt degrade, the pre-flush corruption fault hook,
+// flight-recorder attribution, stop-on-first-error, and the per-slab
+// telemetry spans (pre-created in slab order so snapshots are
+// deterministic).
+func (r *compressRun) streamRun(rawBytes int64, workers int, w io.Writer) (Result, error) {
+	slabs := len(r.spans)
+	po, name := r.po, r.name
 	tel := po.Tel
 	var run *telemetry.Span
-	spans := make([]*telemetry.Span, slabs)
+	r.tspans = make([]*telemetry.Span, slabs)
 	if tel != nil {
 		run = tel.Span(name)
-		for i := range spans {
-			spans[i] = run.Child(fmt.Sprintf("slab%d", i))
+		for i := range r.tspans {
+			r.tspans[i] = run.Child(fmt.Sprintf("slab%d", i))
 		}
 	}
 
 	window := po.windowOf(slabs)
+	if slabs > 1 && window < 2 {
+		// A slab waits at its seam for its successor's phase 1, so two
+		// slabs must fit in the window.
+		window = 2
+	}
 	// More workers than window slots would only queue on admission.
 	nWorkers := min(workers, slabs, window)
 
 	sem := make(chan struct{}, window)
-	outCh := make([]chan slabOutcome, slabs)
-	for i := range outCh {
-		outCh[i] = make(chan slabOutcome, 1)
+	r.seams = make([]seam, slabs)
+	r.errs = make([]error, slabs)
+	r.outCh = make([]chan slabOutcome, slabs)
+	for i := range r.outCh {
+		r.outCh[i] = make(chan slabOutcome, 1)
 	}
 	var next atomic.Int64
-	var curBytes, peakBytes atomic.Int64
-	addWindowBytes := func(d int64) {
-		v := curBytes.Add(d)
-		for {
-			p := peakBytes.Load()
-			if v <= p || peakBytes.CompareAndSwap(p, v) {
-				return
-			}
-		}
-	}
-	ctx, stop := po.runContext()
-	defer stop(nil)
+	r.ctx, r.stop = po.runContext()
+	defer r.stop(nil)
+	ctx := r.ctx
 	// clientGone records a worker leaving because the caller's context
 	// finished; one stopped by another slab's failure records nothing.
 	clientGone := func(detail string) {
@@ -171,25 +553,7 @@ func streamRun(name string, rawBytes int64, slabs, workers int, po Options, w io
 				}
 				po.Rec.Record(flightrec.Event{Kind: flightrec.KindWindowRefill, Subsystem: name,
 					Slab: int32(i), Attempt: -1, Detail: detail})
-				raw := slabRawBytes(i)
-				addWindowBytes(raw)
-				out := encodeSlab(i, name, po, spans[i], sc, encode, fallback)
-				if out.err != nil {
-					// The first failure ends the run: no further slab is
-					// admitted.
-					stop(out.err)
-				}
-				if blob, fired := po.Faults.Corrupt(out.blob, uint64(i)); fired {
-					// Simulated storage corruption after a successful encode,
-					// caught by the integrity checks at decode time.
-					out.blob = blob
-					po.Rec.Record(flightrec.Event{Kind: flightrec.KindFaultInjected, Subsystem: name,
-						Slab: int32(i), Attempt: -1, Detail: "blob corrupted after encode"})
-				}
-				// The slab's raw buffers are now idle scratch; only its
-				// sealed blob still occupies the window.
-				addWindowBytes(int64(len(out.blob)) - raw)
-				outCh[i] <- out
+				r.slab(i, sc)
 			}
 		}()
 	}
@@ -204,16 +568,17 @@ flush:
 		t0 := time.Now()
 		var out slabOutcome
 		select {
-		case out = <-outCh[i]:
+		case out = <-r.outCh[i]:
 		case <-ctx.Done():
-			// The run ended: slabs past the admitted prefix will never
-			// produce an outcome, so stop flushing. Workers exit through
-			// their own done-select; once the in-flight encodes have
-			// finished, the lowest-indexed failure is reported. Every
-			// slab below an admitted one was admitted too, so that is
-			// the same slab on every run, whichever failed first.
+			// The run ended: slabs past the admitted prefix, and slabs
+			// parked for a successor that stopped, will never complete,
+			// so stop flushing. Workers exit through their own
+			// done-select; once the in-flight slabs have finished their
+			// phase 1, the lowest-indexed failure is reported. Every slab
+			// below an admitted one was admitted too, so that is the same
+			// slab on every run, whichever failed first.
 			wg.Wait()
-			if ferr = lowestSlabErr(outCh[i:]); ferr == nil {
+			if ferr = lowestSlabErr(r.errs[i:]); ferr == nil {
 				ferr = po.runErr(name, ctx)
 			}
 			break flush
@@ -223,14 +588,24 @@ flush:
 		}
 		err := out.err
 		if err == nil {
-			_, err = sw.AppendBlob(out.blob)
+			blob := out.blob
+			if b, fired := po.Faults.Corrupt(blob, uint64(i)); fired {
+				// Simulated storage corruption after a successful encode,
+				// caught by the integrity checks at decode time. It fires
+				// in slab order, so a capped injector picks the same slabs
+				// on every run.
+				blob = b
+				po.Rec.Record(flightrec.Event{Kind: flightrec.KindFaultInjected, Subsystem: name,
+					Slab: int32(i), Attempt: -1, Detail: "blob corrupted after encode"})
+			}
+			_, err = sw.AppendBlob(blob)
 		}
 		if err != nil {
 			ferr = err
-			stop(err)
+			r.stop(err)
 			break flush
 		}
-		addWindowBytes(-int64(len(out.blob)))
+		r.addWindowBytes(-int64(len(out.blob)))
 		stats.Add(out.stats)
 		if out.panicked {
 			panics++
@@ -243,8 +618,13 @@ flush:
 		<-sem
 	}
 	wg.Wait()
+	for i := range r.seams {
+		if st := r.seams[i].left; st != nil {
+			r.release(st)
+		}
+	}
 	wall := time.Since(start)
-	for _, sp := range spans {
+	for _, sp := range r.tspans {
 		sp.End()
 	}
 	run.End()
@@ -256,7 +636,7 @@ flush:
 		return Result{}, err
 	}
 
-	peak := peakBytes.Load()
+	peak := r.peak.Load()
 	if tel != nil {
 		tel.Counter(name + ".slab.panics").Add(int64(panics))
 		tel.Counter(name + ".slab.degraded").Add(int64(len(degraded)))
@@ -283,18 +663,11 @@ flush:
 	return res, nil
 }
 
-// lowestSlabErr returns the first error among the buffered outcomes in
-// chs, stopping at the first slab that has none: the end of the admitted
-// prefix.
-func lowestSlabErr(chs []chan slabOutcome) error {
-	for _, ch := range chs {
-		select {
-		case out := <-ch:
-			if out.err != nil {
-				return out.err
-			}
-		default:
-			return nil
+// lowestSlabErr returns the first non-nil error of errs.
+func lowestSlabErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -324,73 +697,20 @@ func CompressStream(src field.SlabSource, w io.Writer, tr fixed.Transform, opts 
 	if !ok {
 		return Result{}, fmt.Errorf("shm: source dims %v overflow", dims)
 	}
-	slabBytes := func(planes int) int64 { return int64(plane) * int64(planes) * int64(nd) * 4 }
-	po = po.applyBudget(slabBytes(1), nSlow)
-	slabs, err := slabCount(po.Slabs, nSlow)
+	r := &compressRun{name: fmt.Sprintf("shm.compress%dd", nd), src: src, dims: dims,
+		plane: plane, tr: tr, opts: opts}
+	r.po = po.applyBudget(r.slabBytes(1), nSlow)
+	slabs, err := slabCount(r.po.Slabs, dims)
 	if err != nil {
 		return Result{}, err
 	}
-	spans := []parallel.Span{{Start: 0, Size: nSlow}}
+	r.spans = []parallel.Span{{Start: 0, Size: nSlow}}
 	if slabs > 1 {
-		if spans, err = parallel.Partition(nSlow, slabs); err != nil {
+		if r.spans, err = parallel.Partition(nSlow, slabs); err != nil {
 			return Result{}, err
 		}
 	}
-	// read loads slab i into the worker's buffers and describes it as a
-	// block. The lossless fallback reads again: a failed encode may have
-	// mutated the buffers, and the source is the only clean copy.
-	read := func(i int, sc *slabScratch) ([]int, [][]float32, error) {
-		sp := spans[i]
-		bufs := sc.buffers(nd, plane*sp.Size)
-		if err := src.ReadPlanes(sp.Start, sp.Size, bufs); err != nil {
-			return nil, nil, err
-		}
-		own := append(slices.Clone(dims[:nd-1]), sp.Size)
-		return own, bufs, nil
-	}
-	// globalIndex re-bases a slab-local value error onto the field, so
-	// the caller is told where in its input the value sits.
-	globalIndex := func(i int, err error) error {
-		var de *fixed.DomainError
-		if errors.As(err, &de) && de.Param == "" {
-			de.Index += spans[i].Start * plane
-		}
-		return err
-	}
-	return streamRun(fmt.Sprintf("shm.compress%dd", nd), slabBytes(nSlow), slabs, pool.Workers(po.Workers), po, w,
-		func(i int, span *telemetry.Span, sc *slabScratch) ([]byte, core.Stats, error) {
-			own, bufs, err := read(i, sc)
-			if err != nil {
-				return nil, core.Stats{}, err
-			}
-			o := opts
-			o.Tel = po.Tel
-			o.TelSpan = span
-			o.Rec = po.Rec
-			o.RecSlab = i
-			origin := make([]int, nd)
-			origin[nd-1] = spans[i].Start
-			blk := core.Block{
-				Dims: own, Comps: bufs, Transform: tr, Opts: o,
-				Origin: origin, Global: dims,
-				// A lone slab has no borders; leaving the flag off keeps
-				// its block byte-identical to the single-node output.
-				LosslessBorder: slabs > 1,
-			}
-			blk.Neighbor[2*(nd-1)] = i > 0
-			blk.Neighbor[2*(nd-1)+1] = i < slabs-1
-			blob, st, err := core.CompressBlock(blk)
-			return blob, st, globalIndex(i, err)
-		},
-		func(i int, sc *slabScratch) ([]byte, core.Stats, error) {
-			own, bufs, err := read(i, sc)
-			if err != nil {
-				return nil, core.Stats{}, err
-			}
-			blob, err := core.CompressLossless(own, bufs, tr)
-			return blob, core.Stats{}, globalIndex(i, err)
-		},
-		func(i int) int64 { return slabBytes(spans[i].Size) })
+	return r.streamRun(r.slabBytes(nSlow), pool.Workers(r.po.Workers), w)
 }
 
 // PlaneSink receives decoded planes at global slow-axis offsets; the

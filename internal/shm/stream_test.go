@@ -15,6 +15,8 @@ import (
 // TestStreamWindowDeterministic pins the out-of-core guarantee: bounding
 // the admission window changes peak memory, never bytes. Every
 // (window, workers) pair must reproduce the unbounded container exactly.
+// A window of one runs as two: a slab waits at its seam for its
+// successor.
 func TestStreamWindowDeterministic(t *testing.T) {
 	f := datagen.Ocean(96, 72)
 	tr, err := fixed.Fit(f.U, f.V)
@@ -37,8 +39,8 @@ func TestStreamWindowDeterministic(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), ref.Blob) {
 				t.Fatalf("window=%d workers=%d output differs from unbounded run", window, workers)
 			}
-			if res.Window != window {
-				t.Errorf("window=%d: Result.Window = %d", window, res.Window)
+			if want := max(window, 2); res.Window != want {
+				t.Errorf("window=%d: Result.Window = %d, want %d", window, res.Window, want)
 			}
 			if res.PeakWindowBytes <= 0 {
 				t.Errorf("window=%d: PeakWindowBytes = %d, want > 0", window, res.PeakWindowBytes)
@@ -231,14 +233,16 @@ func floatsEqual(a, b []float32) bool {
 // explicit knobs always win over the derived values.
 func TestBudgetSizing(t *testing.T) {
 	t.Run("slabs", func(t *testing.T) {
-		// 192 KiB budget, 4 KiB planes: target = 192Ki/12 = 16 KiB
-		// → 4 planes per slab → ceil(256/4) = 64 slabs.
-		if got := budgetSlabs(192<<10, 4096, 256); got != 64 {
-			t.Errorf("budgetSlabs(192Ki, 4Ki, 256) = %d, want 64", got)
+		// 288 KiB budget, 4 KiB planes: a window of three slabs at the
+		// compress overhead leaves 288Ki/18 = 16 KiB per slab → 4 planes
+		// per slab → ceil(256/4) = 64 slabs.
+		if got := budgetSlabs(288<<10, 4096, 256); got != 64 {
+			t.Errorf("budgetSlabs(288Ki, 4Ki, 256) = %d, want 64", got)
 		}
-		// A huge budget falls back to the DefaultSlabs parallelism floor.
-		if got, want := budgetSlabs(1<<40, 4096, 256), DefaultSlabs(256); got != want {
-			t.Errorf("huge budget: %d slabs, want DefaultSlabs = %d", got, want)
+		// The budget alone sets the count: one that holds the field is
+		// one whole-domain slab, with no parallelism floor.
+		if got := budgetSlabs(1<<40, 4096, 256); got != 1 {
+			t.Errorf("huge budget: %d slabs, want 1", got)
 		}
 		// A tiny budget is capped at nSlow/2 — slabs need two planes.
 		if got := budgetSlabs(1, 1<<20, 64); got != 32 {
