@@ -37,7 +37,8 @@ benchtest:
 # Race-detector pass over the concurrently instrumented packages
 # (telemetry counters, simulated MPI ranks, distributed strategies, the
 # shared-memory pipeline — including its faultinject-instrumented panic
-# and degradation tests), the compression kernel they drive, the exact
+# and degradation tests), the compression kernel they drive and the
+# pieces it sweeps on the shared worker pool (internal/pool), the exact
 # predicates whose SoS plan table every concurrent sweep reads, the
 # filter counters that per-goroutine Locals flush into and the Ψ
 # derivation that books into them, and the decode pipeline's shared
@@ -45,7 +46,7 @@ benchtest:
 # the pooled DEFLATE readers.
 .PHONY: race
 race:
-	$(GO) test -race ./internal/exact/ ./internal/exact/filter/ ./internal/derive/ ./internal/telemetry/ ./internal/mpi/ ./internal/parallel/ ./internal/core/ ./internal/shm/... ./internal/faultinject/ ./internal/flightrec/ ./internal/obs/ ./internal/codec/ ./internal/server/ ./internal/field/ ./internal/cp/ ./internal/archive/ ./internal/huffman/ ./internal/encoder/
+	$(GO) test -race ./internal/exact/ ./internal/exact/filter/ ./internal/derive/ ./internal/telemetry/ ./internal/mpi/ ./internal/parallel/ ./internal/core/ ./internal/shm/ ./internal/pool/ ./internal/faultinject/ ./internal/flightrec/ ./internal/obs/ ./internal/codec/ ./internal/server/ ./internal/field/ ./internal/cp/ ./internal/archive/ ./internal/huffman/ ./internal/encoder/
 
 # Fault soak: fault-injected pipeline runs plus the stream-integrity
 # tests and the seed corpora of the fuzz targets (FuzzSeamEquivalence

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/encoder"
 	"repro/internal/huffman"
+	"repro/internal/predictor"
 	"repro/internal/safedim"
 	"repro/internal/telemetry"
 )
@@ -81,7 +82,7 @@ func (z FPZIPLike) compress(g grid, comps [][]float32) ([]byte, error) {
 				for i := 0; i < nx; i++ {
 					idx := (k*ny+j)*nx + i
 					trunc := int64(monotonic(c[idx]) >> shift)
-					pred := lorenzoI(rec, nx, ny, i, j, k)
+					pred := predictor.Lorenzo(rec, nx, ny, i, j, k, 0)
 					resid := trunc - pred
 					zz := zigzag64(resid)
 					// Class = number of significant bits; the class is
@@ -181,7 +182,7 @@ func fpzipDecompress(blob []byte) ([]int, [][]float32, error) {
 						zz = low | 1<<(cls-1)
 					}
 					resid := unzigzag64(zz)
-					pred := lorenzoI(rec, nx, ny, i, j, k)
+					pred := predictor.Lorenzo(rec, nx, ny, i, j, k, 0)
 					trunc := pred + resid
 					rec[idx] = trunc
 					out[idx] = unmonotonic(uint32(trunc) << shift)
@@ -191,30 +192,4 @@ func fpzipDecompress(blob []byte) ([]int, [][]float32, error) {
 		comps[c] = out
 	}
 	return g.dims(), comps, nil
-}
-
-// lorenzoI is the integer Lorenzo predictor used in the monotonic domain.
-func lorenzoI(rec []int64, nx, ny, i, j, k int) int64 {
-	sx, sy, sz := 1, nx, nx*ny
-	idx := (k*ny+j)*nx + i
-	switch {
-	case i > 0 && j > 0 && k > 0:
-		return rec[idx-sx] + rec[idx-sy] + rec[idx-sz] -
-			rec[idx-sx-sy] - rec[idx-sx-sz] - rec[idx-sy-sz] +
-			rec[idx-sx-sy-sz]
-	case i > 0 && j > 0:
-		return rec[idx-sx] + rec[idx-sy] - rec[idx-sx-sy]
-	case i > 0 && k > 0:
-		return rec[idx-sx] + rec[idx-sz] - rec[idx-sx-sz]
-	case j > 0 && k > 0:
-		return rec[idx-sy] + rec[idx-sz] - rec[idx-sy-sz]
-	case i > 0:
-		return rec[idx-sx]
-	case j > 0:
-		return rec[idx-sy]
-	case k > 0:
-		return rec[idx-sz]
-	default:
-		return 0
-	}
 }

@@ -132,7 +132,8 @@ func NewEncoder(b Block) (*Encoder, error) {
 }
 
 // CompressBlock compresses b in one pass (raster order, or both phases
-// back to back for a two-phase block) and reports the encoder's Stats.
+// back to back for a two-phase or pieced block) and reports the
+// encoder's Stats.
 func CompressBlock(b Block) ([]byte, Stats, error) {
 	enc, err := NewEncoder(b)
 	if err != nil {
@@ -165,20 +166,22 @@ func (e *Encoder) BorderPlane(side int) [][]int64 {
 // neighbors' original values).
 func (e *Encoder) Prepare() { e.k.prepare() }
 
-// Run compresses every vertex in raster order (single-node and
-// lossless-border blocks). On a two-phase block it runs both phases
-// back-to-back — callers that exchange ghosts between the phases must
-// drive RunPhase1/RunPhase2 themselves, but the visit order stays
+// Run compresses every vertex: in raster order, or both phases
+// back-to-back on a two-phase block or a whole-domain block of several
+// pieces (swept on every core, with the same bytes on any number).
+// Callers that exchange ghosts between the phases of a two-phase block
+// must drive RunPhase1/RunPhase2 themselves, but the visit order stays
 // consistent with the decoder either way.
 func (e *Encoder) Run() { e.k.run() }
 
 // RunPhase1 compresses every vertex except those on neighbor-facing max
-// planes (ratio-oriented strategy, first phase).
+// planes (ratio-oriented strategy, first phase), or a pieced block's
+// pieces less their seams.
 func (e *Encoder) RunPhase1() { e.k.runPhase1() }
 
-// RunPhase2 compresses the remaining max-plane vertices. Ghost planes on
-// the max sides should have been refreshed with the neighbors'
-// decompressed borders.
+// RunPhase2 compresses the remaining max-plane vertices, or a pieced
+// block's seams. Ghost planes on the max sides should have been
+// refreshed with the neighbors' decompressed borders.
 func (e *Encoder) RunPhase2() { e.k.runPhase2() }
 
 // Finish packs the compressed block.

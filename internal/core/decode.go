@@ -27,28 +27,73 @@ import (
 // decoders in decompress.go are thin adapters over decodeFixed.
 
 // vertexOrder is the order in which the encoder visits a block's own
-// vertices and the decoder replays them: one raster pass, or (two-phase
-// mode) a raster over the vertices off the neighbor-facing max planes
-// followed by a raster over the vertices on them. A 2D block has
-// nz == 1 and no Z max plane.
+// vertices and the decoder replays them. It has one phase (raster) or two
+// (phaseOne, phaseTwo), and each phase is a list of tasks: the encoder
+// sweeps the tasks of a phase in parallel, since no vertex of one task
+// reads or writes what another task of the phase reads, and every
+// stream position is fixed by the order. The decoder replays the tasks
+// one after the other.
 //
-// In both orders every in-range lower neighbor of a vertex is visited
-// before it: a vertex off the max planes has no lower neighbor on one,
-// and the second phase is itself a raster. The Lorenzo predictor relies
-// on this to read availability from the coordinates alone.
+//   - raster (a whole block of one piece): one phase, one task, every row.
+//   - two-phase (a placed block, ratio-oriented strategy): phase 1 is
+//     the vertices off the neighbor-facing max planes, phase 2 those on
+//     them; one task each. A 2D block has nz == 1 and no Z max plane.
+//   - pieces (a whole-domain block cut into pieces along its slowest
+//     axis): phase 1 task p is piece p without its top plane, the last
+//     piece whole; phase 2 task p is piece p's top plane, the seam it
+//     shares with piece p+1.
+//
+// Every vertex reads lower Lorenzo neighbors that are visited before it
+// when their raster index is at least its run's lo: in the raster and
+// two-phase orders lo is 0 (a vertex off the max planes has no lower
+// neighbor on one, and the second phase is itself a raster); in a piece
+// it is the piece's first vertex, whose lower slow-axis plane is a seam
+// visited last.
 type vertexOrder struct {
 	nx, ny, nz int
 	twoPhase   bool
 	maxPlane   [3]bool // a neighbor faces the max plane of axis X, Y, Z
+	pieces     int     // slow-axis pieces; ≤ 1 for the raster and two-phase orders
 }
 
 // The phases runs visits: every vertex (a raster block), or the first
-// or second phase of a two-phase block.
+// or second phase of a two-phase or pieced block.
 const (
 	phaseAll = iota
 	phaseOne
 	phaseTwo
 )
+
+// split reports an order of two phases (two-phase or pieces), not one
+// raster phase.
+func (o *vertexOrder) split() bool { return o.twoPhase || o.pieces > 1 }
+
+// tasks returns the number of tasks of phase.
+func (o *vertexOrder) tasks(phase int) int {
+	switch {
+	case o.pieces > 1 && phase == phaseTwo:
+		return o.pieces - 1
+	case o.pieces > 1:
+		return o.pieces
+	}
+	return 1
+}
+
+// slow returns the slowest axis's extent (rows in 2D, planes in 3D) and
+// the rows in one of its planes.
+func (o *vertexOrder) slow() (planes, rows int) {
+	if o.nz > 1 {
+		return o.nz, o.ny
+	}
+	return o.ny, 1
+}
+
+// pieceStart returns the first slow-axis plane of piece p; p = pieces
+// gives the extent.
+func (o *vertexOrder) pieceStart(p int) int {
+	n, _ := o.slow()
+	return p * n / o.pieces
+}
 
 // phase2 reports whether own vertex (oi, oj, ok) lies on a
 // neighbor-facing max plane, which a two-phase block visits last.
@@ -60,19 +105,26 @@ func (o *vertexOrder) phase2(oi, oj, ok int) bool {
 
 // orderRun is one run of the visit order: own vertices oi = i0 … i1−1
 // of row (oj, ok), consecutive raster indices visited at consecutive
-// stream positions from pos.
+// stream positions from pos. Lower neighbors below raster index lo are
+// visited after the run (see vertexOrder).
 type orderRun struct {
-	oj, ok, i0, i1, pos int
+	oj, ok, i0, i1, pos, lo int
 }
 
-// runs calls visit on the runs of one phase in visit order, numbering
-// stream positions from pos, and returns the position after the phase's
-// last vertex; an error from visit stops the walk and is returned. A
-// raster phase is one run per row. In a two-phase block a row on a
-// neighbor-facing Y or Z max plane belongs to the second phase whole;
-// any other row gives its vertex on a neighbor-facing X max plane to
-// the second phase and the rest to the first.
-func (o *vertexOrder) runs(phase, pos int, visit func(r orderRun) error) (int, error) {
+// runs calls visit on the runs of task t of phase in visit order; an
+// error from visit stops the walk and is returned.
+func (o *vertexOrder) runs(phase, t int, visit func(r orderRun) error) error {
+	if o.pieces > 1 {
+		return o.pieceRuns(phase, t, visit)
+	}
+	// A raster phase is one run per row. In a two-phase block a row on a
+	// neighbor-facing Y or Z max plane belongs to the second phase whole;
+	// any other row gives its vertex on a neighbor-facing X max plane to
+	// the second phase and the rest to the first.
+	pos := 0
+	if phase == phaseTwo {
+		pos = o.phaseOneLen()
+	}
 	for ok := 0; ok < o.nz; ok++ {
 		for oj := 0; oj < o.ny; oj++ {
 			i0, i1 := 0, o.nx
@@ -88,26 +140,63 @@ func (o *vertexOrder) runs(phase, pos int, visit func(r orderRun) error) (int, e
 				i0 = o.nx - 1
 			}
 			if err := visit(orderRun{oj: oj, ok: ok, i0: i0, i1: i1, pos: pos}); err != nil {
-				return pos, err
+				return err
 			}
 			pos += i1 - i0
 		}
 	}
-	return pos, nil
+	return nil
 }
 
-// allRuns calls visit on every run of the block's order.
+// phaseOneLen is the number of vertices the first phase of a two-phase
+// block visits: those off every neighbor-facing max plane.
+func (o *vertexOrder) phaseOneLen() int {
+	n := 1
+	for a, ext := range [3]int{o.nx, o.ny, o.nz} {
+		if o.maxPlane[a] {
+			ext--
+		}
+		n *= ext
+	}
+	return n
+}
+
+// pieceRuns calls visit on the rows of piece p's phase-1 planes, or of
+// its seam plane in phase 2. Phase 1 holds the pieces' planes less the
+// k−1 seams, piece after piece; the seams follow in piece order.
+func (o *vertexOrder) pieceRuns(phase, p int, visit func(r orderRun) error) error {
+	n, rows := o.slow()
+	s0, s1 := o.pieceStart(p), o.pieceStart(p+1)
+	plane := o.nx * rows
+	first, last, pos := s0, s1, (s0-p)*plane
+	if phase == phaseTwo {
+		first, pos = s1-1, (n-o.pieces+1+p)*plane
+	} else if p < o.pieces-1 {
+		last--
+	}
+	for r := first * rows; r < last*rows; r++ {
+		if err := visit(orderRun{oj: r % o.ny, ok: r / o.ny, i1: o.nx, pos: pos, lo: s0 * plane}); err != nil {
+			return err
+		}
+		pos += o.nx
+	}
+	return nil
+}
+
+// allRuns calls visit on every run of the block's order, task after
+// task.
 func (o *vertexOrder) allRuns(visit func(r orderRun) error) error {
-	if !o.twoPhase {
-		_, err := o.runs(phaseAll, 0, visit)
-		return err
+	if !o.split() {
+		return o.runs(phaseAll, 0, visit)
 	}
-	pos, err := o.runs(phaseOne, 0, visit)
-	if err != nil {
-		return err
+	for phase := phaseOne; phase <= phaseTwo; phase++ {
+		for t := 0; t < o.tasks(phase); t++ {
+			if err := o.runs(phase, t, visit); err != nil {
+				return err
+			}
+		}
 	}
-	_, err = o.runs(phaseTwo, pos, visit)
-	return err
+	return nil
 }
 
 // minPipelineVertices is the smallest whole-domain block whose code
@@ -248,7 +337,8 @@ func (d *decodeScratch) decode(h *header, exp, code *huffman.Stream, literals []
 		nz = h.NZ
 	}
 	d.order = vertexOrder{nx: h.NX, ny: h.NY, nz: nz, twoPhase: h.Order == orderTwoPhase,
-		maxPlane: [3]bool{h.HasGhost[SideMaxX], h.HasGhost[SideMaxY], h.NDim == 3 && h.HasGhost[SideMaxZ]}}
+		maxPlane: [3]bool{h.HasGhost[SideMaxX], h.HasGhost[SideMaxY], h.NDim == 3 && h.HasGhost[SideMaxZ]},
+		pieces:   h.Pieces}
 	d.nc, d.temporal, d.lits = nc, h.Temporal, literals
 	d.exp = resize(d.exp, n)
 	d.code = resize(d.code, code.Len())
@@ -282,6 +372,13 @@ func (d *decodeScratch) decode(h *header, exp, code *huffman.Stream, literals []
 		return d.run(nil)
 	})
 }
+
+// spinPolls is how often a replay waiting on the code decoder polls
+// with runtime.Gosched before it sleeps between polls. A wait on a free
+// core ends within a few polls; on a host with fewer free cores than
+// goroutines the sleep hands the core to the decoder instead of
+// spinning against it.
+const spinPolls = 64
 
 // codeFailed is the progress a failed code-stream decode publishes, so
 // a replay waiting on it stops.
@@ -403,16 +500,22 @@ func (d *decodeScratch) prepare(run orderRun) error {
 // is z[i−1] + D(i) − D(i−1), where D(i) sums i's lower neighbors off its
 // row: z[i−sy] + z[i−sz] − z[i−sy−sz] in the interior, z[i−sy] on the
 // first plane, z[i−sz] on the first row of a later plane, nothing on
-// the first row of the first plane; at oi = 0 the terms z[i−1] and
-// D(i−1) are 0. Each term of D is a view of the row it reads, or of
-// zeros where the run's position lacks it, fixed for the run, and
-// z[i−1] − D(i−1) carries over from the previous vertex. The sum equals
-// predictLorenzo's term for term in two's-complement arithmetic, so the
-// values match the encoder's bit for bit.
+// the first row of the first plane — where a first row or plane is one
+// whose lower neighbors lie below the run's lo, as on a piece's first
+// plane; at oi = 0 the terms z[i−1] and D(i−1) are 0. Each term of D is
+// a view of the row it reads, or of zeros where the run's position
+// lacks it, fixed for the run, and z[i−1] − D(i−1) carries over from
+// the previous vertex. The sum equals predictor.Lorenzo's term for term
+// in two's-complement arithmetic, so the values match the encoder's bit
+// for bit.
 func (d *decodeScratch) replayRun(run orderRun) {
 	o := &d.order
 	sy, sz := o.nx, o.nx*o.ny
 	i0 := (run.ok*o.ny+run.oj)*o.nx + run.i0
+	// Whether the run's rows at −sy and −sz are decoded: the same for
+	// every vertex of the run, as lo starts a row.
+	hasY := run.oj > 0 && i0-sy >= run.lo
+	hasZ := run.ok > 0 && i0-sz >= run.lo
 	steps := d.runSteps[:run.i1-run.i0]
 	n, nc := len(steps), d.nc
 	code := d.code[nc*run.pos : nc*(run.pos+n)]
@@ -434,25 +537,25 @@ func (d *decodeScratch) replayRun(run orderRun) {
 		// D's terms: the rows at −sy, −sz and −sy−sz.
 		ty, tz, tyz := d.zeros[:n], d.zeros[:n], d.zeros[:n]
 		var carry int64 // z[i−1] − D(i−1)
-		if run.oj > 0 {
+		if hasY {
 			ty = z[i0-sy : i0-sy+n]
 		}
-		if run.ok > 0 {
+		if hasZ {
 			tz = z[i0-sz : i0-sz+n]
 		}
-		if run.oj > 0 && run.ok > 0 {
+		if hasY && hasZ {
 			tyz = z[i0-sy-sz : i0-sy-sz+n]
 		}
 		if run.i0 > 0 {
 			// The one-vertex runs on a two-phase block's X max plane.
 			carry = z[i0-1]
-			if run.oj > 0 {
+			if hasY {
 				carry -= z[i0-1-sy]
 			}
-			if run.ok > 0 {
+			if hasZ {
 				carry -= z[i0-1-sz]
 			}
-			if run.oj > 0 && run.ok > 0 {
+			if hasY && hasZ {
 				carry += z[i0-1-sy-sz]
 			}
 		}

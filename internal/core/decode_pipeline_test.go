@@ -18,6 +18,9 @@ var (
 	belowFloor2D = []int{64, minPipelineVertices/64 - 1}
 	atFloor3D    = []int{16, 16, minPipelineVertices / 256}
 	belowFloor3D = []int{16, 16, minPipelineVertices/256 - 1}
+	// Whole-domain shapes of two pieces.
+	twoPieces2D = []int{128, 2 * minPieceVertices / 128}
+	twoPieces3D = []int{32, 32, 2 * minPieceVertices / 1024}
 )
 
 // spikyField returns a smooth field of the given dims with a spike on
@@ -102,6 +105,9 @@ func TestDecodePipelineMatchesSerial(t *testing.T) {
 	}
 	for _, dims := range [][]int{belowFloor2D, belowFloor3D} {
 		cases = append(cases, tc{dims, NoSpec, false, ""}, tc{dims, ST4, true, ""})
+	}
+	for _, dims := range [][]int{twoPieces2D, twoPieces3D} {
+		cases = append(cases, tc{dims, NoSpec, false, ""}, tc{dims, ST2, false, ""}, tc{dims, ST4, true, ""})
 	}
 	pipelined := pipelineCount(t)
 	literals := 0

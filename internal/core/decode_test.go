@@ -75,17 +75,51 @@ func craftBase(t *testing.T) ([]byte, [][]float32) {
 	return blob, want
 }
 
-// TestDecodeRejectsUnknownOrder: an Order byte other than raster or
-// two-phase is a malformed header, not a raster block.
+// TestDecodeRejectsUnknownOrder: an Order byte other than raster,
+// two-phase or pieces is a malformed header, not a raster block; so is a
+// pieced header with no piece count. Both are *OrderErrors.
 func TestDecodeRejectsUnknownOrder(t *testing.T) {
 	blob, _ := craftBase(t)
-	for _, order := range []orderMode{2, 7, 255} {
+	for _, order := range []orderMode{orderPieces, 7, 255} {
 		bad := craftV1(t, blob, func(h *header, _ []uint32) { h.Order = order })
-		if _, _, err := Decompress(bad); !errors.Is(err, errHeader) {
-			t.Errorf("order %d: Decompress err = %v, want errHeader", order, err)
+		var oe *OrderError
+		if _, _, err := Decompress(bad); !errors.Is(err, errHeader) || !errors.As(err, &oe) {
+			t.Errorf("order %d: Decompress err = %v, want an *OrderError", order, err)
 		}
-		if _, err := PeekBlock(bad); !errors.Is(err, errHeader) {
-			t.Errorf("order %d: PeekBlock err = %v, want errHeader", order, err)
+		if _, err := PeekBlock(bad); !errors.Is(err, errHeader) || !errors.As(err, &oe) {
+			t.Errorf("order %d: PeekBlock err = %v, want an *OrderError", order, err)
+		}
+	}
+}
+
+// TestDecodeRejectsPiecesOffTheDims: a pieced header must hold 2 …
+// nSlow/2 pieces of a whole block; any other count, or a neighbor side
+// or lossless border, is an *OrderError. Counts that fit decode, and a
+// raster header's piece field is not stored.
+func TestDecodeRejectsPiecesOffTheDims(t *testing.T) {
+	blob, _ := craftBase(t) // 12×10: 5 pieces at most
+	for _, tc := range []struct {
+		name string
+		edit func(h *header)
+		ok   bool
+	}{
+		{"2 pieces", func(h *header) { h.Order, h.Pieces = orderPieces, 2 }, true},
+		{"5 pieces", func(h *header) { h.Order, h.Pieces = orderPieces, 5 }, true},
+		{"1 piece", func(h *header) { h.Order, h.Pieces = orderPieces, 1 }, false},
+		{"6 pieces", func(h *header) { h.Order, h.Pieces = orderPieces, 6 }, false},
+		{"huge count", func(h *header) { h.Order, h.Pieces = orderPieces, 1<<40 }, false},
+		{"a neighbor side", func(h *header) { h.Order, h.Pieces, h.HasGhost[SideMaxY] = orderPieces, 2, true }, false},
+		{"lossless border", func(h *header) { h.Order, h.Pieces, h.Border = orderPieces, 2, true }, false},
+		{"raster with a count", func(h *header) { h.Pieces = 9 }, true},
+	} {
+		edited := craftV1(t, blob, func(h *header, _ []uint32) { tc.edit(h) })
+		_, _, err := Decompress(edited)
+		var oe *OrderError
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !tc.ok && !errors.As(err, &oe):
+			t.Errorf("%s: err = %v, want an *OrderError", tc.name, err)
 		}
 	}
 }

@@ -30,6 +30,8 @@ func fuzzSeeds2D(f *testing.F) {
 	// A whole-domain block at the pipeline's vertex floor, which decodes
 	// on two goroutines under GOMAXPROCS ≥ 2.
 	f.Add(pipelineSeed(f, atFloor2D))
+	// A whole-domain block of two pieces (a pieced header).
+	f.Add(pipelineSeed(f, twoPieces2D))
 }
 
 // pipelineSeed compresses a whole-domain field of dims with literal
@@ -95,6 +97,7 @@ func fuzzSeeds3D(f *testing.F) {
 	}
 	f.Add(mut)
 	f.Add(pipelineSeed(f, atFloor3D))
+	f.Add(pipelineSeed(f, twoPieces3D))
 }
 
 func FuzzDecompress3D(f *testing.F) {

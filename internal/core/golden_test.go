@@ -287,6 +287,49 @@ func goldenCases() []goldenCase {
 		},
 	})
 
+	// Whole-domain blocks large enough to sweep in slow-axis pieces
+	// (three in 2D, two in 3D): the pieced visit order, its seams and the
+	// piece-start predictor, pinned at any core count.
+	cases = append(cases, goldenCase{
+		name: "2d-pieces-ST3",
+		run: func(t *testing.T) goldenResult {
+			f := goldenField2D(71, 160, 3*core.MinPieceVertices/160+1)
+			tr := mustFit(t, f.U, f.V)
+			blob, st, err := core.CompressBlock(core.Block{Dims: f.Dims(), Comps: f.Components(),
+				Transform: tr, Opts: core.Options{Tau: tau, Spec: core.ST3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k := piecesOf(t, blob); k != 3 {
+				t.Fatalf("%d pieces, want 3", k)
+			}
+			_, dec, err := core.Decompress(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return goldenResult{[][]byte{blob}, dec, st}
+		},
+	}, goldenCase{
+		name: "3d-pieces-ST4",
+		run: func(t *testing.T) goldenResult {
+			f := goldenField3D(73, 32, 32, 2*core.MinPieceVertices/(32*32))
+			tr := mustFit(t, f.U, f.V, f.W)
+			blob, st, err := core.CompressBlock(core.Block{Dims: f.Dims(), Comps: f.Components(),
+				Transform: tr, Opts: core.Options{Tau: tau, Spec: core.ST4}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k := piecesOf(t, blob); k != 2 {
+				t.Fatalf("%d pieces, want 2", k)
+			}
+			_, dec, err := core.Decompress(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return goldenResult{[][]byte{blob}, dec, st}
+		},
+	})
+
 	// Slab containers of the shared-memory pipeline: the version-3
 	// container bytes (index, per-slab blobs, CRCs) are pinned whole, so
 	// the slab decomposition, its two-phase seams and the container

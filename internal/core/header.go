@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
 
 	"repro/internal/encoder"
@@ -18,7 +19,28 @@ type orderMode uint8
 const (
 	orderRaster   orderMode = 0 // plain raster scan
 	orderTwoPhase orderMode = 1 // ratio-oriented: interior first, max planes last
+	orderPieces   orderMode = 2 // slow-axis pieces: piece interiors first, seams last
 )
+
+// OrderError reports a block header whose visit order is unknown, or
+// whose piece count does not fit the block: a pieced block is a whole
+// domain (no neighbor side, no lossless border) of 2 … nSlow/2 pieces,
+// where nSlow is its slowest axis's extent. It is a malformed header.
+type OrderError struct {
+	Order  uint8
+	Pieces int
+	NSlow  int
+}
+
+func (e *OrderError) Error() string {
+	if orderMode(e.Order) != orderPieces {
+		return fmt.Sprintf("core: malformed header: unknown visit order %d", e.Order)
+	}
+	return fmt.Sprintf("core: malformed header: %d pieces do not fit a whole block of %d slow-axis planes", e.Pieces, e.NSlow)
+}
+
+// Unwrap makes an OrderError an errHeader to errors.Is.
+func (e *OrderError) Unwrap() error { return errHeader }
 
 const (
 	magic = 0x5343 // "SC"
@@ -42,6 +64,7 @@ type header struct {
 	Tau      int64
 	Spec     Speculation
 	Order    orderMode
+	Pieces   int     // orderPieces: the slow-axis piece count
 	HasGhost [6]bool // minX, maxX, minY, maxY, minZ, maxZ
 	Border   bool    // lossless-border mode (informational)
 	Temporal bool    // temporal prediction: decoder needs the previous frame
@@ -80,6 +103,9 @@ func (h *header) marshal() []byte {
 	b = binary.AppendVarint(b, int64(h.Shift))
 	b = binary.AppendVarint(b, h.Tau)
 	b = append(b, byte(h.Spec), byte(h.Order))
+	if h.Order == orderPieces {
+		b = binary.AppendUvarint(b, uint64(h.Pieces))
+	}
 	var ghost byte
 	for i, g := range h.HasGhost {
 		if g {
@@ -159,24 +185,43 @@ func (h *header) unmarshal(b []byte) error {
 	}
 	h.Tau = tv
 	b = b[k:]
-	if len(b) < 4 {
+	if len(b) < 2 {
 		return errHeader
 	}
 	h.Spec = Speculation(b[0])
 	h.Order = orderMode(b[1])
-	if h.Order != orderRaster && h.Order != orderTwoPhase {
+	b = b[2:]
+	switch h.Order {
+	case orderRaster, orderTwoPhase:
+	case orderPieces:
+		if h.Pieces, err = read(); err != nil {
+			return err
+		}
+	default:
+		return &OrderError{Order: uint8(h.Order)}
+	}
+	if len(b) < 2 {
 		return errHeader
 	}
 	for i := range h.HasGhost {
-		h.HasGhost[i] = b[2]&(1<<i) != 0
+		h.HasGhost[i] = b[0]&(1<<i) != 0
 	}
-	h.Border = b[3]&1 != 0
-	h.Temporal = b[3]&2 != 0
+	h.Border = b[1]&1 != 0
+	h.Temporal = b[1]&2 != 0
+	if h.Order == orderPieces {
+		nSlow := h.NY
+		if h.NDim == 3 {
+			nSlow = h.NZ
+		}
+		if h.Pieces < 2 || h.Pieces > nSlow/2 || h.placed() {
+			return &OrderError{Order: uint8(h.Order), Pieces: h.Pieces, NSlow: nSlow}
+		}
+	}
 	if h.HasCRC {
-		if len(b) < 8 {
+		if len(b) < 6 {
 			return errHeader
 		}
-		h.PayloadCRC = binary.LittleEndian.Uint32(b[4:])
+		h.PayloadCRC = binary.LittleEndian.Uint32(b[2:])
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fixed"
 	"repro/internal/flightrec"
 	"repro/internal/huffman"
+	"repro/internal/predictor"
 	"repro/internal/quantizer"
 	"repro/internal/safedim"
 )
@@ -92,10 +93,6 @@ type kernel struct {
 	expSyms  []uint32
 	codeSyms []uint32
 	literals []byte
-	// next is the stream position of the next vertex a sequential sweep
-	// visits (a running counter across the two phases of a two-phase
-	// block).
-	next int
 	// swept marks the phases already swept (phaseAll, phaseOne,
 	// phaseTwo); resweep is the error a second sweep of one leaves for
 	// finish, since its stream positions are already taken.
@@ -128,6 +125,10 @@ func newKernel(blk blockSpec) (*kernel, error) {
 	k := &kernel{blk: blk, tau: blk.transform.Bound(blk.opts.Tau)}
 	k.order = vertexOrder{nx: blk.nx, ny: blk.ny, nz: blk.nz, twoPhase: blk.twoPhase,
 		maxPlane: [3]bool{blk.neighbor[SideMaxX], blk.neighbor[SideMaxY], blk.neighbor[SideMaxZ]}}
+	if blk.wholeDomain() {
+		nSlow, _ := k.order.slow()
+		k.order.pieces = pieceCount(n, nSlow)
+	}
 	k.ext = [3]int{blk.nx, blk.ny, blk.nz}
 	if blk.twoPhase {
 		for a := 0; a < 3; a++ {
@@ -442,17 +443,18 @@ func (k *kernel) prepare() {
 	k.prepared = true
 }
 
-// run compresses every vertex in raster order (single-node and
+// run compresses every vertex in raster order (small whole blocks and
 // lossless-border blocks). On a two-phase block it runs both phases
 // back-to-back — callers that exchange ghosts between the phases must
 // drive runPhase1/runPhase2 themselves, but the visit order stays
-// consistent with the decoder either way. A whole-domain block sweeps as
-// a slice wavefront (wavefront.go), with the same result.
+// consistent with the decoder either way. A whole-domain block of
+// several pieces sweeps its pieces, then its seams, in parallel
+// (pieces.go).
 func (k *kernel) run() {
 	if !k.prepared {
 		k.prepare()
 	}
-	if k.blk.twoPhase {
+	if k.order.split() {
 		k.runPhase1()
 		k.runPhase2()
 		return
@@ -461,16 +463,13 @@ func (k *kernel) run() {
 		return
 	}
 	process := k.tel.stage("process")
-	if w := k.width(); w > 1 {
-		k.wavefront(w)
-	} else {
-		k.sweep(phaseAll)
-	}
+	k.sweep(phaseAll)
 	process.End()
 }
 
 // runPhase1 compresses every vertex except those on neighbor-facing max
-// planes (ratio-oriented strategy, first phase).
+// planes (ratio-oriented strategy, first phase), or on a pieced block
+// every piece but its seam plane.
 func (k *kernel) runPhase1() {
 	if !k.prepared {
 		k.prepare()
@@ -483,9 +482,9 @@ func (k *kernel) runPhase1() {
 	k.sweep(phaseOne)
 }
 
-// runPhase2 compresses the remaining max-plane vertices. Ghost planes on
-// the max sides should have been refreshed with the neighbors'
-// decompressed borders.
+// runPhase2 compresses the remaining max-plane vertices, or a pieced
+// block's seams. Ghost planes on the max sides should have been
+// refreshed with the neighbors' decompressed borders.
 func (k *kernel) runPhase2() {
 	if !k.claim(phaseTwo) {
 		return
@@ -504,19 +503,6 @@ func (k *kernel) claim(phase int) bool {
 	}
 	k.swept[phase] = true
 	return true
-}
-
-// sweep compresses one phase's vertices in raster order on the caller's
-// goroutine, at consecutive stream positions.
-func (k *kernel) sweep(phase int) {
-	s := k.sweepers(1)[0]
-	defer s.flush()
-	k.next, _ = k.order.runs(phase, k.next, func(r orderRun) error {
-		for oi, pos := r.i0, r.pos; oi < r.i1; oi, pos = oi+1, pos+1 {
-			s.processVertex(oi, r.oj, r.ok, pos)
-		}
-		return nil
-	})
 }
 
 // forcedLossless reports whether the strategy pins this vertex to zero
@@ -575,7 +561,7 @@ func (s *sweeper) processVertex(oi, oj, ok, pos int) {
 	default: // ST4
 		sym, snapped = s.speculateFull(oi, oj, ok, vid)
 	}
-	codes, recons, esc := k.tryQuantize(oi, oj, ok, vid, snapped)
+	codes, recons, esc := s.tryQuantize(oi, oj, ok, vid, snapped)
 	s.commit(vid, own, pos, sym, codes, recons, esc)
 }
 
@@ -635,7 +621,7 @@ func (s *sweeper) speculateST1(oi, oj, ok, vid int, cpA bool) (uint8, int64) {
 	for {
 		s.stats.SpecTrials++
 		sym, snapped := quantizer.BoundSym(try, k.tau)
-		_, recons, _ := k.tryQuantize(oi, oj, ok, vid, snapped)
+		_, recons, _ := s.tryQuantize(oi, oj, ok, vid, snapped)
 		within := true
 		for c := 0; c < k.blk.nc; c++ {
 			if absDiff(recons[c], k.comps[c][vid]) > xi {
@@ -710,7 +696,7 @@ func (s *sweeper) speculateVerify(oi, oj, ok, vid int, full bool) (uint8, int64)
 	for {
 		s.stats.SpecTrials++
 		sym, snapped := quantizer.BoundSym(try, k.tau)
-		_, recons, _ := k.tryQuantize(oi, oj, ok, vid, snapped)
+		_, recons, _ := s.tryQuantize(oi, oj, ok, vid, snapped)
 		for c := 0; c < k.blk.nc; c++ {
 			k.comps[c][vid] = recons[c]
 		}
@@ -766,14 +752,15 @@ func (s *sweeper) specCutoff(vid int) (uint8, int64) {
 
 // tryQuantize quantizes every component of the vertex against the snapped
 // bound without committing anything.
-func (k *kernel) tryQuantize(oi, oj, ok, vid int, snapped int64) (codes, recons [maxComps]int64, esc [maxComps]bool) {
+func (s *sweeper) tryQuantize(oi, oj, ok, vid int, snapped int64) (codes, recons [maxComps]int64, esc [maxComps]bool) {
+	k := s.k
 	own := k.ownIdx(oi, oj, ok)
 	for c := 0; c < k.blk.nc; c++ {
 		var pred int64
 		if k.temporal {
 			pred = k.prev[c][own]
 		} else {
-			pred = predictLorenzo(k.own[c], k.blk.nx, k.blk.ny, oi, oj, ok)
+			pred = predictor.Lorenzo(k.own[c], k.blk.nx, k.blk.ny, oi, oj, ok, s.lo)
 		}
 		code, recon, qok := quantizer.Quantize(k.comps[c][vid], pred, snapped)
 		if !qok {
@@ -785,39 +772,6 @@ func (k *kernel) tryQuantize(oi, oj, ok, vid int, snapped int64) (codes, recons 
 		}
 	}
 	return codes, recons, esc
-}
-
-// predictLorenzo is the Lorenzo predictor over own, already-processed
-// neighbors, shared by the encoder and the decoder, which keeps their
-// predictions bit-identical in either visit order. It reads only lower
-// neighbors, and vertexOrder visits every in-range lower neighbor before
-// its vertex, so a neighbor is available exactly when its coordinates
-// are not below zero. With ok == 0 on an nz == 1 block the Z terms
-// vanish and the stencil reduces exactly to the 2D Lorenzo predictor.
-func predictLorenzo(z []int64, nx, ny, oi, oj, ok int) int64 {
-	idx := (ok*ny+oj)*nx + oi
-	sx, sy, sz := 1, nx, nx*ny
-	x, y, zz := oi > 0, oj > 0, ok > 0
-	switch {
-	case x && y && zz:
-		return z[idx-sx] + z[idx-sy] + z[idx-sz] -
-			z[idx-sx-sy] - z[idx-sx-sz] - z[idx-sy-sz] +
-			z[idx-sx-sy-sz]
-	case x && y:
-		return z[idx-sx] + z[idx-sy] - z[idx-sx-sy]
-	case x && zz:
-		return z[idx-sx] + z[idx-sz] - z[idx-sx-sz]
-	case y && zz:
-		return z[idx-sy] + z[idx-sz] - z[idx-sy-sz]
-	case x:
-		return z[idx-sx]
-	case y:
-		return z[idx-sy]
-	case zz:
-		return z[idx-sz]
-	default:
-		return 0
-	}
 }
 
 // commit emits the vertex's symbols at stream position pos and
@@ -875,6 +829,9 @@ func (k *kernel) finish() ([]byte, error) {
 	}
 	if k.blk.twoPhase {
 		h.Order = orderTwoPhase
+	}
+	if k.order.pieces > 1 {
+		h.Order, h.Pieces = orderPieces, k.order.pieces
 	}
 	h.HasGhost = k.blk.neighbor
 	h.Border = k.blk.losslessBord

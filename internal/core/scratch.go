@@ -34,7 +34,6 @@ type kernelScratch struct {
 	literals []byte
 
 	sweepers []*sweeper
-	slices   []progress
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(kernelScratch) }}
@@ -107,8 +106,7 @@ func afterGC(f func()) {
 // grow returns buf resized to n and zeroed, reallocating only when the
 // capacity is insufficient. Zeroing keeps pooled reuse bit-identical to
 // the make([]T, n) it replaces: the validity and cell masks rely on a
-// false zero value, the sign plane on 0 meaning no strict sign, and the
-// wavefront on zero slice progress.
+// false zero value, and the sign plane on 0 meaning no strict sign.
 func grow[T any](buf []T, n int) []T {
 	buf = resize(buf, n)
 	clear(buf)

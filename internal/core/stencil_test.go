@@ -327,6 +327,7 @@ func TestSignPlaneTracksComponents(t *testing.T) {
 				checkSigns(t, name+" after fill", k)
 				k.prepare()
 				sw := k.sweepers(1)[0]
+				next := 0 // the stream position of the next vertex
 				step := func(phase2 bool) {
 					for ok := 0; ok < k.blk.nz; ok++ {
 						for oj := 0; oj < k.blk.ny; oj++ {
@@ -341,8 +342,8 @@ func TestSignPlaneTracksComponents(t *testing.T) {
 									checkSigns(t, fmt.Sprintf("%s after the trials of (%d,%d,%d)", name, oi, oj, ok), k)
 								}
 								fails := sw.stats.SpecFails
-								sw.processVertex(oi, oj, ok, k.next)
-								k.next++
+								sw.processVertex(oi, oj, ok, next)
+								next++
 								what := "commit"
 								if sw.stats.SpecFails > fails {
 									what = "rollback"

@@ -7,7 +7,7 @@ import (
 	"repro/internal/exact/filter"
 	"repro/internal/field"
 	"repro/internal/fixed"
-	"repro/internal/shm/pool"
+	"repro/internal/pool"
 )
 
 // Detector2D detects critical points on a fixed-point 2D vector field.

@@ -148,8 +148,8 @@ func timeIt(f func()) time.Duration {
 }
 
 // timeOneCore measures one execution of f under GOMAXPROCS 1. The
-// paper's timings are per core, but core fans a whole-domain compress
-// out over every core (DESIGN.md, the slice wavefront); the tables that
+// paper's timings are per core, but core sweeps the pieces of a
+// whole-domain compress on every core (DESIGN.md, "Pieces"); the tables that
 // compare codecs or rank counts time them this way to compare like with
 // like.
 func timeOneCore(f func()) time.Duration {

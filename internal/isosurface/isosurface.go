@@ -122,7 +122,7 @@ func Compress(f *Field, opts Options) ([]byte, error) {
 					xi = 0
 				}
 				sym, snapped := quantizer.BoundSym(xi, tau)
-				pred := predictor.Lorenzo3D(data, f.NX, f.NY, i, j, k)
+				pred := predictor.Lorenzo(data, f.NX, f.NY, i, j, k, 0)
 				code, recon, ok := quantizer.Quantize(v, pred, snapped)
 				expSyms = append(expSyms, uint32(sym))
 				if !ok {
@@ -241,7 +241,7 @@ func Decompress(blob []byte) (*Field, error) {
 					literals = literals[4:]
 				} else {
 					bound := quantizer.BoundFromSym(uint8(expSyms[p]), tau)
-					pred := predictor.Lorenzo3D(data, nx, ny, i, j, kz)
+					pred := predictor.Lorenzo(data, nx, ny, i, j, kz, 0)
 					data[idx] = quantizer.Reconstruct(huffman.Unzigzag(sym), pred, bound)
 				}
 				p++

@@ -21,7 +21,7 @@ type PermitBalanceConfig struct {
 
 var defaultPermitBalance = &PermitBalanceConfig{
 	Packages: []string{
-		"internal/server", "internal/shm", "internal/shm/pool",
+		"internal/server", "internal/shm", "internal/pool",
 		"internal/core", "internal/huffman", "internal/encoder", "internal/field",
 	},
 	AcquireFuncs: []string{"acquire", "admit"},

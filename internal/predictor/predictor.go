@@ -1,6 +1,6 @@
-// Package predictor implements the Lorenzo predictors used by the
-// prediction-based compression pipelines (ours, cpSZ, and the SZ3-like
-// baseline).
+// Package predictor implements the integer Lorenzo predictor shared by
+// the prediction-based pipelines over fixed-point data: ours (package
+// core), and the FPZIP-like and isosurface-preserving baselines.
 //
 // The Lorenzo predictor estimates a value from its already-reconstructed
 // lower neighbors by inclusion–exclusion over the corner of the (hyper)cube
@@ -9,49 +9,36 @@
 // paper inherits from SZ).
 package predictor
 
-// Lorenzo1D predicts data[i] in a row; boundary predicts 0.
-func Lorenzo1D(data []int64, i int) int64 {
-	if i == 0 {
-		return 0
-	}
-	return data[i-1]
-}
-
-// Lorenzo2D predicts the value at (i, j) of an nx-wide row-major grid.
-func Lorenzo2D(data []int64, nx, i, j int) int64 {
-	idx := j*nx + i
-	switch {
-	case i > 0 && j > 0:
-		return data[idx-1] + data[idx-nx] - data[idx-nx-1]
-	case i > 0:
-		return data[idx-1]
-	case j > 0:
-		return data[idx-nx]
-	default:
-		return 0
-	}
-}
-
-// Lorenzo3D predicts the value at (i, j, k) of an nx×ny row-major volume.
-func Lorenzo3D(data []int64, nx, ny, i, j, k int) int64 {
+// Lorenzo predicts data[idx] at (i, j, k) of an nx×ny-plane row-major
+// volume, idx = (k·ny+j)·nx+i, from its lower neighbors (offsets in
+// {−1,0}³). A neighbor takes part when its coordinates are in range and
+// its index is at least lo; a missing one drops its terms, so the
+// stencil falls back to the 2D, 1D and zero predictors on the faces,
+// edges and corner. lo is the first index visited in the caller's order
+// whose slow-axis neighbors are visited after it (the first vertex of a
+// whole-domain piece, whose lower plane is a seam compressed last), or 0
+// for a plain raster. A 2D grid is the k = 0 plane, and its piece starts
+// are rows.
+func Lorenzo(data []int64, nx, ny, i, j, k, lo int) int64 {
 	idx := (k*ny+j)*nx + i
 	sx, sy, sz := 1, nx, nx*ny
+	x, y, z := i > 0, j > 0 && idx-sy >= lo, k > 0 && idx-sz >= lo
 	switch {
-	case i > 0 && j > 0 && k > 0:
+	case x && y && z:
 		return data[idx-sx] + data[idx-sy] + data[idx-sz] -
 			data[idx-sx-sy] - data[idx-sx-sz] - data[idx-sy-sz] +
 			data[idx-sx-sy-sz]
-	case i > 0 && j > 0:
+	case x && y:
 		return data[idx-sx] + data[idx-sy] - data[idx-sx-sy]
-	case i > 0 && k > 0:
+	case x && z:
 		return data[idx-sx] + data[idx-sz] - data[idx-sx-sz]
-	case j > 0 && k > 0:
+	case y && z:
 		return data[idx-sy] + data[idx-sz] - data[idx-sy-sz]
-	case i > 0:
+	case x:
 		return data[idx-sx]
-	case j > 0:
+	case y:
 		return data[idx-sy]
-	case k > 0:
+	case z:
 		return data[idx-sz]
 	default:
 		return 0

@@ -5,12 +5,14 @@ import (
 	"testing"
 )
 
+// TestLorenzo1D: along one row (ny = 1, j = k = 0) the predictor is the
+// previous value, and 0 at the row start.
 func TestLorenzo1D(t *testing.T) {
 	d := []int64{5, 7, 9}
-	if Lorenzo1D(d, 0) != 0 {
+	if Lorenzo(d, 3, 1, 0, 0, 0, 0) != 0 {
 		t.Error("boundary should predict 0")
 	}
-	if Lorenzo1D(d, 2) != 7 {
+	if Lorenzo(d, 3, 1, 2, 0, 0, 0) != 7 {
 		t.Error("should predict previous value")
 	}
 }
@@ -27,7 +29,7 @@ func TestLorenzo2DExactOnPlanes(t *testing.T) {
 	}
 	for j := 1; j < ny; j++ {
 		for i := 1; i < nx; i++ {
-			if got := Lorenzo2D(d, nx, i, j); got != d[j*nx+i] {
+			if got := Lorenzo(d, nx, ny, i, j, 0, 0); got != d[j*nx+i] {
 				t.Fatalf("interior prediction (%d,%d) = %d, want %d", i, j, got, d[j*nx+i])
 			}
 		}
@@ -39,18 +41,30 @@ func TestLorenzo2DBoundaries(t *testing.T) {
 	d := []int64{
 		1, 2, 3, 4,
 		5, 6, 7, 8,
+		9, 10, 11, 12,
 	}
-	if got := Lorenzo2D(d, nx, 0, 0); got != 0 {
+	if got := Lorenzo(d, nx, 3, 0, 0, 0, 0); got != 0 {
 		t.Errorf("(0,0) = %d", got)
 	}
-	if got := Lorenzo2D(d, nx, 2, 0); got != 2 {
+	if got := Lorenzo(d, nx, 3, 2, 0, 0, 0); got != 2 {
 		t.Errorf("(2,0) = %d", got)
 	}
-	if got := Lorenzo2D(d, nx, 0, 1); got != 1 {
+	if got := Lorenzo(d, nx, 3, 0, 1, 0, 0); got != 1 {
 		t.Errorf("(0,1) = %d", got)
 	}
-	if got := Lorenzo2D(d, nx, 1, 1); got != 2+5-1 {
+	if got := Lorenzo(d, nx, 3, 1, 1, 0, 0); got != 2+5-1 {
 		t.Errorf("(1,1) = %d", got)
+	}
+	// A piece starting at row 1 (lo = 4) predicts its first row as a
+	// first row, and its second row from the first.
+	if got := Lorenzo(d, nx, 3, 0, 1, 0, 4); got != 0 {
+		t.Errorf("piece corner (0,1) = %d", got)
+	}
+	if got := Lorenzo(d, nx, 3, 2, 1, 0, 4); got != 6 {
+		t.Errorf("piece row (2,1) = %d", got)
+	}
+	if got := Lorenzo(d, nx, 3, 2, 2, 0, 4); got != 10+7-6 {
+		t.Errorf("(2,2) above the piece start = %d", got)
 	}
 }
 
@@ -67,7 +81,7 @@ func TestLorenzo3DExactOnTrilinearRamps(t *testing.T) {
 	for k := 1; k < nz; k++ {
 		for j := 1; j < ny; j++ {
 			for i := 1; i < nx; i++ {
-				if got := Lorenzo3D(d, nx, ny, i, j, k); got != d[(k*ny+j)*nx+i] {
+				if got := Lorenzo(d, nx, ny, i, j, k, 0); got != d[(k*ny+j)*nx+i] {
 					t.Fatalf("interior 3D prediction (%d,%d,%d) wrong", i, j, k)
 				}
 			}
@@ -83,17 +97,27 @@ func TestLorenzo3DBoundaryFallbacks(t *testing.T) {
 		d[i] = rng.Int63n(100)
 	}
 	// Face (i=0): must reduce to 2D Lorenzo in (j,k).
-	got := Lorenzo3D(d, nx, ny, 0, 1, 1)
+	got := Lorenzo(d, nx, ny, 0, 1, 1, 0)
 	want := d[(1*ny+0)*nx+0] + d[(0*ny+1)*nx+0] - d[(0*ny+0)*nx+0]
 	if got != want {
 		t.Errorf("face fallback = %d, want %d", got, want)
 	}
 	// Edge (i=0, j=0): reduces to 1D in k.
-	if got := Lorenzo3D(d, nx, ny, 0, 0, 2); got != d[(1*ny+0)*nx+0] {
+	if got := Lorenzo(d, nx, ny, 0, 0, 2, 0); got != d[(1*ny+0)*nx+0] {
 		t.Errorf("edge fallback = %d", got)
 	}
 	// Origin.
-	if got := Lorenzo3D(d, nx, ny, 0, 0, 0); got != 0 {
+	if got := Lorenzo(d, nx, ny, 0, 0, 0, 0); got != 0 {
 		t.Errorf("origin = %d", got)
+	}
+	// The first plane of a piece starting at k = 1 predicts like the
+	// k = 0 plane, in 2D over (i, j); the plane above it is 3D again.
+	lo := nx * ny
+	want = d[(1*ny+1)*nx+0] + d[(1*ny+0)*nx+1] - d[(1*ny+0)*nx+0]
+	if got := Lorenzo(d, nx, ny, 1, 1, 1, lo); got != want {
+		t.Errorf("piece first plane = %d, want %d", got, want)
+	}
+	if got, want := Lorenzo(d, nx, ny, 1, 1, 2, lo), Lorenzo(d, nx, ny, 1, 1, 2, 0); got != want {
+		t.Errorf("plane above the piece start = %d, want %d", got, want)
 	}
 }

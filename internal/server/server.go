@@ -38,7 +38,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/flightrec"
 	"repro/internal/obs"
-	"repro/internal/shm/pool"
+	"repro/internal/pool"
 	"repro/internal/telemetry"
 )
 

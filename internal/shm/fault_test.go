@@ -17,6 +17,7 @@ import (
 	"repro/internal/fixed"
 	"repro/internal/flightrec"
 	"repro/internal/integrity"
+	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
@@ -477,8 +478,23 @@ func TestSeamDegradationKeepsSeams(t *testing.T) {
 	cfg := func(seed uint64) faultinject.Config {
 		return faultinject.Config{Seed: seed, Prob: [faultinject.NumKinds]float64{faultinject.KindPanic: 0.3}}
 	}
-	tested := 0
-	for seed := uint64(1); seed < 200 && tested < 3; seed++ {
+	// The fault-free container: a slab's phase 1 reads only original
+	// planes, so a slab degraded in phase 2 has handed slab i-1 the same
+	// decompressed min plane as here.
+	clean, err := Compress(field.Mem2D(f), tr, core.Options{Tau: tau, Spec: core.ST1}, Options{Slabs: slabs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg, err := decode2D(clean.Blob, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, err := parallel.Partition(f.NY, slabs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tested, pinned := 0, 0
+	for seed := uint64(1); seed < 200 && (tested < 3 || pinned == 0); seed++ {
 		probe := faultinject.New(cfg(seed))
 		phase2 := -1
 		for i := 0; i < slabs-1; i++ {
@@ -491,6 +507,9 @@ func TestSeamDegradationKeepsSeams(t *testing.T) {
 			continue
 		}
 		tested++
+		// Below a slab i-1 that never fails, i-1's seam was compressed
+		// against the plane slab i handed it.
+		handed := phase2 >= 1 && !fires(probe, uint64(phase2-1)) && !fires(probe, uint64(phase2-1), 2)
 		var ref []byte
 		for _, po := range []Options{{Workers: 1}, {Workers: 2, Window: 1}, {Workers: 4, Window: 3}} {
 			po.Slabs, po.Faults = slabs, faultinject.New(cfg(seed))
@@ -514,6 +533,26 @@ func TestSeamDegradationKeepsSeams(t *testing.T) {
 		if rep := cp.Compare(cp.DetectField2D(f, tr), cp.DetectField2D(g, tr)); !rep.Preserved() {
 			t.Fatalf("seed %d: %+v", seed, rep)
 		}
+		if handed {
+			pinned++
+			// The degraded slab stores its handed min plane, not its
+			// exact one, and slab i-1 decodes as in the fault-free run:
+			// both sides of the seam agree on the values slab i-1's seam
+			// cells were checked against.
+			lo, hi := spans[phase2-1].Start*f.NX, (spans[phase2].Start+1)*f.NX
+			exact := 0
+			for v := lo; v < hi; v++ {
+				if g.U[v] != cg.U[v] || g.V[v] != cg.V[v] {
+					t.Fatalf("seed %d: vertex %d (slab %d or its min plane) decodes unlike the fault-free run", seed, v, phase2-1)
+				}
+				if v >= spans[phase2].Start*f.NX && g.U[v] == f.U[v] && g.V[v] == f.V[v] {
+					exact++
+				}
+			}
+			if exact == f.NX {
+				t.Fatalf("seed %d: slab %d's min plane is exact, not the plane handed to slab %d", seed, phase2, phase2-1)
+			}
+		}
 		for i := range f.U {
 			if math.Abs(float64(f.U[i]-g.U[i])) > tau || math.Abs(float64(f.V[i]-g.V[i])) > tau {
 				t.Fatalf("seed %d: vertex %d off by more than τ", seed, i)
@@ -522,6 +561,9 @@ func TestSeamDegradationKeepsSeams(t *testing.T) {
 	}
 	if tested == 0 {
 		t.Fatal("no seed panics a slab in phase 2")
+	}
+	if pinned == 0 {
+		t.Fatal("no seed panics a slab in phase 2 below a slab that never fails")
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/flightrec"
-	"repro/internal/shm/pool"
+	"repro/internal/pool"
 	"repro/internal/telemetry"
 )
 

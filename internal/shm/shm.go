@@ -9,7 +9,7 @@
 // a slab container keeps the single-block ratio and every critical
 // point. The per-slab blobs are concatenated in slab order into the
 // archive container. A field that fits is one whole-domain slab, which
-// compresses on the slice wavefront and decodes pipelined.
+// core sweeps in slow-axis pieces on every core and decodes pipelined.
 //
 // Determinism is load-bearing: the slab count is a function of the field
 // shape and the memory budget only (never of the worker count), a seam
@@ -31,7 +31,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/field"
 	"repro/internal/flightrec"
-	"repro/internal/integrity"
 	"repro/internal/safedim"
 	"repro/internal/telemetry"
 )
@@ -174,7 +173,7 @@ func (r Result) ThroughputMBps() float64 {
 // ×8 +4.2%, Hurricane 64×64×96 ×8 −0.2%, Nek 48³ ST4 ×2 +1.3%, 96³ ×8
 // +0.3%), and slabs decoded 1.4–2.4× and compressed 1.1–1.6× faster
 // than one block. Below it a field is one whole-domain block, which
-// already compresses on the slice wavefront and decodes pipelined.
+// core already sweeps in pieces on every core and decodes pipelined.
 const minSlabVertices = 1 << 16
 
 // DefaultSlabs derives the slab count of a field of dims ([NX, NY] or
@@ -213,21 +212,15 @@ func slabCount(requested int, dims []int) (int, error) {
 	return s, nil
 }
 
-// firstSlabErr wraps the first per-slab decode failure with its slab
-// index, attributing block-level integrity errors (which cannot know
-// their slab) to the slab whose decode surfaced them.
-func firstSlabErr(errs []error) error {
+// lowestSlabErr returns the lowest-indexed non-nil error of errs and
+// its slab index, or (-1, nil) when every slab succeeded.
+func lowestSlabErr(errs []error) (int, error) {
 	for i, err := range errs {
-		if err == nil {
-			continue
+		if err != nil {
+			return i, err
 		}
-		var ie *integrity.IntegrityError
-		if errors.As(err, &ie) && ie.Slab < 0 {
-			ie.Slab = i
-		}
-		return fmt.Errorf("shm: slab %d: %w", i, err)
 	}
-	return nil
+	return -1, nil
 }
 
 // Decompress decodes a container (or a bare block) held in memory into

@@ -51,9 +51,10 @@ import (
 	"repro/internal/field"
 	"repro/internal/fixed"
 	"repro/internal/flightrec"
+	"repro/internal/integrity"
 	"repro/internal/parallel"
+	"repro/internal/pool"
 	"repro/internal/safedim"
-	"repro/internal/shm/pool"
 	"repro/internal/telemetry"
 )
 
@@ -578,7 +579,7 @@ flush:
 			// below an admitted one was admitted too, so that is the same
 			// slab on every run, whichever failed first.
 			wg.Wait()
-			if ferr = lowestSlabErr(r.errs[i:]); ferr == nil {
+			if _, ferr = lowestSlabErr(r.errs); ferr == nil {
 				ferr = po.runErr(name, ctx)
 			}
 			break flush
@@ -661,16 +662,6 @@ flush:
 		tel.Gauge(name + ".workers").Set(int64(nWorkers))
 	}
 	return res, nil
-}
-
-// lowestSlabErr returns the first non-nil error of errs.
-func lowestSlabErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CompressStream compresses the field behind src, slabbed along its
@@ -889,8 +880,14 @@ func DecompressTo(r io.ReaderAt, size int64, po Options, sinkFor func(dims []int
 		po.Rec.Record(flightrec.Event{Kind: flightrec.KindWindowEvict, Subsystem: "shm.decompress",
 			Slab: int32(i), Attempt: -1, Detail: "slab decoded and written"})
 	})
-	if err := firstSlabErr(errs); err != nil {
-		return nil, err
+	if i, err := lowestSlabErr(errs); err != nil {
+		// A block-level integrity error cannot know its slab: attribute
+		// it to the slab whose decode surfaced it.
+		var ie *integrity.IntegrityError
+		if errors.As(err, &ie) && ie.Slab < 0 {
+			ie.Slab = i
+		}
+		return nil, fmt.Errorf("shm: slab %d: %w", i, err)
 	}
 	if skipped.Load() {
 		// No slab failed, so the caller's context ended the run.
@@ -905,8 +902,9 @@ func DecompressTo(r io.ReaderAt, size int64, po Options, sinkFor func(dims []int
 // (memory-bounded callers should use the stream API). Wrap an in-memory
 // field with field.MemOf. The container decodes with
 // Decompress or DecompressTo (any worker count) and preserves critical
-// points exactly like the single-node path: interior vertices follow the
-// τ/speculation pipeline, slab border vertices are lossless.
+// points exactly like the single-node path: every vertex follows the
+// τ/speculation pipeline, and each slab's max plane is compressed last,
+// against its successor's decompressed min plane (two-phase seams).
 func Compress(src field.SlabSource, tr fixed.Transform, opts core.Options, po Options) (Result, error) {
 	var buf bytes.Buffer
 	res, err := CompressStream(src, &buf, tr, opts, po)

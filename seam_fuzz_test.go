@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/archive"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/cp"
@@ -30,8 +31,10 @@ import (
 // the slab counts are 1, 2 and a count with two-plane slabs or one in
 // between. Fields are generated or adversarial: constant, exact zeros
 // on whole planes (seam planes included), slabs of two planes, values
-// on the transform's edge, and injected worker panics that degrade
-// slabs on either side of a seam. ST1 speculates without widening the
+// on the transform's edge, injected worker panics that degrade slabs
+// on either side of a seam, and one-slab fields large enough that the
+// block sweeps in slow-axis pieces, whose seams sit inside the block.
+// ST1 speculates without widening the
 // bound (ST2–ST4 start from a multiple of τ), so every decoded value is
 // within τ.
 
@@ -43,6 +46,7 @@ const (
 	seamTwoPlane
 	seamEdge
 	seamDegraded
+	seamPieces
 	seamKinds
 )
 
@@ -63,6 +67,13 @@ func newSeamCase(kind, nx, ny, nz, slabSel uint8, seed uint64) seamCase {
 	dims := []int{2 + int(nx)%14, 4 + int(ny)%28}
 	if nz != 0 {
 		dims = []int{2 + int(nx)%8, 2 + int(ny)%8, 4 + int(nz)%16}
+	}
+	if k == seamPieces {
+		// At least 32 Ki vertices: two pieces or more.
+		dims = []int{256 + int(nx)%32, 128 + int(ny)%16}
+		if nz != 0 {
+			dims = []int{32 + int(nx)%4, 32 + int(ny)%4, 32 + int(nz)%4}
+		}
 	}
 	nSlow := dims[len(dims)-1]
 	if k == seamTwoPlane {
@@ -130,6 +141,9 @@ func newSeamCase(kind, nx, ny, nz, slabSel uint8, seed uint64) seamCase {
 	if k == seamTwoPlane {
 		sc.slabs = nSlow / 2
 	}
+	if k == seamPieces {
+		sc.slabs = 1
+	}
 	if k == seamDegraded {
 		sc.faults = &faultinject.Config{Seed: seed,
 			Prob: [faultinject.NumKinds]float64{faultinject.KindPanic: 0.5}}
@@ -142,6 +156,25 @@ func lcgFloat(s uint64) func() float32 {
 		s = s*6364136223846793005 + 1442695040888963407
 		return float32(int32(s>>33)) / float32(1<<31)
 	}
+}
+
+// pieces reports a one-slab case of two pieces' worth of vertices.
+func (sc seamCase) pieces() bool {
+	return sc.slabs == 1 && sc.faults == nil && len(sc.comps[0]) >= 32<<10
+}
+
+// oneSlabBlob returns the block of a one-slab container.
+func oneSlabBlob(t *testing.T, container []byte) []byte {
+	t.Helper()
+	sr, err := archive.OpenStream(bytes.NewReader(container), int64(len(container)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := sr.ReadBlobInto(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 func (sc seamCase) injector() *faultinject.Injector {
@@ -186,8 +219,14 @@ func checkSeams(t *testing.T, srv *server.Server, sc seamCase) {
 	if err != nil {
 		t.Fatalf("dims %v, %d slabs: %v", sc.dims, sc.slabs, err)
 	}
-	for _, w := range []int{1, 2, 4} {
-		for _, window := range []int{1, 2, 3, 0} {
+	workers, windows := []int{1, 2, 4}, []int{1, 2, 3, 0}
+	if sc.pieces() {
+		// One slab runs on one worker alone, whatever the options; the
+		// pieces inside it are held to the serial sweep by core's tests.
+		workers, windows = []int{2}, []int{0}
+	}
+	for _, w := range workers {
+		for _, window := range windows {
 			res, err := shm.Compress(src, tr, opts, shm.Options{Workers: w, Window: window,
 				Slabs: sc.slabs, Faults: sc.injector()})
 			if err != nil {
@@ -201,6 +240,19 @@ func checkSeams(t *testing.T, srv *server.Server, sc seamCase) {
 	}
 	if sc.tr == nil {
 		checkEntryPoints(t, srv, sc, tau, ref.Blob)
+	}
+	if sc.pieces() {
+		blob, _, err := core.CompressBlock(core.Block{Dims: sc.dims, Comps: sc.comps, Transform: tr, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A whole-domain block sweeps in min(n/16 Ki, nSlow/2) pieces.
+		if k := min(len(sc.comps[0])>>14, sc.dims[len(sc.dims)-1]/2); k < 2 {
+			t.Fatalf("dims %v: the whole block sweeps in %d pieces, want ≥ 2", sc.dims, k)
+		}
+		if got := oneSlabBlob(t, ref.Blob); !bytes.Equal(got, blob) {
+			t.Fatalf("dims %v: the one-slab container's blob differs from CompressBlock", sc.dims)
+		}
 	}
 
 	dec := make([][]float32, len(sc.comps))
