@@ -48,14 +48,14 @@ benchtest:
 race:
 	$(GO) test -race ./internal/exact/ ./internal/exact/filter/ ./internal/derive/ ./internal/telemetry/ ./internal/mpi/ ./internal/parallel/ ./internal/core/ ./internal/shm/ ./internal/pool/ ./internal/faultinject/ ./internal/flightrec/ ./internal/obs/ ./internal/codec/ ./internal/server/ ./internal/field/ ./internal/cp/ ./internal/archive/ ./internal/huffman/ ./internal/encoder/
 
-# Fault soak: fault-injected pipeline runs plus the stream-integrity
-# tests and the seed corpora of the fuzz targets (FuzzSeamEquivalence
-# among them). Every run must end in a typed error, a degradation report with
-# correct output, or bytes identical to a clean run — never a panic,
-# never silent corruption.
+# Fault soak: fault-injected pipeline runs, failed ranks aborting the
+# simulated machine, the stream-integrity tests and the seed corpora of
+# the fuzz targets (FuzzSeamEquivalence among them). Every run must end
+# in a typed error, a degradation report with correct output, or bytes
+# identical to a clean run — never a panic, never silent corruption.
 .PHONY: faults
 faults:
-	$(GO) test -count=1 -run 'Fault|Integrity|Corrupt|Degrad|Straggler|Timeout|Fuzz|Checksum|Verify|Panic|FlightRecorder' \
+	$(GO) test -count=1 -run 'Fault|Integrity|Corrupt|Degrad|Abort|Fuzz|Checksum|Verify|Panic|FlightRecorder' \
 		. ./internal/faultinject/ ./internal/integrity/ ./internal/archive/ \
 		./internal/shm/ ./internal/mpi/ ./internal/parallel/ ./internal/core/ \
 		./internal/server/ ./cmd/topozip/

@@ -131,7 +131,7 @@ func gatherBlock(c []float32, vals []float64, nx, ny, nz, x0, y0, z0, bs, ndim i
 	}
 	p := 0
 	for dz := 0; dz < zs; dz++ {
-		k := min(z0+dz, maxInt(nz-1, 0))
+		k := min(z0+dz, max(nz-1, 0))
 		for dy := 0; dy < bs; dy++ {
 			j := min(y0+dy, ny-1)
 			for dx := 0; dx < bs; dx++ {
@@ -394,18 +394,4 @@ func (z ZFPLike) decompress(blob []byte) ([]int, [][]float32, error) {
 		comps[c] = out
 	}
 	return g.dims(), comps, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

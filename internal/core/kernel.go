@@ -735,7 +735,7 @@ func (s *sweeper) speculateVerify(oi, oj, ok, vid int, full bool) (uint8, int64)
 // expected behavior and stay off the ring.
 func (k *kernel) recordRollback(vid int) {
 	k.blk.opts.Rec.Record(flightrec.Event{Kind: flightrec.KindRollback, Subsystem: "core",
-		Slab: int32(k.blk.opts.RecSlab), Attempt: -1, Code: int64(vid),
+		Slab: int32(k.blk.opts.RecSlab), Code: int64(vid),
 		Detail: "speculation trial rejected"})
 }
 
@@ -745,7 +745,7 @@ func (k *kernel) recordRollback(vid int) {
 func (s *sweeper) specCutoff(vid int) (uint8, int64) {
 	s.stats.SpecCutoffs++
 	s.k.blk.opts.Rec.Record(flightrec.Event{Kind: flightrec.KindRollback, Subsystem: "core",
-		Slab: int32(s.k.blk.opts.RecSlab), Attempt: -1, Code: int64(vid),
+		Slab: int32(s.k.blk.opts.RecSlab), Code: int64(vid),
 		Detail: "speculation cut off to lossless"})
 	return quantizer.LosslessSym, 0
 }

@@ -1,9 +1,9 @@
 // Package faultinject provides deterministic, seeded fault injection for
 // exercising the fault-tolerant paths of the compression pipeline:
-// worker panics, slab-blob bit flips and truncations, and message delays
-// in the simulated-MPI transport. Production builds pass a nil *Injector
-// — every method on nil is a no-op, the same convention the telemetry
-// package uses — so the hooks cost one nil check on hot paths.
+// worker panics, slab-blob bit flips and truncations, and the network
+// client faults of the load generator. Production builds pass a nil
+// *Injector — every method on nil is a no-op, the same convention the
+// telemetry package uses — so the hooks cost one nil check on hot paths.
 //
 // Decisions are pure functions of (seed, kind, site keys), not of a
 // shared counter or the scheduler, so a given seed reproduces the same
@@ -30,8 +30,10 @@ const (
 	KindBitFlip
 	// KindTruncate cuts a compressed slab blob short.
 	KindTruncate
-	// KindDelay delays a simulated-MPI message past the receive timeout.
-	KindDelay
+	// Kind 3 delayed simulated-MPI messages and is retired. The kinds
+	// after it keep their values: roll hashes the kind, so a seed fires
+	// at the same sites it always did.
+	_
 	// KindSlowClient throttles a network client's request body to a
 	// trickle, exercising the server's slow-loris defenses.
 	KindSlowClient
@@ -48,12 +50,12 @@ const (
 const NumKinds = int(numKinds)
 
 var kindNames = [numKinds]string{
-	"panic", "bitflip", "truncate", "delay",
+	"panic", "bitflip", "truncate", "",
 	"slowclient", "disconnect", "stall",
 }
 
 func (k Kind) String() string {
-	if k < 0 || k >= numKinds {
+	if k < 0 || k >= numKinds || kindNames[k] == "" {
 		return "unknown"
 	}
 	return kindNames[k]
@@ -68,7 +70,7 @@ type Panic struct {
 func (p Panic) Error() string { return "faultinject: injected panic at " + p.Site }
 
 // Config sets per-kind firing probabilities in [0,1] and the delay
-// duration for KindDelay.
+// duration of the network client faults (see FaultDelay).
 type Config struct {
 	Seed     uint64
 	Prob     [NumKinds]float64 // indexed by Kind
@@ -116,7 +118,7 @@ func New(cfg Config) *Injector {
 
 // Parse builds an Injector from a comma-separated spec like
 //
-//	seed=7,panic=0.2,bitflip=0.1,truncate=0.05,delay=0.3,delayms=40,max=10
+//	seed=7,panic=0.2,bitflip=0.1,truncate=0.05,stall=0.3,delayms=40,max=10
 //
 // Unknown keys are an error; the empty spec returns (nil, nil).
 func Parse(spec string) (*Injector, error) {
@@ -149,7 +151,7 @@ func Parse(spec string) (*Injector, error) {
 				return nil, fmt.Errorf("faultinject: max: bad value %q", val)
 			}
 			cfg.MaxFires = m
-		case "panic", "bitflip", "truncate", "delay", "slowclient", "disconnect", "stall":
+		case "panic", "bitflip", "truncate", "slowclient", "disconnect", "stall":
 			p, err := strconv.ParseFloat(val, 64)
 			if err != nil || p < 0 || p > 1 {
 				return nil, fmt.Errorf("faultinject: %s: bad probability %q", key, val)
@@ -215,7 +217,7 @@ func (in *Injector) roll(kind Kind, keys []uint64) (uint64, bool) {
 	in.fired[kind].Add(1)
 	in.rec.Load().Record(flightrec.Event{
 		Kind: flightrec.KindFaultInjected, Subsystem: "faultinject",
-		Slab: -1, Attempt: -1, Code: int64(kind), Detail: kindNames[kind],
+		Slab: -1, Code: int64(kind), Detail: kindNames[kind],
 	})
 	return h, true
 }
@@ -235,7 +237,9 @@ func (in *Injector) Report() map[string]int64 {
 	}
 	m := make(map[string]int64, numKinds)
 	for k := Kind(0); k < numKinds; k++ {
-		m[k.String()] = in.fired[k].Load()
+		if kindNames[k] != "" {
+			m[k.String()] = in.fired[k].Load()
+		}
 	}
 	return m
 }
@@ -269,14 +273,6 @@ func (in *Injector) Corrupt(blob []byte, keys ...uint64) ([]byte, bool) {
 		return out, true
 	}
 	return blob, false
-}
-
-// Delay returns the injected delay for a message site, or 0.
-func (in *Injector) Delay(keys ...uint64) time.Duration {
-	if _, fire := in.roll(KindDelay, keys); fire {
-		return in.cfg.Delay
-	}
-	return 0
 }
 
 // Maybe rolls the given kind at a site, reporting whether it fires. The

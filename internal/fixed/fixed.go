@@ -110,9 +110,9 @@ func Fit(components ...[]float32) (Transform, error) {
 }
 
 // FromMaxAbs builds the transform for data whose absolute values do not
-// exceed maxAbs. Distributed programs compute maxAbs with an allreduce
-// over per-rank maxima and call this on every rank, yielding the same
-// transform everywhere.
+// exceed maxAbs. Streaming callers take maxAbs from one pass over the
+// data (field.SourceStats) and call this, yielding Fit's transform
+// without holding the field.
 func FromMaxAbs(maxAbs float64) Transform {
 	if maxAbs <= 0 || math.IsNaN(maxAbs) || math.IsInf(maxAbs, 0) {
 		return Transform{Scale: 1, Shift: 0}

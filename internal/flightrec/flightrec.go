@@ -2,7 +2,7 @@
 // allocation-free ring of structured events recording the rare,
 // diagnosis-critical moments of a run — recovered panics, degradations
 // to the lossless escape, integrity failures, speculation rollbacks,
-// missed message deadlines, and injected faults. When a run ends in an
+// window admissions, shed requests and injected faults. When a run ends in an
 // error or a degradation, the ring is dumped as JSON so the postmortem
 // shows the exact event sequence that led there, oldest first.
 //
@@ -15,7 +15,7 @@
 // full the oldest events are overwritten and counted as dropped.
 //
 // All methods are safe for concurrent use; the shared-memory slab workers
-// and the simulated MPI ranks record into one ring.
+// and the daemon's request handlers record into one ring.
 package flightrec
 
 import (
@@ -35,9 +35,6 @@ const (
 	KindNote Kind = iota
 	// KindPanic is a recovered worker panic.
 	KindPanic
-	// KindDeadline is a simulated-MPI message receive that exceeded its
-	// deadline.
-	KindDeadline
 	// KindDegraded is a slab falling back to the lossless escape encoding
 	// after its one encode attempt panicked or failed.
 	KindDegraded
@@ -50,9 +47,6 @@ const (
 	// KindFaultInjected is a deterministic fault fired by
 	// internal/faultinject.
 	KindFaultInjected
-	// KindStraggler is a simulated-MPI receive that needed at least one
-	// timeout retry before the message arrived.
-	KindStraggler
 	// KindWindowRefill is a streaming slab admitted into the bounded
 	// window (the worker may have stalled waiting for a free window
 	// slot; Detail distinguishes an immediate grant from a stall).
@@ -71,9 +65,8 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"note", "panic", "deadline", "degraded",
-	"integrity_fail", "rollback", "fault_injected", "straggler",
-	"window_refill", "window_evict", "shed", "client_gone",
+	"note", "panic", "degraded", "integrity_fail", "rollback",
+	"fault_injected", "window_refill", "window_evict", "shed", "client_gone",
 }
 
 func (k Kind) String() string {
@@ -118,9 +111,6 @@ type Event struct {
 	// Slab is the slab index the event belongs to, -1 when not slab
 	// scoped.
 	Slab int32 `json:"slab"`
-	// Attempt is the attempt number (0-based) for retry-shaped events
-	// (simulated-MPI receives), -1 when not applicable.
-	Attempt int32 `json:"attempt"`
 	// Code carries an event-specific payload: a vertex id for rollbacks,
 	// a fault kind for injections, a byte offset for integrity failures.
 	Code int64 `json:"code,omitempty"`

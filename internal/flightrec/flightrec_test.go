@@ -23,7 +23,7 @@ func fakeClock() func() time.Time {
 
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
-	r.Record(Event{Kind: KindPanic, Subsystem: "shm.compress2d", Slab: 3, Attempt: -1})
+	r.Record(Event{Kind: KindPanic, Subsystem: "shm.compress2d", Slab: 3})
 	r.SetClock(time.Now)
 	r.SetDumpPath("/nonexistent/should-not-be-written")
 	if r.Enabled() {
@@ -48,9 +48,9 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 func TestRecordOrderAndSeq(t *testing.T) {
 	r := New(8)
 	r.SetClock(fakeClock())
-	r.Record(Event{Kind: KindFaultInjected, Subsystem: "shm.compress2d", Slab: 2, Attempt: -1})
-	r.Record(Event{Kind: KindPanic, Subsystem: "shm.compress2d", Slab: 2, Attempt: -1})
-	r.Record(Event{Kind: KindDeadline, Subsystem: "mpi", Slab: -1, Attempt: 2})
+	r.Record(Event{Kind: KindFaultInjected, Subsystem: "shm.compress2d", Slab: 2})
+	r.Record(Event{Kind: KindPanic, Subsystem: "shm.compress2d", Slab: 2})
+	r.Record(Event{Kind: KindShed, Subsystem: "server.compress", Slab: -1, Code: 2})
 	evs := r.Snapshot()
 	if len(evs) != 3 {
 		t.Fatalf("got %d events, want 3", len(evs))
@@ -63,10 +63,10 @@ func TestRecordOrderAndSeq(t *testing.T) {
 			t.Errorf("event %d missing timestamp", i)
 		}
 	}
-	if evs[0].Kind != KindFaultInjected || evs[2].Kind != KindDeadline {
+	if evs[0].Kind != KindFaultInjected || evs[2].Kind != KindShed {
 		t.Errorf("order wrong: %+v", evs)
 	}
-	if evs[1].Slab != 2 || evs[2].Attempt != 2 {
+	if evs[1].Slab != 2 || evs[2].Code != 2 {
 		t.Errorf("attribution lost: %+v", evs[2])
 	}
 }
@@ -112,7 +112,7 @@ func TestConcurrentRecord(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				r.Record(Event{Kind: KindPanic, Subsystem: "shm.compress3d", Slab: int32(w), Attempt: int32(i)})
+				r.Record(Event{Kind: KindPanic, Subsystem: "shm.compress3d", Slab: int32(w), Code: int64(i)})
 			}
 		}(w)
 	}
@@ -135,8 +135,8 @@ func TestDumpOnOutcome(t *testing.T) {
 	path := filepath.Join(dir, "flight.json")
 	r := New(8)
 	r.SetDumpPath(path)
-	r.Record(Event{Kind: KindDeadline, Subsystem: "mpi", Slab: -1, Attempt: 2})
-	r.Record(Event{Kind: KindDegraded, Subsystem: "shm.compress2d", Slab: 1, Attempt: -1})
+	r.Record(Event{Kind: KindShed, Subsystem: "server.compress", Slab: -1, Code: 2})
+	r.Record(Event{Kind: KindDegraded, Subsystem: "shm.compress2d", Slab: 1})
 
 	// A clean run must not dump.
 	if got, err := r.DumpOnOutcome(nil, false); got != "" || err != nil {
@@ -165,10 +165,10 @@ func TestDumpOnOutcome(t *testing.T) {
 	if d.Recorded != 2 || len(d.Events) != 2 {
 		t.Fatalf("dump = %+v", d)
 	}
-	if d.Events[0].Kind != KindDeadline || d.Events[0].Slab != -1 || d.Events[0].Attempt != 2 {
-		t.Fatalf("deadline event lost attempt attribution: %+v", d.Events[0])
+	if d.Events[0].Kind != KindShed || d.Events[0].Slab != -1 || d.Events[0].Code != 2 {
+		t.Fatalf("shed event lost its attribution: %+v", d.Events[0])
 	}
-	if d.Events[1].Kind != KindDegraded || d.Events[1].Slab != 1 || d.Events[1].Attempt != -1 {
+	if d.Events[1].Kind != KindDegraded || d.Events[1].Slab != 1 {
 		t.Fatalf("degradation event lost attribution: %+v", d.Events[1])
 	}
 }
@@ -194,7 +194,7 @@ func BenchmarkRecord(b *testing.B) {
 	r := New(DefaultCapacity)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Record(Event{Kind: KindRollback, Subsystem: "core.3d", Attempt: -1})
+		r.Record(Event{Kind: KindRollback, Subsystem: "core.3d"})
 	}
 }
 
@@ -202,6 +202,6 @@ func BenchmarkRecordDisabled(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Record(Event{Kind: KindRollback, Subsystem: "core.3d", Attempt: -1})
+		r.Record(Event{Kind: KindRollback, Subsystem: "core.3d"})
 	}
 }

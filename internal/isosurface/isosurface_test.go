@@ -23,13 +23,6 @@ func synthetic(nx, ny, nz int, seed int64) *Field {
 	return f
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func TestOptionsValidate(t *testing.T) {
 	if err := (Options{}).Validate(); err == nil {
 		t.Error("zero options must fail")

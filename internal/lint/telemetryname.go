@@ -20,7 +20,7 @@ var defaultTelemetryName = &TelemetryNameConfig{
 
 // metricNameRx is the canonical metric-name shape: a lowercase
 // subsystem prefix followed by at least one dotted segment, every
-// segment [a-z0-9_]+. Examples: "mpi.recv_timeouts",
+// segment [a-z0-9_]+. Examples: "mpi.recv_wait_ns",
 // "core.2d.st3.spec_trials", "shm.compress2d.slab.degraded".
 var metricNameRx = mustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$`)
 

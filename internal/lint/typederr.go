@@ -23,9 +23,9 @@ var defaultTypedErr = &TypedErrConfig{
 
 // TypedErr enforces the PR 4 error-contract invariant: callers route on
 // error identity (errors.Is/As against *IntegrityError, ErrCorrupt,
-// *TimeoutError) to distinguish corrupt data from timeouts from
-// programmer errors, so an error that crosses the integrity, archive,
-// or mpi boundary must stay matchable. Two rules:
+// mpi.ErrAborted) to distinguish corrupt data from an aborted machine
+// from programmer errors, so an error that crosses the integrity,
+// archive, or mpi boundary must stay matchable. Two rules:
 //
 //  1. Module-wide: fmt.Errorf that receives an error argument but whose
 //     format has no %w verb flattens the cause into an opaque string —

@@ -8,16 +8,17 @@
 // advance the receiver's clock according to a latency/bandwidth cost model
 // (LogP-style). The makespan of the simulated run is the maximum final
 // clock — the quantity the strong-scaling tables report — while total
-// bytes and message counts quantify communication overhead.
+// bytes and message counts quantify communication overhead. A rank that
+// fails aborts the machine, as MPI_Abort does: the ranks waiting on it
+// are woken with ErrAborted rather than left to hang.
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"repro/internal/faultinject"
-	"repro/internal/flightrec"
 	"repro/internal/safedim"
 	"repro/internal/telemetry"
 )
@@ -32,36 +33,15 @@ type Config struct {
 	// Bandwidth is the link bandwidth in bytes/second (default 12.5 GB/s).
 	Bandwidth float64
 	// Tel, when non-nil, receives the communication metrics of the run:
-	// message and byte counts split into point-to-point and collective
-	// traffic, a message-size histogram, and the accumulated virtual
-	// receive-stall time.
+	// message and byte counts, a message-size histogram, and the
+	// accumulated virtual receive-stall time.
 	Tel *telemetry.Collector
-
-	// RecvTimeout bounds the wall-clock wait of RecvTimeout-style
-	// receives; 0 disables deadlines (receives block forever, the seed
-	// behavior). Virtual time is unaffected.
-	RecvTimeout time.Duration
-	// RecvRetries is how many extra waits a timed-out receive gets
-	// before giving up with a *TimeoutError.
-	RecvRetries int
-	// Inject, when non-nil, delays message delivery in wall-clock time
-	// (soak testing only): the straggler path RecvTimeout guards.
-	Inject *faultinject.Injector
-	// Rec, when non-nil, records missed receive deadlines and straggler
-	// recoveries into the flight recorder.
-	Rec *flightrec.Recorder
 }
 
-// TimeoutError reports a receive that exhausted its deadline and
-// retries — the simulated equivalent of a straggling or dead rank.
-type TimeoutError struct {
-	From, To, Tag, Attempts int
-}
-
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("mpi: rank %d: receive from rank %d (tag %d) timed out after %d attempts",
-		e.To, e.From, e.Tag, e.Attempts)
-}
+// ErrAborted is what a receive returns once another rank's body has
+// failed: the world is aborted, and a message it waits for may never be
+// sent.
+var ErrAborted = errors.New("mpi: world aborted by a failed rank")
 
 func (c Config) withDefaults() Config {
 	if c.Latency == 0 {
@@ -92,20 +72,24 @@ type World struct {
 	msgs   int
 	clocks []time.Duration
 
+	// done is closed, once, by the first rank whose body fails; every
+	// receive then returns ErrAborted.
+	done  chan struct{}
+	abort sync.Once
+	root  error // the error that closed done
+
 	// Telemetry handles; all nil when cfg.Tel is nil.
 	cP2PMsgs, cP2PBytes *telemetry.Counter
-	cCollMsgs           *telemetry.Counter
 	cRecvWait           *telemetry.Counter
-	cRecvTimeouts       *telemetry.Counter
-	cStragglers         *telemetry.Counter
 	hMsgBytes           *telemetry.Histogram
 }
 
 // Comm is one rank's endpoint.
 type Comm struct {
-	w     *World
-	Rank  int
-	clock time.Duration
+	w        *World
+	Rank     int
+	clock    time.Duration
+	received bool // the rank has entered a receive
 }
 
 // Stats summarizes a simulated run.
@@ -118,31 +102,44 @@ type Stats struct {
 }
 
 // Run executes body on every rank of a fresh world and returns the run
-// statistics.
-func Run(cfg Config, body func(c *Comm)) Stats {
+// statistics. A rank whose body returns an error aborts the world: the
+// receives of the other ranks return ErrAborted, so no rank waits for a
+// message that will never come. Run returns once every rank has
+// returned, with the failing rank's own error. When several ranks fail
+// before their first receive, which is how an input error fails, the
+// lowest such rank's error is returned on every run; otherwise the error
+// that aborted the world is.
+func Run(cfg Config, body func(c *Comm) error) (Stats, error) {
 	cfg = cfg.withDefaults()
 	w := &World{
 		cfg:    cfg,
 		boxes:  make(map[mailKey]chan message),
 		clocks: make([]time.Duration, cfg.Ranks),
+		done:   make(chan struct{}),
 	}
 	if tel := cfg.Tel; tel != nil {
 		tel.Gauge("mpi.ranks").Set(int64(cfg.Ranks))
 		w.cP2PMsgs = tel.Counter("mpi.p2p.msgs")
 		w.cP2PBytes = tel.Counter("mpi.p2p.bytes")
-		w.cCollMsgs = tel.Counter("mpi.collective.msgs")
 		w.cRecvWait = tel.Counter("mpi.recv_wait_ns")
-		w.cRecvTimeouts = tel.Counter("mpi.recv_timeouts")
-		w.cStragglers = tel.Counter("mpi.stragglers")
 		w.hMsgBytes = tel.Histogram("mpi.msg_bytes")
 	}
+	early := make([]error, cfg.Ranks) // errors of ranks that never received
 	var wg sync.WaitGroup
 	for r := 0; r < cfg.Ranks; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			c := &Comm{w: w, Rank: rank}
-			body(c)
+			if err := body(c); err != nil {
+				if !c.received {
+					early[rank] = err
+				}
+				w.abort.Do(func() {
+					w.root = err
+					close(w.done)
+				})
+			}
 			w.mu.Lock()
 			w.clocks[rank] = c.clock
 			w.mu.Unlock()
@@ -155,7 +152,12 @@ func Run(cfg Config, body func(c *Comm)) Stats {
 			st.Makespan = c
 		}
 	}
-	return st
+	for _, err := range early {
+		if err != nil {
+			return st, err
+		}
+	}
+	return st, w.root
 }
 
 func (w *World) box(k mailKey) chan message {
@@ -207,81 +209,36 @@ func (c *Comm) Send(to, tag int, data []byte) {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", to))
 	}
 	cost := c.w.cfg.Latency + time.Duration(float64(len(data))/c.w.cfg.Bandwidth*float64(time.Second))
-	m := message{data: data, arrival: c.clock + cost}
 	c.w.mu.Lock()
 	c.w.bytes += int64(len(data))
 	c.w.msgs++
 	c.w.mu.Unlock()
-	if tag >= tagReduce {
-		c.w.cCollMsgs.Inc()
-	} else {
-		c.w.cP2PMsgs.Inc()
-		c.w.cP2PBytes.Add(int64(len(data)))
-	}
+	c.w.cP2PMsgs.Inc()
+	c.w.cP2PBytes.Add(int64(len(data)))
 	c.w.hMsgBytes.Observe(int64(len(data)))
-	box := c.w.box(mailKey{c.Rank, to, tag})
-	if d := c.w.cfg.Inject.Delay(uint64(c.Rank), uint64(to), uint64(tag)); d > 0 {
-		// Injected straggler: delivery is held back in wall-clock time so
-		// the receiver's deadline/retry path actually runs. The virtual
-		// cost model is untouched — only delivery is late.
-		go func() {
-			time.Sleep(d)
-			box <- m
-		}()
-		return
-	}
-	box <- m
+	c.w.box(mailKey{c.Rank, to, tag}) <- message{data: data, arrival: c.clock + cost}
 }
 
 // Recv blocks until a message with the tag arrives from rank `from`, and
-// advances the virtual clock to at least its arrival time.
-func (c *Comm) Recv(from, tag int) []byte {
-	m := <-c.w.box(mailKey{from, c.Rank, tag})
-	c.arrive(m)
-	return m.data
-}
-
-func (c *Comm) arrive(m message) {
-	if m.arrival > c.clock {
-		c.w.cRecvWait.Add(int64(m.arrival - c.clock))
-		c.clock = m.arrival
+// advances the virtual clock to at least its arrival time. Once the
+// world is aborted it returns ErrAborted instead, whether it was waiting
+// or not.
+func (c *Comm) Recv(from, tag int) ([]byte, error) {
+	c.received = true
+	select {
+	case <-c.w.done:
+		return nil, ErrAborted
+	default:
 	}
-}
-
-// RecvTimeout is Recv under the Config deadline: each wall-clock wait is
-// bounded by Config.RecvTimeout and retried Config.RecvRetries times; a
-// message that never shows up yields a *TimeoutError instead of hanging
-// the rank. With no configured deadline it degenerates to Recv. A wait
-// that needed at least one retry marks the sender as a straggler in
-// telemetry.
-func (c *Comm) RecvTimeout(from, tag int) ([]byte, error) {
-	if c.w.cfg.RecvTimeout <= 0 {
-		return c.Recv(from, tag), nil
-	}
-	box := c.w.box(mailKey{from, c.Rank, tag})
-	timer := time.NewTimer(c.w.cfg.RecvTimeout)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case m := <-box:
-			if attempt > 0 {
-				c.w.cStragglers.Inc()
-				c.w.cfg.Rec.Record(flightrec.Event{Kind: flightrec.KindStraggler, Subsystem: "mpi",
-					Slab: -1, Attempt: int32(attempt), Code: int64(from),
-					Detail: "message arrived after timeout retry"})
-			}
-			c.arrive(m)
-			return m.data, nil
-		case <-timer.C:
-			c.w.cRecvTimeouts.Inc()
-			c.w.cfg.Rec.Record(flightrec.Event{Kind: flightrec.KindDeadline, Subsystem: "mpi",
-				Slab: -1, Attempt: int32(attempt), Code: int64(from),
-				Detail: "receive deadline exceeded"})
-			if attempt >= c.w.cfg.RecvRetries {
-				return nil, &TimeoutError{From: from, To: c.Rank, Tag: tag, Attempts: attempt + 1}
-			}
-			timer.Reset(c.w.cfg.RecvTimeout)
+	select {
+	case m := <-c.w.box(mailKey{from, c.Rank, tag}):
+		if m.arrival > c.clock {
+			c.w.cRecvWait.Add(int64(m.arrival - c.clock))
+			c.clock = m.arrival
 		}
+		return m.data, nil
+	case <-c.w.done:
+		return nil, ErrAborted
 	}
 }
 
@@ -298,20 +255,11 @@ func (c *Comm) SendInt64s(to, tag int, vals []int64) {
 }
 
 // RecvInt64s receives a slice sent with SendInt64s.
-func (c *Comm) RecvInt64s(from, tag int) []int64 {
-	return unmarshalInt64s(c.Recv(from, tag))
-}
-
-// RecvInt64sTimeout is RecvInt64s under the Config deadline/retry policy.
-func (c *Comm) RecvInt64sTimeout(from, tag int) ([]int64, error) {
-	buf, err := c.RecvTimeout(from, tag)
+func (c *Comm) RecvInt64s(from, tag int) ([]int64, error) {
+	buf, err := c.Recv(from, tag)
 	if err != nil {
 		return nil, err
 	}
-	return unmarshalInt64s(buf), nil
-}
-
-func unmarshalInt64s(buf []byte) []int64 {
 	vals := make([]int64, len(buf)/8)
 	for i := range vals {
 		var u uint64
@@ -320,5 +268,5 @@ func unmarshalInt64s(buf []byte) []int64 {
 		}
 		vals[i] = int64(u)
 	}
-	return vals
+	return vals, nil
 }

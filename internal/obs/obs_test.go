@@ -37,8 +37,8 @@ func TestServeEndpoints(t *testing.T) {
 	col.Histogram("core.2d.bound_exp").Observe(7)
 
 	rec := flightrec.New(64)
-	rec.Record(flightrec.Event{Kind: flightrec.KindPanic, Subsystem: "shm.compress2d", Slab: 2, Attempt: -1})
-	rec.Record(flightrec.Event{Kind: flightrec.KindDegraded, Subsystem: "shm.compress2d", Slab: 2, Attempt: -1})
+	rec.Record(flightrec.Event{Kind: flightrec.KindPanic, Subsystem: "shm.compress2d", Slab: 2})
+	rec.Record(flightrec.Event{Kind: flightrec.KindDegraded, Subsystem: "shm.compress2d", Slab: 2})
 
 	srv, err := Serve("127.0.0.1:0", col, rec)
 	if err != nil {

@@ -1,10 +1,10 @@
 package parallel
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/fixed"
-	"repro/internal/mpi"
 	"repro/internal/safedim"
 )
 
@@ -72,22 +72,19 @@ func (d decomposition) boxCopy(global, box []float32, origin, size []int, gather
 	}
 }
 
-// FitTransformDistributed computes the shared transform the way a real
-// MPI program does: every rank reduces the absolute maximum of its local
-// components, the maxima are combined with an allreduce, and each rank
-// derives the (identical) transform from the global maximum.
-func FitTransformDistributed(c *mpi.Comm, comps ...[]float32) fixed.Transform {
-	localMax := 0.0
-	for _, comp := range comps {
-		for _, v := range comp {
-			a := float64(v)
-			if a < 0 {
-				a = -a
-			}
-			if a > localMax {
-				localMax = a
-			}
+// globalIndex re-bases a value error of the sub-block of own dims size
+// at origin onto the field, so the caller is told where in its input
+// the value sits.
+func (d decomposition) globalIndex(err error, origin, size []int) error {
+	var de *fixed.DomainError
+	if errors.As(err, &de) && de.Param == "" {
+		local, g, stride := de.Index, 0, 1
+		for a := range size {
+			g += (origin[a] + local%size[a]) * stride
+			local /= size[a]
+			stride *= d.dims[a]
 		}
+		de.Index = g
 	}
-	return fixed.FromMaxAbs(c.AllReduceMax(localMax))
+	return err
 }

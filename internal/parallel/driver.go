@@ -159,12 +159,11 @@ func (t rankTransport) sendOriginals(enc *core.Encoder) {
 	}
 }
 
-// recv waits for the plane the neighbor across side sent with tag. The
-// deadline/retry policy of the machine's Config guards against
-// straggling or wedged neighbor ranks; with no deadline configured it
-// blocks like a plain receive.
+// recv waits for the plane the neighbor across side sent with tag. A
+// failed neighbor aborts the machine, and the wait returns
+// mpi.ErrAborted.
 func (t rankTransport) recv(side, tag int) ([][]int64, error) {
-	vals, err := t.c.RecvInt64sTimeout(t.nb[side], tag)
+	vals, err := t.c.RecvInt64s(t.nb[side], tag)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +189,9 @@ func (t rankTransport) Decompressed(side int) ([][]int64, error) {
 // [NX, NY, NZ] (one component per dimension) on a simulated machine of
 // grid[0]×grid[1](×grid[2]) ranks: each rank gathers its sub-block into a
 // core.Block and drives one encoder through the strategy's protocol. A
-// malformed field or grid is an error before any rank starts.
+// malformed field or grid is an error before any rank starts; a rank
+// that fails aborts the machine, and its error is returned, a value
+// error with its index in the field.
 func CompressDistributed(dims []int, comps [][]float32, grid []int, tr fixed.Transform,
 	opts core.Options, strat Strategy, mcfg mpi.Config) (Result, error) {
 
@@ -210,10 +211,9 @@ func CompressDistributed(dims []int, comps [][]float32, grid []int, tr fixed.Tra
 	rt := newRunTel(mcfg.Tel, fmt.Sprintf("parallel.compress%dd", ndim), ranks)
 
 	blobs := make([][]byte, ranks)
-	errs := make([]error, ranks)
 	stats := make([]core.Stats, ranks)
 
-	st := mpi.Run(mcfg, func(c *mpi.Comm) {
+	st, err := mpi.Run(mcfg, func(c *mpi.Comm) error {
 		p := d.coords(c.Rank)
 		stride := [3]int{1, d.grid[0], d.grid[0] * d.grid[1]}
 		nb := [6]int{-1, -1, -1, -1, -1, -1}
@@ -231,6 +231,10 @@ func CompressDistributed(dims []int, comps [][]float32, grid []int, tr fixed.Tra
 				neighbor[s] = true
 			}
 		}
+		// A rank with no neighbor side is the whole domain, and
+		// compresses as one.
+		shared := neighbor != [6]bool{}
+		twoPhase := shared && strat == RatioOriented
 		origin, size := d.box(p)
 		sub := make([][]float32, nc)
 		for ci := range sub {
@@ -243,53 +247,47 @@ func CompressDistributed(dims []int, comps [][]float32, grid []int, tr fixed.Tra
 		enc, err := core.NewEncoder(core.Block{
 			Dims: size, Comps: sub, Transform: tr, Opts: o,
 			Origin: origin, Global: dims, Neighbor: neighbor,
-			LosslessBorder: strat == LosslessBorders,
-			TwoPhase:       strat == RatioOriented,
+			LosslessBorder: shared && strat == LosslessBorders,
+			TwoPhase:       twoPhase,
 		})
 		if err != nil {
-			errs[c.Rank] = err
-			return
+			return d.globalIndex(err, origin, size)
 		}
+		defer enc.Close()
 
-		if strat != RatioOriented {
-			var blob []byte
+		var blob []byte
+		if !twoPhase {
 			c.Time(func() {
 				enc.Run()
 				blob, err = enc.Finish()
 			})
-			blobs[c.Rank], errs[c.Rank] = blob, err
-			stats[c.Rank] = enc.Stats()
-			enc.Close()
-			return
+		} else {
+			// Phase-1 exchange: original border values to every
+			// neighbor, then the seam protocol. Exchange spans report
+			// virtual time (clock advance less the measured compute),
+			// since the data movement itself is simulated.
+			t := rankTransport{c: c, nb: nb, nc: nc, rt: rt}
+			var computed time.Duration
+			compute := func(f func()) { computed += c.Time(f) }
+			x0 := c.Elapsed()
+			t.sendOriginals(enc)
+			if err := PhaseOne(enc, neighbor, t, compute); err != nil {
+				return err
+			}
+			rt.rank(c.Rank).AddChild("ghost-exchange-p1", c.Elapsed()-x0-computed)
+			x1, c1 := c.Elapsed(), computed
+			blob, err = PhaseTwo(enc, neighbor, t, compute)
+			rt.rank(c.Rank).AddChild("ghost-exchange-p2", c.Elapsed()-x1-(computed-c1))
 		}
-
-		// Phase-1 exchange: original border values to every neighbor,
-		// then the seam protocol. Exchange spans report virtual time
-		// (clock advance less the measured compute), since the data
-		// movement itself is simulated.
-		t := rankTransport{c: c, nb: nb, nc: nc, rt: rt}
-		var computed time.Duration
-		compute := func(f func()) { computed += c.Time(f) }
-		x0 := c.Elapsed()
-		t.sendOriginals(enc)
-		if err := PhaseOne(enc, neighbor, t, compute); err != nil {
-			errs[c.Rank] = err
-			return
+		if err != nil {
+			return err
 		}
-		rt.rank(c.Rank).AddChild("ghost-exchange-p1", c.Elapsed()-x0-computed)
-		x1, c1 := c.Elapsed(), computed
-		blob, ferr := PhaseTwo(enc, neighbor, t, compute)
-		rt.rank(c.Rank).AddChild("ghost-exchange-p2", c.Elapsed()-x1-(computed-c1))
-		blobs[c.Rank], errs[c.Rank] = blob, ferr
-		stats[c.Rank] = enc.Stats()
-		enc.Close()
+		blobs[c.Rank], stats[c.Rank] = blob, enc.Stats()
+		return nil
 	})
 	rt.finish()
-
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
+	if err != nil {
+		return Result{}, err
 	}
 	res := Result{Blobs: blobs, Stats: st, RawBytes: int64(nc*len(comps[0])) * 4}
 	for _, b := range blobs {
@@ -322,9 +320,8 @@ func DecompressDistributed(blobs [][]byte, dims, grid []int, mcfg mpi.Config) ([
 		out[c] = make([]float32, safedim.MustProduct(dims...))
 	}
 	mcfg.Ranks = ranks
-	errs := make([]error, ranks)
 	rt := newRunTel(mcfg.Tel, fmt.Sprintf("parallel.decompress%dd", len(dims)), ranks)
-	st := mpi.Run(mcfg, func(c *mpi.Comm) {
+	st, err := mpi.Run(mcfg, func(c *mpi.Comm) error {
 		origin, size := d.box(d.coords(c.Rank))
 		var got []int
 		var comps [][]float32
@@ -333,22 +330,20 @@ func DecompressDistributed(blobs [][]byte, dims, grid []int, mcfg mpi.Config) ([
 			got, comps, err = core.Decompress(blobs[c.Rank])
 		})
 		rt.rank(c.Rank).AddChild("decode", dt)
-		if err == nil && !slices.Equal(got, size) {
-			err = fmt.Errorf("parallel: rank %d block has dims %v, want %v", c.Rank, got, size)
-		}
 		if err != nil {
-			errs[c.Rank] = err
-			return
+			return err
+		}
+		if !slices.Equal(got, size) {
+			return fmt.Errorf("parallel: rank %d block has dims %v, want %v", c.Rank, got, size)
 		}
 		for ci := range out {
 			d.boxCopy(out[ci], comps[ci], origin, size, false)
 		}
+		return nil
 	})
 	rt.finish()
-	for _, err := range errs {
-		if err != nil {
-			return nil, st, err
-		}
+	if err != nil {
+		return nil, st, err
 	}
 	return out, st, nil
 }

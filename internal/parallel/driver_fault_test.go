@@ -2,80 +2,84 @@ package parallel
 
 import (
 	"errors"
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/fixed"
 	"repro/internal/mpi"
-	"repro/internal/telemetry"
 )
 
-// TestDistributedGhostStragglerRecovers injects delivery delays into the
-// ghost exchanges and checks the deadline/retry policy rides them out:
-// the run completes, produces the same bytes as a clean run, and the
-// stragglers show up in telemetry.
-func TestDistributedGhostStragglerRecovers(t *testing.T) {
-	f := smooth2D(7, 48, 48)
-	tr, err := fixed.Fit(f.Components()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := core.Options{Tau: 0.01}
-	grid := []int{2, 2}
-	clean, err := CompressDistributed(f.Dims(), f.Components(), grid, tr, opts, RatioOriented, mpi.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tel := telemetry.New()
-	inj := faultinject.New(faultinject.Config{
-		Seed:  5,
-		Prob:  [faultinject.NumKinds]float64{faultinject.KindDelay: 0.5},
-		Delay: 15 * time.Millisecond,
-	})
-	res, err := CompressDistributed(f.Dims(), f.Components(), grid, tr, opts, RatioOriented, mpi.Config{
-		Tel: tel, Inject: inj,
-		RecvTimeout: 5 * time.Millisecond, RecvRetries: 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inj.Fired(faultinject.KindDelay) == 0 {
-		t.Fatal("no delays fired at p=0.5")
-	}
-	if tel.Counter("mpi.stragglers").Value() == 0 {
-		t.Fatal("stragglers not recorded")
-	}
-	for r := range clean.Blobs {
-		if string(res.Blobs[r]) != string(clean.Blobs[r]) {
-			t.Fatalf("rank %d bytes differ after straggler recovery", r)
+// TestDistributedRankFailureAborts pins a rank whose input fails: a
+// NaN, a +Inf or a value past a caller-built transform in one rank's
+// block is a *fixed.DomainError naming the value's index in the field,
+// under every strategy, returned within a guard deadline and with no
+// goroutine left behind. Before the machine aborted on a failed rank,
+// the failing rank's ratio-oriented neighbors waited for its ghosts
+// forever.
+func TestDistributedRankFailureAborts(t *testing.T) {
+	f2 := smooth2D(7, 32, 32)
+	f3 := smooth3D(7, 16)
+	for _, tc := range []struct {
+		name  string
+		dims  []int
+		comps [][]float32
+		grid  []int
+	}{
+		{"2D 2x2", f2.Dims(), f2.Components(), []int{2, 2}},
+		{"3D 2x1x2", f3.Dims(), f3.Components(), []int{2, 1, 2}},
+	} {
+		tr, err := fixed.Fit(tc.comps...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestDistributedGhostTimeoutFails pins the unrecoverable case: a delay
-// past the full deadline budget surfaces as a typed *mpi.TimeoutError
-// from the driver, not a hang and not a bad archive.
-func TestDistributedGhostTimeoutFails(t *testing.T) {
-	f := smooth2D(7, 48, 48)
-	tr, err := fixed.Fit(f.Components()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faultinject.New(faultinject.Config{
-		Seed:  9,
-		Prob:  [faultinject.NumKinds]float64{faultinject.KindDelay: 1},
-		Delay: 200 * time.Millisecond,
-	})
-	_, err = CompressDistributed(f.Dims(), f.Components(), []int{2, 2}, tr,
-		core.Options{Tau: 0.01}, RatioOriented, mpi.Config{
-			Inject:      inj,
-			RecvTimeout: 2 * time.Millisecond, RecvRetries: 1,
-		})
-	var te *mpi.TimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("want *mpi.TimeoutError, got %v", err)
+		n := len(tc.comps[0])
+		for _, bad := range []struct {
+			name  string
+			comp  int
+			index int
+			value float32
+		}{
+			{"NaN in the last rank", 0, n - 1, float32(math.NaN())},
+			{"+Inf in rank 1", 1, tc.dims[0] - 1, float32(math.Inf(1))},
+			{"past the transform in the last rank", len(tc.comps) - 1, n - 2 - tc.dims[0], 1e9},
+		} {
+			comps := make([][]float32, len(tc.comps))
+			for c := range comps {
+				comps[c] = slices.Clone(tc.comps[c])
+			}
+			comps[bad.comp][bad.index] = bad.value
+			for _, strat := range []Strategy{Naive, LosslessBorders, RatioOriented} {
+				before := runtime.NumGoroutine()
+				done := make(chan error, 1)
+				go func() {
+					_, err := CompressDistributed(tc.dims, comps, tc.grid, tr, core.Options{Tau: 0.01}, strat, mpi.Config{})
+					done <- err
+				}()
+				select {
+				case err = <-done:
+				case <-time.After(20 * time.Second):
+					t.Fatalf("%s, %s, %v: no return: a failed rank left its neighbors waiting", tc.name, bad.name, strat)
+				}
+				var de *fixed.DomainError
+				if !errors.As(err, &de) {
+					t.Fatalf("%s, %s, %v: want a *fixed.DomainError, got %v", tc.name, bad.name, strat, err)
+				}
+				if de.Component != bad.comp || de.Index != bad.index {
+					t.Errorf("%s, %s, %v: error names component %d index %d, want %d, %d",
+						tc.name, bad.name, strat, de.Component, de.Index, bad.comp, bad.index)
+				}
+				for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s, %s, %v: goroutines leaked: %d -> %d", tc.name, bad.name, strat, before, runtime.NumGoroutine())
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cp"
-	"repro/internal/encoder"
 	"repro/internal/field"
 	"repro/internal/fixed"
 	"repro/internal/mpi"
@@ -253,70 +252,24 @@ func TestErrorBoundHolds2DDistributed(t *testing.T) {
 	}
 }
 
+// TestSingleRankMatchesSingleNode: a lone rank is the whole domain
+// under every strategy, so a field of two pieces' worth of vertices
+// sweeps in pieces as core.CompressBlock does, to the same bytes.
 func TestSingleRankMatchesSingleNode(t *testing.T) {
-	f := smooth2D(9, 32, 32)
+	f := smooth2D(9, 256, 128) // 32 Ki vertices: two pieces
 	tr, _ := fixed.Fit(f.Components()...)
-	res, err := CompressDistributed(f.Dims(), f.Components(), []int{1, 1}, tr,
-		core.Options{Tau: 0.01}, RatioOriented, mpi.Config{})
+	opts := core.Options{Tau: 0.01}
+	single, _, err := core.CompressBlock(core.Block{Dims: f.Dims(), Comps: f.Components(), Transform: tr, Opts: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := core.CompressField2D(f, tr, core.Options{Tau: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The headers legitimately differ (visit-order flag, and therefore
-	// the header checksum), so compare the entropy-coded payload
-	// sections: a lone rank must pay nothing over the single-node path.
-	ds, err := encoder.Unpack(res.Blobs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := encoder.Unpack(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != len(ss) {
-		t.Fatalf("section count %d != %d", len(ds), len(ss))
-	}
-	for i := 1; i < len(ss); i++ {
-		if !bytes.Equal(ds[i], ss[i]) {
-			t.Errorf("payload section %d of 1-rank distributed differs from single node", i)
+	for _, strat := range []Strategy{Naive, LosslessBorders, RatioOriented} {
+		res, err := CompressDistributed(f.Dims(), f.Components(), []int{1, 1}, tr, opts, strat, mpi.Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestFitTransformDistributedMatchesGlobal(t *testing.T) {
-	f := smooth2D(11, 40, 32)
-	want, err := fixed.Fit(f.Components()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs, _ := Partition(f.NX, 2)
-	ys, _ := Partition(f.NY, 2)
-	got := make([]struct {
-		scale float64
-		shift int
-	}, 4)
-	mpi.Run(mpi.Config{Ranks: 4}, func(c *mpi.Comm) {
-		px, py := c.Rank%2, c.Rank/2
-		sx, sy := xs[px], ys[py]
-		u := make([]float32, 0, sx.Size*sy.Size)
-		v := make([]float32, 0, sx.Size*sy.Size)
-		for j := 0; j < sy.Size; j++ {
-			u = append(u, f.U[(sy.Start+j)*f.NX+sx.Start:][:sx.Size]...)
-			v = append(v, f.V[(sy.Start+j)*f.NX+sx.Start:][:sx.Size]...)
-		}
-		tr := FitTransformDistributed(c, u, v)
-		got[c.Rank] = struct {
-			scale float64
-			shift int
-		}{tr.Scale, tr.Shift}
-	})
-	for r, g := range got {
-		if g.scale != want.Scale || g.shift != want.Shift {
-			t.Errorf("rank %d transform (%v,%d) != global (%v,%d)",
-				r, g.scale, g.shift, want.Scale, want.Shift)
+		if !bytes.Equal(res.Blobs[0], single) {
+			t.Errorf("%v: the 1-rank block differs from core.CompressBlock's", strat)
 		}
 	}
 }

@@ -84,7 +84,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 			}
 			panics.Inc()
 			s.cfg.Rec.Record(flightrec.Event{Kind: flightrec.KindPanic, Subsystem: "server." + name,
-				Slab: -1, Attempt: -1, Detail: fmt.Sprintf("recovered: %v", rec)})
+				Slab: -1, Detail: fmt.Sprintf("recovered: %v", rec)})
 			if rw.wrote {
 				// Headers are gone; poisoning the connection is the only
 				// honest signal left to the client.
@@ -141,7 +141,7 @@ func (s *Server) requestDeadline(w http.ResponseWriter, r *http.Request) (contex
 func (s *Server) deadlineArmFailed(which string, err error) {
 	s.cfg.Tel.Counter("server.deadline_arm_errors").Inc()
 	s.cfg.Rec.Record(flightrec.Event{Kind: flightrec.KindNote, Subsystem: "server",
-		Slab: -1, Attempt: -1, Detail: fmt.Sprintf("set %s deadline: %v", which, err)})
+		Slab: -1, Detail: fmt.Sprintf("set %s deadline: %v", which, err)})
 }
 
 // admit takes an admission permit, mapping saturation to 429 +
@@ -157,7 +157,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, name string) 
 	if errors.As(err, &sat) {
 		s.cfg.Tel.Counter("server.shed").Inc()
 		s.cfg.Rec.Record(flightrec.Event{Kind: flightrec.KindShed, Subsystem: "server." + name,
-			Slab: -1, Attempt: -1, Detail: sat.Error()})
+			Slab: -1, Detail: sat.Error()})
 		w.Header().Set("Retry-After", strconv.Itoa(int((sat.RetryAfter+time.Second-1)/time.Second)))
 		writeError(w, http.StatusTooManyRequests, sat.Error())
 		return nil
@@ -176,7 +176,7 @@ func (s *Server) finishCtxErr(w http.ResponseWriter, name string, err error) {
 	}
 	s.cfg.Tel.Counter("server.client_gone").Inc()
 	s.cfg.Rec.Record(flightrec.Event{Kind: flightrec.KindClientGone, Subsystem: "server." + name,
-		Slab: -1, Attempt: -1, Detail: err.Error()})
+		Slab: -1, Detail: err.Error()})
 	// The client is gone; any status we write is for the connection's
 	// ghost. Return without writing.
 }
@@ -339,7 +339,7 @@ func (s *Server) spoolErr(w http.ResponseWriter, name string, err error) {
 		// mid-body: a misbehaving client, not a server fault.
 		s.cfg.Tel.Counter("server.body_timeout").Inc()
 		s.cfg.Rec.Record(flightrec.Event{Kind: flightrec.KindClientGone, Subsystem: "server." + name,
-			Slab: -1, Attempt: -1, Detail: "body read timed out: " + err.Error()})
+			Slab: -1, Detail: "body read timed out: " + err.Error()})
 		writeError(w, http.StatusRequestTimeout, "timed out reading request body")
 	default:
 		s.cfg.Tel.Counter("server.errors").Inc()

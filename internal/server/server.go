@@ -251,11 +251,11 @@ func (s *Server) Drain(ctx context.Context) error {
 		close(s.drainCh)
 		s.cfg.Tel.Counter("server.drains").Add(1)
 		s.cfg.Rec.Record(flightrec.Event{Kind: flightrec.KindNote, Subsystem: "server",
-			Slab: -1, Attempt: -1, Detail: "drain started"})
+			Slab: -1, Detail: "drain started"})
 	}
 	err := s.http.Shutdown(ctx)
 	s.cfg.Rec.Record(flightrec.Event{Kind: flightrec.KindNote, Subsystem: "server",
-		Slab: -1, Attempt: -1, Detail: "drain finished"})
+		Slab: -1, Detail: "drain finished"})
 	return err
 }
 

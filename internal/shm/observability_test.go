@@ -49,7 +49,7 @@ func TestObservabilityConcurrent(t *testing.T) {
 		h := col.Histogram("core.2d.bound_exp_sym")
 		for j := 0; j < perTask; j++ {
 			rec.Record(flightrec.Event{Kind: flightrec.KindPanic, Subsystem: "shm.compress2d",
-				Slab: int32(i), Attempt: -1, Code: int64(j)})
+				Slab: int32(i), Code: int64(j)})
 			ctr.Inc()
 			h.Observe(int64(j + 1))
 		}

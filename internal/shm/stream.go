@@ -392,10 +392,10 @@ func (r *compressRun) degrade(st *slabState, panicked bool, err error, sc *slabS
 	}
 	if panicked {
 		r.po.Rec.Record(flightrec.Event{Kind: flightrec.KindPanic, Subsystem: r.name,
-			Slab: int32(st.i), Attempt: -1, Detail: "recovered worker panic"})
+			Slab: int32(st.i), Detail: "recovered worker panic"})
 	}
 	r.po.Rec.Record(flightrec.Event{Kind: flightrec.KindDegraded, Subsystem: r.name,
-		Slab: int32(st.i), Attempt: -1, Detail: "slab degraded to lossless escape"})
+		Slab: int32(st.i), Detail: "slab degraded to lossless escape"})
 	blob, ferr := r.lossless(st, sc)
 	if ferr != nil {
 		st.out = slabOutcome{panicked: panicked,
@@ -511,7 +511,7 @@ func (r *compressRun) streamRun(rawBytes int64, workers int, w io.Writer) (Resul
 	clientGone := func(detail string) {
 		if po.Ctx != nil && po.Ctx.Err() != nil {
 			po.Rec.Record(flightrec.Event{Kind: flightrec.KindClientGone, Subsystem: name,
-				Slab: -1, Attempt: -1, Detail: detail})
+				Slab: -1, Detail: detail})
 		}
 	}
 
@@ -553,7 +553,7 @@ func (r *compressRun) streamRun(rawBytes int64, workers int, w io.Writer) (Resul
 					detail = "stalled waiting for window slot"
 				}
 				po.Rec.Record(flightrec.Event{Kind: flightrec.KindWindowRefill, Subsystem: name,
-					Slab: int32(i), Attempt: -1, Detail: detail})
+					Slab: int32(i), Detail: detail})
 				r.slab(i, sc)
 			}
 		}()
@@ -597,7 +597,7 @@ flush:
 				// on every run.
 				blob = b
 				po.Rec.Record(flightrec.Event{Kind: flightrec.KindFaultInjected, Subsystem: name,
-					Slab: int32(i), Attempt: -1, Detail: "blob corrupted after encode"})
+					Slab: int32(i), Detail: "blob corrupted after encode"})
 			}
 			_, err = sw.AppendBlob(blob)
 		}
@@ -615,7 +615,7 @@ flush:
 			degraded = append(degraded, i)
 		}
 		po.Rec.Record(flightrec.Event{Kind: flightrec.KindWindowEvict, Subsystem: name,
-			Slab: int32(i), Attempt: -1, Detail: "slab flushed, window slot freed"})
+			Slab: int32(i), Detail: "slab flushed, window slot freed"})
 		<-sem
 	}
 	wg.Wait()
@@ -864,7 +864,7 @@ func DecompressTo(r io.ReaderAt, size int64, po Options, sinkFor func(dims []int
 			return
 		}
 		po.Rec.Record(flightrec.Event{Kind: flightrec.KindWindowRefill, Subsystem: "shm.decompress",
-			Slab: int32(i), Attempt: -1, Detail: "slab admitted for decode"})
+			Slab: int32(i), Detail: "slab admitted for decode"})
 		blob, err := sr.ReadBlobInto(nil, i)
 		if err == nil {
 			_, err = core.DecompressTo(blob, decodeChunkPlanes, func(start int, comps [][]float32) error {
@@ -878,7 +878,7 @@ func DecompressTo(r io.ReaderAt, size int64, po Options, sinkFor func(dims []int
 			return
 		}
 		po.Rec.Record(flightrec.Event{Kind: flightrec.KindWindowEvict, Subsystem: "shm.decompress",
-			Slab: int32(i), Attempt: -1, Detail: "slab decoded and written"})
+			Slab: int32(i), Detail: "slab decoded and written"})
 	})
 	if i, err := lowestSlabErr(errs); err != nil {
 		// A block-level integrity error cannot know its slab: attribute

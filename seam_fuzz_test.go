@@ -2,12 +2,15 @@ package repro
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,6 +22,8 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/field"
 	"repro/internal/fixed"
+	"repro/internal/mpi"
+	"repro/internal/parallel"
 	"repro/internal/server"
 	"repro/internal/shm"
 )
@@ -29,14 +34,19 @@ import (
 // two-phase seam. The entry points are shm at workers {1, 2, 4} ×
 // window {1, 2, 3, unbounded}, the codec, and an in-process topozipd;
 // the slab counts are 1, 2 and a count with two-plane slabs or one in
-// between. Fields are generated or adversarial: constant, exact zeros
-// on whole planes (seam planes included), slabs of two planes, values
-// on the transform's edge, injected worker panics that degrade slabs
-// on either side of a seam, and one-slab fields large enough that the
-// block sweeps in slow-axis pieces, whose seams sit inside the block.
-// ST1 speculates without widening the
-// bound (ST2–ST4 start from a multiple of τ), so every decoded value is
-// within τ.
+// between. Both distributed strategies (lossless borders and the
+// ratio-oriented ghost exchange, on a grid of up to two ranks per axis)
+// must keep the guarantee on the same field. Fields are generated or
+// adversarial: constant, exact zeros on whole planes (seam planes
+// included), slabs of two planes, values on the transform's edge,
+// injected worker panics that degrade slabs on either side of a seam,
+// and one-slab fields large enough that the block sweeps in slow-axis
+// pieces, whose seams sit inside the block. A field with a NaN or an
+// infinity, or with a value past a caller-built transform, must be
+// refused by every entry point that takes it with a *fixed.DomainError
+// naming the value's index in the field. ST1 speculates without
+// widening the bound (ST2–ST4 start from a multiple of τ), so every
+// decoded value is within τ.
 
 // seamField kinds.
 const (
@@ -47,6 +57,8 @@ const (
 	seamEdge
 	seamDegraded
 	seamPieces
+	seamNonFinite
+	seamMismatch
 	seamKinds
 )
 
@@ -58,8 +70,12 @@ type seamCase struct {
 	slabs  int
 	faults *faultinject.Config
 	// tr, when set, is a caller's transform in place of the fitted one
-	// the codec and the daemon use; only the shm paths run then.
+	// the codec and the daemon use; only the entry points that take a
+	// transform run then.
 	tr *fixed.Transform
+	// bad, when set, is the error every entry point must refuse the
+	// field with.
+	bad *fixed.DomainError
 }
 
 func newSeamCase(kind, nx, ny, nz, slabSel uint8, seed uint64) seamCase {
@@ -112,21 +128,38 @@ func newSeamCase(kind, nx, ny, nz, slabSel uint8, seed uint64) seamCase {
 			z := nSlow / 2
 			clear(comps[c][z*plane : (z+1)*plane])
 		}
-	case seamEdge:
+	case seamEdge, seamNonFinite, seamMismatch:
 		// Under a caller's transform of 2^20 units per unit, ±1 sits
-		// exactly on the fixed-point contract's edge; one such value on
-		// every plane puts it on every seam and ghost plane.
+		// exactly on the fixed-point contract's edge.
 		for c := range comps {
 			for v := range comps[c] {
 				comps[c][v] /= 1.25
 			}
+		}
+	}
+	sc := seamCase{dims: dims, comps: comps}
+	switch k {
+	case seamEdge:
+		// One edge value on every plane puts it on every seam and ghost
+		// plane.
+		for c := range comps {
 			for p := 0; p < nSlow; p++ {
 				comps[c][p*plane+(p+c)%plane] = float32(1 - 2*((p+c)%2))
 			}
 		}
+	case seamNonFinite, seamMismatch:
+		// One bad value at a generated index: a NaN or an infinity, or
+		// twice the edge.
+		mix := seed * 0x9e3779b97f4a7c15
+		c, i := int(mix>>60)%len(comps), int(mix>>20)%n
+		v := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}[seed%3]
+		if k == seamMismatch {
+			v = float32(2 - 4*int(mix>>40&1))
+		}
+		comps[c][i] = v
+		sc.bad = &fixed.DomainError{Component: c, Index: i, Value: float64(v)}
 	}
-	sc := seamCase{dims: dims, comps: comps}
-	if k == seamEdge {
+	if k == seamEdge || sc.bad != nil {
 		tr := fixed.FromShift(20)
 		sc.tr = &tr
 	}
@@ -201,6 +234,22 @@ func FuzzSeamEquivalence(f *testing.F) {
 
 func checkSeams(t *testing.T, srv *server.Server, sc seamCase) {
 	goroutines := runtime.NumGoroutine()
+	if sc.bad != nil {
+		checkRefused(t, srv, sc)
+	} else {
+		checkGuarantee(t, srv, sc)
+	}
+	// Every slab run has joined its workers, and every simulated machine
+	// its ranks, before returning, so none may be left behind.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d -> %d", goroutines, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func checkGuarantee(t *testing.T, srv *server.Server, sc seamCase) {
 	src := field.MemOf(sc.dims, sc.comps)
 	stats, err := field.SourceStats(src, 0)
 	if err != nil {
@@ -262,20 +311,93 @@ func checkSeams(t *testing.T, srv *server.Server, sc seamCase) {
 	if err := shm.Decompress(ref.Blob, 2, field.MemOf(sc.dims, dec)); err != nil {
 		t.Fatal(err)
 	}
-	rep := cp.Compare(cp.Detect(sc.dims, sc.comps, tr), cp.Detect(sc.dims, dec, tr))
+	orig := cp.Detect(sc.dims, sc.comps, tr)
+	checkDecoded(t, sc, fmt.Sprintf("%d slabs (degraded %v)", sc.slabs, ref.Degraded), orig, dec, tr, tau)
+
+	// Both distributed strategies keep the guarantee on the same field.
+	grid := strategyGrid(sc.dims)
+	for _, strat := range []parallel.Strategy{parallel.LosslessBorders, parallel.RatioOriented} {
+		res, err := parallel.CompressDistributed(sc.dims, sc.comps, grid, tr, opts, strat, mpi.Config{})
+		if err != nil {
+			t.Fatalf("dims %v, %v on %v: %v", sc.dims, strat, grid, err)
+		}
+		dec, _, err := parallel.DecompressDistributed(res.Blobs, sc.dims, grid, mpi.Config{})
+		if err != nil {
+			t.Fatalf("dims %v, %v on %v: %v", sc.dims, strat, grid, err)
+		}
+		checkDecoded(t, sc, fmt.Sprintf("%v on %v", strat, grid), orig, dec, tr, tau)
+	}
+}
+
+// strategyGrid puts two ranks on every axis that holds two points per
+// rank, one on the others.
+func strategyGrid(dims []int) []int {
+	grid := make([]int, len(dims))
+	for a, d := range dims {
+		grid[a] = 1 + min(1, d/4)
+	}
+	return grid
+}
+
+// checkDecoded holds a decoded field to FP = FN = FT = 0 against the
+// original critical points and to max error ≤ τ.
+func checkDecoded(t *testing.T, sc seamCase, what string, orig []cp.Point, dec [][]float32, tr fixed.Transform, tau float64) {
+	t.Helper()
+	rep := cp.Compare(orig, cp.Detect(sc.dims, dec, tr))
 	if !rep.Preserved() {
-		t.Fatalf("dims %v, %d slabs (degraded %v): FP %d FN %d FT %d", sc.dims, sc.slabs, ref.Degraded, rep.FP, rep.FN, rep.FT)
+		t.Fatalf("dims %v, %s: FP %d FN %d FT %d", sc.dims, what, rep.FP, rep.FN, rep.FT)
 	}
 	if e := analysis.MaxAbsError(sc.comps, dec); e > tau {
-		t.Fatalf("dims %v, %d slabs: max error %g > τ %g", sc.dims, sc.slabs, e, tau)
+		t.Fatalf("dims %v, %s: max error %g > τ %g", sc.dims, what, e, tau)
 	}
-	// Every slab run has joined its workers before returning, so none
-	// may be left behind.
-	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d -> %d", goroutines, runtime.NumGoroutine())
+}
+
+// checkRefused holds every entry point that takes the field to the
+// case's *fixed.DomainError, at the bad value's index in the field: the
+// ones that take a transform under the case's caller-built one, and,
+// for a non-finite value, the ones that fit their own too.
+func checkRefused(t *testing.T, srv *server.Server, sc seamCase) {
+	tr, want := *sc.tr, sc.bad
+	tau := 0.01
+	opts := core.Options{Tau: tau, Spec: core.ST1}
+	nonFinite := math.IsNaN(want.Value) || math.IsInf(want.Value, 0)
+	check := func(entry string, err error) {
+		t.Helper()
+		var de *fixed.DomainError
+		if !errors.As(err, &de) || de.Param != "" || de.Component != want.Component || de.Index != want.Index {
+			t.Fatalf("dims %v, %v at component %d index %d: %s returned %v", sc.dims, want.Value,
+				want.Component, want.Index, entry, err)
 		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	_, _, err := core.CompressBlock(core.Block{Dims: sc.dims, Comps: sc.comps, Transform: tr, Opts: opts})
+	check("core.CompressBlock", err)
+	src := field.MemOf(sc.dims, sc.comps)
+	for _, w := range []int{1, 2, 4} {
+		for _, window := range []int{1, 2, 3, 0} {
+			_, err := shm.Compress(src, tr, opts, shm.Options{Workers: w, Window: window, Slabs: sc.slabs})
+			check(fmt.Sprintf("shm.Compress, %d slabs, workers %d window %d", sc.slabs, w, window), err)
+		}
+	}
+	grid := strategyGrid(sc.dims)
+	for _, strat := range []parallel.Strategy{parallel.LosslessBorders, parallel.RatioOriented} {
+		_, err := parallel.CompressDistributed(sc.dims, sc.comps, grid, tr, opts, strat, mpi.Config{})
+		check(fmt.Sprintf("%v on %v", strat, grid), err)
+	}
+	if !nonFinite {
+		return // the rest fit their own transform, which the value is within
+	}
+	_, _, err = core.Compress(sc.dims, sc.comps, opts)
+	check("core.Compress", err)
+	cdc, err := codec.Lookup(codec.FormatCP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = cdc.Compress(src, io.Discard, codec.Params{Dims: sc.dims, Tau: tau, TauAbsolute: true, Spec: "ST1",
+		Pipeline: shm.Options{Workers: 2, Slabs: sc.slabs}})
+	check("the codec", err)
+	code, body := daemonPost(t, srv, sc, tau)
+	if at := fmt.Sprintf("component %d, index %d", want.Component, want.Index); code != http.StatusUnprocessableEntity || !strings.Contains(body, at) {
+		t.Fatalf("dims %v: topozipd answered %d %q, want 422 naming %s", sc.dims, code, body, at)
 	}
 }
 
@@ -305,8 +427,18 @@ func checkEntryPoints(t *testing.T, srv *server.Server, sc seamCase, tau float64
 }
 
 // daemonCompress posts the field to the in-process daemon's compress
-// endpoint with the absolute bound tau.
+// endpoint with the absolute bound tau and returns the container.
 func daemonCompress(t *testing.T, srv *server.Server, sc seamCase, tau float64) []byte {
+	code, body := daemonPost(t, srv, sc, tau)
+	if code != http.StatusOK {
+		t.Fatalf("topozipd compress: %d %s", code, body)
+	}
+	return []byte(body)
+}
+
+// daemonPost posts the field to the in-process daemon's compress
+// endpoint with the absolute bound tau and returns the status and body.
+func daemonPost(t *testing.T, srv *server.Server, sc seamCase, tau float64) (int, string) {
 	var body bytes.Buffer
 	if err := field.WriteRaw(&body, sc.comps...); err != nil {
 		t.Fatal(err)
@@ -318,10 +450,7 @@ func daemonCompress(t *testing.T, srv *server.Server, sc seamCase, tau float64) 
 	url := fmt.Sprintf("/v1/compress?dims=%s&tau=%s&abs=true&spec=ST1", dims, strconv.FormatFloat(tau, 'g', -1, 64))
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, &body))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("topozipd compress: %d %s", rec.Code, rec.Body.String())
-	}
-	return rec.Body.Bytes()
+	return rec.Code, rec.Body.String()
 }
 
 func slicesEqual(a, b []int) bool {
