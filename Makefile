@@ -43,7 +43,8 @@ benchtest:
 # filter counters that per-goroutine Locals flush into and the Ψ
 # derivation that books into them, and the decode pipeline's shared
 # state: the Huffman progress counter, the pooled Huffman decoders and
-# the pooled DEFLATE readers.
+# the pooled DEFLATE readers, and the encoder's hand-over of Huffman
+# chunks to its DEFLATE goroutine.
 .PHONY: race
 race:
 	$(GO) test -race ./internal/exact/ ./internal/exact/filter/ ./internal/derive/ ./internal/telemetry/ ./internal/mpi/ ./internal/parallel/ ./internal/core/ ./internal/shm/ ./internal/pool/ ./internal/faultinject/ ./internal/flightrec/ ./internal/obs/ ./internal/codec/ ./internal/server/ ./internal/field/ ./internal/cp/ ./internal/archive/ ./internal/huffman/ ./internal/encoder/
@@ -61,10 +62,15 @@ faults:
 		./internal/server/ ./cmd/topozip/
 
 # Short coverage-guided fuzzing of every decode surface, of the
-# filtered predicates against their big.Int oracles, and of slab-seam
-# equivalence across the shm, codec and daemon entry points. Raise FUZZTIME
-# for a real session; `go test -fuzz` takes one target per invocation.
+# streaming Huffman encoder against Compress, of the filtered predicates
+# against their big.Int oracles, and of slab-seam equivalence across the
+# shm, codec and daemon entry points. Raise FUZZTIME for a real session;
+# `go test -fuzz` takes one target per invocation. FuzzSeamEquivalence
+# runs about 70 ms per input and first replays its whole cached corpus
+# (a few hundred inputs after some sessions), so FUZZTIME would end it
+# before it fuzzes anything new; it gets SEAM_FUZZTIME.
 FUZZTIME ?= 5s
+SEAM_FUZZTIME ?= 60s
 .PHONY: fuzz
 fuzz:
 	$(GO) test -fuzz=FuzzDecompress2D -fuzztime=$(FUZZTIME) ./internal/core/
@@ -77,8 +83,9 @@ fuzz:
 	$(GO) test -fuzz='^FuzzZFPLikeDecompress$$' -fuzztime=$(FUZZTIME) ./internal/baselines/
 	$(GO) test -fuzz='^FuzzFPZIPLikeDecompress$$' -fuzztime=$(FUZZTIME) ./internal/baselines/
 	$(GO) test -fuzz='^FuzzHuffmanDecompress$$' -fuzztime=$(FUZZTIME) ./internal/huffman/
+	$(GO) test -fuzz='^FuzzHuffmanStream$$' -fuzztime=$(FUZZTIME) ./internal/huffman/
 	$(GO) test -fuzz='^FuzzFilterPredicates$$' -fuzztime=$(FUZZTIME) ./internal/exact/filter/
-	$(GO) test -fuzz='^FuzzSeamEquivalence$$' -fuzztime=$(FUZZTIME) .
+	$(GO) test -fuzz='^FuzzSeamEquivalence$$' -fuzztime=$(SEAM_FUZZTIME) .
 
 # Coverage gate for the compression kernel: fails below COVER_MIN%.
 COVER_MIN ?= 85

@@ -239,7 +239,7 @@ func TestDeriveBoundMatchesPsiFirst(t *testing.T) {
 				fillComps(rng, k.comps, k.blk.nc, k.tau, trial%3 != 2)
 				copy(k.signs, refSigns(k.comps, k.blk.nc))
 				k.prepare()
-				s := k.sweepers(1)[0]
+				s := k.sweepers(phaseAll)[0]
 				relaxedCells := 0
 				for vid := range k.comps[0] {
 					gotXi, gotRlx := s.deriveBound(vid)

@@ -106,7 +106,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 		Spec: ST3, Order: orderTwoPhase,
 		HasGhost: [6]bool{true, false, true, true, false, true},
 		Border:   true,
-		HasCRC:   true, PayloadCRC: 0xdeadbeef,
+		Version:  version2, PayloadCRC: 0xdeadbeef,
 	}
 	var got header
 	if err := got.unmarshal(h.marshal()); err != nil {
@@ -114,6 +114,14 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 	if got != h {
 		t.Fatalf("header round trip: %+v != %+v", got, h)
+	}
+	// A version-3 header stores no checksum.
+	h.Version, h.PayloadCRC = version3, 0
+	if err := got.unmarshal(h.marshal()); err != nil {
+		t.Fatal(err)
+	}
+	if got != h {
+		t.Fatalf("version-3 header round trip: %+v != %+v", got, h)
 	}
 	if err := got.unmarshal([]byte{1, 2}); err == nil {
 		t.Error("short header should fail")

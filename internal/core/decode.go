@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -227,17 +228,26 @@ type decodeScratch struct {
 	exp   []uint32
 	code  []uint32
 	// The run buffers, sized for the longest run (a row): runSteps holds
-	// the steps of the run's vertices and runLits the literals of its
-	// escaped code symbols, indexed like the symbols; zeros stands in
-	// for the Lorenzo terms a run's position lacks.
+	// the steps of the run's vertices, runRes the residuals of those on
+	// the residual stream, vertex-major, runCode the run's code symbols
+	// and runLits the literals of their escapes, indexed like them;
+	// zeros stands in for the Lorenzo terms a run's position lacks.
 	runSteps []int64
+	runRes   []int64
+	runCode  []uint32
 	runLits  []int64
 	zeros    []int64
 
 	order    vertexOrder
 	nc       int
 	temporal bool
-	lits     []byte
+	// split reports a version-3 block: a bound-0 vertex's components are
+	// on the residual stream res, and the code stream holds the lossy
+	// vertices' symbols only; codePos is the replay's place in it.
+	split   bool
+	lits    []byte
+	res     []byte
+	codePos int
 	// steps maps a bound symbol to its quantization step 2·bound+1, or
 	// to 0 (never a step: it is odd) for a symbol off the bound grid.
 	steps [256]int64
@@ -248,7 +258,7 @@ var decodePool = newSharedPool[decodeScratch]()
 // release returns the scratch to the pool, without its view of the
 // inflated block's literals.
 func (d *decodeScratch) release() {
-	d.lits = nil
+	d.lits, d.res, d.runCode = nil, nil, nil
 	decodePool.put(d)
 }
 
@@ -260,9 +270,12 @@ func (d *decodeScratch) release() {
 // with their frame validation.
 //
 // Every check runs before the working buffers are sized: the header
-// (and its CRC), and both streams' symbol counts against the header's
-// vertex count. The replay rejects a bound symbol off the bound grid
-// and a literal stream shorter than the escapes. Of several faults in
+// (and the block's CRC), and both streams' symbol counts against the
+// header's vertex count (a version-3 code stream's exact count, nc per
+// vertex of bound above 0, is the replay's to check). The replay
+// rejects a bound symbol off the bound grid, a code, literal or
+// residual stream shorter than the block needs, a code stream longer,
+// and, in a version-3 block, a literal or residual stream longer. Of several faults in
 // one block the first met in stream order is reported, the bound
 // stream's before the code stream's before the replay's.
 func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]float32, error)) (*header, *decodeScratch, error) {
@@ -280,18 +293,20 @@ func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]float32, 
 	if wantDim != 0 && h.NDim != wantDim {
 		return nil, nil, fmt.Errorf("core: expected %dD block, got %dD", wantDim, h.NDim)
 	}
-	// Version-2 blocks checksum the header and the entropy-coded payload;
-	// verify before decoding so a flipped bit — whether it lands in a
-	// header field or in the payload — surfaces as a typed error, never
-	// as a silently wrong field. Version-1 (seed) blocks carry no
+	// Version-2 and -3 blocks checksum the header and the entropy-coded
+	// payload; verify before decoding so a flipped bit — whether it lands
+	// in a header field or in the payload — surfaces as a typed error,
+	// never as a silently wrong field. Version-1 (seed) blocks carry no
 	// checksum and decode as before.
-	if h.HasCRC {
-		got := h.payloadChecksum(sections[1], sections[2], sections[3])
-		if got != h.PayloadCRC {
-			return nil, nil, &integrity.IntegrityError{
-				Container: "block", Section: "payload", Slab: -1,
-				Want: h.PayloadCRC, Got: got,
-			}
+	literals, residuals := sections[3], []byte(nil)
+	switch h.Version {
+	case version2:
+		if got := h.payloadChecksum(sections[1], sections[2], sections[3]); got != h.PayloadCRC {
+			return nil, nil, payloadError(h.PayloadCRC, got)
+		}
+	case version3:
+		if literals, residuals, err = splitSection3(sections); err != nil {
+			return nil, nil, err
 		}
 	}
 	n, err := h.vertexCount()
@@ -306,8 +321,10 @@ func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]float32, 
 	if err != nil {
 		return nil, nil, codeStreamError(err)
 	}
-	if exp.Len() != n || code.Len() != h.NDim*n {
-		return nil, nil, errors.New("core: stream length mismatch")
+	// A version-3 code stream holds the lossy vertices' symbols only;
+	// the bound stream says how many after it is decoded.
+	if exp.Len() != n || code.Len() > h.NDim*n || h.Version != version3 && code.Len() != h.NDim*n {
+		return nil, nil, errStreamLength
 	}
 	var prev [][]float32
 	if h.Temporal {
@@ -316,11 +333,44 @@ func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]float32, 
 		}
 	}
 	ds := decodePool.get()
-	if err := ds.decode(&h, exp, code, sections[3], prev); err != nil {
+	ds.split, ds.res = h.Version == version3, residuals
+	if err := ds.decode(&h, exp, code, literals, prev); err != nil {
 		ds.release()
 		return nil, nil, err
 	}
 	return &h, ds, nil
+}
+
+var (
+	errStreamLength     = errors.New("core: stream length mismatch")
+	errLiteralUnderrun  = errors.New("core: literal stream underrun")
+	errResidualUnderrun = errors.New("core: residual stream underrun")
+	errStreamOverrun    = errors.New("core: literal or residual stream overrun")
+	errSection3         = errors.New("core: malformed literal and residual section")
+)
+
+func payloadError(want, got uint32) error {
+	return &integrity.IntegrityError{Container: "block", Section: "payload", Slab: -1, Want: want, Got: got}
+}
+
+// splitSection3 checks a version-3 block's CRC, at the front of section
+// 3, and returns the literal and residual streams behind it.
+func splitSection3(sections [][]byte) (literals, residuals []byte, err error) {
+	sec := sections[3]
+	if len(sec) < 4 {
+		return nil, nil, errSection3
+	}
+	want := binary.LittleEndian.Uint32(sec)
+	sec = sec[4:]
+	if got := integrity.Checksum(sections[0], sections[1], sections[2], sec); got != want {
+		return nil, nil, payloadError(want, got)
+	}
+	l, k := binary.Uvarint(sec)
+	if k <= 0 || l > uint64(len(sec)-k) {
+		return nil, nil, errSection3
+	}
+	sec = sec[k:]
+	return sec[:l], sec[l:], nil
 }
 
 func boundStreamError(err error) error { return fmt.Errorf("core: bound stream: %w", err) }
@@ -343,6 +393,7 @@ func (d *decodeScratch) decode(h *header, exp, code *huffman.Stream, literals []
 	d.exp = resize(d.exp, n)
 	d.code = resize(d.code, code.Len())
 	d.runSteps = resize(d.runSteps, h.NX)
+	d.runRes = resize(d.runRes, nc*h.NX)
 	d.runLits = resize(d.runLits, nc*h.NX)
 	d.zeros = grow(d.zeros, h.NX)
 	tr := fixed.FromShift(h.Shift)
@@ -444,15 +495,26 @@ func guard(f func() error) (err error) {
 
 // run replays every run in visit order. With done not nil the code
 // stream is still being decoded on another goroutine, and each run
-// first waits until done covers its code symbols.
+// first waits until done covers its code symbols. The runs must use up
+// the code stream exactly — a version-3 code stream's length is checked
+// here, against the bound symbols — and a version-3 block's literal and
+// residual streams too.
 func (d *decodeScratch) run(done *atomic.Int64) error {
 	avail := int64(len(d.code))
 	if done != nil {
 		avail = done.Load()
 	}
-	return d.order.allRuns(func(run orderRun) error {
-		need := int64(d.nc * (run.pos + run.i1 - run.i0))
-		for polls := 0; avail < need; polls++ {
+	d.codePos = 0
+	err := d.order.allRuns(func(run orderRun) error {
+		need := d.codePos + d.nc*(run.i1-run.i0)
+		if d.split && (avail < int64(need) || need > len(d.code)) {
+			// Whether the run's code symbols are there depends on how
+			// many of its vertices have them.
+			if need = d.codePos + d.nc*d.lossy(run); need > len(d.code) {
+				return errStreamLength
+			}
+		}
+		for polls := 0; avail < int64(need); polls++ {
 			if avail == codeFailed {
 				return errCodeFailed
 			}
@@ -469,24 +531,65 @@ func (d *decodeScratch) run(done *atomic.Int64) error {
 		d.replayRun(run)
 		return nil
 	})
+	switch {
+	case err != nil:
+	case d.codePos != len(d.code):
+		err = errStreamLength
+	case d.split && len(d.lits)+len(d.res) > 0:
+		err = errStreamOverrun
+	}
+	return err
+}
+
+// lossy counts a run's vertices whose codes are on the code stream.
+func (d *decodeScratch) lossy(run orderRun) int {
+	n := 0
+	for _, e := range d.exp[run.pos : run.pos+run.i1-run.i0] {
+		if e != uint32(quantizer.LosslessSym) {
+			n++
+		}
+	}
+	return n
 }
 
 // prepare checks the bound symbols of a run and fills runSteps with
-// their steps, then pops the literals of the run's escapes off the
-// literal stream into runLits, in stream order.
+// their steps, 0 for a vertex whose components are on the residual
+// stream, and runRes with those residuals, vertex-major. It then takes
+// the run's code symbols off the code stream into runCode and pops the
+// literals of their escapes into runLits, indexed like runCode.
 func (d *decodeScratch) prepare(run orderRun) error {
-	n := run.i1 - run.i0
+	n, nc := run.i1-run.i0, d.nc
 	steps := d.runSteps[:n]
+	lossy := 0
 	for k, e := range d.exp[run.pos : run.pos+n] {
 		if e > 255 || d.steps[e] == 0 {
 			return fmt.Errorf("core: corrupt bound stream: symbol %d is off the bound grid", e)
 		}
 		steps[k] = d.steps[e]
+		if !d.split || e != uint32(quantizer.LosslessSym) {
+			lossy++
+			continue
+		}
+		steps[k] = 0
+		for j := k * nc; j < k*nc+nc; j++ {
+			if len(d.res) > 0 && d.res[0] < 0x80 {
+				// A one-byte varint, nearly every residual.
+				b := int64(d.res[0])
+				d.runRes[j], d.res = b>>1^-(b&1), d.res[1:]
+				continue
+			}
+			var ok bool
+			if d.runRes[j], d.res, ok = readResidual(d.res); !ok {
+				return errResidualUnderrun
+			}
+		}
 	}
-	for j, s := range d.code[d.nc*run.pos : d.nc*(run.pos+n)] {
+	d.runCode = d.code[d.codePos : d.codePos+nc*lossy]
+	d.codePos += nc * lossy
+	for j, s := range d.runCode {
 		if s == escapeSym {
 			if len(d.lits) < 4 {
-				return errors.New("core: literal stream underrun")
+				return errLiteralUnderrun
 			}
 			d.runLits[j], d.lits = readLiteral(d.lits)
 		}
@@ -518,17 +621,25 @@ func (d *decodeScratch) replayRun(run orderRun) {
 	hasZ := run.ok > 0 && i0-sz >= run.lo
 	steps := d.runSteps[:run.i1-run.i0]
 	n, nc := len(steps), d.nc
-	code := d.code[nc*run.pos : nc*(run.pos+n)]
-	lits := d.runLits[:len(code)]
+	code, lits, res := d.runCode, d.runLits, d.runRes
 	for c := 0; c < nc; c++ {
 		out := d.comps[c][i0 : i0+n]
+		// ci walks the run's code symbols of component c: nc further
+		// at each vertex that has them (a step above 0).
+		ci := c
 		if d.temporal {
 			prev := d.prev[c][i0 : i0+n]
-			for k, j := 0, c; k < n; k, j = k+1, j+nc {
-				v := prev[k] + huffman.Unzigzag(code[j])*steps[k]
-				if code[j] == escapeSym {
-					v = lits[j]
+			for k, step := range steps {
+				if step == 0 {
+					out[k] = prev[k] + res[k*nc+c]
+					continue
 				}
+				s := code[ci]
+				v := prev[k] + huffman.Unzigzag(s)*step
+				if s == escapeSym {
+					v = lits[ci]
+				}
+				ci += nc
 				out[k] = v
 			}
 			continue
@@ -559,11 +670,18 @@ func (d *decodeScratch) replayRun(run orderRun) {
 				carry += z[i0-1-sy-sz]
 			}
 		}
-		for k, j := 0, c; k < n; k, j = k+1, j+nc {
+		for k, step := range steps {
 			dk := ty[k] + tz[k] - tyz[k]
-			v := carry + dk + huffman.Unzigzag(code[j])*steps[k]
-			if code[j] == escapeSym {
-				v = lits[j]
+			var v int64
+			if step == 0 {
+				v = carry + dk + res[k*nc+c]
+			} else {
+				s := code[ci]
+				v = carry + dk + huffman.Unzigzag(s)*step
+				if s == escapeSym {
+					v = lits[ci]
+				}
+				ci += nc
 			}
 			out[k] = v
 			carry = v - dk

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/fixed"
+	"repro/internal/quantizer"
 )
 
 // The shapes at and just below the pipeline's vertex floor.
@@ -110,7 +111,7 @@ func TestDecodePipelineMatchesSerial(t *testing.T) {
 		cases = append(cases, tc{dims, NoSpec, false, ""}, tc{dims, ST2, false, ""}, tc{dims, ST4, true, ""})
 	}
 	pipelined := pipelineCount(t)
-	literals := 0
+	escapes := 0
 	for i, c := range cases {
 		name := fmt.Sprintf("%v %v temporal=%v %s", c.dims, c.spec, c.temporal, c.placed)
 		comps, prev := spikyField(int64(300+i), c.dims)
@@ -135,7 +136,16 @@ func TestDecodePipelineMatchesSerial(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		want := enc.Decompressed()
-		literals += enc.Stats().Literals
+		escapes += enc.Stats().Literals
+		for _, ts := range enc.k.streams {
+			for rest := ts.res; len(rest) > 0; {
+				var r int64
+				r, rest, _ = readResidual(rest)
+				if r >= quantizer.Radius || r <= -quantizer.Radius {
+					escapes++ // past the code range: an escape before version 3
+				}
+			}
+		}
 		enc.Close()
 		wantPipelined := c.placed == "" && len(comps[0]) >= minPipelineVertices
 		for _, procs := range []int{1, 2, 4} {
@@ -154,8 +164,84 @@ func TestDecodePipelineMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	if literals == 0 {
-		t.Fatal("no literal escapes: the cases missed the escape path")
+	if escapes == 0 {
+		t.Fatal("no escapes: the cases missed values past the code range")
+	}
+}
+
+// TestDecodeLiteralEscapesPipeline: lossy components escaped to the
+// literal stream decode to their literals, pipelined or not. Lossy
+// escapes are rare in real blocks (a bound-0 residual never escapes),
+// so the block is crafted: every 37th lossy code becomes an escape.
+func TestDecodeLiteralEscapesPipeline(t *testing.T) {
+	comps, _ := spikyField(410, twoPieces2D)
+	blob, _, err := Compress(twoPieces2D, comps, Options{Tau: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := partsOf(t, blob)
+	if len(p.lits) != 0 {
+		t.Fatalf("the block already has %d literal bytes", len(p.lits))
+	}
+	var want []int64
+	for i := 0; i < len(p.code); i += 37 {
+		v := int64(1000*i - 500000)
+		p.code[i] = escapeSym
+		p.lits = appendLiteral(p.lits, v)
+		want = append(want, v)
+	}
+	crafted := p.seal(t)
+	serial, err := decodeAt(1, crafted, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipelined := pipelineCount(t)
+	got, err := decodeAt(2, crafted, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pipelined.Load() == 0 {
+		t.Fatal("the decode did not pipeline")
+	}
+	for c := range serial {
+		if !slices.Equal(got[c], serial[c]) {
+			t.Fatalf("component %d: the pipelined decode differs from the serial one", c)
+		}
+	}
+	// The escaped values, in visit order: the i-th lossy code is vertex
+	// i/2's component i%2 in the stream, and the block's transform maps
+	// each literal to a float.
+	tr, err := fixed.Fit(comps...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := vertexOrder{nx: twoPieces2D[0], ny: twoPieces2D[1], nz: 1, pieces: p.h.Pieces}
+	idx := make([]int, 0, len(p.exp))
+	_ = o.allRuns(func(r orderRun) error {
+		for i := r.i0; i < r.i1; i++ {
+			idx = append(idx, r.oj*o.nx+i)
+		}
+		return nil
+	})
+	ci, k := 0, 0
+	for pos, e := range p.exp {
+		if e == uint32(quantizer.LosslessSym) {
+			continue
+		}
+		for c := 0; c < 2; c++ {
+			if ci%37 == 0 {
+				var f [1]float32
+				tr.ToFloat(want[k:k+1], f[:])
+				if serial[c][idx[pos]] != f[0] {
+					t.Fatalf("escape %d: decoded %v, literal %v", k, serial[c][idx[pos]], f[0])
+				}
+				k++
+			}
+			ci++
+		}
+	}
+	if k != len(want) {
+		t.Fatalf("checked %d of %d escapes", k, len(want))
 	}
 }
 
@@ -195,16 +281,16 @@ func TestDecodeCorruptCodeStreamStopsPipeline(t *testing.T) {
 		blob []byte
 		want string // the error's text, where the serial decode's is fixed
 	}{
-		{"truncated code stream", rewriteV1(t, blob, func(_ *header, secs [][]byte) {
+		{"truncated code stream", reseal(t, blob, func(_ *header, secs [][]byte) {
 			secs[2] = secs[2][:len(secs[2])*7/8]
 		}), ""},
-		{"bit-flipped code stream", rewriteV1(t, blob, func(_ *header, secs [][]byte) {
+		{"bit-flipped code stream", reseal(t, blob, func(_ *header, secs [][]byte) {
 			bits := codeBits(secs)
 			for i := 0; i < len(bits); i += 5 {
 				bits[i] ^= 0x5A
 			}
 		}), ""},
-		{"off-grid bound symbol", craftV1(t, blob, func(_ *header, exp []uint32) {
+		{"off-grid bound symbol", craft(t, blob, func(_ *header, exp []uint32) {
 			exp[len(exp)*3/4] = 100
 		}), "core: corrupt bound stream: symbol 100 is off the bound grid"},
 	}

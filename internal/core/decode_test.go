@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"slices"
 	"testing"
@@ -8,13 +9,15 @@ import (
 	"repro/internal/encoder"
 	"repro/internal/fixed"
 	"repro/internal/huffman"
+	"repro/internal/integrity"
 	"repro/internal/quantizer"
 )
 
-// rewriteV1 rewrites a block as a version-1 (no-CRC) block after edit
-// has changed its header or payload sections, so the decoder meets the
-// edit itself rather than a checksum mismatch.
-func rewriteV1(t *testing.T, blob []byte, edit func(h *header, secs [][]byte)) []byte {
+// reseal rewrites a version-3 block after edit has changed its header
+// or its sections' bytes, with the CRC at the front of section 3
+// recomputed, so the decoder meets the edit itself rather than a
+// checksum mismatch.
+func reseal(t testing.TB, blob []byte, edit func(h *header, secs [][]byte)) []byte {
 	t.Helper()
 	secs, err := encoder.Unpack(blob)
 	if err != nil {
@@ -28,26 +31,118 @@ func rewriteV1(t *testing.T, blob []byte, edit func(h *header, secs [][]byte)) [
 		secs[i] = slices.Clone(secs[i])
 	}
 	edit(&h, secs)
-	hb := h.marshal()
-	hb[2] = version1
-	out, err := encoder.Pack(hb[:len(hb)-4], secs[1], secs[2], secs[3])
+	secs[0] = h.marshal()
+	binary.LittleEndian.PutUint32(secs[3], integrity.Checksum(secs[0], secs[1], secs[2], secs[3][4:]))
+	out, err := encoder.Pack(secs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
-// craftV1 is rewriteV1 for an edit of the header or the bound symbols.
-func craftV1(t *testing.T, blob []byte, edit func(h *header, expSyms []uint32)) []byte {
+// blockParts is a version-3 block taken apart: its header, its bound
+// symbols, the lossy vertices' code symbols, and its literal and
+// residual streams.
+type blockParts struct {
+	h    header
+	exp  []uint32
+	code []uint32
+	lits []byte
+	res  []int64
+}
+
+func partsOf(t testing.TB, blob []byte) blockParts {
 	t.Helper()
-	return rewriteV1(t, blob, func(h *header, secs [][]byte) {
-		expSyms, err := huffman.Decompress(secs[1])
-		if err != nil {
-			t.Fatal(err)
+	secs, err := encoder.Unpack(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p blockParts
+	if err := p.h.unmarshal(secs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if p.exp, err = huffman.Decompress(secs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if p.code, err = huffman.Decompress(secs[2]); err != nil {
+		t.Fatal(err)
+	}
+	lits, res, err := splitSection3(secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.lits = slices.Clone(lits)
+	for len(res) > 0 {
+		r, rest, ok := readResidual(res)
+		if !ok {
+			t.Fatal("malformed residual stream")
 		}
-		edit(h, expSyms)
-		secs[1] = huffman.Compress(expSyms)
-	})
+		p.res, res = append(p.res, r), rest
+	}
+	return p
+}
+
+// seal writes the parts as a version-3 block.
+func (p *blockParts) seal(t testing.TB) []byte {
+	t.Helper()
+	var res []byte
+	for _, r := range p.res {
+		res = appendResidual(res, r)
+	}
+	blob, err := writeBlock(&p.h, false, p.exp, [][]uint32{p.code}, [][]byte{p.lits}, [][]byte{res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// reclass keeps the streams in step with bound symbols edited from old:
+// a vertex that became bound 0 trades its code symbols (and the literals
+// of their escapes) for zero residuals, and one that stopped being bound
+// 0 trades its residuals for zero codes.
+func (p *blockParts) reclass(old []uint32) {
+	nc := p.h.NDim
+	lossless := uint32(quantizer.LosslessSym)
+	var code []uint32
+	var lits []byte
+	var res []int64
+	oc, ol, or := p.code, p.lits, p.res
+	for pos, e := range p.exp {
+		if old[pos] == lossless {
+			if e == lossless {
+				res = append(res, or[:nc]...)
+			} else {
+				code = append(code, make([]uint32, nc)...)
+			}
+			or = or[nc:]
+			continue
+		}
+		for _, s := range oc[:nc] {
+			if s == escapeSym {
+				if e != lossless {
+					lits = append(lits, ol[:4]...)
+				}
+				ol = ol[4:]
+			}
+		}
+		if e == lossless {
+			res = append(res, make([]int64, nc)...)
+		} else {
+			code = append(code, oc[:nc]...)
+		}
+		oc = oc[nc:]
+	}
+	p.code, p.lits, p.res = code, lits, res
+}
+
+// craft rewrites a block after an edit of its header or bound symbols.
+func craft(t testing.TB, blob []byte, edit func(h *header, expSyms []uint32)) []byte {
+	t.Helper()
+	p := partsOf(t, blob)
+	old := slices.Clone(p.exp)
+	edit(&p.h, p.exp)
+	p.reclass(old)
+	return p.seal(t)
 }
 
 func craftBase(t *testing.T) ([]byte, [][]float32) {
@@ -61,15 +156,15 @@ func craftBase(t *testing.T) ([]byte, [][]float32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The unedited v1 rewrite decodes to the same field, so a failure
-	// below is the edit's doing.
-	_, got, err := Decompress(craftV1(t, blob, func(*header, []uint32) {}))
+	// The unedited rewrite decodes to the same field, so a failure below
+	// is the edit's doing.
+	_, got, err := Decompress(craft(t, blob, func(*header, []uint32) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c := range want {
 		if !slices.Equal(got[c], want[c]) {
-			t.Fatal("v1 rewrite decodes differently")
+			t.Fatal("the unedited rewrite decodes differently")
 		}
 	}
 	return blob, want
@@ -81,7 +176,7 @@ func craftBase(t *testing.T) ([]byte, [][]float32) {
 func TestDecodeRejectsUnknownOrder(t *testing.T) {
 	blob, _ := craftBase(t)
 	for _, order := range []orderMode{orderPieces, 7, 255} {
-		bad := craftV1(t, blob, func(h *header, _ []uint32) { h.Order = order })
+		bad := craft(t, blob, func(h *header, _ []uint32) { h.Order = order })
 		var oe *OrderError
 		if _, _, err := Decompress(bad); !errors.Is(err, errHeader) || !errors.As(err, &oe) {
 			t.Errorf("order %d: Decompress err = %v, want an *OrderError", order, err)
@@ -112,7 +207,7 @@ func TestDecodeRejectsPiecesOffTheDims(t *testing.T) {
 		{"lossless border", func(h *header) { h.Order, h.Pieces, h.Border = orderPieces, 2, true }, false},
 		{"raster with a count", func(h *header) { h.Pieces = 9 }, true},
 	} {
-		edited := craftV1(t, blob, func(h *header, _ []uint32) { tc.edit(h) })
+		edited := craft(t, blob, func(h *header, _ []uint32) { tc.edit(h) })
 		_, _, err := Decompress(edited)
 		var oe *OrderError
 		switch {
@@ -131,19 +226,93 @@ func TestDecodeRejectsOffGridBoundSymbols(t *testing.T) {
 	blob, want := craftBase(t)
 	top := uint32(quantizer.MaxBoundUp + quantizer.MaxBoundDown)
 	for _, sym := range []uint32{top + 1, 100, 254, 256, 256 + 3, 1 << 20} {
-		bad := craftV1(t, blob, func(_ *header, exp []uint32) { exp[len(exp)/2] = sym })
+		bad := craft(t, blob, func(_ *header, exp []uint32) { exp[len(exp)/2] = sym })
 		if _, _, err := Decompress(bad); err == nil {
 			t.Errorf("bound symbol %d decoded without error", sym)
 		}
 	}
 	// The grid's ends and the lossless sentinel still decode.
 	for _, sym := range []uint32{0, top, uint32(quantizer.LosslessSym)} {
-		ok := craftV1(t, blob, func(_ *header, exp []uint32) { exp[len(exp)/2] = sym })
+		ok := craft(t, blob, func(_ *header, exp []uint32) { exp[len(exp)/2] = sym })
 		_, got, err := Decompress(ok)
 		if err != nil {
 			t.Errorf("bound symbol %d: %v", sym, err)
 		} else if len(got) != len(want) {
 			t.Errorf("bound symbol %d: %d components", sym, len(got))
+		}
+	}
+}
+
+// section3Faults crafts version-3 blocks from base, a raster block with
+// bound-0 vertices, whose section 3 is at fault: a residual short, one
+// too many, a CRC with a flipped bit, and (valid) residuals whose zigzag
+// is escapeSym and one past uint32, at the first two residual slots.
+func section3Faults(t testing.TB, base []byte) (under, over, crcFlip, escLike []byte) {
+	p := partsOf(t, base)
+	if len(p.res) < 2 {
+		t.Fatalf("the base block has %d residuals", len(p.res))
+	}
+	short := p
+	short.res = p.res[:len(p.res)-1]
+	under = short.seal(t)
+	long := p
+	long.res = append(slices.Clone(p.res), 7)
+	over = long.seal(t)
+	crcFlip = reseal(t, base, func(_ *header, secs [][]byte) {})
+	secs, err := encoder.Unpack(crcFlip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs[3][1] ^= 0x10
+	if crcFlip, err = encoder.Pack(secs...); err != nil {
+		t.Fatal(err)
+	}
+	esc := p
+	esc.res = slices.Clone(p.res)
+	esc.res[0], esc.res[1] = int64(escapeSym/2), 1<<40
+	escLike = esc.seal(t)
+	return under, over, crcFlip, escLike
+}
+
+// TestDecodeSection3Faults: a residual stream cut short or running long
+// and a flipped CRC bit are typed errors; residuals whose zigzag equals
+// escapeSym or exceeds uint32 are values like any other, never escapes.
+func TestDecodeSection3Faults(t *testing.T) {
+	comps, _ := spikyField(420, atFloor2D)
+	base, _, err := Compress(atFloor2D, comps, Options{Tau: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	under, over, crcFlip, escLike := section3Faults(t, base)
+	for _, procs := range []int{1, 2} {
+		if _, err := decodeAt(procs, under, nil, nil); !errors.Is(err, errResidualUnderrun) {
+			t.Errorf("GOMAXPROCS %d: residual underrun: err = %v", procs, err)
+		}
+		if _, err := decodeAt(procs, over, nil, nil); !errors.Is(err, errStreamOverrun) {
+			t.Errorf("GOMAXPROCS %d: residual overrun: err = %v", procs, err)
+		}
+		var ie *integrity.IntegrityError
+		if _, err := decodeAt(procs, crcFlip, nil, nil); !errors.As(err, &ie) {
+			t.Errorf("GOMAXPROCS %d: flipped CRC: err = %v, want an *integrity.IntegrityError", procs, err)
+		}
+	}
+	// The first two residuals are the first bound-0 vertex's, whose
+	// prediction the edit leaves alone: its values move by the change.
+	p := partsOf(t, base)
+	pos := slices.Index(p.exp, uint32(quantizer.LosslessSym))
+	_, want, err := decodeFixed(base, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.release()
+	_, got, err := decodeFixed(escLike, 0, nil)
+	if err != nil {
+		t.Fatalf("residuals at escapeSym and past uint32: %v", err)
+	}
+	defer got.release()
+	for c, r := range []int64{int64(escapeSym / 2), 1 << 40} {
+		if d := got.comps[c][pos] - want.comps[c][pos]; d != r-p.res[c] {
+			t.Errorf("component %d: the residual moved the value by %d, want %d", c, d, r-p.res[c])
 		}
 	}
 }

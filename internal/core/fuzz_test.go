@@ -32,6 +32,13 @@ func fuzzSeeds2D(f *testing.F) {
 	f.Add(pipelineSeed(f, atFloor2D))
 	// A whole-domain block of two pieces (a pieced header).
 	f.Add(pipelineSeed(f, twoPieces2D))
+	// Version-3 section 3 faults: a residual stream short and long, a
+	// flipped CRC bit, and residuals at escapeSym and past uint32.
+	under, over, crcFlip, escLike := section3Faults(f, pipelineSeed(f, atFloor2D))
+	f.Add(under)
+	f.Add(over)
+	f.Add(crcFlip)
+	f.Add(escLike)
 }
 
 // pipelineSeed compresses a whole-domain field of dims with literal
@@ -98,6 +105,11 @@ func fuzzSeeds3D(f *testing.F) {
 	f.Add(mut)
 	f.Add(pipelineSeed(f, atFloor3D))
 	f.Add(pipelineSeed(f, twoPieces3D))
+	under, over, crcFlip, escLike := section3Faults(f, pipelineSeed(f, atFloor3D))
+	f.Add(under)
+	f.Add(over)
+	f.Add(crcFlip)
+	f.Add(escLike)
 }
 
 func FuzzDecompress3D(f *testing.F) {

@@ -547,102 +547,137 @@ func TestGoldenDecodeFromDisk(t *testing.T) {
 	}
 }
 
-// TestGoldenV1Decode decodes the frozen version-1 corpus under
-// testdata/golden-v1 — streams written before the payload-checksum format
-// bump — and pins the decoded fields against the v1 digests. This is the
-// backward-compatibility guarantee: pre-checksum blobs must keep decoding
-// bit for bit even though newly written blobs carry version 2 headers.
-func TestGoldenV1Decode(t *testing.T) {
+// decodeGolden decodes the stored blobs of the golden case name (as
+// packBlobs framed them) the way the case decodes its own output.
+func decodeGolden(t *testing.T, name string, blobs [][]byte) [][]float32 {
+	t.Helper()
 	const (
 		nx2, ny2      = 23, 17
 		nx3, ny3, nz3 = 11, 9, 8
 	)
-	type v1Case struct {
-		name   string
-		decode func(t *testing.T, blobs [][]byte) [][]float32
-	}
-	one2D := func(t *testing.T, blobs [][]byte) [][]float32 {
+	one := func() []byte {
 		t.Helper()
 		if len(blobs) != 1 {
 			t.Fatalf("want 1 blob, got %d", len(blobs))
 		}
-		dec, err := core.Decompress2D(blobs[0])
+		return blobs[0]
+	}
+	shmDecode := func(dims ...int) [][]float32 {
+		n := 1
+		for _, d := range dims {
+			n *= d
+		}
+		comps := make([][]float32, len(dims))
+		for i := range comps {
+			comps[i] = make([]float32, n)
+		}
+		if err := shm.Decompress(one(), 2, field.MemOf(dims, comps)); err != nil {
+			t.Fatal(err)
+		}
+		return comps
+	}
+	var dec [][]float32
+	var err error
+	switch name {
+	case "2d-temporal":
+		prev := goldenField2D(21, nx2, ny2)
+		_, dec, err = core.DecompressWithPrev(one(), prev.Dims(), prev.Components())
+	case "3d-temporal":
+		prev := goldenField3D(23, nx3, ny3, nz3)
+		_, dec, err = core.DecompressWithPrev(one(), prev.Dims(), prev.Components())
+	case "2d-twophase":
+		dec, _, err = parallel.DecompressDistributed(blobs, []int{2 * nx2, 2 * ny2}, []int{2, 2}, mpi.Config{})
+	case "3d-twophase":
+		dec, _, err = parallel.DecompressDistributed(blobs, []int{2 * nx3, 2 * ny3, nz3}, []int{2, 2, 1}, mpi.Config{})
+	case "2d-shm-container":
+		return shmDecode(2*nx2, 2*ny2)
+	case "3d-shm-container":
+		return shmDecode(nx3, ny3, nz3)
+	case "2d-series-temporal":
+		b := one()
+		sr, err := archive.OpenStream(bytes.NewReader(b), int64(len(b)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return [][]float32{dec.U, dec.V}
-	}
-	one3D := func(t *testing.T, blobs [][]byte) [][]float32 {
-		t.Helper()
-		if len(blobs) != 1 {
-			t.Fatalf("want 1 blob, got %d", len(blobs))
-		}
-		dec, err := core.Decompress3D(blobs[0])
+		_, steps, err := archive.DecodeSeries(sr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return [][]float32{dec.U, dec.V, dec.W}
+		for _, comps := range steps {
+			dec = append(dec, comps...)
+		}
+	default:
+		_, dec, err = core.Decompress(one())
 	}
-	cases := []v1Case{}
-	for _, spec := range []core.Speculation{core.NoSpec, core.ST1, core.ST2, core.ST3, core.ST4} {
-		cases = append(cases,
-			v1Case{"2d-plain-" + spec.String(), one2D},
-			v1Case{"3d-plain-" + spec.String(), one3D})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cases = append(cases,
-		v1Case{"2d-temporal", func(t *testing.T, blobs [][]byte) [][]float32 {
-			prev := goldenField2D(21, nx2, ny2)
-			_, dec, err := core.DecompressWithPrev(blobs[0], prev.Dims(), prev.Components())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dec
-		}},
-		v1Case{"3d-temporal", func(t *testing.T, blobs [][]byte) [][]float32 {
-			prev := goldenField3D(23, nx3, ny3, nz3)
-			_, dec, err := core.DecompressWithPrev(blobs[0], prev.Dims(), prev.Components())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dec
-		}},
-		v1Case{"2d-border", one2D},
-		v1Case{"3d-border", one3D},
-		v1Case{"2d-twophase", func(t *testing.T, blobs [][]byte) [][]float32 {
-			dec, _, err := parallel.DecompressDistributed(blobs, []int{2 * nx2, 2 * ny2}, []int{2, 2}, mpi.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dec
-		}},
-		v1Case{"3d-twophase", func(t *testing.T, blobs [][]byte) [][]float32 {
-			dec, _, err := parallel.DecompressDistributed(blobs, []int{2 * nx3, 2 * ny3, nz3}, []int{2, 2, 1}, mpi.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dec
-		}})
-	dir := filepath.Join("testdata", "golden-v1")
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			data, err := os.ReadFile(filepath.Join(dir, c.name+".bin"))
+	return dec
+}
+
+// decodeGoldenDir decodes every named case of a frozen corpus and pins
+// the decoded fields against the corpus's digests.
+func decodeGoldenDir(t *testing.T, dir string, names []string) {
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join(dir, name+".bin"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			blobs, err := unpackBlobs(data)
 			if err != nil || len(blobs) == 0 {
-				t.Fatalf("bad v1 container: %v", err)
+				t.Fatalf("bad golden container: %v", err)
 			}
-			decoded := c.decode(t, blobs)
-			wantSum, err := os.ReadFile(filepath.Join(dir, c.name+".sum"))
+			decoded := decodeGolden(t, name, blobs)
+			wantSum, err := os.ReadFile(filepath.Join(dir, name+".sum"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := hashDecoded(decoded); got != string(bytes.TrimSpace(wantSum)) {
-				t.Errorf("v1 decoded field digest differs from %s.sum", c.name)
+				t.Errorf("decoded field digest differs from %s.sum", name)
 			}
 		})
+	}
+}
+
+// TestGoldenV1Decode decodes the frozen version-1 corpus under
+// testdata/golden-v1 — streams written before the payload-checksum format
+// bump — and pins the decoded fields against the v1 digests. This is the
+// backward-compatibility guarantee: pre-checksum blobs must keep decoding
+// bit for bit even though newly written blobs carry a later version.
+func TestGoldenV1Decode(t *testing.T) {
+	var names []string
+	for _, spec := range []core.Speculation{core.NoSpec, core.ST1, core.ST2, core.ST3, core.ST4} {
+		names = append(names, "2d-plain-"+spec.String(), "3d-plain-"+spec.String())
+	}
+	names = append(names, "2d-temporal", "3d-temporal", "2d-border", "3d-border", "2d-twophase", "3d-twophase")
+	decodeGoldenDir(t, filepath.Join("testdata", "golden-v1"), names)
+}
+
+// TestGoldenV2Decode decodes the frozen version-2 corpus under
+// testdata/golden-v2 — every golden case as written before version 3
+// moved the checksum into section 3 and bound-0 residuals out of the
+// code stream — and pins the decoded fields against its digests, which
+// version 3 must reproduce: the decoded values did not change.
+func TestGoldenV2Decode(t *testing.T) {
+	var names []string
+	for _, c := range goldenCases() {
+		names = append(names, c.name)
+	}
+	dir := filepath.Join("testdata", "golden-v2")
+	decodeGoldenDir(t, dir, names)
+	for _, name := range names {
+		v2, err := os.ReadFile(filepath.Join(dir, name+".sum"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v3, err := os.ReadFile(filepath.Join("testdata", "golden", name+".sum"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(v2, v3) {
+			t.Errorf("%s: the version-3 golden decodes to another field than the version-2 one", name)
+		}
 	}
 }
 
@@ -652,43 +687,7 @@ func TestGoldenV1Decode(t *testing.T) {
 // seams), and pins the decoded fields against their digests: containers
 // already on disk keep decoding bit for bit.
 func TestGoldenLosslessBorderContainersDecode(t *testing.T) {
-	dir := filepath.Join("testdata", "golden-v3-lossless-border")
-	for _, c := range []struct {
-		name string
-		dims []int
-	}{
-		{"2d-shm-container", []int{2 * 23, 2 * 17}},
-		{"3d-shm-container", []int{11, 9, 8}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			data, err := os.ReadFile(filepath.Join(dir, c.name+".bin"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			blobs, err := unpackBlobs(data)
-			if err != nil || len(blobs) != 1 {
-				t.Fatalf("bad golden container: %v", err)
-			}
-			n := 1
-			for _, d := range c.dims {
-				n *= d
-			}
-			comps := make([][]float32, len(c.dims))
-			for i := range comps {
-				comps[i] = make([]float32, n)
-			}
-			if err := shm.Decompress(blobs[0], 2, field.MemOf(c.dims, comps)); err != nil {
-				t.Fatal(err)
-			}
-			wantSum, err := os.ReadFile(filepath.Join(dir, c.name+".sum"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := hashDecoded(comps); got != string(bytes.TrimSpace(wantSum)) {
-				t.Errorf("decoded field digest differs from %s.sum", c.name)
-			}
-		})
-	}
+	decodeGoldenDir(t, filepath.Join("testdata", "golden-v3-lossless-border"), []string{"2d-shm-container", "3d-shm-container"})
 }
 
 func unpackBlobs(data []byte) ([][]byte, error) {

@@ -45,18 +45,25 @@ func (e *OrderError) Unwrap() error { return errHeader }
 const (
 	magic = 0x5343 // "SC"
 	// version1 blocks carry no payload checksum (the seed format);
-	// version2 appends a CRC32C over the entropy-coded payload sections
-	// to the header. The encoder emits version2; the decoder reads both.
+	// version2 appends a CRC32C over the header and the entropy-coded
+	// payload sections to the header; version3 moves that checksum to
+	// the front of section 3, so the header goes out before the payload
+	// exists, and stores bound-0 residuals in section 3 instead of the
+	// code stream (see kernel.finish). The encoder emits version3; the
+	// decoder reads all three.
 	version1 = 1
 	version2 = 2
+	version3 = 3
 )
 
 // FormatVersion is the block format version the encoder emits, recorded
 // in run manifests for provenance.
-const FormatVersion = version2
+const FormatVersion = version3
 
 // header is the self-describing prefix of a compressed block.
 type header struct {
+	// Version is the block format version (version1 … version3).
+	Version  uint8
 	NDim     int
 	NX, NY   int
 	NZ       int // 0 in 2D
@@ -68,13 +75,12 @@ type header struct {
 	HasGhost [6]bool // minX, maxX, minY, maxY, minZ, maxZ
 	Border   bool    // lossless-border mode (informational)
 	Temporal bool    // temporal prediction: decoder needs the previous frame
-	// HasCRC reports whether the block stores PayloadCRC (version >= 2).
-	// Version-1 blocks decode without integrity verification.
-	HasCRC bool
-	// PayloadCRC is the CRC32C computed by payloadChecksum: it covers
-	// the marshaled header itself (with this field zeroed) followed by
-	// the payload sections in section order, so a flipped bit in either
-	// the header or the payload surfaces as an integrity error.
+	// PayloadCRC is a version-2 block's CRC32C, computed by
+	// payloadChecksum: it covers the marshaled header itself (with this
+	// field zeroed) followed by the payload sections in section order,
+	// so a flipped bit in either the header or the payload surfaces as
+	// an integrity error. Version-1 blocks decode without integrity
+	// verification; version-3 blocks carry their checksum in section 3.
 	PayloadCRC uint32
 }
 
@@ -94,7 +100,7 @@ func (h header) payloadChecksum(sections ...[]byte) uint32 {
 func (h *header) marshal() []byte {
 	var b []byte
 	b = binary.LittleEndian.AppendUint16(b, magic)
-	b = append(b, version2, byte(h.NDim))
+	b = append(b, h.Version, byte(h.NDim))
 	b = binary.AppendUvarint(b, uint64(h.NX))
 	b = binary.AppendUvarint(b, uint64(h.NY))
 	if h.NDim == 3 {
@@ -121,22 +127,21 @@ func (h *header) marshal() []byte {
 		flags |= 2
 	}
 	b = append(b, flags)
-	b = binary.LittleEndian.AppendUint32(b, h.PayloadCRC)
+	if h.Version == version2 {
+		b = binary.LittleEndian.AppendUint32(b, h.PayloadCRC)
+	}
 	return b
 }
 
 var errHeader = errors.New("core: malformed header")
 
 func (h *header) unmarshal(b []byte) error {
+	*h = header{}
 	if len(b) < 4 || binary.LittleEndian.Uint16(b) != magic {
 		return errHeader
 	}
-	switch b[2] {
-	case version1:
-		h.HasCRC = false
-	case version2:
-		h.HasCRC = true
-	default:
+	h.Version = b[2]
+	if h.Version < version1 || h.Version > version3 {
 		return errHeader
 	}
 	h.NDim = int(b[3])
@@ -217,7 +222,7 @@ func (h *header) unmarshal(b []byte) error {
 			return &OrderError{Order: uint8(h.Order), Pieces: h.Pieces, NSlow: nSlow}
 		}
 	}
-	if h.HasCRC {
+	if h.Version == version2 {
 		if len(b) < 6 {
 			return errHeader
 		}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/cp"
@@ -10,6 +13,8 @@ import (
 	"repro/internal/fixed"
 	"repro/internal/flightrec"
 	"repro/internal/huffman"
+	"repro/internal/integrity"
+	"repro/internal/pool"
 	"repro/internal/predictor"
 	"repro/internal/quantizer"
 	"repro/internal/safedim"
@@ -85,14 +90,13 @@ type kernel struct {
 	cpCell    []bool
 	origType  map[int]cp.Type
 	cpAdj     []bool
-	// expSyms and codeSyms are the positional symbol streams: the
-	// vertex at stream position pos (its place in the visit order) owns
-	// expSyms[pos] and codeSyms[pos*nc : pos*nc+nc], so sweepers on
-	// different goroutines fill them in any order. literals is the
-	// literal stream, rebuilt in visit order by finish.
-	expSyms  []uint32
-	codeSyms []uint32
-	literals []byte
+	// expSyms is the positional bound stream: the vertex at stream
+	// position pos (its place in the visit order) owns expSyms[pos], so
+	// sweepers on different goroutines fill it in any order. streams
+	// holds each task's share of the code, literal and residual streams
+	// (taskStream).
+	expSyms []uint32
+	streams []taskStream
 	// swept marks the phases already swept (phaseAll, phaseOne,
 	// phaseTwo); resweep is the error a second sweep of one leaves for
 	// finish, since its stream positions are already taken.
@@ -158,9 +162,8 @@ func newKernel(blk blockSpec) (*kernel, error) {
 	k.valid = scr.valid
 	k.signs = scr.signs
 	scr.expSyms = resize(scr.expSyms, n)
-	scr.codeSyms = resize(scr.codeSyms, blk.nc*n)
-	k.expSyms, k.codeSyms = scr.expSyms, scr.codeSyms
-	k.literals = scr.literals[:0]
+	k.expSyms = scr.expSyms
+	k.initStreams()
 	if temporal {
 		for c := 0; c < blk.nc; c++ {
 			scr.prev[c] = grow(scr.prev[c], n)
@@ -183,7 +186,9 @@ func newKernel(blk blockSpec) (*kernel, error) {
 
 // convert converts the own region (and the previous frame, when temporal)
 // to fixed point, checking every value against the transform's range,
-// and initialises the own region's sign plane in the same pass.
+// and initialises the own region's sign plane in the same pass. A pieced
+// block converts its rows in stripes on the worker pool; the error
+// reported is the first in row-then-component order, as from one pass.
 func (k *kernel) convert() error {
 	blk := &k.blk
 	if k.temporal {
@@ -193,23 +198,41 @@ func (k *kernel) convert() error {
 			}
 		}
 	}
-	for kk := 0; kk < blk.nz; kk++ {
-		for j := 0; j < blk.ny; j++ {
-			src := (kk*blk.ny + j) * blk.nx
-			dst := k.extIdx(0, j, kk)
-			signs := k.signs[dst : dst+blk.nx]
-			for c := 0; c < blk.nc; c++ {
-				row := k.comps[c][dst : dst+blk.nx]
-				if err := blk.transform.ToFixedChecked(blk.comps[c][src:src+blk.nx], row, c, src); err != nil {
-					return err
-				}
-				for i, x := range row {
-					signs[i] |= signBits(x, c)
-				}
+	rows, n := blk.ny*blk.nz, k.order.tasks(phaseOne)
+	if n == 1 {
+		return k.convertRows(0, rows)
+	}
+	errs := make([]error, n)
+	pool.Do(pool.Workers(0), n, func(t int) {
+		errs[t] = k.convertRows(t*rows/n, (t+1)*rows/n)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// convertRows converts own rows r0 … r1−1 (row r is j = r mod ny,
+// k = r / ny), each component in turn.
+func (k *kernel) convertRows(r0, r1 int) error {
+	blk := &k.blk
+	for r := r0; r < r1; r++ {
+		src := r * blk.nx
+		dst := k.extIdx(0, r%blk.ny, r/blk.ny)
+		signs := k.signs[dst : dst+blk.nx]
+		for c := 0; c < blk.nc; c++ {
+			row := k.comps[c][dst : dst+blk.nx]
+			if err := blk.transform.ToFixedChecked(blk.comps[c][src:src+blk.nx], row, c, src); err != nil {
+				return err
 			}
-			for i := dst; i < dst+blk.nx; i++ {
-				k.valid[i] = true
+			for i, x := range row {
+				signs[i] |= signBits(x, c)
 			}
+		}
+		for i := dst; i < dst+blk.nx; i++ {
+			k.valid[i] = true
 		}
 	}
 	return nil
@@ -751,7 +774,8 @@ func (s *sweeper) specCutoff(vid int) (uint8, int64) {
 }
 
 // tryQuantize quantizes every component of the vertex against the snapped
-// bound without committing anything.
+// bound without committing anything. An escaped component's code is its
+// exact residual.
 func (s *sweeper) tryQuantize(oi, oj, ok, vid int, snapped int64) (codes, recons [maxComps]int64, esc [maxComps]bool) {
 	k := s.k
 	own := k.ownIdx(oi, oj, ok)
@@ -764,7 +788,9 @@ func (s *sweeper) tryQuantize(oi, oj, ok, vid int, snapped int64) (codes, recons
 		}
 		code, recon, qok := quantizer.Quantize(k.comps[c][vid], pred, snapped)
 		if !qok {
+			// The residual, which a bound-0 vertex stores in full.
 			esc[c] = true
+			codes[c] = k.comps[c][vid] - pred
 			recons[c] = k.comps[c][vid]
 		} else {
 			codes[c] = code
@@ -774,25 +800,32 @@ func (s *sweeper) tryQuantize(oi, oj, ok, vid int, snapped int64) (codes, recons
 	return codes, recons, esc
 }
 
-// commit emits the vertex's symbols at stream position pos and
-// overwrites the working arrays with the decompressed values (Algorithm 2
-// lines 18–22). An escaped component's decompressed value is its exact
-// value, so own keeps what finish writes to the literal stream.
+// commit emits the vertex's symbols — its bound symbol at stream
+// position pos, the rest on its task's streams — and overwrites the
+// working arrays with the decompressed values (Algorithm 2 lines 18–22).
+// An escaped component's decompressed value is its exact value, which
+// goes to the literal stream. A bound-0 vertex's components go to the
+// residual stream, where none escapes.
 func (s *sweeper) commit(vid, own, pos int, sym uint8, codes, recons [maxComps]int64, esc [maxComps]bool) {
 	k := s.k
 	s.stats.Vertices++
 	s.bounds[sym]++
-	if sym == quantizer.LosslessSym {
+	lossless := sym == quantizer.LosslessSym
+	if lossless {
 		s.stats.Lossless++
 	}
 	k.expSyms[pos] = uint32(sym)
-	nc := k.blk.nc
-	for c := 0; c < nc; c++ {
-		if esc[c] {
+	out := s.out
+	for c := 0; c < k.blk.nc; c++ {
+		switch {
+		case lossless:
+			out.res = appendResidual(out.res, codes[c])
+		case esc[c]:
 			s.stats.Literals++
-			k.codeSyms[pos*nc+c] = escapeSym
-		} else {
-			k.codeSyms[pos*nc+c] = huffman.Zigzag(codes[c])
+			out.codes = append(out.codes, escapeSym)
+			out.lits = appendLiteral(out.lits, recons[c])
+		default:
+			out.codes = append(out.codes, huffman.Zigzag(codes[c]))
 		}
 		k.comps[c][vid] = recons[c]
 		k.own[c][own] = recons[c]
@@ -808,21 +841,22 @@ func (k *kernel) finish() ([]byte, error) {
 	if k.resweep != nil {
 		return nil, k.resweep
 	}
-	// The streams are positional: a vertex never committed would leave a
-	// slot that decodes silently as a zero code.
+	// The bound stream is positional: a vertex never committed would
+	// leave a slot holding whatever the pooled scratch last held.
 	if n := k.blk.nx * k.blk.ny * k.blk.nz; k.stats.Vertices < n {
 		return nil, fmt.Errorf("core: Finish after %d of %d vertices: the sweep (Run, or both phases) is incomplete",
 			k.stats.Vertices, n)
 	}
 	k.finished = true
 	h := header{
-		NDim:  k.blk.ndim,
-		NX:    k.blk.nx,
-		NY:    k.blk.ny,
-		Shift: k.blk.transform.Shift,
-		Tau:   k.tau,
-		Spec:  k.blk.opts.Spec,
-		Order: orderRaster,
+		Version: version3,
+		NDim:    k.blk.ndim,
+		NX:      k.blk.nx,
+		NY:      k.blk.ny,
+		Shift:   k.blk.transform.Shift,
+		Tau:     k.tau,
+		Spec:    k.blk.opts.Spec,
+		Order:   orderRaster,
 	}
 	if k.blk.ndim == 3 {
 		h.NZ = k.blk.nz
@@ -837,38 +871,131 @@ func (k *kernel) finish() ([]byte, error) {
 	h.Border = k.blk.losslessBord
 	h.Temporal = k.temporal
 	entropy := k.tel.stage("entropy-code")
-	k.literals = k.literalStream()
-	expStream := huffman.Compress(k.expSyms)
-	codeStream := huffman.Compress(k.codeSyms)
-	h.HasCRC = true
-	h.PayloadCRC = h.payloadChecksum(expStream, codeStream, k.literals)
-	blob, err := encoder.Pack(h.marshal(), expStream, codeStream, k.literals)
+	codes := make([][]uint32, len(k.streams))
+	lits := make([][]byte, len(k.streams))
+	res := make([][]byte, len(k.streams))
+	for i, ts := range k.streams {
+		codes[i], lits[i], res[i] = ts.codes, ts.lits, ts.res
+	}
+	// A pieced block swept on several cores; its entropy stage uses two.
+	concurrent := k.order.pieces > 1 && runtime.GOMAXPROCS(0) >= 2
+	blob, err := writeBlock(&h, concurrent, k.expSyms, codes, lits, res)
 	entropy.End()
 	k.tel.finish()
 	return blob, err
 }
 
-// literalStream rebuilds the literal stream: the exact value of every
-// escaped component, in visit order and per vertex in component order. It
-// replays the visit order's runs, which carry the stream positions.
-func (k *kernel) literalStream() []byte {
-	lits := k.literals[:0]
-	if k.stats.Literals == 0 {
-		return lits
+// taskStream is one task's share of a block's code, literal and
+// residual streams, in the task's visit order. The tasks of a phase
+// visit consecutive stretches of the order, phase one's before phase
+// two's, so each stream is its tasks' shares in that order: no pass over
+// the block sorts them out after the sweep.
+type taskStream struct {
+	codes []uint32
+	lits  []byte
+	res   []byte
+}
+
+// initStreams sizes the kernel's task streams from the scratch's, each
+// code stream with room for every component of every vertex of its
+// task, so that appends never reallocate it.
+func (k *kernel) initStreams() {
+	scr, o := k.scr, &k.order
+	phases := []int{phaseAll}
+	if o.split() {
+		phases = []int{phaseOne, phaseTwo}
 	}
-	nc := k.blk.nc
-	_ = k.order.allRuns(func(r orderRun) error {
-		own := k.ownIdx(r.i0, r.oj, r.ok)
-		for pos := r.pos; pos < r.pos+r.i1-r.i0; pos, own = pos+1, own+1 {
-			for c, sym := range k.codeSyms[pos*nc : pos*nc+nc] {
-				if sym == escapeSym {
-					lits = appendLiteral(lits, k.own[c][own])
-				}
-			}
+	n := 0
+	for _, phase := range phases {
+		n += o.tasks(phase)
+	}
+	for len(scr.streams) < n {
+		scr.streams = append(scr.streams, taskStream{})
+	}
+	k.streams = scr.streams[:n]
+	for _, phase := range phases {
+		for t := 0; t < o.tasks(phase); t++ {
+			verts := 0
+			_ = o.runs(phase, t, func(r orderRun) error {
+				verts += r.i1 - r.i0
+				return nil
+			})
+			ts := k.stream(phase, t)
+			ts.codes = slices.Grow(ts.codes[:0], k.blk.nc*verts)
+			ts.lits, ts.res = ts.lits[:0], ts.res[:0]
 		}
-		return nil
+	}
+}
+
+// stream returns the share of task t of phase.
+func (k *kernel) stream(phase, t int) *taskStream {
+	if phase == phaseTwo {
+		t += k.order.tasks(phaseOne)
+	}
+	return &k.streams[t]
+}
+
+// writeBlock entropy-codes a block's streams into its blob, format
+// version 3: the four Pack sections
+//
+//  0. the header;
+//  1. the Huffman-coded bound symbols, one per vertex in visit order;
+//  2. the Huffman-coded code symbols of the lossy vertices (bound > 0),
+//     nc per vertex in visit order, escapeSym for a component whose
+//     exact value is on the literal stream;
+//  3. a CRC32C over sections 0–2 and the rest of section 3, the uvarint
+//     length of the literal stream, the literal stream, and the residual
+//     stream: every component of every bound-0 vertex as the zigzag
+//     varint of its exact Lorenzo or temporal residual, in visit order.
+//
+// The code, literal and residual streams come in segments. The sections
+// go into one DEFLATE stream as they are produced. When concurrent, the
+// code stream's Huffman plan is built while the bound stream is planned
+// and encoded, and DEFLATE runs on a goroutine of its own; the bytes are
+// the same either way.
+func writeBlock(h *header, concurrent bool, expSyms []uint32, codes [][]uint32, lits, res [][]byte) ([]byte, error) {
+	st := encoder.NewStream(4, concurrent)
+	defer st.Close()
+	hb := h.marshal()
+	st.Section(len(hb))
+	st.Append(hb)
+	workers := 1
+	if concurrent {
+		workers = 2
+	}
+	var codePlan *huffman.Plan
+	pool.Do(workers, 2, func(task int) {
+		if task == 1 {
+			codePlan = huffman.NewPlan(codes...)
+			return
+		}
+		writeHuffman(st, huffman.NewPlan(expSyms), expSyms)
 	})
-	return lits
+	writeHuffman(st, codePlan, codes...)
+	litLen := 0
+	for _, b := range lits {
+		litLen += len(b)
+	}
+	tail := append([][]byte{binary.AppendUvarint(nil, uint64(litLen))}, append(lits, res...)...)
+	crc, size := st.Sum(), 4
+	for _, b := range tail {
+		crc = integrity.Update(crc, b)
+		size += len(b)
+	}
+	st.Section(size)
+	st.Append(binary.LittleEndian.AppendUint32(nil, crc))
+	for _, b := range tail {
+		st.Append(b)
+	}
+	return st.Close()
+}
+
+// writeHuffman writes a Huffman section, its plan encoding segs.
+func writeHuffman(st *encoder.Stream, p *huffman.Plan, segs ...[]uint32) {
+	st.Section(p.Len())
+	st.AppendWith(func(chunk []byte, flush func([]byte) []byte) []byte {
+		return p.Encode(chunk, flush, segs...)
+	})
 }
 
 // decompressed returns the reconstructed own block as float32 components

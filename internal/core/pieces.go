@@ -63,8 +63,8 @@ func (b *blockSpec) wholeDomain() bool {
 }
 
 // sweeper is the state of one task's share of a sweep: the star
-// buffers, the lo of the run it is in, and the counts it batches until
-// the phase ends — Stats, the filter counters, derive time and the
+// buffers, the lo of the run it is in, the task's streams, and the
+// counts it batches until the phase ends — Stats, the filter counters, derive time and the
 // bound-symbol histogram. Shared atomics per vertex would contend
 // between goroutines.
 type sweeper struct {
@@ -76,18 +76,20 @@ type sweeper struct {
 	pred     filter.Local
 	deriveNS int64
 	bounds   [256]int64 // commits per bound symbol
+	out      *taskStream
 }
 
-// sweepers returns n zeroed sweepers of the kernel, reusing the
-// scratch's.
-func (k *kernel) sweepers(n int) []*sweeper {
+// sweepers returns zeroed sweepers of the kernel for the tasks of
+// phase, each writing its task's streams, reusing the scratch's.
+func (k *kernel) sweepers(phase int) []*sweeper {
 	scr := k.scr
+	n := k.order.tasks(phase)
 	for len(scr.sweepers) < n {
 		scr.sweepers = append(scr.sweepers, new(sweeper))
 	}
 	sw := scr.sweepers[:n]
-	for _, s := range sw {
-		*s = sweeper{k: k}
+	for t, s := range sw {
+		*s = sweeper{k: k, out: k.stream(phase, t)}
 	}
 	return sw
 }
@@ -121,14 +123,13 @@ var pieceHook func(phase, task int)
 // task's runs in order at their stream positions. A panic in a task
 // comes back to the caller after the join (pool.Do).
 func (k *kernel) sweep(phase int) {
-	n := k.order.tasks(phase)
-	sw := k.sweepers(n)
+	sw := k.sweepers(phase)
 	defer func() {
 		for _, s := range sw {
 			s.flush()
 		}
 	}()
-	pool.Do(pool.Workers(0), n, func(t int) {
+	pool.Do(pool.Workers(0), len(sw), func(t int) {
 		if pieceHook != nil {
 			pieceHook(phase, t)
 		}

@@ -2,8 +2,10 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -400,6 +402,48 @@ func TestFinishRejectsIncompleteSweep(t *testing.T) {
 					t.Fatalf("GOMAXPROCS %d: Finish after %s succeeded", procs, tc.name)
 				}
 			}()
+		}
+	}
+}
+
+// TestPiecedConvertReportsFirstBadValue: a pieced block converts its
+// rows in stripes on several cores, yet of two bad values it reports
+// the one a single row-then-component pass meets first, under
+// GOMAXPROCS 1 and 2: the earlier row, and within one row the lower
+// component, even where the other sits earlier in the row.
+func TestPiecedConvertReportsFirstBadValue(t *testing.T) {
+	dims := []int{128, 4 * core.MinPieceVertices / 128}
+	nx := dims[0]
+	nan := float32(math.NaN())
+	for _, tc := range []struct {
+		name     string
+		bad      [2][2]int // (component, index) of the two bad values
+		wantComp int
+		wantIdx  int
+	}{
+		{"early row, late piece", [2][2]int{{1, 3*nx + 5}, {0, (dims[1]-2)*nx + 1}}, 1, 3*nx + 5},
+		{"one row, two components", [2][2]int{{1, 200*nx + 2}, {0, 200*nx + 50}}, 0, 200*nx + 50},
+	} {
+		for _, procs := range []int{1, 2} {
+			comps, _ := pieceField(dims)
+			tr, err := fixed.Fit(comps...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range tc.bad {
+				comps[b[0]][b[1]] = nan
+			}
+			prev := runtime.GOMAXPROCS(procs)
+			_, _, err = core.CompressBlock(core.Block{Dims: dims, Comps: comps, Transform: tr, Opts: core.Options{Tau: 0.01}})
+			runtime.GOMAXPROCS(prev)
+			var de *fixed.DomainError
+			if !errors.As(err, &de) {
+				t.Fatalf("%s: GOMAXPROCS %d: err = %v, want a *fixed.DomainError", tc.name, procs, err)
+			}
+			if de.Component != tc.wantComp || de.Index != tc.wantIdx {
+				t.Errorf("%s: GOMAXPROCS %d: error at component %d index %d, want %d, %d",
+					tc.name, procs, de.Component, de.Index, tc.wantComp, tc.wantIdx)
+			}
 		}
 	}
 }

@@ -29,9 +29,8 @@ type kernelScratch struct {
 	cpCell    []bool
 	cpAdj     []bool
 
-	expSyms  []uint32
-	codeSyms []uint32
-	literals []byte
+	expSyms []uint32
+	streams []taskStream
 
 	sweepers []*sweeper
 }
@@ -133,17 +132,16 @@ func (k *kernel) close() {
 		return
 	}
 	k.scr = nil
-	// Hand the append-grown literal stream back so its capacity is kept,
-	// and drop the sweepers' hold on the kernel.
-	scr.literals = k.literals[:0]
+	// The append-grown task streams stay in the scratch, capacity and
+	// all; drop the sweepers' hold on the kernel.
 	for _, s := range scr.sweepers {
-		s.k = nil
+		s.k, s.out = nil, nil
 	}
 	for c := 0; c < maxComps; c++ {
 		k.comps[c], k.own[c], k.prev[c] = nil, nil, nil
 	}
 	k.valid, k.signs = nil, nil
 	k.cellValid, k.cpCell, k.cpAdj = nil, nil, nil
-	k.expSyms, k.codeSyms, k.literals = nil, nil, nil
+	k.expSyms, k.streams = nil, nil
 	scratchPool.Put(scr)
 }

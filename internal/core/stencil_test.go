@@ -326,7 +326,7 @@ func TestSignPlaneTracksComponents(t *testing.T) {
 				k := stencilKernel(t, rng, ndim, nx, ny, nz, kind, blockNb, Options{Tau: 0.1, Spec: spec})
 				checkSigns(t, name+" after fill", k)
 				k.prepare()
-				sw := k.sweepers(1)[0]
+				sw := k.sweepers(phaseAll)[0]
 				next := 0 // the stream position of the next vertex
 				step := func(phase2 bool) {
 					for ok := 0; ok < k.blk.nz; ok++ {

@@ -3,7 +3,9 @@
 // Huffman-coded quantization streams and literal bytes are packed into a
 // length-prefixed container and passed through DEFLATE — the stdlib
 // stand-in for the ZSTD backend used in the paper (see DESIGN.md,
-// substitutions).
+// substitutions). Pack takes the sections whole; a Stream takes them as
+// they are produced, in fixed chunks that DEFLATE consumes on a second
+// goroutine when asked, and writes the same container.
 package encoder
 
 import (
@@ -16,6 +18,8 @@ import (
 	"io"
 	"slices"
 	"sync"
+
+	"repro/internal/integrity"
 )
 
 // flatePool recycles DEFLATE writers across Pack calls: a flate.Writer
@@ -101,13 +105,192 @@ func Inflate(data []byte) ([]byte, error) {
 // Pack concatenates sections with uvarint length prefixes and DEFLATEs the
 // container.
 func Pack(sections ...[]byte) ([]byte, error) {
-	var raw []byte
-	raw = binary.AppendUvarint(raw, uint64(len(sections)))
-	for _, s := range sections {
-		raw = binary.AppendUvarint(raw, uint64(len(s)))
-		raw = append(raw, s...)
+	s := NewStream(len(sections), false)
+	for _, sec := range sections {
+		s.Section(len(sec))
+		s.Append(sec)
 	}
-	return Deflate(raw)
+	return s.Close()
+}
+
+// chunkSize is the size of the chunks a Stream deflates: small enough
+// that DEFLATE starts soon after a producer does, large enough that
+// handing a chunk over costs little next to deflating it.
+const chunkSize = 16 << 10
+
+// maxChunks bounds the chunks of a concurrent Stream: the one being
+// filled and those queued for or being deflated. A producer that gets
+// this far ahead of DEFLATE waits for a chunk to come back.
+const maxChunks = 4
+
+var chunkPool = sync.Pool{New: func() any { return new([chunkSize]byte) }}
+
+// Stream writes a Pack container as its sections are produced: the
+// count, then each section's uvarint length and contents, so a section's
+// length must be known before its first byte. The bytes go into chunks
+// of chunkSize, and each full chunk is deflated, on a helper goroutine
+// when the stream is concurrent, so that a producer and DEFLATE run at
+// the same time. DEFLATE's output does not depend on how its input is
+// split into writes, so Close returns exactly Pack's blob for the same
+// sections, concurrent or not.
+//
+// A Stream also keeps the CRC32C of the section contents written so far
+// (the framing excluded), which Sum returns.
+type Stream struct {
+	fw  *flate.Writer
+	out bytes.Buffer
+	// buf is the chunk being filled; buf[mark:] is section content not
+	// yet in sum.
+	buf  []byte
+	mark int
+	sum  uint32
+	pfx  [binary.MaxVarintLen64]byte
+	err  error
+	// The concurrent stream's hand-over: full chunks go to the deflating
+	// goroutine on full and come back on free; done carries its error.
+	full   chan []byte
+	free   chan []byte
+	done   chan error
+	chunks int
+	closed bool
+}
+
+// NewStream starts a container of the given number of sections.
+func NewStream(sections int, concurrent bool) *Stream {
+	s := &Stream{fw: flatePool.Get().(*flate.Writer)}
+	s.fw.Reset(&s.out)
+	s.buf = chunkPool.Get().(*[chunkSize]byte)[:0]
+	s.chunks = 1
+	if concurrent {
+		s.full = make(chan []byte, maxChunks)
+		s.free = make(chan []byte, maxChunks)
+		s.done = make(chan error, 1)
+		go func() {
+			var err error
+			for b := range s.full {
+				if err == nil {
+					_, err = s.fw.Write(b)
+				}
+				s.free <- b
+			}
+			s.done <- err
+		}()
+	}
+	s.frame(uint64(sections))
+	return s
+}
+
+// Section starts a section of n bytes; exactly n bytes must follow
+// through Append or AppendWith.
+func (s *Stream) Section(n int) {
+	s.frame(uint64(n))
+}
+
+// frame writes a uvarint of the framing, outside the checksum.
+func (s *Stream) frame(v uint64) {
+	s.sum = integrity.Update(s.sum, s.buf[s.mark:])
+	for _, b := range binary.AppendUvarint(s.pfx[:0], v) {
+		s.buf = append(s.buf, b)
+		if len(s.buf) == cap(s.buf) {
+			s.buf = s.ship(s.buf)
+		}
+	}
+	s.mark = len(s.buf)
+}
+
+// Append appends section content. A DEFLATE error surfaces from Close.
+func (s *Stream) Append(b []byte) {
+	for len(b) > 0 {
+		k := copy(s.buf[len(s.buf):cap(s.buf)], b)
+		s.buf = s.buf[:len(s.buf)+k]
+		b = b[k:]
+		if len(s.buf) == cap(s.buf) {
+			s.buf = s.flush(s.buf)
+		}
+	}
+}
+
+// AppendWith appends section content through produce, which appends to
+// the chunk it is given, passes each chunk it fills to flush for an
+// empty one, and returns the chunk it stops in.
+func (s *Stream) AppendWith(produce func(chunk []byte, flush func(full []byte) []byte) []byte) {
+	s.buf = produce(s.buf, s.flush)
+	if len(s.buf) == cap(s.buf) {
+		s.buf = s.flush(s.buf)
+	}
+}
+
+// flush checksums the content of a full chunk and ships it.
+func (s *Stream) flush(full []byte) []byte {
+	s.sum = integrity.Update(s.sum, full[s.mark:])
+	s.mark = 0
+	return s.ship(full)
+}
+
+// ship deflates a chunk, or queues it for the deflating goroutine, and
+// returns an empty chunk.
+func (s *Stream) ship(b []byte) []byte {
+	if s.full == nil {
+		if _, err := s.fw.Write(b); err != nil && s.err == nil {
+			s.err = err
+		}
+		return b[:0]
+	}
+	s.full <- b
+	if s.chunks < maxChunks {
+		select {
+		case b = <-s.free:
+		default:
+			s.chunks++
+			b = chunkPool.Get().(*[chunkSize]byte)[:0]
+		}
+	} else {
+		b = <-s.free
+	}
+	return b[:0]
+}
+
+// Sum returns the CRC32C of the section contents written so far.
+func (s *Stream) Sum() uint32 {
+	s.sum = integrity.Update(s.sum, s.buf[s.mark:])
+	s.mark = len(s.buf)
+	return s.sum
+}
+
+// Close deflates what is left and returns the container. It stops the
+// deflating goroutine of a concurrent stream; a second Close does
+// nothing and returns nil, so a deferred Close releases a stream that a
+// panic left open.
+func (s *Stream) Close() ([]byte, error) {
+	if s.closed {
+		return nil, nil
+	}
+	s.closed = true
+	if len(s.buf) > 0 {
+		s.buf = s.ship(s.buf)
+	}
+	chunks := [][]byte{s.buf}
+	if s.full != nil {
+		close(s.full)
+		if err := <-s.done; err != nil && s.err == nil {
+			s.err = err
+		}
+		for len(chunks) < s.chunks {
+			chunks = append(chunks, <-s.free)
+		}
+	}
+	for _, b := range chunks {
+		chunkPool.Put((*[chunkSize]byte)(b[:chunkSize]))
+	}
+	if err := s.fw.Close(); err != nil && s.err == nil {
+		s.err = err
+	}
+	flatePool.Put(s.fw)
+	s.fw = nil
+	if s.err != nil {
+		return nil, s.err
+	}
+	return s.out.Bytes(), nil
 }
 
 // ErrCorrupt indicates a malformed container.

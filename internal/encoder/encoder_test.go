@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/integrity"
 )
 
 func TestDeflateInflate(t *testing.T) {
@@ -124,6 +126,83 @@ func TestQuickPackRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rawPack is the container deflated in one write, as Pack built it
+// before it streamed.
+func rawPack(sections ...[]byte) []byte {
+	raw := binary.AppendUvarint(nil, uint64(len(sections)))
+	for _, s := range sections {
+		raw = binary.AppendUvarint(raw, uint64(len(s)))
+		raw = append(raw, s...)
+	}
+	z, err := Deflate(raw)
+	if err != nil {
+		panic(err)
+	}
+	return z
+}
+
+// TestStreamMatchesPack: a Stream written in random pieces, through
+// Append and through AppendWith's chunks, serial and concurrent, returns
+// the one-write container byte for byte, and Sum is the CRC32C of the
+// section contents.
+func TestStreamMatchesPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 30; trial++ {
+		sections := make([][]byte, 1+rng.Intn(5))
+		for i := range sections {
+			n := rng.Intn(3 * chunkSize)
+			if i == 0 {
+				n = rng.Intn(200)
+			}
+			sec := make([]byte, n)
+			for j := range sec {
+				sec[j] = byte(rng.Intn(4 + j%7))
+			}
+			sections[i] = sec
+		}
+		want := rawPack(sections...)
+		for _, concurrent := range []bool{false, true} {
+			s := NewStream(len(sections), concurrent)
+			for i, sec := range sections {
+				s.Section(len(sec))
+				if i%2 == 0 {
+					for rest := sec; len(rest) > 0; {
+						k := min(len(rest), 1+rng.Intn(5000))
+						s.Append(rest[:k])
+						rest = rest[k:]
+					}
+				} else {
+					s.AppendWith(func(chunk []byte, flush func([]byte) []byte) []byte {
+						for _, b := range sec {
+							chunk = append(chunk, b)
+							if len(chunk) == cap(chunk) {
+								chunk = flush(chunk)
+							}
+						}
+						return chunk
+					})
+				}
+				if got, want := s.Sum(), integrity.Checksum(sections[:i+1]...); got != want {
+					t.Fatalf("trial %d section %d: Sum %08x, want %08x", trial, i, got, want)
+				}
+			}
+			got, err := s.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("trial %d (concurrent %v): streamed container differs from the one-write container", trial, concurrent)
+			}
+			if again, err := s.Close(); again != nil || err != nil {
+				t.Fatal("a second Close must do nothing")
+			}
+		}
+		if got, _ := Pack(sections...); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: Pack differs from the one-write container", trial)
+		}
 	}
 }
 

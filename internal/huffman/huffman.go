@@ -3,12 +3,18 @@
 // pipeline: quantization codes and error-bound exponents are Huffman-coded
 // before the byte stream is handed to DEFLATE (package encoder).
 //
-// The coder is allocation-conscious: symbols below denseSyms (all bound
-// exponents and virtually every zigzagged quantization code) are counted
-// and encoded through flat array codebooks drawn from a sync.Pool; only
-// outlier symbols fall back to maps. The emitted byte stream is identical
-// to the map-based implementation's — table storage is an internal detail,
-// the canonical code assignment is not.
+// Encoding is split in two. NewPlan counts a stream, which may come in
+// segments, and builds its canonical code and the exact length of its
+// block, so a caller can frame the block behind a length prefix before
+// any code bit exists; Plan.Encode then writes the block 64 code bits at
+// a time into fixed chunks it hands to a flush, so the block can stream
+// into a DEFLATE writer while it is produced. Compress is a plan encoded
+// into one buffer. Symbols below denseSyms (all bound exponents and
+// virtually every zigzagged quantization code) are counted and encoded
+// through flat array codebooks drawn from a sync.Pool; only outlier
+// symbols fall back to maps. The emitted bytes are those of the original
+// bit-at-a-time, map-based coder — table storage and word writes are
+// internal details, the canonical code assignment is not.
 //
 // Decoding is table-driven: the next 11 bits resolve every code of at
 // most 11 bits through a lookup table built by replaying the canonical
@@ -44,7 +50,7 @@ const maxCodeLen = 48
 // indexed directly; larger ones (escape-range outliers) go through a map.
 const denseSyms = 4096
 
-// denseTables is the pooled scratch of one Compress call: the frequency
+// denseTables is the pooled scratch of one Plan: the frequency
 // histogram and the encode codebook for the dense symbol range.
 type denseTables struct {
 	freq  [denseSyms]uint64
@@ -60,21 +66,46 @@ type symLen struct {
 }
 
 // Compress encodes syms into a self-contained block (count, code length
-// table, padded code bits).
+// table, padded code bits): a Plan encoded into one buffer of the
+// plan's exact length.
 func Compress(syms []uint32) []byte {
+	p := NewPlan(syms)
+	return p.Encode(make([]byte, 0, p.Len()), nil, syms)
+}
+
+// Plan is the code of one symbol stream, built before any code bit is
+// written: the symbol count and code length table (the block's head),
+// the canonical codes, and the number of code bits, which together give
+// the block's exact length. A caller framing the block behind a length
+// prefix can write the prefix first and then stream the block. The
+// stream may come in segments, coded as their concatenation.
+type Plan struct {
+	head   []byte
+	dt     *denseTables
+	sparse map[uint32]code
+	bits   uint64
+}
+
+// NewPlan counts the symbols of the stream segs and builds their
+// canonical code.
+func NewPlan(segs ...[]uint32) *Plan {
 	dt := densePool.Get().(*denseTables)
 
 	// Count frequencies: flat array for the dense range, map only when an
 	// outlier actually occurs.
 	var sparseFreq map[uint32]uint64
-	for _, s := range syms {
-		if s < denseSyms {
-			dt.freq[s]++
-		} else {
-			if sparseFreq == nil {
-				sparseFreq = make(map[uint32]uint64)
+	n := 0
+	for _, syms := range segs {
+		n += len(syms)
+		for _, s := range syms {
+			if s < denseSyms {
+				dt.freq[s]++
+			} else {
+				if sparseFreq == nil {
+					sparseFreq = make(map[uint32]uint64)
+				}
+				sparseFreq[s]++
 			}
-			sparseFreq[s]++
 		}
 	}
 
@@ -100,33 +131,115 @@ func Compress(syms []uint32) []byte {
 		}
 	}
 
+	// codeLengths rescales the frequencies it is given; the bit count
+	// needs the true ones.
+	counts := slices.Clone(freqs)
 	codeLengths(nz, freqs)
-	var sparseCodes map[uint32]code
-	sparseCodes = canonicalCodes(nz, &dt.codes, sparseCodes)
+	p := &Plan{dt: dt}
+	p.sparse = canonicalCodes(nz, &dt.codes, nil)
+	for i, e := range nz {
+		p.bits += counts[i] * uint64(e.len)
+	}
 
-	var head []byte
-	head = binary.AppendUvarint(head, uint64(len(syms)))
+	p.head = binary.AppendUvarint(p.head, uint64(n))
 	// Serialize the nonzero code lengths as (delta symbol, length) pairs.
-	head = binary.AppendUvarint(head, uint64(len(nz)))
+	p.head = binary.AppendUvarint(p.head, uint64(len(nz)))
 	prev := uint32(0)
 	for _, e := range nz {
-		head = binary.AppendUvarint(head, uint64(e.sym-prev))
-		head = append(head, e.len)
+		p.head = binary.AppendUvarint(p.head, uint64(e.sym-prev))
+		p.head = append(p.head, e.len)
 		prev = e.sym
 	}
+	return p
+}
 
-	var w bitstream.Writer
-	for _, s := range syms {
-		var c code
-		if s < denseSyms {
-			c = dt.codes[s]
-		} else {
-			c = sparseCodes[s]
+// Len returns the length of the block the plan encodes.
+func (p *Plan) Len() int { return len(p.head) + int((p.bits+7)/8) }
+
+// Encode writes the block for segs, the segments the plan was built
+// from, by appending to chunk: the head, then the code bits, 64 at a
+// time, least significant first, and the last partial word's bytes.
+// Whenever the chunk is full (its length reaches its capacity), Encode
+// hands it to flush, which returns the next chunk, empty and with room
+// to spare; with flush nil the chunk must hold the whole block. Encode
+// returns the chunk it stopped in. A plan encodes once: Encode returns
+// its tables to the pool.
+func (p *Plan) Encode(chunk []byte, flush func(full []byte) []byte, segs ...[]uint32) []byte {
+	w := chunkWriter{buf: chunk, flush: flush}
+	w.write(p.head)
+	dense := &p.dt.codes
+	var acc uint64
+	var nacc uint
+	for _, syms := range segs {
+		for _, s := range syms {
+			var c code
+			if s < denseSyms {
+				c = dense[s]
+			} else {
+				c = p.sparse[s]
+			}
+			acc |= c.bits << nacc
+			nacc += uint(c.len)
+			if nacc >= 64 {
+				w.word(acc)
+				nacc -= 64
+				// The code's bits that did not fit; none when nacc is
+				// 0, as a code's bits stop at its length.
+				acc = c.bits >> (uint(c.len) - nacc)
+			}
 		}
-		w.WriteBits(c.bits, uint(c.len))
 	}
-	densePool.Put(dt)
-	return append(head, w.Bytes()...)
+	for ; nacc > 0; nacc -= min(nacc, 8) {
+		w.byte(byte(acc))
+		acc >>= 8
+	}
+	densePool.Put(p.dt)
+	p.dt, p.sparse = nil, nil
+	return w.buf
+}
+
+// chunkWriter appends to a chunk and hands it to flush when full.
+type chunkWriter struct {
+	buf   []byte
+	flush func(full []byte) []byte
+}
+
+func (w *chunkWriter) full() {
+	if len(w.buf) == cap(w.buf) && w.flush != nil {
+		w.buf = w.flush(w.buf)[:0]
+	}
+}
+
+func (w *chunkWriter) byte(b byte) {
+	w.buf = append(w.buf, b)
+	w.full()
+}
+
+// word appends the 8 bytes of v, little-endian.
+func (w *chunkWriter) word(v uint64) {
+	if cap(w.buf)-len(w.buf) < 8 {
+		for i := 0; i < 8; i++ {
+			w.byte(byte(v))
+			v >>= 8
+		}
+		return
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+	w.full()
+}
+
+func (w *chunkWriter) write(b []byte) {
+	for len(b) > 0 {
+		if len(w.buf) == cap(w.buf) {
+			// Only without a flush: a flushed chunk comes back with room.
+			w.buf = append(w.buf, b...)
+			return
+		}
+		n := copy(w.buf[len(w.buf):cap(w.buf)], b)
+		w.buf = w.buf[:len(w.buf)+n]
+		b = b[n:]
+		w.full()
+	}
 }
 
 // Decompress decodes a block produced by Compress.

@@ -504,3 +504,115 @@ func BenchmarkDecompress(b *testing.B) {
 		}
 	}
 }
+
+// streamSyms turns fuzz bytes into a symbol slice: three bytes a
+// symbol, the first two its low bits and the third, when odd, lifting
+// it past denseSyms into the outlier range.
+func streamSyms(data []byte) []uint32 {
+	syms := make([]uint32, 0, len(data)/3)
+	for ; len(data) >= 3; data = data[3:] {
+		s := uint32(binary.LittleEndian.Uint16(data))
+		if data[2]&1 != 0 {
+			s += denseSyms + uint32(data[2])<<16
+		}
+		syms = append(syms, s)
+	}
+	return syms
+}
+
+// symBytes is streamSyms' inverse for seeds.
+func symBytes(syms []uint32) []byte {
+	var b []byte
+	for _, s := range syms {
+		if s < denseSyms {
+			b = append(b, byte(s), byte(s>>8), 0)
+			continue
+		}
+		s -= denseSyms
+		b = append(b, byte(s), byte(s>>8), byte(s>>16)|1)
+	}
+	return b
+}
+
+// bitBlock is the block Compress wrote before the word-at-a-time
+// encoder: the plan's head, then every code through the bit writer.
+func bitBlock(syms []uint32) []byte {
+	p := NewPlan(syms)
+	var w bitstream.Writer
+	for _, s := range syms {
+		c, ok := p.sparse[s]
+		if s < denseSyms {
+			c, ok = p.dt.codes[s], true
+		}
+		if !ok {
+			panic("symbol without a code")
+		}
+		w.WriteBits(c.bits, uint(c.len))
+	}
+	densePool.Put(p.dt)
+	return append(p.head, w.Bytes()...)
+}
+
+// FuzzHuffmanStream: for any symbols and any chunk size, a plan of the
+// symbols in segments, encoded in chunks through a flush, writes the
+// bytes Compress writes, and those are the bit writer's bytes and decode
+// back to the symbols.
+func FuzzHuffmanStream(f *testing.F) {
+	f.Add([]byte{}, uint16(1))
+	f.Add(symBytes([]uint32{7}), uint16(3))
+	dense := make([]uint32, 5000)
+	for i := range dense {
+		dense[i] = uint32(i*i) % 300
+	}
+	f.Add(symBytes(dense), uint16(64))
+	// 4,200 outliers among 6,300 symbols.
+	outliers := make([]uint32, 6300)
+	for i := range outliers {
+		outliers[i] = denseSyms + uint32(i)*7
+		if i%3 == 0 {
+			outliers[i] = uint32(i % 11)
+		}
+	}
+	f.Add(symBytes(outliers), uint16(4096))
+	f.Add(symBytes(outliers), uint16(7))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
+		syms := streamSyms(data)
+		want := Compress(syms)
+		if ref := bitBlock(syms); !bytes.Equal(want, ref) {
+			t.Fatalf("Compress differs from the bit writer's block (%d against %d bytes)", len(want), len(ref))
+		}
+		size := int(chunk)%4096 + 1
+		// The stream in segments, cut at multiples of the chunk size.
+		var segs [][]uint32
+		for rest := syms; ; {
+			k := min(len(rest), size*(1+len(segs)%3))
+			segs = append(segs, rest[:k])
+			if rest = rest[k:]; len(rest) == 0 {
+				break
+			}
+		}
+		p := NewPlan(segs...)
+		if p.Len() != len(want) {
+			t.Fatalf("plan length %d, block %d bytes", p.Len(), len(want))
+		}
+		var got []byte
+		rest := p.Encode(make([]byte, 0, size), func(full []byte) []byte {
+			if len(full) != size {
+				t.Fatalf("flushed a %d-byte chunk of %d", len(full), size)
+			}
+			got = append(got, full...)
+			return full[:0]
+		}, segs...)
+		got = append(got, rest...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("streamed block (%d bytes) differs from Compress (%d bytes)", len(got), len(want))
+		}
+		back, err := Decompress(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(back, syms) {
+			t.Fatal("streamed block does not decode to its symbols")
+		}
+	})
+}

@@ -29,9 +29,15 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func Checksum(sections ...[]byte) uint32 {
 	var c uint32
 	for _, s := range sections {
-		c = crc32.Update(c, castagnoli, s)
+		c = Update(c, s)
 	}
 	return c
+}
+
+// Update returns the CRC32C c extended by b: Checksum(x, b) is
+// Update(Checksum(x), b).
+func Update(c uint32, b []byte) uint32 {
+	return crc32.Update(c, castagnoli, b)
 }
 
 // IntegrityError reports a checksum mismatch detected while decoding.

@@ -10,6 +10,8 @@
 // decompression topology-free and fast).
 package quantizer
 
+import "math/bits"
+
 // Radius bounds the magnitude of quantization codes; larger residuals are
 // escaped to the literal stream.
 const Radius = 1 << 15
@@ -30,18 +32,33 @@ const LosslessSym uint8 = 0xFF
 
 // BoundSym snaps a derived bound xi to the largest grid bound ≤ xi and
 // returns its symbol. xi ≤ 0, or xi below the smallest grid bound, yields
-// the lossless sentinel.
+// the lossless sentinel. The grid exponent comes from the bit lengths of
+// xi and tau, so the cost does not depend on where xi falls; tau is at
+// most fixed.MaxBound (2^40), so tau·2^MaxBoundUp cannot overflow.
 func BoundSym(xi, tau int64) (sym uint8, snapped int64) {
 	if xi <= 0 || tau <= 0 {
 		return LosslessSym, 0
 	}
-	for e := -MaxBoundUp; e <= MaxBoundDown; e++ {
-		b := boundAt(e, tau)
-		if b > 0 && b <= xi {
-			return uint8(e + MaxBoundUp), b
+	var e int
+	if xi >= tau {
+		// The largest m with tau<<m ≤ xi, capped at the top of the grid;
+		// tau<<m has xi's bit length at most, so it cannot overflow.
+		m := bits.Len64(uint64(xi)) - bits.Len64(uint64(tau))
+		if tau<<m > xi {
+			m--
+		}
+		e = -min(m, MaxBoundUp)
+	} else {
+		// The smallest e ≥ 1 with tau>>e ≤ xi; tau>>e stays positive.
+		e = bits.Len64(uint64(tau)) - bits.Len64(uint64(xi))
+		if tau>>e > xi {
+			e++
+		}
+		if e > MaxBoundDown {
+			return LosslessSym, 0
 		}
 	}
-	return LosslessSym, 0
+	return uint8(e + MaxBoundUp), boundAt(e, tau)
 }
 
 // BoundFromSym reconstructs the snapped bound from its symbol.

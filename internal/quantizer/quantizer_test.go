@@ -140,3 +140,62 @@ func TestFloorDiv(t *testing.T) {
 		}
 	}
 }
+
+// scanBoundSym is the exponent scan BoundSym replaced: every grid
+// exponent from the top of the grid down until a positive bound ≤ xi.
+// It is the oracle of TestBoundSymMatchesScan.
+func scanBoundSym(xi, tau int64) (uint8, int64) {
+	if xi <= 0 || tau <= 0 {
+		return LosslessSym, 0
+	}
+	for e := -MaxBoundUp; e <= MaxBoundDown; e++ {
+		b := boundAt(e, tau)
+		if b > 0 && b <= xi {
+			return uint8(e + MaxBoundUp), b
+		}
+	}
+	return LosslessSym, 0
+}
+
+// TestBoundSymMatchesScan holds BoundSym to the scan over random pairs
+// and over every grid edge: each grid bound, one below and one above it,
+// for τ′ from 1 to 2^40 (fixed.MaxBound).
+func TestBoundSymMatchesScan(t *testing.T) {
+	check := func(xi, tau int64) {
+		t.Helper()
+		sym, snapped := BoundSym(xi, tau)
+		wsym, wsnapped := scanBoundSym(xi, tau)
+		if sym != wsym || snapped != wsnapped {
+			t.Fatalf("BoundSym(%d, %d) = (%d, %d), scan (%d, %d)", xi, tau, sym, snapped, wsym, wsnapped)
+		}
+	}
+	taus := []int64{1, 2, 3, 5, 7, 100, 1<<20 - 1, 1 << 20, 1<<20 + 1, 1<<40 - 1, 1 << 40}
+	rng := rand.New(rand.NewSource(61))
+	for i := 0; i < 200; i++ {
+		taus = append(taus, rng.Int63n(1<<40)+1, int64(1)<<rng.Intn(41))
+	}
+	for _, tau := range taus {
+		for _, xi := range []int64{-1, 0, 1, 2, 3, 1<<62 - 1, 1 << 62, 1<<63 - 1} {
+			check(xi, tau)
+		}
+		for e := -MaxBoundUp - 1; e <= MaxBoundDown+1; e++ {
+			var b int64
+			switch {
+			case e < -MaxBoundUp:
+				b = tau << (MaxBoundUp + 1)
+			case e >= 0:
+				b = tau >> uint(e)
+			default:
+				b = tau << uint(-e)
+			}
+			for _, xi := range []int64{b - 1, b, b + 1} {
+				check(xi, tau)
+			}
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		tau := rng.Int63n(1<<40) + 1
+		xi := rng.Int63() >> uint(rng.Intn(63))
+		check(xi, tau)
+	}
+}
