@@ -66,9 +66,11 @@ faults:
 # against their big.Int oracles, and of slab-seam equivalence across the
 # shm, codec and daemon entry points. Raise FUZZTIME for a real session;
 # `go test -fuzz` takes one target per invocation. FuzzSeamEquivalence
-# runs about 70 ms per input and first replays its whole cached corpus
-# (a few hundred inputs after some sessions), so FUZZTIME would end it
-# before it fuzzes anything new; it gets SEAM_FUZZTIME.
+# runs about 70 ms per input, so it gets SEAM_FUZZTIME, and it fuzzes
+# against a fresh cache directory: the shared one grows every session,
+# and replaying it as baseline coverage would eat the whole budget. Its
+# baseline is the seed corpus plus testdata/fuzz, where a failing input
+# is written.
 FUZZTIME ?= 5s
 SEAM_FUZZTIME ?= 60s
 .PHONY: fuzz
@@ -85,7 +87,8 @@ fuzz:
 	$(GO) test -fuzz='^FuzzHuffmanDecompress$$' -fuzztime=$(FUZZTIME) ./internal/huffman/
 	$(GO) test -fuzz='^FuzzHuffmanStream$$' -fuzztime=$(FUZZTIME) ./internal/huffman/
 	$(GO) test -fuzz='^FuzzFilterPredicates$$' -fuzztime=$(FUZZTIME) ./internal/exact/filter/
-	$(GO) test -fuzz='^FuzzSeamEquivalence$$' -fuzztime=$(SEAM_FUZZTIME) .
+	@cache=$$(mktemp -d) && trap 'rm -rf "$$cache"' EXIT && \
+	$(GO) test -run='^$$' -fuzz='^FuzzSeamEquivalence$$' -fuzztime=$(SEAM_FUZZTIME) . -args -test.fuzzcachedir="$$cache"
 
 # Coverage gate for the compression kernel: fails below COVER_MIN%.
 COVER_MIN ?= 85

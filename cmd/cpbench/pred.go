@@ -57,7 +57,8 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	v2 := make([]int64, len(f2.V))
 	tr2.ToFixed(f2.U, u2)
 	tr2.ToFixed(f2.V, v2)
-	d2 := &cp.Detector2D{Mesh: field.Mesh2D{NX: f2.NX, NY: f2.NY}, U: u2, V: v2}
+	m2 := field.Mesh2D{NX: f2.NX, NY: f2.NY}
+	d2 := &cp.Detector{Dims: f2.Dims(), Comps: [][]int64{u2, v2}}
 
 	n := *nek
 	f3 := datagen.Nek5000(n, n, n)
@@ -72,20 +73,20 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	tr3.ToFixed(f3.V, v3)
 	tr3.ToFixed(f3.W, w3)
 	m3 := field.Mesh3D{NX: n, NY: n, NZ: n}
-	d3 := &cp.Detector3D{Mesh: m3, U: u3, V: v3, W: w3}
+	d3 := &cp.Detector{Dims: f3.Dims(), Comps: [][]int64{u3, v3, w3}}
 
 	fmt.Fprintf(w, "pred: ocean %dx%d (%d tris), nek %d^3 (%d tets), tau %g\n",
-		onx, ony, d2.Mesh.NumCells(), n, m3.NumCells(), *tauRel)
+		onx, ony, m2.NumCells(), n, m3.NumCells(), *tauRel)
 
 	// Harvest predicate inputs: the full-simplex orientation matrices of
 	// a cell sample, exactly as detection builds them.
-	stride2 := d2.Mesh.NumCells() / *samples
+	stride2 := m2.NumCells() / *samples
 	if stride2 < 1 {
 		stride2 = 1
 	}
 	var mats2 [][3][3]int64
-	for c := 0; c < d2.Mesh.NumCells(); c += stride2 {
-		vs := d2.Mesh.CellVertices(c)
+	for c := 0; c < m2.NumCells(); c += stride2 {
+		vs := m2.CellVertices(c)
 		var m [3][3]int64
 		for r, vi := range vs {
 			m[r] = [3]int64{u2[vi], v2[vi], 1}
@@ -187,7 +188,7 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	// Share of cells the sign prefilter decides before any predicate,
 	// counted here over the corpus rather than on the sweep's hot path.
 	signed2, signed3 := 0, 0
-	for c := 0; c < d2.Mesh.NumCells(); c++ {
+	for c := 0; c < m2.NumCells(); c++ {
 		if d2.SignDecided(c) {
 			signed2++
 		}
@@ -198,8 +199,8 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 		}
 	}
 	fmt.Fprintf(w, "detect:  ocean %s, nek %s, sign-decided %.2f%% / %.2f%%, sweep accept %.2f%% (exact fallbacks %d of %d)\n",
-		rate(d2.Mesh.NumCells(), sweep2), rate(m3.NumCells(), sweep3),
-		100*float64(signed2)/float64(d2.Mesh.NumCells()), 100*float64(signed3)/float64(m3.NumCells()),
+		rate(m2.NumCells(), sweep2), rate(m3.NumCells(), sweep3),
+		100*float64(signed2)/float64(m2.NumCells()), 100*float64(signed3)/float64(m3.NumCells()),
 		100*sw.Orient3AcceptRate(), sw.Orient3Exact, sw.Orient3Calls())
 	_ = sink
 	_ = psiAcc
@@ -223,7 +224,7 @@ func runPred(args []string, w io.Writer) (failed bool, err error) {
 	tr3.ToFixed(dec3[1], dv3)
 	tr3.ToFixed(dec3[2], dw3)
 	tieCap := *samples / 20
-	ties2 := thin(harvestTies2(d2.Mesh, du2, dv2, stride2), tieCap)
+	ties2 := thin(harvestTies2(m2, du2, dv2, stride2), tieCap)
 	ties3 := thin(harvestTies3(m3, du3, dv3, dw3, stride3), tieCap)
 	//lint:ignore floatflow the ties come from tr.ToFixed of the decoded fields; the taint is τ parameterizing the round trip, not a float reaching a predicate
 	sos := measureSoS(ties2, ties3, *reps)

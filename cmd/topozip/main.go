@@ -111,38 +111,6 @@ func usage() {
 run "topozip <cmd> -h" for command flags`)
 }
 
-// parseMemBudget parses a -max-mem byte budget: a plain byte count or a
-// value with a K/M/G (binary), KiB/MiB/GiB, or KB/MB/GB (decimal)
-// suffix. Empty means no budget.
-func parseMemBudget(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, nil
-	}
-	u := strings.ToUpper(s)
-	mult := int64(1)
-	for _, suf := range []struct {
-		s string
-		m int64
-	}{
-		{"KIB", 1 << 10}, {"MIB", 1 << 20}, {"GIB", 1 << 30},
-		{"KB", 1000}, {"MB", 1000 * 1000}, {"GB", 1000 * 1000 * 1000},
-		{"K", 1 << 10}, {"M", 1 << 20}, {"G", 1 << 30},
-		{"B", 1},
-	} {
-		if strings.HasSuffix(u, suf.s) {
-			mult = suf.m
-			u = strings.TrimSuffix(u, suf.s)
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(u), 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad -max-mem value %q", s)
-	}
-	return int64(v * float64(mult)), nil
-}
-
 func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	data := fs.String("data", "ocean", "dataset: ocean, hurricane, nek5000, turbulence")
@@ -247,9 +215,9 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	budget, err := parseMemBudget(*maxMem)
+	budget, err := codec.ParseByteSize(*maxMem)
 	if err != nil {
-		return err
+		return fmt.Errorf("-max-mem: %w", err)
 	}
 	predBefore := filter.Stats()
 	var tel *telemetry.Collector
@@ -528,9 +496,9 @@ func cmdDecompress(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("-in and -out are required")
 	}
-	budget, err := parseMemBudget(*maxMem)
+	budget, err := codec.ParseByteSize(*maxMem)
 	if err != nil {
-		return err
+		return fmt.Errorf("-max-mem: %w", err)
 	}
 	// Decoded slabs land straight in their place in the output file,
 	// created only once the input's block headers have planned the
@@ -571,9 +539,9 @@ func cmdVerify(args []string) error {
 	if *orig == "" || *comp == "" {
 		return fmt.Errorf("-orig and -comp are required")
 	}
-	budget, err := parseMemBudget(*maxMem)
+	budget, err := codec.ParseByteSize(*maxMem)
 	if err != nil {
-		return err
+		return fmt.Errorf("-max-mem: %w", err)
 	}
 	var decSrc field.SlabSource
 	sinkFor := func(dims []int) (shm.PlaneSink, error) {

@@ -22,6 +22,10 @@ import (
 	"repro/internal/telemetry"
 )
 
+// TestParseMemBudget covers the -max-mem syntax (codec.ParseByteSize)
+// and its refusals: a value that is not finite, overflows int64 or
+// comes to less than one byte is an error, on every subcommand that
+// takes a budget, before any input is read.
 func TestParseMemBudget(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -37,16 +41,39 @@ func TestParseMemBudget(t *testing.T) {
 		{"500MB", 500 * 1000 * 1000},
 		{"128B", 128},
 		{" 4 MiB ", 4 << 20},
+		{"1B", 1},
+		{"8589934591GiB", 8589934591 << 30},
 	}
 	for _, tc := range cases {
-		got, err := parseMemBudget(tc.in)
+		got, err := codec.ParseByteSize(tc.in)
 		if err != nil || got != tc.want {
-			t.Errorf("parseMemBudget(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
+			t.Errorf("ParseByteSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
 		}
 	}
-	for _, bad := range []string{"x", "-1M", "0", "MiB", "1QiB"} {
-		if _, err := parseMemBudget(bad); err == nil {
-			t.Errorf("parseMemBudget(%q) accepted", bad)
+	refused := []string{"NaN", "Inf", "1e30GiB", "0.1B", "-Inf", "8589934592GiB"}
+	for _, bad := range append([]string{"x", "-1M", "0", "MiB", "1QiB"}, refused...) {
+		if got, err := codec.ParseByteSize(bad); err == nil {
+			t.Errorf("ParseByteSize(%q) = %d, accepted", bad, got)
+		}
+	}
+	dir := t.TempDir()
+	raw := filepath.Join(dir, "in.f32")
+	for _, bad := range refused {
+		for name, cmd := range map[string]func([]string) error{
+			"compress": func(mem []string) error {
+				return cmdCompress(append([]string{"-in", raw, "-dims", "8x8", "-out", filepath.Join(dir, "o.szp")}, mem...))
+			},
+			"decompress": func(mem []string) error {
+				return cmdDecompress(append([]string{"-in", raw, "-out", filepath.Join(dir, "o.f32")}, mem...))
+			},
+			"verify": func(mem []string) error {
+				return cmdVerify(append([]string{"-orig", raw, "-comp", raw}, mem...))
+			},
+		} {
+			err := cmd([]string{"-max-mem", bad})
+			if err == nil || !strings.Contains(err.Error(), "-max-mem") {
+				t.Errorf("%s -max-mem %s: err = %v, want a -max-mem error", name, bad, err)
+			}
 		}
 	}
 }

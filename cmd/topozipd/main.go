@@ -28,11 +28,10 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/faultinject"
 	"repro/internal/flightrec"
 	"repro/internal/server"
@@ -61,11 +60,11 @@ func run(args []string) error {
 	faults := fs.String("faults", "", "fault-injection spec for soak tests, e.g. seed=7,panic=0.05 (default: $"+faultinject.EnvVar+")")
 	fs.Parse(args)
 
-	memBudget, err := parseByteSize(*maxMem)
+	memBudget, err := codec.ParseByteSize(*maxMem)
 	if err != nil {
 		return fmt.Errorf("-max-mem: %w", err)
 	}
-	bodyLimit, err := parseByteSize(*maxBody)
+	bodyLimit, err := codec.ParseByteSize(*maxBody)
 	if err != nil {
 		return fmt.Errorf("-max-body: %w", err)
 	}
@@ -137,35 +136,4 @@ func run(args []string) error {
 		}
 	}
 	return serveErr
-}
-
-// parseByteSize parses a byte count with an optional K/M/G (binary),
-// KiB/MiB/GiB, or KB/MB/GB (decimal) suffix; empty means zero (off).
-func parseByteSize(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, nil
-	}
-	u := strings.ToUpper(s)
-	mult := int64(1)
-	for _, suf := range []struct {
-		s string
-		m int64
-	}{
-		{"KIB", 1 << 10}, {"MIB", 1 << 20}, {"GIB", 1 << 30},
-		{"KB", 1000}, {"MB", 1000 * 1000}, {"GB", 1000 * 1000 * 1000},
-		{"K", 1 << 10}, {"M", 1 << 20}, {"G", 1 << 30},
-		{"B", 1},
-	} {
-		if strings.HasSuffix(u, suf.s) {
-			mult = suf.m
-			u = strings.TrimSuffix(u, suf.s)
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(u), 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad byte size %q", s)
-	}
-	return int64(v * float64(mult)), nil
 }

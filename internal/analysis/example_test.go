@@ -14,13 +14,3 @@ func ExamplePSNR() {
 	// Output:
 	// +Inf
 }
-
-// ExampleComputeErrorStats summarizes an error distribution.
-func ExampleComputeErrorStats() {
-	orig := [][]float32{{0, 0, 0, 0}}
-	dec := [][]float32{{0.125, 0.25, 0.375, 0.5}}
-	st := analysis.ComputeErrorStats(orig, dec, 0.25)
-	fmt.Printf("max %.3f mean %.4f within %.0f%%\n", st.Max, st.Mean, 100*st.Within)
-	// Output:
-	// max 0.500 mean 0.3125 within 50%
-}

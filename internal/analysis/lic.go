@@ -60,15 +60,6 @@ func LIC(f *field.Field2D, length int, seed int64) []uint8 {
 	return img
 }
 
-// WritePGM writes a grayscale image in binary PGM format.
-func WritePGM(w io.Writer, img []uint8, nx, ny int) error {
-	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", nx, ny); err != nil {
-		return err
-	}
-	_, err := w.Write(img)
-	return err
-}
-
 // RGB is one 8-bit color pixel.
 type RGB struct{ R, G, B uint8 }
 

@@ -49,8 +49,9 @@ type Params struct {
 	// for topozip-cp). Empty picks the codec's default.
 	Spec string
 	// Pipeline configures the slab pipeline the codec runs on: workers,
-	// window, memory budget, cancellation context, telemetry, flight
-	// recorder, fault injection.
+	// slab count, the memory budget (which alone sets the admission
+	// window), cancellation context, telemetry, flight recorder, fault
+	// injection.
 	Pipeline shm.Options
 }
 

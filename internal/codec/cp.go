@@ -118,6 +118,46 @@ func ParseDims(s string) ([]int, error) {
 	return dims, nil
 }
 
+// ParseByteSize parses a byte count: a plain number or one with a K/M/G
+// (binary), KiB/MiB/GiB or KB/MB/GB (decimal) suffix, the syntax of the
+// topozip and topozipd -max-mem flags. Empty means 0 (no budget). A
+// value that is not finite, does not fit an int64 or comes to less than
+// one byte is an error: read as zero or negative, it would drop the
+// caller's memory ceiling without a word.
+func ParseByteSize(s string) (int64, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return 0, nil
+	}
+	u := strings.ToUpper(s)
+	mult := 1.0
+	for _, suf := range []struct {
+		s string
+		m float64
+	}{
+		{"KIB", 1 << 10}, {"MIB", 1 << 20}, {"GIB", 1 << 30},
+		{"KB", 1e3}, {"MB", 1e6}, {"GB", 1e9},
+		{"K", 1 << 10}, {"M", 1 << 20}, {"G", 1 << 30},
+		{"B", 1},
+	} {
+		if strings.HasSuffix(u, suf.s) {
+			mult = suf.m
+			u = strings.TrimSuffix(u, suf.s)
+			break
+		}
+	}
+	v, err := strconv.ParseFloat(strings.TrimSpace(u), 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad byte size %q", s)
+	}
+	b := v * mult
+	// The negated range test also refuses NaN.
+	if !(b >= 1 && b < 1<<63) {
+		return 0, fmt.Errorf("bad byte size %q: want at least 1 byte and below 2^63", s)
+	}
+	return int64(b), nil
+}
+
 // StatsWindow sizes the plane window of a stats or scan pass over a
 // field of the given dims to about a quarter of the memory budget; no
 // budget picks 64 planes.

@@ -89,12 +89,9 @@ func (b *Block) spec() (blockSpec, error) {
 		return blockSpec{}, errors.New("core: a 2D block has no Z-side neighbors")
 	}
 	s := blockSpec{
-		ndim: nd, nc: nd,
-		transform:    b.Transform,
-		opts:         b.Opts,
-		neighbor:     b.Neighbor,
-		losslessBord: b.LosslessBorder,
-		twoPhase:     b.TwoPhase,
+		blockShape: blockShape{ndim: nd, nc: nd, neighbor: b.Neighbor, losslessBord: b.LosslessBorder, twoPhase: b.TwoPhase},
+		transform:  b.Transform,
+		opts:       b.Opts,
 	}
 	own, origin, global := [3]int{1, 1, 1}, [3]int{}, [3]int{}
 	copy(own[:], b.Dims)

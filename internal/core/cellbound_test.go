@@ -153,7 +153,7 @@ func TestCellBoundMatchesPsiFirst(t *testing.T) {
 			}
 			fillComps(rng, comps, ndim, tau, trial%4 != 3)
 			var pred filter.Local
-			d := newDimOps(ndim, ext, comps, refSigns(comps, ndim))
+			d := newCellMesh(ndim, ext, comps, refSigns(comps, ndim))
 			var vbuf [4]int
 			for c := 0; c < d.numCells(); c++ {
 				d.cellVertices(c, &vbuf)
@@ -212,8 +212,8 @@ func refDeriveBound(k *kernel, vid int) (xi int64, relaxed bool) {
 		if k.cpCell[c] {
 			return 0, false
 		}
-		k.dim.cellVertices(c, &vbuf)
-		cb, rlx := refCellBound(nd, k.comps, vbuf[:nd+1], vid, k.tau, k.blk.opts.OrientationOnly, !k.blk.opts.DisableRelaxation)
+		k.mesh.cellVertices(c, &vbuf)
+		cb, rlx := refCellBound(nd, k.comps, vbuf[:nd+1], vid, k.tau, k.orientOnly, k.relax)
 		relaxed = relaxed || rlx
 		xi = min(xi, cb)
 	}
@@ -269,7 +269,7 @@ func newTestKernel(t *testing.T, ndim, nx, ny, nz int, opts Options) *kernel {
 	if ndim == 2 {
 		nz = 1
 	}
-	blk := blockSpec{ndim: ndim, nc: nc, nx: nx, ny: ny, nz: nz, opts: opts}
+	blk := blockSpec{blockShape: blockShape{ndim: ndim, nc: nc, nx: nx, ny: ny, nz: nz}, opts: opts}
 	blk.transform.Scale = 1 << 10
 	blk.transform.Shift = 10
 	for c := 0; c < nc; c++ {

@@ -333,14 +333,14 @@ func goldenCases() []goldenCase {
 	// Slab containers of the shared-memory pipeline: the version-3
 	// container bytes (index, per-slab blobs, CRCs) are pinned whole, so
 	// the slab decomposition, its two-phase seams and the container
-	// framing cannot drift. Workers and Window never change the bytes.
+	// framing cannot drift. Workers and the window never change the bytes.
 	cases = append(cases, goldenCase{
 		name: "2d-shm-container",
 		run: func(t *testing.T) goldenResult {
 			f := goldenField2D(51, 2*nx2, 2*ny2)
 			tr := mustFit(t, f.U, f.V)
 			res, err := shm.Compress(field.Mem2D(f), tr, core.Options{Tau: tau, Spec: core.ST3},
-				shm.Options{Slabs: 4, Window: 2, Workers: 2})
+				shm.Options{Slabs: 4, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

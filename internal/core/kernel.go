@@ -27,8 +27,10 @@ import (
 // sweep, Lorenzo/temporal prediction, bound derivation with the
 // sign-uniformity relaxation, the speculation state machine with
 // rollback, quantize/escape/commit, ghost/border handling, and the
-// two-phase protocol — and delegates the per-dimension parts to a small
-// dimOps plug (see dims.go). Encoder (block.go) is a thin adapter.
+// two-phase protocol. The mesh (cellMesh, dims.go) and the detector
+// (cp.Detector) are concrete types over both dimensions; only the Ψ call
+// and the orientation predicates branch on it. Encoder (block.go) is a
+// thin adapter.
 //
 // All index arithmetic is shared by treating a 2D block as nz == 1 with
 // no Z neighbors: every extended/own index formula, the face/ghost
@@ -52,12 +54,20 @@ const maxComps = 3
 // compress. Block.spec validates a Block and flattens it into one; a 2D
 // block has nz = 1, nc = 2, and no Z neighbors.
 type blockSpec struct {
+	blockShape
+	comps     [maxComps][]float32
+	prev      [maxComps][]float32
+	transform fixed.Transform
+	opts      Options
+}
+
+// blockShape is the part of a blockSpec the kernel keeps: extents,
+// placement and border handling, and no float. The float input — the
+// components, the transform and τ — is converted by newKernel, so every
+// value the kernel hands the predicates is visibly fixed point.
+type blockShape struct {
 	ndim, nc      int
 	nx, ny, nz    int
-	comps         [maxComps][]float32
-	prev          [maxComps][]float32
-	transform     fixed.Transform
-	opts          Options
 	gx0, gy0, gz0 int
 	gnx, gny, gnz int
 	neighbor      [6]bool
@@ -69,7 +79,7 @@ type blockSpec struct {
 // the public encoders: construct, optionally set ghosts, prepare, run
 // (or run phase by phase), finish.
 type kernel struct {
-	blk      blockSpec
+	blk      blockShape
 	tau      int64
 	ext      [3]int // extended dims (ghost layers included)
 	off      [3]int // own-region offset inside the extended arrays
@@ -79,13 +89,21 @@ type kernel struct {
 	temporal bool
 	order    vertexOrder
 	valid    []bool
+	// The options the sweep reads (τ is tau, in fixed point) and the
+	// transform's shift, for the header and decompressed.
+	spec       Speculation
+	orientOnly bool // Options.OrientationOnly
+	relax      bool // !Options.DisableRelaxation
+	rec        *flightrec.Recorder
+	recSlab    int
+	shift      int
 	// signs is the sign plane: one byte per extended vertex, bit 2c set
-	// when component c is > 0 and bit 2c+1 when it is < 0 (signBits).
+	// when component c is > 0 and bit 2c+1 when it is < 0 (cp.SignBits).
 	// It tracks comps at every write: the fixed-point fill, the ghost
 	// planes, commit, and each speculation trial and its restore.
 	signs     []uint8
-	dim       dimOps
-	det       cellChecker
+	mesh      *cellMesh
+	det       *cp.Detector
 	cellValid []bool
 	cpCell    []bool
 	origType  map[int]cp.Type
@@ -110,7 +128,7 @@ type kernel struct {
 }
 
 // newKernel validates the options, allocates the extended arrays, converts
-// the own region to fixed point, and binds the per-dimension plug. A
+// the own region to fixed point, and builds the block's cell mesh. A
 // source value that is non-finite or falls outside the transform's
 // fixed-point range (the caller may have built the transform for other
 // data) is a *fixed.DomainError.
@@ -126,7 +144,9 @@ func newKernel(blk blockSpec) (*kernel, error) {
 		return nil, fmt.Errorf("core: Tau %g is below the fixed-point resolution %g of this field; use lossless storage instead",
 			blk.opts.Tau, blk.transform.Resolution())
 	}
-	k := &kernel{blk: blk, tau: blk.transform.Bound(blk.opts.Tau)}
+	k := &kernel{blk: blk.blockShape, tau: blk.transform.Bound(blk.opts.Tau), shift: blk.transform.Shift,
+		spec: blk.opts.Spec, orientOnly: blk.opts.OrientationOnly, relax: !blk.opts.DisableRelaxation,
+		rec: blk.opts.Rec, recSlab: blk.opts.RecSlab}
 	k.order = vertexOrder{nx: blk.nx, ny: blk.ny, nz: blk.nz, twoPhase: blk.twoPhase,
 		maxPlane: [3]bool{blk.neighbor[SideMaxX], blk.neighbor[SideMaxY], blk.neighbor[SideMaxZ]}}
 	if blk.wholeDomain() {
@@ -171,10 +191,10 @@ func newKernel(blk blockSpec) (*kernel, error) {
 		}
 		k.temporal = true
 	}
-	k.dim = newDimOps(blk.ndim, k.ext, k.comps, k.signs)
-	k.tel = newEngineTel(blk.opts, k.dim.name())
+	k.mesh = newCellMesh(blk.ndim, k.ext, k.comps, k.signs)
+	k.tel = newEngineTel(blk.opts, k.mesh.name())
 	convert := k.tel.stage("fixed-convert")
-	err := k.convert()
+	err := k.convert(&blk)
 	convert.End()
 	if err != nil {
 		k.tel.finish()
@@ -189,22 +209,22 @@ func newKernel(blk blockSpec) (*kernel, error) {
 // and initialises the own region's sign plane in the same pass. A pieced
 // block converts its rows in stripes on the worker pool; the error
 // reported is the first in row-then-component order, as from one pass.
-func (k *kernel) convert() error {
+func (k *kernel) convert(in *blockSpec) error {
 	blk := &k.blk
 	if k.temporal {
 		for c := 0; c < blk.nc; c++ {
-			if err := blk.transform.ToFixedChecked(blk.prev[c], k.prev[c], c, 0); err != nil {
+			if err := in.transform.ToFixedChecked(in.prev[c], k.prev[c], c, 0); err != nil {
 				return err
 			}
 		}
 	}
 	rows, n := blk.ny*blk.nz, k.order.tasks(phaseOne)
 	if n == 1 {
-		return k.convertRows(0, rows)
+		return k.convertRows(in, 0, rows)
 	}
 	errs := make([]error, n)
 	pool.Do(pool.Workers(0), n, func(t int) {
-		errs[t] = k.convertRows(t*rows/n, (t+1)*rows/n)
+		errs[t] = k.convertRows(in, t*rows/n, (t+1)*rows/n)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -216,7 +236,7 @@ func (k *kernel) convert() error {
 
 // convertRows converts own rows r0 … r1−1 (row r is j = r mod ny,
 // k = r / ny), each component in turn.
-func (k *kernel) convertRows(r0, r1 int) error {
+func (k *kernel) convertRows(in *blockSpec, r0, r1 int) error {
 	blk := &k.blk
 	for r := r0; r < r1; r++ {
 		src := r * blk.nx
@@ -224,11 +244,11 @@ func (k *kernel) convertRows(r0, r1 int) error {
 		signs := k.signs[dst : dst+blk.nx]
 		for c := 0; c < blk.nc; c++ {
 			row := k.comps[c][dst : dst+blk.nx]
-			if err := blk.transform.ToFixedChecked(blk.comps[c][src:src+blk.nx], row, c, src); err != nil {
+			if err := in.transform.ToFixedChecked(in.comps[c][src:src+blk.nx], row, c, src); err != nil {
 				return err
 			}
 			for i, x := range row {
-				signs[i] |= signBits(x, c)
+				signs[i] |= cp.SignBits(x, c)
 			}
 		}
 		for i := dst; i < dst+blk.nx; i++ {
@@ -238,25 +258,11 @@ func (k *kernel) convertRows(r0, r1 int) error {
 	return nil
 }
 
-// signBits is one component's share of a sign-plane byte: bit 2c when
-// x > 0, bit 2c+1 when x < 0, nothing for zero. The AND of a cell's
-// bytes then keeps a bit exactly when that component is strictly one
-// sign at every vertex of the cell (THEORY.md §3).
-//
-// Branch-free: the sign bit of -x &^ x is set exactly when x > 0 (for
-// x = MinInt64, -x wraps to x and the result is 0), and the sign bit of
-// x exactly when x < 0.
-func signBits(x int64, c int) uint8 {
-	pos := uint8(uint64(-x&^x) >> 63)
-	neg := uint8(uint64(x) >> 63)
-	return (pos | neg<<1) << (2 * c)
-}
-
 // signOf recomputes the sign-plane byte of extended vertex v from comps.
 func (k *kernel) signOf(v int) uint8 {
 	var s uint8
 	for c := 0; c < k.blk.nc; c++ {
-		s |= signBits(k.comps[c][v], c)
+		s |= cp.SignBits(k.comps[c][v], c)
 	}
 	return s
 }
@@ -411,8 +417,8 @@ func (k *kernel) prepare() {
 			return (gy0+j)*gnx + (gx0 + i)
 		}
 	}
-	k.det = k.dim.makeDetector(gid)
-	nc := k.dim.numCells()
+	k.det = &cp.Detector{Dims: k.ext[:k.blk.ndim], Comps: k.comps[:k.blk.nc], GlobalID: gid}
+	nc := k.mesh.numCells()
 	k.scr.cellValid = grow(k.scr.cellValid, nc)
 	k.scr.cpCell = grow(k.scr.cpCell, nc)
 	k.cellValid = k.scr.cellValid
@@ -428,7 +434,7 @@ func (k *kernel) prepare() {
 		var verts [maxStar][4]int
 		for v, ok := range k.valid {
 			if !ok {
-				n := k.dim.star(v, &cells, &verts)
+				n := k.mesh.star(v, &cells, &verts)
 				for _, c := range cells[:n] {
 					k.cellValid[c] = false
 				}
@@ -436,7 +442,7 @@ func (k *kernel) prepare() {
 		}
 	}
 	k.containsBatch()
-	if k.blk.opts.Spec == ST4 {
+	if k.spec == ST4 {
 		k.origType = make(map[int]cp.Type)
 	}
 	// cpAdj marks the own vertices of the few critical-point cells,
@@ -452,7 +458,7 @@ func (k *kernel) prepare() {
 		if k.origType != nil {
 			k.origType[c] = k.det.CellType(c)
 		}
-		k.dim.cellVertices(c, &vs)
+		k.mesh.cellVertices(c, &vs)
 		for _, v := range vs {
 			q := v / k.ext[0]
 			oi := v - q*k.ext[0] - k.off[0]
@@ -559,7 +565,7 @@ func (s *sweeper) processVertex(oi, oj, ok, pos int) {
 	k := s.k
 	vid := k.extIdx(oi, oj, ok)
 	own := k.ownIdx(oi, oj, ok)
-	spec := k.blk.opts.Spec
+	spec := k.spec
 	cpA := k.cpAdj[own]
 
 	var sym uint8
@@ -598,10 +604,8 @@ func (s *sweeper) deriveBound(vid int) (xi int64, relaxed bool) {
 	if k.tel.deriveNS != nil {
 		defer s.addDeriveSince(time.Now())
 	}
-	n := k.dim.star(vid, &s.cells, &s.verts)
+	n := k.mesh.star(vid, &s.cells, &s.verts)
 	xi = k.tau
-	orientOnly := k.blk.opts.OrientationOnly
-	relax := !k.blk.opts.DisableRelaxation
 	for i, c := range s.cells[:n] {
 		if !k.cellValid[c] {
 			continue
@@ -609,7 +613,7 @@ func (s *sweeper) deriveBound(vid int) (xi int64, relaxed bool) {
 		if k.cpCell[c] {
 			return 0, false
 		}
-		cb, rlx := k.dim.cellBound(vid, &s.verts[i], xi, k.tau, orientOnly, relax, !relaxed, &s.pred)
+		cb, rlx := k.mesh.cellBound(vid, &s.verts[i], xi, k.tau, k.orientOnly, k.relax, !relaxed, &s.pred)
 		relaxed = relaxed || rlx
 		xi = min(xi, cb)
 	}
@@ -627,7 +631,7 @@ func (s *sweeper) speculateST1(oi, oj, ok, vid int, cpA bool) (uint8, int64) {
 	if xi <= 0 {
 		return quantizer.LosslessSym, 0
 	}
-	nl := k.blk.opts.Spec.retries()
+	nl := k.spec.retries()
 	// Relax the bound, capped at max(τ′, ξ): ST1 recovers the precision
 	// lost when the derived bound is floor-snapped onto the exponent
 	// grid, and never discards a relaxation-derived ξ above τ′; pushing
@@ -707,7 +711,7 @@ func (s *sweeper) cellKeeps(c int, vs *[4]int, full bool) bool {
 // lossless after n_l failures.
 func (s *sweeper) speculateVerify(oi, oj, ok, vid int, full bool) (uint8, int64) {
 	k := s.k
-	nl := k.blk.opts.Spec.retries()
+	nl := k.spec.retries()
 	try := k.tau << uint(nl)
 	fails := 0
 	var orig [maxComps]int64
@@ -715,7 +719,7 @@ func (s *sweeper) speculateVerify(oi, oj, ok, vid int, full bool) (uint8, int64)
 		orig[c] = k.comps[c][vid]
 	}
 	origSign := k.signs[vid]
-	n := k.dim.star(vid, &s.cells, &s.verts)
+	n := k.mesh.star(vid, &s.cells, &s.verts)
 	for {
 		s.stats.SpecTrials++
 		sym, snapped := quantizer.BoundSym(try, k.tau)
@@ -757,8 +761,8 @@ func (s *sweeper) speculateVerify(oi, oj, ok, vid int, full bool) (uint8, int64)
 // vertex (Code = vertex id). Later restrictions of the same vertex are
 // expected behavior and stay off the ring.
 func (k *kernel) recordRollback(vid int) {
-	k.blk.opts.Rec.Record(flightrec.Event{Kind: flightrec.KindRollback, Subsystem: "core",
-		Slab: int32(k.blk.opts.RecSlab), Code: int64(vid),
+	k.rec.Record(flightrec.Event{Kind: flightrec.KindRollback, Subsystem: "core",
+		Slab: int32(k.recSlab), Code: int64(vid),
 		Detail: "speculation trial rejected"})
 }
 
@@ -767,8 +771,8 @@ func (k *kernel) recordRollback(vid int) {
 // shrunk to zero).
 func (s *sweeper) specCutoff(vid int) (uint8, int64) {
 	s.stats.SpecCutoffs++
-	s.k.blk.opts.Rec.Record(flightrec.Event{Kind: flightrec.KindRollback, Subsystem: "core",
-		Slab: int32(s.k.blk.opts.RecSlab), Code: int64(vid),
+	s.k.rec.Record(flightrec.Event{Kind: flightrec.KindRollback, Subsystem: "core",
+		Slab: int32(s.k.recSlab), Code: int64(vid),
 		Detail: "speculation cut off to lossless"})
 	return quantizer.LosslessSym, 0
 }
@@ -853,9 +857,9 @@ func (k *kernel) finish() ([]byte, error) {
 		NDim:    k.blk.ndim,
 		NX:      k.blk.nx,
 		NY:      k.blk.ny,
-		Shift:   k.blk.transform.Shift,
+		Shift:   k.shift,
 		Tau:     k.tau,
-		Spec:    k.blk.opts.Spec,
+		Spec:    k.spec,
 		Order:   orderRaster,
 	}
 	if k.blk.ndim == 3 {
@@ -1006,7 +1010,7 @@ func (k *kernel) decompressed() [][]float32 {
 	out := make([][]float32, k.blk.nc)
 	for c := 0; c < k.blk.nc; c++ {
 		out[c] = make([]float32, n)
-		k.blk.transform.ToFloat(k.own[c], out[c])
+		fixed.FromShift(k.shift).ToFloat(k.own[c], out[c])
 	}
 	return out
 }

@@ -56,7 +56,7 @@ func pieceCount(n, nSlow int) int {
 
 // wholeDomain reports whether the block is a whole field: zero origin,
 // global dims equal to its own, no neighbor and neither border strategy.
-func (b *blockSpec) wholeDomain() bool {
+func (b *blockShape) wholeDomain() bool {
 	return b.gx0 == 0 && b.gy0 == 0 && b.gz0 == 0 &&
 		b.gnx == b.nx && b.gny == b.ny && (b.ndim == 2 || b.gnz == b.nz) &&
 		b.neighbor == [6]bool{} && !b.losslessBord && !b.twoPhase

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cp"
 	"repro/internal/exact/filter"
 	"repro/internal/field"
 	"repro/internal/fixed"
@@ -58,7 +59,7 @@ func checkStar(t *testing.T, name string, k *kernel) {
 	var cells [maxStar]int
 	var verts [maxStar][4]int
 	for v := range k.comps[0] {
-		n := k.dim.star(v, &cells, &verts)
+		n := k.mesh.star(v, &cells, &verts)
 		want := refVertexCells(k, v)
 		if n != len(want) {
 			t.Fatalf("%s: vertex %d: star has %d cells, VertexCells %d", name, v, n, len(want))
@@ -104,7 +105,7 @@ func stencilKernel(t *testing.T, rng *rand.Rand, ndim, nx, ny, nz int, kind bloc
 		nz = 1
 	}
 	n := nx * ny * nz
-	blk := blockSpec{ndim: ndim, nc: ndim, nx: nx, ny: ny, nz: nz, opts: opts}
+	blk := blockSpec{blockShape: blockShape{ndim: ndim, nc: ndim, nx: nx, ny: ny, nz: nz}, opts: opts}
 	blk.transform.Scale, blk.transform.Shift = 1<<10, 10
 	rnd := func() []float32 {
 		z := make([]float32, n)
@@ -171,8 +172,8 @@ func TestStarMatchesMesh(t *testing.T) {
 		for c := 0; c < ndim; c++ {
 			comps[c] = make([]int64, ext[0]*ext[1]*ext[2])
 		}
-		k := &kernel{blk: blockSpec{ndim: ndim}, ext: ext, comps: comps,
-			dim: newDimOps(ndim, ext, comps, nil)}
+		k := &kernel{blk: blockShape{ndim: ndim}, ext: ext, comps: comps,
+			mesh: newCellMesh(ndim, ext, comps, nil)}
 		checkStar(t, fmt.Sprintf("%dD %v", ndim, ext), k)
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -225,7 +226,7 @@ func TestPrepareMatchesCellScan(t *testing.T) {
 				k := stencilKernel(t, rng, sh.ndim, sh.nx, sh.ny, sh.nz, kind, nb, Options{Tau: 0.1, Spec: ST4})
 				k.prepare()
 				name := fmt.Sprintf("%v %dD %dx%dx%d %v trial %d", kind, sh.ndim, sh.nx, sh.ny, sh.nz, nb, trial)
-				refValid := make([]bool, k.dim.numCells())
+				refValid := make([]bool, k.mesh.numCells())
 				refCP := make([]bool, len(refValid))
 				var pred filter.Local
 				for c := range refValid {
@@ -302,8 +303,8 @@ func TestSignPlaneTracksComponents(t *testing.T) {
 		for c := 0; c < maxComps; c++ {
 			comps := [maxComps][]int64{{0}, {0}, {0}}
 			comps[c][0] = x
-			if got, want := signBits(x, c), refSigns(comps, c+1)[0]; got != want {
-				t.Fatalf("signBits(%d, %d) = %06b, want %06b", x, c, got, want)
+			if got, want := cp.SignBits(x, c), refSigns(comps, c+1)[0]; got != want {
+				t.Fatalf("SignBits(%d, %d) = %06b, want %06b", x, c, got, want)
 			}
 		}
 	}

@@ -10,10 +10,10 @@ import (
 	"repro/internal/field"
 )
 
-// randFixed2D builds a Detector2D over random fixed-point values in
+// randFixed2D builds a 2D detector over random fixed-point values in
 // [-bound, bound], with a rectangular all-zero region when zr is set —
 // the masked-land shape the degenerate-cell convention exists for.
-func randFixed2D(rng *rand.Rand, nx, ny int, bound int64, zr bool) *Detector2D {
+func randFixed2D(rng *rand.Rand, nx, ny int, bound int64, zr bool) *Detector {
 	u := make([]int64, nx*ny)
 	v := make([]int64, nx*ny)
 	for i := range u {
@@ -27,10 +27,10 @@ func randFixed2D(rng *rand.Rand, nx, ny int, bound int64, zr bool) *Detector2D {
 			}
 		}
 	}
-	return &Detector2D{Mesh: field.Mesh2D{NX: nx, NY: ny}, U: u, V: v}
+	return &Detector{Dims: []int{nx, ny}, Comps: [][]int64{u, v}}
 }
 
-func randFixed3D(rng *rand.Rand, nx, ny, nz int, bound int64, zr bool) *Detector3D {
+func randFixed3D(rng *rand.Rand, nx, ny, nz int, bound int64, zr bool) *Detector {
 	n := nx * ny * nz
 	u := make([]int64, n)
 	v := make([]int64, n)
@@ -50,33 +50,53 @@ func randFixed3D(rng *rand.Rand, nx, ny, nz int, bound int64, zr bool) *Detector
 			}
 		}
 	}
-	return &Detector3D{Mesh: field.Mesh3D{NX: nx, NY: ny, NZ: nz}, U: u, V: v, W: w}
+	return &Detector{Dims: []int{nx, ny, nz}, Comps: [][]int64{u, v, w}}
 }
 
-// cellContains2D runs the per-cell predicate the compression kernel
-// calls, ContainsVertices, on triangle c, counting into a throwaway Local.
-func cellContains2D(d *Detector2D, c int) bool {
-	vs := d.Mesh.CellVertices(c)
+// numCells is the simplex count of the detector's mesh.
+func numCells(d *Detector) int {
+	if len(d.Dims) == 2 {
+		return field.Mesh2D{NX: d.Dims[0], NY: d.Dims[1]}.NumCells()
+	}
+	return field.Mesh3D{NX: d.Dims[0], NY: d.Dims[1], NZ: d.Dims[2]}.NumCells()
+}
+
+// meshVertices is cell c's vertex ids from the field meshes, a
+// triangle's first repeated as a fourth.
+func meshVertices(d *Detector, c int) [4]int {
+	if len(d.Dims) == 2 {
+		vs := field.Mesh2D{NX: d.Dims[0], NY: d.Dims[1]}.CellVertices(c)
+		return [4]int{vs[0], vs[1], vs[2], vs[0]}
+	}
+	return field.Mesh3D{NX: d.Dims[0], NY: d.Dims[1], NZ: d.Dims[2]}.CellVertices(c)
+}
+
+// cellContains runs the per-cell predicate the compression kernel
+// calls, ContainsVertices, on cell c, counting into a throwaway Local.
+func cellContains(d *Detector, c int) bool {
+	vs := meshVertices(d, c)
 	var loc filter.Local
 	return d.ContainsVertices(&vs, &loc)
 }
 
-func cellContains3D(d *Detector3D, c int) bool {
-	vs := d.Mesh.CellVertices(c)
-	var loc filter.Local
-	return d.ContainsVertices(&vs, &loc)
-}
-
-// containsAll2D runs the cache-blocked row sweep, ContainsRows, over
+// containsAll runs the cache-blocked row sweep, ContainsRows, over
 // every cell row.
-func containsAll2D(d *Detector2D, mask, out []bool) {
+func containsAll(d *Detector, mask, out []bool) {
 	var loc filter.Local
 	d.ContainsRows(mask, out, 0, d.CellRows(), &loc)
 }
 
-func containsAll3D(d *Detector3D, mask, out []bool) {
-	var loc filter.Local
-	d.ContainsRows(mask, out, 0, d.CellRows(), &loc)
+// TestCellVerticesMatchesMesh pins the detector's corner-table cell
+// vertices to the field meshes' CellVertices.
+func TestCellVerticesMatchesMesh(t *testing.T) {
+	for _, dims := range [][]int{{2, 2}, {5, 3}, {3, 7}, {2, 2, 2}, {4, 3, 5}, {3, 5, 2}} {
+		d := &Detector{Dims: dims}
+		for c := 0; c < numCells(d); c++ {
+			if got, want := d.cellVertices(c), meshVertices(d, c); got != want {
+				t.Fatalf("dims %v cell %d: cellVertices %v, mesh %v", dims, c, got, want)
+			}
+		}
+	}
 }
 
 // TestContainsBatch2DMatchesCellContains pins the cache-blocked row
@@ -87,11 +107,11 @@ func TestContainsBatch2DMatchesCellContains(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial, bound := range []int64{1 << 20, 1 << 8, 3, 1} {
 		d := randFixed2D(rng, 17, 13, bound, trial%2 == 0)
-		nc := d.Mesh.NumCells()
+		nc := numCells(d)
 		out := make([]bool, nc)
-		containsAll2D(d, nil, out)
+		containsAll(d, nil, out)
 		for c := 0; c < nc; c++ {
-			if got, want := out[c], cellContains2D(d, c); got != want {
+			if got, want := out[c], cellContains(d, c); got != want {
 				t.Fatalf("bound=%d: batch[%d] = %v, per-cell = %v", bound, c, got, want)
 			}
 		}
@@ -102,7 +122,7 @@ func TestContainsBatch2DMatchesCellContains(t *testing.T) {
 			mask[c] = rng.Intn(2) == 0
 			got[c] = true
 		}
-		containsAll2D(d, mask, got)
+		containsAll(d, mask, got)
 		for c := 0; c < nc; c++ {
 			if !mask[c] {
 				if !got[c] {
@@ -110,7 +130,7 @@ func TestContainsBatch2DMatchesCellContains(t *testing.T) {
 				}
 				continue
 			}
-			if want := cellContains2D(d, c); got[c] != want {
+			if want := cellContains(d, c); got[c] != want {
 				t.Fatalf("bound=%d: masked batch[%d] = %v, want %v", bound, c, got[c], want)
 			}
 		}
@@ -121,11 +141,11 @@ func TestContainsBatch3DMatchesCellContains(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for trial, bound := range []int64{1 << 20, 1 << 6, 2, 1} {
 		d := randFixed3D(rng, 7, 6, 5, bound, trial%2 == 1)
-		nc := d.Mesh.NumCells()
+		nc := numCells(d)
 		out := make([]bool, nc)
-		containsAll3D(d, nil, out)
+		containsAll(d, nil, out)
 		for c := 0; c < nc; c++ {
-			if got, want := out[c], cellContains3D(d, c); got != want {
+			if got, want := out[c], cellContains(d, c); got != want {
 				t.Fatalf("bound=%d: batch[%d] = %v, per-cell = %v", bound, c, got, want)
 			}
 		}
@@ -134,9 +154,9 @@ func TestContainsBatch3DMatchesCellContains(t *testing.T) {
 		for c := range mask {
 			mask[c] = rng.Intn(3) != 0
 		}
-		containsAll3D(d, mask, got)
+		containsAll(d, mask, got)
 		for c := 0; c < nc; c++ {
-			want := mask[c] && cellContains3D(d, c)
+			want := mask[c] && cellContains(d, c)
 			if got[c] != want {
 				t.Fatalf("bound=%d: masked batch[%d] = %v, want %v", bound, c, got[c], want)
 			}
@@ -151,8 +171,8 @@ func TestDetectCells2DMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	d := randFixed2D(rng, 160, 120, 1<<16, true)
 	var want []int
-	for c := 0; c < d.Mesh.NumCells(); c++ {
-		if cellContains2D(d, c) {
+	for c := 0; c < numCells(d); c++ {
+		if cellContains(d, c) {
 			want = append(want, c)
 		}
 	}
@@ -171,8 +191,8 @@ func TestDetectCells3DMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	d := randFixed3D(rng, 24, 20, 16, 1<<14, true)
 	var want []int
-	for c := 0; c < d.Mesh.NumCells(); c++ {
-		if cellContains3D(d, c) {
+	for c := 0; c < numCells(d); c++ {
+		if cellContains(d, c) {
 			want = append(want, c)
 		}
 	}
@@ -195,22 +215,24 @@ func TestCellContainsLocalTieNoAlloc(t *testing.T) {
 	// Cell 0 of each detector gets two equal corner vectors, so its
 	// full-simplex orientation is an exact tie.
 	d2 := randFixed2D(rng, 5, 5, 1<<20, false)
-	vs2 := d2.Mesh.CellVertices(0)
-	d2.U[vs2[0]], d2.V[vs2[0]] = 7, 9
-	d2.U[vs2[1]], d2.V[vs2[1]] = 7, 9
-	d2.U[vs2[2]], d2.V[vs2[2]] = -5, -3 // mixed signs: not decided by the sign prefilter
+	vs2 := meshVertices(d2, 0)
+	u2, v2 := d2.Comps[0], d2.Comps[1]
+	u2[vs2[0]], v2[vs2[0]] = 7, 9
+	u2[vs2[1]], v2[vs2[1]] = 7, 9
+	u2[vs2[2]], v2[vs2[2]] = -5, -3 // mixed signs: not decided by the sign prefilter
 	var loc filter.Local
 	if a := testing.AllocsPerRun(100, func() { d2.ContainsVertices(&vs2, &loc) }); a != 0 {
-		t.Errorf("Detector2D.ContainsVertices on a tie cell: %v allocs/op", a)
+		t.Errorf("2D ContainsVertices on a tie cell: %v allocs/op", a)
 	}
 	d3 := randFixed3D(rng, 4, 4, 4, 1<<20, false)
-	vs3 := d3.Mesh.CellVertices(0)
+	vs3 := meshVertices(d3, 0)
+	u3, v3, w3 := d3.Comps[0], d3.Comps[1], d3.Comps[2]
 	for _, vi := range vs3[1:3] {
-		d3.U[vi], d3.V[vi], d3.W[vi] = 7, 9, 11
+		u3[vi], v3[vi], w3[vi] = 7, 9, 11
 	}
-	d3.U[vs3[0]], d3.V[vs3[0]], d3.W[vs3[0]] = -1, -2, -3
+	u3[vs3[0]], v3[vs3[0]], w3[vs3[0]] = -1, -2, -3
 	if a := testing.AllocsPerRun(100, func() { d3.ContainsVertices(&vs3, &loc) }); a != 0 {
-		t.Errorf("Detector3D.ContainsVertices on a tie cell: %v allocs/op", a)
+		t.Errorf("3D ContainsVertices on a tie cell: %v allocs/op", a)
 	}
 	loc.Flush()
 }
@@ -218,12 +240,12 @@ func TestCellContainsLocalTieNoAlloc(t *testing.T) {
 // tieHeavyDetector3D builds a field whose values take only three levels,
 // with an all-zero block: most cells tie and resolve through SoS, like a
 // decoded, coarsely quantized field with a no-slip wall.
-func tieHeavyDetector3D(rng *rand.Rand, n int) *Detector3D {
+func tieHeavyDetector3D(rng *rand.Rand, n int) *Detector {
 	d := randFixed3D(rng, n, n, n, 1, true)
-	for i := range d.U {
-		d.U[i] *= 1 << 19
-		d.V[i] *= 1 << 19
-		d.W[i] *= 1 << 19
+	for _, z := range d.Comps {
+		for i := range z {
+			z[i] *= 1 << 19
+		}
 	}
 	return d
 }

@@ -13,7 +13,7 @@ func TestCellType2D(t *testing.T) {
 	v := make([]int64, len(f.V))
 	tr.ToFixed(f.U, u)
 	tr.ToFixed(f.V, v)
-	d := &Detector2D{Mesh: field.Mesh2D{NX: 8, NY: 8}, U: u, V: v}
+	d := &Detector{Dims: []int{8, 8}, Comps: [][]int64{u, v}}
 	cells := d.DetectCells()
 	if len(cells) != 1 {
 		t.Fatalf("%d cells", len(cells))
@@ -32,7 +32,7 @@ func TestCellType3D(t *testing.T) {
 	tr.ToFixed(f.U, u)
 	tr.ToFixed(f.V, v)
 	tr.ToFixed(f.W, w)
-	d := &Detector3D{Mesh: field.Mesh3D{NX: 6, NY: 6, NZ: 6}, U: u, V: v, W: w}
+	d := &Detector{Dims: []int{6, 6, 6}, Comps: [][]int64{u, v, w}}
 	cells := d.DetectCells()
 	if len(cells) != 1 {
 		t.Fatalf("%d cells", len(cells))

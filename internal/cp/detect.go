@@ -10,11 +10,14 @@ import (
 	"repro/internal/pool"
 )
 
-// Detector2D detects critical points on a fixed-point 2D vector field.
-// U and V are fixed-point component arrays indexed like the mesh vertices.
-type Detector2D struct {
-	Mesh field.Mesh2D
-	U, V []int64
+// Detector detects critical points on a fixed-point 2D or 3D vector
+// field over the simplicial mesh of field.Mesh2D/Mesh3D.
+type Detector struct {
+	// Dims is [NX, NY] or [NX, NY, NZ].
+	Dims []int
+	// Comps holds one fixed-point component per dimension, indexed like
+	// the mesh vertices.
+	Comps [][]int64
 	// GlobalID maps a mesh vertex index to a globally unique id used for
 	// the SoS perturbation indices. It must be set (to the same mapping)
 	// on every rank of a distributed run so that tie-breaking is
@@ -23,76 +26,115 @@ type Detector2D struct {
 	GlobalID func(v int) int
 }
 
-func (d *Detector2D) gid(v int) int {
+func (d *Detector) gid(v int) int {
 	if d.GlobalID != nil {
 		return d.GlobalID(v)
 	}
 	return v
 }
 
-// ContainsVertices reports whether the triangle with vertex ids vs (in
-// CellVertices order) contains a critical point according to the robust
-// point-in-simplex test (Algorithm 1) with SoS tie-breaking. Fully
-// degenerate cells — every vector exactly zero, as in masked land
-// regions — carry no feature by convention. Predicate certifications
-// are counted into loc, which the caller flushes and which must not be
-// nil.
-func (d *Detector2D) ContainsVertices(vs *[3]int, loc *filter.Local) bool {
-	if d.signDecided(vs) {
-		return false
-	}
-	if d.U[vs[0]] == 0 && d.V[vs[0]] == 0 &&
-		d.U[vs[1]] == 0 && d.V[vs[1]] == 0 &&
-		d.U[vs[2]] == 0 && d.V[vs[2]] == 0 {
-		return false
-	}
-	var m [3][3]int64
-	for r, vi := range vs {
-		m[r] = [3]int64{d.U[vi], d.V[vi], 1}
-	}
-	return d.triContains(&m, vs, loc)
+// SignBits is one component's share of a sign byte: bit 2c when x > 0,
+// bit 2c+1 when x < 0, nothing for zero. The AND of a cell's sign bytes
+// then keeps a bit exactly when that component is strictly one sign at
+// every vertex of the cell (THEORY.md §3), and their OR is zero exactly
+// when every vector of the cell is zero.
+//
+// Branch-free: the sign bit of -x &^ x is set exactly when x > 0 (for
+// x = MinInt64, -x wraps to x and the result is 0), and the sign bit of
+// x exactly when x < 0.
+func SignBits(x int64, c int) uint8 {
+	pos := uint8(uint64(-x&^x) >> 63)
+	neg := uint8(uint64(x) >> 63)
+	return (pos | neg<<1) << (2 * c)
 }
 
-// SignDecided reports whether triangle c is decided by signs alone: some
-// component is strictly positive at all three vertices, or strictly
-// negative at all three. Every convex combination of the vectors then
+// signByte is vertex v's sign byte over every component.
+func (d *Detector) signByte(v int) uint8 {
+	s := SignBits(d.Comps[0][v], 0) | SignBits(d.Comps[1][v], 1)
+	if len(d.Comps) == 3 {
+		s |= SignBits(d.Comps[2][v], 2)
+	}
+	return s
+}
+
+// open reports whether a cell whose vertices have sign bytes a, b, c, e
+// needs the orientation predicates. A cell is decided by signs alone
+// when some component is strictly positive at every vertex, or strictly
+// negative at every vertex: every convex combination of the vectors then
 // has that component nonzero, so the origin lies outside their hull —
 // and the SoS perturbation, being infinitesimal, cannot flip the sign of
-// a nonzero integer, so the perturbed test agrees. Such a cell contains
-// no critical point and the containment predicates skip it before
-// building any matrix (THEORY.md §3).
-func (d *Detector2D) SignDecided(c int) bool {
-	vs := d.Mesh.CellVertices(c)
-	return d.signDecided(&vs)
+// a nonzero integer, so the perturbed test agrees. Fully degenerate
+// cells — every vector exactly zero, as in masked land regions — carry
+// no feature by convention. Neither kind builds a matrix.
+func open(a, b, c, e uint8) bool {
+	return a&b&c&e == 0 && a|b|c|e != 0
 }
 
-func (d *Detector2D) signDecided(vs *[3]int) bool {
-	return uniform3(d.U[vs[0]], d.U[vs[1]], d.U[vs[2]]) ||
-		uniform3(d.V[vs[0]], d.V[vs[1]], d.V[vs[2]])
+// ContainsVertices reports whether the simplex with vertex ids vs (in
+// CellVertices order; a triangle repeats its first id as a fourth, like
+// a star entry of the compression kernel) contains a critical point
+// according to the robust point-in-simplex test (Algorithm 1) with SoS
+// tie-breaking. Predicate certifications are counted into loc, which the
+// caller flushes and which must not be nil.
+func (d *Detector) ContainsVertices(vs *[4]int, loc *filter.Local) bool {
+	return open(d.signByte(vs[0]), d.signByte(vs[1]), d.signByte(vs[2]), d.signByte(vs[3])) &&
+		d.orient(vs, loc)
 }
 
-// uniform3 reports whether a, b and c are all strictly positive or all
-// strictly negative. A zero entry never qualifies.
-func uniform3(a, b, c int64) bool {
-	return (a > 0 && b > 0 && c > 0) || (a < 0 && b < 0 && c < 0)
+// SignDecided reports whether cell c is decided by signs alone (see
+// open): it contains no critical point, and the containment predicates
+// skip it before building any matrix (THEORY.md §3).
+func (d *Detector) SignDecided(c int) bool {
+	vs := d.cellVertices(c)
+	return d.signByte(vs[0])&d.signByte(vs[1])&d.signByte(vs[2])&d.signByte(vs[3]) != 0
 }
 
-// uniform4 is uniform3 over the four vertices of a tetrahedron.
-func uniform4(a, b, c, e int64) bool {
-	return (a > 0 && b > 0 && c > 0 && e > 0) || (a < 0 && b < 0 && c < 0 && e < 0)
+// cellVertices returns the vertex ids of cell c, a triangle's first
+// repeated as a fourth: the simplex table's corners of the cell's
+// quad/cube, in CellVertices order.
+func (d *Detector) cellVertices(c int) [4]int {
+	nx, ny := d.Dims[0], d.Dims[1]
+	simplices := field.Simplices(len(d.Dims))
+	t, q := c%len(simplices), c/len(simplices)
+	i := q % (nx - 1)
+	q /= nx - 1
+	j := q % (ny - 1)
+	k := q / (ny - 1)
+	base := (k*ny+j)*nx + i
+	var vs [4]int
+	for r, corner := range simplices[t] {
+		vs[r] = base + cornerOffset(corner, nx, ny)
+	}
+	return vs
 }
 
-// triContains runs Algorithm 1 over an already-built orientation matrix:
-// the full-simplex sign followed by the three origin-substituted signs,
-// each through the certified filter; a certified exact zero goes straight
-// to the tie-only SoS path. Global SoS identities are resolved lazily —
+// cornerOffset is the vertex-id offset of quad/cube corner
+// ox | oy<<1 | oz<<2 from the corner at its origin.
+func cornerOffset(corner, nx, ny int) int {
+	return (corner>>2*ny+corner>>1&1)*nx + corner&1
+}
+
+// orient runs Algorithm 1 over the simplex with vertex ids vs: the
+// full-simplex sign followed by the origin-substituted signs, each
+// through the certified filter; a certified exact zero goes straight to
+// the tie-only SoS path. Global SoS identities are resolved lazily —
 // only degenerate predicates pay for them.
-func (d *Detector2D) triContains(m *[3][3]int64, vs *[3]int, loc *filter.Local) bool {
+func (d *Detector) orient(vs *[4]int, loc *filter.Local) bool {
+	if len(d.Comps) == 2 {
+		return d.orient2(vs, loc)
+	}
+	return d.orient3(vs, loc)
+}
+
+// orient2 is orient over a triangle's 3×3 orientation matrices.
+func (d *Detector) orient2(vs *[4]int, loc *filter.Local) bool {
+	u, v := d.Comps[0], d.Comps[1]
+	m := [3][3]int64{{u[vs[0]], v[vs[0]], 1}, {u[vs[1]], v[vs[1]], 1}, {u[vs[2]], v[vs[2]], 1}}
 	var gids [3]int
 	haveGids := false
 	s := 0
 	for i := -1; i < 3; i++ {
-		mr := *m
+		mr := m
 		if i >= 0 {
 			mr[i] = [3]int64{0, 0, 1}
 		}
@@ -114,151 +156,18 @@ func (d *Detector2D) triContains(m *[3][3]int64, vs *[3]int, loc *filter.Local) 
 	return true
 }
 
-// CellType classifies the critical point in cell c from the current
-// (fixed-point) values. The classification is scale-invariant, so the
-// fixed-point scale does not matter.
-func (d *Detector2D) CellType(c int) Type {
-	return extract2D(d.Mesh, c, d.U, d.V, 1, 0).Type
-}
-
-// DetectCells returns the sorted ids of all cells containing a critical
-// point. Cell rows are swept concurrently on multi-core hosts via the
-// cache-blocked row kernel; the result order is deterministic.
-func (d *Detector2D) DetectCells() []int {
-	ny1 := d.Mesh.NY - 1
-	return detectStripes(ny1, 2*(d.Mesh.NX-1), func(j0, j1 int, hits []int) []int {
-		var loc filter.Local // per-stripe batch: one flush, not one atomic per predicate
-		for j := j0; j < j1; j++ {
-			hits = d.sweepRow(j, nil, nil, hits, &loc)
-		}
-		loc.Flush()
-		return hits
-	})
-}
-
-// CellRows is the number of cell rows: one per quad row.
-func (d *Detector2D) CellRows() int { return d.Mesh.NY - 1 }
-
-// ContainsRows evaluates the containment predicate for every cell of
-// cell rows [r0, r1) with mask[c] set (nil mask means all cells),
-// writing results to out[c] and counting into loc (flushed by the
-// caller). Cells with mask[c] unset are left untouched. The evaluation
-// is the cache-blocked row sweep: vertex rows are loaded once per quad
-// row and corner values slide across the row instead of being
-// re-fetched per cell through CellVertices. Row ranges touch disjoint
-// cells of out, so callers may sweep disjoint ranges concurrently.
-func (d *Detector2D) ContainsRows(mask, out []bool, r0, r1 int, loc *filter.Local) {
-	for j := r0; j < r1; j++ {
-		d.sweepRow(j, mask, out, nil, loc)
-	}
-}
-
-// sweepRow evaluates the two triangles of every quad in cell row j. In
-// mask/out mode it fills out[c] for cells with mask[c] (nil mask = all);
-// in hits mode it appends the ids of containing cells to hits.
-func (d *Detector2D) sweepRow(j int, mask, out []bool, hits []int, loc *filter.Local) []int {
-	nx := d.Mesh.NX
-	lo := j * nx  // vertex row j
-	hi := lo + nx // vertex row j+1
-	cbase := j * (nx - 1) * 2
-	u00, v00 := d.U[lo], d.V[lo]
-	u01, v01 := d.U[hi], d.V[hi]
-	for i := 0; i < nx-1; i++ {
-		u10, v10 := d.U[lo+i+1], d.V[lo+i+1]
-		u11, v11 := d.U[hi+i+1], d.V[hi+i+1]
-		c := cbase + 2*i
-		// t=0: {v00, v10, v11}, t=1: {v00, v11, v01} — the mesh's
-		// diagonal split, same vertex order as CellVertices.
-		for t := 0; t < 2; t++ {
-			if mask != nil && !mask[c+t] {
-				continue
-			}
-			// The two corners after v00, and their vertex ids.
-			ua, va, ub, vb := u10, v10, u11, v11
-			vs := [3]int{lo + i, lo + i + 1, hi + i + 1}
-			if t == 1 {
-				ua, va, ub, vb = u11, v11, u01, v01
-				vs = [3]int{lo + i, hi + i + 1, hi + i}
-			}
-			got := false
-			if !uniform3(u00, ua, ub) && !uniform3(v00, va, vb) &&
-				(u00 != 0 || v00 != 0 || ua != 0 || va != 0 || ub != 0 || vb != 0) {
-				m := [3][3]int64{{u00, v00, 1}, {ua, va, 1}, {ub, vb, 1}}
-				got = d.triContains(&m, &vs, loc)
-			}
-			if out != nil {
-				out[c+t] = got
-			} else if got {
-				hits = append(hits, c+t)
-			}
-		}
-		u00, v00, u01, v01 = u10, v10, u11, v11
-	}
-	return hits
-}
-
-// Detector3D detects critical points on a fixed-point 3D vector field.
-type Detector3D struct {
-	Mesh    field.Mesh3D
-	U, V, W []int64
-	// GlobalID maps a mesh vertex index to a globally unique id; see
-	// Detector2D.GlobalID.
-	GlobalID func(v int) int
-}
-
-func (d *Detector3D) gid(v int) int {
-	if d.GlobalID != nil {
-		return d.GlobalID(v)
-	}
-	return v
-}
-
-// ContainsVertices reports whether the tetrahedron with vertex ids vs
-// (in CellVertices order) contains a critical point; see
-// Detector2D.ContainsVertices.
-func (d *Detector3D) ContainsVertices(vs *[4]int, loc *filter.Local) bool {
-	if d.signDecided(vs) {
-		return false
-	}
-	zero := true
-	for _, vi := range vs {
-		if d.U[vi] != 0 || d.V[vi] != 0 || d.W[vi] != 0 {
-			zero = false
-			break
-		}
-	}
-	if zero {
-		return false
-	}
+// orient3 is orient over a tetrahedron's 4×4 orientation matrices.
+func (d *Detector) orient3(vs *[4]int, loc *filter.Local) bool {
+	u, v, w := d.Comps[0], d.Comps[1], d.Comps[2]
 	var m [4][4]int64
 	for r, vi := range vs {
-		m[r] = [4]int64{d.U[vi], d.V[vi], d.W[vi], 1}
+		m[r] = [4]int64{u[vi], v[vi], w[vi], 1}
 	}
-	return d.tetContains(&m, vs, loc)
-}
-
-// SignDecided reports whether tetrahedron c is decided by signs alone;
-// see Detector2D.SignDecided.
-func (d *Detector3D) SignDecided(c int) bool {
-	vs := d.Mesh.CellVertices(c)
-	return d.signDecided(&vs)
-}
-
-func (d *Detector3D) signDecided(vs *[4]int) bool {
-	return uniform4(d.U[vs[0]], d.U[vs[1]], d.U[vs[2]], d.U[vs[3]]) ||
-		uniform4(d.V[vs[0]], d.V[vs[1]], d.V[vs[2]], d.V[vs[3]]) ||
-		uniform4(d.W[vs[0]], d.W[vs[1]], d.W[vs[2]], d.W[vs[3]])
-}
-
-// tetContains is the 3D analogue of Detector2D.triContains: the five
-// point-in-simplex predicates over a built matrix, each through the
-// certified filter, with SoS identities resolved lazily on degeneracy.
-func (d *Detector3D) tetContains(m *[4][4]int64, vs *[4]int, loc *filter.Local) bool {
 	var gids [4]int
 	haveGids := false
 	s := 0
 	for i := -1; i < 4; i++ {
-		mr := *m
+		mr := m
 		if i >= 0 {
 			mr[i] = [4]int64{0, 0, 0, 1}
 		}
@@ -280,91 +189,165 @@ func (d *Detector3D) tetContains(m *[4][4]int64, vs *[4]int, loc *filter.Local) 
 }
 
 // CellType classifies the critical point in cell c from the current
-// (fixed-point) values.
-func (d *Detector3D) CellType(c int) Type {
-	return extract3D(d.Mesh, c, d.U, d.V, d.W, 1, 0).Type
+// (fixed-point) values. The classification is scale-invariant, so the
+// fixed-point scale does not matter.
+func (d *Detector) CellType(c int) Type {
+	return d.extract(c, 1, 0).Type
+}
+
+// extract computes the position and type of the critical point in cell
+// c, shifting the slow axis by off into the global frame.
+func (d *Detector) extract(c int, scale float64, off int) Point {
+	if len(d.Dims) == 2 {
+		return extract2D(field.Mesh2D{NX: d.Dims[0], NY: d.Dims[1]}, c, d.Comps[0], d.Comps[1], scale, off)
+	}
+	return extract3D(field.Mesh3D{NX: d.Dims[0], NY: d.Dims[1], NZ: d.Dims[2]}, c,
+		d.Comps[0], d.Comps[1], d.Comps[2], scale, off)
 }
 
 // DetectCells returns the sorted ids of all cells containing a critical
-// point. Cube rows are swept concurrently on multi-core hosts via the
+// point. Cell rows are swept concurrently on multi-core hosts via the
 // cache-blocked row kernel; the result order is deterministic.
-func (d *Detector3D) DetectCells() []int {
-	ny1, nz1 := d.Mesh.NY-1, d.Mesh.NZ-1
-	return detectStripes(ny1*nz1, 6*(d.Mesh.NX-1), func(s0, s1 int, hits []int) []int {
+func (d *Detector) DetectCells() []int {
+	simplices := len(field.Simplices(len(d.Dims)))
+	return detectStripes(d.CellRows(), simplices*(d.Dims[0]-1), func(r0, r1 int, hits []int) []int {
 		var loc filter.Local // per-stripe batch: one flush, not one atomic per predicate
-		for s := s0; s < s1; s++ {
-			hits = d.sweepRow(s/ny1, s%ny1, nil, nil, hits, &loc)
+		for r := r0; r < r1; r++ {
+			hits = d.sweepRow(r, nil, nil, hits, &loc)
 		}
 		loc.Flush()
 		return hits
 	})
 }
 
-// CellRows is the number of cell rows: one per cube row (j, k), row
-// k·(NY−1)+j.
-func (d *Detector3D) CellRows() int { return (d.Mesh.NY - 1) * (d.Mesh.NZ - 1) }
+// CellRows is the number of cell rows: one per row of quads (j), or of
+// cubes (j, k) as row k·(NY−1)+j.
+func (d *Detector) CellRows() int {
+	rows := d.Dims[1] - 1
+	if len(d.Dims) == 3 {
+		rows *= d.Dims[2] - 1
+	}
+	return rows
+}
 
-// ContainsRows evaluates the containment predicate over cell rows
-// [r0, r1); see Detector2D.ContainsRows.
-func (d *Detector3D) ContainsRows(mask, out []bool, r0, r1 int, loc *filter.Local) {
-	ny1 := d.Mesh.NY - 1
+// ContainsRows evaluates the containment predicate for every cell of
+// cell rows [r0, r1) with mask[c] set (nil mask means all cells),
+// writing results to out[c] and counting into loc (flushed by the
+// caller). Cells with mask[c] unset are left untouched. The evaluation
+// is the cache-blocked row sweep: vertex rows are loaded once per cell
+// row and corner values slide across the row instead of being re-fetched
+// per cell through CellVertices. Row ranges touch disjoint cells of out,
+// so callers may sweep disjoint ranges concurrently.
+func (d *Detector) ContainsRows(mask, out []bool, r0, r1 int, loc *filter.Local) {
 	for r := r0; r < r1; r++ {
-		d.sweepRow(r/ny1, r%ny1, mask, out, nil, loc)
+		d.sweepRow(r, mask, out, nil, loc)
 	}
 }
 
-// sweepRow evaluates the six tetrahedra of every cube in cube row (k,j):
-// the eight corner values are loaded once per cube (the shared-face four
-// slide from the previous cube) and the tetrahedra are enumerated from
-// the Freudenthal corner table, in exactly CellVertices order.
-func (d *Detector3D) sweepRow(k, j int, mask, out []bool, hits []int, loc *filter.Local) []int {
-	nx, ny := d.Mesh.NX, d.Mesh.NY
-	tets := field.CubeTets()
-	// Vertex ids of the cube's lowest corner row, per corner bitmask:
-	// corner ox|oy<<1|oz<<2 sits at base + off[corner].
-	var off [8]int
-	for corner := 0; corner < 8; corner++ {
-		ox := corner & 1
-		oy := (corner >> 1) & 1
-		oz := (corner >> 2) & 1
-		off[corner] = (oz*ny+oy)*nx + ox
+// sweepRow evaluates the simplices of every quad/cube in cell row r. In
+// mask/out mode it fills out[c] for cells with mask[c] (nil mask = all);
+// in hits mode it appends the ids of containing cells to hits. The two
+// dimensions keep their own row kernels: the six tetrahedra of a cube
+// share its eight corners' sign bytes, while a triangle's branchy
+// per-component test on its three values measured faster on smooth 2D
+// fields (Ocean 768×576 detection ~25% slower through the sign bytes).
+func (d *Detector) sweepRow(r int, mask, out []bool, hits []int, loc *filter.Local) []int {
+	if len(d.Dims) == 2 {
+		return d.sweepRow2(r, mask, out, hits, loc)
 	}
-	base := (k*ny + j) * nx
-	cbase := (k*(ny-1) + j) * (nx - 1) * 6
-	var cu, cv, cw [8]int64 // corner values of the current cube
-	var zero [8]bool        // corner is exactly (0,0,0)
+	return d.sweepRow3(r, mask, out, hits, loc)
+}
+
+// sweepRow2 evaluates the two triangles of every quad in cell row r,
+// sliding the quad's corner values across the row. A triangle is open
+// when no component is strictly one sign at its three vertices and not
+// all of its vectors are zero (open).
+func (d *Detector) sweepRow2(r int, mask, out []bool, hits []int, loc *filter.Local) []int {
+	nx := d.Dims[0]
+	u, v := d.Comps[0], d.Comps[1]
+	lo := r * nx  // vertex row r
+	hi := lo + nx // vertex row r+1
+	cbase := r * (nx - 1) * 2
+	u00, v00 := u[lo], v[lo]
+	u01, v01 := u[hi], v[hi]
+	for i := 0; i < nx-1; i++ {
+		u10, v10 := u[lo+i+1], v[lo+i+1]
+		u11, v11 := u[hi+i+1], v[hi+i+1]
+		c := cbase + 2*i
+		// t=0: {v00, v10, v11}, t=1: {v00, v11, v01} — the simplex
+		// table's diagonal split, in CellVertices order.
+		for t := 0; t < 2; t++ {
+			if mask != nil && !mask[c+t] {
+				continue
+			}
+			// The two corners after v00, and the star entry.
+			ua, va, ub, vb := u10, v10, u11, v11
+			vs := [4]int{lo + i, lo + i + 1, hi + i + 1, lo + i}
+			if t == 1 {
+				ua, va, ub, vb = u11, v11, u01, v01
+				vs = [4]int{lo + i, hi + i + 1, hi + i, lo + i}
+			}
+			got := false
+			if !uniform3(u00, ua, ub) && !uniform3(v00, va, vb) &&
+				(u00 != 0 || v00 != 0 || ua != 0 || va != 0 || ub != 0 || vb != 0) {
+				got = d.orient2(&vs, loc)
+			}
+			if out != nil {
+				out[c+t] = got
+			} else if got {
+				hits = append(hits, c+t)
+			}
+		}
+		u00, v00, u01, v01 = u10, v10, u11, v11
+	}
+	return hits
+}
+
+// uniform3 reports whether a, b and c are all strictly positive or all
+// strictly negative. A zero entry never qualifies.
+func uniform3(a, b, c int64) bool {
+	return (a > 0 && b > 0 && c > 0) || (a < 0 && b < 0 && c < 0)
+}
+
+// sweepRow3 evaluates the six tetrahedra of every cube in cube row r. The
+// corners' sign bytes are computed once per cube (the shared face's slide
+// from the previous one) and the tetrahedra are enumerated from the
+// simplex table, in exactly CellVertices order; only a cell the sign
+// bytes leave open reads its vectors.
+func (d *Detector) sweepRow3(r int, mask, out []bool, hits []int, loc *filter.Local) []int {
+	nx, ny := d.Dims[0], d.Dims[1]
+	tets := field.Simplices(3)
+	var off [8]int
+	for corner := range off {
+		off[corner] = cornerOffset(corner, nx, ny)
+	}
+	base := (r/(ny-1)*ny + r%(ny-1)) * nx
+	cbase := r * (nx - 1) * len(tets)
+	u, v, w := d.Comps[0], d.Comps[1], d.Comps[2]
+	signByte := func(vi int) uint8 {
+		return SignBits(u[vi], 0) | SignBits(v[vi], 1) | SignBits(w[vi], 2)
+	}
 	// Preload the i=0 face (corners with ox=0); the loop loads the ox=1
 	// face and slides it left afterwards.
-	for _, corner := range [4]int{0, 2, 4, 6} {
-		vi := base + off[corner]
-		cu[corner], cv[corner], cw[corner] = d.U[vi], d.V[vi], d.W[vi]
-		zero[corner] = cu[corner] == 0 && cv[corner] == 0 && cw[corner] == 0
+	var sb [8]uint8
+	for corner := 0; corner < 8; corner += 2 {
+		sb[corner] = signByte(base + off[corner])
 	}
 	for i := 0; i < nx-1; i++ {
-		for _, corner := range [4]int{1, 3, 5, 7} {
-			vi := base + i + off[corner]
-			cu[corner], cv[corner], cw[corner] = d.U[vi], d.V[vi], d.W[vi]
-			zero[corner] = cu[corner] == 0 && cv[corner] == 0 && cw[corner] == 0
+		for corner := 1; corner < 8; corner += 2 {
+			sb[corner] = signByte(base + i + off[corner])
 		}
-		c0 := cbase + 6*i
-		for t := 0; t < 6; t++ {
-			c := c0 + t
+		c0 := cbase + len(tets)*i
+		for t := range tets {
+			c, tc := c0+t, &tets[t]
 			if mask != nil && !mask[c] {
 				continue
 			}
-			tc := &tets[t]
 			got := false
-			if !uniform4(cu[tc[0]], cu[tc[1]], cu[tc[2]], cu[tc[3]]) &&
-				!uniform4(cv[tc[0]], cv[tc[1]], cv[tc[2]], cv[tc[3]]) &&
-				!uniform4(cw[tc[0]], cw[tc[1]], cw[tc[2]], cw[tc[3]]) &&
-				!(zero[tc[0]] && zero[tc[1]] && zero[tc[2]] && zero[tc[3]]) {
-				var m [4][4]int64
-				var vs [4]int
-				for r, corner := range tc {
-					m[r] = [4]int64{cu[corner], cv[corner], cw[corner], 1}
-					vs[r] = base + i + off[corner]
-				}
-				got = d.tetContains(&m, &vs, loc)
+			if open(sb[tc[0]&7], sb[tc[1]&7], sb[tc[2]&7], sb[tc[3]&7]) {
+				vs := [4]int{base + i + off[tc[0]&7], base + i + off[tc[1]&7],
+					base + i + off[tc[2]&7], base + i + off[tc[3]&7]}
+				got = d.orient3(&vs, loc)
 			}
 			if out != nil {
 				out[c] = got
@@ -373,8 +356,7 @@ func (d *Detector3D) sweepRow(k, j int, mask, out []bool, hits []int, loc *filte
 			}
 		}
 		for corner := 0; corner < 8; corner += 2 {
-			cu[corner], cv[corner], cw[corner] = cu[corner+1], cv[corner+1], cw[corner+1]
-			zero[corner] = zero[corner+1]
+			sb[corner] = sb[corner+1]
 		}
 	}
 	return hits
@@ -445,20 +427,11 @@ func DetectField3D(f *field.Field3D, tr fixed.Transform) []Point {
 // domain and gid its vertex-id map (0 and nil for a whole field); cell
 // ids stay local.
 func appendPoints(pts []Point, dims []int, fx [][]int64, scale float64, off int, gid func(int) int) []Point {
-	if len(dims) == 2 {
-		d := &Detector2D{Mesh: field.Mesh2D{NX: dims[0], NY: dims[1]}, U: fx[0], V: fx[1], GlobalID: gid}
-		cells := d.DetectCells()
-		pts = slices.Grow(pts, len(cells))
-		for _, c := range cells {
-			pts = append(pts, extract2D(d.Mesh, c, d.U, d.V, scale, off))
-		}
-		return pts
-	}
-	d := &Detector3D{Mesh: field.Mesh3D{NX: dims[0], NY: dims[1], NZ: dims[2]}, U: fx[0], V: fx[1], W: fx[2], GlobalID: gid}
+	d := &Detector{Dims: dims, Comps: fx, GlobalID: gid}
 	cells := d.DetectCells()
 	pts = slices.Grow(pts, len(cells))
 	for _, c := range cells {
-		pts = append(pts, extract3D(d.Mesh, c, d.U, d.V, d.W, scale, off))
+		pts = append(pts, d.extract(c, scale, off))
 	}
 	return pts
 }

@@ -96,11 +96,11 @@ func TestDetectCellsParallelMatchesSerial(t *testing.T) {
 	v := make([]int64, len(f.V))
 	tr.ToFixed(f.U, u)
 	tr.ToFixed(f.V, v)
-	d := &Detector2D{Mesh: field.Mesh2D{NX: nx, NY: ny}, U: u, V: v}
+	d := &Detector{Dims: []int{nx, ny}, Comps: [][]int64{u, v}}
 	got := d.DetectCells()
 	idx := 0
-	for c := 0; c < d.Mesh.NumCells(); c++ {
-		want := cellContains2D(d, c)
+	for c := 0; c < numCells(d); c++ {
+		want := cellContains(d, c)
 		inList := idx < len(got) && got[idx] == c
 		if inList {
 			idx++

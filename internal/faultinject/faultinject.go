@@ -292,13 +292,3 @@ func (in *Injector) FaultDelay() time.Duration {
 	}
 	return in.cfg.Delay
 }
-
-// Hash folds a string into a key usable in the keys... arguments.
-func Hash(s string) uint64 {
-	h := uint64(1469598103934665603) // FNV-1a 64
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}

@@ -114,12 +114,24 @@ func init() {
 	}
 }
 
-// CubeTets returns, for each of the 6 tetrahedra of a unit cube, its 4
-// corner indices encoded as bitmasks ox | oy<<1 | oz<<2, in the exact
-// order CellVertices uses. Cache-blocked sweeps use it to enumerate a
-// cube's tetrahedra from preloaded corner values without the per-cell
-// div/mod of CellVertices.
-func CubeTets() [6][4]int { return tetCorners }
+// quadTris lists the corners of the two triangles of a unit quad as
+// bitmasks ox | oy<<1, in Mesh2D.CellVertices order, each with its first
+// corner repeated as a fourth.
+var quadTris = [2][4]int{{0, 1, 3, 0}, {0, 3, 2, 0}}
+
+// Simplices returns the simplex table of a unit quad (ndim 2) or cube
+// (ndim 3): per simplex, its corners as bitmasks ox | oy<<1 | oz<<2, in
+// the exact order CellVertices uses. A triangle repeats its first corner
+// as a fourth, so both tables have four corners per simplex. Cell-row
+// sweeps and vertex stencils enumerate a quad's or cube's simplices from
+// it without the per-cell div/mod of CellVertices. The table is shared:
+// callers must not modify it.
+func Simplices(ndim int) [][4]int {
+	if ndim == 2 {
+		return quadTris[:]
+	}
+	return tetCorners[:]
+}
 
 // NumVertices returns the number of grid points.
 func (m Mesh3D) NumVertices() int { return m.NX * m.NY * m.NZ }

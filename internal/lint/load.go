@@ -189,13 +189,6 @@ func LoadModule(root string) (*Program, error) {
 	return prog, nil
 }
 
-// LoadDir loads a single directory as a self-contained package (stdlib
-// imports only). It backs the analyzer self-tests, whose testdata
-// packages live outside the module.
-func LoadDir(dir string) (*Program, error) {
-	return LoadDirs(dir)
-}
-
 // LoadDirs loads each directory as one package, in order; a later
 // package may import an earlier one by its package name. This lets
 // self-tests exercise cross-package call chains without a go.mod.

@@ -128,8 +128,5 @@ func (a *admission) retryAfter() time.Duration {
 	return est
 }
 
-// waiting reports the current queue depth (for /healthz and tests).
-func (a *admission) waiting() int { return int(a.queued.Load()) }
-
 // busy reports the permits currently held.
 func (a *admission) busy() int { return len(a.permits) }

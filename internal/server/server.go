@@ -145,8 +145,8 @@ func (c Config) spoolDir() string {
 	return os.TempDir()
 }
 
-// Server is the daemon. Create with New; serve with Serve or
-// ListenAndServe; stop with Drain (graceful) or Close (abrupt).
+// Server is the daemon. Create with New; serve with Serve; stop with
+// Drain (graceful) or Close (abrupt).
 type Server struct {
 	cfg   Config
 	adm   *admission
@@ -220,16 +220,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		return nil
 	}
 	return err
-}
-
-// ListenAndServe binds addr and serves. The bound address is reachable
-// via Addr once the listener exists.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Addr is the bound listen address, "" before Serve.

@@ -60,22 +60,27 @@ func budgetWindow(budget, maxSlabBytes int64, slabs int, overhead int64) int {
 	return w
 }
 
-// applyBudget resolves MaxMemBytes into concrete Slabs and Window for a
-// compress run over nSlow planes of planeBytes each. Explicit Slabs or
-// Window settings win; the budget only fills the knobs left at zero.
-// The derived slab count depends on the budget and field shape only —
-// never on Workers — so a fixed (-max-mem, field) pair still produces
+// applyBudget resolves MaxMemBytes into the slab count of a compress run
+// over nSlow planes of planeBytes each, when Slabs is left at zero. The
+// derived slab count depends on the budget and field shape only — never
+// on Workers — so a fixed (-max-mem, field) pair still produces
 // byte-identical output at any worker count.
 func (o Options) applyBudget(planeBytes int64, nSlow int) Options {
-	if o.MaxMemBytes <= 0 || planeBytes <= 0 || nSlow < 2 {
-		return o
-	}
-	if o.Slabs <= 0 {
+	if o.MaxMemBytes > 0 && o.Slabs <= 0 && planeBytes > 0 && nSlow >= 2 {
 		o.Slabs = budgetSlabs(o.MaxMemBytes, planeBytes, nSlow)
 	}
-	if o.Window <= 0 {
-		maxPlanes := (nSlow + o.Slabs - 1) / o.Slabs
-		o.Window = budgetWindow(o.MaxMemBytes, int64(maxPlanes)*planeBytes, o.Slabs, compressSlabOverhead)
-	}
 	return o
+}
+
+// window is the admission window of a run of slabs whose largest holds
+// maxSlabBytes of raw planes, each raw byte costing overhead bytes: what
+// MaxMemBytes admits (budgetWindow), every slab at once without a
+// budget, and never below one. The window never influences the output
+// bytes, only peak memory and stalls.
+func (o Options) window(maxSlabBytes int64, slabs int, overhead int64) int {
+	w := slabs
+	if o.MaxMemBytes > 0 {
+		w = budgetWindow(o.MaxMemBytes, maxSlabBytes, slabs, overhead)
+	}
+	return max(w, 1)
 }

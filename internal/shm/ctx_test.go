@@ -68,7 +68,7 @@ func TestStreamCompressCanceledMidRun(t *testing.T) {
 	var buf bytes.Buffer
 	go func() {
 		_, err := CompressStream(gate, &buf, tr, core.Options{Tau: 0.01},
-			Options{Ctx: ctx, Workers: 2, Slabs: 8, Window: 2})
+			Options{Ctx: ctx, Workers: 2, Slabs: 8, MaxMemBytes: budgetFor(f.Dims(), 8, 2, compressSlabOverhead)})
 		errCh <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -94,7 +94,7 @@ func TestStreamCompressDeadlineExceeded(t *testing.T) {
 	var buf bytes.Buffer
 	go func() {
 		_, err := CompressStream(gate, &buf, tr, core.Options{Tau: 0.01},
-			Options{Ctx: ctx, Workers: 1, Slabs: 8, Window: 1})
+			Options{Ctx: ctx, Workers: 1, Slabs: 8, MaxMemBytes: budgetFor(f.Dims(), 8, 1, compressSlabOverhead)})
 		errCh <- err
 	}()
 	<-ctx.Done()

@@ -511,8 +511,9 @@ func TestSeamDegradationKeepsSeams(t *testing.T) {
 		// against the plane slab i handed it.
 		handed := phase2 >= 1 && !fires(probe, uint64(phase2-1)) && !fires(probe, uint64(phase2-1), 2)
 		var ref []byte
-		for _, po := range []Options{{Workers: 1}, {Workers: 2, Window: 1}, {Workers: 4, Window: 3}} {
-			po.Slabs, po.Faults = slabs, faultinject.New(cfg(seed))
+		for _, w := range [][2]int{{1, 0}, {2, 1}, {4, 3}} {
+			po := Options{Workers: w[0], Slabs: slabs, MaxMemBytes: budgetFor(f.Dims(), slabs, w[1], compressSlabOverhead),
+				Faults: faultinject.New(cfg(seed))}
 			res, err := Compress(field.Mem2D(f), tr, core.Options{Tau: tau, Spec: core.ST1}, po)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -523,7 +524,7 @@ func TestSeamDegradationKeepsSeams(t *testing.T) {
 			if ref == nil {
 				ref = res.Blob
 			} else if !bytes.Equal(res.Blob, ref) {
-				t.Fatalf("seed %d: workers %d window %d differ", seed, po.Workers, po.Window)
+				t.Fatalf("seed %d: workers %d window %d differ", seed, po.Workers, res.Window)
 			}
 		}
 		g, err := decode2D(ref, 2)
@@ -578,8 +579,8 @@ func TestStopReleasesWaitingSlabs(t *testing.T) {
 	}
 	bad := 60*32 + 5 // row 60, in the last of 4 slabs
 	f.U[bad] = 1e30
-	for _, po := range []Options{{Workers: 1, Window: 1}, {Workers: 2, Window: 2}, {Workers: 4}} {
-		po.Slabs = 4
+	for _, w := range [][2]int{{1, 1}, {2, 2}, {4, 0}} {
+		po := Options{Workers: w[0], Slabs: 4, MaxMemBytes: budgetFor(f.Dims(), 4, w[1], compressSlabOverhead)}
 		_, err := Compress(field.Mem2D(f), tr, core.Options{Tau: 0.01}, po)
 		var de *fixed.DomainError
 		if !errors.As(err, &de) || de.Index != bad {

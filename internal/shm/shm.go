@@ -53,23 +53,17 @@ type Options struct {
 	// order), so runs that must be comparable byte-for-byte must agree
 	// on it.
 	Slabs int
-	// Window bounds how many slabs the streaming pipeline admits at
-	// once — the out-of-core memory knob: peak memory is O(Window ×
-	// slab), and a worker stalls until the ordered flusher retires the
-	// oldest admitted slab. <= 0 means unbounded (every slab at once,
-	// the in-memory behavior). A slab waits at its seam for its
-	// successor's phase 1, so a run of several slabs admits at least
-	// two at once. Window never influences the output bytes, only peak
-	// memory and stalls.
-	Window int
 	// MaxMemBytes is the operator-facing peak-memory budget of the
-	// streaming pipeline (topozip -max-mem). When set, it derives the
-	// knobs left at zero: Slabs is sized so one slab plus encode scratch
-	// fits comfortably, and Window to how many such slabs the budget
-	// admits at once. Explicit Slabs/Window settings always win. The
-	// derived slab count is a function of the budget and field shape
-	// only, so output bytes stay independent of Workers. 0 disables
-	// budget sizing.
+	// streaming pipeline (topozip -max-mem). It alone sets the window:
+	// how many slabs the pipeline admits at once, peak memory being
+	// O(window × slab); a worker stalls until the ordered flusher retires
+	// the oldest admitted slab. A slab waits at its seam for its
+	// successor's phase 1, so a compress run of several slabs admits at
+	// least two. When Slabs is left at zero the budget also sizes the
+	// slabs so one plus encode scratch fits comfortably; an explicit
+	// Slabs wins. The derived slab count is a function of the budget and
+	// field shape only, so output bytes stay independent of Workers. 0
+	// means no budget: every slab is admitted at once.
 	MaxMemBytes int64
 	// Tel, when non-nil, receives a run span with one child span per
 	// slab plus the per-stage engine spans underneath.

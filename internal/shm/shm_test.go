@@ -12,7 +12,22 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/field"
 	"repro/internal/fixed"
+	"repro/internal/safedim"
 )
+
+// budgetFor returns the MaxMemBytes under which a run over a field of
+// dims in slabs slabs admits window slabs at once, each raw byte of its
+// largest slab costing overhead bytes; a window <= 0 is no budget, every
+// slab at once.
+func budgetFor(dims []int, slabs, window int, overhead int64) int64 {
+	if window <= 0 {
+		return 0
+	}
+	nd := len(dims)
+	maxPlanes := (dims[nd-1] + slabs - 1) / slabs
+	slabBytes := int64(maxPlanes) * int64(safedim.MustProduct(dims[:nd-1]...)) * int64(nd) * 4
+	return int64(window) * overhead * slabBytes
+}
 
 // TestShmDeterministic is the pipeline's core guarantee: the output
 // container is a function of (field, transform, options, slab count)
@@ -24,9 +39,13 @@ func TestShmDeterministic(t *testing.T) {
 		var ref []byte
 		for _, w := range workers {
 			for _, window := range []int{0, 1, 2, 3} {
-				res, err := Compress(src, tr, opts, Options{Workers: w, Slabs: slabs, Window: window})
+				budget := budgetFor(src.Dims(), slabs, window, compressSlabOverhead)
+				res, err := Compress(src, tr, opts, Options{Workers: w, Slabs: slabs, MaxMemBytes: budget})
 				if err != nil {
 					t.Fatalf("workers=%d window=%d: %v", w, window, err)
+				}
+				if want := max(window, 2); window > 0 && res.Window != want {
+					t.Fatalf("workers=%d window=%d: Result.Window = %d, want %d", w, window, res.Window, want)
 				}
 				if ref == nil {
 					ref = res.Blob

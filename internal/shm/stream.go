@@ -84,20 +84,6 @@ func (sc *slabScratch) buffers(nc, n int) [][]float32 {
 	return out
 }
 
-// windowOf clamps the configured window to [1, slabs]; <= 0 means
-// unbounded (every slab admitted at once — the legacy in-memory
-// behavior).
-func (o Options) windowOf(slabs int) int {
-	w := o.Window
-	if w <= 0 || w > slabs {
-		w = slabs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // slabState is one admitted slab from its phase 1 to its outcome.
 type slabState struct {
 	i int
@@ -486,7 +472,8 @@ func (r *compressRun) streamRun(rawBytes int64, workers int, w io.Writer) (Resul
 		}
 	}
 
-	window := po.windowOf(slabs)
+	nSlow := r.spans[slabs-1].Start + r.spans[slabs-1].Size
+	window := po.window(r.slabBytes((nSlow+slabs-1)/slabs), slabs, compressSlabOverhead)
 	if slabs > 1 && window < 2 {
 		// A slab waits at its seam for its successor's phase 1, so two
 		// slabs must fit in the window.
@@ -667,10 +654,11 @@ flush:
 // CompressStream compresses the field behind src, slabbed along its
 // slow axis (the last entry of src.Dims(): Y in 2D, Z in 3D), writing
 // the version-3 container incrementally to w. Peak memory is
-// O(window × slab): at most Options.Window slabs are admitted at once,
-// each worker holds one slab's raw planes, and sealed blobs leave memory
-// as the ordered flusher appends them. Output bytes depend only on the
-// field, tr, opts, and the slab count — never on Workers or Window.
+// O(window × slab): at most the window of slabs MaxMemBytes admits
+// (every slab without a budget) is in memory at once, each worker holds
+// one slab's raw planes, and sealed blobs leave memory as the ordered
+// flusher appends them. Output bytes depend only on the field, tr, opts,
+// and the slab count — never on Workers or the window.
 func CompressStream(src field.SlabSource, w io.Writer, tr fixed.Transform, opts core.Options, po Options) (Result, error) {
 	// Options every slab encode would reject (a non-positive or
 	// non-finite bound, an unknown speculation target) would degrade the
@@ -813,8 +801,8 @@ func planDecode(sr *archive.StreamReader) (decodePlan, error) {
 // bytes) into the sink built by sinkFor, which receives the recovered
 // global dims ([NX, NY] or [NX, NY, NZ]) once the container's blob
 // headers have been peeked. Each slab is loaded, decoded, and written
-// one at a time per worker, so peak memory is O(workers × slab) —
-// Options.Window additionally caps the concurrent slabs when set. The
+// one at a time per worker, so peak memory is O(workers × slab) — the
+// window MaxMemBytes admits additionally caps the concurrent slabs. The
 // first slab that fails to load or decode stops admission, and its error
 // is returned with its slab index. Returns the dims on success.
 func DecompressTo(r io.ReaderAt, size int64, po Options, sinkFor func(dims []int) (PlaneSink, error)) ([]int, error) {
@@ -831,21 +819,11 @@ func DecompressTo(r io.ReaderAt, size int64, po Options, sinkFor func(dims []int
 		return nil, err
 	}
 	n := sr.Steps()
-	if po.MaxMemBytes > 0 && po.Window <= 0 {
-		nc := len(plan.dims)
-		ps := int64(safedim.MustProduct(plan.dims[:nc-1]...))
-		maxPlanes := 0
-		for _, s := range plan.sizes {
-			if s > maxPlanes {
-				maxPlanes = s
-			}
-		}
-		po.Window = budgetWindow(po.MaxMemBytes, int64(maxPlanes)*ps*int64(nc)*4, n, decompressSlabOverhead)
-	}
-	workers := pool.Workers(po.Workers)
-	if w := po.windowOf(n); workers > w {
-		workers = w
-	}
+	nc := len(plan.dims)
+	ps := int64(safedim.MustProduct(plan.dims[:nc-1]...))
+	window := po.window(int64(slices.Max(plan.sizes))*ps*int64(nc)*4, n, decompressSlabOverhead)
+	// More workers than window slots would only queue on admission.
+	workers := min(pool.Workers(po.Workers), window)
 	var skipped atomic.Bool
 	// failed is the lowest slab index that has failed (n while none
 	// has). Slabs below it are still decoded, so the error reported is

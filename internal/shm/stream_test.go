@@ -32,7 +32,7 @@ func TestStreamWindowDeterministic(t *testing.T) {
 		for _, workers := range []int{1, 4, 8} {
 			var buf bytes.Buffer
 			res, err := CompressStream(field.Mem2D(f), &buf, tr, opts,
-				Options{Workers: workers, Slabs: 8, Window: window})
+				Options{Workers: workers, Slabs: 8, MaxMemBytes: budgetFor(f.Dims(), 8, window, compressSlabOverhead)})
 			if err != nil {
 				t.Fatalf("window=%d workers=%d: %v", window, workers, err)
 			}
@@ -91,7 +91,7 @@ func TestDecompressTo(t *testing.T) {
 		}
 		got := field.NewField2D(f.NX, f.NY)
 		dims, err := DecompressTo(bytes.NewReader(res.Blob), int64(len(res.Blob)),
-			Options{Workers: 4, Window: 2},
+			Options{Workers: 4, MaxMemBytes: budgetFor(f.Dims(), 6, 2, decompressSlabOverhead)},
 			func([]int) (PlaneSink, error) { return field.Mem2D(got), nil })
 		if err != nil {
 			t.Fatal(err)
@@ -262,27 +262,30 @@ func TestBudgetSizing(t *testing.T) {
 		}
 	})
 	t.Run("explicit-knobs-win", func(t *testing.T) {
-		o := Options{MaxMemBytes: 1 << 20, Slabs: 7, Window: 3}
-		got := o.applyBudget(4096, 256)
-		if got.Slabs != 7 || got.Window != 3 {
-			t.Errorf("explicit knobs overridden: slabs=%d window=%d", got.Slabs, got.Window)
+		o := Options{MaxMemBytes: 1 << 20, Slabs: 7}
+		if got := o.applyBudget(4096, 256); got.Slabs != 7 {
+			t.Errorf("explicit slab count overridden: slabs=%d", got.Slabs)
+		}
+		if got := o.window(37*1024, 7, compressSlabOverhead); got != 4 {
+			t.Errorf("window of 7 slabs of 37 KiB in 1 MiB: %d, want 4", got)
 		}
 	})
 	t.Run("derived-ignores-workers", func(t *testing.T) {
 		a := Options{MaxMemBytes: 2 << 20, Workers: 1}.applyBudget(8192, 512)
 		b := Options{MaxMemBytes: 2 << 20, Workers: 16}.applyBudget(8192, 512)
-		if a.Slabs != b.Slabs || a.Window != b.Window {
-			t.Errorf("budget sizing depends on Workers: (%d,%d) vs (%d,%d)",
-				a.Slabs, a.Window, b.Slabs, b.Window)
+		if a.Slabs != b.Slabs {
+			t.Errorf("budget sizing depends on Workers: %d vs %d slabs", a.Slabs, b.Slabs)
 		}
-		if a.Slabs <= 0 || a.Window <= 0 {
-			t.Errorf("budget left knobs unset: slabs=%d window=%d", a.Slabs, a.Window)
+		if a.Slabs <= 0 {
+			t.Errorf("budget left the slab count unset: slabs=%d", a.Slabs)
 		}
 	})
 	t.Run("zero-budget-noop", func(t *testing.T) {
-		o := Options{}.applyBudget(4096, 256)
-		if o.Slabs != 0 || o.Window != 0 {
-			t.Errorf("zero budget set knobs: slabs=%d window=%d", o.Slabs, o.Window)
+		if o := (Options{}).applyBudget(4096, 256); o.Slabs != 0 {
+			t.Errorf("zero budget set the slab count: slabs=%d", o.Slabs)
+		}
+		if w := (Options{}).window(1<<20, 9, compressSlabOverhead); w != 9 {
+			t.Errorf("zero budget: window %d, want every slab (9)", w)
 		}
 	})
 }

@@ -2,10 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"strings"
-	"time"
 )
 
 // Snapshot is the exported state of a collector: every instrument by
@@ -198,52 +195,4 @@ func EncodeJSONLine(w io.Writer, v any) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// WriteText renders the snapshot for humans: the span tree with
-// durations, then counters, gauges, and histograms sorted by name.
-func (c *Collector) WriteText(w io.Writer) error {
-	snap := c.Snapshot()
-	for _, s := range snap.Spans {
-		if err := writeSpanText(w, s, 0); err != nil {
-			return err
-		}
-	}
-	for _, n := range sortedNames(snap.Counters) {
-		if _, err := fmt.Fprintf(w, "%-44s %d\n", n, snap.Counters[n]); err != nil {
-			return err
-		}
-	}
-	for _, n := range sortedNames(snap.Gauges) {
-		if _, err := fmt.Fprintf(w, "%-44s %d (gauge)\n", n, snap.Gauges[n]); err != nil {
-			return err
-		}
-	}
-	for _, n := range sortedNames(snap.Histograms) {
-		h := snap.Histograms[n]
-		if _, err := fmt.Fprintf(w, "%-44s n=%d sum=%d min=%d max=%d p50=%d p90=%d p99=%d\n",
-			n, h.Count, h.Sum, h.Min, h.Max, h.P50, h.P90, h.P99); err != nil {
-			return err
-		}
-		for _, b := range h.Buckets {
-			if _, err := fmt.Fprintf(w, "    ≤%-12d %d\n", b.Hi, b.N); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func writeSpanText(w io.Writer, s SpanSnapshot, depth int) error {
-	if _, err := fmt.Fprintf(w, "%s%s %v\n",
-		strings.Repeat("  ", depth), s.Name, time.Duration(s.DurationNS).Round(time.Microsecond)); err != nil {
-		return err
-	}
-	// Deterministic ordering: children render in creation order.
-	for _, k := range s.Children {
-		if err := writeSpanText(w, k, depth+1); err != nil {
-			return err
-		}
-	}
-	return nil
 }

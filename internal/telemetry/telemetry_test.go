@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -286,28 +285,6 @@ func TestGoldenJSON(t *testing.T) {
 	snap := c.Snapshot()
 	if snap.Counters["core.2d.nospec.spec_trials"] != 7 {
 		t.Error("snapshot must be repeatable")
-	}
-}
-
-func TestWriteTextRendersTreeAndMetrics(t *testing.T) {
-	c := New()
-	c.SetClock(fakeClock(time.Millisecond))
-	sp := c.Span("compress")
-	sub := sp.Child("derive")
-	sub.End()
-	sp.End()
-	c.Counter("a.count").Add(3)
-	c.Gauge("b.gauge").Set(9)
-	c.Histogram("c.hist").Observe(5)
-	var buf bytes.Buffer
-	if err := c.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"compress", "  derive", "a.count", "b.gauge", "c.hist"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text output missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/cp"
+	"repro/internal/exact/filter"
 	"repro/internal/faultinject"
 	"repro/internal/field"
 	"repro/internal/fixed"
@@ -32,7 +33,8 @@ import (
 // slabs must produce the same container for the same slab count, and
 // that container must keep the paper's guarantee across every
 // two-phase seam. The entry points are shm at workers {1, 2, 4} ×
-// window {1, 2, 3, unbounded}, the codec, and an in-process topozipd;
+// window {1, 2, 3, unbounded} (each window set through the memory
+// budget), the codec, and an in-process topozipd;
 // the slab counts are 1, 2 and a count with two-plane slabs or one in
 // between. Both distributed strategies (lossless borders and the
 // ratio-oriented ghost exchange, on a grid of up to two ranks per axis)
@@ -41,7 +43,11 @@ import (
 // included), slabs of two planes, values on the transform's edge,
 // injected worker panics that degrade slabs on either side of a seam,
 // and one-slab fields large enough that the block sweeps in slow-axis
-// pieces, whose seams sit inside the block. A field with a NaN or an
+// pieces, whose seams sit inside the block. Three kinds make the
+// detector break ties by Simulation of Simplicity at every entry point:
+// exact-zero vectors (whole planes and isolated vertices), vectors
+// repeated across cells, and a linear field whose zero lies exactly on
+// a shared edge of its cells. A field with a NaN or an
 // infinity, or with a value past a caller-built transform, must be
 // refused by every entry point that takes it with a *fixed.DomainError
 // naming the value's index in the field. ST1 speculates without
@@ -59,6 +65,9 @@ const (
 	seamPieces
 	seamNonFinite
 	seamMismatch
+	seamZeroVectors
+	seamRepeated
+	seamOnFace
 	seamKinds
 )
 
@@ -76,6 +85,9 @@ type seamCase struct {
 	// bad, when set, is the error every entry point must refuse the
 	// field with.
 	bad *fixed.DomainError
+	// ties marks a field on whose cells some orientation predicate is
+	// an exact zero, which the detector breaks by SoS.
+	ties bool
 }
 
 func newSeamCase(kind, nx, ny, nz, slabSel uint8, seed uint64) seamCase {
@@ -128,6 +140,39 @@ func newSeamCase(kind, nx, ny, nz, slabSel uint8, seed uint64) seamCase {
 			z := nSlow / 2
 			clear(comps[c][z*plane : (z+1)*plane])
 		}
+	case seamZeroVectors:
+		// Whole zero planes, one of them the middle (a seam plane at two
+		// slabs), and zero vectors at scattered vertices.
+		for _, p := range []int{0, nSlow / 2} {
+			for c := range comps {
+				clear(comps[c][p*plane : (p+1)*plane])
+			}
+		}
+		for v := int(seed % 7); v < n; v += 7 + int(seed%5) {
+			for c := range comps {
+				comps[c][v] = 0
+			}
+		}
+	case seamRepeated:
+		// Three levels per component: most cells repeat a vector or hold
+		// a zero one.
+		for c := range comps {
+			for v := range comps[c] {
+				comps[c][v] = 0.5 * float32(int(2*rnd()+2)%3-1)
+			}
+		}
+	case seamOnFace:
+		// The linear field x − centre, centre on half-integers, is zero
+		// at the centre of a quad or cube, on the diagonal its triangles
+		// or tetrahedra share; the slow-axis centre sits next to the
+		// middle plane. Every value is a multiple of 1/16.
+		for v := 0; v < n; v++ {
+			q := v
+			for c, d := range dims {
+				comps[c][v] = 0.125 * (float32(q%d) - float32(d/2) + 0.5)
+				q /= d
+			}
+		}
 	case seamEdge, seamNonFinite, seamMismatch:
 		// Under a caller's transform of 2^20 units per unit, ±1 sits
 		// exactly on the fixed-point contract's edge.
@@ -137,7 +182,7 @@ func newSeamCase(kind, nx, ny, nz, slabSel uint8, seed uint64) seamCase {
 			}
 		}
 	}
-	sc := seamCase{dims: dims, comps: comps}
+	sc := seamCase{dims: dims, comps: comps, ties: k == seamZeroVectors || k == seamRepeated || k == seamOnFace}
 	switch k {
 	case seamEdge:
 		// One edge value on every plane puts it on every seam and ghost
@@ -276,7 +321,7 @@ func checkGuarantee(t *testing.T, srv *server.Server, sc seamCase) {
 	}
 	for _, w := range workers {
 		for _, window := range windows {
-			res, err := shm.Compress(src, tr, opts, shm.Options{Workers: w, Window: window,
+			res, err := shm.Compress(src, tr, opts, shm.Options{Workers: w, MaxMemBytes: windowBudget(sc.dims, sc.slabs, window),
 				Slabs: sc.slabs, Faults: sc.injector()})
 			if err != nil {
 				t.Fatalf("workers %d window %d: %v", w, window, err)
@@ -284,6 +329,9 @@ func checkGuarantee(t *testing.T, srv *server.Server, sc seamCase) {
 			if !bytes.Equal(res.Blob, ref.Blob) || !slicesEqual(res.Degraded, ref.Degraded) {
 				t.Fatalf("dims %v, %d slabs: workers %d window %d differ from workers 1 unbounded (degraded %v vs %v)",
 					sc.dims, sc.slabs, w, window, res.Degraded, ref.Degraded)
+			}
+			if want := wantWindow(sc.slabs, window); res.Window != want {
+				t.Fatalf("dims %v, %d slabs: window %d ran as %d, want %d", sc.dims, sc.slabs, window, res.Window, want)
 			}
 		}
 	}
@@ -311,7 +359,11 @@ func checkGuarantee(t *testing.T, srv *server.Server, sc seamCase) {
 	if err := shm.Decompress(ref.Blob, 2, field.MemOf(sc.dims, dec)); err != nil {
 		t.Fatal(err)
 	}
+	before := filter.Stats()
 	orig := cp.Detect(sc.dims, sc.comps, tr)
+	if d := filter.Stats().Sub(before); sc.ties && d.Orient2Zero+d.Orient3Zero == 0 {
+		t.Fatalf("dims %v: no orientation predicate tied on a tie field", sc.dims)
+	}
 	checkDecoded(t, sc, fmt.Sprintf("%d slabs (degraded %v)", sc.slabs, ref.Degraded), orig, dec, tr, tau)
 
 	// Both distributed strategies keep the guarantee on the same field.
@@ -327,6 +379,32 @@ func checkGuarantee(t *testing.T, srv *server.Server, sc seamCase) {
 		}
 		checkDecoded(t, sc, fmt.Sprintf("%v on %v", strat, grid), orig, dec, tr, tau)
 	}
+}
+
+// windowBudget is the memory budget under which shm admits window of the
+// slabs of a compress run over dims at once; a window of 0 is no budget,
+// every slab at once. shm costs a compressing slab six times its largest
+// slab's raw float32 planes; Result.Window confirms the window reached.
+func windowBudget(dims []int, slabs, window int) int64 {
+	nd := len(dims)
+	slabBytes := int64((dims[nd-1]+slabs-1)/slabs) * int64(nd) * 4
+	for _, d := range dims[:nd-1] {
+		slabBytes *= int64(d)
+	}
+	return int64(window) * 6 * slabBytes
+}
+
+// wantWindow is the window a compress run of slabs reports for a
+// requested one (0 = unbounded): at most every slab, and at least two of
+// several, since a slab waits at its seam for its successor.
+func wantWindow(slabs, window int) int {
+	if window <= 0 || window > slabs {
+		window = slabs
+	}
+	if slabs > 1 {
+		window = max(window, 2)
+	}
+	return window
 }
 
 // strategyGrid puts two ranks on every axis that holds two points per
@@ -374,7 +452,8 @@ func checkRefused(t *testing.T, srv *server.Server, sc seamCase) {
 	src := field.MemOf(sc.dims, sc.comps)
 	for _, w := range []int{1, 2, 4} {
 		for _, window := range []int{1, 2, 3, 0} {
-			_, err := shm.Compress(src, tr, opts, shm.Options{Workers: w, Window: window, Slabs: sc.slabs})
+			_, err := shm.Compress(src, tr, opts, shm.Options{Workers: w, MaxMemBytes: windowBudget(sc.dims, sc.slabs, window),
+				Slabs: sc.slabs})
 			check(fmt.Sprintf("shm.Compress, %d slabs, workers %d window %d", sc.slabs, w, window), err)
 		}
 	}
