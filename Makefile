@@ -67,7 +67,7 @@ faults:
 # shm, codec and daemon entry points. Raise FUZZTIME for a real session;
 # `go test -fuzz` takes one target per invocation. FuzzSeamEquivalence
 # runs about 70 ms per input, so it gets SEAM_FUZZTIME, and it fuzzes
-# against a fresh cache directory: the shared one grows every session,
+# against a fresh cache directory: the shared one grows with every run,
 # and replaying it as baseline coverage would eat the whole budget. Its
 # baseline is the seed corpus plus testdata/fuzz, where a failing input
 # is written.

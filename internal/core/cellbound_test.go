@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/derive"
 	"repro/internal/exact/filter"
+	"repro/internal/field"
 )
 
 // Differential tests of the relaxation-first cellBound against the
@@ -154,9 +155,8 @@ func TestCellBoundMatchesPsiFirst(t *testing.T) {
 			fillComps(rng, comps, ndim, tau, trial%4 != 3)
 			var pred filter.Local
 			d := newCellMesh(ndim, ext, comps, refSigns(comps, ndim))
-			var vbuf [4]int
 			for c := 0; c < d.numCells(); c++ {
-				d.cellVertices(c, &vbuf)
+				vbuf := field.SimplexVertices(d.dims, c)
 				vs := vbuf[:ndim+1]
 				for _, vid := range vs {
 					for _, oo := range []bool{false, true} {
@@ -203,7 +203,6 @@ func TestCellBoundMatchesPsiFirst(t *testing.T) {
 // minimum passed in.
 func refDeriveBound(k *kernel, vid int) (xi int64, relaxed bool) {
 	xi = k.tau
-	var vbuf [4]int
 	nd := k.blk.ndim
 	for _, c := range refVertexCells(k, vid) {
 		if !k.cellValid[c] {
@@ -212,7 +211,7 @@ func refDeriveBound(k *kernel, vid int) (xi int64, relaxed bool) {
 		if k.cpCell[c] {
 			return 0, false
 		}
-		k.mesh.cellVertices(c, &vbuf)
+		vbuf := field.SimplexVertices(k.mesh.dims, c)
 		cb, rlx := refCellBound(nd, k.comps, vbuf[:nd+1], vid, k.tau, k.orientOnly, k.relax)
 		relaxed = relaxed || rlx
 		xi = min(xi, cb)

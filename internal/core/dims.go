@@ -10,20 +10,18 @@ import (
 
 // cellMesh is the kernel's simplicial mesh over its extended working
 // arrays: the triangles of field.Mesh2D or the tetrahedra of
-// field.Mesh3D, whichever the block's dimension is. A 2D mesh is the 3D
-// one with nz = 1 and no cube layers below or above, and a triangle
-// repeats its first vertex id as a fourth, so every cell is a four-id
-// star entry and a byte-AND over the four ids is the triangle's AND.
-// Only the Ψ call in cellBound differs between the dimensions.
+// field.Mesh3D, whichever the block's dimension is. A triangle repeats
+// its first vertex id as a fourth, so every cell is a four-id star entry
+// and a byte-AND over the four ids is the triangle's AND. Only the Ψ
+// call in cellBound differs between the dimensions.
 type cellMesh struct {
-	ndim      int
-	ext       [3]int   // extended dims, nz = 1 in 2D
-	layers    int      // cube layers along z: NZ−1 in 3D, 1 in 2D
-	simplices [][4]int // field.Simplices(ndim)
-	off       [8]int   // vertex-id offset of each quad/cube corner
-	st        stencil
-	comps     [maxComps][]int64
-	signs     []uint8
+	ndim  int
+	dims  []int // the extended dims, ext[:ndim]
+	ext   [3]int
+	per   int // simplices per quad/cube
+	st    stencil
+	comps [maxComps][]int64
+	signs []uint8
 }
 
 // maxStar is the most cells incident to one vertex: 24 tetrahedra in
@@ -45,17 +43,25 @@ type stencil struct {
 // place, so the detector and Ψ always see the current decompressed
 // prefix).
 func newCellMesh(ndim int, ext [3]int, comps [maxComps][]int64, signs []uint8) *cellMesh {
-	m := &cellMesh{ndim: ndim, ext: ext, layers: 1, simplices: field.Simplices(ndim), comps: comps, signs: signs}
-	if ndim == 3 {
-		m.layers = ext[2] - 1
+	m := &cellMesh{ndim: ndim, ext: ext, per: len(field.Simplices(ndim)), comps: comps, signs: signs}
+	m.dims = m.ext[:ndim]
+	// The stencil is the star of the interior vertex (1, 1[, 1]) as
+	// offsets from its id and its quad/cube's id. Both ids are linear in
+	// the grid position, so every interior vertex has the same offsets;
+	// a mesh without interior vertices never reads them.
+	if ext[0] > 2 && ext[1] > 2 && (ndim == 2 || ext[2] > 2) {
+		v, q := 1+ext[0], 1+(ext[0]-1)
+		if ndim == 3 {
+			v, q = v+ext[0]*ext[1], q+(ext[0]-1)*(ext[1]-1)
+		}
+		cells := field.VertexCells(m.dims, v, m.st.cell[:0])
+		m.st.n = len(cells)
+		for s, c := range cells {
+			vs := field.SimplexVertices(m.dims, c)
+			m.st.cell[s] = c - q*m.per
+			m.st.vert[s] = [4]int{vs[0] - v, vs[1] - v, vs[2] - v, vs[3] - v}
+		}
 	}
-	for corner := range m.off[:1<<ndim] {
-		m.off[corner] = (corner>>2*ext[1]+corner>>1&1)*ext[0] + corner&1
-	}
-	// The stencil is the star of vertex 0 with no mesh bounds: its cells
-	// are offsets from the id of the vertex's own quad/cube, its vertex
-	// ids offsets from the vertex.
-	m.st.n = m.walk(0, 0, 0, 0, false, &m.st.cell, &m.st.vert)
 	return m
 }
 
@@ -64,30 +70,18 @@ func (m *cellMesh) name() string { return strconv.Itoa(m.ndim) + "d" }
 
 // numCells returns the simplex count of the extended mesh.
 func (m *cellMesh) numCells() int {
-	return len(m.simplices) * (m.ext[0] - 1) * (m.ext[1] - 1) * m.layers
-}
-
-// cellVertices fills out with the vertex ids of cell c as a star entry,
-// in CellVertices order (the caller provides the buffer so the lookup
-// stays on its stack).
-func (m *cellMesh) cellVertices(c int, out *[4]int) {
-	nx, ny := m.ext[0], m.ext[1]
-	t, q := c%len(m.simplices), c/len(m.simplices)
-	i := q % (nx - 1)
-	q /= nx - 1
-	j := q % (ny - 1)
-	k := q / (ny - 1)
-	base := (k*ny+j)*nx + i
-	for r, corner := range m.simplices[t] {
-		out[r] = base + m.off[corner]
+	n := m.per
+	for _, d := range m.dims {
+		n *= d - 1
 	}
+	return n
 }
 
 // star fills cells with the cells incident to vertex v, in
-// field.Mesh*.VertexCells order, and verts[s] with the vertex ids of
-// cells[s], in CellVertices order, and returns the count. Interior
-// vertices are served from the stencil table; the boundary shell walks
-// the quads/cubes that exist.
+// field.VertexCells order, and verts[s] with the vertex ids of cells[s],
+// in field.SimplexVertices order, and returns the count. Interior
+// vertices are served from the stencil table; the boundary shell asks
+// the mesh functions.
 func (m *cellMesh) star(v int, cells *[maxStar]int, verts *[maxStar][4]int) int {
 	nx, ny := m.ext[0], m.ext[1]
 	q := v / nx
@@ -95,52 +89,19 @@ func (m *cellMesh) star(v int, cells *[maxStar]int, verts *[maxStar][4]int) int 
 	k := q / ny
 	j := q - k*ny
 	if i == 0 || j == 0 || i == nx-1 || j == ny-1 || (m.ndim == 3 && (k == 0 || k == m.ext[2]-1)) {
-		return m.walk(v, i, j, k, true, cells, verts)
+		n := len(field.VertexCells(m.dims, v, cells[:0]))
+		for s := 0; s < n; s++ {
+			verts[s] = field.SimplexVertices(m.dims, cells[s])
+		}
+		return n
 	}
-	base := ((k*(ny-1)+j)*(nx-1) + i) * len(m.simplices)
+	base := ((k*(ny-1)+j)*(nx-1) + i) * m.per
 	for s := 0; s < m.st.n; s++ {
 		cells[s] = base + m.st.cell[s]
 		o := &m.st.vert[s]
 		verts[s] = [4]int{v + o[0], v + o[1], v + o[2], v + o[3]}
 	}
 	return m.st.n
-}
-
-// walk enumerates the star of vertex v at grid position (i, j, k) in
-// exactly the VertexCells order: the quads/cubes around the vertex with
-// dk, dj, di each running −1..0 (dk only 0 in 2D), and inside each one
-// its simplices containing the vertex's corner in ascending simplex
-// order. bounded skips the quads/cubes outside the mesh.
-func (m *cellMesh) walk(v, i, j, k int, bounded bool, cells *[maxStar]int, verts *[maxStar][4]int) int {
-	nx, ny := m.ext[0], m.ext[1]
-	dk0 := 0
-	if m.ndim == 3 {
-		dk0 = -1
-	}
-	n := 0
-	for dk := dk0; dk <= 0; dk++ {
-		for dj := -1; dj <= 0; dj++ {
-			for di := -1; di <= 0; di++ {
-				qi, qj, qk := i+di, j+dj, k+dk
-				if bounded && (qi < 0 || qj < 0 || qk < 0 || qi >= nx-1 || qj >= ny-1 || qk >= m.layers) {
-					continue
-				}
-				corner := -di | -dj<<1 | -dk<<2
-				cube := ((qk*(ny-1)+qj)*(nx-1) + qi) * len(m.simplices)
-				for t, cs := range m.simplices {
-					if cs[0] != corner && cs[1] != corner && cs[2] != corner && cs[3] != corner {
-						continue
-					}
-					cells[n] = cube + t
-					for r, c := range cs {
-						verts[n][r] = v + m.off[c] - m.off[corner]
-					}
-					n++
-				}
-			}
-		}
-	}
-	return n
 }
 
 // cellBound computes vertex vid's bound contribution of the cell with

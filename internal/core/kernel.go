@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cp"
 	"repro/internal/encoder"
+	"repro/internal/field"
 	"repro/internal/fixed"
 	"repro/internal/flightrec"
 	"repro/internal/huffman"
@@ -450,7 +451,6 @@ func (k *kernel) prepare() {
 	// vertex's star.
 	k.scr.cpAdj = grow(k.scr.cpAdj, k.blk.nx*k.blk.ny*k.blk.nz)
 	k.cpAdj = k.scr.cpAdj
-	var vs [4]int
 	for c, hit := range k.cpCell {
 		if !hit {
 			continue
@@ -458,8 +458,7 @@ func (k *kernel) prepare() {
 		if k.origType != nil {
 			k.origType[c] = k.det.CellType(c)
 		}
-		k.mesh.cellVertices(c, &vs)
-		for _, v := range vs {
+		for _, v := range field.SimplexVertices(k.mesh.dims, c) {
 			q := v / k.ext[0]
 			oi := v - q*k.ext[0] - k.off[0]
 			oj := q%k.ext[1] - k.off[1]

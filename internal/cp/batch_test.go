@@ -61,20 +61,10 @@ func numCells(d *Detector) int {
 	return field.Mesh3D{NX: d.Dims[0], NY: d.Dims[1], NZ: d.Dims[2]}.NumCells()
 }
 
-// meshVertices is cell c's vertex ids from the field meshes, a
-// triangle's first repeated as a fourth.
-func meshVertices(d *Detector, c int) [4]int {
-	if len(d.Dims) == 2 {
-		vs := field.Mesh2D{NX: d.Dims[0], NY: d.Dims[1]}.CellVertices(c)
-		return [4]int{vs[0], vs[1], vs[2], vs[0]}
-	}
-	return field.Mesh3D{NX: d.Dims[0], NY: d.Dims[1], NZ: d.Dims[2]}.CellVertices(c)
-}
-
 // cellContains runs the per-cell predicate the compression kernel
 // calls, ContainsVertices, on cell c, counting into a throwaway Local.
 func cellContains(d *Detector, c int) bool {
-	vs := meshVertices(d, c)
+	vs := field.SimplexVertices(d.Dims, c)
 	var loc filter.Local
 	return d.ContainsVertices(&vs, &loc)
 }
@@ -84,19 +74,6 @@ func cellContains(d *Detector, c int) bool {
 func containsAll(d *Detector, mask, out []bool) {
 	var loc filter.Local
 	d.ContainsRows(mask, out, 0, d.CellRows(), &loc)
-}
-
-// TestCellVerticesMatchesMesh pins the detector's corner-table cell
-// vertices to the field meshes' CellVertices.
-func TestCellVerticesMatchesMesh(t *testing.T) {
-	for _, dims := range [][]int{{2, 2}, {5, 3}, {3, 7}, {2, 2, 2}, {4, 3, 5}, {3, 5, 2}} {
-		d := &Detector{Dims: dims}
-		for c := 0; c < numCells(d); c++ {
-			if got, want := d.cellVertices(c), meshVertices(d, c); got != want {
-				t.Fatalf("dims %v cell %d: cellVertices %v, mesh %v", dims, c, got, want)
-			}
-		}
-	}
 }
 
 // TestContainsBatch2DMatchesCellContains pins the cache-blocked row
@@ -215,7 +192,7 @@ func TestCellContainsLocalTieNoAlloc(t *testing.T) {
 	// Cell 0 of each detector gets two equal corner vectors, so its
 	// full-simplex orientation is an exact tie.
 	d2 := randFixed2D(rng, 5, 5, 1<<20, false)
-	vs2 := meshVertices(d2, 0)
+	vs2 := field.SimplexVertices(d2.Dims, 0)
 	u2, v2 := d2.Comps[0], d2.Comps[1]
 	u2[vs2[0]], v2[vs2[0]] = 7, 9
 	u2[vs2[1]], v2[vs2[1]] = 7, 9
@@ -225,7 +202,7 @@ func TestCellContainsLocalTieNoAlloc(t *testing.T) {
 		t.Errorf("2D ContainsVertices on a tie cell: %v allocs/op", a)
 	}
 	d3 := randFixed3D(rng, 4, 4, 4, 1<<20, false)
-	vs3 := meshVertices(d3, 0)
+	vs3 := field.SimplexVertices(d3.Dims, 0)
 	u3, v3, w3 := d3.Comps[0], d3.Comps[1], d3.Comps[2]
 	for _, vi := range vs3[1:3] {
 		u3[vi], v3[vi], w3[vi] = 7, 9, 11

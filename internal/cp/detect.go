@@ -85,33 +85,8 @@ func (d *Detector) ContainsVertices(vs *[4]int, loc *filter.Local) bool {
 // open): it contains no critical point, and the containment predicates
 // skip it before building any matrix (THEORY.md §3).
 func (d *Detector) SignDecided(c int) bool {
-	vs := d.cellVertices(c)
+	vs := field.SimplexVertices(d.Dims, c)
 	return d.signByte(vs[0])&d.signByte(vs[1])&d.signByte(vs[2])&d.signByte(vs[3]) != 0
-}
-
-// cellVertices returns the vertex ids of cell c, a triangle's first
-// repeated as a fourth: the simplex table's corners of the cell's
-// quad/cube, in CellVertices order.
-func (d *Detector) cellVertices(c int) [4]int {
-	nx, ny := d.Dims[0], d.Dims[1]
-	simplices := field.Simplices(len(d.Dims))
-	t, q := c%len(simplices), c/len(simplices)
-	i := q % (nx - 1)
-	q /= nx - 1
-	j := q % (ny - 1)
-	k := q / (ny - 1)
-	base := (k*ny+j)*nx + i
-	var vs [4]int
-	for r, corner := range simplices[t] {
-		vs[r] = base + cornerOffset(corner, nx, ny)
-	}
-	return vs
-}
-
-// cornerOffset is the vertex-id offset of quad/cube corner
-// ox | oy<<1 | oz<<2 from the corner at its origin.
-func cornerOffset(corner, nx, ny int) int {
-	return (corner>>2*ny+corner>>1&1)*nx + corner&1
 }
 
 // orient runs Algorithm 1 over the simplex with vertex ids vs: the
@@ -121,20 +96,22 @@ func cornerOffset(corner, nx, ny int) int {
 // only degenerate predicates pay for them.
 func (d *Detector) orient(vs *[4]int, loc *filter.Local) bool {
 	if len(d.Comps) == 2 {
-		return d.orient2(vs, loc)
+		u, v := d.Comps[0], d.Comps[1]
+		m := [3][3]int64{{u[vs[0]], v[vs[0]], 1}, {u[vs[1]], v[vs[1]], 1}, {u[vs[2]], v[vs[2]], 1}}
+		return d.orient2(&m, vs, loc)
 	}
 	return d.orient3(vs, loc)
 }
 
-// orient2 is orient over a triangle's 3×3 orientation matrices.
-func (d *Detector) orient2(vs *[4]int, loc *filter.Local) bool {
-	u, v := d.Comps[0], d.Comps[1]
-	m := [3][3]int64{{u[vs[0]], v[vs[0]], 1}, {u[vs[1]], v[vs[1]], 1}, {u[vs[2]], v[vs[2]], 1}}
+// orient2 is orient over a triangle's 3×3 orientation matrices; m is
+// the triangle's matrix, which the 2D row kernel builds from the values
+// it already holds.
+func (d *Detector) orient2(m *[3][3]int64, vs *[4]int, loc *filter.Local) bool {
 	var gids [3]int
 	haveGids := false
 	s := 0
 	for i := -1; i < 3; i++ {
-		mr := m
+		mr := *m
 		if i >= 0 {
 			mr[i] = [3]int64{0, 0, 1}
 		}
@@ -192,17 +169,10 @@ func (d *Detector) orient3(vs *[4]int, loc *filter.Local) bool {
 // (fixed-point) values. The classification is scale-invariant, so the
 // fixed-point scale does not matter.
 func (d *Detector) CellType(c int) Type {
-	return d.extract(c, 1, 0).Type
-}
-
-// extract computes the position and type of the critical point in cell
-// c, shifting the slow axis by off into the global frame.
-func (d *Detector) extract(c int, scale float64, off int) Point {
 	if len(d.Dims) == 2 {
-		return extract2D(field.Mesh2D{NX: d.Dims[0], NY: d.Dims[1]}, c, d.Comps[0], d.Comps[1], scale, off)
+		return d.extract2D(c, 1, 0).Type
 	}
-	return extract3D(field.Mesh3D{NX: d.Dims[0], NY: d.Dims[1], NZ: d.Dims[2]}, c,
-		d.Comps[0], d.Comps[1], d.Comps[2], scale, off)
+	return d.extract3D(c, 1, 0).Type
 }
 
 // DetectCells returns the sorted ids of all cells containing a critical
@@ -290,7 +260,8 @@ func (d *Detector) sweepRow2(r int, mask, out []bool, hits []int, loc *filter.Lo
 			got := false
 			if !uniform3(u00, ua, ub) && !uniform3(v00, va, vb) &&
 				(u00 != 0 || v00 != 0 || ua != 0 || va != 0 || ub != 0 || vb != 0) {
-				got = d.orient2(&vs, loc)
+				m := [3][3]int64{{u00, v00, 1}, {ua, va, 1}, {ub, vb, 1}}
+				got = d.orient2(&m, &vs, loc)
 			}
 			if out != nil {
 				out[c+t] = got
@@ -317,10 +288,7 @@ func uniform3(a, b, c int64) bool {
 func (d *Detector) sweepRow3(r int, mask, out []bool, hits []int, loc *filter.Local) []int {
 	nx, ny := d.Dims[0], d.Dims[1]
 	tets := field.Simplices(3)
-	var off [8]int
-	for corner := range off {
-		off[corner] = cornerOffset(corner, nx, ny)
-	}
+	off := field.CornerOffsets(d.Dims)
 	base := (r/(ny-1)*ny + r%(ny-1)) * nx
 	cbase := r * (nx - 1) * len(tets)
 	u, v, w := d.Comps[0], d.Comps[1], d.Comps[2]
@@ -430,19 +398,26 @@ func appendPoints(pts []Point, dims []int, fx [][]int64, scale float64, off int,
 	d := &Detector{Dims: dims, Comps: fx, GlobalID: gid}
 	cells := d.DetectCells()
 	pts = slices.Grow(pts, len(cells))
+	extract := d.extract3D
+	if len(dims) == 2 {
+		extract = d.extract2D
+	}
 	for _, c := range cells {
-		pts = append(pts, d.extract(c, scale, off))
+		pts = append(pts, extract(c, scale, off))
 	}
 	return pts
 }
 
 // extract2D computes the position (numerical barycentric solve) and type
-// (Jacobian eigenvalues) of the critical point in triangle c. yOff
+// (Jacobian eigenvalues) of the critical point in triangle c; scale is
+// the fixed-point scale of the components. yOff
 // shifts vertex y coordinates into the global frame BEFORE the
 // barycentric combination, so a windowed detector reproduces the
 // whole-field positions bit for bit (offsetting the finished position
 // instead rounds differently).
-func extract2D(mesh field.Mesh2D, c int, u, v []int64, scale float64, yOff int) Point {
+func (d *Detector) extract2D(c int, scale float64, yOff int) Point {
+	mesh := field.Mesh2D{NX: d.Dims[0], NY: d.Dims[1]}
+	u, v := d.Comps[0], d.Comps[1]
 	vs := mesh.CellVertices(c)
 	var fu, fv [3]float64
 	var px, py [3]float64
@@ -496,7 +471,9 @@ func solveBary2(u, v [3]float64) (mu [3]float64, ok bool) {
 // extract3D computes position and type of the critical point in
 // tetrahedron c. zOff shifts vertex z into the global frame before the
 // barycentric combination; see extract2D.
-func extract3D(mesh field.Mesh3D, c int, u, v, w []int64, scale float64, zOff int) Point {
+func (d *Detector) extract3D(c int, scale float64, zOff int) Point {
+	mesh := field.Mesh3D{NX: d.Dims[0], NY: d.Dims[1], NZ: d.Dims[2]}
+	u, v, w := d.Comps[0], d.Comps[1], d.Comps[2]
 	vs := mesh.CellVertices(c)
 	var f [3][4]float64 // component × vertex
 	var p [3][4]float64 // axis × vertex

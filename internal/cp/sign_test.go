@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/exact/filter"
+	"repro/internal/field"
 )
 
 // Differential tests of the sign prefilter: a cell on which some
@@ -16,7 +17,7 @@ import (
 // fullContains is the containment outcome without the sign prefilter:
 // the degenerate all-zero convention, then Algorithm 1 with SoS.
 func fullContains(d *Detector, c int) bool {
-	vs := meshVertices(d, c)
+	vs := field.SimplexVertices(d.Dims, c)
 	zero := true
 	for _, z := range d.Comps {
 		for _, vi := range vs {
@@ -72,7 +73,7 @@ func TestSignPrefilter2DMatchesFullPredicate(t *testing.T) {
 		containsAll(d, nil, batch)
 		for c := 0; c < nc; c++ {
 			full := fullContains(d, c)
-			vs := meshVertices(d, c)
+			vs := field.SimplexVertices(d.Dims, c)
 			if d.SignDecided(c) {
 				decided++
 				if full {
@@ -117,7 +118,7 @@ func TestSignPrefilter3DMatchesFullPredicate(t *testing.T) {
 		containsAll(d, nil, batch)
 		for c := 0; c < nc; c++ {
 			full := fullContains(d, c)
-			vs := meshVertices(d, c)
+			vs := field.SimplexVertices(d.Dims, c)
 			if d.SignDecided(c) {
 				decided++
 				if full {

@@ -46,34 +46,7 @@ func (m Mesh2D) CellVertices(c int) [3]int {
 // VertexCells appends the triangles incident to vertex v to buf and
 // returns the result. An interior vertex has exactly 6 incident triangles.
 func (m Mesh2D) VertexCells(v int, buf []int) []int {
-	i := v % m.NX
-	j := v / m.NX
-	// Quad (qi,qj) contains the vertex as corner (ci,cj) = (i-qi, j-qj).
-	for dj := -1; dj <= 0; dj++ {
-		qj := j + dj
-		if qj < 0 || qj >= m.NY-1 {
-			continue
-		}
-		for di := -1; di <= 0; di++ {
-			qi := i + di
-			if qi < 0 || qi >= m.NX-1 {
-				continue
-			}
-			base := (qj*(m.NX-1) + qi) * 2
-			ci, cj := -di, -dj
-			// Membership per corner: v00 ∈ {t0,t1}, v10 ∈ {t0},
-			// v01 ∈ {t1}, v11 ∈ {t0,t1}.
-			switch {
-			case ci == 0 && cj == 0, ci == 1 && cj == 1:
-				buf = append(buf, base, base+1)
-			case ci == 1 && cj == 0:
-				buf = append(buf, base)
-			default: // ci == 0 && cj == 1
-				buf = append(buf, base+1)
-			}
-		}
-	}
-	return buf
+	return VertexCells([]int{m.NX, m.NY}, v, buf)
 }
 
 // VertexPos returns the grid coordinates of vertex v.
@@ -95,9 +68,6 @@ const MaxVertexCells3D = 24
 // permutation (a,b,c) of the axes.
 var tetCorners [6][4]int
 
-// cornerTets[c] lists the tetrahedra containing cube corner c.
-var cornerTets [8][]int
-
 func init() {
 	perms := [6][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	for t, p := range perms {
@@ -106,11 +76,6 @@ func init() {
 		c2 := c1 | 1<<p[1]
 		c3 := 7
 		tetCorners[t] = [4]int{c0, c1, c2, c3}
-	}
-	for t := range tetCorners {
-		for _, c := range tetCorners[t] {
-			cornerTets[c] = append(cornerTets[c], t)
-		}
 	}
 }
 
@@ -133,6 +98,65 @@ func Simplices(ndim int) [][4]int {
 	return tetCorners[:]
 }
 
+// CornerOffsets returns, on a grid of dims ([NX, NY] or [NX, NY, NZ]),
+// the vertex-id offset of each quad or cube corner ox | oy<<1 | oz<<2
+// from the corner at its origin (in 2D only the first four are set).
+func CornerOffsets(dims []int) [8]int {
+	var off [8]int
+	for corner := range off[:1<<len(dims)] {
+		off[corner] = cornerOffset(corner, dims[0], dims[1])
+	}
+	return off
+}
+
+func cornerOffset(corner, nx, ny int) int {
+	return (corner>>2*ny+corner>>1&1)*nx + corner&1
+}
+
+// SimplexVertices returns the vertex ids of cell c of the mesh over a
+// grid of dims ([NX, NY] or [NX, NY, NZ]), in CellVertices order. A
+// triangle repeats its first id as a fourth.
+func SimplexVertices(dims []int, c int) [4]int {
+	if len(dims) == 2 {
+		vs := Mesh2D{NX: dims[0], NY: dims[1]}.CellVertices(c)
+		return [4]int{vs[0], vs[1], vs[2], vs[0]}
+	}
+	return Mesh3D{NX: dims[0], NY: dims[1], NZ: dims[2]}.CellVertices(c)
+}
+
+// VertexCells appends the cells incident to vertex v of the mesh over a
+// grid of dims to buf and returns the result: the quads/cubes around the
+// vertex with dk, dj, di each running −1..0 (dk only 0 in 2D), and
+// inside each one its simplices containing the vertex's corner in
+// ascending simplex order.
+func VertexCells(dims []int, v int, buf []int) []int {
+	nx, ny := dims[0], dims[1]
+	simplices := Simplices(len(dims))
+	i, j, k := v%nx, v/nx%ny, v/(nx*ny)
+	layers, dk0 := 1, 0
+	if len(dims) == 3 {
+		layers, dk0 = dims[2]-1, -1
+	}
+	for dk := dk0; dk <= 0; dk++ {
+		for dj := -1; dj <= 0; dj++ {
+			for di := -1; di <= 0; di++ {
+				qi, qj, qk := i+di, j+dj, k+dk
+				if qi < 0 || qj < 0 || qk < 0 || qi >= nx-1 || qj >= ny-1 || qk >= layers {
+					continue
+				}
+				corner := -di | -dj<<1 | -dk<<2
+				base := ((qk*(ny-1)+qj)*(nx-1) + qi) * len(simplices)
+				for t, cs := range simplices {
+					if cs[0] == corner || cs[1] == corner || cs[2] == corner || cs[3] == corner {
+						buf = append(buf, base+t)
+					}
+				}
+			}
+		}
+	}
+	return buf
+}
+
 // NumVertices returns the number of grid points.
 func (m Mesh3D) NumVertices() int { return m.NX * m.NY * m.NZ }
 
@@ -147,12 +171,10 @@ func (m Mesh3D) CellVertices(c int) [4]int {
 	q /= m.NX - 1
 	j := q % (m.NY - 1)
 	k := q / (m.NY - 1)
+	base := (k*m.NY+j)*m.NX + i
 	var vs [4]int
 	for n, corner := range tetCorners[t] {
-		ox := corner & 1
-		oy := (corner >> 1) & 1
-		oz := (corner >> 2) & 1
-		vs[n] = ((k+oz)*m.NY+(j+oy))*m.NX + (i + ox)
+		vs[n] = base + cornerOffset(corner, m.NX, m.NY)
 	}
 	return vs
 }
@@ -166,31 +188,5 @@ func (m Mesh3D) VertexPos(v int) (i, j, k int) {
 // returns the result. An interior vertex has exactly 24 incident
 // tetrahedra (matching the cost analysis in the paper).
 func (m Mesh3D) VertexCells(v int, buf []int) []int {
-	i := v % m.NX
-	j := (v / m.NX) % m.NY
-	k := v / (m.NX * m.NY)
-	for dk := -1; dk <= 0; dk++ {
-		qk := k + dk
-		if qk < 0 || qk >= m.NZ-1 {
-			continue
-		}
-		for dj := -1; dj <= 0; dj++ {
-			qj := j + dj
-			if qj < 0 || qj >= m.NY-1 {
-				continue
-			}
-			for di := -1; di <= 0; di++ {
-				qi := i + di
-				if qi < 0 || qi >= m.NX-1 {
-					continue
-				}
-				corner := (-di) | (-dj)<<1 | (-dk)<<2
-				base := ((qk*(m.NY-1)+qj)*(m.NX-1) + qi) * 6
-				for _, t := range cornerTets[corner] {
-					buf = append(buf, base+t)
-				}
-			}
-		}
-	}
-	return buf
+	return VertexCells([]int{m.NX, m.NY, m.NZ}, v, buf)
 }

@@ -35,7 +35,8 @@ func TestMesh2DCellVerticesValid(t *testing.T) {
 }
 
 func TestMesh2DAdjacencyConsistency(t *testing.T) {
-	// v ∈ CellVertices(c) ⇔ c ∈ VertexCells(v).
+	// v ∈ CellVertices(c) ⇔ c ∈ VertexCells(v), and VertexCells lists
+	// the cells in ascending order (the kernel's stars keep it).
 	m := Mesh2D{NX: 6, NY: 5}
 	fromCells := make(map[int][]int)
 	for c := 0; c < m.NumCells(); c++ {
@@ -45,7 +46,9 @@ func TestMesh2DAdjacencyConsistency(t *testing.T) {
 	}
 	for v := 0; v < m.NumVertices(); v++ {
 		got := m.VertexCells(v, nil)
-		sort.Ints(got)
+		if !sort.IntsAreSorted(got) {
+			t.Fatalf("vertex %d: cells %v not ascending", v, got)
+		}
 		want := fromCells[v]
 		sort.Ints(want)
 		if len(got) != len(want) {
@@ -100,12 +103,18 @@ func TestMesh3DTetsPartitionCube(t *testing.T) {
 	}
 	// Corner incidence counts: 000 and 111 in all 6 tets; the other six
 	// corners in 2 tets each (6*4 = 24 = 6+6+6*2).
-	if len(cornerTets[0]) != 6 || len(cornerTets[7]) != 6 {
-		t.Errorf("corner 000/111 tet counts: %d, %d", len(cornerTets[0]), len(cornerTets[7]))
+	var cornerTets [8]int
+	for _, tet := range tetCorners {
+		for _, c := range tet {
+			cornerTets[c]++
+		}
+	}
+	if cornerTets[0] != 6 || cornerTets[7] != 6 {
+		t.Errorf("corner 000/111 tet counts: %d, %d", cornerTets[0], cornerTets[7])
 	}
 	total := 0
-	for _, ts := range cornerTets {
-		total += len(ts)
+	for _, n := range cornerTets {
+		total += n
 	}
 	if total != 24 {
 		t.Errorf("total incidences %d, want 24", total)
@@ -113,6 +122,7 @@ func TestMesh3DTetsPartitionCube(t *testing.T) {
 }
 
 func TestMesh3DAdjacencyConsistency(t *testing.T) {
+	// As TestMesh2DAdjacencyConsistency.
 	m := Mesh3D{NX: 4, NY: 4, NZ: 4}
 	fromCells := make(map[int][]int)
 	for c := 0; c < m.NumCells(); c++ {
@@ -122,7 +132,9 @@ func TestMesh3DAdjacencyConsistency(t *testing.T) {
 	}
 	for v := 0; v < m.NumVertices(); v++ {
 		got := m.VertexCells(v, nil)
-		sort.Ints(got)
+		if !sort.IntsAreSorted(got) {
+			t.Fatalf("vertex %d: cells %v not ascending", v, got)
+		}
 		want := fromCells[v]
 		sort.Ints(want)
 		if len(got) != len(want) {
