@@ -672,31 +672,71 @@ func cmdInfo(args []string) error {
 	}
 	// Header peeks only: no slab is decoded to report the shape.
 	dims, err := shm.ContainerDims(sr)
-	kind, fields := fmt.Sprintf("shm container: %d slabs,", sr.Steps()), int64(1)
+	kind, fields, unit := fmt.Sprintf("shm container: %d slabs,", sr.Steps()), int64(1), "slabs"
 	if errors.Is(err, shm.ErrNotSlabs) {
 		// A time series: every step has step 0's shape.
-		kind, fields = fmt.Sprintf("series: %d steps,", sr.Steps()), int64(sr.Steps())
-		dims, err = stepDims(sr)
+		kind, fields, unit = fmt.Sprintf("series: %d steps,", sr.Steps()), int64(sr.Steps()), "steps"
+		err = nil
 	}
 	if err != nil {
 		return err
+	}
+	hs, err := blockHeaders(sr)
+	if err != nil {
+		return err
+	}
+	if dims == nil {
+		dims = hs[0].Dims
 	}
 	if sr.Version() == 0 {
 		kind = "bare block,"
 	}
 	fmt.Printf("%s %s, %d compressed bytes (%.2fx vs raw)\n",
 		kind, shape(dims), size, float64(fields*rawSize(dims))/float64(size))
+	// Why two outputs of one field differ in size: the stencil each block
+	// chose, and whether the blocks are the slabs of one field.
+	reduced, slab := 0, 0
+	for _, h := range hs {
+		if h.Reduced {
+			reduced++
+		}
+		if h.Slab {
+			slab++
+		}
+	}
+	count := func(k int) string {
+		if len(hs) == 1 {
+			return ""
+		}
+		return fmt.Sprintf(" (%d/%d %s)", k, len(hs), unit)
+	}
+	stencil := "full" + count(len(hs)-reduced)
+	if reduced > 0 {
+		stencil = "reduced" + count(reduced)
+	}
+	flag := "unset"
+	if slab > 0 {
+		flag = "set" + count(slab)
+	}
+	fmt.Printf("stencil: %s\nslab flag: %s\n", stencil, flag)
 	return renderManifestIfPresent(*in)
 }
 
-// stepDims returns the dims in the header of a container's step 0.
-func stepDims(sr *archive.StreamReader) ([]int, error) {
-	blob, err := sr.ReadBlobInto(nil, 0)
-	if err != nil {
-		return nil, err
+// blockHeaders peeks the header of every blob of a container.
+func blockHeaders(sr *archive.StreamReader) ([]core.BlockHeader, error) {
+	hs := make([]core.BlockHeader, sr.Steps())
+	var buf []byte
+	for i := range hs {
+		blob, err := sr.ReadBlobInto(buf, i)
+		if err != nil {
+			return nil, err
+		}
+		buf = blob
+		if hs[i], err = core.PeekBlock(blob); err != nil {
+			return nil, fmt.Errorf("blob %d: %w", i, err)
+		}
 	}
-	h, err := core.PeekBlock(blob)
-	return h.Dims, err
+	return hs, nil
 }
 
 // renderManifestIfPresent prints the run manifest an archive travels

@@ -578,7 +578,41 @@ func TestCLIDecompressCorruptSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(out, "series: 3 steps, 2D field 64x48,") {
-		t.Fatalf("info printed %q, want a series line", out)
+	if !strings.HasPrefix(out, "series: 3 steps, 2D field 64x48,") || !strings.Contains(out, "\nslab flag: unset\n") {
+		t.Fatalf("info printed %q, want a series line and no slab flag", out)
+	}
+}
+
+// TestCLIInfoStencilAndSlabFlag: info reports the stencil the blocks
+// chose and the slab flag, a count per slab for a container of several:
+// at a coarse bound a Hurricane slab predicts with the reduced stencil,
+// at a fine one with the full stencil, and a lone slab has no flag.
+func TestCLIInfoStencilAndSlabFlag(t *testing.T) {
+	dir := t.TempDir()
+	raw := filepath.Join(dir, "h.f32")
+	if err := cmdGen([]string{"-data", "hurricane", "-dims", "32x32x48", "-out", raw}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tau, slabs string
+		want       string
+	}{
+		{"0.01", "4", "stencil: reduced (4/4 slabs)\nslab flag: set (4/4 slabs)\n"},
+		{"0.0005", "4", "stencil: full (4/4 slabs)\nslab flag: set (4/4 slabs)\n"},
+		{"0.01", "1", "stencil: reduced\nslab flag: unset\n"},
+	} {
+		comp := filepath.Join(dir, "h"+tc.tau+"-"+tc.slabs+".szp")
+		if _, err := captureStdout(t, func() error {
+			return cmdCompress([]string{"-in", raw, "-dims", "32x32x48", "-tau", tc.tau, "-slabs", tc.slabs, "-out", comp})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		out, err := captureStdout(t, func() error { return cmdInfo([]string{"-in", comp}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("τ %s, %s slabs: info printed %q, want %q", tc.tau, tc.slabs, out, tc.want)
+		}
 	}
 }

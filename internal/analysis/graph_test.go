@@ -11,9 +11,11 @@ import (
 	"repro/internal/fixed"
 )
 
-// saddleBetweenVortices builds a field with two counter-rotating vortices
-// and a saddle between them: separatrices connect the saddle toward the
-// vortices' neighbourhoods.
+// saddleBetweenVortices builds a field with two co-rotating vortices and
+// a saddle between them, where their flows meet head on: separatrices
+// connect the saddle toward the vortices' neighbourhoods. (Two
+// counter-rotating vortices flow the same way between them, and leave no
+// saddle there.)
 func saddleBetweenVortices(n int) *field.Field2D {
 	f := field.NewField2D(n, n)
 	c1x, c1y := float64(n)/4, float64(n)/2
@@ -22,12 +24,11 @@ func saddleBetweenVortices(n int) *field.Field2D {
 		for i := 0; i < n; i++ {
 			x, y := float64(i), float64(j)
 			var u, v float64
-			for s, c := range [][2]float64{{c1x, c1y}, {c2x, c2y}} {
+			for _, c := range [][2]float64{{c1x, c1y}, {c2x, c2y}} {
 				dx, dy := x-c[0], y-c[1]
 				g := math.Exp(-(dx*dx + dy*dy) / float64(n))
-				sign := float64(1 - 2*s)
-				u += sign * -dy * g
-				v += sign * dx * g
+				u += -dy * g
+				v += dx * g
 			}
 			idx := f.Idx(i, j)
 			f.U[idx] = float32(u)
@@ -51,7 +52,7 @@ func TestBuildTopologyGraph(t *testing.T) {
 		}
 	}
 	if !hasSaddle {
-		t.Skip("field lacks a saddle at this resolution")
+		t.Fatal("the field between the vortices has no saddle")
 	}
 	g := BuildTopologyGraph(f, pts, 3)
 	if len(g.Nodes) != len(pts) {

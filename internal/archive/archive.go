@@ -107,7 +107,8 @@ func (s *Series) Append(dims []int, comps [][]float32, opts core.Options) error 
 // temporally predicted frames through their predecessors (purely spatial
 // series decode too), and returns the shared dims and each step's
 // components. It reads only time series: a step whose header places it
-// in a decomposed field — a slab of an shm container — is ErrCorrupt,
+// in a decomposed field or carries the slab flag — a slab of an shm
+// container, lossy or degraded — is ErrCorrupt,
 // and a step whose dims differ from step 0's is ErrDimsChanged, as in
 // Series.Append.
 func DecodeSeries(sr *StreamReader) ([]int, [][][]float32, error) {
@@ -125,7 +126,7 @@ func DecodeSeries(sr *StreamReader) ([]int, [][][]float32, error) {
 		switch {
 		case err != nil:
 			return nil, nil, fmt.Errorf("archive: step %d: %w", i, err)
-		case h.Placed:
+		case h.Placed || h.Slab:
 			return nil, nil, fmt.Errorf("archive: step %d is a block of a decomposed field, not a time step: %w", i, ErrCorrupt)
 		case i > 0 && !slices.Equal(h.Dims, dims):
 			return nil, nil, fmt.Errorf("archive: step %d has dims %v, step 0 %v: %w", i, h.Dims, dims, ErrDimsChanged)

@@ -254,7 +254,7 @@ func TestCompressRejectsCallerTransformOutOfRange(t *testing.T) {
 		}
 		_, err := CompressField2D(tc.f, tr, Options{Tau: 0.01})
 		want("CompressField2D", err)
-		_, err = CompressLossless([]int{tc.f.NX, tc.f.NY}, tc.f.Components(), tr)
+		_, err = CompressLossless(Block{Dims: []int{tc.f.NX, tc.f.NY}, Comps: tc.f.Components(), Transform: tr})
 		want("CompressLossless", err)
 	}
 	// A previous frame gets the same check as the frame it predicts.
@@ -271,7 +271,7 @@ func TestCompressRejectsCallerTransformOutOfRange(t *testing.T) {
 	}
 	g := tinyField3D(4, 4)
 	g.W[5] = float32(math.Inf(-1))
-	_, err := CompressLossless([]int{g.NX, g.NY, g.NZ}, g.Components(), fixed.FromShift(10))
+	_, err := CompressLossless(Block{Dims: []int{g.NX, g.NY, g.NZ}, Comps: g.Components(), Transform: fixed.FromShift(10)})
 	var de *fixed.DomainError
 	if !errors.As(err, &de) || de.Component != 2 || de.Index != 5 {
 		t.Errorf("CompressLossless 3D: err = %v, want *fixed.DomainError at component 2 index 5", err)

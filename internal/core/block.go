@@ -40,6 +40,10 @@ type Block struct {
 	// TwoPhase selects the ratio-oriented strategy: ghost layers must be
 	// supplied on every neighbor side and compression runs in two phases.
 	TwoPhase bool
+	// Slab marks the block as one slab of an shm container of two or
+	// more, lossy or degraded; the header's slab flag records it, so a
+	// container's slabs are told from a time series's steps.
+	Slab bool
 }
 
 // dimNames names each axis extent in a shape *fixed.DomainError.
@@ -89,7 +93,7 @@ func (b *Block) spec() (blockSpec, error) {
 		return blockSpec{}, errors.New("core: a 2D block has no Z-side neighbors")
 	}
 	s := blockSpec{
-		blockShape: blockShape{ndim: nd, nc: nd, neighbor: b.Neighbor, losslessBord: b.LosslessBorder, twoPhase: b.TwoPhase},
+		blockShape: blockShape{ndim: nd, nc: nd, neighbor: b.Neighbor, losslessBord: b.LosslessBorder, twoPhase: b.TwoPhase, slab: b.Slab},
 		transform:  b.Transform,
 		opts:       b.Opts,
 	}

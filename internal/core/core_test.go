@@ -123,6 +123,14 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if got != h {
 		t.Fatalf("version-3 header round trip: %+v != %+v", got, h)
 	}
+	// A version-4 header adds the stencil and slab flags.
+	h.Version, h.Reduced, h.Slab = version4, true, true
+	if err := got.unmarshal(h.marshal()); err != nil {
+		t.Fatal(err)
+	}
+	if got != h {
+		t.Fatalf("version-4 header round trip: %+v != %+v", got, h)
+	}
 	if err := got.unmarshal([]byte{1, 2}); err == nil {
 		t.Error("short header should fail")
 	}
@@ -487,7 +495,7 @@ func TestCompressRejectsBadInput(t *testing.T) {
 		if tc.param == "tau" {
 			continue
 		}
-		_, err = CompressLossless(tc.blk.Dims, tc.blk.Comps, tr)
+		_, err = CompressLossless(Block{Dims: tc.blk.Dims, Comps: tc.blk.Comps, Transform: tr})
 		if !errors.As(err, &de) || de.Param != tc.param {
 			t.Errorf("%s: CompressLossless err = %v, want *fixed.DomainError for %s", tc.name, err, tc.param)
 		}

@@ -49,12 +49,16 @@ import (
 // two-phase orders lo is 0 (a vertex off the max planes has no lower
 // neighbor on one, and the second phase is itself a raster); in a piece
 // it is the piece's first vertex, whose lower slow-axis plane is a seam
-// visited last.
+// visited last. Under the reduced Lorenzo stencil (a version-4 block's
+// flag) every run's lo is raised to the start of its slow-axis slice —
+// its plane in 3D, its row in 2D — so the stencil drops the slow axis's
+// terms everywhere, as it does on a piece's first plane.
 type vertexOrder struct {
 	nx, ny, nz int
 	twoPhase   bool
 	maxPlane   [3]bool // a neighbor faces the max plane of axis X, Y, Z
 	pieces     int     // slow-axis pieces; ≤ 1 for the raster and two-phase orders
+	reduced    bool    // the reduced Lorenzo stencil
 }
 
 // The phases runs visits: every vertex (a raster block), or the first
@@ -140,7 +144,7 @@ func (o *vertexOrder) runs(phase, t int, visit func(r orderRun) error) error {
 			case !onMax && phase == phaseTwo:
 				i0 = o.nx - 1
 			}
-			if err := visit(orderRun{oj: oj, ok: ok, i0: i0, i1: i1, pos: pos}); err != nil {
+			if err := visit(orderRun{oj: oj, ok: ok, i0: i0, i1: i1, pos: pos, lo: o.runLo(oj, ok, 0)}); err != nil {
 				return err
 			}
 			pos += i1 - i0
@@ -176,12 +180,26 @@ func (o *vertexOrder) pieceRuns(phase, p int, visit func(r orderRun) error) erro
 		last--
 	}
 	for r := first * rows; r < last*rows; r++ {
-		if err := visit(orderRun{oj: r % o.ny, ok: r / o.ny, i1: o.nx, pos: pos, lo: s0 * plane}); err != nil {
+		oj, ok := r%o.ny, r/o.ny
+		if err := visit(orderRun{oj: oj, ok: ok, i1: o.nx, pos: pos, lo: o.runLo(oj, ok, s0*plane)}); err != nil {
 			return err
 		}
 		pos += o.nx
 	}
 	return nil
+}
+
+// runLo returns the lo of a run in row (oj, ok) whose order gives it lo:
+// under the reduced stencil, raised to the start of the row's slow-axis
+// slice.
+func (o *vertexOrder) runLo(oj, ok, lo int) int {
+	switch {
+	case !o.reduced:
+		return lo
+	case o.nz > 1:
+		return max(lo, ok*o.nx*o.ny)
+	}
+	return max(lo, oj*o.nx)
 }
 
 // allRuns calls visit on every run of the block's order, task after
@@ -241,9 +259,10 @@ type decodeScratch struct {
 	order    vertexOrder
 	nc       int
 	temporal bool
-	// split reports a version-3 block: a bound-0 vertex's components are
-	// on the residual stream res, and the code stream holds the lossy
-	// vertices' symbols only; codePos is the replay's place in it.
+	// split reports a block of version 3 or later: a bound-0 vertex's
+	// components are on the residual stream res, and the code stream
+	// holds the lossy vertices' symbols only; codePos is the replay's
+	// place in it.
 	split   bool
 	lits    []byte
 	res     []byte
@@ -271,13 +290,13 @@ func (d *decodeScratch) release() {
 //
 // Every check runs before the working buffers are sized: the header
 // (and the block's CRC), and both streams' symbol counts against the
-// header's vertex count (a version-3 code stream's exact count, nc per
-// vertex of bound above 0, is the replay's to check). The replay
+// header's vertex count (from version 3 the code stream's exact count,
+// nc per vertex of bound above 0, is the replay's to check). The replay
 // rejects a bound symbol off the bound grid, a code, literal or
 // residual stream shorter than the block needs, a code stream longer,
-// and, in a version-3 block, a literal or residual stream longer. Of several faults in
-// one block the first met in stream order is reported, the bound
-// stream's before the code stream's before the replay's.
+// and, from version 3, a literal or residual stream longer. Of several
+// faults in one block the first met in stream order is reported, the
+// bound stream's before the code stream's before the replay's.
 func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]float32, error)) (*header, *decodeScratch, error) {
 	sections, err := encoder.Unpack(blob)
 	if err != nil {
@@ -304,7 +323,7 @@ func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]float32, 
 		if got := h.payloadChecksum(sections[1], sections[2], sections[3]); got != h.PayloadCRC {
 			return nil, nil, payloadError(h.PayloadCRC, got)
 		}
-	case version3:
+	case version3, version4:
 		if literals, residuals, err = splitSection3(sections); err != nil {
 			return nil, nil, err
 		}
@@ -321,9 +340,9 @@ func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]float32, 
 	if err != nil {
 		return nil, nil, codeStreamError(err)
 	}
-	// A version-3 code stream holds the lossy vertices' symbols only;
-	// the bound stream says how many after it is decoded.
-	if exp.Len() != n || code.Len() > h.NDim*n || h.Version != version3 && code.Len() != h.NDim*n {
+	// From version 3 the code stream holds the lossy vertices' symbols
+	// only; the bound stream says how many after it is decoded.
+	if exp.Len() != n || code.Len() > h.NDim*n || h.Version < version3 && code.Len() != h.NDim*n {
 		return nil, nil, errStreamLength
 	}
 	var prev [][]float32
@@ -333,7 +352,7 @@ func decodeFixed(blob []byte, wantDim int, prevOf func(h *header) ([][]float32, 
 		}
 	}
 	ds := decodePool.get()
-	ds.split, ds.res = h.Version == version3, residuals
+	ds.split, ds.res = h.Version >= version3, residuals
 	if err := ds.decode(&h, exp, code, literals, prev); err != nil {
 		ds.release()
 		return nil, nil, err
@@ -353,8 +372,9 @@ func payloadError(want, got uint32) error {
 	return &integrity.IntegrityError{Container: "block", Section: "payload", Slab: -1, Want: want, Got: got}
 }
 
-// splitSection3 checks a version-3 block's CRC, at the front of section
-// 3, and returns the literal and residual streams behind it.
+// splitSection3 checks the CRC of a block of version 3 or later, at the
+// front of section 3, and returns the literal and residual streams
+// behind it.
 func splitSection3(sections [][]byte) (literals, residuals []byte, err error) {
 	sec := sections[3]
 	if len(sec) < 4 {
@@ -388,7 +408,7 @@ func (d *decodeScratch) decode(h *header, exp, code *huffman.Stream, literals []
 	}
 	d.order = vertexOrder{nx: h.NX, ny: h.NY, nz: nz, twoPhase: h.Order == orderTwoPhase,
 		maxPlane: [3]bool{h.HasGhost[SideMaxX], h.HasGhost[SideMaxY], h.NDim == 3 && h.HasGhost[SideMaxZ]},
-		pieces:   h.Pieces}
+		pieces:   h.Pieces, reduced: h.Reduced}
 	d.nc, d.temporal, d.lits = nc, h.Temporal, literals
 	d.exp = resize(d.exp, n)
 	d.code = resize(d.code, code.Len())
@@ -496,8 +516,8 @@ func guard(f func() error) (err error) {
 // run replays every run in visit order. With done not nil the code
 // stream is still being decoded on another goroutine, and each run
 // first waits until done covers its code symbols. The runs must use up
-// the code stream exactly — a version-3 code stream's length is checked
-// here, against the bound symbols — and a version-3 block's literal and
+// the code stream exactly — from version 3 its length is checked here,
+// against the bound symbols — and from version 3 the literal and
 // residual streams too.
 func (d *decodeScratch) run(done *atomic.Int64) error {
 	avail := int64(len(d.code))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -91,27 +92,36 @@ func TestDecodePipelineMatchesSerial(t *testing.T) {
 		dims     []int
 		spec     Speculation
 		temporal bool
-		placed   string // "", "border" or "two-phase"
+		placed   string  // "", "border" or "two-phase"
+		tau      float64 // 0: 0.02
 	}
 	var cases []tc
 	for _, dims := range [][]int{atFloor2D, atFloor3D} {
 		for _, spec := range []Speculation{NoSpec, ST1, ST2, ST3, ST4} {
 			for _, temporal := range []bool{false, true} {
-				cases = append(cases, tc{dims, spec, temporal, ""})
+				cases = append(cases, tc{dims, spec, temporal, "", 0})
 			}
 		}
 		for _, placed := range []string{"border", "two-phase"} {
-			cases = append(cases, tc{dims, ST1, false, placed}, tc{dims, NoSpec, true, placed})
+			cases = append(cases, tc{dims, ST1, false, placed, 0}, tc{dims, NoSpec, true, placed, 0})
 		}
 	}
 	for _, dims := range [][]int{belowFloor2D, belowFloor3D} {
-		cases = append(cases, tc{dims, NoSpec, false, ""}, tc{dims, ST4, true, ""})
+		cases = append(cases, tc{dims, NoSpec, false, "", 0}, tc{dims, ST4, true, "", 0})
 	}
 	for _, dims := range [][]int{twoPieces2D, twoPieces3D} {
-		cases = append(cases, tc{dims, NoSpec, false, ""}, tc{dims, ST2, false, ""}, tc{dims, ST4, true, ""})
+		cases = append(cases, tc{dims, NoSpec, false, "", 0}, tc{dims, ST2, false, "", 0}, tc{dims, ST4, true, "", 0})
 	}
+	// At a large bound every kind of 2D block predicts with the reduced
+	// stencil.
+	for _, placed := range []string{"", "border", "two-phase"} {
+		cases = append(cases, tc{atFloor2D, ST1, false, placed, 0.5})
+	}
+	cases = append(cases, tc{twoPieces2D, NoSpec, false, "", 0.5})
 	pipelined := pipelineCount(t)
 	escapes := 0
+	// stencils counts the blocks of each dimension by stencil.
+	stencils := map[string]int{}
 	for i, c := range cases {
 		name := fmt.Sprintf("%v %v temporal=%v %s", c.dims, c.spec, c.temporal, c.placed)
 		comps, prev := spikyField(int64(300+i), c.dims)
@@ -119,7 +129,7 @@ func TestDecodePipelineMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := Block{Dims: c.dims, Comps: comps, Transform: tr, Opts: Options{Tau: 0.02, Spec: c.spec}}
+		b := Block{Dims: c.dims, Comps: comps, Transform: tr, Opts: Options{Tau: cmp.Or(c.tau, 0.02), Spec: c.spec}}
 		if c.temporal {
 			b.Prev = prev
 		}
@@ -137,6 +147,10 @@ func TestDecodePipelineMatchesSerial(t *testing.T) {
 		}
 		want := enc.Decompressed()
 		escapes += enc.Stats().Literals
+		stencils[fmt.Sprintf("%dD reduced=%v", len(c.dims), enc.k.order.reduced)]++
+		if c.tau > 0 && !enc.k.order.reduced {
+			t.Errorf("%s: τ %g chose the full stencil", name, c.tau)
+		}
 		for _, ts := range enc.k.streams {
 			for rest := ts.res; len(rest) > 0; {
 				var r int64
@@ -166,6 +180,12 @@ func TestDecodePipelineMatchesSerial(t *testing.T) {
 	}
 	if escapes == 0 {
 		t.Fatal("no escapes: the cases missed values past the code range")
+	}
+	t.Logf("blocks by stencil: %v", stencils)
+	for _, key := range []string{"2D reduced=false", "2D reduced=true", "3D reduced=false", "3D reduced=true"} {
+		if stencils[key] == 0 {
+			t.Errorf("no block is %s", key)
+		}
 	}
 }
 

@@ -187,6 +187,81 @@ func TestDecodeRejectsUnknownOrder(t *testing.T) {
 	}
 }
 
+// withFlags rewrites blob as a block of the given version whose header
+// flags byte also has the bits of set, with the CRC recomputed. The
+// flags byte ends a version-3 or -4 header.
+func withFlags(t testing.TB, blob []byte, version uint8, set byte) []byte {
+	t.Helper()
+	secs, err := encoder.Unpack(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range secs {
+		secs[i] = slices.Clone(secs[i])
+	}
+	secs[0][2] = version
+	secs[0][len(secs[0])-1] |= set
+	binary.LittleEndian.PutUint32(secs[3], integrity.Checksum(secs[0], secs[1], secs[2], secs[3][4:]))
+	out, err := encoder.Pack(secs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// temporalBase compresses a small temporal block and returns it with its
+// previous frame.
+func temporalBase(t testing.TB) (blob []byte, dims []int, prev [][]float32) {
+	t.Helper()
+	f, p := smooth2D(93, 12, 10), smooth2D(94, 12, 10)
+	tr, err := fixed.Fit(f.U, f.V, p.U, p.V)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := block2D(f, tr, Options{Tau: 0.05})
+	b.Prev = p.Components()
+	if blob, _, err = CompressBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	return blob, f.Dims(), b.Prev
+}
+
+// TestDecodeRejectsV4FlagFaults: a version-4 header that sets a reserved
+// flag bit, or the reduced-stencil bit on a temporal block, is a
+// *FlagError; a version-3 header ignores every bit past its two.
+func TestDecodeRejectsV4FlagFaults(t *testing.T) {
+	spatial, _ := craftBase(t)
+	temporal, dims, prev := temporalBase(t)
+	for _, tc := range []struct {
+		name    string
+		blob    []byte
+		version uint8
+		set     byte
+		bad     bool
+	}{
+		{"reserved bit", spatial, version4, 0x10, true},
+		{"top bit", spatial, version4, 0x80, true},
+		{"reduced temporal", temporal, version4, flagReduced, true},
+		{"reduced spatial", spatial, version4, flagReduced, false},
+		{"slab", spatial, version4, flagSlab, false},
+		{"version 3, reserved bits", spatial, version3, 0xf0, false},
+		{"version 3, reduced temporal", temporal, version3, flagReduced | flagSlab, false},
+	} {
+		blob := withFlags(t, tc.blob, tc.version, tc.set)
+		_, _, err := DecompressWithPrev(blob, dims, prev)
+		_, perr := PeekBlock(blob)
+		var fe *FlagError
+		switch {
+		case tc.bad && (!errors.As(err, &fe) || !errors.Is(err, errHeader)):
+			t.Errorf("%s: Decompress err = %v, want a *FlagError", tc.name, err)
+		case tc.bad && !errors.As(perr, &fe):
+			t.Errorf("%s: PeekBlock err = %v, want a *FlagError", tc.name, perr)
+		case !tc.bad && (err != nil || perr != nil):
+			t.Errorf("%s: Decompress %v, PeekBlock %v", tc.name, err, perr)
+		}
+	}
+}
+
 // TestDecodeRejectsPiecesOffTheDims: a pieced header must hold 2 …
 // nSlow/2 pieces of a whole block; any other count, or a neighbor side
 // or lossless border, is an *OrderError. Counts that fit decode, and a

@@ -39,6 +39,11 @@ func fuzzSeeds2D(f *testing.F) {
 	f.Add(over)
 	f.Add(crcFlip)
 	f.Add(escLike)
+	// Version-4 flag faults: a reserved bit, and the reduced-stencil bit
+	// on a temporal block.
+	temporal, _, _ := temporalBase(f)
+	f.Add(withFlags(f, blob, version4, 0x10))
+	f.Add(withFlags(f, temporal, version4, flagReduced))
 }
 
 // pipelineSeed compresses a whole-domain field of dims with literal
@@ -110,6 +115,8 @@ func fuzzSeeds3D(f *testing.F) {
 	f.Add(over)
 	f.Add(crcFlip)
 	f.Add(escLike)
+	f.Add(withFlags(f, blob, version4, 0x40))
+	f.Add(withFlags(f, tblob, version4, flagReduced))
 }
 
 func FuzzDecompress3D(f *testing.F) {

@@ -654,16 +654,22 @@ func TestGoldenV1Decode(t *testing.T) {
 	decodeGoldenDir(t, filepath.Join("testdata", "golden-v1"), names)
 }
 
-// TestGoldenV2Decode decodes the frozen version-2 corpus under
-// testdata/golden-v2 — every golden case as written before version 3
-// moved the checksum into section 3 and bound-0 residuals out of the
-// code stream — and pins the decoded fields against its digests, which
-// version 3 must reproduce: the decoded values did not change.
-func TestGoldenV2Decode(t *testing.T) {
+// goldenNames lists the golden cases by name.
+func goldenNames() []string {
 	var names []string
 	for _, c := range goldenCases() {
 		names = append(names, c.name)
 	}
+	return names
+}
+
+// TestGoldenV2Decode decodes the frozen version-2 corpus under
+// testdata/golden-v2 — every golden case as written before version 3
+// moved the checksum into section 3 and bound-0 residuals out of the
+// code stream — and pins the decoded fields against its digests, which
+// the version-3 corpus reproduces: the decoded values did not change.
+func TestGoldenV2Decode(t *testing.T) {
+	names := goldenNames()
 	dir := filepath.Join("testdata", "golden-v2")
 	decodeGoldenDir(t, dir, names)
 	for _, name := range names {
@@ -671,7 +677,7 @@ func TestGoldenV2Decode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v3, err := os.ReadFile(filepath.Join("testdata", "golden", name+".sum"))
+		v3, err := os.ReadFile(filepath.Join("testdata", "golden-v3", name+".sum"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -679,6 +685,15 @@ func TestGoldenV2Decode(t *testing.T) {
 			t.Errorf("%s: the version-3 golden decodes to another field than the version-2 one", name)
 		}
 	}
+}
+
+// TestGoldenV3Decode decodes the frozen version-3 corpus under
+// testdata/golden-v3 — every golden case as written before version 4
+// chose the Lorenzo stencil per block and added the slab flag — and pins
+// the decoded fields against its own digests: blocks and containers
+// already on disk keep decoding bit for bit.
+func TestGoldenV3Decode(t *testing.T) {
+	decodeGoldenDir(t, filepath.Join("testdata", "golden-v3"), goldenNames())
 }
 
 // TestGoldenLosslessBorderContainersDecode decodes the frozen shm

@@ -49,20 +49,51 @@ const (
 	// payload sections to the header; version3 moves that checksum to
 	// the front of section 3, so the header goes out before the payload
 	// exists, and stores bound-0 residuals in section 3 instead of the
-	// code stream (see kernel.finish). The encoder emits version3; the
-	// decoder reads all three.
+	// code stream (see kernel.finish); version4 adds the stencil and slab
+	// flags and refuses unknown flag bits. The encoder emits version4;
+	// the decoder reads all four.
 	version1 = 1
 	version2 = 2
 	version3 = 3
+	version4 = 4
 )
 
 // FormatVersion is the block format version the encoder emits, recorded
 // in run manifests for provenance.
-const FormatVersion = version3
+const FormatVersion = version4
+
+// The bits of the header's flags byte. Blocks before version 4 know only
+// the first two and ignore the rest; a version-4 block refuses the
+// reserved bits.
+const (
+	flagBorder   = 1 << iota // lossless-border mode
+	flagTemporal             // temporal prediction
+	flagReduced              // the reduced Lorenzo stencil (version 4)
+	flagSlab                 // one slab of a container of several (version 4)
+	flagsKnown   = flagBorder | flagTemporal | flagReduced | flagSlab
+)
+
+// FlagError reports a version-4 block header whose flags byte sets a
+// reserved bit, or the reduced-stencil bit on a temporal block, which
+// predicts from the previous frame and has no stencil. It is a
+// malformed header.
+type FlagError struct {
+	Flags uint8
+}
+
+func (e *FlagError) Error() string {
+	if r := e.Flags &^ flagsKnown; r != 0 {
+		return fmt.Sprintf("core: malformed header: reserved flag bits %#02x set", r)
+	}
+	return "core: malformed header: reduced stencil on a temporal block"
+}
+
+// Unwrap makes a FlagError an errHeader to errors.Is.
+func (e *FlagError) Unwrap() error { return errHeader }
 
 // header is the self-describing prefix of a compressed block.
 type header struct {
-	// Version is the block format version (version1 … version3).
+	// Version is the block format version (version1 … version4).
 	Version  uint8
 	NDim     int
 	NX, NY   int
@@ -75,6 +106,11 @@ type header struct {
 	HasGhost [6]bool // minX, maxX, minY, maxY, minZ, maxZ
 	Border   bool    // lossless-border mode (informational)
 	Temporal bool    // temporal prediction: decoder needs the previous frame
+	// Reduced selects the reduced Lorenzo stencil, without the slow
+	// axis's terms (vertexOrder's reduced); Slab marks one slab of an shm
+	// container of two or more. Both are version-4 flags.
+	Reduced bool
+	Slab    bool
 	// PayloadCRC is a version-2 block's CRC32C, computed by
 	// payloadChecksum: it covers the marshaled header itself (with this
 	// field zeroed) followed by the payload sections in section order,
@@ -120,11 +156,10 @@ func (h *header) marshal() []byte {
 	}
 	b = append(b, ghost)
 	var flags byte
-	if h.Border {
-		flags |= 1
-	}
-	if h.Temporal {
-		flags |= 2
+	for i, set := range [...]bool{h.Border, h.Temporal, h.Reduced, h.Slab} {
+		if set {
+			flags |= 1 << i
+		}
 	}
 	b = append(b, flags)
 	if h.Version == version2 {
@@ -141,7 +176,7 @@ func (h *header) unmarshal(b []byte) error {
 		return errHeader
 	}
 	h.Version = b[2]
-	if h.Version < version1 || h.Version > version3 {
+	if h.Version < version1 || h.Version > version4 {
 		return errHeader
 	}
 	h.NDim = int(b[3])
@@ -211,8 +246,16 @@ func (h *header) unmarshal(b []byte) error {
 	for i := range h.HasGhost {
 		h.HasGhost[i] = b[0]&(1<<i) != 0
 	}
-	h.Border = b[1]&1 != 0
-	h.Temporal = b[1]&2 != 0
+	flags := b[1]
+	h.Border = flags&flagBorder != 0
+	h.Temporal = flags&flagTemporal != 0
+	if h.Version >= version4 {
+		if flags&^flagsKnown != 0 || h.Temporal && flags&flagReduced != 0 {
+			return &FlagError{Flags: flags}
+		}
+		h.Reduced = flags&flagReduced != 0
+		h.Slab = flags&flagSlab != 0
+	}
 	if h.Order == orderPieces {
 		nSlow := h.NY
 		if h.NDim == 3 {
@@ -270,6 +313,14 @@ type BlockHeader struct {
 	// stored exactly, as in a CompressLossless block (the form a degraded
 	// shm slab falls back to).
 	Lossless bool
+	// Version is the block format version.
+	Version int
+	// Slab reports the slab flag: the block is one slab of an shm
+	// container of two or more, lossy or degraded (version 4).
+	Slab bool
+	// Reduced reports the reduced Lorenzo stencil: the block predicts
+	// without the slow axis's terms (version 4).
+	Reduced bool
 }
 
 // PeekBlock parses a compressed block's header without decoding the
@@ -287,7 +338,8 @@ func PeekBlock(blob []byte) (BlockHeader, error) {
 	if err := h.unmarshal(sec); err != nil {
 		return BlockHeader{}, err
 	}
-	return BlockHeader{Dims: h.dims(), Placed: h.placed(), Lossless: h.Tau == 0}, nil
+	return BlockHeader{Dims: h.dims(), Placed: h.placed(), Lossless: h.Tau == 0,
+		Version: int(h.Version), Slab: h.Slab, Reduced: h.Reduced}, nil
 }
 
 // placed reports a block compressed as one piece of a decomposed field:

@@ -74,6 +74,7 @@ type blockShape struct {
 	neighbor      [6]bool
 	losslessBord  bool
 	twoPhase      bool
+	slab          bool
 }
 
 // kernel is one in-flight block compression. It mirrors the lifecycle of
@@ -202,6 +203,9 @@ func newKernel(blk blockSpec) (*kernel, error) {
 		k.close()
 		return nil, err
 	}
+	choose := k.tel.stage("stencil-select")
+	k.order.reduced = k.reducedCodesSmaller()
+	choose.End()
 	return k, nil
 }
 
@@ -852,7 +856,7 @@ func (k *kernel) finish() ([]byte, error) {
 	}
 	k.finished = true
 	h := header{
-		Version: version3,
+		Version: version4,
 		NDim:    k.blk.ndim,
 		NX:      k.blk.nx,
 		NY:      k.blk.ny,
@@ -873,6 +877,8 @@ func (k *kernel) finish() ([]byte, error) {
 	h.HasGhost = k.blk.neighbor
 	h.Border = k.blk.losslessBord
 	h.Temporal = k.temporal
+	h.Reduced = k.order.reduced
+	h.Slab = k.blk.slab
 	entropy := k.tel.stage("entropy-code")
 	codes := make([][]uint32, len(k.streams))
 	lits := make([][]byte, len(k.streams))
@@ -939,7 +945,7 @@ func (k *kernel) stream(phase, t int) *taskStream {
 }
 
 // writeBlock entropy-codes a block's streams into its blob, format
-// version 3: the four Pack sections
+// version 3 or 4 (the same sections): the four Pack sections
 //
 //  0. the header;
 //  1. the Huffman-coded bound symbols, one per vertex in visit order;

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/fixed"
 	"repro/internal/predictor"
 	"repro/internal/quantizer"
 	"repro/internal/safedim"
@@ -19,16 +18,19 @@ import (
 // cost of compression ratio. The decoders read the result like any other
 // block.
 
-// CompressLossless stores a field of dims [NX, NY] or [NX, NY, NZ]
-// exactly (up to the fixed-point rounding all paths share) as a block
-// whose every vertex has bound 0, decodable like any other. It checks
-// its input like NewEncoder; a value outside the transform's range is a
-// *fixed.DomainError, as in the lossy kernel.
-func CompressLossless(dims []int, comps [][]float32, tr fixed.Transform) ([]byte, error) {
+// CompressLossless stores the field of b.Dims and b.Comps exactly (up to
+// the fixed-point rounding all paths share) under b.Transform, as a block
+// whose every vertex has bound 0 and predicts with the full stencil,
+// decodable like any other; b.Slab sets the header's slab flag, and the
+// other fields of b are not read. It checks its input like NewEncoder; a
+// value outside the transform's range is a *fixed.DomainError, as in the
+// lossy kernel.
+func CompressLossless(b Block) ([]byte, error) {
+	dims, comps, tr := b.Dims, b.Comps, b.Transform
 	if _, err := checkShape(dims, comps); err != nil {
 		return nil, err
 	}
-	h := header{Version: version3, NDim: len(dims), NX: dims[0], NY: dims[1], Shift: tr.Shift}
+	h := header{Version: version4, NDim: len(dims), NX: dims[0], NY: dims[1], Shift: tr.Shift, Slab: b.Slab}
 	nz := 1
 	if h.NDim == 3 {
 		h.NZ, nz = dims[2], dims[2]

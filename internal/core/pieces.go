@@ -40,10 +40,12 @@ import (
 // 64×64×96 NoSpec 233–258 against 440; Nek 32³ ST4 took 26 ms as 2
 // pieces of 16 Ki against 42 as one. Ocean 128² ST1 gained at 8 Ki
 // pieces (6.5 against 7.4–9.6 ms) and lost 0.6% ratio; 16 Ki keeps it,
-// the daemon's body, one piece. The ratio rises with the piece count
-// on speculative runs (Nek 48³ ST4 17.2 / 18.5 / 21.5 at 1 / 6 / 24
-// pieces): the raster sweep's code entropy grows along the slow axis,
-// and each piece's first plane restarts it.
+// the daemon's body, one piece. With the full stencil on every block
+// the ratio rose with the piece count (Nek 48³ ST4 17.2 / 18.5 / 21.5
+// at 1 / 6 / 24 pieces), because each piece's first plane predicts
+// without the slow axis's terms; with the stencil chosen per block the
+// count no longer moves it (25.6 / 25.6 / 25.7,
+// results/stencil_order.txt).
 const minPieceVertices = 1 << 14
 
 // pieceCount is the number of pieces of a whole-domain block of n

@@ -120,6 +120,8 @@ func TestPiecesMatchAcrossCores(t *testing.T) {
 	}
 	const tau = 0.01
 	literals, fails := 0, 0
+	// stencils counts the blocks of each dimension by stencil.
+	stencils := map[string]int{}
 	for _, c := range cases {
 		name := fmt.Sprintf("%v %v temporal=%v", c.dims, c.spec, c.temporal)
 		comps, prev := pieceField(c.dims)
@@ -137,6 +139,11 @@ func TestPiecesMatchAcrossCores(t *testing.T) {
 		}
 		literals += wantSt.Literals
 		fails += wantSt.SpecFails
+		h, err := core.PeekBlock(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stencils[fmt.Sprintf("%dD reduced=%v", len(c.dims), h.Reduced)]++
 		for _, procs := range []int{2, 4} {
 			got, st, ctr, hist := compressAt(t, procs, b)
 			if !bytes.Equal(got, want) {
@@ -174,6 +181,12 @@ func TestPiecesMatchAcrossCores(t *testing.T) {
 	}
 	if literals == 0 || fails == 0 {
 		t.Fatalf("%d literal escapes, %d speculation failures: the cases missed the escape or rollback path", literals, fails)
+	}
+	t.Logf("blocks by stencil: %v", stencils)
+	for _, key := range []string{"2D reduced=false", "2D reduced=true", "3D reduced=false", "3D reduced=true"} {
+		if stencils[key] == 0 {
+			t.Errorf("no block is %s", key)
+		}
 	}
 }
 

@@ -18,7 +18,10 @@ package predictor
 // whose slow-axis neighbors are visited after it (the first vertex of a
 // whole-domain piece, whose lower plane is a seam compressed last), or 0
 // for a plain raster. A 2D grid is the k = 0 plane, and its piece starts
-// are rows.
+// are rows. lo at the start of the vertex's own slow-axis slice (k·nx·ny
+// in 3D, j·nx in 2D) gives the reduced stencil, without the slow axis's
+// terms: the in-plane 2D Lorenzo in 3D, the row predictor in 2D, which
+// package core chooses per block where it codes smaller.
 func Lorenzo(data []int64, nx, ny, i, j, k, lo int) int64 {
 	idx := (k*ny+j)*nx + i
 	sx, sy, sz := 1, nx, nx*ny

@@ -258,7 +258,7 @@ func (r *compressRun) phaseOne(i int, sc *slabScratch) *slabState {
 		blk := core.Block{
 			Dims: append(slices.Clone(r.dims[:nd-1]), sp.Size), Comps: own,
 			Transform: r.tr, Opts: o, Origin: origin, Global: r.dims,
-			Neighbor: *nb, TwoPhase: slabs > 1,
+			Neighbor: *nb, TwoPhase: slabs > 1, Slab: slabs > 1,
 		}
 		if slabs == 1 {
 			// A lone slab is the whole domain: exactly the single-node
@@ -408,7 +408,8 @@ func (r *compressRun) lossless(st *slabState, sc *slabScratch) ([]byte, error) {
 			r.tr.ToFloat(st.hand[c], bufs[c][:r.plane])
 		}
 	}
-	blob, err := core.CompressLossless(append(slices.Clone(r.dims[:nd-1]), sp.Size), bufs, r.tr)
+	blob, err := core.CompressLossless(core.Block{Dims: append(slices.Clone(r.dims[:nd-1]), sp.Size), Comps: bufs,
+		Transform: r.tr, Slab: len(r.spans) > 1})
 	if err != nil {
 		return nil, r.globalIndex(st.i, err)
 	}
@@ -741,8 +742,10 @@ var ErrNotSlabs = fmt.Errorf("shm: container blobs are not slab blocks: %w", arc
 
 // planDecode peeks every blob's header. The slab axis is the last of
 // each blob's dims; the others must agree with slab 0's. Every blob of a
-// multi-blob container must be a slab block: placed in the decomposed
-// field, or the lossless escape a degraded slab falls back to.
+// multi-blob container must be a slab block: from format 4, one with the
+// slab flag; before it, one placed in the decomposed field or the
+// lossless escape a degraded slab falls back to (τ′ = 0), which a series
+// of lossless steps resembles.
 func planDecode(sr *archive.StreamReader) (decodePlan, error) {
 	n := sr.Steps()
 	if n == 0 {
@@ -780,7 +783,11 @@ func planDecode(sr *archive.StreamReader) (decodePlan, error) {
 			return decodePlan{}, fmt.Errorf("shm: slab %d header claims %v points in %d bytes: %w",
 				i, h.Dims, l, archive.ErrCorrupt)
 		}
-		if n > 1 && !h.Placed && !h.Lossless {
+		slab := h.Slab
+		if h.Version < 4 { // before the slab flag
+			slab = h.Placed || h.Lossless
+		}
+		if n > 1 && !slab {
 			return decodePlan{}, fmt.Errorf("shm: blob %d of %d: %w", i, n, ErrNotSlabs)
 		}
 		last := len(h.Dims) - 1

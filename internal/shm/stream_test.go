@@ -8,6 +8,7 @@ import (
 	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/faultinject"
 	"repro/internal/field"
 	"repro/internal/fixed"
 )
@@ -213,6 +214,77 @@ func TestDecompressCorruptSeries(t *testing.T) {
 	}
 	if g, err := decode2D(buf.Bytes(), 2); err != nil || g.NX != 64 || g.NY != 48 {
 		t.Fatalf("one-step container: %v", err)
+	}
+}
+
+// TestSlabFlagTellsSlabsFromSteps: every blob of a container of two or
+// more slabs carries the slab flag, lossy or degraded, so a fully
+// degraded two-slab container — whose blobs are whole-field lossless
+// blocks, like a series of τ′ = 0 steps — is refused as a series; and a
+// series of τ′ = 0 steps, which carries no flag, still decodes as one
+// and is refused as slabs.
+func TestSlabFlagTellsSlabsFromSteps(t *testing.T) {
+	f := datagen.Ocean(64, 48)
+	tr, err := fixed.Fit(f.U, f.V)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := faultinject.New(faultinject.Config{Seed: 1, Prob: [faultinject.NumKinds]float64{faultinject.KindPanic: 1}})
+	for _, tc := range []struct {
+		name   string
+		faults *faultinject.Injector
+	}{{"lossy", nil}, {"degraded", all}} {
+		res, err := Compress(field.Mem2D(f), tr, core.Options{Tau: 0.01, Spec: core.ST2}, Options{Slabs: 2, Faults: tc.faults})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.faults != nil && len(res.Degraded) != 2 {
+			t.Fatalf("%s: degraded %v, want both slabs", tc.name, res.Degraded)
+		}
+		sr, err := archive.OpenStream(bytes.NewReader(res.Blob), int64(len(res.Blob)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < sr.Steps(); i++ {
+			blob, err := sr.ReadBlobInto(nil, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h, err := core.PeekBlock(blob); err != nil || !h.Slab || h.Lossless != (tc.faults != nil) {
+				t.Fatalf("%s: slab %d header %+v, %v: want the slab flag", tc.name, i, h, err)
+			}
+		}
+		if _, _, err := archive.DecodeSeries(sr); !errors.Is(err, archive.ErrCorrupt) {
+			t.Fatalf("%s: a two-slab container decoded as a series: err = %v, want archive.ErrCorrupt", tc.name, err)
+		}
+		if _, err := decode2D(res.Blob, 2); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+
+	var buf bytes.Buffer
+	sw := archive.NewStreamWriter(&buf)
+	for s := 0; s < 2; s++ {
+		blob, err := core.CompressLossless(core.Block{Dims: f.Dims(), Comps: f.Components(), Transform: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sw.AppendBlob(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := archive.OpenStream(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dims, steps, err := archive.DecodeSeries(sr); err != nil || len(steps) != 2 || dims[1] != 48 {
+		t.Fatalf("a series of lossless steps: %v, %d steps, %v", dims, len(steps), err)
+	}
+	if dims, err := ContainerDims(sr); !errors.Is(err, ErrNotSlabs) {
+		t.Fatalf("a series of lossless steps planned as slabs: %v, %v; want ErrNotSlabs", dims, err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -68,6 +69,8 @@ const (
 	seamZeroVectors
 	seamRepeated
 	seamOnFace
+	seamSmoothCoarse
+	seamSmoothFine
 	seamKinds
 )
 
@@ -88,6 +91,8 @@ type seamCase struct {
 	// ties marks a field on whose cells some orientation predicate is
 	// an exact zero, which the detector breaks by SoS.
 	ties bool
+	// tauRel is the error bound relative to the field's range.
+	tauRel float64
 }
 
 func newSeamCase(kind, nx, ny, nz, slabSel uint8, seed uint64) seamCase {
@@ -161,6 +166,19 @@ func newSeamCase(kind, nx, ny, nz, slabSel uint8, seed uint64) seamCase {
 				comps[c][v] = 0.5 * float32(int(2*rnd()+2)%3-1)
 			}
 		}
+	case seamSmoothCoarse, seamSmoothFine:
+		// A smooth field without noise, slow against the grid on every
+		// axis: at a coarse bound the reduced Lorenzo stencil codes it
+		// smaller, at a fine one the full stencil.
+		for v := 0; v < n; v++ {
+			i, j, k := v%dims[0], v/dims[0]%dims[1], v/plane
+			if len(dims) == 2 {
+				k = 0
+			}
+			for c := range comps {
+				comps[c][v] = float32(math.Sin(0.11*float64(i)+float64(c)) * math.Cos(0.07*float64(j)+0.05*float64(k)))
+			}
+		}
 	case seamOnFace:
 		// The linear field x − centre, centre on half-integers, is zero
 		// at the centre of a quad or cube, on the diagonal its triangles
@@ -182,7 +200,13 @@ func newSeamCase(kind, nx, ny, nz, slabSel uint8, seed uint64) seamCase {
 			}
 		}
 	}
-	sc := seamCase{dims: dims, comps: comps, ties: k == seamZeroVectors || k == seamRepeated || k == seamOnFace}
+	sc := seamCase{dims: dims, comps: comps, ties: k == seamZeroVectors || k == seamRepeated || k == seamOnFace, tauRel: 0.01}
+	switch k {
+	case seamSmoothCoarse:
+		sc.tauRel = 0.1
+	case seamSmoothFine:
+		sc.tauRel = 0.0005
+	}
 	switch k {
 	case seamEdge:
 		// One edge value on every plane puts it on every seam and ghost
@@ -241,20 +265,6 @@ func (sc seamCase) pieces() bool {
 	return sc.slabs == 1 && sc.faults == nil && len(sc.comps[0]) >= 32<<10
 }
 
-// oneSlabBlob returns the block of a one-slab container.
-func oneSlabBlob(t *testing.T, container []byte) []byte {
-	t.Helper()
-	sr, err := archive.OpenStream(bytes.NewReader(container), int64(len(container)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := sr.ReadBlobInto(nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
-}
-
 func (sc seamCase) injector() *faultinject.Injector {
 	if sc.faults == nil {
 		return nil
@@ -262,13 +272,29 @@ func (sc seamCase) injector() *faultinject.Injector {
 	return faultinject.New(*sc.faults)
 }
 
+// seamSeed is one input of the harness's seed corpus.
+type seamSeed struct {
+	kind, nx, ny, nz, slabSel uint8
+	seed                      uint64
+}
+
+// seamSeeds returns the seed corpus of one kind: two 2D fields and a 3D
+// one, at the three slab-count selectors in turn.
+func seamSeeds(kind uint8) []seamSeed {
+	return []seamSeed{
+		{kind, 30, 20, 0, kind, uint64(kind) + 1},
+		{kind, 5, 4, 9, kind + 1, uint64(kind) + 11},
+		{kind, 9, 27, 0, kind + 2, uint64(kind) + 21},
+	}
+}
+
 // FuzzSeamEquivalence is the harness; `make fuzz` runs it and `make
 // faults` runs its seed corpus.
 func FuzzSeamEquivalence(f *testing.F) {
 	for kind := uint8(0); kind < seamKinds; kind++ {
-		f.Add(kind, uint8(30), uint8(20), uint8(0), uint8(kind), uint64(kind)+1)
-		f.Add(kind, uint8(5), uint8(4), uint8(9), uint8(kind+1), uint64(kind)+11)
-		f.Add(kind, uint8(9), uint8(27), uint8(0), uint8(kind+2), uint64(kind)+21)
+		for _, s := range seamSeeds(kind) {
+			f.Add(s.kind, s.nx, s.ny, s.nz, s.slabSel, s.seed)
+		}
 	}
 	srv := server.New(server.Config{WorkersPerRequest: 2, SpoolDir: f.TempDir()})
 	f.Fuzz(func(t *testing.T, kind, nx, ny, nz, slabSel uint8, seed uint64) {
@@ -304,7 +330,7 @@ func checkGuarantee(t *testing.T, srv *server.Server, sc seamCase) {
 	if sc.tr != nil {
 		tr = *sc.tr
 	}
-	tau := 0.01 * stats.Range()
+	tau := sc.tauRel * stats.Range()
 	if tau < tr.Resolution() {
 		tau = 2 * tr.Resolution() // a constant field has no range
 	}
@@ -347,7 +373,7 @@ func checkGuarantee(t *testing.T, srv *server.Server, sc seamCase) {
 		if k := min(len(sc.comps[0])>>14, sc.dims[len(sc.dims)-1]/2); k < 2 {
 			t.Fatalf("dims %v: the whole block sweeps in %d pieces, want ≥ 2", sc.dims, k)
 		}
-		if got := oneSlabBlob(t, ref.Blob); !bytes.Equal(got, blob) {
+		if got := containerBlobs(t, ref.Blob); len(got) != 1 || !bytes.Equal(got[0], blob) {
 			t.Fatalf("dims %v: the one-slab container's blob differs from CompressBlock", sc.dims)
 		}
 	}
@@ -366,18 +392,86 @@ func checkGuarantee(t *testing.T, srv *server.Server, sc seamCase) {
 	}
 	checkDecoded(t, sc, fmt.Sprintf("%d slabs (degraded %v)", sc.slabs, ref.Degraded), orig, dec, tr, tau)
 
-	// Both distributed strategies keep the guarantee on the same field.
+	// Both distributed strategies keep the guarantee on the same field,
+	// and each rank's block chooses the same stencil under both: the
+	// choice reads the rank's own values only.
 	grid := strategyGrid(sc.dims)
+	var rankStencils []bool
 	for _, strat := range []parallel.Strategy{parallel.LosslessBorders, parallel.RatioOriented} {
 		res, err := parallel.CompressDistributed(sc.dims, sc.comps, grid, tr, opts, strat, mpi.Config{})
 		if err != nil {
 			t.Fatalf("dims %v, %v on %v: %v", sc.dims, strat, grid, err)
+		}
+		stencils := blobStencils(t, res.Blobs)
+		if rankStencils == nil {
+			rankStencils = stencils
+		} else if !slices.Equal(stencils, rankStencils) {
+			t.Fatalf("dims %v on %v: the ranks' stencils differ between the strategies: %v, %v", sc.dims, grid, rankStencils, stencils)
 		}
 		dec, _, err := parallel.DecompressDistributed(res.Blobs, sc.dims, grid, mpi.Config{})
 		if err != nil {
 			t.Fatalf("dims %v, %v on %v: %v", sc.dims, strat, grid, err)
 		}
 		checkDecoded(t, sc, fmt.Sprintf("%v on %v", strat, grid), orig, dec, tr, tau)
+	}
+}
+
+// blobStencils reports each block's stencil choice, true for reduced.
+func blobStencils(t *testing.T, blobs [][]byte) []bool {
+	t.Helper()
+	out := make([]bool, len(blobs))
+	for i, b := range blobs {
+		h, err := core.PeekBlock(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = h.Reduced
+	}
+	return out
+}
+
+// containerBlobs returns the blobs of a container.
+func containerBlobs(t *testing.T, container []byte) [][]byte {
+	t.Helper()
+	sr, err := archive.OpenStream(bytes.NewReader(container), int64(len(container)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := make([][]byte, sr.Steps())
+	for i := range blobs {
+		if blobs[i], err = sr.ReadBlobInto(nil, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return blobs
+}
+
+// TestSeamSeedsCoverBothStencils: across the seed corpus of the two
+// smooth kinds, the shm containers hold blocks of both stencils, so the
+// harness holds each to its byte-identity and its guarantee.
+func TestSeamSeedsCoverBothStencils(t *testing.T) {
+	seen := map[bool]int{}
+	for _, kind := range []uint8{seamSmoothCoarse, seamSmoothFine} {
+		for _, seed := range seamSeeds(kind) {
+			sc := newSeamCase(seed.kind, seed.nx, seed.ny, seed.nz, seed.slabSel, seed.seed)
+			src := field.MemOf(sc.dims, sc.comps)
+			stats, err := field.SourceStats(src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := core.Options{Tau: sc.tauRel * stats.Range(), Spec: core.ST1}
+			res, err := shm.Compress(src, fixed.FromMaxAbs(stats.MaxAbs), opts, shm.Options{Workers: 1, Slabs: sc.slabs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, reduced := range blobStencils(t, containerBlobs(t, res.Blob)) {
+				seen[reduced]++
+			}
+		}
+	}
+	t.Logf("blocks by stencil (reduced: true): %v", seen)
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("the smooth seeds' blocks by stencil (reduced: true): %v, want both", seen)
 	}
 }
 
