@@ -23,8 +23,9 @@ const selectStride = 8
 const maxSelectBound = 1 << 22
 
 // reducedCodesSmaller reports whether the reduced stencil is estimated to
-// code the block smaller than the full one. On the sampled rows, per
-// component, each stencil of order d costs the sum over the vertices of
+// code the block smaller than the full one. On the sampled rows off the
+// first slice, per component, each stencil of order d costs the sum over
+// the vertices of
 // ilog2(r_d² + (2^d − 1)·ξ²/3 + 4ξ²), where r_d is the order-d residual
 // on the original fixed-point values and ξ the bound speculation starts
 // from: τ′ for NoSpec and ST1, τ′·2^n_l for ST2–ST4. The reduced stencil
@@ -51,20 +52,17 @@ func (k *kernel) reducedCodesSmaller() bool {
 	for r := selectStride - 1; r < blk.ny*blk.nz; r += selectStride {
 		oj, ok := r%blk.ny, r/blk.ny
 		// The same row one slow-axis slice down: in the plane below in
-		// 3D, the row below in 2D.
+		// 3D, the row below in 2D. On the first slice the two stencils
+		// are one, so its rows cost both the same and are skipped.
 		lj, lk, lower := oj, ok-1, ok > 0
 		if blk.ndim == 2 {
 			lj, lk, lower = oj-1, 0, oj > 0
 		}
+		if !lower {
+			continue
+		}
 		for c := 0; c < blk.nc; c++ {
 			k.sliceResiduals(cur, c, oj, ok)
-			if !lower {
-				for _, rr := range cur {
-					reduced += ilog2(rr*rr + noiseReduced)
-					full += ilog2(rr*rr + noiseFull)
-				}
-				continue
-			}
 			k.sliceResiduals(low, c, lj, lk)
 			for i, rr := range cur {
 				rf := rr - low[i]
